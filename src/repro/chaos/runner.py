@@ -68,6 +68,7 @@ from repro.resilience import (
     ReconciliationSweeper,
     ResilienceConfig,
 )
+from repro.resilience.failover import LeaseElection
 from repro.simnet.events import Simulator
 from repro.simnet.network import SimNetwork
 from repro.vnf import VnfService
@@ -228,10 +229,22 @@ def build_deployment(config: SoakConfig) -> Deployment:
     return deployment
 
 
+class _LeaseOnly(LeaseElection):
+    """The election loop with no controller behind it (soaks without
+    control faults): a candidate is up unless killed, and taking over
+    is just holding the lease."""
+
+    def _active_up(self) -> bool:
+        return True
+
+    def take_over(self, candidate: str) -> None:
+        self.active_name = candidate
+
+
 class ChaosEngine:
     """Maps :class:`FaultEvent`\\ s onto the deployment's fault
-    primitives and recovery entry points, and runs the leader-lease
-    loop."""
+    primitives and recovery entry points, and holds the lease-only
+    election loop."""
 
     def __init__(self, deployment: Deployment, config: SoakConfig):
         self.d = deployment
@@ -241,11 +254,14 @@ class ChaosEngine:
         #: site -> (site capacity, per-VNF capacity) stashed at failure.
         self._site_stash: dict[str, tuple[float, dict[str, float]]] = {}
         self._site_reports: dict[str, FailureReport] = {}
-        self.dead_candidates: set[str] = set()
-        self.leader_transitions = 0
+        #: Started by :func:`run_soak` unless a FailoverManager owns the
+        #: lease (control-fault mode); ``kill_leader`` acts on it.
+        self.election = _LeaseOnly(
+            deployment.sim, deployment.store, CANDIDATES, deployment.monitor,
+            config.lease_duration_s, config.lease_renew_s,
+        )
         self.leaders_killed = 0
         self.gs_crashes = 0
-        self._last_leader: str | None = None
         self._recovery_hist = deployment.registry.histogram(
             "chaos.recovery_s"
         )
@@ -255,24 +271,6 @@ class ChaosEngine:
     def schedule(self, scenario: Scenario) -> None:
         for event in scenario.events:
             self.d.sim.schedule_at(event.at, self._apply, event)
-
-    def start_lease_loop(self) -> None:
-        def tick() -> None:
-            now = self.d.sim.now
-            for candidate in CANDIDATES:
-                if candidate not in self.dead_candidates:
-                    self.d.monitor.acquire(
-                        candidate, now, self.config.lease_duration_s
-                    )
-            leader = self.d.monitor.leader(now)
-            if leader is not None and leader != self._last_leader:
-                if self._last_leader is not None:
-                    self.leader_transitions += 1
-                self._last_leader = leader
-            if now + self.config.lease_renew_s <= self.config.duration_s:
-                self.d.sim.schedule(self.config.lease_renew_s, tick)
-
-        self.d.sim.schedule(0.0, tick)
 
     # -- event application ----------------------------------------------
 
@@ -377,13 +375,12 @@ class ChaosEngine:
         leader = self.d.monitor.leader(self.d.sim.now)
         if leader is None:
             return
-        self.dead_candidates.add(leader)
+        self.election.mark_dead(leader)
         self.leaders_killed += 1
         # The killed process comes back (as a standby) well after its
         # old lease expired and the survivor took over.
         self.d.sim.schedule(
-            3 * self.config.lease_duration_s,
-            self.dead_candidates.discard, leader,
+            3 * self.config.lease_duration_s, self.election.revive, leader
         )
 
 
@@ -691,7 +688,7 @@ def run_soak(
         d.sweeper.start(config.duration_s)
         _start_install_workload(d, config)
     else:
-        engine.start_lease_loop()
+        engine.election.start(config.duration_s)
     _start_workload(d, config)
 
     checker = InvariantChecker(d.sim, interval_s=config.probe_interval_s)
@@ -731,14 +728,11 @@ def run_soak(
             d.registry, d.installer, failover=d.failover, sweeper=d.sweeper
         )
 
-    leader_transitions = engine.leader_transitions
-    if config.control_faults:
-        # The failover manager drove the lease; count owner changes
-        # across the recorded grants.
-        owners = [g.owner for g in d.monitor.grants]
-        leader_transitions = sum(
-            1 for i in range(1, len(owners)) if owners[i] != owners[i - 1]
-        )
+    # Leader transitions: owner changes across the recorded grants.
+    owners = [g.owner for g in d.monitor.grants]
+    leader_transitions = sum(
+        1 for i in range(1, len(owners)) if owners[i] != owners[i - 1]
+    )
 
     installer = d.installer
     completed = sum(

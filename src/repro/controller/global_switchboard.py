@@ -23,7 +23,7 @@ from __future__ import annotations
 import contextlib
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
@@ -36,6 +36,7 @@ from repro.dataplane.labels import LabelAllocator, Labels
 from repro.dataplane.rules import LoadBalancingRule, WeightedChoice
 from repro.edge.classifier import ClassifierRule
 from repro.edge.controller import EdgeController
+from repro.controller import twopc
 from repro.controller.chainspec import ChainSpecification
 from repro.controller.local_switchboard import LocalSwitchboard
 from repro.vnf.service import VnfService
@@ -96,6 +97,10 @@ class GlobalSwitchboard:
         self.edge_controllers: dict[str, EdgeController] = {}
         self.vnf_services: dict[str, VnfService] = {}
         self.installations: dict[str, ChainInstallation] = {}
+        #: Called with the chain name at the end of :meth:`remove_chain`;
+        #: the bus-driven installer drops its durable checkpoint here, so
+        #: a later failover cannot re-adopt a removed chain.
+        self.removal_hooks: list[Callable[[str], None]] = []
 
     def attach_federation(self, coordinator) -> None:
         """Plan through a :class:`repro.federation.GlobalCoordinator`.
@@ -266,6 +271,8 @@ class GlobalSwitchboard:
         if chain_name in self.model.chains:
             self.model.remove_chain(chain_name)
         del self.installations[chain_name]
+        for hook in self.removal_hooks:
+            hook(chain_name)
 
     def add_edge_site(self, chain_name: str, edge_site: str) -> str:
         """Graft a new ingress edge site onto an existing chain via the
@@ -334,8 +341,14 @@ class GlobalSwitchboard:
     def _route_and_commit(
         self, chain_name: str
     ) -> tuple[float, dict[tuple[str, str], float]]:
-        """Route the chain and 2PC its capacity; recompute on rejection."""
-        for _attempt in range(self.MAX_COMMIT_ATTEMPTS):
+        """Route the chain and 2PC its capacity; recompute on rejection.
+
+        The direct-call driver of :class:`repro.controller.twopc.Install`:
+        it plans each attempt (SB-DP route + per-VNF loads) and carries
+        the machine's actions out as method calls on the VNF services,
+        one prepare at a time in sorted order."""
+        install = twopc.Install(self.MAX_COMMIT_ATTEMPTS, fan_out=False)
+        while True:
             with self._span("install.route_compute", chain=chain_name):
                 routed = self.router.route(chain_name)
             if routed <= _EPS:
@@ -344,21 +357,24 @@ class GlobalSwitchboard:
                     f"no feasible route for chain {chain_name!r}"
                 )
             loads = self._chain_loads(chain_name)
-            rejection = self._two_phase_commit(chain_name, loads)
-            if rejection is None:
+            verdict, rejecter, _ = self._two_phase_commit(
+                install, chain_name, loads
+            )
+            if verdict == twopc.INSTALLED:
                 return routed, loads
             # A VNF controller rejected: reconcile its reported capacity,
             # roll the route back, and recompute (Section 3 step 2).
-            vnf_name, site = rejection
+            vnf_name, site = rejecter
             service = self.vnf_services[vnf_name]
             if self.metrics is not None:
                 self.metrics.counter("2pc.rejections", chain=chain_name).inc()
             self.router.rollback(chain_name)
             self.router.sync_vnf_capacity(vnf_name, site, service.available(site))
-        raise InstallationError(
-            f"chain {chain_name!r}: two-phase commit failed after "
-            f"{self.MAX_COMMIT_ATTEMPTS} attempts"
-        )
+            if verdict == twopc.REJECTED:
+                raise InstallationError(
+                    f"chain {chain_name!r}: two-phase commit failed after "
+                    f"{self.MAX_COMMIT_ATTEMPTS} attempts"
+                )
 
     def _chain_loads(self, chain_name: str) -> dict[tuple[str, str], float]:
         """Per-(VNF service, site) load of the chain's current flows."""
@@ -382,23 +398,34 @@ class GlobalSwitchboard:
         return dict(loads)
 
     def _two_phase_commit(
-        self, chain_name: str, loads: dict[tuple[str, str], float]
-    ) -> tuple[str, str] | None:
-        """Phase 1 everywhere, then phase 2.  Returns the rejecting
-        (vnf, site) or None on success."""
-        prepared: list[tuple[str, str]] = []
-        with self._span("2pc.prepare", chain=chain_name):
-            for (vnf_name, site), load in sorted(loads.items()):
-                service = self.vnf_services[vnf_name]
-                if not service.prepare(chain_name, site, load):
-                    for p_vnf, p_site in prepared:
-                        self.vnf_services[p_vnf].abort(chain_name, p_site)
-                    return (vnf_name, site)
-                prepared.append((vnf_name, site))
-        with self._span("2pc.commit", chain=chain_name):
-            for vnf_name, site in prepared:
-                self.vnf_services[vnf_name].commit(chain_name, site)
-        return None
+        self,
+        install: "twopc.Install",
+        chain_name: str,
+        loads: dict[tuple[str, str], float],
+    ) -> tuple:
+        """One attempt: phase 1 everywhere, then phase 2.  Returns the
+        machine's verdict, which names the rejecting (vnf, site)."""
+        services = self.vnf_services
+
+        def commit(key: tuple[str, str], _attempt: int) -> bool:
+            services[key[0]].commit(chain_name, key[1])
+            return True
+
+        with contextlib.ExitStack() as phase:
+            phase.enter_context(self._span("2pc.prepare", chain=chain_name))
+
+            def decide(_attempt: int) -> None:
+                phase.close()
+                phase.enter_context(self._span("2pc.commit", chain=chain_name))
+
+            return twopc.run_attempt(
+                install,
+                sorted(loads),
+                lambda k, _a: services[k[0]].prepare(chain_name, k[1], loads[k]),
+                commit,
+                lambda k, _a: services[k[0]].abort(chain_name, k[1]),
+                decide,
+            )
 
     def _commit_delta(
         self,

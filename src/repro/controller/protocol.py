@@ -28,10 +28,11 @@ Message sequence (the numbered arrows of Figure 4):
 Installation completes when every site on the route has configured.
 
 Fault tolerance (:mod:`repro.resilience`): control RPCs ride the
-at-least-once :class:`~repro.resilience.rpc.RpcLayer`; 2PC messages are
-stamped with the coordinator's **attempt number** and receivers keep a
-per-(chain, vnf, site) epoch so stale rounds (a retransmitted abort
-racing a fresh prepare) are no-ops; a per-install **deadline** triggers
+at-least-once :class:`~repro.resilience.rpc.RpcLayer`; the 2PC rounds
+are the shared core (:mod:`repro.controller.twopc`), whose messages are
+stamped with the **attempt number** and whose per-(chain, vnf, site)
+fence at the receivers makes stale rounds (a retransmitted abort
+racing a fresh prepare) no-ops; a per-install **deadline** triggers
 :meth:`BusDrivenInstaller.abort_install`, which tears down every
 participant and rolls the coordinator back; a per-install **re-drive
 tick** re-sends the phase-appropriate messages that travel over bare or
@@ -54,6 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.bus.bus import GlobalMessageBus
 from repro.bus.topics import Topic
+from repro.controller import replication, twopc
 from repro.controller.chainspec import ChainSpecification
 from repro.controller.global_switchboard import (
     ChainInstallation,
@@ -67,11 +69,6 @@ from repro.simnet.network import LinkSpec
 from repro.vnf.service import AllocationError
 
 _EPS = 1e-9
-
-#: Attempt number carried by teardown messages: larger than any real
-#: 2PC round, so a teardown permanently fences late prepares/commits of
-#: the chain at that participant.
-_TOMBSTONE = 1 << 30
 
 
 class ProtocolError(Exception):
@@ -149,6 +146,8 @@ class BusDrivenInstaller:
         self.metrics = metrics
         self.resilience = resilience or ResilienceConfig()
         self.store = store
+        if store is not None:
+            gs.removal_hooks.append(self._remove_checkpoint)
 
         host_sites: dict[str, str] = {}
 
@@ -194,8 +193,8 @@ class BusDrivenInstaller:
         bus.attach("gsb.pub", gs_site)
 
         self._pending: dict[str, _PendingInstall] = {}
-        #: (chain, vnf, site) -> lowest 2PC attempt still accepted there.
-        self._epochs: dict[tuple[str, str, str], int] = {}
+        #: Participant-side attempt epochs, keyed (chain, vnf, site).
+        self._fence = twopc.Fence()
         self.deadline_aborts = 0
         self.aborted = 0
 
@@ -263,57 +262,28 @@ class BusDrivenInstaller:
 
     # -- durable state (checkpoints + phase markers) ----------------------
 
-    def _mark_phase(self, chain_name: str, phase: str, loads) -> None:
+    def _durably(self, write, *args) -> None:
+        """Apply one ``controller.replication`` record helper to the
+        store, if any; a degraded store (quorum lost) costs durability,
+        not the install."""
         if self.store is None:
             return
-        from repro.controller.replication import (
-            ReplicationError,
-            mark_install_phase,
-        )
-
         try:
-            mark_install_phase(self.store, chain_name, phase, loads)
-        except ReplicationError:
-            pass  # degraded store: proceed without durability
+            write(self.store, *args)
+        except replication.ReplicationError:
+            pass
+
+    def _mark_phase(self, chain_name: str, phase: str, loads) -> None:
+        self._durably(replication.mark_install_phase, chain_name, phase, loads)
 
     def _clear_marker(self, chain_name: str) -> None:
-        if self.store is None:
-            return
-        from repro.controller.replication import (
-            ReplicationError,
-            clear_install_marker,
-        )
-
-        try:
-            clear_install_marker(self.store, chain_name)
-        except ReplicationError:
-            pass
+        self._durably(replication.clear_install_marker, chain_name)
 
     def _checkpoint(self, installation: ChainInstallation) -> None:
-        if self.store is None:
-            return
-        from repro.controller.replication import (
-            ReplicationError,
-            checkpoint_installation,
-        )
-
-        try:
-            checkpoint_installation(self.store, installation)
-        except ReplicationError:
-            pass
+        self._durably(replication.checkpoint_installation, installation)
 
     def _remove_checkpoint(self, chain_name: str) -> None:
-        if self.store is None:
-            return
-        from repro.controller.replication import (
-            ReplicationError,
-            remove_checkpoint,
-        )
-
-        try:
-            remove_checkpoint(self.store, chain_name)
-        except ReplicationError:
-            pass
+        self._durably(replication.remove_checkpoint, chain_name)
 
     # -- public API ------------------------------------------------------
 
@@ -404,7 +374,7 @@ class BusDrivenInstaller:
                 "chain": chain,
                 "vnf": vnf_name,
                 "site": site,
-                "attempt": _TOMBSTONE,
+                "attempt": twopc.TOMBSTONE,
             },
         )
 
@@ -486,8 +456,8 @@ class BusDrivenInstaller:
         handler = {
             "chain_request": self._on_chain_request,
             "sites_resolved": self._on_sites_resolved,
-            "prepare_ack": self._on_prepare_ack,
-            "commit_ack": self._on_commit_ack,
+            "prepare_ack": self._on_ack,
+            "commit_ack": self._on_ack,
         }.get(message.get("type"))
         if handler is not None:
             handler(message)
@@ -587,52 +557,92 @@ class BusDrivenInstaller:
             return
         self._finish_stage(pending, "install.route_compute")
         pending.loads = self.gs._chain_loads(spec.name)
-        pending.awaiting_prepare = set(pending.loads)
-        if not pending.awaiting_prepare:
+        if not pending.loads:
             self._publish_route(pending)
             return
         self._mark_phase(spec.name, "committing", pending.loads)
         self._start_stage(pending, "2pc.prepare")
-        for (vnf_name, site), load in pending.loads.items():
-            self._gs_rpc.send(
-                self.vnf_hosts[vnf_name],
-                {
-                    "type": "prepare",
-                    "chain": spec.name,
-                    "vnf": vnf_name,
-                    "site": site,
-                    "load": load,
-                    "attempt": pending.commit_attempts,
-                },
-                self._rpc_gave_up,
-            )
+        self._perform(pending, pending.machine.start(pending.loads))
+
+    def _perform(self, pending: "_PendingInstall", actions) -> None:
+        """Carry out the 2PC machine's actions: protocol messages leave
+        over the reliable RPC layer (every prepare of an attempt at
+        once), verdicts move the install along the Figure 4 flow."""
+        name = pending.spec.name
+        for kind, arg, attempt in actions:
+            if kind == twopc.DECIDE:
+                self._finish_stage(pending, "2pc.prepare")
+                self._start_stage(pending, "2pc.commit")
+            elif kind == twopc.INSTALLED:
+                pending.timeline.route_committed_at = self.sim.now
+                self._finish_stage(pending, "2pc.commit")
+                self._publish_route(pending)
+            elif kind == twopc.RETRY:
+                # Reconcile the rejecting VNF's reported capacity, roll
+                # the route back, and recompute -- the Section 3 step-2
+                # retry, as in the synchronous path.
+                self.gs.router.rollback(name)
+                vnf_name, site = arg
+                self.gs.router.sync_vnf_capacity(
+                    vnf_name, site, self.gs.vnf_services[vnf_name].available(site)
+                )
+                self._start_stage(pending, "install.route_compute")
+                self.sim.schedule(
+                    self.delays.route_compute_s, self._recompute_route, pending
+                )
+            elif kind == twopc.REJECTED:
+                self.gs.router.rollback(name)
+                self.gs.model.remove_chain(name)
+                self._fail(pending, f"2PC rejected by {arg}")
+            else:
+                # Aborts carry the rejected attempt (the receivers' fence
+                # then drops its retransmits but admits the next
+                # attempt's prepares) and are not worth an install abort
+                # if they give up; prepares and commits are.
+                keys = sorted(arg) if kind == twopc.ABORT else arg
+                for vnf_name, site in keys:
+                    message = {"type": kind, "chain": name, "vnf": vnf_name,
+                               "site": site, "attempt": attempt}
+                    if kind == twopc.PREPARE:
+                        message["load"] = pending.loads[(vnf_name, site)]
+                    self._gs_rpc.send(
+                        self.vnf_hosts[vnf_name],
+                        message,
+                        None if kind == twopc.ABORT else self._rpc_gave_up,
+                    )
 
     def _make_vnf_receiver(self, vnf_name: str):
+        fence = self._fence
+
         def receive(sender: str, message: dict) -> None:
             kind = message.get("type")
             service = self.gs.vnf_services[vnf_name]
             chain, site = message.get("chain"), message.get("site")
             attempt = message.get("attempt", 0)
-            epoch_key = (chain, vnf_name, site)
-            epoch = self._epochs.get(epoch_key, 0)
-            if kind == "prepare":
-                if attempt < epoch:
-                    return  # stale round: already aborted or torn down
-                if attempt > epoch:
-                    # A newer round supersedes any reservation a prior
-                    # round left behind (its abort may still be in
-                    # flight -- and must now be ignored).
-                    service.abort(chain, site)
-                    self._epochs[epoch_key] = attempt
-                ok = service.prepare(chain, site, message["load"])
+            key = (chain, vnf_name, site)
+
+            def ack(**result) -> None:
                 self.sim.schedule(
                     self.delays.controller_processing_s,
                     self._vnf_rpc[vnf_name].send,
                     self.gs_host,
-                    {**message, "type": "prepare_ack", "ok": ok},
+                    {**message, "type": f"{kind}_ack", **result},
                 )
+
+            # A stale message (its attempt already aborted or torn down)
+            # is dropped without an ack.
+            if kind == "prepare":
+                verdict = fence.prepare(key, attempt)
+                if verdict == twopc.STALE:
+                    return
+                if verdict == twopc.SUPERSEDING:
+                    # A newer attempt supersedes any reservation a prior
+                    # one left behind (its abort may still be in flight
+                    # -- and must now be ignored).
+                    service.abort(chain, site)
+                ack(ok=service.prepare(chain, site, message["load"]))
             elif kind == "commit":
-                if attempt < epoch:
+                if not fence.admits(key, attempt):
                     return
                 try:
                     service.commit(chain, site)
@@ -640,20 +650,13 @@ class BusDrivenInstaller:
                     # Commit raced a teardown fence; the coordinator's
                     # deadline/abort path owns the outcome.
                     return
-                self.sim.schedule(
-                    self.delays.controller_processing_s,
-                    self._vnf_rpc[vnf_name].send,
-                    self.gs_host,
-                    {**message, "type": "commit_ack"},
-                )
+                ack()
             elif kind == "abort":
-                if attempt < epoch:
-                    return
-                service.abort(chain, site)
-                self._epochs[epoch_key] = attempt + 1
+                if fence.abort(key, attempt):
+                    service.abort(chain, site)
             elif kind == "teardown":
                 service.teardown(chain, site)
-                self._epochs[epoch_key] = max(epoch, attempt + 1)
+                fence.teardown(key, attempt)
             elif kind == "allocate":
                 # Arrow 4: allocate instances and publish them on the bus.
                 pending = self._pending.get(chain)
@@ -669,75 +672,25 @@ class BusDrivenInstaller:
 
         return receive
 
-    def _on_prepare_ack(self, message: dict) -> None:
+    def _on_ack(self, message: dict) -> None:
+        """A prepare or commit ack: an event for the install's machine."""
         pending = self._pending.get(message["chain"])
         if pending is None:
             return
-        if message.get("attempt", 0) != pending.commit_attempts:
-            return  # ack from a superseded 2PC round
-        key = (message["vnf"], message["site"])
-        if not message["ok"]:
+        ok = message.get("ok", True)
+        actions = pending.machine.reply(
+            message["type"][: -len("_ack")],
+            (message["vnf"], message["site"]),
+            message.get("attempt", 0),
+            ok,
+        )
+        if actions and not ok:
             self._finish_stage(pending, "2pc.prepare")
             if self.metrics is not None:
                 self.metrics.counter(
                     "2pc.rejections", chain=pending.spec.name
                 ).inc()
-            # Rejection: abort every *other* participant of this round
-            # (not just the un-acked ones -- VNFs that already acked
-            # hold live reservations), reconcile the rejecting VNF's
-            # reported capacity, roll the route back, and recompute --
-            # the Section 3 step-2 retry, as in the synchronous path.
-            # Aborts carry the rejected round's attempt and bump each
-            # receiver's epoch past it, so retransmits of this round
-            # are fenced while next round's prepares are accepted.
-            for vnf_name, site in sorted(set(pending.loads) - {key}):
-                self._gs_rpc.send(
-                    self.vnf_hosts[vnf_name],
-                    {"type": "abort", "chain": pending.spec.name,
-                     "vnf": vnf_name, "site": site,
-                     "attempt": pending.commit_attempts},
-                )
-            self.gs.router.rollback(pending.spec.name)
-            pending.commit_attempts += 1
-            if pending.commit_attempts >= GlobalSwitchboard.MAX_COMMIT_ATTEMPTS:
-                self.gs.model.remove_chain(pending.spec.name)
-                self._fail(pending, f"2PC rejected by {key}")
-                return
-            vnf_name, site = key
-            service = self.gs.vnf_services[vnf_name]
-            self.gs.router.sync_vnf_capacity(
-                vnf_name, site, service.available(site)
-            )
-            self._start_stage(pending, "install.route_compute")
-            self.sim.schedule(
-                self.delays.route_compute_s, self._recompute_route, pending
-            )
-            return
-        pending.awaiting_prepare.discard(key)
-        if not pending.awaiting_prepare:
-            self._finish_stage(pending, "2pc.prepare")
-            self._start_stage(pending, "2pc.commit")
-            pending.awaiting_commit = set(pending.loads)
-            for vnf_name, site in pending.loads:
-                self._gs_rpc.send(
-                    self.vnf_hosts[vnf_name],
-                    {"type": "commit", "chain": pending.spec.name,
-                     "vnf": vnf_name, "site": site,
-                     "attempt": pending.commit_attempts},
-                    self._rpc_gave_up,
-                )
-
-    def _on_commit_ack(self, message: dict) -> None:
-        pending = self._pending.get(message["chain"])
-        if pending is None:
-            return
-        if message.get("attempt", 0) != pending.commit_attempts:
-            return
-        pending.awaiting_commit.discard((message["vnf"], message["site"]))
-        if not pending.awaiting_commit and pending.timeline.route_committed_at is None:
-            pending.timeline.route_committed_at = self.sim.now
-            self._finish_stage(pending, "2pc.commit")
-            self._publish_route(pending)
+        self._perform(pending, actions)
 
     # -- arrows 3-5: bus publications and rule installation ------------------
 
@@ -927,10 +880,14 @@ class _PendingInstall:
     on_complete: Callable[[InstallationTimeline], None] | None
     ingress_site: str = ""
     egress_site: str = ""
-    commit_attempts: int = 0
+    #: The 2PC state machine: attempts are numbered per install, and
+    #: every prepare of an attempt is in flight at once.
+    machine: twopc.Install = field(
+        default_factory=lambda: twopc.Install(
+            GlobalSwitchboard.MAX_COMMIT_ATTEMPTS, fan_out=True
+        )
+    )
     loads: dict[tuple[str, str], float] = field(default_factory=dict)
-    awaiting_prepare: set[tuple[str, str]] = field(default_factory=set)
-    awaiting_commit: set[tuple[str, str]] = field(default_factory=set)
     awaiting_instances: set[tuple[str, str]] = field(default_factory=set)
     involved_topics: set[str] = field(default_factory=set)
     #: site -> topics whose instance info has arrived there.

@@ -20,14 +20,11 @@ capacity-planning alpha maximization); equality-covered objectives go
 through ``linprog`` unchanged.
 
 The private-module import is feature-detected: when unavailable, every
-caller falls back to the scipy ``linprog`` path, which remains the
-reference implementation.  Setting ``REPRO_LP_BACKEND=linprog`` forces
-the fallback (used by the equivalence tests to compare both backends).
+caller falls back to the scipy ``linprog`` path, which also serves the
+equality-covered objectives and is where a :class:`ColumnGenError` lands.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 from scipy.sparse import csc_matrix
@@ -42,9 +39,7 @@ except Exception:  # pragma: no cover - older/newer scipy layouts
 
 
 def direct_backend_available() -> bool:
-    """True when the direct HiGHS backend can (and should) be used."""
-    if os.environ.get("REPRO_LP_BACKEND", "").lower() == "linprog":
-        return False
+    """True when scipy's bundled HiGHS could be imported."""
     return _HIGHS_IMPORTED
 
 

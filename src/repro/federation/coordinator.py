@@ -16,12 +16,13 @@ The coordinator owns *only* what cannot be decided inside one shard:
   demands, and each crossing reserves the full stage demand on its
   border ledger -- the stitched end-to-end path can never load a
   border beyond the reservation.
-- **Atomic install** -- segments are installed with the epoch-fenced
-  two-phase commit of ``controller.protocol``: prepare every involved
-  region in order; any rejection aborts *all* prepared regions and the
-  next attempt re-splits with the next border choice; only a full set
-  of prepares commits.  A coordinator crash mid-prepare leaves fenced
-  residue that :meth:`GlobalCoordinator.sweep` reclaims, exactly like
+- **Atomic install** -- segments are installed with the shared
+  two-phase commit core (:mod:`repro.controller.twopc`), driven here by
+  direct calls: prepare every involved region in order; any rejection
+  aborts *all* prepared regions and the next attempt re-splits with the
+  next border choice; only a full set of prepares commits.  A
+  coordinator crash mid-prepare leaves fenced residue that
+  :meth:`GlobalCoordinator.sweep` reclaims, exactly like
   ``resilience.sweeper``.
 - **Stitching** -- :meth:`end_to_end_route` reassembles the committed
   segments and crossings into the end-to-end path;
@@ -42,6 +43,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
+from repro.controller import twopc
 from repro.core.lp import LpObjective
 from repro.core.model import Chain, NetworkModel
 from repro.federation.regional import (
@@ -172,7 +174,9 @@ class GlobalCoordinator:
         self._intra: dict[str, int] = {}
         #: Installed cross-shard chains: name -> record.
         self._cross: dict[str, CrossChainRecord] = {}
-        self._attempt = 0
+        #: The global 2PC fencing epoch: one counter for every install
+        #: (regions fence across installs), first attempt 1.
+        self._attempts = twopc.AttemptCounter(0)
         #: region -> (regional generation at solve time, result); reuse
         #: is only safe while the region's model is unchanged since.
         self._last_plans: dict[int, tuple[int, FarmResult]] = {}
@@ -250,6 +254,15 @@ class GlobalCoordinator:
 
     def is_cross(self, name: str) -> bool:
         return name in self._cross
+
+    def installed_chain(self, name: str) -> Chain | None:
+        """The chain as the federation holds it -- with the demands its
+        regions currently plan with -- or ``None`` if not installed."""
+        if name in self._cross:
+            return self._cross[name].chain
+        if name in self._intra:
+            return self.regionals[self._intra[name]].model.chains.get(name)
+        return None
 
     def sweep(self) -> list[tuple[int, str]]:
         """Backstop GC: reclaim prepared-but-uncommitted segment residue
@@ -581,40 +594,66 @@ class GlobalCoordinator:
         return segments
 
     def _install_cross(self, chain: Chain) -> CrossChainRecord:
-        """Epoch-fenced 2PC across every region the split touches."""
-        for attempt_no in range(self.max_attempts):
-            self._attempt += 1
-            attempt = self._attempt
-            segments = self._split(chain, choice=attempt_no)
-            prepared: list[SegmentSpec] = []
-            rejected = False
-            for seg in segments:
-                self._inc("federation.2pc.prepares")
-                ok = not self._fault_reject(
-                    chain.name, seg.region, attempt_no
-                ) and self.regionals[seg.region].prepare(seg, attempt)
-                if not ok:
-                    self._inc("federation.2pc.rejections")
-                    rejected = True
-                    break
-                prepared.append(seg)
-                crash_after = self._fault_crash(chain.name, attempt_no)
-                if crash_after is not None and len(prepared) >= crash_after:
-                    # Crash mid-install: prepared residue stays behind
-                    # (fenced by its attempt epoch) until sweep().
-                    raise CoordinatorCrash(chain.name)
-            if not rejected:
-                for seg in segments:
-                    self.regionals[seg.region].commit(seg.chain.name, attempt)
+        """2PC across every region the split touches: the direct-call
+        driver of :class:`repro.controller.twopc.Install`, one prepare at
+        a time in segment order; each attempt re-splits with the next
+        border choice."""
+        install = twopc.Install(
+            self.max_attempts, fan_out=False, attempts=self._attempts
+        )
+        while True:
+            segments = self._split(chain, choice=install.attempt_no)
+            verdict, _key, attempt = self._two_phase_commit(
+                install, chain.name, segments
+            )
+            if verdict == twopc.INSTALLED:
                 self._inc("federation.2pc.commits")
                 record = CrossChainRecord(chain, tuple(segments), attempt)
                 self._record_cross(record)
                 return record
-            for seg in prepared:
-                self.regionals[seg.region].abort(seg.chain.name, attempt)
             self._inc("federation.2pc.aborts")
-        raise FederationError(
-            f"install of {chain.name!r} exhausted {self.max_attempts} attempts"
+            if verdict == twopc.REJECTED:
+                raise FederationError(
+                    f"install of {chain.name!r} exhausted "
+                    f"{self.max_attempts} attempts"
+                )
+
+    def _two_phase_commit(
+        self, install: "twopc.Install", name: str, segments: list[SegmentSpec]
+    ) -> tuple:
+        """One attempt against the regional switchboards.
+        :class:`FaultPolicy` injection wraps each prepare call, consuming
+        its seeded RNG once per prepare as before."""
+        attempt_no = install.attempt_no
+        policy = self.fault_policy
+        by_key = {seg.chain.name: seg for seg in segments}
+        prepared = 0
+
+        def prepare(key: str, attempt: int) -> bool:
+            nonlocal prepared
+            seg = by_key[key]
+            self._inc("federation.2pc.prepares")
+            if (
+                policy is not None
+                and policy.reject_prepare(name, seg.region, attempt_no)
+            ) or not self.regionals[seg.region].prepare(seg, attempt):
+                self._inc("federation.2pc.rejections")
+                return False
+            prepared += 1
+            if policy is not None:
+                crash_after = policy.crash_after_prepares(name, attempt_no)
+                if crash_after is not None and prepared >= crash_after:
+                    # Crash mid-install: prepared residue stays behind
+                    # (fenced by its attempt epoch) until sweep().
+                    raise CoordinatorCrash(name)
+            return True
+
+        return twopc.run_attempt(
+            install,
+            by_key,
+            prepare,
+            commit=lambda k, a: self.regionals[by_key[k].region].commit(k, a),
+            abort=lambda k, a: self.regionals[by_key[k].region].abort(k, a),
         )
 
     def _refresh_segments(
@@ -745,19 +784,6 @@ class GlobalCoordinator:
                         f"{reserved:.6g} > {ledger.capacity:.6g}"
                     )
         return problems
-
-    def _fault_reject(self, chain: str, region: int, attempt_no: int) -> bool:
-        policy = self.fault_policy
-        return bool(
-            policy is not None
-            and policy.reject_prepare(chain, region, attempt_no)
-        )
-
-    def _fault_crash(self, chain: str, attempt_no: int) -> int | None:
-        policy = self.fault_policy
-        if policy is None:
-            return None
-        return policy.crash_after_prepares(chain, attempt_no)
 
     def _inc(self, name: str) -> None:
         if self.metrics is not None:

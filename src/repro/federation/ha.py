@@ -26,11 +26,12 @@ PR 4 durability recipe, specialized to the federation:
     :class:`~repro.federation.regional.BorderLedger` against what the
     store says should be reserved.
 
-- :class:`FederationFailover` -- the lease-based election loop
-  (mirroring :class:`~repro.resilience.failover.FailoverManager`):
-  while the active coordinator's host is up it renews the leader
-  lease; when it dies, the standby waits out the lease, acquires it,
-  and activates with recovery.
+- :class:`FederationFailover` -- the shared lease-election loop
+  (:class:`~repro.resilience.failover.LeaseElection`, the one
+  ``FailoverManager`` runs) over coordinator nodes: while the active
+  coordinator's host is up it renews the leader lease; when it dies,
+  the standby waits out the lease, acquires it, and activates with
+  recovery (``CoordinatorNode.recover``).
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from typing import TYPE_CHECKING
 from repro.core.model import Chain
 from repro.federation.coordinator import CrossChainRecord
 from repro.federation.regional import SegmentSpec
-from repro.controller.replication import ReplicatedStore, ReplicationError
+from repro.controller.replication import ReplicatedStore
+from repro.resilience.failover import LeaseElection
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.chaos.invariants import LeaseMonitor
@@ -248,15 +250,14 @@ class FederationStore:
         return {int(r): links for r, links in doc.items()}
 
 
-class FederationFailover:
+class FederationFailover(LeaseElection):
     """Keeps exactly one coordinator node active, via the leader lease.
 
-    The federation analogue of
-    :class:`~repro.resilience.failover.FailoverManager`: candidates are
-    :class:`~repro.federation.nodes.CoordinatorNode` instances in
-    priority order; the tick renews the active node's lease while its
-    host is up, and elects + activates (with recovery) the first live
-    standby once the dead leader's lease expires.
+    The shared :class:`~repro.resilience.failover.LeaseElection` loop
+    over :class:`~repro.federation.nodes.CoordinatorNode` candidates in
+    priority order: the active node's lease is renewed while its host is
+    up; once a dead leader's lease expires the first standby whose host
+    is up is elected and activated with recovery.
     """
 
     def __init__(
@@ -269,21 +270,14 @@ class FederationFailover:
         check_interval_s: float = 0.5,
         metrics: "MetricsRegistry | None" = None,
     ):
-        if not nodes:
-            raise ValueError("need at least one coordinator candidate")
+        super().__init__(
+            net.sim, store, nodes, monitor, lease_duration_s, check_interval_s
+        )
         self.nodes = dict(nodes)
-        self.order = list(nodes)
-        self.store = store
         self.net = net
-        self.monitor = monitor
-        self.lease_duration_s = lease_duration_s
-        self.check_interval_s = check_interval_s
         self.metrics = metrics
-        self.takeovers = 0
         self.takeover_times: list[float] = []
-        self.dead: set[str] = set()
-        self.active_name = self.order[0]
-        self.nodes[self.active_name].activate(recover=False)
+        self.active.activate(recover=False)
         if metrics is not None:
             metrics.counter("federation.failovers")
 
@@ -292,11 +286,8 @@ class FederationFailover:
         return self.nodes[self.active_name]
 
     def mark_dead(self, name: str) -> None:
-        self.dead.add(name)
+        super().mark_dead(name)
         self.nodes[name].deactivate()
-
-    def revive(self, name: str) -> None:
-        self.dead.discard(name)
 
     def crash_active(self) -> str:
         """Chaos helper: kill the active coordinator process + host."""
@@ -306,58 +297,14 @@ class FederationFailover:
             self.net.crash_host(self.nodes[name].host)
         return name
 
-    # -- the election/renewal loop ----------------------------------------
+    def _active_up(self) -> bool:
+        return self._standby_up(self.active_name)
 
-    def start(self, until: float) -> None:
-        self._tick(until)
+    def _standby_up(self, name: str) -> bool:
+        return self.net.host_is_up(self.nodes[name].host)
 
-    def _tick(self, until: float) -> None:
-        self.check()
-        sim = self.net.sim
-        if sim.now + self.check_interval_s <= until:
-            sim.schedule(self.check_interval_s, self._tick, until)
-
-    def check(self) -> None:
-        now = self.net.sim.now
-        active = self.nodes[self.active_name]
-        if self.active_name not in self.dead and self.net.host_is_up(
-            active.host
-        ):
-            self._acquire(self.active_name, now)
-            return
-        if active.active:
-            active.deactivate()
-        standby = next(
-            (
-                name
-                for name in self.order
-                if name not in self.dead
-                and self.net.host_is_up(self.nodes[name].host)
-            ),
-            None,
-        )
-        if standby is None:
-            return  # nobody left to lead
-        if self._leader(now) is not None:
-            return  # the dead leader's lease has not expired yet
-        if self._acquire(standby, now):
-            self.take_over(standby)
-
-    def _acquire(self, owner: str, now: float) -> bool:
-        if self.monitor is not None:
-            return self.monitor.acquire(owner, now, self.lease_duration_s)
-        try:
-            return self.store.acquire_lease(owner, now, self.lease_duration_s)
-        except ReplicationError:
-            return False
-
-    def _leader(self, now: float) -> str | None:
-        if self.monitor is not None:
-            return self.monitor.leader(now)
-        try:
-            return self.store.leader(now)
-        except ReplicationError:
-            return None
+    def _active_lost(self) -> None:
+        self.active.deactivate()
 
     def take_over(self, name: str) -> None:
         """Activate a standby: restore checkpoints, settle the WAL,

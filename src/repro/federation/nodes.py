@@ -9,8 +9,9 @@ simulated network:
 - :class:`CoordinatorNode` subclasses
   :class:`~repro.federation.GlobalCoordinator` (so classification,
   splitting, planning, and the invariant probes work unchanged) but
-  drives the epoch-fenced 2PC **asynchronously over the at-least-once
-  RPC transport** (:mod:`repro.resilience.rpc`): sequential prepares,
+  drives the shared 2PC core (:mod:`repro.controller.twopc`)
+  **asynchronously over the at-least-once RPC transport**
+  (:mod:`repro.resilience.rpc`): sequential prepares,
   a durable WAL flip at the decide point, commits that may go unacked
   into a partition, per-install :mod:`repro.resilience.deadline`
   timeouts, and install retries paced by the shared
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.controller import twopc
 from repro.core.model import Chain, NetworkModel
 from repro.federation.coordinator import CrossChainRecord, GlobalCoordinator
 from repro.federation.ha import (
@@ -59,25 +61,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class _Install:
     """One in-flight cross-shard install at the coordinator."""
 
-    __slots__ = (
-        "chain", "origin", "added", "attempt_no", "attempt",
-        "segments", "prepared", "phase", "pending",
-    )
+    __slots__ = ("chain", "origin", "added", "machine", "segments")
 
-    def __init__(self, chain: Chain, origin: int, added: bool):
+    def __init__(self, chain: Chain, origin: int, added: bool, machine):
         self.chain = chain
         self.origin = origin
         #: Whether this install added the chain to the shared model
         #: (failure must deregister it again).
         self.added = added
-        self.attempt_no = 0
-        self.attempt = 0
-        self.segments: tuple[SegmentSpec, ...] = ()
-        self.prepared: list[SegmentSpec] = []
-        #: "preparing" | "committing" | "aborting"
-        self.phase = "preparing"
-        #: Segment keys still awaiting a commit ack.
-        self.pending: set[str] = set()
+        #: The 2PC state machine (:class:`repro.controller.twopc.Install`).
+        self.machine = machine
+        #: The current attempt's plan, keyed by segment name.
+        self.segments: dict[str, SegmentSpec] = {}
 
 
 class CoordinatorNode(GlobalCoordinator):
@@ -227,7 +222,16 @@ class CoordinatorNode(GlobalCoordinator):
             origin, {"fed": "outcome", "name": name, "outcome": outcome}
         )
 
-    # -- the async install state machine -----------------------------------
+    # -- the async install driver -------------------------------------------
+    #
+    # The protocol itself is repro.controller.twopc.Install.  This driver
+    # plans each attempt (_split), carries the machine's actions out as
+    # requests over the at-least-once RPC layer (one prepare at a time),
+    # feeds replies and give-ups back in as events, and owns the durable
+    # records (WAL, checkpoints) and timers (deadline, retry backoff).
+    # Every event passes the deposed-coordinator guards first: a node
+    # that is crashed, deactivated, or no longer owns the install must
+    # not move it.
 
     def _remote_submit(self, chain: Chain, origin: int) -> None:
         name = chain.name
@@ -239,7 +243,12 @@ class CoordinatorNode(GlobalCoordinator):
         added = name not in self.model.chains
         if added:
             self.model.add_chain(chain)
-        st = _Install(chain, origin, added)
+        st = _Install(
+            chain, origin, added,
+            twopc.Install(
+                self.max_attempts, fan_out=False, attempts=self._attempts
+            ),
+        )
         self._installs[name] = st
         self.deadlines.arm(
             f"fed:{name}", self.install_deadline_s, self._on_deadline
@@ -254,130 +263,95 @@ class CoordinatorNode(GlobalCoordinator):
         )
 
     def _start_round(self, st: _Install) -> None:
-        self._attempt += 1
-        st.attempt = self._attempt
+        if not self._current(st):
+            return  # deposed while the retry backoff elapsed
         try:
-            st.segments = tuple(self._split(st.chain, choice=st.attempt_no))
+            segments = self._split(st.chain, choice=st.machine.attempt_no)
         except Exception:
             self._finish(st, "rejected")
             return
-        st.prepared = []
-        st.phase = "preparing"
+        st.segments = {seg.chain.name: seg for seg in segments}
+        actions = st.machine.start(st.segments)
         self.store.wal_begin(
-            st.chain.name, st.origin, st.attempt, st.segments
+            st.chain.name, st.origin, st.machine.attempt, tuple(segments)
         )
-        self._prepare_next(st, 0)
+        self._perform(st, actions)
 
-    def _prepare_next(self, st: _Install, index: int) -> None:
-        if index == len(st.segments):
-            self._decide(st)
-            return
-        seg = st.segments[index]
-        self._inc("federation.2pc.prepares")
+    def _perform(self, st: _Install, actions) -> None:
+        name = st.chain.name
+        for kind, arg, attempt in actions:
+            if kind in (twopc.PREPARE, twopc.COMMIT, twopc.ABORT):
+                for key in arg:
+                    self._send(st, kind, key, attempt)
+            elif kind == twopc.DECIDE:
+                # The 2PC commit point: the WAL flip and the durable
+                # chain record land before any commit message leaves.
+                self.store.wal_decide(name)
+                self._record_cross(
+                    CrossChainRecord(
+                        st.chain, tuple(st.segments.values()), attempt
+                    )
+                )
+                self._inc("federation.2pc.commits")
+                self._inc("federation.chains.cross")
+                self._update_ratio()
+            elif kind == twopc.OWED:
+                # Decided installs are installed regardless of unacked
+                # commits: the commit is owed, and the WAL entry stays
+                # until reconciliation settles it.
+                self._unacked.setdefault(name, set()).add(
+                    st.segments[arg].region
+                )
+            elif kind == twopc.RETRY:
+                self.sim.schedule(
+                    self.retry_backoff.delay(st.machine.attempt_no),
+                    self._start_round,
+                    st,
+                )
+            elif kind == twopc.INSTALLED:
+                if name not in self._unacked:
+                    self.store.wal_clear(name)
+                self._finish(st, "installed", clear_wal=False)
+            else:
+                # The remaining verdicts, "rejected" and "unavailable",
+                # are the outcome names the origin region understands.
+                self._finish(st, kind)
+
+    def _send(self, st: _Install, kind: str, key: str, attempt: int) -> None:
+        """One protocol message to the region of segment ``key``; its
+        answer, or the transport giving up (``ok=None``), goes back into
+        the machine -- past the deposed-coordinator guards."""
+        seg = st.segments[key]
+        payload = {"fed": kind, "key": key, "attempt": attempt}
+        if kind == twopc.PREPARE:
+            self._inc("federation.2pc.prepares")
+            payload = {"fed": kind, "seg": segment_doc(seg), "attempt": attempt}
+
+        def answered(ok: bool | None) -> None:
+            if kind == twopc.PREPARE:
+                if not self._current(st):
+                    return
+            elif kind == twopc.ABORT or self._installs.get(st.chain.name) is not st:
+                return
+            if ok is None:
+                actions = st.machine.unreachable(key, attempt)
+            else:
+                # A region answers a commit ``not ok`` when it lost its
+                # prepared entry (e.g. it restarted mid-install);
+                # reconciliation re-adopts the segment.
+                actions = st.machine.reply(kind, key, attempt, ok)
+            if kind == twopc.PREPARE and actions and not ok:
+                if ok is not None:
+                    self._inc("federation.2pc.rejections")
+                self._inc("federation.2pc.aborts")
+            self._perform(st, actions)
+
         self._request(
             seg.region,
-            {
-                "fed": "prepare",
-                "seg": segment_doc(seg),
-                "attempt": st.attempt,
-            },
-            on_reply=lambda msg: self._on_prepare_reply(st, index, msg),
-            on_unreachable=lambda: self._round_failed(st, unreachable=True),
+            payload,
+            on_reply=lambda msg: answered(bool(msg.get("ok"))),
+            on_unreachable=lambda: answered(None),
         )
-
-    def _on_prepare_reply(self, st: _Install, index: int, msg: dict) -> None:
-        if not self._current(st) or st.phase != "preparing":
-            return
-        if msg.get("ok"):
-            st.prepared.append(st.segments[index])
-            self._prepare_next(st, index + 1)
-        else:
-            self._inc("federation.2pc.rejections")
-            self._round_failed(st, unreachable=False)
-
-    def _round_failed(self, st: _Install, unreachable: bool) -> None:
-        if not self._current(st) or st.phase != "preparing":
-            return
-        st.phase = "aborting"
-        self._inc("federation.2pc.aborts")
-        for seg in st.prepared:
-            self._request(
-                seg.region,
-                {
-                    "fed": "abort",
-                    "key": seg.chain.name,
-                    "attempt": st.attempt,
-                },
-                on_reply=lambda _msg: None,
-                on_unreachable=lambda: None,
-            )
-        if not unreachable and st.attempt_no + 1 < self.max_attempts:
-            st.attempt_no += 1
-            self.sim.schedule(
-                self.retry_backoff.delay(st.attempt_no),
-                self._retry_round,
-                st,
-            )
-            return
-        self._finish(st, "unavailable" if unreachable else "rejected")
-
-    def _retry_round(self, st: _Install) -> None:
-        if not self._current(st):
-            return
-        self._start_round(st)
-
-    def _decide(self, st: _Install) -> None:
-        """All prepares in: the 2PC commit point.  The WAL flip and the
-        durable chain record land before any commit message leaves."""
-        st.phase = "committing"
-        name = st.chain.name
-        self.store.wal_decide(name)
-        record = CrossChainRecord(st.chain, st.segments, st.attempt)
-        self._record_cross(record)
-        self._inc("federation.2pc.commits")
-        self._inc("federation.chains.cross")
-        self._update_ratio()
-        st.pending = {seg.chain.name for seg in st.segments}
-        self._send_commits(st)
-
-    def _send_commits(self, st: _Install) -> None:
-        for seg in st.segments:
-            key = seg.chain.name
-            self._request(
-                seg.region,
-                {"fed": "commit", "key": key, "attempt": st.attempt},
-                on_reply=lambda msg, s=seg: self._on_commit_reply(
-                    st, s, msg
-                ),
-                on_unreachable=lambda s=seg: self._commit_unacked(st, s),
-            )
-
-    def _on_commit_reply(self, st: _Install, seg: SegmentSpec, msg: dict) -> None:
-        if self._installs.get(st.chain.name) is not st:
-            return
-        if msg.get("ok"):
-            st.pending.discard(seg.chain.name)
-            self._maybe_finish_commit(st)
-        else:
-            # The region lost its prepared entry (e.g. it restarted
-            # mid-install): reconciliation re-adopts the segment.
-            self._commit_unacked(st, seg)
-
-    def _commit_unacked(self, st: _Install, seg: SegmentSpec) -> None:
-        if self._installs.get(st.chain.name) is not st:
-            return
-        st.pending.discard(seg.chain.name)
-        self._unacked.setdefault(st.chain.name, set()).add(seg.region)
-        self._maybe_finish_commit(st)
-
-    def _maybe_finish_commit(self, st: _Install) -> None:
-        if st.pending:
-            return
-        # Decided installs are installed regardless of unacked commits;
-        # the WAL entry survives for those until reconciliation.
-        if st.chain.name not in self._unacked:
-            self.store.wal_clear(st.chain.name)
-        self._finish(st, "installed", clear_wal=False)
 
     def _on_deadline(self, key: str) -> None:
         if not self.active or not self.is_up():
@@ -385,32 +359,11 @@ class CoordinatorNode(GlobalCoordinator):
             # must not touch the shared WAL or model -- settling the
             # round is the new leader's job now.
             return
-        name = key.split(":", 1)[1]
-        st = self._installs.get(name)
-        if st is None:
-            return
-        if st.phase == "committing":
-            # Decided: remaining acks are owed, not optional.
-            for seg_key in list(st.pending):
-                region = next(
-                    seg.region
-                    for seg in st.segments
-                    if seg.chain.name == seg_key
-                )
-                self._unacked.setdefault(name, set()).add(region)
-            st.pending = set()
-            self._maybe_finish_commit(st)
-            return
-        # Still undecided: drop the round and let the origin re-queue.
-        st.phase = "aborting"
-        for seg in st.prepared:
-            self._request(
-                seg.region,
-                {"fed": "abort", "key": seg.chain.name, "attempt": st.attempt},
-                on_reply=lambda _msg: None,
-                on_unreachable=lambda: None,
-            )
-        self._finish(st, "unavailable")
+        st = self._installs.get(key.split(":", 1)[1])
+        if st is not None:
+            # Decided: remaining acks are owed, not optional.  Still
+            # undecided: drop the round and let the origin re-queue.
+            self._perform(st, st.machine.timeout())
 
     def _finish(
         self, st: _Install, outcome: str, clear_wal: bool = True
@@ -456,8 +409,8 @@ class CoordinatorNode(GlobalCoordinator):
         # Resume the attempt counter above every epoch the previous
         # coordinator fenced with, so this node's new rounds are never
         # rejected as stale by the regions' epoch fences.
-        self._attempt = max(
-            self._attempt,
+        self._attempts.last = max(
+            self._attempts.last,
             self.store.last_attempt(),
             max((r.attempt for r in cross.values()), default=0),
         )
@@ -543,7 +496,7 @@ class CoordinatorNode(GlobalCoordinator):
         keep = sorted(
             seg.chain.name
             for st in self._installs.values()
-            for seg in st.segments
+            for seg in st.segments.values()
             if seg.region == region
         )
         self._request(
@@ -556,7 +509,7 @@ class CoordinatorNode(GlobalCoordinator):
                 # Snapshot version: the region must not tear down or
                 # release state from rounds fenced *after* this point
                 # (a reconcile in flight races with live installs).
-                "upto": self._attempt,
+                "upto": self._attempts.last,
             },
             on_reply=lambda msg: self._on_reconciled(region, covered, msg),
             on_unreachable=lambda: None,
@@ -673,8 +626,7 @@ class RegionalNode:
         """Degraded-mode autonomy: intra admission never waits for a
         coordinator; the notification is asynchronous and survives
         partitions by retrying."""
-        if chain.name not in self.regional._intra:
-            self.regional.admit(chain)
+        self.regional.adopt_intra(chain)
         self.outcomes[chain.name] = "installed"
         self._notify_intra(chain.name)
 
@@ -793,7 +745,7 @@ class RegionalNode:
             ok = self.regional.abort(message["key"], message["attempt"])
             self._reply(sender, message, ok)
         elif kind == "release":
-            self.regional._release_prepared(message["key"])
+            self.regional.release(message["key"])
         elif kind == "reconcile":
             self._apply_reconcile(sender, message)
         elif kind == "outcome":
@@ -849,7 +801,7 @@ class RegionalNode:
             self.regional.adopt_segment(seg, attempt)
         for key in list(self.regional.prepared_segments()):
             if key not in keep and self.regional.epoch_of(key) <= upto:
-                self.regional._release_prepared(key)
+                self.regional.release(key)
         pushed = set()
         for doc in message["intra"]:
             chain = chain_from_doc(doc)

@@ -11,19 +11,21 @@ regional LP is their single planner, exactly as the monolithic
 Switchboard was for the whole network.
 
 Cross-shard chain *segments* arrive through the 2PC participant
-surface, which mirrors the epoch-fenced protocol of
-``controller.protocol`` / ``vnf.service``:
+surface.  Stale attempts are filtered by the shared
+:class:`repro.controller.twopc.Fence` (the same one the VNF-controller
+receiver of ``controller.protocol`` uses); unlike that receiver, which
+drops a stale message, a region answers it ``False``:
 
 - :meth:`prepare` validates the segment (VNFs deployable, endpoints
   reachable, aggregate compute headroom) and reserves capacity on
   every owned border link the coordinator's crossing plan touches.
   Idempotent; rejects cleanly without partial state.
-- :meth:`commit` / :meth:`abort` settle the reservation; both filter
-  stale attempts through the per-segment epoch.
-- :meth:`teardown` removes all segment state and leaves a tombstone
-  epoch (``1 << 30``), permanently fencing late prepares or commits
-  from an aborted install -- the same trick
-  ``BusDrivenInstaller.send_teardown`` uses for VNF participants.
+- :meth:`commit` / :meth:`abort` settle the reservation;
+  :meth:`release` drops it regardless of attempt (the ``fed: release``
+  protocol op of recovery and reconciliation).
+- :meth:`teardown` removes all segment state and leaves the fence's
+  tombstone, permanently fencing late prepares or commits from an
+  aborted install.
 
 The border-capacity contract: ``sum(prepared) + sum(committed)`` on a
 ledger never exceeds the link's headroom; the regional LP never sees
@@ -34,9 +36,10 @@ compose into end-to-end capacity safety.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.controller.twopc import STALE, Fence
 from repro.core.lp import LpObjective
 from repro.core.model import Chain, ModelError, NetworkModel
 from repro.federation.shard import BorderLink, FederationError
@@ -47,8 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
 
 _EPS = 1e-9
-#: Tombstone epoch: fences every later message for a torn-down segment.
-_TOMBSTONE = 1 << 30
 
 
 def trivial_segment(chain: Chain) -> bool:
@@ -161,8 +162,8 @@ class RegionalSwitchboard:
         self.ledgers: dict[str, BorderLedger] = {
             b.name: BorderLedger(b.name, b.capacity) for b in owned_borders
         }
-        #: Highest attempt seen per segment name (tombstone on teardown).
-        self._epochs: dict[str, int] = {}
+        #: Attempt epochs per segment name (tombstone on teardown).
+        self._fence = Fence()
         self._prepared: dict[str, SegmentSpec] = {}
         self._committed: dict[str, SegmentSpec] = {}
         self._intra: set[str] = set()
@@ -210,10 +211,8 @@ class RegionalSwitchboard:
         """Phase 1: validate and reserve.  Idempotent per attempt;
         stale attempts (older than the segment's epoch) are fenced."""
         key = seg.chain.name
-        epoch = self._epochs.get(key, 0)
-        if attempt < epoch:
+        if self._fence.prepare(key, attempt) == STALE:
             return False
-        self._epochs[key] = attempt
         if key in self._committed:
             return False
         held = self._prepared.get(key)
@@ -225,7 +224,7 @@ class RegionalSwitchboard:
             # healed).  The fencing above guarantees the old round can
             # never commit, so release its reservation and fall through
             # to re-validate the new spec.
-            self._release_prepared(key)
+            self.release(key)
         if not self._admissible(seg):
             return False
         taken: list[str] = []
@@ -245,7 +244,7 @@ class RegionalSwitchboard:
 
     def commit(self, key: str, attempt: int) -> bool:
         """Phase 2: make a prepared segment durable."""
-        if attempt < self._epochs.get(key, 0):
+        if not self._fence.admits(key, attempt):
             return False
         if key in self._committed:
             return True
@@ -259,12 +258,12 @@ class RegionalSwitchboard:
 
     def abort(self, key: str, attempt: int) -> bool:
         """Roll back a prepared (uncommitted) segment."""
-        if attempt < self._epochs.get(key, 0):
-            return False
-        return self._release_prepared(key)
+        return self._fence.abort(key, attempt) and self.release(key)
 
-    def _release_prepared(self, key: str) -> bool:
-        """Drop a prepared segment's reservation and model state."""
+    def release(self, key: str) -> bool:
+        """Drop a prepared segment's reservation and model state,
+        whatever attempt prepared it; leaves no fence behind, so the
+        chain can be installed again.  False if nothing was prepared."""
         seg = self._prepared.pop(key, None)
         if seg is None:
             return False
@@ -278,7 +277,7 @@ class RegionalSwitchboard:
 
     def teardown(self, key: str) -> None:
         """Drop *all* state for a segment and fence it permanently."""
-        self._epochs[key] = _TOMBSTONE
+        self._fence.teardown(key)
         self._prepared.pop(key, None)
         self._committed.pop(key, None)
         for ledger in self.ledgers.values():
@@ -322,8 +321,8 @@ class RegionalSwitchboard:
         round).  Unconditional, unlike :meth:`prepare`/:meth:`commit` --
         reconciliation is the authority, not a 2PC round."""
         key = seg.chain.name
-        self._epochs[key] = max(self._epochs.get(key, 0), attempt)
-        self._release_prepared(key)
+        self._fence.adopt(key, attempt)
+        self.release(key)
         if key in self._committed:
             held = self._committed[key]
             if held == seg:
@@ -369,7 +368,7 @@ class RegionalSwitchboard:
         self._prepared.clear()
         self._committed.clear()
         self._intra.clear()
-        self._epochs.clear()
+        self._fence.clear()
         self._vnf_admitted.clear()
         self._chain_loads.clear()
         for ledger in self.ledgers.values():
@@ -452,7 +451,7 @@ class RegionalSwitchboard:
         """Fencing epoch recorded for a segment key (0 if never seen).
         Reconciliation uses it to leave state from rounds *newer* than
         its snapshot alone."""
-        return self._epochs.get(key, 0)
+        return self._fence.epoch(key)
 
     def _admissible(self, seg: SegmentSpec) -> bool:
         """Structural + aggregate-compute admission for a segment."""

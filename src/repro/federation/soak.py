@@ -161,14 +161,7 @@ def run_soak(
             except FederationError:
                 # A border cannot fit the scaled demand: revert.
                 for name in names:
-                    original = None
-                    if name in coordinator._cross:
-                        original = coordinator._cross[name].chain
-                    elif name in coordinator._intra:
-                        region = coordinator._intra[name]
-                        original = coordinator.regionals[
-                            region
-                        ].model.chains.get(name)
+                    original = coordinator.installed_chain(name)
                     if original is not None:
                         model.remove_chain(name)
                         model.add_chain(original)

@@ -105,7 +105,7 @@ class TestPartitionMidPrepare:
         d.sim.schedule_at(
             1.01,
             d.net.partition,
-            [list(d.failover.order), [n.host for n in d.region_nodes.values()]],
+            [list(d.failover.candidates), [n.host for n in d.region_nodes.values()]],
         )
         d.net.run(until=10.0)
 
@@ -182,7 +182,13 @@ class TestCoordinatorFailover:
 
         snapshot = {}
 
-        def crash_instead(self, st):
+        send = d.primary._send
+
+        def crash_instead(self, st, kind, key, attempt):
+            if kind != "commit":
+                return send(st, kind, key, attempt)
+            if snapshot:
+                return  # already crashed on the first commit
             # Snapshot the decided-but-unsent state, then crash.
             snapshot["wal_phase"] = d.fed_store.pending_wal()[
                 st.chain.name
@@ -190,14 +196,14 @@ class TestCoordinatorFailover:
             snapshot["committed"] = {
                 seg.chain.name: seg.chain.name
                 in d.primary.regionals[seg.region].committed_segments()
-                for seg in st.segments
+                for seg in st.segments.values()
             }
             snapshot["segments"] = [
-                (seg.chain.name, seg.region) for seg in st.segments
+                (seg.chain.name, seg.region) for seg in st.segments.values()
             ]
             d.failover.crash_active()
 
-        d.primary._send_commits = types.MethodType(crash_instead, d.primary)
+        d.primary._send = types.MethodType(crash_instead, d.primary)
 
         d.sim.schedule_at(1.0, origin_node.submit, chain)
         d.net.run(until=config.duration_s)
@@ -234,10 +240,10 @@ class TestCoordinatorFailover:
         chain, origin = cross_shard_chain(d, config)
         origin_node = d.region_nodes[origin]
 
-        def crash_instead(self, st, index):
+        def crash_instead(self, st, kind, key, attempt):
             d.failover.crash_active()
 
-        d.primary._prepare_next = types.MethodType(crash_instead, d.primary)
+        d.primary._send = types.MethodType(crash_instead, d.primary)
 
         d.sim.schedule_at(1.0, origin_node.submit, chain)
         d.net.run(until=config.duration_s)

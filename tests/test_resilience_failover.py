@@ -90,6 +90,52 @@ class TestDurableCheckpoints:
         assert markers["corp"]["phase"] == "committing"
 
 
+class TestRemovalClearsCheckpoint:
+    def test_removed_chain_is_not_readopted_by_a_takeover(self):
+        """PR 12 finding: ``gs.remove_chain`` on a bus-installed chain
+        left ``/chains/<name>`` in the store, so the next takeover
+        restored the removed chain and capacity_safety fired."""
+        from repro.chaos.invariants import (
+            LeaseMonitor,
+            bus_delivery,
+            capacity_safety,
+            lease_safety,
+            link_conservation,
+            no_orphaned_reservations,
+            two_phase_atomicity,
+        )
+
+        store = ReplicatedStore(REPLICAS)
+        gs = build()
+        installer = make_installer(gs, store=store)
+        timeline = installer.install(spec())
+        installer.network.run()
+        assert timeline.completed_at is not None
+        assert set(restore_installations(store)) == {"corp"}
+
+        gs.remove_chain("corp")
+        assert restore_installations(store) == {}
+
+        monitor = LeaseMonitor(store)
+        fm = FailoverManager(installer, store, monitor=monitor)
+        fm.check()
+        installer.network.crash_host(installer.gs_host)
+        fm.mark_dead(fm.active)
+        fm.take_over("gs-standby")
+        installer.network.run()
+
+        assert "corp" not in gs.installations
+        probes = [
+            link_conservation(installer.network),
+            two_phase_atomicity(gs, installer),
+            capacity_safety(gs, installer),
+            no_orphaned_reservations(gs, installer),
+            bus_delivery(installer.bus),
+            lease_safety(monitor),
+        ]
+        assert [problem for probe in probes for problem in probe()] == []
+
+
 class TestTakeOver:
     def test_uncommitted_install_is_aborted_on_takeover(self):
         """The 2PC outcome of an uncommitted install is unknown to the
