@@ -256,7 +256,10 @@ class GlobalSwitchboard:
         return gained
 
     def remove_chain(self, chain_name: str) -> None:
-        """Tear a chain down: release capacity, labels, rules, and flows."""
+        """Tear a chain down: release capacity, label, forwarder rules,
+        edge classifiers and egress routes.  Flow-table entries of its
+        connections are not released; they stay until the flow ends or
+        is evicted (Section 5.3)."""
         installation = self._installation(chain_name)
         for (vnf_name, site), load in installation.committed_load.items():
             self.vnf_services[vnf_name].release(chain_name, site, load)

@@ -19,7 +19,7 @@ the completion of a flow and route only new flows on the new routes"
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, TYPE_CHECKING
+from typing import Iterator, NamedTuple, TYPE_CHECKING
 
 from repro.dataplane.labels import FiveTuple, Labels
 
@@ -27,9 +27,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
 
 
-@dataclass(frozen=True)
-class FlowKey:
-    """Key of a flow-table entry."""
+class FlowKey(NamedTuple):
+    """Key of a flow-table entry.  A tuple, so it equals and hashes as
+    the bare pair ``(labels, flow)`` that ``lookup`` probes with."""
 
     labels: Labels
     flow: FiveTuple
@@ -79,7 +79,7 @@ class FlowTable:
         return iter(self._entries)
 
     def lookup(self, labels: Labels, flow: FiveTuple) -> FlowEntry | None:
-        entry = self._entries.get(FlowKey(labels, flow))
+        entry = self._entries.get((labels, flow))
         if entry is None:
             self.misses += 1
             if self._miss_counter is not None:
@@ -128,7 +128,7 @@ class FlowTable:
 
     def remove(self, labels: Labels, flow: FiveTuple) -> bool:
         """Remove a completed flow's entry; True if it existed."""
-        return self._entries.pop(FlowKey(labels, flow), None) is not None
+        return self._entries.pop((labels, flow), None) is not None
 
     def items(self) -> list[tuple[FlowKey, FlowEntry]]:
         """All (key, entry) pairs, oldest first."""

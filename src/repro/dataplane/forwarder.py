@@ -248,19 +248,17 @@ class DataPlane:
     ) -> str | None:
         """Process one packet at one forwarder; returns the next target
         name, or None if the packet must be dropped."""
-        if packet.labels is None:
+        labels, direction = packet.labels, packet.direction
+        if labels is None:
             return None
         packet.record(fwd.name)
         fwd.packets_forwarded += 1
         if self._packet_counter is not None:
             self._packet_counter.inc()
-        meter_key = (
-            packet.labels.chain, packet.labels.egress_site, packet.direction
-        )
-        fwd.traffic_bytes[meter_key] = (
-            fwd.traffic_bytes.get(meter_key, 0) + packet.size_bytes
-        )
-        if packet.direction == "forward":
+        meter_key = (labels.chain, labels.egress_site, direction)
+        traffic = fwd.traffic_bytes
+        traffic[meter_key] = traffic.get(meter_key, 0) + packet.size_bytes
+        if direction == "forward":
             return self._forward_direction(fwd, packet, came_from)
         return self._reverse_direction(fwd, packet, came_from)
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, NamedTuple
 
 
-@dataclass(frozen=True)
-class FiveTuple:
-    """The connection key: (src IP, dst IP, protocol, src port, dst port)."""
+class FiveTuple(NamedTuple):
+    """The connection key: (src IP, dst IP, protocol, src port, dst port).
+    A tuple, as :class:`Labels` is: every hop hashes both, and does so in C."""
 
     src_ip: str
     dst_ip: str
@@ -26,13 +26,10 @@ class FiveTuple:
 
     def reversed(self) -> "FiveTuple":
         """The same connection seen in the opposite direction."""
-        return FiveTuple(
-            self.dst_ip, self.src_ip, self.protocol, self.dst_port, self.src_port
-        )
+        return self._make((self[1], self[0], self[2], self[4], self[3]))
 
 
-@dataclass(frozen=True)
-class Labels:
+class Labels(NamedTuple):
     """The two overlay labels applied by the ingress edge."""
 
     chain: int

@@ -24,6 +24,9 @@ class EdgeController:
         #: customer attachment: attachment id -> site (e.g. the site a
         #: customer's CPE homes to).
         self._attachments: dict[str, str] = {}
+        #: chain label -> the (instance, prefix, egress site) routes
+        #: ``install_chain`` added for it, removed again with the chain.
+        self._routes: dict[int, list[tuple[EdgeInstance, str, str]]] = {}
 
     # -- registration -------------------------------------------------
 
@@ -74,14 +77,18 @@ class EdgeController:
                 f"edge service {self.service_name!r} has no instances at "
                 f"{site!r}"
             )
+        added = self._routes.setdefault(labels.chain, [])
         for instance in instances:
             if classifier is not None:
                 instance.install_classifier(classifier)
             for prefix, egress_site in egress_routes or []:
                 instance.egress_table.add_route(prefix, egress_site)
+                added.append((instance, prefix, egress_site))
         return instances
 
     def remove_chain(self, labels: Labels) -> None:
         for instances in self._instances.values():
             for instance in instances:
                 instance.remove_classifier(labels.chain)
+        for instance, prefix, egress_site in self._routes.pop(labels.chain, []):
+            instance.egress_table.remove_route(prefix, egress_site)

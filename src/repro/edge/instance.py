@@ -12,7 +12,12 @@ from __future__ import annotations
 
 from repro.dataplane.forwarder import DataPlane, ForwardingError
 from repro.dataplane.labels import FiveTuple, Labels, Packet
-from repro.edge.classifier import ClassifierRule, EgressTable
+from repro.edge.classifier import (
+    ClassifierRule,
+    ClassifierTable,
+    EgressTable,
+    parse_address,
+)
 
 
 class EdgeError(Exception):
@@ -27,7 +32,7 @@ class EdgeInstance:
         self.site = site
         self.dataplane = dataplane
         self.forwarder: str | None = None
-        self.classifier: list[ClassifierRule] = []
+        self.classifier = ClassifierTable()
         self.egress_table = EgressTable()
         #: Packets delivered out of the chain to local destinations.
         self.delivered: list[Packet] = []
@@ -47,32 +52,30 @@ class EdgeInstance:
         self.forwarder = forwarder_name
 
     def install_classifier(self, rule: ClassifierRule) -> None:
-        self.classifier.append(rule)
+        self.classifier.install(rule)
 
     def remove_classifier(self, chain_label: int) -> None:
-        self.classifier = [
-            r for r in self.classifier if r.chain_label != chain_label
-        ]
+        self.classifier.remove(chain_label)
 
     # -- ingress path -----------------------------------------------------------
 
     def classify(self, flow: FiveTuple) -> int | None:
         """First-match classification to a chain label."""
-        for rule in self.classifier:
-            if rule.matches(flow):
-                return rule.chain_label
-        return None
+        return self.classifier.first_match(flow, parse_address(flow.src_ip))
 
     def ingress(self, packet: Packet) -> Packet:
         """Label an arriving customer packet and walk it down the chain."""
         if self.forwarder is None:
             raise EdgeError(f"edge {self.name!r} has no attached forwarder")
         packet.record(self.name)
-        chain_label = self.classify(packet.flow)
+        # The one place a packet's address text is parsed.
+        flow = packet.flow
+        src, dst = parse_address(flow.src_ip), parse_address(flow.dst_ip)
+        chain_label = self.classifier.first_match(flow, src, dst)
         if chain_label is None:
             self.unclassified.append(packet)
             return packet
-        egress_site = self.egress_table.lookup(packet.flow.dst_ip)
+        egress_site = self.egress_table.longest_match(dst)
         if egress_site is None:
             self.unclassified.append(packet)
             return packet

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.dataplane.forwarder import DropPacket
 from repro.dataplane.labels import FiveTuple, Packet
-from repro.edge.classifier import ip_in_prefix
+from repro.edge.classifier import ClassifierRule
 
 
 @dataclass(frozen=True)
@@ -26,22 +26,17 @@ class FirewallRule:
     protocol: str | None = None
     dst_port_range: tuple[int, int] | None = None
 
+    def __post_init__(self) -> None:
+        # An allow rule matches as a classifier rule does (the chain
+        # label is unused), so it is compiled once the same way.
+        compiled = ClassifierRule(
+            0, self.src_prefix, self.dst_prefix, self.protocol, None,
+            self.dst_port_range,
+        )
+        object.__setattr__(self, "_compiled", compiled)
+
     def matches(self, flow: FiveTuple) -> bool:
-        if self.src_prefix is not None and not ip_in_prefix(
-            flow.src_ip, self.src_prefix
-        ):
-            return False
-        if self.dst_prefix is not None and not ip_in_prefix(
-            flow.dst_ip, self.dst_prefix
-        ):
-            return False
-        if self.protocol is not None and flow.protocol != self.protocol:
-            return False
-        if self.dst_port_range is not None and not (
-            self.dst_port_range[0] <= flow.dst_port <= self.dst_port_range[1]
-        ):
-            return False
-        return True
+        return self._compiled.matches(flow)
 
 
 class StatefulFirewall:

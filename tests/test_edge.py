@@ -195,3 +195,47 @@ class TestEdgeController:
         ctrl.register_instance(EdgeInstance("e1", "B", dp))
         ctrl.register_instance(EdgeInstance("e2", "A", dp))
         assert ctrl.sites == ["A", "B"]
+
+    def test_remove_chain_removes_its_egress_routes(self):
+        dp = DataPlane(random.Random(0))
+        ctrl = EdgeController("vpn")
+        e1 = EdgeInstance("e1", "A", dp)
+        ctrl.register_instance(e1)
+        for label in range(1, 6):
+            labels = Labels(label, "LAX")
+            prefix = f"20.0.{label}.0/24"
+            ctrl.install_chain("A", labels, ClassifierRule(label), [(prefix, "LAX")])
+            assert e1.egress_table.lookup(f"20.0.{label}.7") == "LAX"
+            ctrl.remove_chain(labels)
+        assert len(e1.egress_table) == 0
+        assert e1.egress_table.lookup("20.0.3.7") is None
+
+    def test_shared_route_survives_until_last_chain_leaves(self):
+        dp = DataPlane(random.Random(0))
+        ctrl = EdgeController("vpn")
+        e1 = EdgeInstance("e1", "A", dp)
+        ctrl.register_instance(e1)
+        route = [("20.0.0.0/24", "C")]
+        ctrl.install_chain("A", Labels(1, "C"), ClassifierRule(1), route)
+        ctrl.install_chain("A", Labels(2, "C"), ClassifierRule(2), route)
+        ctrl.remove_chain(Labels(1, "C"))
+        assert e1.egress_table.lookup("20.0.0.9") == "C"
+        ctrl.remove_chain(Labels(2, "C"))
+        assert e1.egress_table.lookup("20.0.0.9") is None
+        assert len(e1.egress_table) == 0
+
+    def test_global_remove_chain_leaves_no_route_at_any_edge_site(self):
+        from tests.test_controller import build_deployment, spec
+
+        gs, dp, _svc, edge, ingress, _egress = build_deployment()
+        grafted = EdgeInstance("edge.B", "B", dp)
+        edge.register_instance(grafted)
+        for _ in range(3):
+            gs.create_chain(spec())
+            gs.add_edge_site("corp", "B")
+            assert ingress.egress_table.lookup("20.0.0.9") == "C"
+            assert grafted.egress_table.lookup("20.0.0.9") == "C"
+            gs.remove_chain("corp")
+        for instance in (ingress, grafted):
+            assert len(instance.egress_table) == 0
+            assert list(instance.classifier) == []
