@@ -36,6 +36,7 @@ DESIGN.md):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,6 +67,23 @@ def ragged_gather(
         lengths
     )
     return pool_idx, rows
+
+
+class LinkTable(NamedTuple):
+    """Routing-pool entries of a block of node pairs, flattened."""
+
+    targets: np.ndarray  # flat (src, dst) matrix element per entry
+    links: np.ndarray  # link index per entry
+    fracs: np.ndarray  # routing fraction per entry
+    bandwidth: np.ndarray  # bandwidth of ``links``
+
+
+class StageTransition(NamedTuple):
+    """Demand-independent arrays of one (sources -> destinations) stage."""
+
+    latency: np.ndarray  # (n_src, n_dst) one-way delays
+    fwd: LinkTable  # links under src -> dst traffic
+    rev: LinkTable  # links under dst -> src traffic, same element order
 
 
 class SubstrateColumns:
@@ -173,11 +191,81 @@ class SubstrateColumns:
         self.pool_link = np.array(pool_link, dtype=np.int64)
         self.pool_frac = np.array(pool_frac)
         self.mlu_limit = model.mlu_limit
+        # Filled on demand, keyed by (source nodes, destination nodes),
+        # dropped with this object by invalidate_substrate().
+        self._transitions: dict[tuple[bytes, bytes], StageTransition] = {}
+        self._candidate_links: dict[tuple[bytes, bytes], tuple] = {}
 
     def headroom(self) -> np.ndarray:
         """Per-link capacity available under the MLU budget."""
         return np.maximum(
             0.0, self.mlu_limit * self.link_bandwidth - self.link_background
+        )
+
+    def chain_fronts(self, chain, model: NetworkModel) -> list[np.ndarray]:
+        """Network-node indices of a chain's stage fronts: the ingress,
+        each VNF's deployment sites in chain order, the egress.  Stage
+        ``z`` runs from front ``z - 1`` to front ``z``."""
+        ends = self.endpoint_node[
+            [self.endpoint_id(chain.ingress, model), self.endpoint_id(chain.egress, model)]
+        ]
+        vnf_fronts = (self.site_node[self.vnf_sites[self.vnf_index[v]]] for v in chain.vnfs)
+        return [ends[:1], *vnf_fronts, ends[1:]]
+
+    def transition(
+        self, src_nodes: np.ndarray, dst_nodes: np.ndarray
+    ) -> "StageTransition":
+        """Everything the substrate alone says about stage traffic from
+        one front of nodes to the next, computed once per distinct pair
+        of fronts (chains sharing a consecutive VNF pair share it)."""
+        key = (src_nodes.tobytes(), dst_nodes.tobytes())
+        found = self._transitions.get(key)
+        if found is None:
+            found = self._transitions[key] = StageTransition(
+                self.latency[np.ix_(src_nodes, dst_nodes)],
+                self._link_table(src_nodes, dst_nodes, transpose=False),
+                self._link_table(dst_nodes, src_nodes, transpose=True),
+            )
+        return found
+
+    def candidate_links(
+        self, src_nodes: np.ndarray, dst_nodes: np.ndarray
+    ) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """Names of the distinct links src -> dst traffic can cross, and
+        of those dst -> src traffic can (each in link-index order)."""
+        key = (src_nodes.tobytes(), dst_nodes.tobytes())
+        found = self._candidate_links.get(key)
+        if found is None:
+            found = self._candidate_links[key] = tuple(
+                tuple(self.link_names[i] for i in np.unique(table.links))
+                for table in self.transition(src_nodes, dst_nodes)[1:]
+            )
+        return found
+
+    def _link_table(
+        self, a_nodes: np.ndarray, b_nodes: np.ndarray, transpose: bool
+    ) -> "LinkTable":
+        """Flat link-gather table for every (a, b) node pair.
+
+        ``targets`` maps each pool entry to its cost-matrix element --
+        (a, b) element order, or (b, a) with ``transpose`` (the
+        reverse-traffic direction of a stage).  Entries stay in pool
+        order per pair so the DP's penalty accumulation (``np.add.at``
+        is sequential) keeps the scalar code's per-link order.
+        """
+        if not self.pool_link.size:  # the model has no routing fractions
+            return LinkTable(self.pool_link, self.pool_link, self.pool_frac, self.pool_frac)
+        pids = self.pair_id[np.ix_(a_nodes, b_nodes)].ravel()
+        valid = np.flatnonzero(pids >= 0)
+        p = pids[valid]
+        pool_idx, row_of = ragged_gather(self.pair_start[p], self.pair_len[p])
+        links = self.pool_link[pool_idx]
+        targets = valid[row_of]
+        if transpose:
+            a_i, b_i = np.divmod(targets, b_nodes.size)
+            targets = b_i * a_nodes.size + a_i
+        return LinkTable(
+            targets, links, self.pool_frac[pool_idx], self.link_bandwidth[links]
         )
 
     def endpoint_id(self, name: str, model: NetworkModel) -> int:
@@ -382,9 +470,11 @@ class ModelColumns:
 
 __all__ = [
     "ChainColumns",
+    "LinkTable",
     "ModelColumns",
     "SubstrateColumns",
     "VariableColumns",
     "build_variable_columns",
+    "StageTransition",
     "ragged_gather",
 ]

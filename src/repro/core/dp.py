@@ -35,7 +35,7 @@ from typing import Iterable, TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.columns import ragged_gather
+from repro.core.columns import LinkTable
 from repro.core.costs import FORTZ_THORUP, PiecewiseLinearCost
 from repro.core.model import Chain, NetworkModel
 from repro.core.routes import RoutingSolution
@@ -242,27 +242,22 @@ class _StageFront:
 
     Everything here is demand-independent: the propagation-latency
     block over (previous front x this front) and, per traffic
-    direction, flattened gather tables mapping each link a pair can use
-    to its matrix element.  Demands and residual loads are read fresh
-    on every call.
+    direction, the flattened gather table mapping each link a pair can
+    use to its matrix element -- both owned by the substrate columns
+    (:meth:`SubstrateColumns.transition`), so they are computed once per
+    substrate, not per router; only the weighted fractions are this
+    router's.  Demands and residual loads are read fresh on every call.
     """
 
     dst_names: list[str]
-    dst_nodes: np.ndarray  # network-node index of each destination
     dst_sites: np.ndarray | None  # site indices (None for the egress)
     vnf_index: int  # -1 for the egress stage
     load_per_unit: float
     lat: np.ndarray  # (n_prev, n_dst) one-way delays
-    fwd_targets: np.ndarray  # flat (src, dst) element per pool entry
-    fwd_links: np.ndarray
-    fwd_fracs: np.ndarray
-    fwd_wfracs: np.ndarray  # utilization_weight * frac
-    fwd_bw: np.ndarray
-    rev_targets: np.ndarray
-    rev_links: np.ndarray
-    rev_fracs: np.ndarray
+    fwd: LinkTable  # links under forward traffic, per matrix element
+    fwd_wfracs: np.ndarray  # utilization_weight * fwd.fracs
+    rev: LinkTable
     rev_wfracs: np.ndarray
-    rev_bw: np.ndarray
 
 
 class _DpRouter:
@@ -274,10 +269,6 @@ class _DpRouter:
         self.state = _ResourceState(model)
         self._sub = self.state.sub
         self._chain_static: dict[tuple, list[_StageFront]] = {}
-        # (src_key, dst_key) -> shared latency/link tables; chains with
-        # the same stage transition (e.g. the same consecutive VNF pair)
-        # reuse one entry.
-        self._transition_cache: dict[tuple, tuple] = {}
         self._model_sig = self._substrate_signature()
         self.paths_computed = 0
         self._weight = self._resolve_utilization_weight()
@@ -331,7 +322,6 @@ class _DpRouter:
         self._sub = sub
         self.state.refresh_substrate(sub)
         self._chain_static.clear()
-        self._transition_cache.clear()
 
     # -- public per-chain entry point ------------------------------------
 
@@ -443,8 +433,8 @@ class _DpRouter:
             if use_links:
                 fwd = chain.forward_traffic[z - 1] * pass_fraction
                 rev = chain.reverse_traffic[z - 1] * pass_fraction
-            want_fwd = fwd > 0 and front.fwd_targets.size > 0
-            want_rev = rev > 0 and front.rev_targets.size > 0
+            want_fwd = fwd > 0 and front.fwd.targets.size > 0
+            want_rev = rev > 0 and front.rev.targets.size > 0
 
             # One penalty evaluation per stage: compute utilization,
             # forward-link utilization, and reverse-link utilization are
@@ -465,13 +455,13 @@ class _DpRouter:
                 segments.append(np.minimum(util, 2.0))
             if want_fwd:
                 util = (
-                    state.link_load[front.fwd_links] + fwd * front.fwd_fracs
-                ) / front.fwd_bw
+                    state.link_load[front.fwd.links] + fwd * front.fwd.fracs
+                ) / front.fwd.bandwidth
                 segments.append(np.minimum(util, 2.0))
             if want_rev:
                 util = (
-                    state.link_load[front.rev_links] + rev * front.rev_fracs
-                ) / front.rev_bw
+                    state.link_load[front.rev.links] + rev * front.rev.fracs
+                ) / front.rev.bandwidth
                 segments.append(np.minimum(util, 2.0))
             pens = (
                 cfg.penalty.batch(
@@ -501,18 +491,18 @@ class _DpRouter:
                 step[:, blocked] = _INF
             flat = step.ravel()
             if want_fwd:
-                n = front.fwd_targets.size
+                n = front.fwd.targets.size
                 np.add.at(
                     flat,
-                    front.fwd_targets,
+                    front.fwd.targets,
                     front.fwd_wfracs * pens[offset : offset + n],
                 )
                 offset += n
             if want_rev:
-                n = front.rev_targets.size
+                n = front.rev.targets.size
                 np.add.at(
                     flat,
-                    front.rev_targets,
+                    front.rev.targets,
                     front.rev_wfracs * pens[offset : offset + n],
                 )
             total = prev_cost[:, None] + step
@@ -544,95 +534,35 @@ class _DpRouter:
             return cached
         sub = self._sub
         model = self.model
-        ingress = sub.endpoint_id(chain.ingress, model)
-        prev_nodes = np.array([sub.endpoint_node[ingress]], dtype=np.int64)
-        prev_key: tuple = ("ep", ingress)
+        nodes = sub.chain_fronts(chain, model)
         fronts: list[_StageFront] = []
         for z in range(1, chain.num_stages + 1):
             if z == chain.num_stages:
-                ep = sub.endpoint_id(chain.egress, model)
                 dst_names = [chain.egress]
-                dst_nodes = np.array(
-                    [sub.endpoint_node[ep]], dtype=np.int64
-                )
                 dst_sites = None
                 vnf_index = -1
                 load_per_unit = 0.0
-                dst_key: tuple = ("ep", ep)
             else:
                 vnf_index = sub.vnf_index[chain.vnf_at(z)]
                 dst_sites = sub.vnf_sites[vnf_index]
                 dst_names = [sub.site_names[si] for si in dst_sites]
-                dst_nodes = sub.site_node[dst_sites]
                 load_per_unit = float(sub.vnf_load[vnf_index])
-                dst_key = ("vnf", vnf_index)
-            shared = self._transition_cache.get((prev_key, dst_key))
-            if shared is None:
-                shared = (
-                    sub.latency[np.ix_(prev_nodes, dst_nodes)],
-                    self._pair_tables(prev_nodes, dst_nodes, False),
-                    self._pair_tables(dst_nodes, prev_nodes, True),
-                )
-                self._transition_cache[(prev_key, dst_key)] = shared
-            lat, fwd, rev = shared
+            t = sub.transition(nodes[z - 1], nodes[z])
             fronts.append(
                 _StageFront(
                     dst_names=dst_names,
-                    dst_nodes=dst_nodes,
                     dst_sites=dst_sites,
                     vnf_index=vnf_index,
                     load_per_unit=load_per_unit,
-                    lat=lat,
-                    fwd_targets=fwd[0],
-                    fwd_links=fwd[1],
-                    fwd_fracs=fwd[2],
-                    fwd_wfracs=fwd[3],
-                    fwd_bw=fwd[4],
-                    rev_targets=rev[0],
-                    rev_links=rev[1],
-                    rev_fracs=rev[2],
-                    rev_wfracs=rev[3],
-                    rev_bw=rev[4],
+                    lat=t.latency,
+                    fwd=t.fwd,
+                    fwd_wfracs=self._weight * t.fwd.fracs,
+                    rev=t.rev,
+                    rev_wfracs=self._weight * t.rev.fracs,
                 )
             )
-            prev_nodes = dst_nodes
-            prev_key = dst_key
         self._chain_static[key] = fronts
         return fronts
-
-    def _pair_tables(
-        self, a_nodes: np.ndarray, b_nodes: np.ndarray, transpose: bool
-    ) -> tuple[np.ndarray, ...]:
-        """Flat link-gather tables for every (a, b) node pair.
-
-        ``targets`` maps each pool entry to its cost-matrix element --
-        (a, b) element order, or (b, a) with ``transpose`` (the
-        reverse-traffic direction of a stage).  Entries stay in pool
-        order per pair so the penalty accumulation (``np.add.at`` is
-        sequential) reproduces the scalar code's per-link order.
-        """
-        sub = self._sub
-        if not self.model.routing:
-            empty_i = np.zeros(0, dtype=np.int64)
-            empty_f = np.zeros(0)
-            return empty_i, empty_i, empty_f, empty_f, empty_f
-        pids = sub.pair_id[np.ix_(a_nodes, b_nodes)].ravel()
-        valid = np.flatnonzero(pids >= 0)
-        p = pids[valid]
-        pool_idx, row_of = ragged_gather(sub.pair_start[p], sub.pair_len[p])
-        links = sub.pool_link[pool_idx]
-        fracs = sub.pool_frac[pool_idx]
-        targets = valid[row_of]
-        if transpose:
-            a_i, b_i = np.divmod(targets, b_nodes.size)
-            targets = b_i * a_nodes.size + a_i
-        return (
-            targets,
-            links,
-            fracs,
-            self._weight * fracs,
-            sub.link_bandwidth[links],
-        )
 
     def _find_path_greedy(
         self, chain: Chain, pass_fraction: float

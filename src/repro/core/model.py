@@ -192,6 +192,20 @@ def _per_stage(
     return values
 
 
+def _encode(value) -> str:
+    return json.dumps(value, separators=(",", ":"), sort_keys=True)
+
+
+def _hash_document(fragments: Mapping[str, str], **values) -> str:
+    """Hex SHA-256 of the digest document made of the already-encoded
+    ``fragments`` overlaid with ``values``: byte for byte the hash of
+    ``_encode({**decoded fragments, **values})``, at the cost of
+    encoding ``values`` only."""
+    merged = {**fragments, **{key: _encode(v) for key, v in values.items()}}
+    body = ",".join(f'"{key}":{merged[key]}' for key in sorted(merged))
+    return hashlib.sha256(f"{{{body}}}".encode()).hexdigest()
+
+
 class NetworkModel:
     """The full model consumed by the traffic-engineering algorithms.
 
@@ -288,7 +302,8 @@ class NetworkModel:
         self._substrate_columns = None
         self._chain_columns = None
         self._variable_columns = None
-        self._substrate_doc: dict | None = None
+        self._substrate_json: dict[str, str] | None = None
+        self._substrate_digest: str | None = None
         # The node list is immutable after construction; cache the set so
         # per-chain validation stays O(1) on 100k-chain workloads.
         self._node_set = node_set
@@ -333,13 +348,16 @@ class NetworkModel:
         Must be called after mutating substrate state in place (the only
         sanctioned case is ``controller.failures`` flipping ``_latency``
         entries); chain columns are dropped too because they embed
-        substrate indices, and the substrate document cache because
-        digests must reflect the new latencies.
+        substrate indices, and the encoded substrate document because
+        digests must reflect the new latencies.  This is the only
+        invalidation point: everything derived from the substrate hangs
+        off one of these fields (see the cache table in DESIGN.md).
         """
         self._substrate_columns = None
         self._chain_columns = None
         self._variable_columns = None
-        self._substrate_doc = None
+        self._substrate_json = None
+        self._substrate_digest = None
 
     # -- columnar views -------------------------------------------------
 
@@ -457,8 +475,7 @@ class NetworkModel:
             unknown = [n for n in chain_names if n not in self.chains]
             if unknown:
                 raise ModelError(f"digest over unknown chains: {unknown}")
-        document = dict(self._substrate_document())
-        document["chains"] = [
+        chain_doc = [
             (
                 c.name,
                 c.ingress,
@@ -469,8 +486,7 @@ class NetworkModel:
             )
             for c in (self.chains[n] for n in chain_names)
         ]
-        payload = json.dumps(document, separators=(",", ":"), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return _hash_document(self._substrate_fragments(), chains=chain_doc)
 
     def substrate_digest(self) -> str:
         """A stable content hash of the substrate alone (hex SHA-256).
@@ -481,22 +497,25 @@ class NetworkModel:
         substrate edits (``fail_link``/``restore_link``) that must
         invalidate a stored partitioning even though the chain set is
         unchanged, and by ``repro.federation`` as the shard-map identity.
+        Cached with the substrate (and shared with ``copy_with_chains``
+        copies) until :meth:`invalidate_substrate`.
         """
-        payload = json.dumps(
-            self._substrate_document(), separators=(",", ":"), sort_keys=True
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
+        if self._substrate_digest is None:
+            self._substrate_digest = _hash_document(self._substrate_fragments())
+        return self._substrate_digest
 
-    def _substrate_document(self) -> dict:
-        """The substrate portion of the digest document (cached).
+    def _substrate_fragments(self) -> dict[str, str]:
+        """The substrate portion of the digest document, one encoded JSON
+        fragment per key (cached).
 
-        Sorting and flattening the substrate dominates digest cost on
-        repeated calls (the solver farm digests once per partition), so
-        the already-sorted fragments are built once and shared with
-        ``copy_with_chains`` copies.
+        Sorting, flattening and encoding the latency and routing tables
+        dominates digest cost (the solver farm digests once per
+        partition per round), so it is done once per substrate and
+        shared with ``copy_with_chains`` copies; every digest splices
+        its per-call chain fragment into these.
         """
-        if self._substrate_doc is None:
-            self._substrate_doc = {
+        if self._substrate_json is None:
+            document = {
                 "nodes": sorted(self.nodes),
                 "latency": sorted(
                     (n1, n2, d) for (n1, n2), d in self._latency.items()
@@ -518,7 +537,22 @@ class NetworkModel:
                 ),
                 "mlu_limit": self.mlu_limit,
             }
-        return self._substrate_doc
+            self._substrate_json = {k: _encode(v) for k, v in document.items()}
+        return self._substrate_json
+
+    def _chain_structure_document(self) -> list:
+        """Chains in iteration order with demands reduced to positivity."""
+        return [
+            (
+                c.name,
+                c.ingress,
+                c.egress,
+                list(c.vnfs),
+                [w > 0 for w in c.forward_traffic],
+                [v > 0 for v in c.reverse_traffic],
+            )
+            for c in self.chains.values()
+        ]
 
     def structure_digest(self) -> str:
         """Hash of the LP matrix *structure* this model induces.
@@ -531,20 +565,10 @@ class NetworkModel:
         identical demand-independent entries, which is the contract the
         LP matrix caches rely on (see DESIGN.md).
         """
-        document = dict(self._substrate_document())
-        document["chain_structure"] = [
-            (
-                c.name,
-                c.ingress,
-                c.egress,
-                list(c.vnfs),
-                [w > 0 for w in c.forward_traffic],
-                [v > 0 for v in c.reverse_traffic],
-            )
-            for c in self.chains.values()
-        ]
-        payload = json.dumps(document, separators=(",", ":"), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return _hash_document(
+            self._substrate_fragments(),
+            chain_structure=self._chain_structure_document(),
+        )
 
     def capacity_structure_digest(self) -> str:
         """Hash of the capacity-planning LP structure this model induces.
@@ -555,27 +579,17 @@ class NetworkModel:
         relief coefficients on every solve, so a budget sweep over
         proportionally grown models reuses one cached matrix structure.
         """
-        document = dict(self._substrate_document())
-        document["sites"] = sorted(
-            (s.name, s.node, s.capacity > 0) for s in self.sites.values()
+        return _hash_document(
+            self._substrate_fragments(),
+            sites=sorted(
+                (s.name, s.node, s.capacity > 0) for s in self.sites.values()
+            ),
+            vnfs=sorted(
+                (v.name, v.load_per_unit, sorted(v.site_capacity))
+                for v in self.vnfs.values()
+            ),
+            chain_structure=self._chain_structure_document(),
         )
-        document["vnfs"] = sorted(
-            (v.name, v.load_per_unit, sorted(v.site_capacity))
-            for v in self.vnfs.values()
-        )
-        document["chain_structure"] = [
-            (
-                c.name,
-                c.ingress,
-                c.egress,
-                list(c.vnfs),
-                [w > 0 for w in c.forward_traffic],
-                [v > 0 for v in c.reverse_traffic],
-            )
-            for c in self.chains.values()
-        ]
-        payload = json.dumps(document, separators=(",", ":"), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
 
     # -- aggregate views --------------------------------------------------
 
@@ -584,20 +598,31 @@ class NetworkModel:
         return sum(c.stage_traffic(1) for c in self.chains.values())
 
     def copy_with_chains(self, chains: Iterable[Chain]) -> "NetworkModel":
-        """A model sharing this substrate but with a different chain set."""
-        clone = NetworkModel(
-            nodes=self.nodes,
-            latency=self._latency,
-            sites=self.sites.values(),
-            vnfs=self.vnfs.values(),
-            chains=chains,
-            links=self.links.values(),
-            routing=self.routing,
-            mlu_limit=self.mlu_limit,
-        )
+        """A model sharing this substrate but with a different chain set.
+
+        The substrate was validated when this model was built, so it is
+        copied (a later in-place edit of either model must not reach the
+        other) but not re-validated; every chain still goes through
+        :meth:`add_chain`.
+        """
+        clone = object.__new__(NetworkModel)
+        clone.nodes = list(self.nodes)
+        clone._node_set = self._node_set
+        clone._latency = dict(self._latency)
+        clone.sites = dict(self.sites)
+        clone.vnfs = dict(self.vnfs)
+        clone.links = dict(self.links)
+        clone.routing = {pair: dict(f) for pair, f in self.routing.items()}
+        clone.mlu_limit = self.mlu_limit
         # The substrate is shared, so its caches carry over.
         clone._substrate_columns = self._substrate_columns
-        clone._substrate_doc = self._substrate_doc
+        clone._substrate_json = self._substrate_json
+        clone._substrate_digest = self._substrate_digest
+        clone._chain_columns = None
+        clone._variable_columns = None
+        clone.chains = {}
+        for chain in chains:
+            clone.add_chain(chain)
         return clone
 
     def copy_with_vnfs(self, vnfs: Iterable[VNF]) -> "NetworkModel":

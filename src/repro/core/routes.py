@@ -181,29 +181,54 @@ class RoutingSolution:
             for name, chain in self.model.chains.items()
         )
 
+    def _accumulate(self) -> tuple[dict, dict, dict, dict]:
+        """One pass over the flows: (VNF, site) loads (Equation 4), site
+        loads, node-pair traffic (Equation 7) and link traffic (the
+        summand of Equation 6), each keyed in first-use order."""
+        model = self.model
+        loads: dict[tuple[str, str], float] = defaultdict(float)
+        traffic: dict[tuple[str, str], float] = defaultdict(float)
+        for (chain, stage), pairs in self._flows.items():
+            c = model.chains[chain]
+            total = c.stage_traffic(stage)
+            forward = c.forward_traffic[stage - 1]
+            reverse = c.reverse_traffic[stage - 1]
+            # The VNF terminating stage z receives its traffic (unless z
+            # is the egress stage); the VNF originating it sends it
+            # (unless z is the ingress stage).
+            into = c.vnfs[stage - 1] if stage < c.num_stages else None
+            out_of = c.vnfs[stage - 2] if stage > 1 else None
+            for (src, dst), fraction in pairs.items():
+                demand = total * fraction
+                if into is not None:
+                    loads[(into, dst)] += model.vnfs[into].load_per_unit * demand
+                if out_of is not None:
+                    loads[(out_of, src)] += model.vnfs[out_of].load_per_unit * demand
+                fwd = forward * fraction
+                rev = reverse * fraction
+                n1 = model.endpoint_node(src)
+                n2 = model.endpoint_node(dst)
+                if fwd > 0:
+                    traffic[(n1, n2)] += fwd
+                if rev > 0:
+                    traffic[(n2, n1)] += rev
+        sites: dict[str, float] = defaultdict(float)
+        for (_vnf, site), load in loads.items():
+            sites[site] += load
+        per_link: dict[str, float] = defaultdict(float)
+        for pair, volume in traffic.items():
+            for link_name, frac in model.routing.get(pair, {}).items():
+                per_link[link_name] += volume * frac
+        return dict(loads), dict(sites), dict(traffic), dict(per_link)
+
     def vnf_site_loads(self) -> dict[tuple[str, str], float]:
         """Load of each (VNF, site): ``l_f`` times traffic received at the
         VNF's stage plus traffic sent at the following stage (Equation 4)."""
-        loads: dict[tuple[str, str], float] = defaultdict(float)
-        for flow in self.flows():
-            c = self.model.chains[flow.chain]
-            demand = c.stage_traffic(flow.stage) * flow.fraction
-            # Traffic received by the VNF terminating stage z (if not egress).
-            if flow.stage < c.num_stages:
-                vnf = c.vnf_at(flow.stage)
-                loads[(vnf, flow.dst)] += self.model.vnfs[vnf].load_per_unit * demand
-            # Traffic sent by the VNF originating stage z (if not ingress).
-            if flow.stage > 1:
-                vnf = c.vnf_at(flow.stage - 1)
-                loads[(vnf, flow.src)] += self.model.vnfs[vnf].load_per_unit * demand
-        return dict(loads)
+        return self._accumulate()[0]
 
     def site_loads(self) -> dict[str, float]:
         """Total load per cloud site, summed across VNFs."""
-        loads: dict[str, float] = defaultdict(float)
-        for (_vnf, site), load in self.vnf_site_loads().items():
-            loads[site] += load
-        return dict(loads)
+        return self._accumulate()[1]
 
     def pair_traffic(self) -> dict[tuple[str, str], float]:
         """``sum_c T_{c n1 n2}`` of Equation 7: total Switchboard traffic
@@ -212,31 +237,18 @@ class RoutingSolution:
         Reverse-direction traffic for a stage flow ``n1 -> n2`` travels
         ``n2 -> n1``.  Keys are network *nodes* (sites resolved).
         """
-        traffic: dict[tuple[str, str], float] = defaultdict(float)
-        for flow in self.flows():
-            c = self.model.chains[flow.chain]
-            fwd = c.forward_traffic[flow.stage - 1] * flow.fraction
-            rev = c.reverse_traffic[flow.stage - 1] * flow.fraction
-            src = self.model.endpoint_node(flow.src)
-            dst = self.model.endpoint_node(flow.dst)
-            if fwd > 0:
-                traffic[(src, dst)] += fwd
-            if rev > 0:
-                traffic[(dst, src)] += rev
-        return dict(traffic)
+        return self._accumulate()[2]
 
     def link_traffic(self) -> dict[str, float]:
         """Switchboard traffic per physical link via routing fractions
         ``r_{n1 n2 e}`` (the summand of Equation 6)."""
-        per_link: dict[str, float] = defaultdict(float)
-        for (n1, n2), volume in self.pair_traffic().items():
-            for link_name, frac in self.model.links_between(n1, n2).items():
-                per_link[link_name] += volume * frac
-        return dict(per_link)
+        return self._accumulate()[3]
 
     def link_utilization(self) -> dict[str, float]:
         """Utilization (background + Switchboard) of every physical link."""
-        traffic = self.link_traffic()
+        return self._link_utilization(self.link_traffic())
+
+    def _link_utilization(self, traffic) -> dict[str, float]:
         return {
             name: (link.background + traffic.get(name, 0.0)) / link.bandwidth
             for name, link in self.model.links.items()
@@ -262,7 +274,8 @@ class RoutingSolution:
         for name, chain in self.model.chains.items():
             problems.extend(self._check_chain(name, chain, tol))
 
-        for site_name, load in self.site_loads().items():
+        loads, site_loads, _pairs, link_traffic = self._accumulate()
+        for site_name, load in site_loads.items():
             site = self.model.sites.get(site_name)
             if site is None:
                 problems.append(f"load on unknown site {site_name!r}")
@@ -271,7 +284,7 @@ class RoutingSolution:
                     f"site {site_name!r} overloaded: {load:.6g} > {site.capacity:.6g}"
                 )
 
-        for (vnf_name, site_name), load in self.vnf_site_loads().items():
+        for (vnf_name, site_name), load in loads.items():
             cap = self.model.vnfs[vnf_name].site_capacity.get(site_name)
             if cap is None:
                 problems.append(
@@ -284,7 +297,7 @@ class RoutingSolution:
                 )
 
         if self.model.links:
-            for link_name, util in self.link_utilization().items():
+            for link_name, util in self._link_utilization(link_traffic).items():
                 if util > self.model.mlu_limit + tol:
                     problems.append(
                         f"link {link_name!r} exceeds MLU budget: "

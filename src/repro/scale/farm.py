@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, TYPE_CHECKING
 
 from repro.core.lp import LpObjective, LpResult, solve_chain_routing_lp
@@ -240,7 +240,7 @@ class SolverFarm:
         if self.plan is None or self._plan_key != plan_key:
             self.plan = partition_chains(model, self.partition_size)
             self._plan_key = plan_key
-        return self._run(model, objective, self.plan, resolve_only=None)
+        return self._run(model, objective, self.plan, mode="full")
 
     def resolve(
         self,
@@ -251,25 +251,24 @@ class SolverFarm:
         """Incremental re-solve after a demand change.
 
         Reuses the stored partition plan (structure and capacity shares
-        are demand-independent), so only partitions containing a chain
-        in ``changed_chains`` get new cache keys and are re-solved;
-        everything else merges straight from the cache.  Falls back to a
-        full :meth:`solve` when no compatible plan exists: first call,
-        the chain set / chain structure changed, or the *substrate*
-        changed underneath the plan (``fail_link``/``restore_link``
-        mutate latencies in place and call ``invalidate_substrate()``;
-        the plan's stored substrate digest then no longer matches, so
-        the stale proportional shares are rebuilt rather than reused).
+        are demand-independent).  What makes an untouched partition free
+        is its unchanged cache key: computing it costs O(the partition's
+        chains) -- the plan holds each partition's substrate already
+        validated and encoded -- and a hit merges straight from the
+        cache.  ``changed_chains`` is checked against the plan
+        (:class:`PartitionError` for a chain it does not know) but does
+        not select what re-solves; the keys do.  Falls back to a full
+        :meth:`solve` when no compatible plan exists: first call, the
+        chain set / chain structure changed, or the *substrate* changed
+        underneath the plan (``fail_link``/``restore_link`` mutate
+        latencies in place and call ``invalidate_substrate()``; the
+        plan's stored substrate digest then no longer matches, so the
+        stale proportional shares are rebuilt rather than reused).
         """
-        changed = set(changed_chains)
         if self.plan is None or not self.plan.compatible_with(model):
             return self.solve(model, objective)
-        return self._run(
-            model,
-            objective,
-            self.plan,
-            resolve_only=self.plan.partitions_for(changed),
-        )
+        self.plan.partitions_for(changed_chains)
+        return self._run(model, objective, self.plan, mode="incremental")
 
     # -- machinery -------------------------------------------------------
 
@@ -278,10 +277,9 @@ class SolverFarm:
         model: NetworkModel,
         objective: LpObjective,
         plan: PartitionPlan,
-        resolve_only: set[int] | None,
+        mode: str,
     ) -> FarmResult:
         start = time.perf_counter()
-        mode = "incremental" if resolve_only is not None else "full"
         submodels: dict[int, NetworkModel] = {}
         keys: dict[int, str] = {}
         results: dict[int, SolveResult] = {}
@@ -297,7 +295,9 @@ class SolverFarm:
             keys[part.index] = key
             cached = self.cache.get(key)
             if cached is not None:
-                results[part.index] = cached
+                # The entry may have been solved under another index (a
+                # re-plan, or a cache shared between farms).
+                results[part.index] = replace(cached, partition_index=part.index)
                 cache_hits += 1
             else:
                 misses.append(part.index)

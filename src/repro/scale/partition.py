@@ -44,9 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-import numpy as np
-
-from repro.core.columns import ragged_gather
 from repro.core.model import Chain, CloudSite, Link, NetworkModel, VNF
 
 #: Relative objective gap the split-partition farm is expected to stay
@@ -101,6 +98,9 @@ class PartitionPlan:
         #: (``fail_link``/``restore_link`` mutate latencies in place and
         #: only call ``invalidate_substrate()``).
         self.substrate_digest = substrate_digest
+        #: Split partition index -> its scaled substrate (no chains),
+        #: built on first use and cloned per round by :meth:`submodel`.
+        self._templates: dict[int, NetworkModel] = {}
         self.chain_partition: dict[str, int] = {}
         for part in partitions:
             for name in part.chains:
@@ -153,50 +153,63 @@ class PartitionPlan:
 
         Exact partitions reuse the full substrate; split partitions get
         capacities and link budgets scaled by their stored shares.
+        Either way the chains are the only per-call work: the scaled
+        substrate, its columns and its encoded digest document are built
+        once per plan (a plan never outlives its substrate, see
+        :meth:`compatible_with`).
         """
         part = self.partitions[index]
         chains = [model.chains[name] for name in part.chains]
         shares = self._shares.get(index)
         if not shares:
             return model.copy_with_chains(chains)
+        template = self._templates.get(index)
+        if template is None:
+            template = self._templates[index] = _scaled_substrate(model, shares)
+        return template.copy_with_chains(chains)
 
-        vnfs = []
-        for vnf in model.vnfs.values():
-            scaled = {
-                site: cap * shares.get(("vnf", vnf.name, site), 1.0)
-                for site, cap in vnf.site_capacity.items()
-            }
-            vnfs.append(VNF(vnf.name, vnf.load_per_unit, scaled))
-        sites = [
-            CloudSite(
-                s.name, s.node, s.capacity * shares.get(("site", s.name), 1.0)
+
+def _scaled_substrate(
+    model: NetworkModel, shares: Mapping[ResourceKey, float]
+) -> NetworkModel:
+    """``model``'s substrate with every budget cut to ``shares``, warmed
+    so that its clones share one set of columns and one encoded digest
+    document."""
+    vnfs = []
+    for vnf in model.vnfs.values():
+        scaled = {
+            site: cap * shares.get(("vnf", vnf.name, site), 1.0)
+            for site, cap in vnf.site_capacity.items()
+        }
+        vnfs.append(VNF(vnf.name, vnf.load_per_unit, scaled))
+    sites = [
+        CloudSite(s.name, s.node, s.capacity * shares.get(("site", s.name), 1.0))
+        for s in model.sites.values()
+    ]
+    links = []
+    for link in model.links.values():
+        share = max(shares.get(("link", link.name), 1.0), _MIN_LINK_SHARE)
+        links.append(
+            Link(
+                link.name,
+                link.src,
+                link.dst,
+                link.bandwidth * share,
+                link.background * share,
             )
-            for s in model.sites.values()
-        ]
-        links = []
-        for link in model.links.values():
-            share = max(
-                shares.get(("link", link.name), 1.0), _MIN_LINK_SHARE
-            )
-            links.append(
-                Link(
-                    link.name,
-                    link.src,
-                    link.dst,
-                    link.bandwidth * share,
-                    link.background * share,
-                )
-            )
-        return NetworkModel(
-            nodes=model.nodes,
-            latency=model._latency,
-            sites=sites,
-            vnfs=vnfs,
-            chains=chains,
-            links=links,
-            routing=model.routing,
-            mlu_limit=model.mlu_limit,
         )
+    template = NetworkModel(
+        nodes=model.nodes,
+        latency=model._latency,
+        sites=sites,
+        vnfs=vnfs,
+        links=links,
+        routing=model.routing,
+        mlu_limit=model.mlu_limit,
+    )
+    template.substrate_columns()
+    template.substrate_digest()
+    return template
 
 
 def _chain_structure(chain: Chain) -> tuple:
@@ -204,55 +217,31 @@ def _chain_structure(chain: Chain) -> tuple:
     return (chain.ingress, chain.egress, chain.vnfs)
 
 
-def _stage_node_ids(
-    model: NetworkModel, sub, chain: Chain, z: int, destinations: bool
-) -> np.ndarray:
-    """Network-node indices of a stage's source or destination endpoints."""
-    names = (
-        model.stage_destinations(chain, z)
-        if destinations
-        else model.stage_sources(chain, z)
-    )
-    return np.fromiter(
-        (sub.node_index[model.endpoint_node(name)] for name in names),
-        dtype=np.int64,
-        count=len(names),
-    )
-
-
-def _pair_link_ids(sub, a_nodes: np.ndarray, b_nodes: np.ndarray) -> np.ndarray:
-    """Unique link indices any (a, b) node pair's traffic can cross."""
-    pids = sub.pair_id[np.ix_(a_nodes, b_nodes)].ravel()
-    p = pids[pids >= 0]
-    if p.size == 0:
-        return p
-    pool_idx, _ = ragged_gather(sub.pair_start[p], sub.pair_len[p])
-    return np.unique(sub.pool_link[pool_idx])
+def _stage_links(model: NetworkModel, chain: Chain) -> list[set[ResourceKey]]:
+    """Per stage, every link the stage's traffic could cross (empty for
+    a stage without demand, or a model without routing)."""
+    stages: list[set[ResourceKey]] = [set() for _ in range(chain.num_stages)]
+    if not model.routing:
+        return stages
+    sub = model.substrate_columns()
+    fronts = sub.chain_fronts(chain, model)
+    for z, links in enumerate(stages, start=1):
+        fwd = chain.forward_traffic[z - 1] > 0
+        rev = chain.reverse_traffic[z - 1] > 0
+        if fwd or rev:
+            forward, reverse = sub.candidate_links(fronts[z - 1], fronts[z])
+            names = (forward if fwd else ()) + (reverse if rev else ())
+            links.update(("link", name) for name in names)
+    return stages
 
 
 def chain_resources(model: NetworkModel, chain: Chain) -> set[ResourceKey]:
     """Every capacity resource the chain's LP variables can touch."""
-    sub = model.substrate_columns()
-    resources: set[ResourceKey] = set()
-    for z in range(1, chain.num_stages + 1):
-        if z < chain.num_stages:
-            for site in model.stage_destinations(chain, z):
-                resources.add(("vnf", chain.vnf_at(z), site))
-                resources.add(("site", site))
-        if not model.routing:
-            continue
-        fwd = chain.forward_traffic[z - 1]
-        rev = chain.reverse_traffic[z - 1]
-        if fwd <= 0 and rev <= 0:
-            continue
-        srcs = _stage_node_ids(model, sub, chain, z, destinations=False)
-        dsts = _stage_node_ids(model, sub, chain, z, destinations=True)
-        if fwd > 0:
-            for li in _pair_link_ids(sub, srcs, dsts):
-                resources.add(("link", sub.link_names[li]))
-        if rev > 0:
-            for li in _pair_link_ids(sub, dsts, srcs):
-                resources.add(("link", sub.link_names[li]))
+    resources: set[ResourceKey] = set().union(*_stage_links(model, chain))
+    for z in range(1, chain.num_stages):
+        for site in model.stage_destinations(chain, z):
+            resources.add(("vnf", chain.vnf_at(z), site))
+            resources.add(("site", site))
     return resources
 
 
@@ -351,14 +340,13 @@ def _chain_resource_weights(
     the chain could use gets a small uniform share
     (:data:`_LINK_OVERFLOW_WEIGHT`) so overflow routing stays possible.
     """
-    sub = model.substrate_columns()
     weights: dict[ResourceKey, float] = {}
     if link_usage:
         weights.update(link_usage)
         path = None
     else:
         path = _latency_path(model, chain) if model.routing else None
-    for z in range(1, chain.num_stages + 1):
+    for z, overflow in enumerate(_stage_links(model, chain), start=1):
         if z < chain.num_stages:
             vnf_name = chain.vnf_at(z)
             load = model.vnfs[vnf_name].load_per_unit * (
@@ -386,19 +374,6 @@ def _chain_resource_weights(
                 for name, f in model.links_between(n2, n1).items():
                     key = ("link", name)
                     weights[key] = weights.get(key, 0.0) + rev * f
-        overflow: set[ResourceKey] = set()
-        srcs = _stage_node_ids(model, sub, chain, z, destinations=False)
-        dsts = _stage_node_ids(model, sub, chain, z, destinations=True)
-        if fwd > 0:
-            overflow.update(
-                ("link", sub.link_names[li])
-                for li in _pair_link_ids(sub, srcs, dsts)
-            )
-        if rev > 0:
-            overflow.update(
-                ("link", sub.link_names[li])
-                for li in _pair_link_ids(sub, dsts, srcs)
-            )
         for key in overflow:
             if weights.get(key, 0.0) <= 0.0:
                 weights[key] = weights.get(key, 0.0) + (

@@ -8,6 +8,7 @@ from repro.obs import MetricsRegistry
 from repro.scale import (
     FarmResult,
     MonolithicSolver,
+    PartitionError,
     SolutionCache,
     SolverFarm,
 )
@@ -108,6 +109,33 @@ class TestIncrementalResolve:
         result = farm.resolve(grown, ["c2"])
         assert result.ok
         assert len(result.solved) == 3  # full re-plan, no stale cache use
+
+    def test_cached_result_is_restamped_with_its_current_index(self):
+        # Regression: removing an earlier-sorted coupling group shifts
+        # every later partition down one index; their sub-model digests
+        # are unchanged, so they are cache hits solved under the old index.
+        model = clustered_model(3)
+        farm = SolverFarm(partition_size=1, max_workers=1)
+        farm.solve(model)
+        model.remove_chain("c0")
+        result = farm.resolve(model, [])
+        assert result.cache_hits == 2 and result.solved == ()
+        assert all(r.partition_index == i for i, r in result.results.items())
+        assert [r.chains for r in result.results.values()] == [("c1",), ("c2",)]
+        # ... and with a cache shared between farms planning different sets
+        other = SolverFarm(partition_size=1, max_workers=1, cache=farm.cache)
+        shifted = other.solve(clustered_model(3).copy_with_chains(
+            [model.chains["c2"]]
+        ))
+        assert shifted.cache_hits == 1
+        assert shifted.results[0].partition_index == 0
+
+    def test_resolve_rejects_a_chain_the_plan_does_not_know(self):
+        model = clustered_model(2)
+        farm = SolverFarm(partition_size=1, max_workers=1)
+        farm.solve(model)
+        with pytest.raises(PartitionError):
+            farm.resolve(model, ["nope"])
 
     def test_resolve_after_substrate_edit_replans(self):
         # Regression: ``fail_link``/``restore_link`` mutate latencies in
