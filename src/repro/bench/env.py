@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 import platform
 import subprocess
-import sys
 from typing import Any
 
 
@@ -50,8 +49,3 @@ def git_sha(cwd: str | None = None) -> str:
     if out.returncode != 0:
         return "unknown"
     return out.stdout.strip() or "unknown"
-
-
-def interpreter_summary() -> str:
-    """One-line interpreter id used in log lines, not in documents."""
-    return f"{platform.python_implementation()} {sys.version.split()[0]}"

@@ -50,6 +50,7 @@ from repro.chaos.scenario import (
 from repro.controller import (
     ChainSpecification,
     GlobalSwitchboard,
+    InstallationError,
     LocalSwitchboard,
 )
 from repro.controller.failures import (
@@ -344,8 +345,8 @@ class ChaosEngine:
                 if name in self.d.gs.installations:
                     try:
                         self.d.gs.extend_chain(name)
-                    except Exception:
-                        pass
+                    except InstallationError:
+                        pass  # the extension did not install: stays degraded
 
     def _on_control_loss(self, event: FaultEvent) -> None:
         """Probabilistic loss on every cross-site control link at once

@@ -474,7 +474,13 @@ def _cmd_federation(args: argparse.Namespace) -> int:
     import random
 
     from repro.core.lp import LpObjective
-    from repro.federation import FaultPolicy, GlobalCoordinator, check_all
+    from repro.federation import (
+        CoordinatorCrash,
+        FaultPolicy,
+        FederationError,
+        GlobalCoordinator,
+        check_all,
+    )
     from repro.federation import run_soak as run_federation_soak
     from repro.obs import MetricsRegistry, collect_federation, registry_to_dict
     from repro.topology.pops import PopGridConfig, generate_federation_workload
@@ -549,7 +555,7 @@ def _cmd_federation(args: argparse.Namespace) -> int:
             try:
                 coordinator.submit(chain)
                 installed += 1
-            except Exception:
+            except (CoordinatorCrash, FederationError):
                 coordinator.sweep()
         print(f"soak base: {installed}/{len(base)} chains installed")
         report = run_federation_soak(

@@ -22,15 +22,22 @@ from __future__ import annotations
 
 import random
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
-from scipy.sparse import csc_matrix, csr_matrix
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csr_matrix, vstack
 
-from repro.core import highs as highs_backend
-from repro.core.columns import ragged_gather
+from repro.core.formulation import (
+    ChainFlow,
+    Program,
+    ScalarProgram,
+    ScalarRows,
+    StructureCache,
+    flow_solution,
+    solve,
+)
 from repro.core.model import CloudSite, NetworkModel, VNF
 from repro.core.routes import RoutingSolution
 
@@ -63,19 +70,15 @@ class CloudCapacityPlan:
         ]
 
 
-# ---------------------------------------------------------------------------
-# Columnar assembly with structure caching (mirrors repro.core.lp)
-# ---------------------------------------------------------------------------
-
-_KIND_CONST = 0
-_KIND_TOTAL = 1  # entry scales with (w_cz + v_cz)
-_KIND_FWD = 2  # entry scales with w_cz
-_KIND_REV = 3  # entry scales with v_cz
-
-
-@dataclass
-class _CapacityStructure:
+class _CloudProgram(Program):
     """Cloud-capacity LP structure that survives capacity/demand changes.
+
+    Columns: the flows ``y = alpha * x``, one addition ``a_s`` per site
+    (dict order), then ``alpha``.  Row order replicates the scalar
+    reference: the equality block is coverage (chain dict order, with the
+    ``-alpha`` coupling) then flow conservation; the inequality block is
+    per-site rows sorted by name, (VNF, site) rows sorted by name, the
+    budget row, then link rows sorted by name.
 
     Everything numeric that a budget sweep changes -- site capacities,
     per-site VNF capacities, headroom, the budget itself, and demand
@@ -83,359 +86,89 @@ class _CapacityStructure:
     the sparsity pattern and row order are fixed.
     """
 
-    n_flow: int
-    n_total: int
-    alpha_index: int
-    site_names: list[str]  # dict order; site var i = n_flow + i
-    # UB block (COO); demand-scaled entries carry a stage row id.
-    ub_rows: np.ndarray
-    ub_cols: np.ndarray
-    ub_base: np.ndarray
-    ub_kind: np.ndarray
-    ub_stage: np.ndarray
-    n_ub: int
-    # Relief entries on the (VNF, site) rows: value -cap/site_cap is
-    # recomputed from the current model each call.
-    relief_rows: np.ndarray
-    relief_cols: np.ndarray
-    relief_pairs: list[tuple[str, str]]  # (vnf name, site name)
-    # EQ block: fully demand-independent, rhs all zero.
-    eq_rows: np.ndarray
-    eq_cols: np.ndarray
-    eq_data: np.ndarray
-    n_eq: int
-    # RHS refresh descriptors (row -> where the bound comes from).
-    site_rows: list[tuple[int, str]]
-    vnf_rows: list[tuple[int, str, str]]
-    budget_row: int
-    link_rows: list[tuple[int, str]]
-    # Demand refresh table and extraction arrays.
-    stage_key: list[tuple[str, int]]  # (chain name, z) per stage row
-    var_stage: np.ndarray
-    stage_chain_name: list[str]
-    stage_z: np.ndarray
-    var_src_name: np.ndarray  # object arrays of endpoint names
-    var_dst_name: np.ndarray
-    seed_columns: np.ndarray
-    cg_solver: object | None = None
+    def __init__(self, model: NetworkModel):
+        flow = ChainFlow(model, links=True)
+        sub = model.substrate_columns()
+        n_flow = flow.n_flow
+        site_cols = n_flow + np.arange(len(sub.site_names))
+        self.alpha_index = n_flow + len(site_cols)
+        super().__init__(flow, self.alpha_index + 1)
 
-    def refreshed_stage_demands(
-        self, model: NetworkModel
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        fwd = np.array(
-            [model.chains[c].forward_traffic[z - 1] for c, z in self.stage_key]
-        )
-        rev = np.array(
-            [model.chains[c].reverse_traffic[z - 1] for c, z in self.stage_key]
-        )
-        return fwd, rev, fwd + rev
+        self.open_eq(np.zeros(flow.n_chains + flow.n_cons))
+        self.eq(flow.cover_chain, flow.stage1_vars, 1.0)
+        self.eq(np.arange(flow.n_chains), self.alpha_index, -1.0)
+        self.conservation(flow.n_chains + np.arange(flow.n_cons))
 
-    def refreshed_ub(
+        # The RHS of every inequality row is written per call (zeros here).
+        first = self.load_rows(flow.site_inverse, np.zeros(len(flow.load_sites)))
+        self.ub(first + np.arange(len(flow.load_sites)), n_flow + flow.load_sites, -1.0)
+        pair_first = self.load_rows(flow.pair_inverse, np.zeros(len(flow.pair_vnf)))
+        self.ub(np.full(len(site_cols), self.open_ub([0.0])), site_cols, 1.0)  # budget
+        self.link_load_rows(np.zeros(len(flow.load_links)))
+        # Per-site totals get the a_s relief above; per-VNF capacities
+        # scale with the site's relative growth (the paper assumes site
+        # capacity is divided among its VNF instances, so extra site
+        # capacity grows each hosted VNF proportionally).  That relief
+        # coefficient -cap/site_cap changes with the capacities, so its
+        # entries go last: the tail of the data vector, rewritten per call.
+        self.relief = np.flatnonzero(sub.site_capacity[flow.pair_site] > 0)
+        self.ub(pair_first + self.relief, n_flow + flow.pair_site[self.relief], 0.0)
+        self.freeze()
+
+        # Column-generation seeds: stage-1 flows, the cheapest few flows of
+        # every later stage, every site addition, and alpha itself.
+        self.seed_columns = np.concatenate(
+            [flow.seed_columns, site_cols, [self.alpha_index]]
+        )
+
+    def refreshed(
         self, model: NetworkModel, budget: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, data, b_ub) under current capacities/demands."""
-        fwd, rev, total = self.refreshed_stage_demands(model)
-        data = self.ub_base.copy()
-        for kind, scale in (
-            (_KIND_TOTAL, total),
-            (_KIND_FWD, fwd),
-            (_KIND_REV, rev),
-        ):
-            idx = np.flatnonzero(self.ub_kind == kind)
-            if idx.size:
-                data[idx] *= scale[self.ub_stage[idx]]
-        relief = np.array(
-            [
-                -model.vnfs[v].site_capacity.get(s, 0.0)
-                / model.sites[s].capacity
-                for v, s in self.relief_pairs
-            ]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(data_ub, b_ub)`` under current capacities/demands."""
+        flow = self.flow
+        sub = model.substrate_columns()
+        ch = model.chain_columns()
+        caps = flow.pair_caps(sub, 0.0)
+        data = self.refresh(ch.stage_total, ch.stage_fwd, ch.stage_rev)
+        data[len(data) - len(self.relief):] = (
+            -caps[self.relief] / sub.site_capacity[flow.pair_site[self.relief]]
         )
-        rows = np.concatenate([self.ub_rows, self.relief_rows])
-        cols = np.concatenate([self.ub_cols, self.relief_cols])
-        data = np.concatenate([data, relief])
-
-        b_ub = np.zeros(self.n_ub)
-        for row, site in self.site_rows:
-            b_ub[row] = model.sites[site].capacity
-        for row, vnf, site in self.vnf_rows:
-            b_ub[row] = model.vnfs[vnf].site_capacity.get(site, 0.0)
-        b_ub[self.budget_row] = budget
-        for row, link_name in self.link_rows:
-            link = model.links[link_name]
-            b_ub[row] = max(
-                0.0, model.mlu_limit * link.bandwidth - link.background
-            )
-        return rows, cols, data, b_ub
+        b_ub = np.concatenate([
+            sub.site_capacity[flow.load_sites],
+            caps,
+            [budget],
+            sub.headroom()[flow.load_links],
+        ])
+        return data, b_ub
 
 
-_CAPACITY_CACHE: "OrderedDict[str, _CapacityStructure]" = OrderedDict()
-_CAPACITY_CACHE_LIMIT = 16
-_CAPACITY_REBUILDS = 0
-_CAPACITY_REUSE_HITS = 0
+_CACHE = StructureCache(limit=16)
 
 
-def capacity_cache_stats() -> dict[str, int]:
-    return {
-        "matrix_reuse_hits": _CAPACITY_REUSE_HITS,
-        "matrix_rebuilds": _CAPACITY_REBUILDS,
-        "cached_structures": len(_CAPACITY_CACHE),
+def _check_cloud_inputs(model: NetworkModel, budget: float) -> None:
+    if budget < 0:
+        raise CapacityPlanningError(f"negative budget {budget}")
+    if not model.chains:
+        raise CapacityPlanningError("model has no chains")
+
+
+def _cloud_plan(
+    model: NetworkModel, outcome: tuple, n_flow: int, extract: Callable
+) -> CloudCapacityPlan:
+    x, _objective, elapsed, failure = outcome
+    if x is None:
+        raise CapacityPlanningError(f"cloud capacity LP failed: {failure.message}")
+    alpha = float(x[-1])
+    additional = {
+        s: float(x[n_flow + i])
+        for i, s in enumerate(model.sites)
+        if x[n_flow + i] > _EPS
     }
-
-
-def clear_capacity_cache() -> None:
-    global _CAPACITY_REBUILDS, _CAPACITY_REUSE_HITS
-    _CAPACITY_CACHE.clear()
-    _CAPACITY_REBUILDS = 0
-    _CAPACITY_REUSE_HITS = 0
-
-
-def _inverse_permutation(rank: np.ndarray) -> np.ndarray:
-    out = np.empty(len(rank), dtype=np.int64)
-    out[rank] = np.arange(len(rank), dtype=np.int64)
-    return out
-
-
-def _build_capacity_structure(model: NetworkModel) -> _CapacityStructure:
-    """Vectorized COO assembly of the cloud-capacity LP.
-
-    Row order replicates the scalar reference: the equality block is
-    coverage (chain dict order, with the ``-alpha`` coupling) then flow
-    conservation; the inequality block is per-site rows sorted by name,
-    (VNF, site) rows sorted by name, the budget row, then link rows
-    sorted by name.
-    """
-    sub = model.substrate_columns()
-    ch = model.chain_columns()
-    vc = model.variable_columns()
-    n_flow = vc.n_vars
-    n_chains = len(ch.chain_names)
-    n_nodes = sub.n_nodes
-    n_sites = len(sub.site_names)
-    alpha_index = n_flow + n_sites
-    n_total = alpha_index + 1
-
-    var_stage = vc.var_stage
-    var_chain = ch.stage_chain[var_stage]
-    var_z = ch.stage_z[var_stage]
-    var_dst_vnf = ch.stage_dst_vnf[var_stage]
-    var_src_vnf = ch.stage_src_vnf[var_stage]
-
-    ub_rows: list[np.ndarray] = []
-    ub_cols: list[np.ndarray] = []
-    ub_base: list[np.ndarray] = []
-    ub_kind: list[np.ndarray] = []
-    ub_stage: list[np.ndarray] = []
-    n_ub = 0
-
-    # -- equality block: coverage (with -alpha) then conservation --------
-    stage1_vars = np.flatnonzero(var_z == 1)
-    eq_rows = [var_chain[stage1_vars], np.arange(n_chains, dtype=np.int64)]
-    eq_cols = [stage1_vars, np.full(n_chains, alpha_index, dtype=np.int64)]
-    eq_data = [np.ones(stage1_vars.size), -np.ones(n_chains)]
-    n_eq = n_chains
-
-    stage_has_cons = ch.stage_dst_vnf >= 0
-    cons_per_stage = np.where(stage_has_cons, ch.dst_len, 0)
-    cons_start = n_eq + np.cumsum(cons_per_stage) - cons_per_stage
-    n_cons = int(cons_per_stage.sum())
-    incoming = np.flatnonzero(var_dst_vnf >= 0)
-    outgoing = np.flatnonzero(var_src_vnf >= 0)
-    eq_rows.append(cons_start[var_stage[incoming]] + vc.var_dst_pos[incoming])
-    eq_cols.append(incoming)
-    eq_data.append(np.ones(incoming.size))
-    eq_rows.append(cons_start[var_stage[outgoing] - 1] + vc.var_src_pos[outgoing])
-    eq_cols.append(outgoing)
-    eq_data.append(-np.ones(outgoing.size))
-    n_eq += n_cons
-
-    # -- compute rows ----------------------------------------------------
-    cmp_vars = np.concatenate([incoming, outgoing])
-    cmp_vnf = np.concatenate([var_dst_vnf[incoming], var_src_vnf[outgoing]])
-    cmp_site = (
-        np.concatenate([vc.var_dst_ep[incoming], vc.var_src_ep[outgoing]])
-        - n_nodes
-    )
-    site_rows: list[tuple[int, str]] = []
-    vnf_rows: list[tuple[int, str, str]] = []
-    relief_rows: list[int] = []
-    relief_cols: list[int] = []
-    relief_pairs: list[tuple[str, str]] = []
-    if cmp_vars.size:
-        site_order = _inverse_permutation(sub.site_rank)
-        vnf_order = _inverse_permutation(sub.vnf_rank)
-
-        # Per-site rows first (sorted by site name), relief -1.0 on a_s.
-        uniq_sites, site_inverse = np.unique(
-            sub.site_rank[cmp_site], return_inverse=True
-        )
-        ub_rows.append(site_inverse + n_ub)
-        ub_cols.append(cmp_vars)
-        ub_base.append(sub.vnf_load[cmp_vnf])
-        ub_kind.append(np.full(cmp_vars.size, _KIND_TOTAL, dtype=np.int8))
-        ub_stage.append(var_stage[cmp_vars])
-        present_sites = site_order[uniq_sites]
-        ub_rows.append(n_ub + np.arange(len(present_sites), dtype=np.int64))
-        ub_cols.append(n_flow + present_sites)
-        ub_base.append(-np.ones(len(present_sites)))
-        ub_kind.append(np.full(len(present_sites), _KIND_CONST, dtype=np.int8))
-        ub_stage.append(np.full(len(present_sites), -1, dtype=np.int64))
-        site_rows = [
-            (n_ub + i, sub.site_names[int(s)])
-            for i, s in enumerate(present_sites)
-        ]
-        n_ub += len(present_sites)
-
-        # (VNF, site) rows sorted by (vnf name, site name); the relief
-        # coefficient -cap/site_cap is refreshed per call.
-        site_stride = max(n_sites, 1)
-        pair_key = sub.vnf_rank[cmp_vnf] * site_stride + sub.site_rank[cmp_site]
-        uniq_pairs, pair_inverse = np.unique(pair_key, return_inverse=True)
-        ub_rows.append(pair_inverse + n_ub)
-        ub_cols.append(cmp_vars)
-        ub_base.append(sub.vnf_load[cmp_vnf])
-        ub_kind.append(np.full(cmp_vars.size, _KIND_TOTAL, dtype=np.int8))
-        ub_stage.append(var_stage[cmp_vars])
-        row_vnf = vnf_order[uniq_pairs // site_stride]
-        row_site = site_order[uniq_pairs % site_stride]
-        for i, (vi, si) in enumerate(zip(row_vnf, row_site)):
-            vname = sub.vnf_names[int(vi)]
-            sname = sub.site_names[int(si)]
-            vnf_rows.append((n_ub + i, vname, sname))
-            if model.sites[sname].capacity > 0:
-                relief_rows.append(n_ub + i)
-                relief_cols.append(n_flow + int(si))
-                relief_pairs.append((vname, sname))
-        n_ub += len(uniq_pairs)
-
-    # -- budget row ------------------------------------------------------
-    budget_row = n_ub
-    ub_rows.append(np.full(n_sites, budget_row, dtype=np.int64))
-    ub_cols.append(n_flow + np.arange(n_sites, dtype=np.int64))
-    ub_base.append(np.ones(n_sites))
-    ub_kind.append(np.full(n_sites, _KIND_CONST, dtype=np.int8))
-    ub_stage.append(np.full(n_sites, -1, dtype=np.int64))
-    n_ub += 1
-
-    # -- link rows -------------------------------------------------------
-    link_rows: list[tuple[int, str]] = []
-    if sub.link_names and len(sub.pair_start):
-        ep_node = sub.endpoint_node
-        n1 = ep_node[vc.var_src_ep]
-        n2 = ep_node[vc.var_dst_ep]
-        parts_vars: list[np.ndarray] = []
-        parts_link: list[np.ndarray] = []
-        parts_frac: list[np.ndarray] = []
-        parts_kind: list[np.ndarray] = []
-        for kind, demand, a, b in (
-            (_KIND_FWD, ch.stage_fwd, n1, n2),
-            (_KIND_REV, ch.stage_rev, n2, n1),
-        ):
-            mask = demand[var_stage] > 0
-            pid = sub.pair_id[a, b]
-            sel = np.flatnonzero(mask & (pid >= 0))
-            pids = pid[sel]
-            lens = sub.pair_len[pids]
-            pool_idx, rows_of = ragged_gather(sub.pair_start[pids], lens)
-            parts_vars.append(sel[rows_of])
-            parts_link.append(sub.pool_link[pool_idx])
-            parts_frac.append(sub.pool_frac[pool_idx])
-            parts_kind.append(np.full(pool_idx.size, kind, dtype=np.int8))
-        lnk_vars = np.concatenate(parts_vars)
-        if lnk_vars.size:
-            lnk_link = np.concatenate(parts_link)
-            uniq_links, link_inverse = np.unique(
-                sub.link_rank[lnk_link], return_inverse=True
-            )
-            link_order = _inverse_permutation(sub.link_rank)
-            present = link_order[uniq_links]
-            ub_rows.append(link_inverse + n_ub)
-            ub_cols.append(lnk_vars)
-            ub_base.append(np.concatenate(parts_frac))
-            ub_kind.append(np.concatenate(parts_kind))
-            ub_stage.append(var_stage[lnk_vars])
-            link_rows = [
-                (n_ub + i, sub.link_names[int(li)])
-                for i, li in enumerate(present)
-            ]
-            n_ub += len(present)
-
-    def concat(parts: list[np.ndarray], dtype) -> np.ndarray:
-        if not parts:
-            return np.zeros(0, dtype=dtype)
-        return np.concatenate(parts).astype(dtype, copy=False)
-
-    # Column-generation seeds: stage-1 flows, the cheapest few flows of
-    # every later stage, every site addition, and alpha itself.
-    counts = np.diff(vc.stage_var_start)
-    order = np.lexsort((vc.var_latency, var_stage))
-    pos_in_stage = np.arange(n_flow, dtype=np.int64) - np.repeat(
-        vc.stage_var_start[:-1], counts
-    )
-    cheap = order[pos_in_stage < 4]
-    seed_columns = np.unique(
-        np.concatenate(
-            [
-                stage1_vars,
-                cheap,
-                n_flow + np.arange(n_sites, dtype=np.int64),
-                [alpha_index],
-            ]
-        )
-    )
-
-    stage_key = [
-        (ch.chain_names[int(c)], int(z))
-        for c, z in zip(ch.stage_chain, ch.stage_z)
-    ]
-    endpoint_names = np.array(sub.endpoint_names, dtype=object)
-
-    return _CapacityStructure(
-        n_flow=n_flow,
-        n_total=n_total,
-        alpha_index=alpha_index,
-        site_names=list(sub.site_names),
-        ub_rows=concat(ub_rows, np.int64),
-        ub_cols=concat(ub_cols, np.int64),
-        ub_base=concat(ub_base, float),
-        ub_kind=concat(ub_kind, np.int8),
-        ub_stage=concat(ub_stage, np.int64),
-        n_ub=n_ub,
-        relief_rows=np.array(relief_rows, dtype=np.int64),
-        relief_cols=np.array(relief_cols, dtype=np.int64),
-        relief_pairs=relief_pairs,
-        eq_rows=concat(eq_rows, np.int64),
-        eq_cols=concat(eq_cols, np.int64),
-        eq_data=concat(eq_data, float),
-        n_eq=n_eq,
-        site_rows=site_rows,
-        vnf_rows=vnf_rows,
-        budget_row=budget_row,
-        link_rows=link_rows,
-        stage_key=stage_key,
-        var_stage=var_stage,
-        stage_chain_name=[ch.chain_names[int(c)] for c in ch.stage_chain],
-        stage_z=ch.stage_z,
-        var_src_name=endpoint_names[vc.var_src_ep],
-        var_dst_name=endpoint_names[vc.var_dst_ep],
-        seed_columns=seed_columns,
-    )
-
-
-def _capacity_structure_for(model: NetworkModel) -> _CapacityStructure:
-    global _CAPACITY_REBUILDS, _CAPACITY_REUSE_HITS
-    key = model.capacity_structure_digest()
-    structure = _CAPACITY_CACHE.get(key)
-    if structure is not None:
-        _CAPACITY_CACHE.move_to_end(key)
-        _CAPACITY_REUSE_HITS += 1
-        return structure
-    structure = _build_capacity_structure(model)
-    _CAPACITY_REBUILDS += 1
-    _CAPACITY_CACHE[key] = structure
-    while len(_CAPACITY_CACHE) > _CAPACITY_CACHE_LIMIT:
-        _CAPACITY_CACHE.popitem(last=False)
-    return structure
+    solution = None
+    if alpha > _EPS:
+        # Back from the absolute flows y = alpha * x to routed fractions.
+        solution = extract(np.minimum(x[:n_flow] / alpha, 1.0))
+    return CloudCapacityPlan(alpha, additional, solution, elapsed)
 
 
 def plan_cloud_capacity(
@@ -447,298 +180,72 @@ def plan_cloud_capacity(
     Variables: ``y_{c z n1 n2}`` (absolute flow fractions scaled by
     alpha), ``a_s`` (per-site additions), and ``alpha``.
     """
-    if budget < 0:
-        raise CapacityPlanningError(f"negative budget {budget}")
-    if not model.chains:
-        raise CapacityPlanningError("model has no chains")
-
-    structure = _capacity_structure_for(model)
-    rows, cols, data, b_ub = structure.refreshed_ub(model, budget)
+    _check_cloud_inputs(model, budget)
+    structure, _cached = _CACHE.get(
+        model.capacity_structure_digest(), lambda: _CloudProgram(model)
+    )
+    data, b_ub = structure.refreshed(model, budget)
     n = structure.n_total
     cost = np.zeros(n)
     cost[structure.alpha_index] = -1.0  # maximize alpha
-
-    x = None
-    elapsed = 0.0
-    if highs_backend.direct_backend_available():
-        n_rows = structure.n_ub + structure.n_eq
-        all_rows = np.concatenate([rows, structure.eq_rows + structure.n_ub])
-        all_cols = np.concatenate([cols, structure.eq_cols])
-        all_data = np.concatenate([data, structure.eq_data])
-        matrix = csc_matrix((all_data, (all_rows, all_cols)), shape=(n_rows, n))
-        row_lower = np.concatenate(
-            [np.full(structure.n_ub, -np.inf), np.zeros(structure.n_eq)]
-        )
-        row_upper = np.concatenate([b_ub, np.zeros(structure.n_eq)])
-        if structure.cg_solver is None:
-            structure.cg_solver = highs_backend.ColumnGenSolver()
-        start = time.perf_counter()
-        try:
-            x, _ = structure.cg_solver.solve(
-                cost,
-                matrix,
-                row_lower,
-                row_upper,
-                np.zeros(n),
-                np.full(n, np.inf),
-                seed_columns=structure.seed_columns,
-            )
-        except highs_backend.ColumnGenError:
-            x = None
-        elapsed = time.perf_counter() - start
-
-    if x is None:
-        a_ub = csr_matrix((data, (rows, cols)), shape=(structure.n_ub, n))
-        a_eq = csr_matrix(
-            (structure.eq_data, (structure.eq_rows, structure.eq_cols)),
-            shape=(structure.n_eq, n),
-        )
-        start = time.perf_counter()
-        result = linprog(
-            cost,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=np.zeros(structure.n_eq),
-            bounds=[(0.0, None)] * n,
-            method="highs",
-        )
-        elapsed = time.perf_counter() - start
-        if not result.success:
-            raise CapacityPlanningError(
-                f"cloud capacity LP failed: {result.message}"
-            )
-        x = np.asarray(result.x)
-
-    alpha = float(x[structure.alpha_index])
-    additional = {
-        s: float(x[structure.n_flow + i])
-        for i, s in enumerate(structure.site_names)
-        if x[structure.n_flow + i] > _EPS
-    }
-
-    solution = None
-    if alpha > _EPS:
-        solution = RoutingSolution(model)
-        flows = x[: structure.n_flow]
-        for i in np.flatnonzero(flows / alpha > RoutingSolution.EPSILON):
-            k = int(structure.var_stage[i])
-            solution.add_flow(
-                structure.stage_chain_name[k],
-                int(structure.stage_z[k]),
-                structure.var_src_name[i],
-                structure.var_dst_name[i],
-                min(float(flows[i]) / alpha, 1.0),
-            )
-    return CloudCapacityPlan(alpha, additional, solution, elapsed)
+    outcome = solve(
+        structure, cost, data, b_ub, np.full(n, np.inf), zero_feasible=True
+    )
+    return _cloud_plan(
+        model, outcome, structure.n_flow, lambda flows: flow_solution(model, flows)
+    )
 
 
-@dataclass
-class _ScalarCloudProgram:
-    """The scalar-assembled cloud-capacity LP (for equivalence tests)."""
-
-    cost: np.ndarray
-    a_ub: csr_matrix
-    b_ub: np.ndarray
-    a_eq: csr_matrix
-    b_eq: np.ndarray
-    vars_list: list[tuple[str, int, str, str]]
-    site_index: dict[str, int]
-    alpha_index: int
-    n_total: int
-
-
-def _scalar_cloud_program(
-    model: NetworkModel, budget: float
-) -> _ScalarCloudProgram:
-    """The original per-variable Python-loop assembly, kept verbatim."""
-    var_index: dict[tuple[str, int, str, str], int] = {}
-    vars_list: list[tuple[str, int, str, str]] = []
-    for cname, chain in model.chains.items():
-        for z in range(1, chain.num_stages + 1):
-            for src in model.stage_sources(chain, z):
-                for dst in model.stage_destinations(chain, z):
-                    var_index[(cname, z, src, dst)] = len(vars_list)
-                    vars_list.append((cname, z, src, dst))
-
-    n_flow = len(vars_list)
+def _scalar_cloud_program(model: NetworkModel, budget: float) -> ScalarProgram:
+    """The cloud-capacity LP from the per-variable reference generator."""
+    rows = ScalarRows(model)
     sites = list(model.sites)
-    site_index = {s: n_flow + i for i, s in enumerate(sites)}
-    alpha_index = n_flow + len(sites)
-    n = alpha_index + 1
-
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    b_ub: list[float] = []
-    eq_rows: list[int] = []
-    eq_cols: list[int] = []
-    eq_data: list[float] = []
-    b_eq: list[float] = []
-
-    def add_ub(coeffs: dict[int, float], bound: float) -> None:
-        row = len(b_ub)
-        for col, val in coeffs.items():
-            rows.append(row)
-            cols.append(col)
-            data.append(val)
-        b_ub.append(bound)
-
-    def add_eq(coeffs: dict[int, float], value: float) -> None:
-        row = len(b_eq)
-        for col, val in coeffs.items():
-            eq_rows.append(row)
-            eq_cols.append(col)
-            eq_data.append(val)
-        b_eq.append(value)
+    site_index = {s: rows.n_flow + i for i, s in enumerate(sites)}
+    alpha_index = rows.n_flow + len(sites)
 
     # Coverage: stage-1 flow sums to alpha for every chain.
-    for cname, chain in model.chains.items():
-        coeffs = {
-            var_index[(cname, 1, src, dst)]: 1.0
-            for src in model.stage_sources(chain, 1)
-            for dst in model.stage_destinations(chain, 1)
-        }
-        coeffs[alpha_index] = -1.0
-        add_eq(coeffs, 0.0)
-
+    for chain in model.chains.values():
+        rows.eq.add({**rows.coverage(chain), alpha_index: -1.0}, 0.0)
     # Flow conservation.
-    for cname, chain in model.chains.items():
-        for z in range(1, chain.num_stages):
-            for site in model.stage_destinations(chain, z):
-                coeffs: dict[int, float] = {}
-                for src in model.stage_sources(chain, z):
-                    coeffs[var_index[(cname, z, src, site)]] = 1.0
-                for dst in model.stage_destinations(chain, z + 1):
-                    idx = var_index[(cname, z + 1, site, dst)]
-                    coeffs[idx] = coeffs.get(idx, 0.0) - 1.0
-                add_eq(coeffs, 0.0)
-
-    # Compute loads per (VNF, site) and per site.
-    vnf_site_coeffs: dict[tuple[str, str], dict[int, float]] = {}
-    for i, (cname, z, src, dst) in enumerate(vars_list):
-        chain = model.chains[cname]
-        traffic = chain.stage_traffic(z)
-        if z < chain.num_stages:
-            vnf = chain.vnf_at(z)
-            load = model.vnfs[vnf].load_per_unit * traffic
-            coeffs = vnf_site_coeffs.setdefault((vnf, dst), {})
-            coeffs[i] = coeffs.get(i, 0.0) + load
-        if z > 1:
-            vnf = chain.vnf_at(z - 1)
-            load = model.vnfs[vnf].load_per_unit * traffic
-            coeffs = vnf_site_coeffs.setdefault((vnf, src), {})
-            coeffs[i] = coeffs.get(i, 0.0) + load
+    for chain in model.chains.values():
+        for coeffs in rows.conservation(chain):
+            rows.eq.add(coeffs, 0.0)
 
     # Per-site totals get the a_s relief; per-VNF capacities scale with
-    # the site's relative growth (the paper assumes site capacity is
-    # divided among its VNF instances, so extra site capacity grows each
-    # hosted VNF proportionally).
-    site_coeffs: dict[str, dict[int, float]] = {}
-    for (_vnf, site), coeffs in vnf_site_coeffs.items():
-        merged = site_coeffs.setdefault(site, {})
-        for col, val in coeffs.items():
-            merged[col] = merged.get(col, 0.0) + val
+    # the site's relative growth (see _CloudProgram).
+    vnf_site_coeffs, site_coeffs = rows.loads()
     for site, coeffs in sorted(site_coeffs.items()):
-        coeffs = dict(coeffs)
-        coeffs[site_index[site]] = -1.0
-        add_ub(coeffs, model.sites[site].capacity)
-
+        rows.ub.add({**coeffs, site_index[site]: -1.0}, model.sites[site].capacity)
     for (vnf, site), coeffs in sorted(vnf_site_coeffs.items()):
         cap = model.vnfs[vnf].site_capacity.get(site, 0.0)
         site_cap = model.sites[site].capacity
-        coeffs = dict(coeffs)
         if site_cap > 0:
             # VNF share of the site grows in proportion to the addition.
-            coeffs[site_index[site]] = -cap / site_cap
-        add_ub(coeffs, cap)
+            coeffs = {**coeffs, site_index[site]: -cap / site_cap}
+        rows.ub.add(coeffs, cap)
 
     # Budget.
-    add_ub({site_index[s]: 1.0 for s in sites}, budget)
+    rows.ub.add({site_index[s]: 1.0 for s in sites}, budget)
 
     # Link capacity under scaled traffic.
     if model.links and model.routing:
-        link_coeffs: dict[str, dict[int, float]] = {}
-        for i, (cname, z, src, dst) in enumerate(vars_list):
-            chain = model.chains[cname]
-            fwd = chain.forward_traffic[z - 1]
-            rev = chain.reverse_traffic[z - 1]
-            n1, n2 = model.endpoint_node(src), model.endpoint_node(dst)
-            if fwd > 0:
-                for link_name, frac in model.links_between(n1, n2).items():
-                    c = link_coeffs.setdefault(link_name, {})
-                    c[i] = c.get(i, 0.0) + fwd * frac
-            if rev > 0:
-                for link_name, frac in model.links_between(n2, n1).items():
-                    c = link_coeffs.setdefault(link_name, {})
-                    c[i] = c.get(i, 0.0) + rev * frac
-        for link_name, coeffs in sorted(link_coeffs.items()):
-            link = model.links[link_name]
-            add_ub(
-                coeffs,
-                max(0.0, model.mlu_limit * link.bandwidth - link.background),
-            )
+        for link_name, coeffs in sorted(rows.link_loads().items()):
+            rows.ub.add(coeffs, model.link_headroom(model.links[link_name]))
 
-    cost = np.zeros(n)
+    cost = np.zeros(alpha_index + 1)
     cost[alpha_index] = -1.0  # maximize alpha
-
-    return _ScalarCloudProgram(
-        cost=cost,
-        a_ub=csr_matrix((data, (rows, cols)), shape=(len(b_ub), n)),
-        b_ub=np.array(b_ub),
-        a_eq=csr_matrix((eq_data, (eq_rows, eq_cols)), shape=(len(b_eq), n)),
-        b_eq=np.array(b_eq),
-        vars_list=vars_list,
-        site_index=site_index,
-        alpha_index=alpha_index,
-        n_total=n,
-    )
+    return rows.program(cost, np.full(alpha_index + 1, np.inf))
 
 
 def plan_cloud_capacity_reference(
     model: NetworkModel, budget: float
 ) -> CloudCapacityPlan:
     """The pre-vectorization scalar path (ground truth for tests)."""
-    if budget < 0:
-        raise CapacityPlanningError(f"negative budget {budget}")
-    if not model.chains:
-        raise CapacityPlanningError("model has no chains")
-
+    _check_cloud_inputs(model, budget)
     program = _scalar_cloud_program(model, budget)
-    vars_list = program.vars_list
-    site_index = program.site_index
-    alpha_index = program.alpha_index
-    sites = list(model.sites)
-
-    start = time.perf_counter()
-    result = linprog(
-        program.cost,
-        A_ub=program.a_ub,
-        b_ub=program.b_ub,
-        A_eq=program.a_eq,
-        b_eq=program.b_eq,
-        bounds=[(0.0, None)] * program.n_total,
-        method="highs",
+    return _cloud_plan(
+        model, program.solve(), program.rows.n_flow, program.rows.solution
     )
-    elapsed = time.perf_counter() - start
-    if not result.success:
-        raise CapacityPlanningError(f"cloud capacity LP failed: {result.message}")
-
-    alpha = float(result.x[alpha_index])
-    additional = {
-        s: float(result.x[site_index[s]])
-        for s in sites
-        if result.x[site_index[s]] > _EPS
-    }
-
-    solution = None
-    if alpha > _EPS:
-        solution = RoutingSolution(model)
-        for i, (cname, z, src, dst) in enumerate(vars_list):
-            frac = float(result.x[i]) / alpha
-            if frac > RoutingSolution.EPSILON:
-                solution.add_flow(cname, z, src, dst, min(frac, 1.0))
-    return CloudCapacityPlan(alpha, additional, solution, elapsed)
 
 
 def uniform_cloud_plan(model: NetworkModel, budget: float) -> CloudCapacityPlan:
@@ -812,6 +319,207 @@ class VnfPlacementPlan:
         return model.copy_with_vnfs(vnfs)
 
 
+@dataclass
+class _PlacementProgram:
+    """The placement MIP, rows ``[A_eq; A_ub]``, columns flows then ``w_fs``."""
+
+    cost: np.ndarray
+    a_eq: csr_matrix
+    b_eq: np.ndarray
+    a_ub: csr_matrix
+    b_ub: np.ndarray
+    #: UB rows from here on are the quotas, ``0 <= sum_s w_fs <= y_f``.
+    quota_first: int
+    #: (VNF, candidate site) -> column of its binary ``w_fs``.
+    w_index: dict[tuple[str, str], int]
+    #: Flow values -> RoutingSolution.
+    extract: Callable
+
+
+def _w_columns(
+    candidate_sites: dict[str, list[str]], n_flow: int
+) -> dict[tuple[str, str], int]:
+    pairs = [(v, s) for v, sites in candidate_sites.items() for s in sites]
+    return {pair: n_flow + k for k, pair in enumerate(pairs)}
+
+
+def _placement_program(
+    extended: NetworkModel,
+    candidate_sites: dict[str, list[str]],
+    quotas: dict[str, int],
+) -> _PlacementProgram:
+    """The MIP over the shared chain-flow blocks of the extended model."""
+    flow = ChainFlow(extended, links=False)
+    sub = extended.substrate_columns()
+    ch = extended.chain_columns()
+    n_flow = flow.n_flow
+    w_index = _w_columns(candidate_sites, n_flow)
+    program = Program(flow, n_flow + len(w_index))
+
+    # Coverage (full routing) and flow conservation, interleaved: each
+    # chain's coverage row is followed by its conservation rows.
+    cons_of = np.bincount(flow.cons_chain, minlength=flow.n_chains)
+    cover_row = np.arange(flow.n_chains) + np.cumsum(cons_of) - cons_of
+    b_eq = np.zeros(flow.n_chains + flow.n_cons)
+    b_eq[cover_row] = 1.0
+    program.open_eq(b_eq)
+    program.eq(cover_row[flow.cover_chain], flow.stage1_vars, 1.0)
+    program.conservation(np.arange(flow.n_cons) + flow.cons_chain + 1)
+
+    # Loads and linking.
+    caps = flow.pair_caps(sub, 0.0)
+    w_col = np.array(
+        [
+            w_index.get((sub.vnf_names[int(v)], sub.site_names[int(s)]), -1)
+            for v, s in zip(flow.pair_vnf, flow.pair_site)
+        ],
+        dtype=np.int64,
+    )
+    new = np.flatnonzero(w_col >= 0)
+    # New site: load <= cap * w (load only when the site opens).
+    first = program.load_rows(flow.pair_inverse, np.where(w_col >= 0, 0.0, caps))
+    program.ub(first + new, w_col[new], -caps[new])
+    program.load_rows(flow.site_inverse, sub.site_capacity[flow.load_sites])
+
+    # Placement quota per VNF.
+    quota_first = program.open_ub([float(quotas[v]) for v in candidate_sites])
+    owner = np.repeat(
+        np.arange(len(candidate_sites)),
+        np.array([len(s) for s in candidate_sites.values()], dtype=np.int64),
+    )
+    program.ub(quota_first + owner, n_flow + np.arange(len(w_index)), 1.0)
+    program.freeze()
+
+    a_ub, a_eq = program.matrices(
+        program.refresh(ch.stage_total, ch.stage_fwd, ch.stage_rev)
+    )
+    cost = np.zeros(program.n_total)
+    cost[:n_flow] = ch.stage_total[flow.var_stage] * flow.var_latency
+    return _PlacementProgram(
+        cost, a_eq, program.b_eq, a_ub, program.b_ub, quota_first, w_index,
+        lambda flows: flow_solution(extended, flows),
+    )
+
+
+def _scalar_placement_program(
+    extended: NetworkModel,
+    candidate_sites: dict[str, list[str]],
+    quotas: dict[str, int],
+) -> _PlacementProgram:
+    """The same MIP from the per-variable reference generator."""
+    rows = ScalarRows(extended)
+    w_index = _w_columns(candidate_sites, rows.n_flow)
+    n = rows.n_flow + len(w_index)
+
+    # Coverage (full routing) and flow conservation.
+    for chain in extended.chains.values():
+        rows.eq.add(rows.coverage(chain), 1.0)
+        for coeffs in rows.conservation(chain):
+            rows.eq.add(coeffs, 0.0)
+
+    # Loads and linking.
+    vnf_site_coeffs, site_coeffs = rows.loads()
+    for (vnf_name, site), coeffs in sorted(vnf_site_coeffs.items()):
+        cap = extended.vnfs[vnf_name].site_capacity.get(site, 0.0)
+        if (vnf_name, site) in w_index:
+            # New site: load <= cap * w (load only when the site opens).
+            rows.ub.add({**coeffs, w_index[(vnf_name, site)]: -cap}, 0.0)
+        else:
+            rows.ub.add(coeffs, cap)
+    for site, coeffs in sorted(site_coeffs.items()):
+        rows.ub.add(coeffs, extended.sites[site].capacity)
+
+    # Placement quota per VNF.
+    quota_first = len(rows.ub.bounds)
+    for vnf_name, sites in candidate_sites.items():
+        rows.ub.add(
+            {w_index[(vnf_name, s)]: 1.0 for s in sites}, float(quotas[vnf_name])
+        )
+
+    cost = np.zeros(n)
+    cost[: rows.n_flow] = rows.weighted_latency()
+    program = rows.program(cost, np.ones(n))
+    return _PlacementProgram(
+        cost, program.a_eq, program.b_eq, program.a_ub, program.b_ub,
+        quota_first, w_index, rows.solution,
+    )
+
+
+def _extended_catalog(
+    model: NetworkModel, new_sites_per_vnf: dict[str, int], new_site_capacity: float
+) -> tuple[NetworkModel, dict[str, list[str]]]:
+    """The model with every planned VNF available at every site it is
+    not deployed at yet, and those candidate sites per planned VNF."""
+    for vnf_name in new_sites_per_vnf:
+        if vnf_name not in model.vnfs:
+            raise CapacityPlanningError(f"unknown VNF {vnf_name!r}")
+    extended_vnfs = []
+    candidate_sites: dict[str, list[str]] = {}
+    for vnf in model.vnfs.values():
+        quota = new_sites_per_vnf.get(vnf.name, 0)
+        if quota <= 0:
+            extended_vnfs.append(vnf)
+            continue
+        extra_sites = [s for s in model.sites if s not in vnf.site_capacity]
+        candidate_sites[vnf.name] = extra_sites
+        extended_vnfs.append(
+            vnf.with_sites({s: new_site_capacity for s in extra_sites})
+        )
+    return model.copy_with_vnfs(extended_vnfs), candidate_sites
+
+
+def _solve_placement(
+    build: Callable,
+    model: NetworkModel,
+    new_sites_per_vnf: dict[str, int],
+    new_site_capacity: float,
+    time_limit: float | None,
+) -> VnfPlacementPlan:
+    extended, candidate_sites = _extended_catalog(
+        model, new_sites_per_vnf, new_site_capacity
+    )
+    program = build(extended, candidate_sites, new_sites_per_vnf)
+
+    n = len(program.cost)
+    n_eq = len(program.b_eq)
+    lower = np.concatenate([program.b_eq, np.full(len(program.b_ub), -np.inf)])
+    lower[n_eq + program.quota_first:] = 0.0
+    constraint = LinearConstraint(
+        vstack([program.a_eq, program.a_ub], format="csr"),
+        lower,
+        np.concatenate([program.b_eq, program.b_ub]),
+    )
+    integrality = np.zeros(n)
+    integrality[n - len(program.w_index):] = 1
+
+    options = {"time_limit": time_limit} if time_limit else {}
+    start = time.perf_counter()
+    result = milp(
+        program.cost,
+        constraints=[constraint],
+        integrality=integrality,
+        bounds=Bounds(np.zeros(n), np.ones(n)),
+        options=options,
+    )
+    elapsed = time.perf_counter() - start
+
+    if result.x is None:
+        return VnfPlacementPlan({}, float("inf"), None, elapsed, status="infeasible")
+
+    new_sites: dict[str, list[str]] = {}
+    capacities: dict[tuple[str, str], float] = {}
+    for (vnf_name, site), idx in program.w_index.items():
+        if result.x[idx] > 0.5:
+            new_sites.setdefault(vnf_name, []).append(site)
+            capacities[(vnf_name, site)] = new_site_capacity
+
+    solution = program.extract(result.x[: n - len(program.w_index)])
+    status = "optimal" if result.success else "feasible"
+    return VnfPlacementPlan(
+        new_sites, float(result.fun), solution, elapsed, status, capacities
+    )
+
+
 def plan_vnf_placement(
     model: NetworkModel,
     new_sites_per_vnf: dict[str, int],
@@ -826,159 +534,22 @@ def plan_vnf_placement(
     unopened site, and at most ``new_sites_per_vnf[f]`` sites open per
     VNF.  Every new deployment receives ``new_site_capacity``.
     """
-    for vnf_name in new_sites_per_vnf:
-        if vnf_name not in model.vnfs:
-            raise CapacityPlanningError(f"unknown VNF {vnf_name!r}")
-
-    # Extended catalog: planned VNFs become available everywhere.
-    extended_vnfs = []
-    candidate_sites: dict[str, list[str]] = {}
-    for vnf in model.vnfs.values():
-        quota = new_sites_per_vnf.get(vnf.name, 0)
-        if quota <= 0:
-            extended_vnfs.append(vnf)
-            continue
-        extra_sites = [s for s in model.sites if s not in vnf.site_capacity]
-        candidate_sites[vnf.name] = extra_sites
-        extended_vnfs.append(
-            vnf.with_sites({s: new_site_capacity for s in extra_sites})
-        )
-    extended = model.copy_with_vnfs(extended_vnfs)
-
-    var_index: dict[tuple[str, int, str, str], int] = {}
-    vars_list: list[tuple[str, int, str, str]] = []
-    for cname, chain in extended.chains.items():
-        for z in range(1, chain.num_stages + 1):
-            for src in extended.stage_sources(chain, z):
-                for dst in extended.stage_destinations(chain, z):
-                    var_index[(cname, z, src, dst)] = len(vars_list)
-                    vars_list.append((cname, z, src, dst))
-    n_flow = len(vars_list)
-
-    w_index: dict[tuple[str, str], int] = {}
-    for vnf_name, sites in candidate_sites.items():
-        for site in sites:
-            w_index[(vnf_name, site)] = n_flow + len(w_index)
-    n = n_flow + len(w_index)
-
-    cost = np.zeros(n)
-    for i, (cname, z, src, dst) in enumerate(vars_list):
-        chain = extended.chains[cname]
-        cost[i] = chain.stage_traffic(z) * extended.site_latency(src, dst)
-
-    constraints: list[LinearConstraint] = []
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    lower: list[float] = []
-    upper: list[float] = []
-
-    def add_row(coeffs: dict[int, float], lb: float, ub: float) -> None:
-        row = len(lower)
-        for col, val in coeffs.items():
-            rows.append(row)
-            cols.append(col)
-            data.append(val)
-        lower.append(lb)
-        upper.append(ub)
-
-    # Coverage (full routing) and flow conservation.
-    for cname, chain in extended.chains.items():
-        coeffs = {
-            var_index[(cname, 1, src, dst)]: 1.0
-            for src in extended.stage_sources(chain, 1)
-            for dst in extended.stage_destinations(chain, 1)
-        }
-        add_row(coeffs, 1.0, 1.0)
-        for z in range(1, chain.num_stages):
-            for site in extended.stage_destinations(chain, z):
-                coeffs = {}
-                for src in extended.stage_sources(chain, z):
-                    coeffs[var_index[(cname, z, src, site)]] = 1.0
-                for dst in extended.stage_destinations(chain, z + 1):
-                    idx = var_index[(cname, z + 1, site, dst)]
-                    coeffs[idx] = coeffs.get(idx, 0.0) - 1.0
-                add_row(coeffs, 0.0, 0.0)
-
-    # Loads and linking.
-    vnf_site_coeffs: dict[tuple[str, str], dict[int, float]] = {}
-    for i, (cname, z, src, dst) in enumerate(vars_list):
-        chain = extended.chains[cname]
-        traffic = chain.stage_traffic(z)
-        if z < chain.num_stages:
-            vnf = chain.vnf_at(z)
-            load = extended.vnfs[vnf].load_per_unit * traffic
-            c = vnf_site_coeffs.setdefault((vnf, dst), {})
-            c[i] = c.get(i, 0.0) + load
-        if z > 1:
-            vnf = chain.vnf_at(z - 1)
-            load = extended.vnfs[vnf].load_per_unit * traffic
-            c = vnf_site_coeffs.setdefault((vnf, src), {})
-            c[i] = c.get(i, 0.0) + load
-
-    for (vnf_name, site), coeffs in sorted(vnf_site_coeffs.items()):
-        cap = extended.vnfs[vnf_name].site_capacity.get(site, 0.0)
-        if (vnf_name, site) in w_index:
-            # New site: load <= cap * w (load only when the site opens).
-            coeffs = dict(coeffs)
-            coeffs[w_index[(vnf_name, site)]] = -cap
-            add_row(coeffs, -np.inf, 0.0)
-        else:
-            add_row(coeffs, -np.inf, cap)
-
-    site_coeffs: dict[str, dict[int, float]] = {}
-    for (_vnf_name, site), coeffs in vnf_site_coeffs.items():
-        merged = site_coeffs.setdefault(site, {})
-        for col, val in coeffs.items():
-            merged[col] = merged.get(col, 0.0) + val
-    for site, coeffs in sorted(site_coeffs.items()):
-        add_row(coeffs, -np.inf, extended.sites[site].capacity)
-
-    # Placement quota per VNF.
-    for vnf_name, sites in candidate_sites.items():
-        coeffs = {w_index[(vnf_name, s)]: 1.0 for s in sites}
-        add_row(coeffs, 0.0, float(new_sites_per_vnf[vnf_name]))
-
-    matrix = csr_matrix((data, (rows, cols)), shape=(len(lower), n))
-    constraints.append(
-        LinearConstraint(matrix, np.array(lower), np.array(upper))
+    return _solve_placement(
+        _placement_program, model, new_sites_per_vnf, new_site_capacity, time_limit
     )
 
-    integrality = np.zeros(n)
-    for idx in w_index.values():
-        integrality[idx] = 1
-    lb = np.zeros(n)
-    ub = np.ones(n)
 
-    options = {"time_limit": time_limit} if time_limit else {}
-    start = time.perf_counter()
-    result = milp(
-        cost,
-        constraints=constraints,
-        integrality=integrality,
-        bounds=Bounds(lb, ub),
-        options=options,
-    )
-    elapsed = time.perf_counter() - start
-
-    if result.x is None:
-        return VnfPlacementPlan({}, float("inf"), None, elapsed, status="infeasible")
-
-    new_sites: dict[str, list[str]] = {}
-    capacities: dict[tuple[str, str], float] = {}
-    for (vnf_name, site), idx in w_index.items():
-        if result.x[idx] > 0.5:
-            new_sites.setdefault(vnf_name, []).append(site)
-            capacities[(vnf_name, site)] = new_site_capacity
-
-    solution = RoutingSolution(extended)
-    for i, (cname, z, src, dst) in enumerate(vars_list):
-        value = float(result.x[i])
-        if value > RoutingSolution.EPSILON:
-            solution.add_flow(cname, z, src, dst, value)
-    status = "optimal" if result.success else "feasible"
-    return VnfPlacementPlan(
-        new_sites, float(result.fun), solution, elapsed, status, capacities
+def plan_vnf_placement_reference(
+    model: NetworkModel,
+    new_sites_per_vnf: dict[str, int],
+    new_site_capacity: float,
+    time_limit: float | None = 60.0,
+) -> VnfPlacementPlan:
+    """:func:`plan_vnf_placement` on the scalar assembly (ground truth
+    for tests)."""
+    return _solve_placement(
+        _scalar_placement_program, model, new_sites_per_vnf, new_site_capacity,
+        time_limit,
     )
 
 
@@ -1005,12 +576,11 @@ __all__ = [
     "CapacityPlanningError",
     "CloudCapacityPlan",
     "VnfPlacementPlan",
-    "capacity_cache_stats",
-    "clear_capacity_cache",
     "max_alpha",
     "plan_cloud_capacity",
     "plan_cloud_capacity_reference",
     "plan_vnf_placement",
+    "plan_vnf_placement_reference",
     "random_vnf_placement",
     "uniform_cloud_plan",
 ]

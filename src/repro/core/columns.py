@@ -1,9 +1,10 @@
 """Columnar (numpy) views of :class:`~repro.core.model.NetworkModel`.
 
 The dict-of-dataclasses model is convenient for construction and for the
-simulation layers, but the LP assembly in :mod:`repro.core.lp` and
-:mod:`repro.core.capacity` touches every (chain, stage, src, dst) tuple
-and was dominated by per-variable Python loops.  This module flattens the
+simulation layers, but the LP assembly (:mod:`repro.core.formulation`,
+behind :mod:`repro.core.lp` and :mod:`repro.core.capacity`) touches every
+(chain, stage, src, dst) tuple and was dominated by per-variable Python
+loops.  This module flattens the
 model into integer index maps and dense/ragged numpy arrays once, so
 constraint matrices can be assembled from array slices (COO triplets)
 instead.
@@ -18,7 +19,7 @@ Three layers, mirroring what changes how often:
   whenever chains are added, removed, or rescaled.
 - :func:`build_variable_columns` — the cartesian (src × dst) expansion
   defining the LP variable order.  This is the expensive part and is what
-  the constraint-matrix caches in ``lp.py``/``capacity.py`` key on.
+  the structure caches of ``lp.py``/``capacity.py`` key on.
 
 Index-map invariants (relied on by the assembly code and documented in
 DESIGN.md):
@@ -28,9 +29,9 @@ DESIGN.md):
 - endpoint ids are ``node_index`` for nodes and ``n_nodes + site_index``
   for sites (a site and its colocated node are distinct endpoints);
 - variable order is chain-major, then stage, then source-major over the
-  stage's (sources × destinations) — identical to the historical
-  ``_VariableSpace`` enumeration, so cached matrices stay valid for
-  solution extraction.
+  stage's (sources × destinations) — identical to the enumeration of
+  the scalar reference (``formulation.ScalarRows``), so cached matrices
+  stay valid for solution extraction.
 """
 
 from __future__ import annotations
@@ -370,25 +371,6 @@ class ChainColumns:
         self.dst_len = np.array(dst_len, dtype=np.int64)
         # Number of stages per chain (for conservation row bases).
         self.chain_stage_start.append(self.n_stage_rows)
-
-    def structure_signature(self) -> tuple:
-        """Hashable summary of everything except demand magnitudes.
-
-        Demand *positivity* is included: the link-constraint sparsity
-        pattern keeps an entry only when the stage's forward (reverse)
-        demand is non-zero, so flipping a demand between zero and
-        positive changes matrix structure, not just values.
-        """
-        return (
-            tuple(self.chain_names),
-            self.stage_chain.tobytes(),
-            self.stage_src_vnf.tobytes(),
-            self.stage_dst_vnf.tobytes(),
-            self.src_pool.tobytes(),
-            self.dst_pool.tobytes(),
-            (self.stage_fwd > 0).tobytes(),
-            (self.stage_rev > 0).tobytes(),
-        )
 
 
 @dataclass

@@ -768,21 +768,9 @@ class IncrementalDpRouter:
         return self._router.state.vnf_residual(vnf_name, site)
 
 
-def dp_latency_config() -> DpConfig:
-    """Convenience alias for the DP-LATENCY ablation."""
-    return DpConfig.latency_only()
-
-
-def one_hop_config() -> DpConfig:
-    """Convenience alias for the ONEHOP ablation."""
-    return DpConfig.one_hop()
-
-
 __all__ = [
     "DpConfig",
     "DpResult",
     "IncrementalDpRouter",
-    "dp_latency_config",
-    "one_hop_config",
     "route_chains_dp",
 ]

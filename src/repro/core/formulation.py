@@ -1,0 +1,600 @@
+"""The chain-flow formulation of Section 4.3, assembled once.
+
+The paper has one optimisation model over the variables ``x_{c z n1 n2}``
+-- demand coverage, flow conservation (Equation 5), compute load
+(Equation 4) and network load (Equations 6-7) -- and obtains cloud
+capacity planning and VNF placement by adding a few columns to it.  This
+module is the only place those constraints are written down:
+
+- :class:`ChainFlow` derives the shared blocks from the columnar model
+  views (:mod:`repro.core.columns`) as index arrays, and
+  :class:`Program` lays them out as COO triplets.  A program
+  (:mod:`repro.core.lp` for routing, :mod:`repro.core.capacity` for the
+  two planners) only decides the *order* of the blocks and adds what is
+  its own.  Every entry carries a kind saying how it scales with the
+  current demands, so a re-solve after a demand change is one
+  :meth:`Program.refresh` over the cached structure.
+- :class:`ScalarRows` generates the same rows with per-variable Python
+  loops.  It is the oracle the vectorised blocks are property-tested
+  against (equal matrices within 1e-9) and the assembly behind every
+  ``*_reference`` solve.
+- :class:`StructureCache` is the LRU that keeps built programs -- and the
+  warm column-generation solver hanging off each -- across solves, and
+  :func:`solve` is the one dispatch: column generation on the direct
+  HiGHS backend for programs feasible at zero flow, ``linprog``
+  otherwise and on a :class:`~repro.core.highs.ColumnGenError`.
+"""
+
+from __future__ import annotations
+
+import time
+from collections import OrderedDict
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.optimize import linprog
+from scipy.sparse import csc_matrix, csr_matrix
+
+from repro.core import highs as highs_backend
+from repro.core.columns import ragged_gather
+from repro.core.model import Chain, NetworkModel
+from repro.core.routes import RoutingSolution
+
+# Data-entry kinds: how a cached base coefficient scales with the current
+# demands.  KIND_CONST entries never change on a cache hit.
+KIND_CONST = 0
+KIND_TOTAL = 1  # base * (w_cz + v_cz)
+KIND_FWD = 2  # base * w_cz
+KIND_REV = 3  # base * v_cz
+
+
+def _inverse_permutation(rank: np.ndarray) -> np.ndarray:
+    out = np.empty(len(rank), dtype=np.int64)
+    out[rank] = np.arange(len(rank), dtype=np.int64)
+    return out
+
+
+def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
+    if not parts:
+        return np.zeros(0, dtype=dtype)
+    return np.concatenate(parts).astype(dtype, copy=False)
+
+
+# ---------------------------------------------------------------------------
+# Columnar assembly
+# ---------------------------------------------------------------------------
+
+
+class ChainFlow:
+    """The blocks every Section 4.3 program shares, as index arrays.
+
+    Variable order is that of :func:`repro.core.columns.build_variable_columns`.
+    Row groups come out in the order the scalar reference emits them:
+    conservation rows stage-major then by destination position, (VNF,
+    site) rows sorted by (VNF name, site name), per-site rows sorted by
+    site name and link rows sorted by link name.
+    """
+
+    def __init__(self, model: NetworkModel, links: bool):
+        sub = model.substrate_columns()
+        ch = model.chain_columns()
+        vc = model.variable_columns()
+        self.n_flow = n = vc.n_vars
+        self.n_chains = len(ch.chain_names)
+        self.var_stage = var_stage = vc.var_stage
+        self.var_latency = vc.var_latency
+        var_dst_vnf = ch.stage_dst_vnf[var_stage]
+        var_src_vnf = ch.stage_src_vnf[var_stage]
+
+        # -- demand coverage: the stage-1 flows of every chain ---------------
+        self.stage1_vars = np.flatnonzero(ch.stage_z[var_stage] == 1)
+        self.cover_chain = ch.stage_chain[var_stage][self.stage1_vars]
+
+        # -- flow conservation (Equation 5): one row per destination of
+        # every stage z < num_stages, +1 on the flows arriving there and
+        # -1 on the stage z + 1 flows leaving it.
+        cons_per_stage = np.where(ch.stage_dst_vnf >= 0, ch.dst_len, 0)
+        cons_start = np.cumsum(cons_per_stage) - cons_per_stage
+        self.n_cons = int(cons_per_stage.sum())
+        self.cons_chain = np.repeat(ch.stage_chain, cons_per_stage)
+        incoming = np.flatnonzero(var_dst_vnf >= 0)
+        outgoing = np.flatnonzero(var_src_vnf >= 0)
+        self.cons_rows = np.concatenate([
+            cons_start[var_stage[incoming]] + vc.var_dst_pos[incoming],
+            cons_start[var_stage[outgoing] - 1] + vc.var_src_pos[outgoing],
+        ])
+        self.cons_cols = np.concatenate([incoming, outgoing])
+        self.cons_data = np.concatenate(
+            [np.ones(incoming.size), -np.ones(outgoing.size)]
+        )
+
+        # -- compute load (Equation 4): the same entries load the VNF at
+        # a flow's destination site and the VNF at its source site; they
+        # are grouped once per (VNF, site) and once per site.
+        self.cmp_vars = self.cons_cols
+        cmp_vnf = np.concatenate([var_dst_vnf[incoming], var_src_vnf[outgoing]])
+        self.cmp_site = cmp_site = (
+            np.concatenate([vc.var_dst_ep[incoming], vc.var_src_ep[outgoing]])
+            - sub.n_nodes
+        )
+        self.cmp_load = sub.vnf_load[cmp_vnf]
+        site_stride = max(len(sub.site_names), 1)
+        site_order = _inverse_permutation(sub.site_rank)
+        uniq_pairs, self.pair_inverse = np.unique(
+            sub.vnf_rank[cmp_vnf] * site_stride + sub.site_rank[cmp_site],
+            return_inverse=True,
+        )
+        self.pair_vnf = _inverse_permutation(sub.vnf_rank)[uniq_pairs // site_stride]
+        self.pair_site = site_order[uniq_pairs % site_stride]
+        uniq_sites, self.site_inverse = np.unique(
+            sub.site_rank[cmp_site], return_inverse=True
+        )
+        self.load_sites = site_order[uniq_sites]
+
+        # -- network load (Equations 6-7): the forward demand of a flow
+        # crosses the links of n1 -> n2, its reverse demand those of
+        # n2 -> n1, each by its routing fraction.  An entry exists only
+        # where the demand is non-zero (hence demand positivity in
+        # ``structure_digest``).
+        self.has_links = bool(links and sub.link_names and len(sub.pair_start))
+        lnk: tuple[list, ...] = ([], [], [], [])  # variable, link, fraction, kind
+        if self.has_links:
+            n1 = sub.endpoint_node[vc.var_src_ep]
+            n2 = sub.endpoint_node[vc.var_dst_ep]
+            for kind, demand, a, b in (
+                (KIND_FWD, ch.stage_fwd, n1, n2),
+                (KIND_REV, ch.stage_rev, n2, n1),
+            ):
+                pid = sub.pair_id[a, b]
+                sel = np.flatnonzero((demand[var_stage] > 0) & (pid >= 0))
+                pids = pid[sel]
+                pool_idx, rows_of = ragged_gather(
+                    sub.pair_start[pids], sub.pair_len[pids]
+                )
+                lnk[0].append(sel[rows_of])
+                lnk[1].append(sub.pool_link[pool_idx])
+                lnk[2].append(sub.pool_frac[pool_idx])
+                lnk[3].append(np.full(pool_idx.size, kind, dtype=np.int8))
+        self.lnk_vars, lnk_link, self.lnk_frac, self.lnk_kind = (
+            _concat(parts, dtype)
+            for parts, dtype in zip(lnk, (np.int64, np.int64, float, np.int8))
+        )
+        uniq_links, self.link_inverse = np.unique(
+            sub.link_rank[lnk_link], return_inverse=True
+        )
+        self.load_links = _inverse_permutation(sub.link_rank)[uniq_links]
+
+        # Seed columns for column generation: every stage-1 variable plus
+        # the few lowest-latency variables of every other stage.
+        order = np.lexsort((vc.var_latency, var_stage))
+        pos_in_stage = np.arange(n, dtype=np.int64) - np.repeat(
+            vc.stage_var_start[:-1], np.diff(vc.stage_var_start)
+        )
+        self.seed_columns = np.unique(
+            np.concatenate([self.stage1_vars, order[pos_in_stage < 4]])
+        )
+
+    def release_entries(self) -> None:
+        """Drop the per-entry arrays once a program has folded them into
+        its triplets: a cached structure keeps only the per-variable and
+        per-row arrays (half the memory of the triplets again otherwise)."""
+        for name in (
+            "cons_rows", "cons_cols", "cons_data", "cmp_vars", "cmp_site",
+            "cmp_load", "pair_inverse", "site_inverse", "lnk_vars", "lnk_frac",
+            "lnk_kind", "link_inverse",
+        ):
+            delattr(self, name)
+
+    def pair_caps(self, sub, missing: float) -> np.ndarray:
+        """Capacity of every (VNF, site) row under ``sub``'s catalog
+        (``missing`` where the VNF is not deployed at the site)."""
+        return np.array(
+            [
+                sub.vnf_site_cap.get((int(v), int(s)), missing)
+                for v, s in zip(self.pair_vnf, self.pair_site)
+            ],
+            dtype=float,
+        )
+
+
+_UB_DTYPES = (np.int64, np.int64, float, np.int8, np.int64)
+_EQ_DTYPES = (np.int64, np.int64, float)
+
+
+class Program:
+    """One program's structure: everything that survives demand changes.
+
+    ``A_ub x <= b_ub`` and ``A_eq x = b_eq`` as COO triplets over
+    ``n_total`` columns, the first ``n_flow`` of which are the flow
+    variables.  Rows are opened in the order the program wants them
+    (``open_ub`` / ``open_eq`` return the first new row); entries go onto
+    open rows, the shared blocks through ``conservation`` and ``*_rows``.
+    """
+
+    def __init__(self, flow: ChainFlow, n_total: int):
+        self.flow = flow
+        self.n_flow = flow.n_flow
+        self.n_total = n_total
+        self.b_ub = np.zeros(0)
+        self.b_eq = np.zeros(0)
+        self.seed_columns = flow.seed_columns
+        # Warm-startable solver retained across solves of this structure.
+        self.cg_solver: highs_backend.ColumnGenSolver | None = None
+        self._ub: tuple[list, ...] = ([], [], [], [], [])
+        self._eq: tuple[list, ...] = ([], [], [])
+
+    def open_ub(self, bounds) -> int:
+        first = len(self.b_ub)
+        self.b_ub = np.concatenate([self.b_ub, np.asarray(bounds, dtype=float)])
+        return first
+
+    def open_eq(self, values) -> int:
+        first = len(self.b_eq)
+        self.b_eq = np.concatenate([self.b_eq, np.asarray(values, dtype=float)])
+        return first
+
+    def ub(self, rows, cols, base, kind=KIND_CONST, stage=-1) -> None:
+        """Inequality entries; ``kind`` says how ``base`` scales with the
+        demand of stage-table row ``stage``.  Scalars broadcast."""
+        for store, part, dtype in zip(
+            self._ub, (rows, cols, base, kind, stage), _UB_DTYPES
+        ):
+            store.append(np.broadcast_to(np.asarray(part, dtype), np.shape(rows)))
+
+    def eq(self, rows, cols, data) -> None:
+        """Equality entries (all demand-independent)."""
+        for store, part, dtype in zip(self._eq, (rows, cols, data), _EQ_DTYPES):
+            store.append(np.broadcast_to(np.asarray(part, dtype), np.shape(rows)))
+
+    def conservation(self, row_of: np.ndarray) -> None:
+        """Equation 5; ``row_of[r]`` is where conservation row ``r`` goes."""
+        flow = self.flow
+        self.eq(row_of[flow.cons_rows], flow.cons_cols, flow.cons_data)
+
+    def load_rows(self, group: np.ndarray, bounds) -> int:
+        """Equation 4: one row per group of compute entries, load <=
+        ``bounds`` -- ``flow.pair_inverse`` groups them per (VNF, site),
+        ``flow.site_inverse`` per site."""
+        flow, first = self.flow, self.open_ub(bounds)
+        self.ub(first + group, flow.cmp_vars, flow.cmp_load,
+                KIND_TOTAL, flow.var_stage[flow.cmp_vars])
+        return first
+
+    def link_load_rows(self, bounds) -> int:
+        """Equations 6-7 per link carrying chain traffic: <= ``bounds``."""
+        flow, first = self.flow, self.open_ub(bounds)
+        self.ub(first + flow.link_inverse, flow.lnk_vars, flow.lnk_frac,
+                flow.lnk_kind, flow.var_stage[flow.lnk_vars])
+        return first
+
+    def freeze(self) -> None:
+        """Concatenate the blocks and pre-split the refresh indices."""
+        self.ub_rows, self.ub_cols, self.ub_base, kind, stage = (
+            _concat(parts, dtype) for parts, dtype in zip(self._ub, _UB_DTYPES)
+        )
+        self.eq_rows, self.eq_cols, self.eq_data = (
+            _concat(parts, dtype) for parts, dtype in zip(self._eq, _EQ_DTYPES)
+        )
+        self._scaled = []
+        for scaling in (KIND_TOTAL, KIND_FWD, KIND_REV):
+            idx = np.flatnonzero(kind == scaling)
+            self._scaled.append((idx, stage[idx]))
+        del self._ub, self._eq
+        self.flow.release_entries()
+
+    def refresh(self, stage_total, stage_fwd, stage_rev) -> np.ndarray:
+        """The UB data vector under the given per-stage demands."""
+        data = self.ub_base.copy()
+        for (idx, stage), scale in zip(
+            self._scaled, (stage_total, stage_fwd, stage_rev)
+        ):
+            if idx.size:
+                data[idx] *= scale[stage]
+        return data
+
+    def matrices(self, data_ub: np.ndarray) -> tuple[csr_matrix, csr_matrix]:
+        """``(A_ub, A_eq)`` with ``data_ub`` from :meth:`refresh`."""
+        return (
+            csr_matrix(
+                (data_ub, (self.ub_rows, self.ub_cols)),
+                shape=(len(self.b_ub), self.n_total),
+            ),
+            csr_matrix(
+                (self.eq_data, (self.eq_rows, self.eq_cols)),
+                shape=(len(self.b_eq), self.n_total),
+            ),
+        )
+
+
+def flow_solution(model: NetworkModel, flows: np.ndarray) -> RoutingSolution:
+    """A :class:`RoutingSolution` from the flow-variable values."""
+    sub = model.substrate_columns()
+    ch = model.chain_columns()
+    vc = model.variable_columns()
+    solution = RoutingSolution(model)
+    for i in np.flatnonzero(flows > RoutingSolution.EPSILON):
+        k = int(vc.var_stage[i])
+        solution.add_flow(
+            ch.chain_names[int(ch.stage_chain[k])],
+            int(ch.stage_z[k]),
+            sub.endpoint_names[int(vc.var_src_ep[i])],
+            sub.endpoint_names[int(vc.var_dst_ep[i])],
+            float(flows[i]),
+        )
+    return solution
+
+
+# ---------------------------------------------------------------------------
+# Structure cache and solve dispatch
+# ---------------------------------------------------------------------------
+
+
+class StructureCache:
+    """LRU of built programs keyed on a structure digest.
+
+    A hit hands back the program built for an earlier model of the same
+    structure, with its warm :class:`~repro.core.highs.ColumnGenSolver`.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self._entries: "OrderedDict[object, Program]" = OrderedDict()
+        self.hits = 0
+        self.rebuilds = 0
+
+    def get(self, key, build) -> tuple[Program, bool]:
+        """``(program, was_cached)``; ``build()`` runs on a miss."""
+        program = self._entries.get(key)
+        if program is not None:
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return program, True
+        program = self._entries[key] = build()
+        self.rebuilds += 1
+        while len(self._entries) > self.limit:
+            self._entries.popitem(last=False)
+        return program, False
+
+    def stats(self) -> dict[str, int]:
+        return {
+            "matrix_reuse_hits": self.hits,
+            "matrix_rebuilds": self.rebuilds,
+            "cached_structures": len(self._entries),
+        }
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.hits = 0
+        self.rebuilds = 0
+
+
+def run_linprog(cost, a_ub, b_ub, a_eq, b_eq, col_upper) -> tuple:
+    """``min cost @ x`` over ``0 <= x <= col_upper`` through scipy's
+    ``linprog`` (HiGHS); an empty block is passed as ``None``.
+
+    Returns ``(x, objective, solver seconds, failure)``: ``failure`` is
+    the unsuccessful ``linprog`` result, and then ``x`` and ``objective``
+    are ``None``.
+    """
+    start = time.perf_counter()
+    result = linprog(
+        cost,
+        A_ub=a_ub if len(b_ub) else None,
+        b_ub=b_ub if len(b_ub) else None,
+        A_eq=a_eq if len(b_eq) else None,
+        b_eq=b_eq if len(b_eq) else None,
+        bounds=np.column_stack([np.zeros(len(cost)), col_upper]),
+        method="highs",
+    )
+    elapsed = time.perf_counter() - start
+    if not result.success:
+        return None, None, elapsed, result
+    return np.asarray(result.x), float(result.fun), elapsed, None
+
+
+def solve(
+    program: Program,
+    cost: np.ndarray,
+    data_ub: np.ndarray,
+    b_ub: np.ndarray,
+    col_upper: np.ndarray,
+    zero_feasible: bool,
+) -> tuple:
+    """Solve a program under refreshed data; returns as :func:`run_linprog`.
+
+    A program that is feasible with every flow at zero goes through
+    warm-started column generation on its own solver when the direct
+    HiGHS backend is there; everything else -- the equality-covered
+    objectives, a :class:`~repro.core.highs.ColumnGenError`, a scipy
+    without the bundled HiGHS -- goes through ``linprog``.
+    """
+    n_ub, n_eq, n = len(b_ub), len(program.b_eq), program.n_total
+    if zero_feasible and highs_backend.direct_backend_available():
+        matrix = csc_matrix(
+            (
+                np.concatenate([data_ub, program.eq_data]),
+                (
+                    np.concatenate([program.ub_rows, program.eq_rows + n_ub]),
+                    np.concatenate([program.ub_cols, program.eq_cols]),
+                ),
+            ),
+            shape=(n_ub + n_eq, n),
+        )
+        row_lower = np.concatenate([np.full(n_ub, -np.inf), program.b_eq])
+        row_upper = np.concatenate([b_ub, program.b_eq])
+        if program.cg_solver is None:
+            program.cg_solver = highs_backend.ColumnGenSolver()
+        start = time.perf_counter()
+        try:
+            x, objective = program.cg_solver.solve(
+                cost,
+                matrix,
+                row_lower,
+                row_upper,
+                np.zeros(n),
+                col_upper,
+                seed_columns=program.seed_columns,
+            )
+            return x, objective, time.perf_counter() - start, None
+        except highs_backend.ColumnGenError:
+            pass  # fall through to linprog below
+    a_ub, a_eq = program.matrices(data_ub)
+    return run_linprog(cost, a_ub, b_ub, a_eq, program.b_eq, col_upper)
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference generator (pre-vectorization)
+# ---------------------------------------------------------------------------
+
+
+class _Rows:
+    """Row-by-row COO accumulator: ``add`` a coefficient dict and a bound."""
+
+    def __init__(self) -> None:
+        self.rows: list[int] = []
+        self.cols: list[int] = []
+        self.data: list[float] = []
+        self.bounds: list[float] = []
+
+    def add(self, coeffs: dict[int, float], bound: float) -> None:
+        row = len(self.bounds)
+        for col, val in coeffs.items():
+            self.rows.append(row)
+            self.cols.append(col)
+            self.data.append(val)
+        self.bounds.append(bound)
+
+    def matrix(self, n_cols: int) -> csr_matrix:
+        return csr_matrix(
+            (self.data, (self.rows, self.cols)), shape=(len(self.bounds), n_cols)
+        )
+
+
+@dataclass
+class ScalarProgram:
+    """A fully assembled reference program (for equivalence tests)."""
+
+    cost: np.ndarray
+    a_ub: csr_matrix
+    b_ub: np.ndarray
+    a_eq: csr_matrix
+    b_eq: np.ndarray
+    col_upper: np.ndarray
+    rows: "ScalarRows"
+    n_total: int
+
+    def solve(self) -> tuple:
+        return run_linprog(
+            self.cost, self.a_ub, self.b_ub, self.a_eq, self.b_eq, self.col_upper
+        )
+
+
+class ScalarRows:
+    """The original per-variable Python-loop generator of the Section 4.3
+    rows, kept as the ground truth the columnar blocks are tested
+    against.  A program picks the row order by the order in which it
+    ``add``s the coefficient dicts to ``ub`` and ``eq``."""
+
+    def __init__(self, model: NetworkModel):
+        self.model = model
+        self.index: dict[tuple[str, int, str, str], int] = {}
+        self.vars: list[tuple[str, int, str, str]] = []
+        for name, chain in model.chains.items():
+            for z in range(1, chain.num_stages + 1):
+                for src in model.stage_sources(chain, z):
+                    for dst in model.stage_destinations(chain, z):
+                        self.index[(name, z, src, dst)] = len(self.vars)
+                        self.vars.append((name, z, src, dst))
+        self.n_flow = len(self.vars)
+        self.ub = _Rows()
+        self.eq = _Rows()
+
+    def coverage(self, chain: Chain) -> dict[int, float]:
+        """The chain's stage-1 flows, coefficient 1 each."""
+        return {
+            self.index[(chain.name, 1, src, dst)]: 1.0
+            for src in self.model.stage_sources(chain, 1)
+            for dst in self.model.stage_destinations(chain, 1)
+        }
+
+    def conservation(self, chain: Chain) -> list[dict[int, float]]:
+        """Equation 5 at each intermediate site of one chain."""
+        model, rows = self.model, []
+        for z in range(1, chain.num_stages):
+            for site in model.stage_destinations(chain, z):
+                coeffs: dict[int, float] = {}
+                for src in model.stage_sources(chain, z):
+                    coeffs[self.index[(chain.name, z, src, site)]] = 1.0
+                for dst in model.stage_destinations(chain, z + 1):
+                    idx = self.index[(chain.name, z + 1, site, dst)]
+                    coeffs[idx] = coeffs.get(idx, 0.0) - 1.0
+                rows.append(coeffs)
+        return rows
+
+    def loads(self) -> tuple[dict, dict]:
+        """Equation 4 coefficients per (VNF, site) in first-use order, and
+        the same merged per site."""
+        model = self.model
+        vnf_site: dict[tuple[str, str], dict[int, float]] = {}
+        for i, (cname, z, src, dst) in enumerate(self.vars):
+            chain = model.chains[cname]
+            traffic = chain.stage_traffic(z)
+            if z < chain.num_stages:
+                vnf_name = chain.vnf_at(z)
+                load = model.vnfs[vnf_name].load_per_unit * traffic
+                coeffs = vnf_site.setdefault((vnf_name, dst), {})
+                coeffs[i] = coeffs.get(i, 0.0) + load
+            if z > 1:
+                vnf_name = chain.vnf_at(z - 1)
+                load = model.vnfs[vnf_name].load_per_unit * traffic
+                coeffs = vnf_site.setdefault((vnf_name, src), {})
+                coeffs[i] = coeffs.get(i, 0.0) + load
+        per_site: dict[str, dict[int, float]] = {}
+        for (_vnf_name, site), coeffs in vnf_site.items():
+            merged = per_site.setdefault(site, {})
+            for col, val in coeffs.items():
+                merged[col] = merged.get(col, 0.0) + val
+        return vnf_site, per_site
+
+    def link_loads(self) -> dict[str, dict[int, float]]:
+        """Equations 6-7 coefficients per link carrying chain traffic."""
+        model = self.model
+        per_link: dict[str, dict[int, float]] = {}
+        for i, (cname, z, src, dst) in enumerate(self.vars):
+            chain = model.chains[cname]
+            n1 = model.endpoint_node(src)
+            n2 = model.endpoint_node(dst)
+            for demand, a, b in (
+                (chain.forward_traffic[z - 1], n1, n2),
+                (chain.reverse_traffic[z - 1], n2, n1),
+            ):
+                if demand > 0:
+                    for link_name, frac in model.links_between(a, b).items():
+                        coeffs = per_link.setdefault(link_name, {})
+                        coeffs[i] = coeffs.get(i, 0.0) + demand * frac
+        return per_link
+
+    def weighted_latency(self) -> np.ndarray:
+        """``(w_cz + v_cz) * d_{n1 n2}`` per flow variable (Equation 3)."""
+        demand = np.array(
+            [self.model.chains[c].stage_traffic(z) for c, z, _s, _d in self.vars]
+        )
+        latency = np.array(
+            [self.model.site_latency(src, dst) for _c, _z, src, dst in self.vars]
+        )
+        return demand * latency
+
+    def program(self, cost: np.ndarray, col_upper: np.ndarray) -> ScalarProgram:
+        n = len(cost)
+        return ScalarProgram(
+            cost, self.ub.matrix(n), np.array(self.ub.bounds),
+            self.eq.matrix(n), np.array(self.eq.bounds), col_upper, self, n,
+        )
+
+    def solution(self, flows) -> RoutingSolution:
+        """A :class:`RoutingSolution` from the flow-variable values."""
+        solution = RoutingSolution(self.model)
+        for (cname, z, src, dst), value in zip(self.vars, flows):
+            if value > RoutingSolution.EPSILON:
+                solution.add_flow(cname, z, src, dst, float(value))
+        return solution

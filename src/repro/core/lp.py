@@ -20,9 +20,11 @@ the HiGHS solver scipy ships, which solves the identical program.
 
 Assembly and reuse
 ------------------
-Constraint matrices are assembled as COO triplets from the columnar
-model views (:mod:`repro.core.columns`) instead of per-variable Python
-loops, and the assembled *structure* (sparsity pattern, demand-
+The constraint blocks themselves live in :mod:`repro.core.formulation`;
+this module orders them into the routing program (coverage as ``<=`` or
+``=``, conservation, (VNF, site) rows, per-site rows, link rows, and for
+``MIN_MLU`` the ``beta`` column with its absent-link rows) and owns the
+objective.  The assembled *structure* (sparsity pattern, demand-
 independent coefficients, RHS, variable order) is cached keyed on
 :meth:`NetworkModel.structure_digest`.  A re-solve after a demand change
 -- a ``reoptimize()`` round, the solver farm's incremental ``resolve``
@@ -32,25 +34,29 @@ zero flow) are solved through warm-started column generation
 (:mod:`repro.core.highs`); the other objectives go through
 ``scipy.optimize.linprog`` on the cached matrix.
 
-``solve_chain_routing_lp_reference`` keeps the original scalar assembly
-and ``linprog`` solve as the ground truth the vectorized path is
-property-tested against (equal matrices within 1e-9).
+``solve_chain_routing_lp_reference`` assembles the same program from the
+scalar row generator and solves it with ``linprog``: the ground truth
+the vectorized path is property-tested against (equal matrices within
+1e-9).
 """
 
 from __future__ import annotations
 
 import enum
-import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csc_matrix, csr_matrix
 
-from repro.core import highs as highs_backend
-from repro.core.columns import ragged_gather
+from repro.core.formulation import (
+    ChainFlow,
+    Program,
+    ScalarProgram,
+    ScalarRows,
+    StructureCache,
+    flow_solution,
+    solve,
+)
 from repro.core.model import NetworkModel
 from repro.core.routes import RoutingSolution
 
@@ -92,374 +98,90 @@ class LpResult:
         return self.status == "optimal"
 
 
-class _VariableSpace:
-    """Index map for the sparse ``x_{c z n1 n2}`` variables."""
-
-    def __init__(self, model: NetworkModel):
-        self.model = model
-        self.index: dict[tuple[str, int, str, str], int] = {}
-        self.vars: list[tuple[str, int, str, str]] = []
-        for name, chain in model.chains.items():
-            for z in range(1, chain.num_stages + 1):
-                for src in model.stage_sources(chain, z):
-                    for dst in model.stage_destinations(chain, z):
-                        key = (name, z, src, dst)
-                        self.index[key] = len(self.vars)
-                        self.vars.append(key)
-
-    def __len__(self) -> int:
-        return len(self.vars)
-
-
 # ---------------------------------------------------------------------------
 # Columnar assembly with structure caching
 # ---------------------------------------------------------------------------
 
-# Data-entry kinds: how a cached base coefficient scales with the current
-# demands.  KIND_CONST entries never change on a cache hit.
-_KIND_CONST = 0
-_KIND_TOTAL = 1  # base * (w_cz + v_cz)
-_KIND_FWD = 2  # base * w_cz
-_KIND_REV = 3  # base * v_cz
 
+class _RoutingProgram(Program):
+    """The SB-LP constraint matrix over the shared chain-flow blocks.
 
-@dataclass
-class _MatrixStructure:
-    """Everything about the LP that survives demand changes."""
-
-    n_flow: int
-    n_total: int
-    beta_index: int | None
-    # UB block (COO); entries scale with demand by kind.
-    ub_rows: np.ndarray
-    ub_cols: np.ndarray
-    ub_base: np.ndarray
-    ub_kind: np.ndarray
-    ub_stage: np.ndarray
-    b_ub: np.ndarray
-    # EQ block: all entries demand-independent.
-    eq_rows: np.ndarray
-    eq_cols: np.ndarray
-    eq_data: np.ndarray
-    b_eq: np.ndarray
-    # Per-variable structure for cost/extraction.
-    var_stage: np.ndarray
-    var_latency: np.ndarray
-    stage1_vars: np.ndarray
-    seed_columns: np.ndarray
-    # Pre-split refresh index arrays (by kind).
-    idx_total: np.ndarray = field(default=None)  # type: ignore[assignment]
-    idx_fwd: np.ndarray = field(default=None)  # type: ignore[assignment]
-    idx_rev: np.ndarray = field(default=None)  # type: ignore[assignment]
-    # Warm-startable solver retained across solves of this structure.
-    cg_solver: object | None = None
-
-    def __post_init__(self) -> None:
-        self.idx_total = np.flatnonzero(self.ub_kind == _KIND_TOTAL)
-        self.idx_fwd = np.flatnonzero(self.ub_kind == _KIND_FWD)
-        self.idx_rev = np.flatnonzero(self.ub_kind == _KIND_REV)
-
-    def refreshed_ub_data(self, ch) -> np.ndarray:
-        """UB data vector under the chain columns' current demands."""
-        data = self.ub_base.copy()
-        if self.idx_total.size:
-            data[self.idx_total] *= ch.stage_total[self.ub_stage[self.idx_total]]
-        if self.idx_fwd.size:
-            data[self.idx_fwd] *= ch.stage_fwd[self.ub_stage[self.idx_fwd]]
-        if self.idx_rev.size:
-            data[self.idx_rev] *= ch.stage_rev[self.ub_stage[self.idx_rev]]
-        return data
-
-
-_MATRIX_CACHE: "OrderedDict[tuple, _MatrixStructure]" = OrderedDict()
-_MATRIX_CACHE_LIMIT = 32
-_MATRIX_REBUILDS = 0
-_MATRIX_REUSE_HITS = 0
-
-
-def matrix_cache_stats() -> dict[str, int]:
-    """Warm-start observability: cache hit/rebuild counters."""
-    return {
-        "matrix_reuse_hits": _MATRIX_REUSE_HITS,
-        "matrix_rebuilds": _MATRIX_REBUILDS,
-        "cached_structures": len(_MATRIX_CACHE),
-    }
-
-
-def clear_matrix_cache() -> None:
-    """Drop all cached constraint-matrix structures (tests)."""
-    global _MATRIX_REBUILDS, _MATRIX_REUSE_HITS
-    _MATRIX_CACHE.clear()
-    _MATRIX_REBUILDS = 0
-    _MATRIX_REUSE_HITS = 0
-
-
-def _inverse_permutation(rank: np.ndarray) -> np.ndarray:
-    out = np.empty(len(rank), dtype=np.int64)
-    out[rank] = np.arange(len(rank), dtype=np.int64)
-    return out
-
-
-def _build_structure(
-    model: NetworkModel, objective: LpObjective, enforce_mlu: bool
-) -> _MatrixStructure:
-    """Vectorized COO assembly of the SB-LP constraint matrix.
-
-    Row and entry order replicate the scalar reference assembly exactly
-    (see ``_scalar_program``): coverage rows first (dict order), then --
-    in the equality block -- flow conservation; the inequality block
+    Row order replicates the scalar reference exactly (see
+    ``_scalar_program``): coverage rows first (dict order), then -- in
+    the equality block -- flow conservation; the inequality block
     continues with (VNF, site) rows sorted by name, per-site rows sorted
     by name, and link rows sorted by link name.
     """
-    sub = model.substrate_columns()
-    ch = model.chain_columns()
-    vc = model.variable_columns()
-    n = vc.n_vars
-    n_chains = len(ch.chain_names)
-    n_nodes = sub.n_nodes
-    n_sites = len(sub.site_names)
 
-    beta_index = n if objective is LpObjective.MIN_MLU else None
-    n_total = n + (1 if beta_index is not None else 0)
+    def __init__(self, model: NetworkModel, objective: LpObjective, enforce_mlu: bool):
+        minimize_mlu = objective is LpObjective.MIN_MLU
+        flow = ChainFlow(model, links=enforce_mlu or minimize_mlu)
+        super().__init__(flow, flow.n_flow + minimize_mlu)
+        # MIN_MLU adds the utilization variable beta after the flow variables.
+        self.beta_index = flow.n_flow if minimize_mlu else None
+        sub = model.substrate_columns()
+        if (flow.cmp_site < 0).any():
+            raise LpError("internal: VNF stage endpoint is not a site")
 
-    var_stage = vc.var_stage
-    var_chain = ch.stage_chain[var_stage]
-    var_z = ch.stage_z[var_stage]
-    var_dst_vnf = ch.stage_dst_vnf[var_stage]
-    var_src_vnf = ch.stage_src_vnf[var_stage]
-
-    ub_rows: list[np.ndarray] = []
-    ub_cols: list[np.ndarray] = []
-    ub_base: list[np.ndarray] = []
-    ub_kind: list[np.ndarray] = []
-    ub_stage: list[np.ndarray] = []
-    b_ub: list[np.ndarray] = []
-    eq_rows: list[np.ndarray] = []
-    eq_cols: list[np.ndarray] = []
-    eq_data: list[np.ndarray] = []
-    b_eq: list[np.ndarray] = []
-    n_ub = 0
-    n_eq = 0
-
-    def add_ub_block(
-        rows: np.ndarray,
-        cols: np.ndarray,
-        base: np.ndarray,
-        kind: int | np.ndarray,
-        stage: np.ndarray,
-        bounds: np.ndarray,
-    ) -> None:
-        nonlocal n_ub
-        ub_rows.append(np.asarray(rows, dtype=np.int64) + n_ub)
-        ub_cols.append(np.asarray(cols, dtype=np.int64))
-        ub_base.append(np.asarray(base, dtype=float))
-        if np.isscalar(kind):
-            ub_kind.append(np.full(len(rows), kind, dtype=np.int8))
+        # -- demand coverage on stage-1 flows, then Equation 5 -----------
+        if objective is LpObjective.MAX_THROUGHPUT:
+            first = self.open_ub(np.ones(flow.n_chains))
+            self.ub(first + flow.cover_chain, flow.stage1_vars, 1.0)
         else:
-            ub_kind.append(np.asarray(kind, dtype=np.int8))
-        ub_stage.append(np.asarray(stage, dtype=np.int64))
-        b_ub.append(np.asarray(bounds, dtype=float))
-        n_ub += len(bounds)
+            first = self.open_eq(np.ones(flow.n_chains))
+            self.eq(first + flow.cover_chain, flow.stage1_vars, 1.0)
+        first = self.open_eq(np.zeros(flow.n_cons))
+        self.conservation(first + np.arange(flow.n_cons))
 
-    # -- demand coverage on stage-1 flows --------------------------------
-    stage1_vars = np.flatnonzero(var_z == 1)
-    cover_rows = var_chain[stage1_vars]
-    cover_data = np.ones(stage1_vars.size)
-    if objective is LpObjective.MAX_THROUGHPUT:
-        add_ub_block(
-            cover_rows,
-            stage1_vars,
-            cover_data,
-            _KIND_CONST,
-            np.full(stage1_vars.size, -1, dtype=np.int64),
-            np.ones(n_chains),
-        )
-    else:
-        eq_rows.append(cover_rows)
-        eq_cols.append(stage1_vars)
-        eq_data.append(cover_data)
-        b_eq.append(np.ones(n_chains))
-        n_eq += n_chains
-
-    # -- flow conservation (Equation 5) ----------------------------------
-    stage_has_cons = ch.stage_dst_vnf >= 0  # z < num_stages
-    cons_per_stage = np.where(stage_has_cons, ch.dst_len, 0)
-    cons_start = n_eq + np.cumsum(cons_per_stage) - cons_per_stage
-    n_cons = int(cons_per_stage.sum())
-    incoming = np.flatnonzero(var_dst_vnf >= 0)
-    outgoing = np.flatnonzero(var_src_vnf >= 0)
-    eq_rows.append(cons_start[var_stage[incoming]] + vc.var_dst_pos[incoming])
-    eq_cols.append(incoming)
-    eq_data.append(np.ones(incoming.size))
-    eq_rows.append(cons_start[var_stage[outgoing] - 1] + vc.var_src_pos[outgoing])
-    eq_cols.append(outgoing)
-    eq_data.append(-np.ones(outgoing.size))
-    b_eq.append(np.zeros(n_cons))
-    n_eq += n_cons
-
-    # -- compute constraints (Equation 4) --------------------------------
-    cmp_vars = np.concatenate([incoming, outgoing])
-    cmp_vnf = np.concatenate([var_dst_vnf[incoming], var_src_vnf[outgoing]])
-    cmp_site = (
-        np.concatenate([vc.var_dst_ep[incoming], vc.var_src_ep[outgoing]])
-        - n_nodes
-    )
-    if cmp_vars.size and (cmp_site < 0).any():
-        raise LpError("internal: VNF stage endpoint is not a site")
-    if cmp_vars.size:
-        site_stride = max(n_sites, 1)
-        pair_key = sub.vnf_rank[cmp_vnf] * site_stride + sub.site_rank[cmp_site]
-        uniq_pairs, pair_inverse = np.unique(pair_key, return_inverse=True)
-        vnf_order = _inverse_permutation(sub.vnf_rank)
-        site_order = _inverse_permutation(sub.site_rank)
-        row_vnf = vnf_order[uniq_pairs // site_stride]
-        row_site = site_order[uniq_pairs % site_stride]
-        caps = np.array(
-            [
-                sub.vnf_site_cap.get((int(v), int(s)), np.nan)
-                for v, s in zip(row_vnf, row_site)
-            ]
-        )
+        # -- compute constraints (Equation 4) ------------------------------
+        caps = flow.pair_caps(sub, np.nan)
         if np.isnan(caps).any():
             bad = int(np.argmax(np.isnan(caps)))
             raise LpError(
                 "internal: VNF "
-                f"{sub.vnf_names[int(row_vnf[bad])]!r} routed at "
-                f"non-deployment site {sub.site_names[int(row_site[bad])]!r}"
+                f"{sub.vnf_names[int(flow.pair_vnf[bad])]!r} routed at "
+                f"non-deployment site {sub.site_names[int(flow.pair_site[bad])]!r}"
             )
-        add_ub_block(
-            pair_inverse,
-            cmp_vars,
-            sub.vnf_load[cmp_vnf],
-            _KIND_TOTAL,
-            var_stage[cmp_vars],
-            caps,
-        )
+        self.load_rows(flow.pair_inverse, caps)
+        self.load_rows(flow.site_inverse, sub.site_capacity[flow.load_sites])
 
-        # Per-site totals over the same entries.
-        uniq_sites, site_inverse = np.unique(
-            sub.site_rank[cmp_site], return_inverse=True
-        )
-        add_ub_block(
-            site_inverse,
-            cmp_vars,
-            sub.vnf_load[cmp_vnf],
-            _KIND_TOTAL,
-            var_stage[cmp_vars],
-            sub.site_capacity[site_order[uniq_sites]],
-        )
-
-    # -- network cost (Equations 6-7) ------------------------------------
-    if (enforce_mlu or beta_index is not None) and sub.link_names and len(
-        sub.pair_start
-    ):
-        ep_node = sub.endpoint_node
-        n1 = ep_node[vc.var_src_ep]
-        n2 = ep_node[vc.var_dst_ep]
-        parts_vars: list[np.ndarray] = []
-        parts_link: list[np.ndarray] = []
-        parts_frac: list[np.ndarray] = []
-        parts_kind: list[np.ndarray] = []
-        for kind, demand, a, b in (
-            (_KIND_FWD, ch.stage_fwd, n1, n2),
-            (_KIND_REV, ch.stage_rev, n2, n1),
-        ):
-            mask = demand[var_stage] > 0
-            pid = sub.pair_id[a, b]
-            sel = np.flatnonzero(mask & (pid >= 0))
-            pids = pid[sel]
-            lens = sub.pair_len[pids]
-            pool_idx, rows_of = ragged_gather(sub.pair_start[pids], lens)
-            parts_vars.append(sel[rows_of])
-            parts_link.append(sub.pool_link[pool_idx])
-            parts_frac.append(sub.pool_frac[pool_idx])
-            parts_kind.append(np.full(pool_idx.size, kind, dtype=np.int8))
-        lnk_vars = np.concatenate(parts_vars)
-        lnk_link = np.concatenate(parts_link)
-        lnk_frac = np.concatenate(parts_frac)
-        lnk_kind = np.concatenate(parts_kind)
-        if lnk_vars.size:
-            uniq_links, link_inverse = np.unique(
-                sub.link_rank[lnk_link], return_inverse=True
+        # -- network cost (Equations 6-7) ----------------------------------
+        if flow.has_links and minimize_mlu:
+            # g_e + traffic_e <= beta * b_e
+            present = flow.load_links
+            first = self.link_load_rows(-sub.link_background[present])
+            self.ub(
+                first + np.arange(len(present)),
+                self.beta_index,
+                -sub.link_bandwidth[present],
             )
-            link_order = _inverse_permutation(sub.link_rank)
-            present = link_order[uniq_links]
-            if beta_index is not None:
-                bounds = -sub.link_background[present]
-            else:
-                bounds = sub.headroom()[present]
-            base_row = n_ub
-            add_ub_block(
-                link_inverse,
-                lnk_vars,
-                lnk_frac,
-                lnk_kind,
-                var_stage[lnk_vars],
-                bounds,
-            )
-            if beta_index is not None:
-                # beta coefficient on every present-link row.
-                ub_rows.append(base_row + np.arange(len(present), dtype=np.int64))
-                ub_cols.append(np.full(len(present), beta_index, dtype=np.int64))
-                ub_base.append(-sub.link_bandwidth[present])
-                ub_kind.append(np.full(len(present), _KIND_CONST, dtype=np.int8))
-                ub_stage.append(np.full(len(present), -1, dtype=np.int64))
-        else:
-            present = np.zeros(0, dtype=np.int64)
-        if beta_index is not None:
             # Links Switchboard never touches still bound beta from below
             # (model dict order, matching the scalar reference).
-            present_set = set(int(p) for p in present)
-            absent = [
-                li
-                for li in range(len(sub.link_names))
-                if li not in present_set and sub.link_background[li] > 0
-            ]
-            if absent:
-                absent_arr = np.array(absent, dtype=np.int64)
-                add_ub_block(
-                    np.arange(len(absent), dtype=np.int64),
-                    np.full(len(absent), beta_index, dtype=np.int64),
-                    -sub.link_bandwidth[absent_arr],
-                    _KIND_CONST,
-                    np.full(len(absent), -1, dtype=np.int64),
-                    -sub.link_background[absent_arr],
-                )
+            untouched = sub.link_background > 0
+            untouched[present] = False
+            absent = np.flatnonzero(untouched)
+            first = self.open_ub(-sub.link_background[absent])
+            self.ub(
+                first + np.arange(len(absent)),
+                self.beta_index,
+                -sub.link_bandwidth[absent],
+            )
+        elif flow.has_links:
+            self.link_load_rows(sub.headroom()[flow.load_links])
+        self.freeze()
 
-    def concat(parts: list[np.ndarray], dtype) -> np.ndarray:
-        if not parts:
-            return np.zeros(0, dtype=dtype)
-        return np.concatenate(parts).astype(dtype, copy=False)
 
-    # Seed columns for column generation: every stage-1 variable plus the
-    # few lowest-latency variables of every other stage.
-    counts = np.diff(vc.stage_var_start)
-    order = np.lexsort((vc.var_latency, var_stage))
-    pos_in_stage = np.arange(n, dtype=np.int64) - np.repeat(
-        vc.stage_var_start[:-1], counts
-    )
-    cheap = order[pos_in_stage < 4]
-    seed_columns = np.unique(np.concatenate([stage1_vars, cheap]))
+_CACHE = StructureCache(limit=32)
 
-    return _MatrixStructure(
-        n_flow=n,
-        n_total=n_total,
-        beta_index=beta_index,
-        ub_rows=concat(ub_rows, np.int64),
-        ub_cols=concat(ub_cols, np.int64),
-        ub_base=concat(ub_base, float),
-        ub_kind=concat(ub_kind, np.int8),
-        ub_stage=concat(ub_stage, np.int64),
-        b_ub=concat(b_ub, float),
-        eq_rows=concat(eq_rows, np.int64),
-        eq_cols=concat(eq_cols, np.int64),
-        eq_data=concat(eq_data, float),
-        b_eq=concat(b_eq, float),
-        var_stage=var_stage,
-        var_latency=vc.var_latency,
-        stage1_vars=stage1_vars,
-        seed_columns=seed_columns,
-    )
+
+def matrix_cache_stats() -> dict[str, int]:
+    """Warm-start observability: cache hit/rebuild counters."""
+    return _CACHE.stats()
+
+
+def clear_matrix_cache() -> None:
+    """Drop all cached constraint-matrix structures (tests)."""
+    _CACHE.clear()
 
 
 def _structure_for(
@@ -467,35 +189,27 @@ def _structure_for(
     objective: LpObjective,
     enforce_mlu: bool,
     metrics: "MetricsRegistry | None",
-) -> _MatrixStructure:
-    global _MATRIX_REBUILDS, _MATRIX_REUSE_HITS
-    key = (model.structure_digest(), objective.value, bool(enforce_mlu))
-    structure = _MATRIX_CACHE.get(key)
-    if structure is not None:
-        _MATRIX_CACHE.move_to_end(key)
-        _MATRIX_REUSE_HITS += 1
-        if metrics is not None:
-            metrics.counter("lp.matrix_reuse_hits").inc()
-        return structure
-    structure = _build_structure(model, objective, enforce_mlu)
-    _MATRIX_REBUILDS += 1
+) -> _RoutingProgram:
+    structure, cached = _CACHE.get(
+        (model.structure_digest(), objective.value, bool(enforce_mlu)),
+        lambda: _RoutingProgram(model, objective, enforce_mlu),
+    )
     if metrics is not None:
-        metrics.counter("lp.matrix_rebuilds").inc()
-    _MATRIX_CACHE[key] = structure
-    while len(_MATRIX_CACHE) > _MATRIX_CACHE_LIMIT:
-        _MATRIX_CACHE.popitem(last=False)
+        metrics.counter(
+            "lp.matrix_reuse_hits" if cached else "lp.matrix_rebuilds"
+        ).inc()
     return structure
 
 
 def _cost_vector(
-    structure: _MatrixStructure,
+    structure: _RoutingProgram,
     ch,
     objective: LpObjective,
     latency_tiebreak: float,
 ) -> np.ndarray:
     n = structure.n_flow
-    var_traffic = ch.stage_total[structure.var_stage]
-    weighted_latency = var_traffic * structure.var_latency
+    var_stage = structure.flow.var_stage
+    weighted_latency = ch.stage_total[var_stage] * structure.flow.var_latency
     latency_scale = float(np.max(weighted_latency)) if n else 1.0
     latency_scale = latency_scale or 1.0
     cost = np.zeros(structure.n_total)
@@ -505,13 +219,58 @@ def _cost_vector(
         cost[structure.beta_index] = 1.0
         cost[:n] += (latency_tiebreak / latency_scale) * weighted_latency
     else:
-        s1 = structure.stage1_vars
-        np.subtract.at(cost, s1, ch.stage_total[structure.var_stage[s1]])
+        s1 = structure.flow.stage1_vars
+        np.subtract.at(cost, s1, ch.stage_total[var_stage[s1]])
         min_demand = float(ch.stage_total[ch.stage_z == 1].min())
         cost[:n] += (
             latency_tiebreak * min_demand / latency_scale
         ) * weighted_latency
     return cost
+
+
+def _check_inputs(model: NetworkModel, objective: LpObjective) -> None:
+    if not model.chains:
+        raise LpError("model has no chains to route")
+    if objective is LpObjective.MIN_MLU and not (model.links and model.routing):
+        raise LpError("MIN_MLU requires links and routing fractions")
+
+
+def _column_upper(n_flow: int, beta_index: int | None) -> np.ndarray:
+    """Flow fractions live in [0, 1]; ``beta`` is unbounded above."""
+    upper = np.ones(n_flow + (beta_index is not None))
+    upper[n_flow:] = np.inf
+    return upper
+
+
+def _result(
+    objective: LpObjective,
+    outcome: tuple,
+    extract,
+    beta_index: int | None,
+    n_total: int,
+    n_constraints: int,
+    metrics: "MetricsRegistry | None",
+) -> LpResult:
+    x, objective_value, elapsed, failure = outcome
+    if metrics is not None:
+        # Wall-clock solver time: here the interesting duration is how
+        # long HiGHS takes on the host, not simulated seconds.
+        metrics.histogram(
+            "solver.lp_solve_s", objective=objective.value
+        ).observe(elapsed)
+        metrics.counter(
+            "solver.lp_solves",
+            objective=objective.value,
+            ok=str(x is not None).lower(),
+        ).inc()
+    if x is None:
+        status = "infeasible" if failure.status == 2 else f"failed({failure.status})"
+        return LpResult(status, None, None, n_total, n_constraints, elapsed)
+    if beta_index is not None:
+        objective_value = float(x[beta_index])  # the achieved MLU
+    return LpResult(
+        "optimal", objective_value, extract(x), n_total, n_constraints, elapsed
+    )
 
 
 def solve_chain_routing_lp(
@@ -539,137 +298,27 @@ def solve_chain_routing_lp(
         objective so that, among equal-throughput solutions, the lowest
         latency one is returned.
     """
-    if not model.chains:
-        raise LpError("model has no chains to route")
-    if objective is LpObjective.MIN_MLU and not (model.links and model.routing):
-        raise LpError("MIN_MLU requires links and routing fractions")
-
+    _check_inputs(model, objective)
     structure = _structure_for(model, objective, enforce_mlu, metrics)
     ch = model.chain_columns()
-    cost = _cost_vector(structure, ch, objective, latency_tiebreak)
-    data_ub = structure.refreshed_ub_data(ch)
     n = structure.n_flow
-    n_total = structure.n_total
-    n_constraints = len(structure.b_ub) + len(structure.b_eq)
-
-    x = None
-    objective_value = None
-    status = "optimal"
-    elapsed = 0.0
-    if (
-        objective is LpObjective.MAX_THROUGHPUT
-        and highs_backend.direct_backend_available()
-    ):
-        n_rows = len(structure.b_ub) + len(structure.b_eq)
-        rows = np.concatenate(
-            [structure.ub_rows, structure.eq_rows + len(structure.b_ub)]
-        )
-        cols = np.concatenate([structure.ub_cols, structure.eq_cols])
-        data = np.concatenate([data_ub, structure.eq_data])
-        matrix = csc_matrix((data, (rows, cols)), shape=(n_rows, n_total))
-        row_lower = np.concatenate(
-            [np.full(len(structure.b_ub), -np.inf), structure.b_eq]
-        )
-        row_upper = np.concatenate([structure.b_ub, structure.b_eq])
-        if structure.cg_solver is None:
-            structure.cg_solver = highs_backend.ColumnGenSolver()
-        start = time.perf_counter()
-        try:
-            x, objective_value = structure.cg_solver.solve(
-                cost,
-                matrix,
-                row_lower,
-                row_upper,
-                np.zeros(n_total),
-                np.ones(n_total),
-                seed_columns=structure.seed_columns,
-            )
-        except highs_backend.ColumnGenError:
-            x = None  # fall through to linprog below
-        elapsed = time.perf_counter() - start
-
-    if x is None:
-        a_ub = (
-            csr_matrix(
-                (data_ub, (structure.ub_rows, structure.ub_cols)),
-                shape=(len(structure.b_ub), n_total),
-            )
-            if len(structure.b_ub)
-            else None
-        )
-        a_eq = (
-            csr_matrix(
-                (structure.eq_data, (structure.eq_rows, structure.eq_cols)),
-                shape=(len(structure.b_eq), n_total),
-            )
-            if len(structure.b_eq)
-            else None
-        )
-        bounds: list[tuple[float, float | None]] = [(0.0, 1.0)] * n
-        if structure.beta_index is not None:
-            bounds.append((0.0, None))
-        start = time.perf_counter()
-        result = linprog(
-            cost,
-            A_ub=a_ub,
-            b_ub=structure.b_ub if a_ub is not None else None,
-            A_eq=a_eq,
-            b_eq=structure.b_eq if a_eq is not None else None,
-            bounds=bounds,
-            method="highs",
-        )
-        elapsed = time.perf_counter() - start
-        if not result.success:
-            status = (
-                "infeasible" if result.status == 2 else f"failed({result.status})"
-            )
-        else:
-            x = np.asarray(result.x)
-            if structure.beta_index is not None:
-                objective_value = float(x[structure.beta_index])
-            else:
-                objective_value = float(result.fun)
-
-    if metrics is not None:
-        # Wall-clock solver time: here the interesting duration is how
-        # long HiGHS takes on the host, not simulated seconds.
-        metrics.histogram(
-            "solver.lp_solve_s", objective=objective.value
-        ).observe(elapsed)
-        metrics.counter(
-            "solver.lp_solves",
-            objective=objective.value,
-            ok=str(bool(x is not None)).lower(),
-        ).inc()
-
-    if x is None:
-        return LpResult(status, None, None, n_total, n_constraints, elapsed)
-
-    if objective is LpObjective.MIN_MLU:
-        objective_value = float(x[structure.beta_index])
-
-    solution = _extract_solution(model, x[:n])
-    return LpResult(
-        "optimal", objective_value, solution, n_total, n_constraints, elapsed
+    outcome = solve(
+        structure,
+        _cost_vector(structure, ch, objective, latency_tiebreak),
+        structure.refresh(ch.stage_total, ch.stage_fwd, ch.stage_rev),
+        structure.b_ub,
+        _column_upper(n, structure.beta_index),
+        zero_feasible=objective is LpObjective.MAX_THROUGHPUT,
     )
-
-
-def _extract_solution(model: NetworkModel, x: np.ndarray) -> RoutingSolution:
-    """Build a :class:`RoutingSolution` from the flow-variable values."""
-    sub = model.substrate_columns()
-    ch = model.chain_columns()
-    vc = model.variable_columns()
-    solution = RoutingSolution(model)
-    for i in np.flatnonzero(x > RoutingSolution.EPSILON):
-        k = int(vc.var_stage[i])
-        solution.add_flow(
-            ch.chain_names[int(ch.stage_chain[k])],
-            int(ch.stage_z[k]),
-            sub.endpoint_names[int(vc.var_src_ep[i])],
-            sub.endpoint_names[int(vc.var_dst_ep[i])],
-            float(x[i]),
-        )
-    return solution
+    return _result(
+        objective,
+        outcome,
+        lambda x: flow_solution(model, x[:n]),
+        structure.beta_index,
+        structure.n_total,
+        len(structure.b_ub) + len(structure.b_eq),
+        metrics,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -677,166 +326,68 @@ def _extract_solution(model: NetworkModel, x: np.ndarray) -> RoutingSolution:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _ScalarProgram:
-    """The fully assembled reference program (for equivalence tests)."""
-
-    cost: np.ndarray
-    a_ub: csr_matrix | None
-    b_ub: np.ndarray | None
-    a_eq: csr_matrix | None
-    b_eq: np.ndarray | None
-    bounds: list[tuple[float, float | None]]
-    space: _VariableSpace
-    n_total: int
-
-
 def _scalar_program(
     model: NetworkModel,
     objective: LpObjective,
     enforce_mlu: bool,
     latency_tiebreak: float,
-) -> _ScalarProgram:
-    """The original per-variable Python-loop assembly, kept verbatim."""
-    space = _VariableSpace(model)
-    n = len(space)
+) -> ScalarProgram:
+    """The routing program from the per-variable reference generator."""
+    rows = ScalarRows(model)
+    n = rows.n_flow
     # MIN_MLU adds the utilization variable beta after the flow variables.
     beta_index = n if objective is LpObjective.MIN_MLU else None
     n_total = n + (1 if beta_index is not None else 0)
 
-    cost = np.zeros(n_total)
-    demand_weight = np.zeros(n)  # (w_cz + v_cz) per variable
-    latencies = np.zeros(n)
-    for i, (cname, z, src, dst) in enumerate(space.vars):
-        chain = model.chains[cname]
-        demand_weight[i] = chain.stage_traffic(z)
-        latencies[i] = model.site_latency(src, dst)
-
-    weighted_latency = demand_weight * latencies
-
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    eq_rows: list[int] = []
-    eq_cols: list[int] = []
-    eq_data: list[float] = []
-    b_ub: list[float] = []
-    b_eq: list[float] = []
-
-    def add_ub(coeffs: dict[int, float], bound: float) -> None:
-        row = len(b_ub)
-        for col, val in coeffs.items():
-            rows.append(row)
-            cols.append(col)
-            data.append(val)
-        b_ub.append(bound)
-
-    def add_eq(coeffs: dict[int, float], value: float) -> None:
-        row = len(b_eq)
-        for col, val in coeffs.items():
-            eq_rows.append(row)
-            eq_cols.append(col)
-            eq_data.append(val)
-        b_eq.append(value)
-
     # Demand-coverage constraints on stage-1 flows.
-    for cname, chain in model.chains.items():
-        coeffs: dict[int, float] = {}
-        for src in model.stage_sources(chain, 1):
-            for dst in model.stage_destinations(chain, 1):
-                coeffs[space.index[(cname, 1, src, dst)]] = 1.0
+    for chain in model.chains.values():
         if objective is LpObjective.MAX_THROUGHPUT:
-            add_ub(coeffs, 1.0)
+            rows.ub.add(rows.coverage(chain), 1.0)
         else:
-            add_eq(coeffs, 1.0)
+            rows.eq.add(rows.coverage(chain), 1.0)
 
     # Flow conservation (Equation 5) at each intermediate site.
-    for cname, chain in model.chains.items():
-        for z in range(1, chain.num_stages):
-            for site in model.stage_destinations(chain, z):
-                coeffs = {}
-                for src in model.stage_sources(chain, z):
-                    coeffs[space.index[(cname, z, src, site)]] = 1.0
-                for dst in model.stage_destinations(chain, z + 1):
-                    idx = space.index[(cname, z + 1, site, dst)]
-                    coeffs[idx] = coeffs.get(idx, 0.0) - 1.0
-                add_eq(coeffs, 0.0)
+    for chain in model.chains.values():
+        for coeffs in rows.conservation(chain):
+            rows.eq.add(coeffs, 0.0)
 
     # Compute constraints (Equation 4): per (VNF, site) and per site.
-    vnf_site_coeffs: dict[tuple[str, str], dict[int, float]] = {}
-    for i, (cname, z, src, dst) in enumerate(space.vars):
-        chain = model.chains[cname]
-        traffic = chain.stage_traffic(z)
-        if z < chain.num_stages:
-            vnf_name = chain.vnf_at(z)
-            load = model.vnfs[vnf_name].load_per_unit * traffic
-            coeffs = vnf_site_coeffs.setdefault((vnf_name, dst), {})
-            coeffs[i] = coeffs.get(i, 0.0) + load
-        if z > 1:
-            vnf_name = chain.vnf_at(z - 1)
-            load = model.vnfs[vnf_name].load_per_unit * traffic
-            coeffs = vnf_site_coeffs.setdefault((vnf_name, src), {})
-            coeffs[i] = coeffs.get(i, 0.0) + load
-
+    vnf_site_coeffs, site_coeffs = rows.loads()
     for (vnf_name, site), coeffs in sorted(vnf_site_coeffs.items()):
         cap = model.vnfs[vnf_name].site_capacity.get(site)
         if cap is None:
             raise LpError(
                 f"internal: VNF {vnf_name!r} routed at non-deployment site {site!r}"
             )
-        add_ub(coeffs, cap)
-
-    site_coeffs: dict[str, dict[int, float]] = {}
-    for (_vnf_name, site), coeffs in vnf_site_coeffs.items():
-        merged = site_coeffs.setdefault(site, {})
-        for col, val in coeffs.items():
-            merged[col] = merged.get(col, 0.0) + val
+        rows.ub.add(coeffs, cap)
     for site, coeffs in sorted(site_coeffs.items()):
-        add_ub(coeffs, model.sites[site].capacity)
+        rows.ub.add(coeffs, model.sites[site].capacity)
 
     # Network cost (Equations 6-7): per-link MLU budget, or -- for
     # MIN_MLU -- the same inequality with beta as a variable.
     if (enforce_mlu or beta_index is not None) and model.links and model.routing:
-        link_coeffs: dict[str, dict[int, float]] = {}
-        for i, (cname, z, src, dst) in enumerate(space.vars):
-            chain = model.chains[cname]
-            fwd = chain.forward_traffic[z - 1]
-            rev = chain.reverse_traffic[z - 1]
-            n1 = model.endpoint_node(src)
-            n2 = model.endpoint_node(dst)
-            if fwd > 0:
-                for link_name, frac in model.links_between(n1, n2).items():
-                    coeffs = link_coeffs.setdefault(link_name, {})
-                    coeffs[i] = coeffs.get(i, 0.0) + fwd * frac
-            if rev > 0:
-                for link_name, frac in model.links_between(n2, n1).items():
-                    coeffs = link_coeffs.setdefault(link_name, {})
-                    coeffs[i] = coeffs.get(i, 0.0) + rev * frac
+        link_coeffs = rows.link_loads()
         for link_name, coeffs in sorted(link_coeffs.items()):
             link = model.links[link_name]
             if beta_index is not None:
                 # g_e + traffic_e <= beta * b_e
-                coeffs = dict(coeffs)
-                coeffs[beta_index] = -link.bandwidth
-                add_ub(coeffs, -link.background)
+                rows.ub.add({**coeffs, beta_index: -link.bandwidth}, -link.background)
                 continue
             # Background traffic may already exceed the MLU budget on a
             # link; Switchboard cannot reduce it, so its own traffic
             # there is simply forced to zero rather than making the
             # whole program infeasible.
-            headroom = max(
-                0.0, model.mlu_limit * link.bandwidth - link.background
-            )
-            add_ub(coeffs, headroom)
+            rows.ub.add(coeffs, model.link_headroom(link))
         if beta_index is not None:
             # Links Switchboard never touches still bound beta from below.
             for link_name, link in model.links.items():
                 if link_name not in link_coeffs and link.background > 0:
-                    add_ub({beta_index: -link.bandwidth}, -link.background)
+                    rows.ub.add({beta_index: -link.bandwidth}, -link.background)
 
     # Objective vector.
+    cost = np.zeros(n_total)
     padded_latency = np.zeros(n_total)
-    padded_latency[:n] = weighted_latency
+    padded_latency[:n] = weighted_latency = rows.weighted_latency()
     latency_scale = float(np.max(weighted_latency)) or 1.0
     if objective is LpObjective.MIN_LATENCY:
         cost = padded_latency
@@ -845,34 +396,12 @@ def _scalar_program(
         cost = cost + (latency_tiebreak / latency_scale) * padded_latency
     else:
         # Maximize carried stage-1 demand; minimize latency as a tiebreak.
-        for cname, chain in model.chains.items():
-            for src in model.stage_sources(chain, 1):
-                for dst in model.stage_destinations(chain, 1):
-                    cost[space.index[(cname, 1, src, dst)]] -= chain.stage_traffic(1)
+        for chain in model.chains.values():
+            for idx in rows.coverage(chain):
+                cost[idx] -= chain.stage_traffic(1)
         min_demand = min(c.stage_traffic(1) for c in model.chains.values())
         cost = cost + (latency_tiebreak * min_demand / latency_scale) * padded_latency
-
-    a_ub = csr_matrix(
-        (data, (rows, cols)), shape=(len(b_ub), n_total)
-    ) if b_ub else None
-    a_eq = csr_matrix(
-        (eq_data, (eq_rows, eq_cols)), shape=(len(b_eq), n_total)
-    ) if b_eq else None
-
-    bounds: list[tuple[float, float | None]] = [(0.0, 1.0)] * n
-    if beta_index is not None:
-        bounds.append((0.0, None))
-
-    return _ScalarProgram(
-        cost=cost,
-        a_ub=a_ub,
-        b_ub=np.array(b_ub) if b_ub else None,
-        a_eq=a_eq,
-        b_eq=np.array(b_eq) if b_eq else None,
-        bounds=bounds,
-        space=space,
-        n_total=n_total,
-    )
+    return rows.program(cost, _column_upper(n, beta_index))
 
 
 def solve_chain_routing_lp_reference(
@@ -887,53 +416,15 @@ def solve_chain_routing_lp_reference(
     Kept as the ground truth for equivalence property tests; prefer
     :func:`solve_chain_routing_lp` everywhere else.
     """
-    if not model.chains:
-        raise LpError("model has no chains to route")
-    if objective is LpObjective.MIN_MLU and not (model.links and model.routing):
-        raise LpError("MIN_MLU requires links and routing fractions")
-
+    _check_inputs(model, objective)
     program = _scalar_program(model, objective, enforce_mlu, latency_tiebreak)
-    space = program.space
-    n = len(space)
-    beta_index = n if objective is LpObjective.MIN_MLU else None
-
-    start = time.perf_counter()
-    result = linprog(
-        program.cost,
-        A_ub=program.a_ub,
-        b_ub=program.b_ub,
-        A_eq=program.a_eq,
-        b_eq=program.b_eq,
-        bounds=program.bounds,
-        method="highs",
-    )
-    elapsed = time.perf_counter() - start
-    n_constraints = (0 if program.b_ub is None else len(program.b_ub)) + (
-        0 if program.b_eq is None else len(program.b_eq)
-    )
-    if metrics is not None:
-        metrics.histogram(
-            "solver.lp_solve_s", objective=objective.value
-        ).observe(elapsed)
-        metrics.counter(
-            "solver.lp_solves",
-            objective=objective.value,
-            ok=str(bool(result.success)).lower(),
-        ).inc()
-
-    if not result.success:
-        status = "infeasible" if result.status == 2 else f"failed({result.status})"
-        return LpResult(status, None, None, program.n_total, n_constraints, elapsed)
-
-    solution = RoutingSolution(model)
-    for i, (cname, z, src, dst) in enumerate(space.vars):
-        value = float(result.x[i])
-        if value > RoutingSolution.EPSILON:
-            solution.add_flow(cname, z, src, dst, value)
-    if beta_index is not None:
-        objective_value = float(result.x[beta_index])  # the achieved MLU
-    else:
-        objective_value = float(result.fun)
-    return LpResult(
-        "optimal", objective_value, solution, program.n_total, n_constraints, elapsed
+    n = program.rows.n_flow
+    return _result(
+        objective,
+        program.solve(),
+        lambda x: program.rows.solution(x[:n]),
+        n if objective is LpObjective.MIN_MLU else None,
+        program.n_total,
+        len(program.b_ub) + len(program.b_eq),
+        metrics,
     )

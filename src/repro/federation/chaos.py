@@ -40,6 +40,7 @@ from repro.core.model import Chain, NetworkModel
 from repro.federation.ha import FederationFailover, FederationStore
 from repro.federation.invariants import federation_probes
 from repro.federation.nodes import CoordinatorNode, RegionalNode
+from repro.federation.shard import FederationError
 from repro.obs import MetricsRegistry
 from repro.resilience.rpc import BackoffPolicy, RpcConfig, RpcLayer
 from repro.simnet.events import Simulator
@@ -253,7 +254,7 @@ def build_federation_deployment(
         try:
             primary.submit(chain)
             deployment.base_installed += 1
-        except Exception:
+        except FederationError:
             continue  # infeasible under the border budget: skip
     return deployment
 

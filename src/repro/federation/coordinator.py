@@ -212,16 +212,6 @@ class GlobalCoordinator:
         self._update_ratio()
         return record
 
-    def submit_all(self, chains: Iterable[Chain]) -> list[int | CrossChainRecord]:
-        """Drain a batch through :meth:`submit`, tracking queue depth."""
-        queue = list(chains)
-        results: list[int | CrossChainRecord] = []
-        for i, chain in enumerate(queue):
-            self._gauge("federation.coordinator.queue_depth", len(queue) - i)
-            results.append(self.submit(chain))
-        self._gauge("federation.coordinator.queue_depth", 0)
-        return results
-
     def remove(self, name: str) -> None:
         """Tear down an installed chain (intra or cross-shard)."""
         if name in self._intra:

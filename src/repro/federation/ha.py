@@ -242,13 +242,6 @@ class FederationStore:
             {str(r): links for r, links in sorted(per_region.items())},
         )
 
-    def ledger_checkpoints(self) -> dict[int, dict[str, dict[str, float]]]:
-        """region -> link -> segment key -> committed amount."""
-        doc = self.store.get(_LEDGER_PREFIX + "committed")
-        if doc is None:
-            return {}
-        return {int(r): links for r, links in doc.items()}
-
 
 class FederationFailover(LeaseElection):
     """Keeps exactly one coordinator node active, via the leader lease.

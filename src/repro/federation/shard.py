@@ -107,12 +107,6 @@ class ShardMap:
         found.sort(key=lambda b: (b.latency, b.name))
         return found
 
-    def region_adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {s.region: set() for s in self.shards}
-        for border in self.borders.values():
-            adj[border.src_region].add(border.dst_region)
-        return adj
-
     def region_path(self, src_region: int, dst_region: int) -> tuple[int, ...]:
         """Cheapest region sequence from src to dst over the border
         graph (weight: best border latency per hop; deterministic

@@ -72,6 +72,90 @@ class FaultPolicy:
         return planned if planned > 0 else None
 
 
+class FederatedOps:
+    """The synchronous op loop of the federated drivers (this module's
+    :func:`run_soak`, the scenario fuzzer's federation stack): tolerant
+    submit / remove / redemand against one live coordinator, every
+    federation probe after every op, one final ``plan_all``.  Callers
+    decide where ops come from and how to count them.
+    """
+
+    def __init__(
+        self,
+        model: NetworkModel,
+        coordinator: GlobalCoordinator,
+        objective: LpObjective = LpObjective.MAX_THROUGHPUT,
+    ):
+        self.model = model
+        self.coordinator = coordinator
+        self.objective = objective
+        self.crashes = 0
+        self.swept = 0
+        self.violations: list[dict] = []
+        # ``_last_plan`` is only consulted while still current: a
+        # submit/remove invalidates its RoutingSolutions (they hold the
+        # regional models by reference), so mutation probes fall back to
+        # the ledger-only capacity check.
+        self._last_plan = None
+        self._probes = federation_probes(
+            lambda: coordinator,
+            plan_of=lambda: self._last_plan,
+            quiescent=True,
+        )
+
+    def submit(self, chain: Chain) -> str:
+        """``"installed"``, ``"rejected"`` or ``"crashed"``."""
+        self._last_plan = None
+        try:
+            self.coordinator.submit(chain)
+        except CoordinatorCrash:
+            # The "restarted" coordinator only runs its sweep; the
+            # abandoned install is simply gone.
+            self.crashes += 1
+            self.swept += len(self.coordinator.sweep())
+            return "crashed"
+        except FederationError:
+            return "rejected"
+        return "installed"
+
+    def remove(self, name: str) -> None:
+        self.coordinator.remove(name)
+        self._last_plan = None
+
+    def redemand(self, factors: dict[str, float]) -> bool:
+        """Scale the named installed chains and re-plan incrementally;
+        ``False`` (and the demands restored) when a border cannot fit."""
+        model = self.model
+        originals = {name: model.chains[name] for name in factors}
+        for name, factor in factors.items():
+            model.remove_chain(name)
+            model.add_chain(originals[name].scaled(factor))
+        self._last_plan = None
+        try:
+            self._last_plan = self.coordinator.resolve(
+                model, list(factors), self.objective
+            )
+        except FederationError:
+            for name, original in originals.items():
+                model.remove_chain(name)
+                model.add_chain(original)
+            return False
+        return True
+
+    def probe(self, label: str) -> None:
+        for invariant, check in self._probes.items():
+            for problem in check():
+                self.violations.append(
+                    {"op": label, "invariant": invariant, "problem": problem}
+                )
+
+    def finish(self):
+        """The final full plan, probed like any other op."""
+        self._last_plan = plan = self.coordinator.plan_all(self.objective)
+        self.probe("final_plan")
+        return plan
+
+
 def run_soak(
     model: NetworkModel,
     coordinator: GlobalCoordinator,
@@ -89,6 +173,7 @@ def run_soak(
     """
     rng = random.Random(seed)
     pending = list(pending)
+    driver = FederatedOps(model, coordinator, objective)
     counts = {
         "submit": 0,
         "submit_rejected": 0,
@@ -98,91 +183,42 @@ def run_soak(
         "demand_change": 0,
         "resolve": 0,
     }
-    violations: list[dict] = []
-    last_plan = None
 
-    # ``last_plan`` is only consulted while still current: a
-    # submit/remove invalidates its RoutingSolutions (they hold the
-    # regional models by reference), so mutation probes fall back to
-    # the ledger-only capacity check.
-    probes = federation_probes(
-        lambda: coordinator,
-        plan_of=lambda: last_plan,
-        quiescent=True,
-    )
-
-    def probe(op: str, quiescent: bool) -> None:
-        for invariant, check in probes.items():
-            if invariant == "fed_quiescence" and not quiescent:
-                continue
-            for problem in check():
-                violations.append(
-                    {"op": op, "invariant": invariant, "problem": problem}
-                )
-
-    for step in range(ops):
+    for _step in range(ops):
         roll = rng.random()
         if roll < 0.45 and pending:
             chain = pending.pop(rng.randrange(len(pending)))
             counts["submit"] += 1
-            try:
-                coordinator.submit(chain)
-            except CoordinatorCrash:
-                counts["crash"] += 1
-                # The "restarted" coordinator only runs its sweep; the
-                # abandoned install is simply gone.
-                counts["sweep_released"] += len(coordinator.sweep())
-            except FederationError:
+            if driver.submit(chain) == "rejected":
                 counts["submit_rejected"] += 1
-            last_plan = None
-            probe("submit", quiescent=True)
+            driver.probe("submit")
         elif roll < 0.65 and coordinator.installed():
-            name = rng.choice(coordinator.installed())
-            coordinator.remove(name)
+            driver.remove(rng.choice(coordinator.installed()))
             counts["remove"] += 1
-            last_plan = None
-            probe("remove", quiescent=True)
+            driver.probe("remove")
         elif coordinator.installed():
             names = rng.sample(
                 coordinator.installed(),
                 k=min(3, len(coordinator.installed())),
             )
-            for name in names:
-                chain = model.chains[name]
-                factor = rng.uniform(0.5, 1.5)
-                scaled = chain.scaled(factor)
-                model.remove_chain(name)
-                model.add_chain(scaled)
-                counts["demand_change"] += 1
-            last_plan = None
-            try:
-                last_plan = coordinator.resolve(model, names, objective)
-                counts["resolve"] += 1
-            except FederationError:
-                # A border cannot fit the scaled demand: revert.
-                for name in names:
-                    original = coordinator.installed_chain(name)
-                    if original is not None:
-                        model.remove_chain(name)
-                        model.add_chain(original)
-            probe("resolve", quiescent=True)
+            factors = {name: rng.uniform(0.5, 1.5) for name in names}
+            counts["demand_change"] += len(names)
+            counts["resolve"] += driver.redemand(factors)
+            driver.probe("resolve")
 
-    final_plan = coordinator.plan_all(objective)
-    last_plan = final_plan
-    probe("final_plan", quiescent=True)
-
-    stats = coordinator.stats()
+    final_plan = driver.finish()
+    counts["crash"], counts["sweep_released"] = driver.crashes, driver.swept
     return {
         "ops": ops,
         "seed": seed,
         "counts": counts,
-        "stats": stats,
+        "stats": coordinator.stats(),
         "final_status": final_plan.status,
         "final_carried": round(final_plan.carried_demand, 6),
         "final_offered": round(final_plan.offered_demand, 6),
-        "violations": violations,
-        "ok": not violations and final_plan.ok,
+        "violations": driver.violations,
+        "ok": not driver.violations and final_plan.ok,
     }
 
 
-__all__ = ["FaultPolicy", "run_soak"]
+__all__ = ["FaultPolicy", "FederatedOps", "run_soak"]

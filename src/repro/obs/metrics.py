@@ -17,7 +17,6 @@ paths can cache the handle and skip the registry lookup.
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 
 class MetricsError(Exception):
@@ -198,8 +197,3 @@ class Histogram:
 
 
 Metric = Counter | Gauge | Histogram
-
-
-def iter_sorted(metrics: dict[tuple[str, LabelPairs], Metric]) -> Iterator[Metric]:
-    for key in sorted(metrics):
-        yield metrics[key]

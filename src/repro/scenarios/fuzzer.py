@@ -290,14 +290,9 @@ def run_case_federation(
     is the seeded reject/crash policy instead, and both are covered by
     the case parameters so a replay is exact.
     """
-    from repro.core.lp import LpObjective
-    from repro.federation.coordinator import (
-        CoordinatorCrash,
-        GlobalCoordinator,
-    )
-    from repro.federation.invariants import federation_probes
-    from repro.federation.shard import FederationError
-    from repro.federation.soak import FaultPolicy
+    from repro.core.model import Chain
+    from repro.federation.coordinator import GlobalCoordinator
+    from repro.federation.soak import FaultPolicy, FederatedOps
     from repro.topology.pops import PopGridConfig, generate_federation_workload
 
     try:
@@ -327,39 +322,18 @@ def run_case_federation(
         base_chains = sorted(model.chains.values(), key=lambda c: c.name)
         for chain in base_chains:
             model.remove_chain(chain.name)
+        driver = FederatedOps(model, coordinator)
         counts = {
             "created": 0, "create_rejected": 0, "removed": 0,
             "remove_skipped": 0, "redemanded": 0, "redemand_skipped": 0,
             "crashes": 0, "swept": 0,
         }
         for chain in base_chains:
-            try:
-                coordinator.submit(chain)
-            except CoordinatorCrash:
-                counts["crashes"] += 1
-                counts["swept"] += len(coordinator.sweep())
-            except FederationError:
-                pass
+            driver.submit(chain)
 
         base = sorted(coordinator.installed())
         nodes = list(model.nodes)
         vnf_names = sorted(model.vnfs)
-        violations: list[dict] = []
-        last_plan = None
-        probes = federation_probes(
-            lambda: coordinator,
-            plan_of=lambda: last_plan,
-            quiescent=True,
-        )
-
-        def probe(op_label: str) -> None:
-            for invariant, check in probes.items():
-                for problem in check():
-                    violations.append({
-                        "op": op_label,
-                        "invariant": invariant,
-                        "detail": problem,
-                    })
 
         def resolve_chain_id(chain_id: str) -> str:
             # Logical soak ids ("chain<i>") map onto the installed
@@ -387,49 +361,36 @@ def run_case_federation(
                     for j in range(stages)
                 ]
                 vnfs = list(dict.fromkeys(vnfs))
-                from repro.core.model import Chain
-
                 chain = Chain(name, ingress, egress, vnfs,
                               op.value, op.value * 0.25)
-                try:
-                    coordinator.submit(chain)
+                outcome = driver.submit(chain)
+                if outcome == "installed":
                     counts["created"] += 1
-                except CoordinatorCrash:
-                    counts["crashes"] += 1
-                    counts["swept"] += len(coordinator.sweep())
-                except FederationError:
+                elif outcome == "rejected":
                     counts["create_rejected"] += 1
-                last_plan = None
             elif op.op == "remove":
                 if name not in set(coordinator.installed()):
                     counts["remove_skipped"] += 1
                     continue
-                coordinator.remove(name)
+                driver.remove(name)
                 counts["removed"] += 1
-                last_plan = None
             elif op.op == "redemand":
                 if (name not in set(coordinator.installed())
                         or name not in model.chains):
                     counts["redemand_skipped"] += 1
                     continue
-                original = model.chains[name]
-                model.remove_chain(name)
-                model.add_chain(original.scaled(op.value))
-                last_plan = None
-                try:
-                    last_plan = coordinator.resolve(
-                        model, [name], LpObjective.MAX_THROUGHPUT
-                    )
+                if driver.redemand({name: op.value}):
                     counts["redemanded"] += 1
-                except FederationError:
-                    # The scaled demand does not fit a border: revert.
-                    model.remove_chain(name)
-                    model.add_chain(original)
+                else:
                     counts["redemand_skipped"] += 1
-            probe(label)
+            driver.probe(label)
 
-        last_plan = coordinator.plan_all(LpObjective.MAX_THROUGHPUT)
-        probe("final_plan")
+        driver.finish()
+        counts["crashes"], counts["swept"] = driver.crashes, driver.swept
+        violations = [
+            {"op": v["op"], "invariant": v["invariant"], "detail": v["problem"]}
+            for v in driver.violations
+        ]
     except Exception as exc:  # an escaped exception IS a finding
         return StackResult(
             stack="federation",

@@ -96,10 +96,6 @@ class LinkStats:
         or propagating)."""
         return self.sent - self.delivered - self.dropped
 
-    @property
-    def bytes_in_flight(self) -> int:
-        return self.bytes_sent - self.bytes_delivered - self.bytes_dropped
-
 
 @dataclass
 class _LinkState:

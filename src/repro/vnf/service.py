@@ -182,10 +182,6 @@ class VnfService:
     def committed(self, site: str) -> float:
         return self._committed.get(site, 0.0)
 
-    def committed_for(self, chain: str, site: str) -> float:
-        """Load this chain has committed at a site (0.0 if none)."""
-        return self._chain_committed.get((chain, site), 0.0)
-
     def pending_reservations(self) -> int:
         return len(self._reserved)
 

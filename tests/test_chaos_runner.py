@@ -83,6 +83,28 @@ def test_site_outage_recovery_reported():
     assert site_recoveries[0]["ratio"] == pytest.approx(1.0)
 
 
+def test_unexpected_exception_on_restore_path_escapes(monkeypatch):
+    """The re-extension after ``restore_site`` tolerates an
+    ``InstallationError`` only: a planted ``RuntimeError`` escapes
+    ``run_soak`` and reaches the fuzzer as a ``crash`` finding."""
+    from repro.controller import GlobalSwitchboard
+    from repro.scenarios.fuzzer import FuzzConfig, build_case, run_case_mono
+
+    def planted(self, chain_name):
+        raise RuntimeError("planted in extend_chain")
+
+    monkeypatch.setattr(GlobalSwitchboard, "extend_chain", planted)
+    with pytest.raises(RuntimeError, match="planted in extend_chain"):
+        run_soak(SoakConfig(seed=1, duration_s=DURATION))
+
+    # Case 0 of fuzz seed 1 schedules a site outage over installed chains.
+    case = build_case(FuzzConfig(seed=1, duration_s=12.0), 0)
+    assert "restore_site" in {e.kind for e in case.composed.faults.events}
+    result = run_case_mono(case)
+    assert [v["invariant"] for v in result.violations] == ["crash"]
+    assert "planted in extend_chain" in result.violations[0]["detail"]
+
+
 def test_proxy_crash_turns_publishes_into_drops():
     """While a proxy is down, publishes to it are accounted drops, not
     exceptions -- the strict=False bus path."""

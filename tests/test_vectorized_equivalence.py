@@ -3,9 +3,12 @@
 Each vectorized implementation keeps its pre-vectorization scalar
 twin in the tree as ground truth:
 
-- ``solve_chain_routing_lp`` (COO/columnar assembly) vs.
-  ``solve_chain_routing_lp_reference`` (per-variable loops);
-- ``plan_cloud_capacity`` vs. ``plan_cloud_capacity_reference``;
+- ``solve_chain_routing_lp`` (the columnar blocks of
+  ``repro.core.formulation``) vs. ``solve_chain_routing_lp_reference``
+  (its per-variable row generator);
+- ``plan_cloud_capacity`` vs. ``plan_cloud_capacity_reference`` and
+  ``plan_vnf_placement`` vs. ``plan_vnf_placement_reference``, over the
+  same two assemblies;
 - ``route_chains_dp`` with ``DpConfig(vectorized=True)`` vs. the
   scalar stage recurrence;
 - ``E2ETestbed.evaluate`` (numpy water-filling) vs.
@@ -19,17 +22,22 @@ tests pin the reuse/invalidation contract of the module-global
 constraint-matrix cache.
 """
 
+import random
+
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
+from hypothesis import given, settings, strategies as st
 
 from repro.core import capacity as capacity_mod
 from repro.core import lp as lp_mod
 from repro.core.capacity import (
     plan_cloud_capacity,
     plan_cloud_capacity_reference,
+    plan_vnf_placement,
+    plan_vnf_placement_reference,
 )
 from repro.core.dp import DpConfig, route_chains_dp
+from repro.core.model import Chain, CloudSite, Link, NetworkModel, VNF
 from repro.core.lp import (
     LpObjective,
     clear_matrix_cache,
@@ -59,7 +67,7 @@ def make_model(seed=3, num_chains=24, cities=8):
 
 
 def dense(matrix):
-    return np.zeros((0, 0)) if matrix is None else np.asarray(matrix.todense())
+    return np.asarray(matrix.todense())
 
 
 class TestLpMatrixEquivalence:
@@ -70,14 +78,8 @@ class TestLpMatrixEquivalence:
         model = make_model()
         ch = model.chain_columns()
         structure = lp_mod._structure_for(model, objective, True, None)
-        data_ub = structure.refreshed_ub_data(ch)
-        a_ub = csr_matrix(
-            (data_ub, (structure.ub_rows, structure.ub_cols)),
-            shape=(len(structure.b_ub), structure.n_total),
-        )
-        a_eq = csr_matrix(
-            (structure.eq_data, (structure.eq_rows, structure.eq_cols)),
-            shape=(len(structure.b_eq), structure.n_total),
+        a_ub, a_eq = structure.matrices(
+            structure.refresh(ch.stage_total, ch.stage_fwd, ch.stage_rev)
         )
         cost = lp_mod._cost_vector(structure, ch, objective, 1e-6)
 
@@ -108,21 +110,15 @@ class TestCapacityMatrixEquivalence:
     def test_matrices_match(self):
         model = make_model()
         budget = 50000.0
-        structure = capacity_mod._capacity_structure_for(model)
-        rows, cols, data, b_ub = structure.refreshed_ub(model, budget)
-        a_ub = csr_matrix(
-            (data, (rows, cols)), shape=(structure.n_ub, structure.n_total)
-        )
-        a_eq = csr_matrix(
-            (structure.eq_data, (structure.eq_rows, structure.eq_cols)),
-            shape=(structure.n_eq, structure.n_total),
-        )
+        structure = capacity_mod._CloudProgram(model)
+        data, b_ub = structure.refreshed(model, budget)
+        a_ub, a_eq = structure.matrices(data)
         cost = np.zeros(structure.n_total)
         cost[structure.alpha_index] = -1.0
 
         program = capacity_mod._scalar_cloud_program(model, budget)
         assert structure.n_total == program.n_total
-        assert structure.alpha_index == program.alpha_index
+        assert structure.alpha_index == program.n_total - 1
         assert np.max(np.abs(dense(a_ub) - dense(program.a_ub))) <= TOL
         assert np.max(np.abs(b_ub - program.b_ub)) <= TOL
         assert np.max(np.abs(dense(a_eq) - dense(program.a_eq))) <= TOL
@@ -134,6 +130,122 @@ class TestCapacityMatrixEquivalence:
         fast = plan_cloud_capacity(model, 50000.0)
         slow = plan_cloud_capacity_reference(model, 50000.0)
         assert fast.alpha == pytest.approx(slow.alpha, abs=1e-6)
+
+
+@st.composite
+def small_models(draw):
+    """A few nodes, a site per node (named out of sorted order), VNFs on
+    random site subsets, one or two links per ordered node pair, chains
+    of 0-3 VNFs with sometimes-zero reverse demand."""
+    rng = random.Random(draw(st.integers(0, 1_000_000)))
+    nodes = [f"n{i}" for i in range(draw(st.integers(2, 4)))]
+    latency = {
+        (a, b): rng.uniform(1.0, 40.0) for a in nodes for b in nodes if a != b
+    }
+    sites = [
+        CloudSite(f"S{(7 * i) % 10}-{node}", node, rng.choice([0.0, 50.0, 200.0]))
+        for i, node in enumerate(nodes)
+    ]
+    rng.shuffle(sites)
+    vnfs = []
+    for i in range(draw(st.integers(1, 3))):
+        hosts = rng.sample(sites, rng.randint(1, len(sites)))
+        vnfs.append(VNF(
+            f"f{(3 * i) % 4}", rng.uniform(0.5, 2.0),
+            {s.name: rng.uniform(5.0, 80.0) for s in hosts},
+        ))
+    links, routing = [], {}
+    for a in nodes:
+        for b in nodes:
+            if a == b or rng.random() < 0.2:
+                continue
+            names = [f"{b}>{a}#{k}" for k in range(rng.randint(1, 2))]
+            for name in names:
+                links.append(Link(
+                    name, a, b, rng.uniform(20.0, 200.0), rng.choice([0.0, 30.0])
+                ))
+            routing[(a, b)] = {name: 1.0 / len(names) for name in names}
+    chains = []
+    for i in range(draw(st.integers(1, 4))):
+        picked = rng.sample(vnfs, rng.randint(0, len(vnfs)))
+        chains.append(Chain(
+            f"c{i}", rng.choice(nodes), rng.choice(nodes),
+            [v.name for v in picked],
+            rng.uniform(0.5, 6.0), rng.choice([0.0, rng.uniform(0.1, 2.0)]),
+        ))
+    return NetworkModel(
+        nodes, latency, sites, vnfs, chains, links, routing,
+        mlu_limit=rng.choice([0.6, 1.0]),
+    )
+
+
+def assert_same_program(a_ub, b_ub, a_eq, b_eq, cost, program):
+    for ours, theirs in (
+        (dense(a_ub), dense(program.a_ub)),
+        (dense(a_eq), dense(program.a_eq)),
+        (b_ub, program.b_ub),
+        (b_eq, program.b_eq),
+        (cost, program.cost),
+    ):
+        assert ours.shape == theirs.shape
+        assert ours.size == 0 or np.max(np.abs(ours - theirs)) <= TOL
+
+
+class TestGeneratedModelEquivalence:
+    """Columnar blocks == scalar row generator, on generated models."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_models(), st.sampled_from(list(LpObjective)), st.booleans())
+    def test_routing_program(self, model, objective, enforce_mlu):
+        ch = model.chain_columns()
+        structure = lp_mod._RoutingProgram(model, objective, enforce_mlu)
+        a_ub, a_eq = structure.matrices(
+            structure.refresh(ch.stage_total, ch.stage_fwd, ch.stage_rev)
+        )
+        assert_same_program(
+            a_ub, structure.b_ub, a_eq, structure.b_eq,
+            lp_mod._cost_vector(structure, ch, objective, 1e-6),
+            lp_mod._scalar_program(model, objective, enforce_mlu, 1e-6),
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_models(), st.sampled_from([0.0, 25.0]))
+    def test_cloud_capacity_program(self, model, budget):
+        structure = capacity_mod._CloudProgram(model)
+        data, b_ub = structure.refreshed(model, budget)
+        a_ub, a_eq = structure.matrices(data)
+        cost = np.zeros(structure.n_total)
+        cost[structure.alpha_index] = -1.0
+        assert_same_program(
+            a_ub, b_ub, a_eq, structure.b_eq, cost,
+            capacity_mod._scalar_cloud_program(model, budget),
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(small_models(), st.integers(0, 2), st.sampled_from([10.0, 60.0]))
+    def test_placement_program_and_plan(self, model, quota, capacity):
+        quotas = {name: quota for name in list(model.vnfs)[:2]}
+        fast = plan_vnf_placement(model, quotas, capacity)
+        slow = plan_vnf_placement_reference(model, quotas, capacity)
+        assert fast.status == slow.status
+        assert fast.new_sites == slow.new_sites
+        if fast.solution is not None:
+            assert fast.objective == pytest.approx(
+                slow.objective, rel=1e-9, abs=1e-9
+            )
+
+        extended, candidates = capacity_mod._extended_catalog(
+            model, quotas, capacity
+        )
+        ours = capacity_mod._placement_program(extended, candidates, quotas)
+        theirs = capacity_mod._scalar_placement_program(
+            extended, candidates, quotas
+        )
+        assert ours.quota_first == theirs.quota_first
+        assert ours.w_index == theirs.w_index
+        assert_same_program(
+            ours.a_ub, ours.b_ub, ours.a_eq, ours.b_eq, ours.cost, theirs
+        )
 
 
 class TestDpVectorizedEquivalence:
