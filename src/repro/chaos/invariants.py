@@ -131,8 +131,9 @@ def link_conservation(net: "SimNetwork") -> Callable[[], list[str]]:
                     f"({s.bytes_delivered} + {s.bytes_dropped} > "
                     f"{s.bytes_sent})"
                 )
-            if state.queued_bytes < 0:
-                out.append(f"{link}: negative queue {state.queued_bytes}")
+            queued = state.queued_bytes(net.sim.now)
+            if queued < 0:
+                out.append(f"{link}: negative queue {queued}")
             prev = last.get((src, dst))
             now = (s.sent, s.delivered, s.dropped)
             if prev is not None and any(n < p for n, p in zip(now, prev)):
@@ -292,9 +293,18 @@ def no_orphaned_reservations(
 def bus_delivery(bus: "GlobalMessageBus") -> Callable[[], list[str]]:
     """Deliveries are attributable and sane: each recorded delivery
     belongs to an attached subscriber whose own receive log agrees,
-    latencies are non-negative, and WAN drops never exceed WAN sends."""
+    latencies are non-negative, and WAN drops never exceed WAN sends.
+
+    The delivery record only grows, so a probe reads it from where the
+    last one stopped and keeps running per-client counts; a negative
+    latency once found is reported by every later probe, as a full
+    re-walk would."""
+    cursor = 0
+    negative: list[str] = []
+    per_client: dict[str, int] = {}
 
     def probe() -> list[str]:
+        nonlocal cursor
         out = []
         stats = bus.stats
         if stats.wan_drops > stats.wan_messages:
@@ -302,16 +312,18 @@ def bus_delivery(bus: "GlobalMessageBus") -> Callable[[], list[str]]:
                 f"wan_drops {stats.wan_drops} > wan_messages "
                 f"{stats.wan_messages}"
             )
-        per_client: dict[str, int] = {}
-        for delivery in stats.deliveries:
+        deliveries = stats.deliveries
+        for delivery in deliveries[cursor:]:
             if delivery.latency < -_EPS:
-                out.append(
+                negative.append(
                     f"negative delivery latency {delivery.latency:.6f}s "
                     f"to {delivery.subscriber!r}"
                 )
             per_client[delivery.subscriber] = (
                 per_client.get(delivery.subscriber, 0) + 1
             )
+        cursor = len(deliveries)
+        out += negative
         for name, count in per_client.items():
             client = bus.clients.get(name)
             if client is None:

@@ -206,6 +206,12 @@ class BusDrivenInstaller:
             metrics=metrics,
             seed=self.resilience.seed,
         )
+        self._gs_handlers = {
+            "chain_request": self._on_chain_request,
+            "sites_resolved": self._on_sites_resolved,
+            "prepare_ack": self._on_ack,
+            "commit_ack": self._on_ack,
+        }
         self._gs_rpc = self.rpc.endpoint(self.gs_host, self._gs_receive)
         self._edge_rpc = self.rpc.endpoint(self.edge_host, self._edge_receive)
         self._vnf_rpc = {
@@ -353,11 +359,6 @@ class BusDrivenInstaller:
                 self.gs.router.rollback(name)
                 self.gs.model.remove_chain(name)
             self.gs.labels.release(name)
-        # Drop this install's bus subscriptions so a reused label cannot
-        # trigger its stale callbacks.
-        for raw in pending.involved_topics:
-            for client in self.local_clients.values():
-                self.bus.unsubscribe(client, raw)
         self._remove_checkpoint(name)
         self._fail(pending, reason)
         return True
@@ -453,12 +454,7 @@ class BusDrivenInstaller:
     # -- Global Switchboard host -------------------------------------------
 
     def _gs_receive(self, sender: str, message: dict) -> None:
-        handler = {
-            "chain_request": self._on_chain_request,
-            "sites_resolved": self._on_sites_resolved,
-            "prepare_ack": self._on_ack,
-            "commit_ack": self._on_ack,
-        }.get(message.get("type"))
+        handler = self._gs_handlers.get(message.get("type"))
         if handler is not None:
             handler(message)
 
@@ -742,22 +738,21 @@ class BusDrivenInstaller:
             )
         # Local Switchboards subscribe for the instance announcements
         # (the Section 6 topic layout: filters land at publisher sites).
-        pending.involved_topics = {
-            str(
-                Topic(
-                    chain=f"c{installation.label}",
-                    egress=pending.egress_site,
-                    vnf=vnf_name,
-                    site=vnf_site,
-                    kind="instances",
-                )
+        for vnf_name, vnf_site in involved:
+            topic = Topic(
+                chain=f"c{installation.label}",
+                egress=pending.egress_site,
+                vnf=vnf_name,
+                site=vnf_site,
+                kind="instances",
             )
-            for vnf_name, vnf_site in involved
-        }
+            pending.involved_topics[str(topic)] = topic
         for site in self._route_sites(pending):
+            client = self.local_clients[site]
+            pending.subscribers.append(client)
             callback = self._make_local_callback(pending, site)
-            for raw in pending.involved_topics:
-                self.bus.subscribe(self.local_clients[site], raw, callback)
+            for topic in pending.involved_topics.values():
+                self.bus.subscribe(client, topic, callback)
 
     def _publish_instances(
         self, pending: "_PendingInstall", vnf_name: str, site: str
@@ -798,7 +793,7 @@ class BusDrivenInstaller:
             seen.add(topic)
             # Compile rules only once every involved VNF's instances are
             # known (next-hop weights need the downstream assignments).
-            if seen < pending.involved_topics:
+            if seen < pending.involved_topics.keys():
                 return
 
             def configure() -> None:
@@ -839,34 +834,39 @@ class BusDrivenInstaller:
             configure,
         )
 
-    def _complete(self, pending: "_PendingInstall") -> None:
-        """Success path: release the pending entry, disarm timers,
-        clear durable markers, and notify the caller -- symmetric with
-        :meth:`_fail`."""
+    def _retire(self, pending: "_PendingInstall") -> None:
+        """The common end of an install, completed or failed: release
+        the pending entry, disarm its timers, close its spans, clear its
+        durable marker -- and drop its bus subscriptions, so a straggler
+        publication finds no callback (labels may be reused after an
+        abort) and neither the bus's filter tables nor the callbacks'
+        closures keep a finished install alive."""
         name = pending.spec.name
         if self._pending.get(name) is pending:
             del self._pending[name]
         self.deadlines.disarm(name)
         self._cancel_redrive(pending)
+        for client in pending.subscribers:
+            for topic in pending.involved_topics.values():
+                self.bus.unsubscribe(client, topic)
         self._finish_open_stages(pending)
         self._clear_marker(name)
+
+    def _complete(self, pending: "_PendingInstall") -> None:
+        """Success path: retire the install and notify the caller --
+        symmetric with :meth:`_fail`."""
+        self._retire(pending)
         # Mirror bus-driven installs into an attached federation the
         # same way the direct create_chain path does.
-        self.gs._notify_federation_installed(name)
+        self.gs._notify_federation_installed(pending.spec.name)
         if self.metrics is not None:
             self.metrics.counter("install.completed").inc()
         if pending.on_complete is not None:
             pending.on_complete(pending.timeline)
 
     def _fail(self, pending: "_PendingInstall", reason: str) -> None:
-        name = pending.spec.name
-        if self._pending.get(name) is pending:
-            del self._pending[name]
-        self.deadlines.disarm(name)
-        self._cancel_redrive(pending)
         pending.timeline.failed = reason
-        self._finish_open_stages(pending)
-        self._clear_marker(name)
+        self._retire(pending)
         if self.metrics is not None:
             self.metrics.counter("install.failed").inc()
         if pending.on_complete is not None:
@@ -889,7 +889,10 @@ class _PendingInstall:
     )
     loads: dict[tuple[str, str], float] = field(default_factory=dict)
     awaiting_instances: set[tuple[str, str]] = field(default_factory=set)
-    involved_topics: set[str] = field(default_factory=set)
+    #: raw topic -> parsed topic of every instance announcement awaited,
+    #: and the bus clients subscribed to them (released at retirement).
+    involved_topics: dict[str, Topic] = field(default_factory=dict)
+    subscribers: list[str] = field(default_factory=list)
     #: site -> topics whose instance info has arrived there.
     seen_instance_info: dict[str, set[str]] = field(default_factory=dict)
     #: stage name -> open tracing span (populated only when the

@@ -527,8 +527,10 @@ class _DpRouter:
         return path
 
     def _stage_fronts(self, chain: Chain) -> list[_StageFront]:
-        """Per-stage static arrays (cached per chain structure)."""
-        key = (chain.name, chain.ingress, chain.egress, tuple(chain.vnfs))
+        """Per-stage static arrays, cached per chain *shape*: nothing in
+        them depends on the chain's name, so churn (every install a new
+        name) hits, and the cache is bounded by the shapes in use."""
+        key = (chain.ingress, chain.egress, tuple(chain.vnfs))
         cached = self._chain_static.get(key)
         if cached is not None:
             return cached

@@ -45,7 +45,9 @@ def collect_network(registry: MetricsRegistry, net: "SimNetwork") -> None:
         registry.gauge("link.bytes_dropped_total", link=link).set(
             stats.bytes_dropped
         )
-        registry.gauge("link.queued_bytes", link=link).set(state.queued_bytes)
+        registry.gauge("link.queued_bytes", link=link).set(
+            state.queued_bytes(net.sim.now)
+        )
 
 
 def collect_bus(

@@ -204,11 +204,6 @@ class RpcLayer:
         self._next_id += 1
         return self._next_id
 
-    def _count(self, name: str, plain: str) -> None:
-        setattr(self, plain, getattr(self, plain) + 1)
-        if self.metrics is not None:
-            self.metrics.counter(name).inc()
-
     def outstanding(self) -> int:
         """Un-acked messages across all endpoints."""
         return sum(len(e._pending) for e in self.endpoints.values())
@@ -257,11 +252,14 @@ class RpcEndpoint:
         return pending.id
 
     def _transmit(self, pending: _PendingSend) -> None:
-        cfg = self.layer.config
-        self.layer._count("rpc.sent", "sent")
+        layer = self.layer
+        cfg = layer.config
+        layer.sent += 1
+        if layer.metrics is not None:
+            layer.metrics.counter("rpc.sent").inc()
         # strict=False: a crashed/unknown destination becomes an
         # accounted drop; the retransmit timer is the recovery path.
-        self.layer.network.send(
+        layer.network.send(
             self.host_name,
             pending.dst,
             {"rpc": "msg", "id": pending.id, "payload": pending.payload},
@@ -269,22 +267,26 @@ class RpcEndpoint:
             strict=False,
         )
         delay = backoff_delay(
-            cfg.timeout_s, cfg.backoff, cfg.jitter,
-            pending.attempt, self.layer._rng,
+            cfg.timeout_s, cfg.backoff, cfg.jitter, pending.attempt, layer._rng
         )
-        pending.timer = self.layer.sim.schedule(delay, self._timeout, pending)
+        pending.timer = layer.sim.schedule(delay, self._timeout, pending)
 
     def _timeout(self, pending: _PendingSend) -> None:
         if pending.id not in self._pending:
             return  # acked in the meantime (timer raced its own cancel)
-        if pending.attempt >= self.layer.config.max_retries:
+        layer = self.layer
+        if pending.attempt >= layer.config.max_retries:
             del self._pending[pending.id]
-            self.layer._count("rpc.timeouts", "timeouts")
+            layer.timeouts += 1
+            if layer.metrics is not None:
+                layer.metrics.counter("rpc.timeouts").inc()
             if pending.on_failure is not None:
                 pending.on_failure(pending.dst, pending.payload)
             return
         pending.attempt += 1
-        self.layer._count("rpc.retries", "retries")
+        layer.retries += 1
+        if layer.metrics is not None:
+            layer.metrics.counter("rpc.retries").inc()
         self._transmit(pending)
 
     def cancel_matching(self, predicate: Callable[[Any], bool]) -> int:
@@ -308,13 +310,16 @@ class RpcEndpoint:
     # -- receiving -------------------------------------------------------
 
     def _receive(self, sender: str, message: Any) -> None:
+        layer = self.layer
         kind = message.get("rpc") if isinstance(message, dict) else None
         if kind == "ack":
             pending = self._pending.pop(message["id"], None)
             if pending is not None:
                 if pending.timer is not None:
                     pending.timer.cancel()
-                self.layer._count("rpc.acked", "acked")
+                layer.acked += 1
+                if layer.metrics is not None:
+                    layer.metrics.counter("rpc.acked").inc()
             return
         if kind != "msg":
             # Not an RPC envelope: a legacy bare send -- dispatch as-is.
@@ -323,19 +328,19 @@ class RpcEndpoint:
         msg_id = message["id"]
         # Ack first, even for duplicates: the previous ack may be the
         # thing the network lost.
-        self.layer.network.send(
+        layer.network.send(
             self.host_name,
             sender,
             {"rpc": "ack", "id": msg_id},
-            self.layer.config.ack_bytes,
+            layer.config.ack_bytes,
             strict=False,
         )
         if msg_id in self._seen:
-            self.layer._count(
-                "rpc.duplicates_suppressed", "duplicates_suppressed"
-            )
+            layer.duplicates_suppressed += 1
+            if layer.metrics is not None:
+                layer.metrics.counter("rpc.duplicates_suppressed").inc()
             return
         self._seen[msg_id] = None
-        while len(self._seen) > self.layer.config.dedup_window:
+        while len(self._seen) > layer.config.dedup_window:
             self._seen.popitem(last=False)
         self.handler(sender, message["payload"])

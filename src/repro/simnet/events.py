@@ -3,54 +3,61 @@
 The simulator is deterministic: events scheduled for the same time fire in
 the order they were scheduled (FIFO tie-break via a monotonically
 increasing sequence number), which keeps every experiment reproducible.
+
+A scheduled event is one object: the heap entry *is* the handle handed
+back to the caller.  It is a list ``[time, seq, callback, args, sim]``,
+so the heap orders entries with the C list comparison -- ``seq`` is
+unique, so nothing past it is ever compared -- and no Python-level
+``__lt__`` runs on a push or a pop (DESIGN section 16).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
 from typing import Any, Callable
+
+_INF = math.inf
 
 
 class SimulationError(Exception):
     """Raised on invalid use of the simulator (e.g. scheduling in the past)."""
 
 
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    callback: Callable[..., None] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
+class EventHandle(list):
+    """A scheduled event, ``[time, seq, callback, args, sim]``; supports
+    cancellation.
 
+    ``time`` and ``seq`` are the heap's ordering key and are never
+    written after the push: changing them under the heap would break its
+    invariant for every other entry.  Cancelling clears the callback (and
+    releases the arguments); firing clears the simulator reference, which
+    makes the entry inert.
+    """
 
-class EventHandle:
-    """Handle to a scheduled event; supports cancellation."""
-
-    __slots__ = ("_event", "_sim")
-
-    def __init__(self, event: _Event, sim: "Simulator | None" = None):
-        self._event = event
-        self._sim = sim
+    __slots__ = ()
 
     @property
     def time(self) -> float:
         """Simulated time at which the event fires."""
-        return self._event.time
+        return self[0]
 
     @property
     def cancelled(self) -> bool:
-        return self._event.cancelled
+        """True once :meth:`cancel` stopped the event from firing.  An
+        event that already fired was not cancelled: this reads False for
+        it, before and after any later :meth:`cancel`."""
+        return self[2] is None
 
     def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent."""
-        if self._event.cancelled:
+        """Prevent the event from firing.  Idempotent, and a no-op on an
+        event that already fired."""
+        sim = self[4]
+        if sim is None or self[2] is None:
             return
-        self._event.cancelled = True
-        if self._sim is not None:
-            self._sim._note_cancelled()
+        self[2] = None
+        self[3] = ()
+        sim._note_cancelled()
 
 
 class Simulator:
@@ -69,7 +76,7 @@ class Simulator:
     _COMPACT_MIN_PENDING = 64
 
     def __init__(self) -> None:
-        self._heap: list[_Event] = []
+        self._heap: list[EventHandle] = []
         self._now = 0.0
         self._seq = 0
         self._events_processed = 0
@@ -94,9 +101,9 @@ class Simulator:
         self, delay: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
-        if not math.isfinite(delay):
-            raise SimulationError(f"non-finite delay: {delay}")
-        if delay < 0:
+        if not 0 <= delay < _INF:  # also false for NaN
+            if not math.isfinite(delay):
+                raise SimulationError(f"non-finite delay: {delay}")
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         return self.schedule_at(self._now + delay, callback, *args)
 
@@ -104,48 +111,36 @@ class Simulator:
         self, time: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
         """Schedule ``callback(*args)`` to fire at absolute simulated ``time``."""
-        if not math.isfinite(time):
-            raise SimulationError(f"non-finite event time: {time}")
-        if time < self._now:
+        if not self._now <= time < _INF:  # also false for NaN
+            if not math.isfinite(time):
+                raise SimulationError(f"non-finite event time: {time}")
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self._now}"
             )
-        event = _Event(time=time, seq=self._seq, callback=callback, args=args)
+        event = EventHandle((time, self._seq, callback, args, self))
         self._seq += 1
         heapq.heappush(self._heap, event)
-        return EventHandle(event, self)
+        return event
 
     def _note_cancelled(self) -> None:
         """Called by :class:`EventHandle` when a queued event is cancelled."""
         self._cancelled_pending += 1
+        heap = self._heap
         if (
-            len(self._heap) >= self._COMPACT_MIN_PENDING
-            and self._cancelled_pending * 2 > len(self._heap)
+            len(heap) >= self._COMPACT_MIN_PENDING
+            and self._cancelled_pending * 2 > len(heap)
         ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled events and re-heapify, bounding queue memory."""
-        self._heap = [event for event in self._heap if not event.cancelled]
-        heapq.heapify(self._heap)
-        self._cancelled_pending = 0
-
-    def _discard_cancelled(self, event: _Event) -> None:
-        if self._cancelled_pending > 0:
-            self._cancelled_pending -= 1
+            # Drop the cancelled entries and re-heapify, bounding queue
+            # memory.  In place: a running dispatch loop holds this list.
+            heap[:] = [event for event in heap if event[2] is not None]
+            heapq.heapify(heap)
+            self._cancelled_pending = 0
 
     def step(self) -> bool:
         """Fire the next pending event.  Returns False when none remain."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                self._discard_cancelled(event)
-                continue
-            self._now = event.time
-            self._events_processed += 1
-            event.callback(*event.args)
-            return True
-        return False
+        before = self._events_processed
+        self.run(max_events=1)
+        return self._events_processed != before
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run until the event queue drains, ``until`` is reached, or
@@ -157,34 +152,24 @@ class Simulator:
         events are still pending, the clock advances as far toward ``until``
         as possible without passing the next unfired event.
         """
-        fired = 0
-        while self._heap:
-            if max_events is not None and fired >= max_events:
-                break
-            next_event = self._heap[0]
-            if next_event.cancelled:
-                heapq.heappop(self._heap)
-                self._discard_cancelled(next_event)
+        heap, pop = self._heap, heapq.heappop
+        horizon = _INF if until is None else until
+        budget = -1 if max_events is None else max(max_events, 0)
+        while heap:
+            event = heap[0]
+            callback = event[2]
+            if callback is None:
+                pop(heap)
+                self._cancelled_pending -= 1
                 continue
-            if until is not None and next_event.time > until:
+            if budget == 0 or event[0] > horizon:
                 break
-            self.step()
-            fired += 1
+            pop(heap)
+            budget -= 1
+            self._now = event[0]
+            self._events_processed += 1
+            event[4] = None  # fired: a later cancel() is a no-op
+            callback(*event[3])
         if until is not None and until > self._now:
-            target = until
-            next_time = self._next_pending_time()
-            if next_time is not None:
-                target = min(target, next_time)
-            if target > self._now:
-                self._now = target
-
-    def _next_pending_time(self) -> float | None:
-        """Time of the earliest non-cancelled queued event, if any."""
-        while self._heap:
-            event = self._heap[0]
-            if event.cancelled:
-                heapq.heappop(self._heap)
-                self._discard_cancelled(event)
-                continue
-            return event.time
-        return None
+            # The head, if any, is unfired: do not pass it.
+            self._now = min(until, heap[0][0]) if heap else until

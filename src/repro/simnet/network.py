@@ -8,6 +8,11 @@ Messages sent between hosts experience, per directed link:
 - *drops* when the backlog of queued-but-untransmitted bytes exceeds the
   link's buffer.
 
+A message costs the simulator one event, its delivery.  Nothing is
+scheduled for the end of its serialization: a link keeps the
+``(serialization end, size)`` of what it accepted and retires entries
+when its occupancy is read (DESIGN section 16).
+
 These are exactly the effects that separate Switchboard's message-bus
 topology from full-mesh broadcast in Figure 9: broadcast serializes one
 copy per subscriber through the publisher's uplink, so its queueing delay
@@ -27,6 +32,7 @@ conservation continuously while faults play.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence, TYPE_CHECKING
 
@@ -103,8 +109,11 @@ class _LinkState:
     stats: LinkStats = field(default_factory=LinkStats)
     # Time at which the transmitter finishes the last queued message.
     busy_until: float = 0.0
-    # Bytes accepted but not yet fully serialized (the queue occupancy).
-    queued_bytes: int = 0
+    # ``(serialization end, size)`` of accepted messages, FIFO, and the
+    # sum of their sizes.  Nothing is scheduled to retire an entry: read
+    # the occupancy through :meth:`queued_bytes`, which retires first.
+    serializing: deque = field(default_factory=deque)
+    _queued: int = 0
     # Cached per-link metric handles (queue-delay histogram, delivered
     # and dropped counters), created lazily on first use so links on an
     # un-instrumented network pay nothing.
@@ -117,14 +126,26 @@ class _LinkState:
     #: Propagation-delay multiplier (>= 1 models degradation).
     delay_multiplier: float = 1.0
 
+    def queued_bytes(self, now: float) -> int:
+        """Bytes accepted but not yet fully serialized at ``now`` (the
+        queue occupancy).  A message whose last bit leaves at exactly
+        ``now`` has left."""
+        queue = self.serializing
+        while queue and queue[0][0] <= now:
+            self._queued -= queue.popleft()[1]
+        return self._queued
+
 
 class Host:
     """A named endpoint attached to the simulated network.
 
-    A host delivers incoming messages to its registered receive callback.
-    The optional ``site`` attribute groups hosts for site-local (zero
-    link) communication, mirroring how the paper colocates proxies,
-    forwarders, and VNF instances at a cloud site.
+    A host hands incoming messages to its registered receive callback
+    and keeps nothing.  A host with no receiver is a sink: it logs what
+    arrives in ``received`` as ``(time, sender, payload)`` -- a log is
+    kept by whoever has no other reader.  The optional ``site``
+    attribute groups hosts for site-local (zero link) communication,
+    mirroring how the paper colocates proxies, forwarders, and VNF
+    instances at a cloud site.
     """
 
     def __init__(self, network: "SimNetwork", name: str, site: str | None = None):
@@ -146,19 +167,13 @@ class Host:
         return self.network.send(self.name, dst, payload, size_bytes,
                                  strict=strict)
 
-    def _deliver(self, sender: str, payload: Any) -> None:
-        self.received.append((self.network.sim.now, sender, payload))
-        if self._receiver is not None:
-            self._receiver(sender, payload)
-
-    def _deliver_from_link(
+    def _deliver(
         self, state: "_LinkState", size_bytes: int, sender: str, payload: Any
     ) -> None:
-        """Delivery event for un-instrumented networks: count the
-        message against its link *now* (not at send time), then deliver.
-        One call frame instead of two keeps the common metrics-off
-        configuration at seed-level speed; the instrumented twin is
-        :meth:`SimNetwork._complete_delivery`.
+        """Delivery event: count the message against its link *now* (not
+        at send time, which keeps ``LinkStats.delivered`` honest when the
+        simulator stops with messages still in flight), then hand it
+        over.
 
         A message still crossing a link when the link fails or the
         destination crashes is accounted as a drop at its (would-be)
@@ -172,9 +187,12 @@ class Host:
         stats = state.stats
         stats.delivered += 1
         stats.bytes_delivered += size_bytes
-        self.received.append((network.sim.now, sender, payload))
+        if network.metrics is not None:
+            network._link_obs(state, sender, self.name)[2].inc()
         if self._receiver is not None:
             self._receiver(sender, payload)
+        else:
+            self.received.append((network.sim.now, sender, payload))
 
 
 class SimNetwork:
@@ -450,7 +468,8 @@ class SimNetwork:
             return False
         if size_bytes <= 0:
             raise NetworkError(f"non-positive message size {size_bytes}")
-        state = self._resolve_link(src, dst)
+        # The common case inline; _resolve_link materializes the rest.
+        state = self._links.get((src, dst)) or self._resolve_link(src, dst)
         if state is None:
             raise NetworkError(f"no link {src!r} -> {dst!r} and no default link")
 
@@ -470,7 +489,7 @@ class SimNetwork:
         if not state.up:
             self._count_drop(state, size_bytes, src, dst, "link_down")
             return False
-        if self._cut_by_partition(src, dst):
+        if self._partition is not None and self._cut_by_partition(src, dst):
             self._count_drop(state, size_bytes, src, dst, "partition")
             return False
         if state.loss > 0.0 and self._fault_rng is not None and (
@@ -479,89 +498,40 @@ class SimNetwork:
             self._count_drop(state, size_bytes, src, dst, "loss")
             return False
 
-        now = self.sim.now
-        delay = spec.delay_s * state.delay_multiplier
-        if spec.bandwidth_bps is None:
-            # Infinite bandwidth: no queueing, no serialization, and (by
-            # LinkSpec validation) no buffer to overflow.
-            if self.metrics is None:
-                self.sim.schedule(
-                    delay,
-                    dst_host._deliver_from_link, state, size_bytes, src,
-                    payload,
-                )
-            else:
-                self.sim.schedule(
-                    delay,
-                    self._complete_delivery, state, src, dst_host, payload,
-                    size_bytes,
-                )
-                q_hist, s_hist, *_ = self._link_obs(state, src, dst)
-                q_hist.observe(0.0)
-                s_hist.observe(0.0)
-            return True
-
-        if (
-            spec.buffer_bytes is not None
-            and state.queued_bytes + size_bytes > spec.buffer_bytes
-        ):
-            stats.dropped += 1
-            stats.bytes_dropped += size_bytes
-            if self.metrics is not None:
-                obs = self._link_obs(state, src, dst)
-                obs[3].inc()
-                obs[4].inc(size_bytes)
-            return False
-
-        serialization = size_bytes * 8 / spec.bandwidth_bps
-        start = max(now, state.busy_until)
-        done = start + serialization
-        state.busy_until = done
-        state.queued_bytes += size_bytes
-        self.sim.schedule_at(done, self._drain, state, size_bytes)
-        if self.metrics is None:
-            self.sim.schedule_at(
-                done + delay,
-                dst_host._deliver_from_link, state, size_bytes, src, payload,
-            )
-        else:
-            self.sim.schedule_at(
-                done + delay,
-                self._complete_delivery, state, src, dst_host, payload,
-                size_bytes,
-            )
+        sim = self.sim
+        now = done = sim.now
+        queue_delay = serialization = 0.0
+        # Infinite bandwidth: no queueing, no serialization, and (by
+        # LinkSpec validation) no buffer to overflow.
+        if spec.bandwidth_bps is not None:
+            queued = state.queued_bytes(now)  # retires what has left
+            if (
+                spec.buffer_bytes is not None
+                and queued + size_bytes > spec.buffer_bytes
+            ):
+                stats.dropped += 1
+                stats.bytes_dropped += size_bytes
+                if self.metrics is not None:
+                    obs = self._link_obs(state, src, dst)
+                    obs[3].inc()
+                    obs[4].inc(size_bytes)
+                return False
+            if state.busy_until > now:
+                queue_delay = state.busy_until - now
+                done = state.busy_until
+            serialization = size_bytes * 8 / spec.bandwidth_bps
+            state.busy_until = done = done + serialization
+            state.serializing.append((done, size_bytes))
+            state._queued = queued + size_bytes
+        sim.schedule_at(
+            done + spec.delay_s * state.delay_multiplier,
+            dst_host._deliver, state, size_bytes, src, payload,
+        )
+        if self.metrics is not None:
             q_hist, s_hist, *_ = self._link_obs(state, src, dst)
-            q_hist.observe(start - now)
+            q_hist.observe(queue_delay)
             s_hist.observe(serialization)
         return True
-
-    def _drain(self, state: _LinkState, size_bytes: int) -> None:
-        state.queued_bytes -= size_bytes
-
-    def _complete_delivery(
-        self,
-        state: _LinkState,
-        src: str,
-        dst_host: Host,
-        payload: Any,
-        size_bytes: int,
-    ) -> None:
-        """Delivery event: count the message delivered *now*, then hand
-        it to the destination host.  Counting here (rather than at send
-        time) keeps ``LinkStats.delivered`` honest when the simulator
-        stops with messages still in flight.  A message whose link went
-        down or whose destination crashed while it was crossing becomes
-        a drop instead."""
-        if not state.up or dst_host.name in self._crashed:
-            self._count_drop(state, size_bytes, src, dst_host.name,
-                             "in_flight")
-            return
-        stats = state.stats
-        stats.delivered += 1
-        stats.bytes_delivered += size_bytes
-        if self.metrics is not None:
-            self._link_obs(state, src, dst_host.name)[2].inc()
-        dst_host._deliver(src, payload)
 
     def run(self, until: float | None = None) -> None:
         """Convenience passthrough to the underlying simulator."""

@@ -171,6 +171,86 @@ class TestBusDelivery:
         assert any("negative" in v for v in bus_delivery(d.bus)())
 
 
+def _bus_delivery_full_walk(bus):
+    """The probe as it was before it kept a cursor: re-walk every
+    delivery ever recorded.  The incremental probe must say the same."""
+    out = []
+    stats = bus.stats
+    if stats.wan_drops > stats.wan_messages:
+        out.append(f"wan_drops {stats.wan_drops} > wan_messages {stats.wan_messages}")
+    per_client = {}
+    for delivery in stats.deliveries:
+        if delivery.latency < -1e-6:
+            out.append(
+                f"negative delivery latency {delivery.latency:.6f}s "
+                f"to {delivery.subscriber!r}"
+            )
+        per_client[delivery.subscriber] = per_client.get(delivery.subscriber, 0) + 1
+    for name, count in per_client.items():
+        client = bus.clients.get(name)
+        if client is None:
+            out.append(f"delivery recorded for unknown client {name!r}")
+        elif len(client.received) != count:
+            out.append(
+                f"client {name!r} logged {len(client.received)} "
+                f"receipts but the bus recorded {count} deliveries"
+            )
+    return out
+
+
+class TestBusDeliveryIsIncremental:
+    def test_every_probe_reports_what_a_full_walk_would(self, deployment):
+        d = deployment
+        d.bus.attach("real", "A")
+        d.bus.attach("other", "A")
+        probe = bus_delivery(d.bus)
+        log = d.bus.clients["real"].received
+        steps = [
+            lambda: None,
+            lambda: d.bus.stats.deliveries.append(Delivery("/t", "real", 0.0, 1.0)),
+            lambda: log.append((1.0, "/t", None)),  # now the log agrees
+            lambda: d.bus.stats.deliveries.append(Delivery("/t", "real", 5.0, 0.0)),
+            lambda: log.append((0.0, "/t", None)),
+            lambda: log.append((0.0, "/t", "planted")),  # an extra receipt
+            lambda: d.bus.stats.deliveries.append(Delivery("/t", "nobody", 0.0, 1.0)),
+            lambda: d.bus.stats.deliveries.append(Delivery("/t", "other", 2.0, 1.0)),
+            lambda: log.pop(),
+            lambda: None,
+        ]
+        seen = []
+        for step in steps:
+            step()
+            found = probe()
+            assert found == _bus_delivery_full_walk(d.bus)
+            seen.append(found)
+        # what was found once is still reported: the negative latency
+        # and the phantom subscriber never go away
+        assert any("negative" in v for v in seen[-1])
+        assert any("unknown client" in v for v in seen[-1])
+        assert sum("negative" in v for v in seen[-1]) == 2
+
+    def test_a_probe_costs_the_deliveries_since_the_last_one(self, deployment):
+        d = deployment
+        d.bus.attach("real", "A")
+        probe = bus_delivery(d.bus)
+
+        class Counting(list):
+            walked = 0
+
+            def __getitem__(self, index):
+                got = list.__getitem__(self, index)
+                Counting.walked += len(got)
+                return got
+
+        d.bus.stats.deliveries = Counting(d.bus.stats.deliveries)
+        for round_ in range(20):
+            for _ in range(10):
+                d.bus.stats.deliveries.append(Delivery("/t", "real", 0.0, 1.0))
+                d.bus.clients["real"].received.append((1.0, "/t", None))
+            assert probe() == []
+        assert Counting.walked == len(d.bus.stats.deliveries)
+
+
 class TestLeaseSafety:
     def make_monitor(self):
         return LeaseMonitor(ReplicatedStore(["r1", "r2", "r3"]))

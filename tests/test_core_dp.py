@@ -202,3 +202,33 @@ class TestIncrementalRouter:
         # Syncing to a larger value never *increases* (conservative).
         router.sync_vnf_capacity("fw", "B", 100.0)
         assert router.residual_vnf_capacity("fw", "B") == pytest.approx(5.0)
+
+
+class TestStageFrontCache:
+    def test_keyed_by_shape_so_churn_hits_and_stays_bounded(self):
+        # Regression: the per-chain static arrays were keyed by chain
+        # *name*, so under churn (every install a new name) the cache
+        # never hit and grew by one entry per chain ever routed.
+        def churn(router, model, clear):
+            flows = []
+            for i in range(200):
+                name = f"churn{i}"
+                model.add_chain(Chain(name, "a", "c", ["fw"], 0.5))
+                if clear:  # the reference: every route builds its fronts
+                    router._router._chain_static.clear()
+                fraction = router.route(name)
+                flows.append((fraction, dict(router.solution.stage_flows(name, 1)),
+                              dict(router.solution.stage_flows(name, 2))))
+                if i % 3:
+                    router.rollback(name)
+                    model.remove_chain(name)
+            return flows
+
+        cached_model, reference_model = small_model(), small_model()
+        cached = IncrementalDpRouter(cached_model)
+        reference = IncrementalDpRouter(reference_model)
+        assert churn(cached, cached_model, False) == churn(
+            reference, reference_model, True
+        )
+        # 200 names, one (ingress, egress, vnfs) shape: one entry.
+        assert len(cached._router._chain_static) == 1

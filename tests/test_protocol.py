@@ -228,3 +228,100 @@ class TestBusDrivenInstallation:
         assert t1.completed_at is not None
         assert t2.completed_at is not None
         assert gs.installations.keys() == {"c1", "c2"}
+
+
+def _subscription_state(bus):
+    """Every per-topic entry the bus holds, by table."""
+    return {
+        "site_filters": {k for t in bus._site_filters.values() for k in t},
+        "local_subscribers": {
+            k for t in bus._local_subscribers.values() for k in t
+        },
+        "topic_callbacks": {
+            k for c in bus.clients.values() for k in c.topic_callbacks
+        },
+    }
+
+
+class TestSubscriptionsAreReleased:
+    """A finished install leaves nothing on the bus: the filter tables,
+    the fan-out lists and the per-topic callbacks (whose closures hold
+    the whole pending install) are those of installs still in flight."""
+
+    def specs(self, count):
+        return [
+            ChainSpecification(
+                f"c{i}", "vpn", "in", "out", ["fw"], forward_demand=1.0,
+                src_prefix=f"10.{i}.0.0/24", dst_prefixes=[f"20.0.{i}.0/24"],
+            )
+            for i in range(count)
+        ]
+
+    def test_completed_installs_hold_no_bus_state(self):
+        gs, *_ = build()
+        installer = make_installer(gs)
+        timelines = []
+        for s in self.specs(6):
+            timelines.append(installer.install(s))
+            installer.network.run()
+        assert all(t.completed_at is not None for t in timelines)
+        assert not any(_subscription_state(installer.bus).values())
+
+    def test_only_the_pending_install_is_subscribed(self):
+        gs, *_ = build()
+        installer = make_installer(gs)
+        first, second = self.specs(2)
+        done = installer.install(first)
+        installer.network.run()
+        live = installer.install(second)
+        while live.route_published_at is None:
+            assert installer.sim.step()
+        label = live.installation.label
+        state = _subscription_state(installer.bus)
+        assert all(state.values())
+        for topics in state.values():
+            assert all(t.startswith(f"/c{label}/") for t in topics)
+        assert done.installation.label != label
+        installer.network.run()
+        assert live.completed_at is not None
+        assert not any(_subscription_state(installer.bus).values())
+
+    def test_late_duplicate_publication_is_harmless(self):
+        gs, _dp, service, *_ = build()
+        installer = make_installer(gs)
+        timeline = installer.install(self.specs(1)[0])
+        while timeline.route_published_at is None:
+            assert installer.sim.step()
+        topics = list(installer._pending["c0"].involved_topics.values())
+        installer.network.run()
+        assert timeline.completed_at is not None
+        rules = {
+            name: dict(fwd.rules)
+            for name, fwd in gs.dataplane.forwarders.items()
+        }
+        before = (installer.bus.stats.wan_messages, installer.bus.stats.delivered)
+        # The announcement again, after completion: nobody is subscribed
+        # any more, so it dies at the publisher's proxy.
+        assert installer.bus.publish("lsb.B", topics[0], {"instances": ["late"]})
+        installer.network.run()
+        assert (installer.bus.stats.wan_messages,
+                installer.bus.stats.delivered) == before
+        assert timeline.failed is None and "c0" in gs.installations
+        assert rules == {
+            name: dict(fwd.rules)
+            for name, fwd in gs.dataplane.forwarders.items()
+        }
+        assert service.pending_reservations() == 0
+
+    def test_aborted_install_holds_no_bus_state(self):
+        gs, *_ = build()
+        installer = make_installer(gs)
+        timeline = installer.install(self.specs(1)[0])
+        while timeline.route_published_at is None:
+            assert installer.sim.step()
+        assert all(_subscription_state(installer.bus).values())
+        assert installer.abort_install("c0", "test abort")
+        assert not any(_subscription_state(installer.bus).values())
+        installer.network.run()  # straggler announcements find nobody
+        assert timeline.failed == "test abort"
+        assert "c0" not in gs.installations

@@ -210,3 +210,146 @@ class TestTopologyRules:
         net, _ = make_pair(LinkSpec(delay_s=0.01))
         with pytest.raises(NetworkError):
             net.send("a", "b", "p", 0)
+
+
+class TestRetention:
+    def test_host_with_a_receiver_keeps_nothing(self):
+        net, arrivals = make_pair(LinkSpec(delay_s=0.01))
+        for i in range(5):
+            net.send("a", "b", i, 100)
+        net.run()
+        assert [p for _t, _s, p in arrivals] == [0, 1, 2, 3, 4]
+        assert net.host("b").received == []  # handed over, not logged
+
+    def test_sink_host_logs_what_arrives(self):
+        net = SimNetwork()
+        net.add_host("a")
+        net.add_host("sink")
+        net.connect("a", "sink", LinkSpec(delay_s=0.01))
+        net.send("a", "sink", "x", 100)
+        net.run()
+        assert net.host("sink").received == [(0.01, "a", "x")]
+
+    def test_link_queue_holds_only_messages_still_serializing(self):
+        # No event retires a serialized message; the next send does.
+        net, arrivals = make_pair(LinkSpec(delay_s=0.0, bandwidth_bps=8e6))
+        state = net._links[("a", "b")]
+        for burst in range(50):
+            for _ in range(4):
+                net.send("a", "b", burst, 1000)
+            assert len(state.serializing) <= 4
+            net.run()
+        assert len(arrivals) == 200
+        assert state.queued_bytes(net.sim.now) == 0 and not state.serializing
+
+
+# -- the lazy link queue against the eager drain-event model ---------------
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from repro.simnet.events import Simulator  # noqa: E402
+
+#: Dyadic numbers only, so a send can land *exactly* on a serialization
+#: end: 64 bit/s makes one byte take 1/8 s, and times are multiples of 1/8.
+_BPS, _DELAY, _BUFFER = 64.0, 0.25, 12
+
+
+class EagerLink:
+    """The link model this PR replaced, kept as the oracle: occupancy is
+    a counter that a scheduled ``_drain`` event decrements at each
+    serialization end."""
+
+    def __init__(self, sim):
+        self.sim, self.up = sim, True
+        self.busy_until, self.queued = 0.0, 0
+        self.stats = dict.fromkeys(
+            ("sent", "delivered", "dropped", "bytes_sent", "bytes_delivered",
+             "bytes_dropped"), 0)
+        self.arrivals = []
+
+    def _drop(self, size):
+        self.stats["dropped"] += 1
+        self.stats["bytes_dropped"] += size
+
+    def send(self, tag, size):
+        self.stats["sent"] += 1
+        self.stats["bytes_sent"] += size
+        if not self.up or self.queued + size > _BUFFER:
+            self._drop(size)
+            return False
+        done = max(self.sim.now, self.busy_until) + size * 8 / _BPS
+        self.busy_until = done
+        self.queued += size
+        self.sim.schedule_at(done, self._drain, size)
+        self.sim.schedule_at(done + _DELAY, self._deliver, tag, size)
+        return True
+
+    def _drain(self, size):
+        self.queued -= size
+
+    def _deliver(self, tag, size):
+        if not self.up:
+            self._drop(size)
+            return
+        self.stats["delivered"] += 1
+        self.stats["bytes_delivered"] += size
+        self.arrivals.append((self.sim.now, "a", tag))
+
+
+def _play(actions):
+    """Drive the real link and the eager model through one schedule of
+    (time, action, size) steps; returns what each observed."""
+    net = SimNetwork()
+    net.add_host("a")
+    net.add_host("b")  # a sink: its log is the delivery record
+    net.connect("a", "b", LinkSpec(_DELAY, _BPS, _BUFFER), bidirectional=False)
+    state = net._links[("a", "b")]
+    eager_sim = Simulator()
+    eager = EagerLink(eager_sim)
+    seen = ([], [])
+    for tag, (at, action, size) in enumerate(sorted(actions, key=lambda a: a[0])):
+        net.run(until=at)
+        eager_sim.run(until=at)
+        if action == "send":
+            seen[0].append(net.send("a", "b", tag, size))
+            seen[1].append(eager.send(tag, size))
+        elif action == "down":
+            net.fail_link("a", "b", bidirectional=False)
+            eager.up = False
+        elif action == "up":
+            net.restore_link("a", "b", bidirectional=False)
+            eager.up = True
+        seen[0].append(state.queued_bytes(net.sim.now))
+        seen[1].append(eager.queued)
+    net.run()
+    eager_sim.run()
+    stats = net.link_stats("a", "b")
+    seen[0].extend([net.host("b").received, {k: getattr(stats, k) for k in eager.stats}])
+    seen[1].extend([eager.arrivals, eager.stats])
+    return seen
+
+
+class TestLazyQueueAgainstEagerDrain:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.integers(0, 80).map(lambda k: k / 8),
+            st.sampled_from(["send"] * 6 + ["probe", "down", "up"]),
+            st.integers(1, 8),
+        ),
+        max_size=40,
+    ))
+    def test_same_decisions_deliveries_stats_and_occupancy(self, actions):
+        lazy, eager = _play(actions)
+        assert lazy == eager
+
+    def test_send_at_exactly_a_serialization_end(self):
+        # 10 bytes end serializing at t = 1.25.  One tick earlier the
+        # buffer (12) has no room for 3 more; at exactly 1.25 the first
+        # message has left and 12 fit.
+        lazy, eager = _play([
+            (0.0, "send", 10), (1.125, "send", 3), (1.25, "send", 12),
+            (1.25, "probe", 0),
+        ])
+        assert lazy == eager
+        assert lazy[:6] == [True, 10, False, 10, True, 12]
