@@ -121,6 +121,11 @@ def fail_site(gs: GlobalSwitchboard, site: str) -> FailureReport:
     for service in gs.vnf_services.values():
         if site in service.site_capacity:
             service.site_capacity[site] = 0.0
+    # Swapping catalogue entries bypasses the model's cache maintenance
+    # like the latency edits below: without this every columnar reader
+    # but the persistent router (which compares entry identities) keeps
+    # planning on the site's old capacity.
+    gs.model.invalidate_substrate()
 
     # (2) Roll back and recompute each affected chain.
     _reroute_affected(gs, report)
@@ -186,6 +191,9 @@ def restore_site(
         if service is not None:
             service.site_capacity[site] = capacity
             service._committed.setdefault(site, 0.0)
+    # As in fail_site: a fresh LP or DP would otherwise still see the
+    # failed site's zero capacities.
+    gs.model.invalidate_substrate()
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,28 @@ class StageTransition(NamedTuple):
     rev: LinkTable  # links under dst -> src traffic, same element order
 
 
+class ChainTable(NamedTuple):
+    """What the substrate alone says about routing one chain *shape*
+    (ingress, egress, VNF sequence), laid out so a path search reads the
+    residual state of every stage with one gather.
+
+    The (VNF, site) elements of all VNF stages sit in one stage-major
+    run; the link entries stay where they are, in the transitions every
+    shape crossing the same fronts shares -- a shape holds references,
+    never a copy, so a thousand shapes cost a thousand short tuples.
+    """
+
+    stages: tuple[StageTransition, ...]
+    vnf: np.ndarray  # VNF index of every (VNF stage, site) element
+    site: np.ndarray  # its site index
+    load: np.ndarray  # its VNF's load per unit of traffic
+    sizes: np.ndarray  # elements (deployment sites) per VNF stage
+    front: list[int]  # first element of each VNF stage, then the total
+    tables: tuple[LinkTable, ...]  # fwd, rev of stage 1, fwd, rev of stage 2, ...
+    counts: np.ndarray  # link entries in each of ``tables``
+    bounds: list[int]  # first link entry of each of ``tables``, then the total
+
+
 class SubstrateColumns:
     """Numpy view of everything in the model except the chains."""
 
@@ -196,6 +218,8 @@ class SubstrateColumns:
         # dropped with this object by invalidate_substrate().
         self._transitions: dict[tuple[bytes, bytes], StageTransition] = {}
         self._candidate_links: dict[tuple[bytes, bytes], tuple] = {}
+        # ...and by chain shape (ingress, egress, VNF sequence).
+        self._chain_tables: dict[tuple, ChainTable] = {}
 
     def headroom(self) -> np.ndarray:
         """Per-link capacity available under the MLU budget."""
@@ -212,6 +236,36 @@ class SubstrateColumns:
         ]
         vnf_fronts = (self.site_node[self.vnf_sites[self.vnf_index[v]]] for v in chain.vnfs)
         return [ends[:1], *vnf_fronts, ends[1:]]
+
+    def chain_table(self, chain, model: NetworkModel) -> ChainTable:
+        """The whole-chain gather table of ``chain``'s shape, built once
+        per shape: nothing in it depends on the chain's name or demands,
+        so churn (every install a new name) hits."""
+        key = (chain.ingress, chain.egress, tuple(chain.vnfs))
+        found = self._chain_tables.get(key)
+        if found is None:
+            nodes = self.chain_fronts(chain, model)
+            stages = tuple(
+                self.transition(a, b) for a, b in zip(nodes, nodes[1:])
+            )
+            tables = tuple(t for stage in stages for t in (stage.fwd, stage.rev))
+            ids = [self.vnf_index[v] for v in chain.vnfs]
+            sites = [self.vnf_sites[i] for i in ids]
+            sizes = np.array([len(s) for s in sites], dtype=np.int64)
+            vnf = np.repeat(np.array(ids, dtype=np.int64), sizes)
+            counts = np.array([t.targets.size for t in tables], dtype=np.int64)
+            found = self._chain_tables[key] = ChainTable(
+                stages,
+                vnf,
+                np.concatenate(sites) if sites else np.zeros(0, np.int64),
+                self.vnf_load[vnf],
+                sizes,
+                [0, *np.cumsum(sizes).tolist()],
+                tables,
+                counts,
+                [0, *np.cumsum(counts).tolist()],
+            )
+        return found
 
     def transition(
         self, src_nodes: np.ndarray, dst_nodes: np.ndarray
@@ -441,19 +495,10 @@ def build_variable_columns(
     )
 
 
-class ModelColumns:
-    """Bundle of the substrate, chain, and variable columns for a model."""
-
-    def __init__(self, model: NetworkModel):
-        self.substrate = model.substrate_columns()
-        self.chains = ChainColumns(model, self.substrate)
-        self.variables = build_variable_columns(self.substrate, self.chains)
-
-
 __all__ = [
     "ChainColumns",
+    "ChainTable",
     "LinkTable",
-    "ModelColumns",
     "SubstrateColumns",
     "VariableColumns",
     "build_variable_columns",

@@ -67,26 +67,22 @@ class PiecewiseLinearCost:
     def batch(self, utilization: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`__call__` over an array of utilizations.
 
-        Performs the same per-segment accumulation as the scalar
-        evaluation (identical floating-point operation order per
-        element), so batch and scalar results are bitwise equal.
+        All segments at once, as one ``(segments x n)`` expression: each
+        contributes ``slope * (min(u, end) - start)``, the difference
+        clamped at 0 so a segment the utilization has not reached adds
+        ``+ 0.0``.  The segments are then added one after another from
+        0.0 in the scalar evaluation's order (not ``np.add.reduce``:
+        over a single element it sums eight or more terms pairwise), so
+        batch and scalar results are bitwise equal.
         """
         u = np.asarray(utilization, dtype=float)
+        column = (-1,) + (1,) * u.ndim
+        starts = np.array(self.breakpoints).reshape(column)
+        ends = np.array(self.breakpoints[1:] + (float("inf"),)).reshape(column)
+        slopes = np.array(self.slopes).reshape(column)
         total = np.zeros_like(u)
-        for i, (start, slope) in enumerate(
-            zip(self.breakpoints, self.slopes)
-        ):
-            end = (
-                self.breakpoints[i + 1]
-                if i + 1 < len(self.breakpoints)
-                else float("inf")
-            )
-            active = u > start
-            if not active.any():
-                break
-            total = np.where(
-                active, total + slope * (np.minimum(u, end) - start), total
-            )
+        for term in slopes * np.maximum(np.minimum(u, ends) - starts, 0.0):
+            total += term
         return total
 
     def marginal(self, utilization: float) -> float:

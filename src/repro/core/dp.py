@@ -18,6 +18,13 @@ Multi-chain workloads are routed sequentially, each chain seeing the
 utilization left behind by its predecessors -- this is the "computationally
 efficient routing heuristic" evaluated against SB-LP in Section 7.3.
 
+The default path search (``_find_path_dp_vec``) evaluates a whole stage
+front at a time, and -- the residual state being constant within one
+search -- prices the utilizations of *all* stages in one penalty pass
+through the substrate's per-shape :class:`~repro.core.columns.ChainTable`;
+the scalar ``_find_path_dp`` is the oracle it is tested against, route
+for route.
+
 Two ablations from Figure 13a are expressed as configurations:
 
 - ``DpConfig.latency_only()`` -- DP-LATENCY: the cost function degenerates
@@ -35,7 +42,6 @@ from typing import Iterable, TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.columns import LinkTable
 from repro.core.costs import FORTZ_THORUP, PiecewiseLinearCost
 from repro.core.model import Chain, NetworkModel
 from repro.core.routes import RoutingSolution
@@ -236,30 +242,6 @@ def route_chains_dp(
     return DpResult(solution, unrouted, router.paths_computed)
 
 
-@dataclass(frozen=True)
-class _StageFront:
-    """Static per-stage arrays used by the vectorized DP.
-
-    Everything here is demand-independent: the propagation-latency
-    block over (previous front x this front) and, per traffic
-    direction, the flattened gather table mapping each link a pair can
-    use to its matrix element -- both owned by the substrate columns
-    (:meth:`SubstrateColumns.transition`), so they are computed once per
-    substrate, not per router; only the weighted fractions are this
-    router's.  Demands and residual loads are read fresh on every call.
-    """
-
-    dst_names: list[str]
-    dst_sites: np.ndarray | None  # site indices (None for the egress)
-    vnf_index: int  # -1 for the egress stage
-    load_per_unit: float
-    lat: np.ndarray  # (n_prev, n_dst) one-way delays
-    fwd: LinkTable  # links under forward traffic, per matrix element
-    fwd_wfracs: np.ndarray  # utilization_weight * fwd.fracs
-    rev: LinkTable
-    rev_wfracs: np.ndarray
-
-
 class _DpRouter:
     """Routes chains one at a time against shared residual state."""
 
@@ -268,7 +250,6 @@ class _DpRouter:
         self.config = config
         self.state = _ResourceState(model)
         self._sub = self.state.sub
-        self._chain_static: dict[tuple, list[_StageFront]] = {}
         self._model_sig = self._substrate_signature()
         self.paths_computed = 0
         self._weight = self._resolve_utilization_weight()
@@ -309,7 +290,7 @@ class _DpRouter:
         catalog-entry swap detected via :meth:`_substrate_signature`.
         Topology names and index maps are unchanged in both cases, so
         committed loads carry over and only the cached views (and the
-        derived stage-front tables) are rebuilt.
+        chain tables hanging off them) are rebuilt.
         """
         sig = self._substrate_signature()
         sub = self.model.substrate_columns()
@@ -321,7 +302,6 @@ class _DpRouter:
             self._model_sig = sig
         self._sub = sub
         self.state.refresh_substrate(sub)
-        self._chain_static.clear()
 
     # -- public per-chain entry point ------------------------------------
 
@@ -413,98 +393,78 @@ class _DpRouter:
         reverse), and ``argmin`` keeps the first minimum exactly like
         the scalar strict-``<`` scan, so both implementations pick
         identical routes.
+
+        The residual state cannot change inside one search, so every
+        utilization the search can meet -- the (VNF, site) elements of
+        all stages, then the link entries of all stages in both
+        directions -- is gathered into one array and priced by a single
+        penalty pass; the stage recurrence then only slices the result.
         """
         cfg = self.config
         state = self.state
         sub = self._sub
-        fronts = self._stage_fronts(chain)
+        table = sub.chain_table(chain, self.model)
         use_links = cfg.use_network_cost and bool(self.model.routing)
+
+        caps = state.vnf_cap[table.vnf, table.site]
+        loads = state.vnf_load[table.vnf, table.site]
+        blocked = (caps - loads <= _EPS) | (
+            sub.site_capacity[table.site] - state.site_load[table.site] <= _EPS
+        )
+        utils = []
+        if cfg.use_compute_cost:
+            traffic = [
+                chain.stage_traffic(z) * pass_fraction
+                for z in range(1, chain.num_stages)
+            ]
+            extra = table.load * np.repeat(traffic, table.sizes) * 2.0
+            # Without capacity the quotient is never used (x / 0, or 0 / 0
+            # for a stage an all-blocked earlier one makes unreachable).
+            with np.errstate(divide="ignore", invalid="ignore"):
+                utils.append(np.where(caps > 0, (loads + extra) / caps, _INF))
+        if use_links:
+            # Per stage the forward then the reverse volume, as ``tables``.
+            volumes = [
+                demand[z] * pass_fraction
+                for z in range(chain.num_stages)
+                for demand in (chain.forward_traffic, chain.reverse_traffic)
+            ]
+            links, fracs, bandwidth = (
+                np.concatenate(part) for part in zip(*(t[1:] for t in table.tables))
+            )
+            volume = np.repeat(volumes, table.counts)
+            utils.append((state.link_load[links] + volume * fracs) / bandwidth)
+        if utils:
+            pens = cfg.penalty.batch(np.minimum(np.concatenate(utils), 2.0))
+            n_compute = table.vnf.size if cfg.use_compute_cost else 0
+            compute_pen = self._weight * pens[:n_compute]
+            if use_links:
+                link_pen = (self._weight * fracs) * pens[n_compute:]
+
         # Costs run over the *full* stage fronts; capacity-blocked or
         # unreachable entries carry +inf, which the min-reduction
         # ignores whenever any finite alternative exists -- the same
         # outcome as the scalar code's explicit skips.
         prev_cost = np.zeros(1)
         parents: list[np.ndarray] = []
-
-        for z in range(1, chain.num_stages + 1):
-            front = fronts[z - 1]
-            is_vnf = front.vnf_index >= 0
-            fwd = rev = 0.0
-            if use_links:
-                fwd = chain.forward_traffic[z - 1] * pass_fraction
-                rev = chain.reverse_traffic[z - 1] * pass_fraction
-            want_fwd = fwd > 0 and front.fwd.targets.size > 0
-            want_rev = rev > 0 and front.rev.targets.size > 0
-
-            # One penalty evaluation per stage: compute utilization,
-            # forward-link utilization, and reverse-link utilization are
-            # concatenated, run through the (element-wise) piecewise
-            # penalty once, and split back apart.
-            segments = []
-            if is_vnf and cfg.use_compute_cost:
-                si = front.dst_sites
-                caps = state.vnf_cap[front.vnf_index, si]
-                traffic = chain.stage_traffic(z) * pass_fraction
-                load = front.load_per_unit * traffic * 2.0
-                with np.errstate(divide="ignore"):
-                    util = np.where(
-                        caps > 0,
-                        (state.vnf_load[front.vnf_index, si] + load) / caps,
-                        _INF,
-                    )
-                segments.append(np.minimum(util, 2.0))
-            if want_fwd:
-                util = (
-                    state.link_load[front.fwd.links] + fwd * front.fwd.fracs
-                ) / front.fwd.bandwidth
-                segments.append(np.minimum(util, 2.0))
-            if want_rev:
-                util = (
-                    state.link_load[front.rev.links] + rev * front.rev.fracs
-                ) / front.rev.bandwidth
-                segments.append(np.minimum(util, 2.0))
-            pens = (
-                cfg.penalty.batch(
-                    np.concatenate(segments)
-                    if len(segments) > 1
-                    else segments[0]
-                )
-                if segments
-                else None
-            )
-
-            step = front.lat.copy()
-            offset = 0
-            if is_vnf:
-                si = front.dst_sites
-                caps = state.vnf_cap[front.vnf_index, si]
-                loads = state.vnf_load[front.vnf_index, si]
-                blocked = (caps - loads <= _EPS) | (
-                    sub.site_capacity[si] - state.site_load[si] <= _EPS
-                )
+        for z, stage in enumerate(table.stages):
+            step = stage.latency.copy()
+            if z < chain.num_stages - 1:  # a VNF stage; the last is the egress
+                front = slice(table.front[z], table.front[z + 1])
                 if cfg.use_compute_cost:
-                    n = len(si)
-                    step = step + (
-                        self._weight * pens[offset : offset + n]
-                    )[None, :]
-                    offset += n
-                step[:, blocked] = _INF
-            flat = step.ravel()
-            if want_fwd:
-                n = front.fwd.targets.size
-                np.add.at(
-                    flat,
-                    front.fwd.targets,
-                    front.fwd_wfracs * pens[offset : offset + n],
-                )
-                offset += n
-            if want_rev:
-                n = front.rev.targets.size
-                np.add.at(
-                    flat,
-                    front.rev.targets,
-                    front.rev_wfracs * pens[offset : offset + n],
-                )
+                    step += compute_pen[front]
+                step[:, blocked[front]] = _INF
+            if use_links:
+                flat = step.ravel()
+                for k in (2 * z, 2 * z + 1):  # forward, then reverse
+                    # A direction without demand was priced with the rest
+                    # but, as in the scalar code, adds nothing.
+                    if volumes[k] > 0 and table.tables[k].targets.size:
+                        np.add.at(
+                            flat,
+                            table.tables[k].targets,
+                            link_pen[table.bounds[k] : table.bounds[k + 1]],
+                        )
             total = prev_cost[:, None] + step
             best_src = np.argmin(total, axis=0)
             best = total[best_src, np.arange(total.shape[1])]
@@ -521,50 +481,10 @@ class _DpRouter:
         path = [chain.egress]
         for z in range(len(parents) - 1, 0, -1):
             idx = int(parents[z][idx])
-            path.append(fronts[z - 1].dst_names[idx])
+            path.append(sub.site_names[table.site[table.front[z - 1] + idx]])
         path.append(chain.ingress)
         path.reverse()
         return path
-
-    def _stage_fronts(self, chain: Chain) -> list[_StageFront]:
-        """Per-stage static arrays, cached per chain *shape*: nothing in
-        them depends on the chain's name, so churn (every install a new
-        name) hits, and the cache is bounded by the shapes in use."""
-        key = (chain.ingress, chain.egress, tuple(chain.vnfs))
-        cached = self._chain_static.get(key)
-        if cached is not None:
-            return cached
-        sub = self._sub
-        model = self.model
-        nodes = sub.chain_fronts(chain, model)
-        fronts: list[_StageFront] = []
-        for z in range(1, chain.num_stages + 1):
-            if z == chain.num_stages:
-                dst_names = [chain.egress]
-                dst_sites = None
-                vnf_index = -1
-                load_per_unit = 0.0
-            else:
-                vnf_index = sub.vnf_index[chain.vnf_at(z)]
-                dst_sites = sub.vnf_sites[vnf_index]
-                dst_names = [sub.site_names[si] for si in dst_sites]
-                load_per_unit = float(sub.vnf_load[vnf_index])
-            t = sub.transition(nodes[z - 1], nodes[z])
-            fronts.append(
-                _StageFront(
-                    dst_names=dst_names,
-                    dst_sites=dst_sites,
-                    vnf_index=vnf_index,
-                    load_per_unit=load_per_unit,
-                    lat=t.latency,
-                    fwd=t.fwd,
-                    fwd_wfracs=self._weight * t.fwd.fracs,
-                    rev=t.rev,
-                    rev_wfracs=self._weight * t.rev.fracs,
-                )
-            )
-        self._chain_static[key] = fronts
-        return fronts
 
     def _find_path_greedy(
         self, chain: Chain, pass_fraction: float

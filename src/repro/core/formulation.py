@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix, get_index_dtype
 
 from repro.core import highs as highs_backend
 from repro.core.columns import ragged_gather
@@ -164,6 +164,18 @@ class ChainFlow:
         )
         self.load_links = _inverse_permutation(sub.link_rank)[uniq_links]
 
+        # Where each chain's flows sit, and what makes two such blocks the
+        # same variables in the same order (the column pool of a solved
+        # program is carried to its successor block by block).
+        first = vc.stage_var_start[ch.chain_stage_start]
+        self.chain_blocks = {
+            name: (
+                int(first[i]),
+                (c.ingress, c.egress, tuple(c.vnfs), int(first[i + 1] - first[i])),
+            )
+            for i, (name, c) in enumerate(model.chains.items())
+        }
+
         # Seed columns for column generation: every stage-1 variable plus
         # the few lowest-latency variables of every other stage.
         order = np.lexsort((vc.var_latency, var_stage))
@@ -268,11 +280,12 @@ class Program:
         return first
 
     def freeze(self) -> None:
-        """Concatenate the blocks and pre-split the refresh indices."""
-        self.ub_rows, self.ub_cols, self.ub_base, kind, stage = (
+        """Concatenate the blocks, fix the CSC pattern of ``[A_ub; A_eq]``
+        and pre-split the refresh indices."""
+        ub_rows, ub_cols, self.ub_base, kind, stage = (
             _concat(parts, dtype) for parts, dtype in zip(self._ub, _UB_DTYPES)
         )
-        self.eq_rows, self.eq_cols, self.eq_data = (
+        eq_rows, eq_cols, self.eq_data = (
             _concat(parts, dtype) for parts, dtype in zip(self._eq, _EQ_DTYPES)
         )
         self._scaled = []
@@ -281,6 +294,32 @@ class Program:
             self._scaled.append((idx, stage[idx]))
         del self._ub, self._eq
         self.flow.release_entries()
+
+        # The pattern survives every demand change, so the sort behind a
+        # COO -> CSC conversion is done here, once: entries ordered by
+        # (column, row), those on one element adjacent and in entry order.
+        n_rows = len(self.b_ub) + len(self.b_eq)
+        key = np.concatenate([ub_cols, eq_cols]) * n_rows + np.concatenate(
+            [ub_rows, eq_rows + len(self.b_ub)]
+        )
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        opens = np.ones(len(key), dtype=bool)
+        opens[1:] = key[1:] != key[:-1]
+        idx_dtype = get_index_dtype(maxval=max(len(key), n_rows, self.n_total))
+        elements = key[opens]
+        self._indices = (elements % n_rows).astype(idx_dtype)
+        self._indptr = np.zeros(self.n_total + 1, dtype=idx_dtype)
+        np.cumsum(
+            np.bincount(elements // n_rows, minlength=self.n_total),
+            out=self._indptr[1:],
+        )
+        # Each element's value starts as its first entry; the few later
+        # entries of an element (a flow that stays at one site loads it
+        # at both ends) are added onto it.
+        self._first = order[opens]
+        self._extra_slot = (np.cumsum(opens) - 1)[~opens]
+        self._extra = order[~opens]
 
     def refresh(self, stage_total, stage_fwd, stage_rev) -> np.ndarray:
         """The UB data vector under the given per-stage demands."""
@@ -292,18 +331,29 @@ class Program:
                 data[idx] *= scale[stage]
         return data
 
+    def matrix(self, data_ub: np.ndarray) -> csc_matrix:
+        """``[A_ub; A_eq]`` with ``data_ub`` from :meth:`refresh`, in
+        canonical CSC form (sorted indices, entries of one element
+        summed): one gather through the frozen pattern.
+
+        The arrays equal, bit for bit, what scipy's COO -> CSC conversion
+        gives: an element holds at most two entries here (one for each
+        end of a flow) and a two-term sum does not depend on its order;
+        scipy's order for three or more is unspecified (``std::sort``),
+        ours is entry order.
+        """
+        entries = np.concatenate([data_ub, self.eq_data])
+        data = entries[self._first]
+        np.add.at(data, self._extra_slot, entries[self._extra])
+        return csc_matrix(
+            (data, self._indices, self._indptr),
+            shape=(len(self.b_ub) + len(self.b_eq), self.n_total),
+        )
+
     def matrices(self, data_ub: np.ndarray) -> tuple[csr_matrix, csr_matrix]:
         """``(A_ub, A_eq)`` with ``data_ub`` from :meth:`refresh`."""
-        return (
-            csr_matrix(
-                (data_ub, (self.ub_rows, self.ub_cols)),
-                shape=(len(self.b_ub), self.n_total),
-            ),
-            csr_matrix(
-                (self.eq_data, (self.eq_rows, self.eq_cols)),
-                shape=(len(self.b_eq), self.n_total),
-            ),
-        )
+        both = self.matrix(data_ub).tocsr()
+        return both[: len(self.b_ub)], both[len(self.b_ub):]
 
 
 def flow_solution(model: NetworkModel, flows: np.ndarray) -> RoutingSolution:
@@ -330,30 +380,75 @@ def flow_solution(model: NetworkModel, flows: np.ndarray) -> RoutingSolution:
 
 
 class StructureCache:
-    """LRU of built programs keyed on a structure digest.
+    """LRU of built programs keyed on ``(structure digest, *kind)``.
 
     A hit hands back the program built for an earlier model of the same
     structure, with its warm :class:`~repro.core.highs.ColumnGenSolver`.
+    A miss builds the program and starts its solver from the column pool
+    of the cached program of the same kind it shares the most chains
+    with (:meth:`_carry_pool`).  All of that is state of the entries, so
+    :meth:`clear` returns the cache to what it was at import time.
     """
 
     def __init__(self, limit: int):
         self.limit = limit
-        self._entries: "OrderedDict[object, Program]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, Program]" = OrderedDict()
         self.hits = 0
         self.rebuilds = 0
 
-    def get(self, key, build) -> tuple[Program, bool]:
+    def get(self, key: tuple, build) -> tuple[Program, bool]:
         """``(program, was_cached)``; ``build()`` runs on a miss."""
         program = self._entries.get(key)
         if program is not None:
             self._entries.move_to_end(key)
             self.hits += 1
             return program, True
-        program = self._entries[key] = build()
+        program = build()
+        self._carry_pool(key, program)
+        self._entries[key] = program
         self.rebuilds += 1
         while len(self._entries) > self.limit:
             self._entries.popitem(last=False)
         return program, False
+
+    def _carry_pool(self, key: tuple, program: Program) -> None:
+        """Start a new program's column generation where its predecessor's
+        ended.
+
+        Chain churn changes the structure but leaves most chains, hence
+        most column blocks, as they were.  The predecessor is the solved
+        program of the same kind sharing the most chains (same name, same
+        block shape; the most recently used on a tie); what crosses is
+        its *support* -- the columns its last optimum left basic or
+        non-zero -- block by block, next to the new program's ordinary
+        seed columns.  Neither its basis nor the rest of its pool: both
+        were measured and lose to a cold start (DESIGN section 9).
+        """
+        blocks = program.flow.chain_blocks
+
+        def shared(other: Program) -> list[tuple[int, int, int]]:
+            """(start there, length, start here) of each block both hold."""
+            return [
+                (start, shape[-1], blocks[name][0])
+                for name, (start, shape) in other.flow.chain_blocks.items()
+                if name in blocks and blocks[name][1] == shape
+            ]
+
+        solved = [
+            other
+            for other_key, other in reversed(self._entries.items())
+            if other_key[1:] == key[1:] and other.cg_solver is not None
+        ]
+        best = max(solved, key=lambda other: len(shared(other)), default=None)
+        support = best.cg_solver.support() if best is not None else None
+        if support is None:
+            return
+        columns = [program.seed_columns]
+        for start, length, mine in shared(best):
+            lo, hi = np.searchsorted(support, (start, start + length))
+            columns.append(support[lo:hi] + (mine - start))
+        program.cg_solver = highs_backend.ColumnGenSolver()
+        program.cg_solver.seed(np.concatenate(columns))
 
     def stats(self) -> dict[str, int]:
         return {
@@ -399,6 +494,7 @@ def solve(
     b_ub: np.ndarray,
     col_upper: np.ndarray,
     zero_feasible: bool,
+    metrics=None,
 ) -> tuple:
     """Solve a program under refreshed data; returns as :func:`run_linprog`.
 
@@ -408,18 +504,9 @@ def solve(
     objectives, a :class:`~repro.core.highs.ColumnGenError`, a scipy
     without the bundled HiGHS -- goes through ``linprog``.
     """
-    n_ub, n_eq, n = len(b_ub), len(program.b_eq), program.n_total
+    n_ub, n = len(b_ub), program.n_total
     if zero_feasible and highs_backend.direct_backend_available():
-        matrix = csc_matrix(
-            (
-                np.concatenate([data_ub, program.eq_data]),
-                (
-                    np.concatenate([program.ub_rows, program.eq_rows + n_ub]),
-                    np.concatenate([program.ub_cols, program.eq_cols]),
-                ),
-            ),
-            shape=(n_ub + n_eq, n),
-        )
+        matrix = program.matrix(data_ub)
         row_lower = np.concatenate([np.full(n_ub, -np.inf), program.b_eq])
         row_upper = np.concatenate([b_ub, program.b_eq])
         if program.cg_solver is None:
@@ -437,7 +524,10 @@ def solve(
             )
             return x, objective, time.perf_counter() - start, None
         except highs_backend.ColumnGenError:
-            pass  # fall through to linprog below
+            # Fall through to linprog below: the right optimum at about
+            # three times the time, so it is counted, not silent.
+            if metrics is not None:
+                metrics.counter("lp.colgen_fallbacks").inc()
     a_ub, a_eq = program.matrices(data_ub)
     return run_linprog(cost, a_ub, b_ub, a_eq, program.b_eq, col_upper)
 

@@ -19,6 +19,15 @@ flow variables at zero (``MAX_THROUGHPUT`` chain routing and the
 capacity-planning alpha maximization); equality-covered objectives go
 through ``linprog`` unchanged.
 
+Arrays cross the boundary as arrays: ``passModel`` and ``addCols`` are
+called through their array overloads (assigning numpy arrays to
+``HighsLp`` fields converts them element by element), the saved
+``HighsBasis`` is read or written only after a solve that priced
+columns in, and every ``HighsStatus`` is checked -- a call HiGHS
+rejects leaves its previous model in place, which ``run()`` would then
+report optimal.  DESIGN.md section 9 has the call table and what was
+measured.
+
 The private-module import is feature-detected: when unavailable, every
 caller falls back to the scipy ``linprog`` path, which also serves the
 equality-covered objectives and is where a :class:`ColumnGenError` lands.
@@ -65,7 +74,15 @@ class ColumnGenSolver:
     calls :meth:`solve` with refreshed numeric data each round.  The
     active column set and the optimal basis survive between calls, so a
     re-solve after a demand change usually costs one dual-simplex run
-    plus one or two pricing rounds.
+    plus one or two pricing rounds.  The master is always passed with
+    its columns sorted (column order decides which of several optimal
+    vertices simplex ends on), so the basis is reordered -- through
+    Python lists, 3 ms at 3 800 columns -- only after a solve that
+    priced columns in behind the sorted ones.
+
+    A *new* structure can start from another one's outcome:
+    :meth:`support` names the columns a solve ended on and :meth:`seed`
+    makes a column set the first restricted master of the next solve.
     """
 
     #: Reduced costs below this are considered improving.
@@ -77,9 +94,27 @@ class ColumnGenSolver:
         if not _HIGHS_IMPORTED:  # pragma: no cover - guarded by callers
             raise ColumnGenError("direct HiGHS backend unavailable")
         self._highs = _new_highs()
-        self._active: np.ndarray | None = None  # sorted active column ids
+        # Columns of the last restricted master (sorted), its optimal
+        # basis and their primal values.
+        self._active: np.ndarray | None = None
         self._basis = None
+        self._values: np.ndarray | None = None
         self.last_rounds = 0
+
+    def seed(self, columns: np.ndarray) -> None:
+        """Make ``columns`` the first restricted master of the next solve
+        (instead of the ``seed_columns`` handed to :meth:`solve`)."""
+        self._active = np.unique(np.asarray(columns, dtype=np.int64))
+        self._basis = self._values = None
+
+    def support(self) -> np.ndarray | None:
+        """Columns the last solve ended on -- basic, or non-basic away
+        from zero -- in order; ``None`` before the first successful solve."""
+        if self._basis is None:
+            return None
+        status = np.array(self._basis.col_status, dtype=np.int8)
+        basic = status == int(_hc.HighsBasisStatus.kBasic)
+        return self._active[basic | (self._values != 0.0)]
 
     def solve(
         self,
@@ -103,14 +138,13 @@ class ColumnGenSolver:
 
         highs = self._highs
         self._pass_restricted(
-            highs, cost, matrix, row_lower, row_upper, col_lower, col_upper, active
+            cost, matrix, row_lower, row_upper, col_lower, col_upper, active
         )
-        if self._basis is not None and len(self._basis.col_status) == len(active):
-            highs.setBasis(self._basis)
+        if self._basis is not None:
+            self._checked(highs.setBasis(self._basis), "setBasis")
         # Dual simplex for the (possibly warm-started) restricted master...
         highs.setOptionValue("simplex_strategy", 1)
-        highs.run()
-        self._check_status()
+        self._run()
         # ...but primal for the pricing re-solves: after addCols the old
         # basis stays primal-feasible (new columns enter nonbasic at 0)
         # while dual feasibility is exactly what pricing violated, so
@@ -130,27 +164,26 @@ class ColumnGenSolver:
             if candidates.size == 0:
                 break
             take = self._select_columns(candidates, reduced)
-            self._add_columns(
-                highs, cost, matrix, col_lower, col_upper, take
-            )
+            self._add_columns(cost, matrix, col_lower, col_upper, take)
             active = np.concatenate([active, take])
             active_mask[take] = True
-            highs.run()
-            self._check_status()
+            self._run()
         else:
             raise ColumnGenError("column generation did not converge")
 
-        solution = highs.getSolution()
+        values = np.asarray(solution.col_value)
         x = np.zeros(n_cols)
-        x[active] = np.asarray(solution.col_value)
-        self._active = np.sort(active)
+        x[active] = values
+        objective = float(cost[active] @ values)
         self._basis = highs.getBasis()
-        # Reorder the saved basis to match the sorted active set used on
-        # the next call's restricted master.
-        order = np.argsort(active, kind="stable")
-        col_status = list(self._basis.col_status)
-        self._basis.col_status = [col_status[i] for i in order]
-        return x, float(cost[active] @ np.asarray(solution.col_value))
+        if self.last_rounds > 1:
+            # HiGHS holds the priced-in columns behind the first master.
+            order = np.argsort(active, kind="stable")
+            status = self._basis.col_status
+            self._basis.col_status = [status[i] for i in order.tolist()]
+            active, values = active[order], values[order]
+        self._active, self._values = active, values
+        return x, objective
 
     # -- internals ------------------------------------------------------
 
@@ -172,6 +205,7 @@ class ColumnGenSolver:
             self._active < n_cols
         ).all():
             return self._active
+        self._basis = None  # belongs to the column set being dropped
         if seed_columns is not None:
             active = np.unique(np.asarray(seed_columns, dtype=np.int64))
         else:
@@ -180,9 +214,8 @@ class ColumnGenSolver:
             active = np.arange(min(n_cols, 1), dtype=np.int64)
         return active
 
-    @staticmethod
     def _pass_restricted(
-        highs,
+        self,
         cost: np.ndarray,
         matrix: csc_matrix,
         row_lower: np.ndarray,
@@ -192,23 +225,19 @@ class ColumnGenSolver:
         active: np.ndarray,
     ) -> None:
         sub = matrix[:, active]
-        lp = _hc.HighsLp()
-        lp.num_col_ = int(len(active))
-        lp.num_row_ = int(matrix.shape[0])
-        lp.col_cost_ = cost[active]
-        lp.col_lower_ = col_lower[active]
-        lp.col_upper_ = col_upper[active]
-        lp.row_lower_ = row_lower
-        lp.row_upper_ = row_upper
-        lp.a_matrix_.format_ = _hc.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = sub.indptr
-        lp.a_matrix_.index_ = sub.indices
-        lp.a_matrix_.value_ = sub.data
-        highs.passModel(lp)
+        status = self._highs.passModel(
+            len(active), matrix.shape[0], sub.nnz,
+            int(_hc.MatrixFormat.kColwise), int(_hc.ObjSense.kMinimize), 0.0,
+            cost[active], col_lower[active], col_upper[active],
+            row_lower, row_upper,
+            sub.indptr, sub.indices, sub.data,
+            # All continuous, but full length: HiGHS rejects an empty one.
+            np.zeros(len(active), dtype=np.int32),
+        )
+        self._checked(status, "passModel")
 
-    @staticmethod
     def _add_columns(
-        highs,
+        self,
         cost: np.ndarray,
         matrix: csc_matrix,
         col_lower: np.ndarray,
@@ -216,7 +245,7 @@ class ColumnGenSolver:
         take: np.ndarray,
     ) -> None:
         sub = matrix[:, take]
-        highs.addCols(
+        status = self._highs.addCols(
             int(take.size),
             cost[take],
             col_lower[take],
@@ -226,6 +255,19 @@ class ColumnGenSolver:
             sub.indices,
             sub.data,
         )
+        self._checked(status, "addCols")
+
+    def _run(self) -> None:
+        self._checked(self._highs.run(), "run")
+        self._check_status()
+
+    def _checked(self, status, call: str) -> None:
+        """A call HiGHS rejects leaves its previous model or basis in
+        place, and a later ``run()`` would report that stale program
+        optimal: stop here instead."""
+        if status == _hc.HighsStatus.kError:
+            self._active = self._basis = None
+            raise ColumnGenError(f"HiGHS rejected {call}")
 
     def _check_status(self) -> None:
         status = self._highs.getModelStatus()

@@ -309,6 +309,7 @@ def solve_chain_routing_lp(
         structure.b_ub,
         _column_upper(n, structure.beta_index),
         zero_feasible=objective is LpObjective.MAX_THROUGHPUT,
+        metrics=metrics,
     )
     return _result(
         objective,

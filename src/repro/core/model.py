@@ -345,11 +345,12 @@ class NetworkModel:
     def invalidate_substrate(self) -> None:
         """Drop every cached substrate-derived view.
 
-        Must be called after mutating substrate state in place (the only
-        sanctioned case is ``controller.failures`` flipping ``_latency``
+        Must be called after mutating substrate state in place (the
+        sanctioned cases are in ``controller.failures``: flipping
+        ``_latency`` entries and swapping ``sites`` / ``vnfs`` catalogue
         entries); chain columns are dropped too because they embed
         substrate indices, and the encoded substrate document because
-        digests must reflect the new latencies.  This is the only
+        digests must reflect the new values.  This is the only
         invalidation point: everything derived from the substrate hangs
         off one of these fields (see the cache table in DESIGN.md).
         """

@@ -1,5 +1,6 @@
 """Unit and property tests for the piecewise-linear convex cost function."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -85,3 +86,44 @@ class TestConvexityProperties:
     def test_continuity_no_jumps(self, u):
         eps = 1e-7
         assert abs(FORTZ_THORUP(u + eps) - FORTZ_THORUP(u)) < 1e-2
+
+
+class TestBatchIsTheScalarEvaluation:
+    """``batch`` is a kernel of the SB-DP search; ``__call__`` is its
+    oracle.  Bitwise, not approximately: routes are compared with ``==``."""
+
+    CUSTOM = PiecewiseLinearCost([0.0, 0.25, 1.5], [0.5, 2.0, 40.0])
+    #: Nine segments: enough for numpy to sum one column pairwise.
+    LONG = PiecewiseLinearCost(
+        [0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0, 1.3],
+        [0.1, 0.3, 0.7, 1.1, 1.9, 3.3, 7.7, 13.1, 101.3],
+    )
+
+    @staticmethod
+    def grid(cost):
+        points = [0.0, 2.0, 1e-300, 0.123456789, 1.05, 1.999999, 7.5]
+        for b in cost.breakpoints:
+            points += [b, np.nextafter(b, np.inf)]
+            if b > 0:
+                points.append(np.nextafter(b, -np.inf))
+        return np.array(points)
+
+    @pytest.mark.parametrize("cost", [FORTZ_THORUP, CUSTOM, LONG])
+    def test_bitwise_equal_on_the_breakpoint_grid(self, cost):
+        grid = self.grid(cost)
+        expected = np.array([cost(float(u)) for u in grid])
+        assert cost.batch(grid).tobytes() == expected.tobytes()
+        # One element at a time too (a lone column is where a pairwise
+        # reduction would reorder the sum), and any shape.
+        for u, want in zip(grid, expected):
+            assert cost.batch(np.array([u])).tobytes() == want.tobytes()
+        assert cost.batch(grid.reshape(-1, 1)).tobytes() == expected.tobytes()
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=3.0), max_size=40))
+    def test_bitwise_equal_on_random_utilizations(self, values):
+        got = FORTZ_THORUP.batch(np.array(values, dtype=float))
+        want = np.array([FORTZ_THORUP(u) for u in values], dtype=float)
+        assert got.tobytes() == want.tobytes()
+
+    def test_infinite_utilization_is_infinite_cost(self):
+        assert FORTZ_THORUP.batch(np.array([np.inf]))[0] == FORTZ_THORUP(np.inf)

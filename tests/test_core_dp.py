@@ -214,8 +214,8 @@ class TestStageFrontCache:
             for i in range(200):
                 name = f"churn{i}"
                 model.add_chain(Chain(name, "a", "c", ["fw"], 0.5))
-                if clear:  # the reference: every route builds its fronts
-                    router._router._chain_static.clear()
+                if clear:  # the reference: every route builds its table
+                    model.substrate_columns()._chain_tables.clear()
                 fraction = router.route(name)
                 flows.append((fraction, dict(router.solution.stage_flows(name, 1)),
                               dict(router.solution.stage_flows(name, 2))))
@@ -230,5 +230,6 @@ class TestStageFrontCache:
         assert churn(cached, cached_model, False) == churn(
             reference, reference_model, True
         )
-        # 200 names, one (ingress, egress, vnfs) shape: one entry.
-        assert len(cached._router._chain_static) == 1
+        # 200 names, one (ingress, egress, vnfs) shape: one entry, and it
+        # lives with the substrate, not with the router.
+        assert len(cached_model.substrate_columns()._chain_tables) == 1

@@ -19,6 +19,8 @@ from repro.controller.failures import (
     chains_through_link,
     chains_through_site,
 )
+from repro.core.dp import route_chains_dp
+from repro.core.lp import LpObjective, solve_chain_routing_lp
 from repro.core.model import CloudSite, NetworkModel, VNF
 from repro.dataplane import DataPlane, FiveTuple, Packet
 from repro.edge import EdgeController, EdgeInstance
@@ -149,6 +151,43 @@ class TestSiteFailure:
         gained = gs.extend_chain("c1")
         assert gained > 0
         assert gs.installations["c1"].routed_fraction == pytest.approx(1.0)
+
+    def test_restored_capacity_reaches_fresh_solvers(self):
+        # Regression: fail_site / restore_site swapped catalogue entries
+        # without invalidate_substrate(), so every columnar reader other
+        # than the persistent router kept the failed site's zeros.
+        gs, *_ = build_deployment(cap_a=40.0, cap_b=0.0)
+        gs.create_chain(spec("c1"))
+        fail_site(gs, "A")
+        restore_site(gs, "A", 100.0, {"fw": 40.0})
+        lp = solve_chain_routing_lp(gs.model, LpObjective.MAX_THROUGHPUT)
+        assert lp.solution.routed_fraction("c1") == pytest.approx(1.0)
+        dp = route_chains_dp(gs.model)
+        assert dp.solution.routed_fraction("c1") == pytest.approx(1.0)
+
+    def test_fail_and_restore_rebuild_the_substrate_views(self):
+        gs, *_ = build_deployment()
+        gs.create_chain(spec("c1"))  # lands on B, the shorter way round
+        before = gs.model.substrate_columns()
+        assert before._chain_tables  # the install searched a path
+        fail_site(gs, "B")
+        failed = gs.model.substrate_columns()
+        assert failed is not before
+        assert failed.vnf_site_cap[(0, 1)] == 0.0
+        # ...and the whole-chain DP tables went with the old views: the
+        # re-route inside fail_site built its own from the new ones.
+        own = {id(stage) for stage in failed._transitions.values()}
+        assert failed._chain_tables
+        assert all(
+            id(stage) in own
+            for table in failed._chain_tables.values()
+            for stage in table.stages
+        )
+        restore_site(gs, "B", 100.0, {"fw": 40.0})
+        restored = gs.model.substrate_columns()
+        assert restored is not failed
+        assert restored.vnf_site_cap[(0, 1)] == 40.0
+        assert not restored._chain_tables
 
 
 class TestLinkFailure:

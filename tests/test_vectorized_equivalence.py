@@ -22,6 +22,7 @@ tests pin the reuse/invalidation contract of the module-global
 constraint-matrix cache.
 """
 
+import dataclasses
 import random
 
 import numpy as np
@@ -265,6 +266,151 @@ class TestDpVectorizedEquivalence:
         for name, chain in model_v.chains.items():
             for z in range(1, chain.num_stages + 1):
                 assert vec.solution.stage_flows(name, z) == ref.solution.stage_flows(name, z)
+
+
+def dp_model(seed, n_nodes=4, n_vnfs=2, n_chains=4, with_routing=True):
+    """A small model built to make SB-DP work for its routes: capacities
+    tight enough that a chain needs several passes and may stay partly
+    unrouted, a VNF with zero capacity at a site, a site with none at
+    all, and per-stage demands with the reverse (or both directions)
+    zero on some stages."""
+    rng = random.Random(seed)
+    nodes = [f"n{i}" for i in range(n_nodes)]
+    latency = {
+        (a, b): rng.uniform(1.0, 40.0) for a in nodes for b in nodes if a != b
+    }
+    sites = [
+        CloudSite(f"S{i}", node, rng.choice([0.0, 6.0, 30.0, 400.0]))
+        for i, node in enumerate(nodes)
+    ]
+    vnfs = []
+    for i in range(n_vnfs):
+        hosts = rng.sample(sites, rng.randint(1, len(sites)))
+        vnfs.append(VNF(
+            f"f{i}", rng.uniform(0.5, 2.0),
+            {s.name: rng.choice([0.0, 3.0, 8.0, 25.0, 300.0]) for s in hosts},
+        ))
+    links, routing = [], {}
+    if with_routing:
+        for a in nodes:
+            for b in nodes:
+                if a == b or rng.random() < 0.15:
+                    continue
+                names = [f"{a}>{b}#{k}" for k in range(rng.randint(1, 3))]
+                for name in names:
+                    bandwidth = rng.choice([4.0, 15.0, 60.0, 500.0])
+                    links.append(Link(
+                        name, a, b, bandwidth,
+                        bandwidth * rng.choice([0.0, 0.0, 0.3, 0.55]),
+                    ))
+                routing[(a, b)] = {name: 1.0 / len(names) for name in names}
+    chains = []
+    for i in range(n_chains):
+        picked = [v.name for v in rng.sample(vnfs, rng.randint(0, len(vnfs)))]
+        stages = len(picked) + 1
+        chains.append(Chain(
+            f"c{i}", rng.choice(nodes), rng.choice(nodes), picked,
+            [rng.choice([0.0, 1.0, 4.0, 9.0]) for _ in range(stages)],
+            [rng.choice([0.0, 0.0, 0.5, 3.0]) for _ in range(stages)],
+        ))
+    return NetworkModel(
+        nodes, latency, sites, vnfs, chains, links, routing,
+        mlu_limit=rng.choice([0.6, 1.0]),
+    )
+
+
+dp_models = st.builds(
+    dp_model,
+    st.integers(0, 1_000_000),
+    n_nodes=st.integers(3, 5),
+    n_vnfs=st.integers(1, 3),
+    n_chains=st.integers(1, 5),
+    with_routing=st.booleans(),
+)
+
+
+class TestDpBatchedSearchEquivalence:
+    """The one-penalty-pass search == the scalar Equation 8 recurrence,
+    with ``==`` on everything a caller can see."""
+
+    CONFIGS = [
+        DpConfig(),
+        DpConfig.latency_only(),
+        DpConfig(use_network_cost=False),
+        DpConfig(use_compute_cost=False, sort_by_demand=True),
+        DpConfig(utilization_weight=3.5, max_paths_per_chain=3),
+        # Penalties dwarf latency: a penalty added where the scalar code
+        # adds none (a direction without demand) changes the route.
+        DpConfig(utilization_weight=400.0),
+    ]
+
+    @settings(max_examples=120, deadline=None)
+    @given(dp_models, st.sampled_from(CONFIGS))
+    def test_same_flows_remainders_and_search_count(self, model, config):
+        vec = route_chains_dp(model, config)
+        ref = route_chains_dp(model, dataclasses.replace(config, vectorized=False))
+        assert vec.solution._flows == ref.solution._flows
+        assert vec.unrouted == ref.unrouted
+        assert vec.paths_computed == ref.paths_computed
+
+    def test_direction_without_demand_adds_no_penalty(self):
+        """The search prices both directions of every stage in its one
+        pass; a direction the chain sends nothing in must still add
+        nothing.  Here the reverse links of the nearer site are nearly
+        full: with forward-only demand it stays the cheaper site."""
+        nodes = ["in", "near", "far", "out"]
+        latency = {
+            ("in", "near"): 5.0, ("near", "out"): 5.0, ("in", "far"): 7.0,
+            ("far", "out"): 7.0, ("in", "out"): 9.0, ("near", "far"): 4.0,
+        }
+        sites = [CloudSite("N", "near", 100.0), CloudSite("F", "far", 100.0)]
+        vnfs = [VNF("fw", 1.0, {"N": 50.0, "F": 50.0})]
+        links = [
+            Link(f"{a}>{b}", a, b, 100.0, 99.0 if (a, b) == ("near", "in") else 0.0)
+            for edge in ("in", "out") for site in ("near", "far")
+            for a, b in ((edge, site), (site, edge))
+        ]
+        routing = {(link.src, link.dst): {link.name: 1.0} for link in links}
+
+        def routed(reverse):
+            chain = Chain("c", "in", "out", ["fw"], 1.0, reverse)
+            return NetworkModel(nodes, latency, sites, vnfs, [chain], links, routing)
+
+        for vectorized in (True, False):
+            result = route_chains_dp(routed(0.0), DpConfig(vectorized=vectorized))
+            assert result.solution._flows == {
+                ("c", 1): {("in", "N"): 1.0}, ("c", 2): {("N", "out"): 1.0}
+            }
+        # ...while with reverse demand the full link does push it away.
+        assert route_chains_dp(routed(0.5)).solution._flows[("c", 1)] == {
+            ("in", "F"): 1.0
+        }
+
+    def test_the_generator_reaches_the_hard_cases(self):
+        """Partial multi-pass routings, directions without demand and
+        dead sites must really come up, or the property above is idle."""
+        seen = dict.fromkeys(
+            ("multi_pass", "partial", "reverse_only_on_some_stages",
+             "vnf_without_capacity_at_a_site", "site_without_capacity"), 0
+        )
+        for seed in range(40):
+            model = dp_model(seed)
+            result = route_chains_dp(model)
+            seen["multi_pass"] += any(  # one chain over two or more paths
+                len(flows) > 1 for flows in result.solution._flows.values()
+            )
+            seen["partial"] += any(0 < r < 1 for r in result.unrouted.values())
+            seen["reverse_only_on_some_stages"] += any(
+                0.0 < max(c.reverse_traffic) and 0.0 in c.reverse_traffic
+                for c in model.chains.values()
+            )
+            seen["vnf_without_capacity_at_a_site"] += any(
+                0.0 in v.site_capacity.values() for v in model.vnfs.values()
+            )
+            seen["site_without_capacity"] += any(
+                s.capacity == 0 for s in model.sites.values()
+            )
+        assert all(count >= 5 for count in seen.values()), seen
 
 
 class TestMaxMinEquivalence:
