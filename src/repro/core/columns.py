@@ -36,6 +36,7 @@ DESIGN.md):
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -143,9 +144,6 @@ class SubstrateColumns:
             [self.node_index[model.sites[s].node] for s in self.site_names],
             dtype=np.int64,
         )
-        self.site_capacity = np.array(
-            [model.sites[s].capacity for s in self.site_names]
-        )
         self.n_nodes = n
         self.endpoint_names: list[str] = self.nodes + self.site_names
         self.endpoint_index: dict[str, int] = {}
@@ -171,11 +169,6 @@ class SubstrateColumns:
             self.vnf_sites.append(
                 np.array([self.site_index[s] for s in sites], dtype=np.int64)
             )
-        self.vnf_site_cap: dict[tuple[int, int], float] = {}
-        for v in self.vnf_names:
-            vi = self.vnf_index[v]
-            for s, cap in model.vnfs[v].site_capacity.items():
-                self.vnf_site_cap[(vi, self.site_index[s])] = cap
 
         # Name ranks reproduce the scalar code's sorted-by-name row order.
         self.site_rank = _rank(self.site_names)
@@ -186,13 +179,8 @@ class SubstrateColumns:
         self.link_index: dict[str, int] = {
             name: i for i, name in enumerate(self.link_names)
         }
-        self.link_bandwidth = np.array(
-            [model.links[name].bandwidth for name in self.link_names]
-        )
-        self.link_background = np.array(
-            [model.links[name].background for name in self.link_names]
-        )
         self.link_rank = _rank(self.link_names)
+        self._read_capacities(model)
 
         # Routing fractions as a CSR over node pairs: pair_id[n1, n2]
         # selects a slice [pair_start[p] : pair_start[p] + pair_len[p])
@@ -220,6 +208,35 @@ class SubstrateColumns:
         self._candidate_links: dict[tuple[bytes, bytes], tuple] = {}
         # ...and by chain shape (ingress, egress, VNF sequence).
         self._chain_tables: dict[tuple, ChainTable] = {}
+
+    def _read_capacities(self, model: NetworkModel) -> None:
+        """The four capacity arrays: per site, per (VNF, site) -- NaN
+        where the VNF is not deployed --, and per link its bandwidth and
+        background traffic.  Everything else here is topology."""
+        self.site_capacity = np.array(
+            [model.sites[s].capacity for s in self.site_names]
+        )
+        self.vnf_cap = np.full((len(self.vnf_names), len(self.site_names)), np.nan)
+        for vi, v in enumerate(self.vnf_names):
+            for s, cap in model.vnfs[v].site_capacity.items():
+                self.vnf_cap[vi, self.site_index[s]] = cap
+        self.link_bandwidth = np.array(
+            [model.links[name].bandwidth for name in self.link_names]
+        )
+        self.link_background = np.array(
+            [model.links[name].background for name in self.link_names]
+        )
+
+    def rescaled(self, model: NetworkModel) -> "SubstrateColumns":
+        """These columns under the capacities of ``model``, which has this
+        topology (:meth:`NetworkModel.copy_with_capacities`): index maps,
+        latency and routing arrays are shared, the four capacity arrays
+        re-read, and the per-front caches (a link table holds
+        bandwidths) start empty."""
+        clone = copy.copy(self)
+        clone._read_capacities(model)
+        clone._transitions, clone._candidate_links, clone._chain_tables = {}, {}, {}
+        return clone
 
     def headroom(self) -> np.ndarray:
         """Per-link capacity available under the MLU budget."""

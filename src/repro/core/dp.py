@@ -115,10 +115,7 @@ class _ResourceState:
         maps are unchanged, so committed loads carry over.
         """
         self.sub = sub
-        caps = np.zeros((len(sub.vnf_names), len(sub.site_names)))
-        for (vi, si), cap in sub.vnf_site_cap.items():
-            caps[vi, si] = cap
-        self.vnf_cap = caps
+        self.vnf_cap = np.where(np.isnan(sub.vnf_cap), 0.0, sub.vnf_cap)
 
     # -- residual capacities -------------------------------------------
 
@@ -636,6 +633,10 @@ class IncrementalDpRouter:
         self.config = config or DpConfig()
         self._router = _DpRouter(model, self.config)
         self.solution = RoutingSolution(model)
+        #: name -> the chain as routed.  The committed load is this
+        #: chain's demands times the carried fractions, whatever the
+        #: model holds under the name by the time of a rollback.
+        self._routed: dict[str, Chain] = {}
 
     def route(self, chain_name: str) -> float:
         """Route one chain (must already be in the model).
@@ -643,23 +644,33 @@ class IncrementalDpRouter:
         Any demand already carried (a previous partial routing) is left
         in place and only the remainder is attempted, so re-invoking
         after new capacity appears implements the paper's dynamic route
-        addition.  Returns the total carried fraction.
+        addition.  While any of it is carried a name stays the chain it
+        was routed as: replacing the chain in the model before the
+        ``rollback`` does not change what the router carries or tops up.
+        Returns the total carried fraction.
         """
-        chain = self.model.chains[chain_name]
+        chain = self._routed.get(chain_name) or self.model.chains[chain_name]
         remaining = max(0.0, 1.0 - self.solution.routed_fraction(chain_name))
         self._router.route_chain(chain, self.solution, remaining)
-        return self.solution.routed_fraction(chain_name)
+        carried = self.solution.routed_fraction(chain_name)
+        if carried > 0:
+            self._routed[chain_name] = chain
+        return carried
 
     def rollback(self, chain_name: str) -> None:
         """Undo a routed chain: release its VNF, site, and link load and
         drop its flows from the accumulated solution.
 
         Used when a two-phase commit is rejected by a VNF controller and
-        the route must be recomputed (Section 3, chain creation).
+        the route must be recomputed (Section 3, chain creation).  What
+        is released is what :meth:`route` committed -- the load of the
+        chain as routed -- whether the model has since re-scaled the
+        chain or dropped it.
         """
-        chain = self.model.chains[chain_name]
+        chain = self._routed.pop(chain_name, None) or self.model.chains[chain_name]
         for z in range(1, chain.num_stages + 1):
-            for (src, dst), frac in self.solution.stage_flows(chain_name, z).items():
+            flows = self.solution._flows.pop((chain_name, z), {})
+            for (src, dst), frac in flows.items():
                 traffic = chain.stage_traffic(z) * frac
                 if z < chain.num_stages:
                     vnf = chain.vnf_at(z)
@@ -675,7 +686,6 @@ class IncrementalDpRouter:
                 rev = chain.reverse_traffic[z - 1] * frac
                 self._router.state.commit_link_traffic(n1, n2, -fwd)
                 self._router.state.commit_link_traffic(n2, n1, -rev)
-        self.solution.clear_chain(chain_name)
 
     def sync_vnf_capacity(self, vnf_name: str, site: str, available: float) -> None:
         """Reconcile the router's view of a VNF's remaining capacity at a

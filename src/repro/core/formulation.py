@@ -200,13 +200,8 @@ class ChainFlow:
     def pair_caps(self, sub, missing: float) -> np.ndarray:
         """Capacity of every (VNF, site) row under ``sub``'s catalog
         (``missing`` where the VNF is not deployed at the site)."""
-        return np.array(
-            [
-                sub.vnf_site_cap.get((int(v), int(s)), missing)
-                for v, s in zip(self.pair_vnf, self.pair_site)
-            ],
-            dtype=float,
-        )
+        caps = sub.vnf_cap[self.pair_vnf, self.pair_site]
+        return np.where(np.isnan(caps), missing, caps)
 
 
 _UB_DTYPES = (np.int64, np.int64, float, np.int8, np.int64)

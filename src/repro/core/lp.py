@@ -24,12 +24,15 @@ The constraint blocks themselves live in :mod:`repro.core.formulation`;
 this module orders them into the routing program (coverage as ``<=`` or
 ``=``, conservation, (VNF, site) rows, per-site rows, link rows, and for
 ``MIN_MLU`` the ``beta`` column with its absent-link rows) and owns the
-objective.  The assembled *structure* (sparsity pattern, demand-
-independent coefficients, RHS, variable order) is cached keyed on
-:meth:`NetworkModel.structure_digest`.  A re-solve after a demand change
--- a ``reoptimize()`` round, the solver farm's incremental ``resolve``
--- only refreshes the demand-scaled entries of the data vector with a
-few vectorized multiplies.  ``MAX_THROUGHPUT`` programs (feasible at
+objective.  The assembled *structure* (sparsity pattern, demand- and
+capacity-independent coefficients, variable order) is cached keyed on
+:meth:`NetworkModel.structure_digest`.  Demands and capacities are data:
+a re-solve after a demand change -- a ``reoptimize()`` round, the solver
+farm's incremental ``resolve`` -- refreshes the demand-scaled entries of
+the data vector with a few vectorized multiplies, and every solve
+gathers the right-hand side of the capacity rows from the model's
+columns (``_RoutingProgram.bounds``), so the solver farm's re-shared
+partitions hit the cache too.  ``MAX_THROUGHPUT`` programs (feasible at
 zero flow) are solved through warm-started column generation
 (:mod:`repro.core.highs`); the other objectives go through
 ``scipy.optimize.linprog`` on the cached matrix.
@@ -133,7 +136,10 @@ class _RoutingProgram(Program):
         first = self.open_eq(np.zeros(flow.n_cons))
         self.conservation(first + np.arange(flow.n_cons))
 
-        # -- compute constraints (Equation 4) ------------------------------
+        # -- compute (Equation 4) and network cost (Equations 6-7) --------
+        # Every row from here on is a capacity row -- per (VNF, site),
+        # per site, per link -- and its bound is data: zero here,
+        # written by :meth:`bounds` at every solve.
         caps = flow.pair_caps(sub, np.nan)
         if np.isnan(caps).any():
             bad = int(np.argmax(np.isnan(caps)))
@@ -142,14 +148,14 @@ class _RoutingProgram(Program):
                 f"{sub.vnf_names[int(flow.pair_vnf[bad])]!r} routed at "
                 f"non-deployment site {sub.site_names[int(flow.pair_site[bad])]!r}"
             )
-        self.load_rows(flow.pair_inverse, caps)
-        self.load_rows(flow.site_inverse, sub.site_capacity[flow.load_sites])
-
-        # -- network cost (Equations 6-7) ----------------------------------
+        self.cap_first = self.load_rows(flow.pair_inverse, np.zeros(len(caps)))
+        self.load_rows(flow.site_inverse, np.zeros(len(flow.load_sites)))
+        #: The link behind each link row, in row order.
+        self.bound_links = flow.load_links
         if flow.has_links and minimize_mlu:
             # g_e + traffic_e <= beta * b_e
             present = flow.load_links
-            first = self.link_load_rows(-sub.link_background[present])
+            first = self.link_load_rows(np.zeros(len(present)))
             self.ub(
                 first + np.arange(len(present)),
                 self.beta_index,
@@ -160,15 +166,29 @@ class _RoutingProgram(Program):
             untouched = sub.link_background > 0
             untouched[present] = False
             absent = np.flatnonzero(untouched)
-            first = self.open_ub(-sub.link_background[absent])
+            first = self.open_ub(np.zeros(len(absent)))
             self.ub(
                 first + np.arange(len(absent)),
                 self.beta_index,
                 -sub.link_bandwidth[absent],
             )
+            self.bound_links = np.concatenate([present, absent])
         elif flow.has_links:
-            self.link_load_rows(sub.headroom()[flow.load_links])
+            self.link_load_rows(np.zeros(len(flow.load_links)))
         self.freeze()
+
+    def bounds(self, sub) -> np.ndarray:
+        """``b_ub`` under the capacities of ``sub``, the substrate columns
+        of the model being solved: the routing program's second kind of
+        refreshed data, next to the demands of :meth:`refresh`."""
+        flow = self.flow
+        link = sub.headroom() if self.beta_index is None else -sub.link_background
+        return np.concatenate([
+            self.b_ub[: self.cap_first],
+            flow.pair_caps(sub, np.nan),
+            sub.site_capacity[flow.load_sites],
+            link[self.bound_links],
+        ])
 
 
 _CACHE = StructureCache(limit=32)
@@ -190,8 +210,14 @@ def _structure_for(
     enforce_mlu: bool,
     metrics: "MetricsRegistry | None",
 ) -> _RoutingProgram:
+    digest = model.structure_digest()
+    if objective is LpObjective.MIN_MLU:
+        # Bandwidths are the coefficients of beta's column and the links
+        # with background traffic pick its absent-link rows: this one
+        # program is keyed on the capacities too.
+        digest += model.substrate_digest()
     structure, cached = _CACHE.get(
-        (model.structure_digest(), objective.value, bool(enforce_mlu)),
+        (digest, objective.value, bool(enforce_mlu)),
         lambda: _RoutingProgram(model, objective, enforce_mlu),
     )
     if metrics is not None:
@@ -306,7 +332,7 @@ def solve_chain_routing_lp(
         structure,
         _cost_vector(structure, ch, objective, latency_tiebreak),
         structure.refresh(ch.stage_total, ch.stage_fwd, ch.stage_rev),
-        structure.b_ub,
+        structure.bounds(model.substrate_columns()),
         _column_upper(n, structure.beta_index),
         zero_feasible=objective is LpObjective.MAX_THROUGHPUT,
         metrics=metrics,

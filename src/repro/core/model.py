@@ -303,6 +303,7 @@ class NetworkModel:
         self._chain_columns = None
         self._variable_columns = None
         self._substrate_json: dict[str, str] | None = None
+        self._structure_json: dict[str, str] | None = None
         self._substrate_digest: str | None = None
         # The node list is immutable after construction; cache the set so
         # per-chain validation stays O(1) on 100k-chain workloads.
@@ -358,6 +359,7 @@ class NetworkModel:
         self._chain_columns = None
         self._variable_columns = None
         self._substrate_json = None
+        self._structure_json = None
         self._substrate_digest = None
 
     # -- columnar views -------------------------------------------------
@@ -521,25 +523,51 @@ class NetworkModel:
                 "latency": sorted(
                     (n1, n2, d) for (n1, n2), d in self._latency.items()
                 ),
-                "sites": sorted(
-                    (s.name, s.node, s.capacity) for s in self.sites.values()
-                ),
-                "vnfs": sorted(
-                    (v.name, v.load_per_unit, sorted(v.site_capacity.items()))
-                    for v in self.vnfs.values()
-                ),
-                "links": sorted(
-                    (link.name, link.src, link.dst, link.bandwidth, link.background)
-                    for link in self.links.values()
-                ),
                 "routing": sorted(
                     (n1, n2, sorted(fractions.items()))
                     for (n1, n2), fractions in self.routing.items()
                 ),
                 "mlu_limit": self.mlu_limit,
             }
-            self._substrate_json = {k: _encode(v) for k, v in document.items()}
+            self._substrate_json = {
+                **{k: _encode(v) for k, v in document.items()},
+                **self._capacity_fragments(),
+            }
         return self._substrate_json
+
+    def _capacity_fragments(self) -> dict[str, str]:
+        """The three fragments that hold capacity magnitudes."""
+        return {
+            "sites": _encode(sorted(
+                (s.name, s.node, s.capacity) for s in self.sites.values()
+            )),
+            "vnfs": _encode(sorted(
+                (v.name, v.load_per_unit, sorted(v.site_capacity.items()))
+                for v in self.vnfs.values()
+            )),
+            "links": _encode(sorted(
+                (link.name, link.src, link.dst, link.bandwidth, link.background)
+                for link in self.links.values()
+            )),
+        }
+
+    def _structure_fragments(self) -> dict[str, str]:
+        """:meth:`_substrate_fragments` with every capacity magnitude
+        left out (cached with them): capacities only reach the routing
+        program's right-hand side, which every solve recomputes."""
+        if self._structure_json is None:
+            self._structure_json = {
+                **self._substrate_fragments(),
+                "sites": _encode(sorted((s.name, s.node) for s in self.sites.values())),
+                "vnfs": _encode(sorted(
+                    (v.name, v.load_per_unit, sorted(v.site_capacity))
+                    for v in self.vnfs.values()
+                )),
+                "links": _encode(sorted(
+                    (link.name, link.src, link.dst) for link in self.links.values()
+                )),
+            }
+        return self._structure_json
 
     def _chain_structure_document(self) -> list:
         """Chains in iteration order with demands reduced to positivity."""
@@ -559,15 +587,17 @@ class NetworkModel:
         """Hash of the LP matrix *structure* this model induces.
 
         Unlike :meth:`digest`, demand magnitudes are excluded (only
-        their zero/non-zero pattern matters to matrix sparsity) and
-        chains are listed in iteration order (which fixes variable
+        their zero/non-zero pattern matters to matrix sparsity), so are
+        site, (VNF, site) and link capacity magnitudes (they are the
+        right-hand side, refreshed at every solve like the demands),
+        and chains are listed in iteration order (which fixes variable
         order).  Two models with equal structure digests produce
         constraint matrices with identical sparsity patterns and
         identical demand-independent entries, which is the contract the
         LP matrix caches rely on (see DESIGN.md).
         """
         return _hash_document(
-            self._substrate_fragments(),
+            self._structure_fragments(),
             chain_structure=self._chain_structure_document(),
         )
 
@@ -580,14 +610,11 @@ class NetworkModel:
         relief coefficients on every solve, so a budget sweep over
         proportionally grown models reuses one cached matrix structure.
         """
+        capacity_free = self._structure_fragments()
         return _hash_document(
-            self._substrate_fragments(),
+            {**self._substrate_fragments(), "vnfs": capacity_free["vnfs"]},
             sites=sorted(
                 (s.name, s.node, s.capacity > 0) for s in self.sites.values()
-            ),
-            vnfs=sorted(
-                (v.name, v.load_per_unit, sorted(v.site_capacity))
-                for v in self.vnfs.values()
             ),
             chain_structure=self._chain_structure_document(),
         )
@@ -618,12 +645,44 @@ class NetworkModel:
         # The substrate is shared, so its caches carry over.
         clone._substrate_columns = self._substrate_columns
         clone._substrate_json = self._substrate_json
+        clone._structure_json = self._structure_json
         clone._substrate_digest = self._substrate_digest
         clone._chain_columns = None
         clone._variable_columns = None
         clone.chains = {}
         for chain in chains:
             clone.add_chain(chain)
+        return clone
+
+    def copy_with_capacities(
+        self, sites: Iterable[CloudSite], vnfs: Iterable[VNF], links: Iterable[Link]
+    ) -> "NetworkModel":
+        """A chain-less model on this topology under other capacities.
+
+        ``sites``, ``vnfs`` and ``links`` must be this model's catalogs
+        entry for entry, in order, with only capacity magnitudes changed.
+        The copy is *derived*, not rebuilt: nothing is re-validated, and
+        the latency / routing / node fragments, the capacity-free
+        fragments and the topology part of the columns
+        (:meth:`SubstrateColumns.rescaled`) are this model's own.
+        """
+        clone = self.copy_with_chains(())
+        clone.sites = {site.name: site for site in sites}
+        clone.vnfs = {vnf.name: vnf for vnf in vnfs}
+        clone.links = {link.name: link for link in links}
+        if (
+            list(clone.sites) != list(self.sites)
+            or list(clone.links) != list(self.links)
+            or [(v.name, v.sites) for v in clone.vnfs.values()]
+            != [(v.name, v.sites) for v in self.vnfs.values()]
+        ):
+            raise ModelError("copy_with_capacities: more than capacities differ")
+        clone._substrate_json = {
+            **self._substrate_fragments(), **clone._capacity_fragments()
+        }
+        clone._structure_json = self._structure_fragments()
+        clone._substrate_digest = None
+        clone._substrate_columns = self.substrate_columns().rescaled(clone)
         return clone
 
     def copy_with_vnfs(self, vnfs: Iterable[VNF]) -> "NetworkModel":

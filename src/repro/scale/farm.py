@@ -16,7 +16,11 @@
   :func:`repro.controller.reoptimize.reoptimize`: it reuses the stored
   partition plan, so only partitions containing changed-demand chains
   miss the cache and are re-solved, and merges fresh results with
-  cached ones into a single :class:`~repro.core.routes.RoutingSolution`.
+  cached ones into a single :class:`~repro.core.routes.RoutingSolution`;
+- a chain-set change re-plans what changed: the stored plan is handed to
+  the partitioner as ``previous``, which carries every unchanged chain's
+  facts, pre-route and seat, so a partition nothing joined or left keeps
+  its chain list and re-solves warm under its new shares.
 
 ``MonolithicSolver`` wraps the plain whole-network solve behind the same
 strategy interface, so ``GlobalSwitchboard(solver=...)`` can switch
@@ -227,18 +231,20 @@ class SolverFarm:
         model: NetworkModel,
         objective: LpObjective = LpObjective.MAX_THROUGHPUT,
     ) -> FarmResult:
-        """Partition (fresh proportional shares) and solve everything.
+        """Partition (shares as of this model's demands) and solve
+        everything.
 
-        Identical back-to-back calls reuse the stored plan (the
-        proportional shares are a pure function of the model, so
-        re-partitioning an unchanged model rebuilds the same plan) and
-        are served from the solution cache; after a demand change prefer
-        :meth:`resolve`, which keeps the stored plan so unchanged
-        partitions keep their cache keys.
+        Identical back-to-back calls reuse the stored plan and are
+        served from the solution cache.  Any other model is planned
+        *from* the stored plan (:func:`partition_chains` carries what
+        did not change; the first call, or another substrate, carries
+        nothing and is the same code); after a demand-only change prefer
+        :meth:`resolve`, which keeps the stored plan as it is so
+        unchanged partitions keep their cache keys.
         """
         plan_key = (model.digest(), self.partition_size)
         if self.plan is None or self._plan_key != plan_key:
-            self.plan = partition_chains(model, self.partition_size)
+            self.plan = partition_chains(model, self.partition_size, self.plan)
             self._plan_key = plan_key
         return self._run(model, objective, self.plan, mode="full")
 
@@ -257,13 +263,14 @@ class SolverFarm:
         validated and encoded -- and a hit merges straight from the
         cache.  ``changed_chains`` is checked against the plan
         (:class:`PartitionError` for a chain it does not know) but does
-        not select what re-solves; the keys do.  Falls back to a full
+        not select what re-solves; the keys do.  Falls back to
         :meth:`solve` when no compatible plan exists: first call, the
-        chain set / chain structure changed, or the *substrate* changed
+        chain set / a chain's shape or demand pattern changed (the plan
+        is then maintained, not rebuilt), or the *substrate* changed
         underneath the plan (``fail_link``/``restore_link`` mutate
         latencies in place and call ``invalidate_substrate()``; the
-        plan's stored substrate digest then no longer matches, so the
-        stale proportional shares are rebuilt rather than reused).
+        plan's stored substrate digest then no longer matches, so
+        nothing of it is carried).
         """
         if self.plan is None or not self.plan.compatible_with(model):
             return self.solve(model, objective)

@@ -22,6 +22,16 @@ that can be solved as independent, much smaller programs:
    capacity -- but may be suboptimal, because a subgroup cannot borrow
    capacity another subgroup leaves idle.
 
+3. A plan is **maintained** across chain-set changes the way the
+   paper's controller treats installed chains (Section 4.4, Figure 10:
+   a new route is fitted in, "existing route unaffected"): the plan
+   keeps, per chain, the chain as planned, its resource set and its
+   weights, plus one SB-DP router holding every chain's pre-route, and
+   :func:`partition_chains` given that plan as ``previous`` re-derives
+   only what changed -- see there for exactly what is carried.  Shares
+   always reflect the demands as of the last re-plan; a plan built from
+   nothing is the same code with nothing to carry.
+
 Optimality-gap contract (documented, checked by
 ``tests/test_scale_properties.py`` and
 ``benchmarks/bench_scale_solver_farm.py``):
@@ -44,6 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from repro.core.dp import DpConfig, IncrementalDpRouter
 from repro.core.model import Chain, CloudSite, Link, NetworkModel, VNF
 
 #: Relative objective gap the split-partition farm is expected to stay
@@ -73,25 +84,52 @@ class Partition:
     exact: bool
 
 
-class PartitionPlan:
-    """A partitioning of one model's chains, reusable across demands.
+@dataclass(slots=True, eq=False)
+class _ChainFacts:
+    """What a plan knows about one chain.  All of it follows from the
+    substrate and the chain alone (the weights also from the pre-route
+    the chain met), so it stays true until either changes."""
 
-    The plan is purely *structural*: membership and capacity shares are
-    fixed when the plan is built, so later demand changes (the
-    re-optimization path) leave unchanged partitions bit-identical --
-    which is what lets the solution cache serve them without re-solving.
+    chain: Chain
+    structure: tuple
+    resources: set[ResourceKey]
+    #: Proportional-split weights, ``None`` while no coupling group is
+    #: split (then nothing is pre-routed either).
+    weights: dict[ResourceKey, float] | None = None
+
+
+class PartitionPlan:
+    """A partitioning of one model's chains, reusable across demands and
+    maintained across chain-set changes.
+
+    Membership and capacity shares are fixed when the plan is built, so
+    later demand changes (the re-optimization path) leave unchanged
+    partitions bit-identical -- which is what lets the solution cache
+    serve them without re-solving.  Besides the partitions the plan
+    holds what they were derived from -- per chain the chain as planned,
+    its resource set and its weights, and the SB-DP router holding every
+    chain's pre-route -- so that :func:`partition_chains` can carry it
+    all into the successor plan for every chain that did not change.
     """
 
     def __init__(
         self,
         partitions: list[Partition],
         shares: dict[int, dict[ResourceKey, float]],
-        structure: dict[str, tuple],
+        facts: dict[str, _ChainFacts],
         substrate_digest: str | None = None,
+        router: IncrementalDpRouter | None = None,
+        group_first: tuple[int, ...] = (),
     ):
         self.partitions = partitions
         self._shares = shares
-        self._structure = structure
+        self._facts = facts
+        #: The pre-route of every chain, on the plan's own chain-less copy
+        #: of the substrate (``None`` while no coupling group is split).
+        self._router = router
+        #: Partition index -> first partition of its coupling group: a
+        #: partition is seat ``index - first`` of that group.
+        self._group_first = group_first
         #: Substrate content hash at build time.  The coupling groups,
         #: the DP pre-route, and the proportional link shares all depend
         #: on the substrate, so a plan must not outlive substrate edits
@@ -114,8 +152,10 @@ class PartitionPlan:
     def compatible_with(self, model: NetworkModel) -> bool:
         """Whether the plan still describes ``model``'s chain set.
 
-        Demands may differ (that is the point of reuse); names, chain
-        structure (ingress/egress/VNF list), and the substrate identity
+        Demand magnitudes may differ (that is the point of reuse);
+        names, chain structure (ingress/egress/VNF list and which stage
+        demands are non-zero -- a chain's resource set, hence what it
+        needs a share of, depends on that), and the substrate identity
         captured at build time must match.  A substrate edit (e.g. a
         link failure flipping latencies to ``inf`` mid-round) changes
         the substrate digest and forces a replan -- the stored shares
@@ -126,11 +166,12 @@ class PartitionPlan:
             and self.substrate_digest != model.substrate_digest()
         ):
             return False
-        if set(model.chains) != set(self._structure):
+        if model.chains.keys() != self._facts.keys():
             return False
         return all(
-            _chain_structure(model.chains[name]) == struct
-            for name, struct in self._structure.items()
+            model.chains[name] is known.chain
+            or _chain_structure(model.chains[name]) == known.structure
+            for name, known in self._facts.items()
         )
 
     def partitions_for(self, chains: Iterable[str]) -> set[int]:
@@ -172,9 +213,9 @@ class PartitionPlan:
 def _scaled_substrate(
     model: NetworkModel, shares: Mapping[ResourceKey, float]
 ) -> NetworkModel:
-    """``model``'s substrate with every budget cut to ``shares``, warmed
-    so that its clones share one set of columns and one encoded digest
-    document."""
+    """``model``'s substrate with every budget cut to ``shares``, derived
+    from it (only the capacities are new); its clones share one set of
+    columns and one encoded digest document."""
     vnfs = []
     for vnf in model.vnfs.values():
         scaled = {
@@ -198,23 +239,19 @@ def _scaled_substrate(
                 link.background * share,
             )
         )
-    template = NetworkModel(
-        nodes=model.nodes,
-        latency=model._latency,
-        sites=sites,
-        vnfs=vnfs,
-        links=links,
-        routing=model.routing,
-        mlu_limit=model.mlu_limit,
-    )
-    template.substrate_columns()
-    template.substrate_digest()
-    return template
+    return model.copy_with_capacities(sites, vnfs, links)
 
 
 def _chain_structure(chain: Chain) -> tuple:
-    """The demand-independent identity of a chain."""
-    return (chain.ingress, chain.egress, chain.vnfs)
+    """The identity of a chain that a demand change leaves alone: its
+    shape and which of its stage demands are non-zero."""
+    return (
+        chain.ingress,
+        chain.egress,
+        chain.vnfs,
+        tuple(w > 0 for w in chain.forward_traffic),
+        tuple(v > 0 for v in chain.reverse_traffic),
+    )
 
 
 def _stage_links(model: NetworkModel, chain: Chain) -> list[set[ResourceKey]]:
@@ -252,8 +289,10 @@ def chain_resources(model: NetworkModel, chain: Chain) -> set[ResourceKey]:
 _LINK_OVERFLOW_WEIGHT = 0.1
 
 
-def _dp_link_usage(model: NetworkModel) -> dict[str, dict[ResourceKey, float]]:
-    """Per-chain link traffic of a fast SB-DP pre-route.
+def _link_usage(
+    router: IncrementalDpRouter, chain: Chain
+) -> dict[ResourceKey, float]:
+    """Link traffic of one chain's SB-DP pre-route.
 
     The best proportional link shares are the shares of the *optimal*
     solution's link usage (a partition can then always reproduce its
@@ -264,29 +303,22 @@ def _dp_link_usage(model: NetworkModel) -> dict[str, dict[ResourceKey, float]]:
     usage their routed fraction generates; the latency-path weights in
     :func:`_chain_resource_weights` fill in for fully unrouted chains.
     """
-    from repro.core.dp import DpConfig, route_chains_dp
-
-    solution = route_chains_dp(
-        model, DpConfig(max_paths_per_chain=8)
-    ).solution
-    usage: dict[str, dict[ResourceKey, float]] = {}
-    for name, chain in model.chains.items():
-        per_chain: dict[ResourceKey, float] = {}
-        for z in range(1, chain.num_stages + 1):
-            for (src, dst), frac in solution.stage_flows(name, z).items():
-                n1 = model.endpoint_node(src)
-                n2 = model.endpoint_node(dst)
-                fwd = chain.forward_traffic[z - 1] * frac
-                rev = chain.reverse_traffic[z - 1] * frac
-                if fwd > 0:
-                    for link, f in model.links_between(n1, n2).items():
-                        key = ("link", link)
-                        per_chain[key] = per_chain.get(key, 0.0) + fwd * f
-                if rev > 0:
-                    for link, f in model.links_between(n2, n1).items():
-                        key = ("link", link)
-                        per_chain[key] = per_chain.get(key, 0.0) + rev * f
-        usage[name] = per_chain
+    model = router.model
+    usage: dict[ResourceKey, float] = {}
+    for z in range(1, chain.num_stages + 1):
+        for (src, dst), frac in router.solution.stage_flows(chain.name, z).items():
+            n1 = model.endpoint_node(src)
+            n2 = model.endpoint_node(dst)
+            fwd = chain.forward_traffic[z - 1] * frac
+            rev = chain.reverse_traffic[z - 1] * frac
+            if fwd > 0:
+                for link, f in model.links_between(n1, n2).items():
+                    key = ("link", link)
+                    usage[key] = usage.get(key, 0.0) + fwd * f
+            if rev > 0:
+                for link, f in model.links_between(n2, n1).items():
+                    key = ("link", link)
+                    usage[key] = usage.get(key, 0.0) + rev * f
     return usage
 
 
@@ -382,118 +414,179 @@ def _chain_resource_weights(
     return weights
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable[str]):
-        self.parent = {item: item for item in items}
-
-    def find(self, item: str) -> str:
-        root = item
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[item] != root:
-            self.parent[item], item = root, self.parent[item]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+def _coupled(resources: Mapping[str, Iterable[ResourceKey]]) -> list[list[str]]:
+    """Names grouped by shared resources, deterministically ordered."""
+    group: dict[str, list[str]] = {}  # name -> the member list its group shares
+    owner: dict[ResourceKey, str] = {}
+    for name, keys in resources.items():
+        members = group[name] = [name]
+        # every distinct name seen so far that holds one of ``keys``
+        for other in set(map(owner.get, keys)) - {None}:
+            joined = group[other]
+            if joined is not members:
+                if len(joined) > len(members):
+                    members, joined = joined, members
+                members += joined
+                for moved in joined:
+                    group[moved] = members
+        owner.update(dict.fromkeys(keys, name))
+    return sorted({id(m): sorted(m) for m in group.values()}.values())
 
 
 def coupling_groups(model: NetworkModel) -> list[list[str]]:
     """Chains grouped by shared resources, deterministically ordered."""
-    uf = _UnionFind(model.chains)
-    owner: dict[ResourceKey, str] = {}
-    for name, chain in model.chains.items():
-        for resource in chain_resources(model, chain):
-            first = owner.setdefault(resource, name)
-            if first != name:
-                uf.union(first, name)
-    groups: dict[str, list[str]] = {}
-    for name in model.chains:
-        groups.setdefault(uf.find(name), []).append(name)
-    ordered = [sorted(members) for members in groups.values()]
-    ordered.sort(key=lambda members: members[0])
-    return ordered
+    return _coupled({
+        name: chain_resources(model, chain) for name, chain in model.chains.items()
+    })
+
+
+def _deal(group: list[str], count: int, held: Mapping[str, int]) -> list[list[str]]:
+    """Seat a name-ordered coupling group on ``count`` seats: ``held``
+    members sit where they sat, the others go one by one to the
+    least-filled seat (the lowest on a tie) -- ``group[i::count]`` when
+    nobody holds a seat.  Seats come back name-ordered."""
+    seats: list[list[str]] = [[] for _ in range(count)]
+    for name, seat in held.items():
+        seats[seat].append(name)
+    for name in group:
+        if name not in held:
+            min(seats, key=len).append(name)
+    return [sorted(seat) for seat in seats]
+
+
+def _tally(
+    names: Iterable[str], facts: Mapping[str, _ChainFacts]
+) -> dict[ResourceKey, float]:
+    """Per resource, the summed weight of ``names``."""
+    weight: dict[ResourceKey, float] = {}
+    for name in names:
+        for resource, w in facts[name].weights.items():
+            weight[resource] = weight.get(resource, 0.0) + w
+    return weight
 
 
 def partition_chains(
-    model: NetworkModel, max_chains: int | None = 16
+    model: NetworkModel,
+    max_chains: int | None = 16,
+    previous: PartitionPlan | None = None,
 ) -> PartitionPlan:
     """Partition the model's chains for independent solving.
 
     ``max_chains`` caps the partition size; ``None`` keeps every
     coupling group whole (always exact, but a fully coupled workload
     then degenerates to the monolithic solve).
+
+    ``previous`` is the plan this one replaces (and uses up: its router
+    moves here).  If it was built on the same substrate, a chain it
+    holds *identically* -- shape, demand pattern and demands -- is
+    carried whole: facts, pre-route and seat.  A re-scaled chain keeps
+    its resource set and its seat but is pre-routed and weighed again; a
+    new chain, or one whose shape or demand pattern changed, is derived
+    from nothing; what left is rolled back out of the pre-route.  The
+    shares therefore reflect the demands as of this call, exactly as
+    those of a plan built from nothing do -- which is this same code
+    with nothing to carry: the pre-route is then ``route_chains_dp``
+    over the model and the seats are ``group[i::n]``.
     """
     if not model.chains:
         raise PartitionError("model has no chains to partition")
     if max_chains is not None and max_chains < 1:
         raise PartitionError("max_chains must be positive")
 
-    groups = coupling_groups(model)
-    needs_split = max_chains is not None and any(
-        len(group) > max_chains for group in groups
-    )
-    weights: dict[str, dict[ResourceKey, float]] = {}
-    if needs_split:
+    digest = model.substrate_digest()
+    if previous is not None and previous.substrate_digest != digest:
+        previous = None
+    old = previous._facts if previous is not None else {}
+    facts: dict[str, _ChainFacts] = {}
+    for name, chain in model.chains.items():
+        known = old.get(name)
+        if known is None or known.chain != chain:
+            structure = _chain_structure(chain)
+            rescaled = known is not None and known.structure == structure
+            known = _ChainFacts(
+                chain,
+                structure,
+                known.resources if rescaled else chain_resources(model, chain),
+            )
+        facts[name] = known
+
+    groups = _coupled({name: known.resources for name, known in facts.items()})
+    counts = [
+        1 if max_chains is None else -(-len(group) // max_chains)
+        for group in groups
+    ]
+    router = previous._router if previous is not None else None
+    if max(counts) == 1:
+        router = None
+        for known in facts.values():
+            known.weights = None
+    else:
         # Splitting divides shared budgets, so the quality of the split
-        # hinges on predicting where each chain's traffic really lands.
-        # Amortize one fast SB-DP pre-route into the plan build and use
-        # its per-chain link usage as the proportional-split weights.
-        usage = _dp_link_usage(model) if model.routing else {}
-        weights = {
-            name: _chain_resource_weights(model, chain, usage.get(name))
-            for name, chain in model.chains.items()
-        }
+        # hinges on predicting where each chain's traffic really lands:
+        # every chain is routed once by SB-DP, against what the chains
+        # routed before it left behind, and its link usage weighs it.
+        if router is None and model.routing:
+            router = IncrementalDpRouter(
+                model.copy_with_chains(()), DpConfig(max_paths_per_chain=8)
+            )
+        if router is not None:
+            for name, known in old.items():
+                if known.weights is not None and facts.get(name) is not known:
+                    router.rollback(name)
+                    router.model.remove_chain(name)
+        for name, known in facts.items():
+            if known.weights is None:
+                usage = None
+                if router is not None:
+                    router.model.add_chain(known.chain)
+                    router.route(name)
+                    usage = _link_usage(router, known.chain)
+                known.weights = _chain_resource_weights(model, known.chain, usage)
+
+    def touching(names: list[str], resource: ResourceKey) -> int:
+        return sum(resource in facts[name].weights for name in names)
 
     partitions: list[Partition] = []
     shares: dict[int, dict[ResourceKey, float]] = {}
-    structure = {
-        name: _chain_structure(chain) for name, chain in model.chains.items()
-    }
-    for group in groups:
-        if max_chains is None or len(group) <= max_chains:
-            partitions.append(
-                Partition(len(partitions), tuple(group), exact=True)
-            )
+    group_first: list[int] = []
+    for group, count in zip(groups, counts):
+        first = len(partitions)
+        group_first += [first] * count
+        if count == 1:
+            partitions.append(Partition(first, tuple(group), exact=True))
             continue
-        # Split into balanced, name-ordered subgroups.  Membership is
-        # demand-independent so re-optimization rounds keep the same
-        # partitioning (and the same cache keys for unchanged slices).
-        num_parts = -(-len(group) // max_chains)
-        subgroups = [group[i::num_parts] for i in range(num_parts)]
-        totals: dict[ResourceKey, float] = {}
-        touched: dict[ResourceKey, int] = {}
-        for name in group:
-            for resource, weight in weights[name].items():
-                totals[resource] = totals.get(resource, 0.0) + weight
-                touched[resource] = touched.get(resource, 0) + 1
-        for subgroup in subgroups:
+        # A chain of unchanged structure keeps its seat, so a partition
+        # nothing joined or left keeps its chain list (and with it its
+        # LP structure, warm basis and column pool).  A group whose
+        # seats are not exactly those of one group of ``previous``, or
+        # one of whose seats would overflow, is dealt from nothing.
+        sat = {
+            name: previous.chain_partition[name]
+            for name in group
+            if name in old and old[name].structure == facts[name].structure
+        }
+        origin = {previous._group_first[index] for index in sat.values()}
+        base = min(origin, default=None)
+        held: dict[str, int] = {}
+        if len(origin) == 1 and previous._group_first.count(base) == count:
+            held = {name: index - base for name, index in sat.items()}
+        seats = _deal(group, count, held)
+        if max(map(len, seats)) > max_chains:
+            seats = _deal(group, count, {})
+        totals = _tally(group, facts)
+        for seat in seats:
             index = len(partitions)
-            partitions.append(Partition(index, tuple(subgroup), exact=False))
-            sub_weights: dict[ResourceKey, float] = {}
-            sub_touched: dict[ResourceKey, int] = {}
-            for name in subgroup:
-                for resource, weight in weights[name].items():
-                    sub_weights[resource] = (
-                        sub_weights.get(resource, 0.0) + weight
-                    )
-                    sub_touched[resource] = sub_touched.get(resource, 0) + 1
-            part_shares: dict[ResourceKey, float] = {}
-            for resource, weight in sub_weights.items():
-                total = totals[resource]
-                if total > 0:
-                    part_shares[resource] = weight / total
-                else:
-                    # Zero-demand contention (e.g. all-idle chains):
-                    # split evenly among the subgroups that touch it.
-                    part_shares[resource] = (
-                        sub_touched[resource] / touched[resource]
-                    )
-            shares[index] = part_shares
+            partitions.append(Partition(index, tuple(seat), exact=False))
+            # Zero-demand contention (e.g. all-idle chains): split evenly
+            # among the subgroups that touch the resource.
+            shares[index] = {
+                resource: weight / totals[resource]
+                if totals[resource] > 0
+                else touching(seat, resource) / touching(group, resource)
+                for resource, weight in _tally(seat, facts).items()
+            }
     return PartitionPlan(
-        partitions, shares, structure, substrate_digest=model.substrate_digest()
+        partitions, shares, facts, digest, router, tuple(group_first)
     )
 
 

@@ -6,7 +6,25 @@ import random
 
 import pytest
 
+from repro.core import capacity, lp
 from repro.core.model import Chain, CloudSite, NetworkModel, VNF
+
+
+@pytest.fixture(autouse=True)
+def cold_structure_caches():
+    """Every test starts and ends with empty LP structure caches.
+
+    A cached program is shared by every model of the same structure and
+    is warm-started from its last basis, whatever demands or capacities
+    that solve had; a warm solve is promised to be optimal within
+    tolerance (``tests/test_warm_start_contract.py``), not to end on the
+    same vertex as a cold one, so a test asserting a vertex must not
+    depend on which test ran before it."""
+    lp.clear_matrix_cache()
+    capacity._CACHE.clear()
+    yield
+    lp.clear_matrix_cache()
+    capacity._CACHE.clear()
 
 
 @pytest.fixture

@@ -28,13 +28,6 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-@pytest.fixture(autouse=True)
-def fresh_cache():
-    clear_matrix_cache()
-    yield
-    clear_matrix_cache()
-
-
 def solve(model, **kwargs):
     result = solve_chain_routing_lp(model, LpObjective.MAX_THROUGHPUT, **kwargs)
     assert result.ok

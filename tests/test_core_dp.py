@@ -194,6 +194,36 @@ class TestIncrementalRouter:
         router.route("c1")
         assert dict(router.solution.stage_flows("c1", 1)) == first
 
+    def test_rollback_releases_what_was_routed_not_what_the_model_says(self):
+        # Regression: fw at sb holds 100; demand 10 commits load 20.
+        model = small_model(chain_demand=10.0, fw_cap_a=0.0, fw_cap_b=100.0)
+        router = IncrementalDpRouter(model)
+        assert router.route("c1") == pytest.approx(1.0)
+        assert router.residual_vnf_capacity("fw", "B") == pytest.approx(80.0)
+        chain = model.chains["c1"]
+        model.remove_chain("c1")
+        model.add_chain(chain.scaled(2.0))
+        router.rollback("c1")  # released 40, 20 more than exists
+        assert router.residual_vnf_capacity("fw", "B") == pytest.approx(100.0)
+        assert router.solution.routed_fraction("c1") == 0.0
+        # ...and the next route is the re-scaled chain's
+        assert router.route("c1") == pytest.approx(1.0)
+        assert router.residual_vnf_capacity("fw", "B") == pytest.approx(60.0)
+
+    def test_rollback_of_a_chain_the_model_already_dropped(self):
+        # Regression: KeyError (and clear_chain a RoutingError).
+        model = small_model(chain_demand=10.0, fw_cap_a=0.0, fw_cap_b=100.0)
+        model.add_chain(Chain("c2", "b", "c", ["fw"], 3.0))
+        router = IncrementalDpRouter(model)
+        router.route("c1")
+        router.route("c2")
+        model.remove_chain("c1")
+        router.rollback("c1")
+        assert router.residual_vnf_capacity("fw", "B") == pytest.approx(94.0)
+        assert [flow.chain for flow in router.solution.flows()] == ["c2", "c2"]
+        with pytest.raises(KeyError):
+            router.rollback("c1")  # neither routed nor in the model
+
     def test_sync_vnf_capacity_reduces_residual(self):
         model = small_model(fw_cap_b=50.0)
         router = IncrementalDpRouter(model)

@@ -173,7 +173,7 @@ class TestSiteFailure:
         fail_site(gs, "B")
         failed = gs.model.substrate_columns()
         assert failed is not before
-        assert failed.vnf_site_cap[(0, 1)] == 0.0
+        assert failed.vnf_cap[0, 1] == 0.0
         # ...and the whole-chain DP tables went with the old views: the
         # re-route inside fail_site built its own from the new ones.
         own = {id(stage) for stage in failed._transitions.values()}
@@ -186,7 +186,7 @@ class TestSiteFailure:
         restore_site(gs, "B", 100.0, {"fw": 40.0})
         restored = gs.model.substrate_columns()
         assert restored is not failed
-        assert restored.vnf_site_cap[(0, 1)] == 40.0
+        assert restored.vnf_cap[0, 1] == 40.0
         assert not restored._chain_tables
 
 

@@ -93,6 +93,14 @@ class TestPartitionPlan:
         for resource, total in totals.items():
             assert total == pytest.approx(1.0), resource
 
+    def test_idle_chains_split_a_contended_budget_evenly(self):
+        model = coupled_model(4, demands=[0.0] * 4, bandwidth=10.0)
+        plan = partition_chains(model, max_chains=2)
+        assert plan._shares == {
+            index: {("vnf", "fw", "B"): 0.5, ("site", "B"): 0.5}
+            for index in (0, 1)
+        }
+
     def test_exact_submodel_keeps_full_capacities(self):
         model = clustered_model(3)
         plan = partition_chains(model, max_chains=1)

@@ -105,27 +105,29 @@ BUILDERS = {
 }
 
 #: Recorded with the five digest methods as they stood before the
-#: substrate document was encoded once (commit c0b0f0b).
+#: substrate document was encoded once (commit c0b0f0b) -- but for
+#: ``structure_digest``, re-recorded when capacity magnitudes left the
+#: LP structure key (they are right-hand side, refreshed per solve).
 GOLDEN = {
     "backbone": {
         "digest": "741ae4b725a20d4a01e57926c6eb1b647433a34532ec53173ddac9f3f1893da9",
         "digest_subset": "ce089c3d4ac6f0a19f24b2d78fe3161a16427be65a4c2eef2ebd6bdaed9a11f4",
         "substrate_digest": "6ca099d3821bb61242310ab09fbe8f077b92cd5bcb3b9345cea53d42ca7d5980",
-        "structure_digest": "be88edefbd2ce691989ab1f381d5bed808ec5b8867ab37d48b9f30453beadbf5",
+        "structure_digest": "2e1b04aa7f193253d1a8b3dc94b0831f285e290233fa024a0a5a355bf24545f3",
         "capacity_structure_digest": "272672238bbf2b3c2d98ad1ad992ceedccac78e57986b61ccae68de6938ec48a",
     },
     "pop_grid": {
         "digest": "6ee93ac57ca580844a4569490a05d13b046490fea2519394ac817cf1d19f222e",
         "digest_subset": "8ae923b9e1f9b311e047bcce217d4c06772599541a3fcaef482ccc637ba3269f",
         "substrate_digest": "c05dcc3a4c34d2d8097577f98f0198c78455361e02e1216379be3e79ea89eb6b",
-        "structure_digest": "9dae304d61ec032d85e5eb4f552e0cc2e5c47f344f6542544d88db55f2649118",
+        "structure_digest": "0b6a5d39d515a32e7294ac3021859a4e3b251a180cd7c657dac80f8073539773",
         "capacity_structure_digest": "97e18434a30cf01156fa925144b51db4d46fa94fdcb8c6d58000913633a42fc2",
     },
     "shadowed": {
         "digest": "5df3cdb87e13f905e2589092808b747892e416fda3ab1eb2ee7435ecd4c97ee6",
         "digest_subset": "0be658ac771ca2ab77de6c95b76ac7c9f741178962e787588d80cd9d957531f6",
         "substrate_digest": "f246fc4d1673cb74019ea2fb8cae4676f909d2409cbfd912b1c30e2e8bdee513",
-        "structure_digest": "99e9a3f717cffbb7a7702c9d8730e83a7ee6021b36bf8fea9c19c2001a79caf2",
+        "structure_digest": "3350a82d9ad60b6f8a17164045430f06e9e118b4bd088a2eb2600df2b803d955",
         "capacity_structure_digest": "b140c67892085fb819a4367273db5070201a1ba11769f18d4e65017716ecdfae",
     },
 }
@@ -204,13 +206,19 @@ def reference_digests(m: NetworkModel) -> dict[str, str]:
         ),
     }
     structure = {"chain_structure": _chain_structure(m)}
+    # the LP structure key leaves every capacity magnitude out
+    bare = {
+        "sites": sorted((s.name, s.node) for s in m.sites.values()),
+        "vnfs": flags["vnfs"],
+        "links": sorted((k.name, k.src, k.dst) for k in m.links.values()),
+    }
     return {
         "digest": _sha({**sub, "chains": _chains(m, m.chains)}),
         "digest_subset": _sha(
             {**sub, "chains": _chains(m, sorted(m.chains)[::2])}
         ),
         "substrate_digest": _sha(sub),
-        "structure_digest": _sha({**sub, **structure}),
+        "structure_digest": _sha({**sub, **bare, **structure}),
         "capacity_structure_digest": _sha({**sub, **flags, **structure}),
     }
 
@@ -270,7 +278,7 @@ class TestDigestByteIdentity:
 def _plan_facts(plan):
     return (
         [(p.index, p.chains, p.exact) for p in plan.partitions],
-        plan._structure,
+        {name: known.structure for name, known in plan._facts.items()},
         plan._shares,
     )
 
@@ -310,7 +318,9 @@ class TestWarmEqualsCold:
 def _substrate_state(model: NetworkModel) -> list:
     """Every object that lives as long as the substrate does."""
     sub = model._substrate_columns
-    state = [sub, model._substrate_json, model._substrate_digest]
+    state = [
+        sub, model._substrate_json, model._structure_json, model._substrate_digest
+    ]
     if sub is not None:
         state += [*sub._transitions.values(), *sub._candidate_links.values()]
     return [s for s in state if s is not None]
@@ -325,9 +335,10 @@ class TestCacheDiesWithSubstrate:
         old_plan = farm.plan
         old_templates = list(old_plan._templates.values())
         assert len(old_templates) == 3  # every partition is a split one
-        # columns, encoded JSON, digest, and for each of the two stage
-        # transitions the DP tables and the candidate-link sets
-        assert len(_substrate_state(model)) == 7
+        # columns, encoded JSON with its capacity-free twin, digest, and
+        # for each of the two stage transitions the DP tables and the
+        # candidate-link sets
+        assert len(_substrate_state(model)) == 8
         old = _substrate_state(model) + old_templates + [
             s for t in old_templates for s in _substrate_state(t)
         ]

@@ -87,7 +87,8 @@ class TestLpMatrixEquivalence:
         program = lp_mod._scalar_program(model, objective, True, 1e-6)
         assert structure.n_total == program.n_total
         assert np.max(np.abs(dense(a_ub) - dense(program.a_ub))) <= TOL
-        assert np.max(np.abs(structure.b_ub - program.b_ub)) <= TOL
+        b_ub = structure.bounds(model.substrate_columns())
+        assert np.max(np.abs(b_ub - program.b_ub)) <= TOL
         assert np.max(np.abs(dense(a_eq) - dense(program.a_eq))) <= TOL
         assert np.max(np.abs(structure.b_eq - program.b_eq)) <= TOL
         assert np.max(np.abs(cost - program.cost)) <= TOL
@@ -204,7 +205,8 @@ class TestGeneratedModelEquivalence:
             structure.refresh(ch.stage_total, ch.stage_fwd, ch.stage_rev)
         )
         assert_same_program(
-            a_ub, structure.b_ub, a_eq, structure.b_eq,
+            a_ub, structure.bounds(model.substrate_columns()), a_eq,
+            structure.b_eq,
             lp_mod._cost_vector(structure, ch, objective, 1e-6),
             lp_mod._scalar_program(model, objective, enforce_mlu, 1e-6),
         )
