@@ -15,6 +15,15 @@ Forwarders are deliberately oblivious to chain *semantics*: they only
 know their label-indexed load-balancing rules and their flow tables, as
 in the paper.  Route or weight changes only affect connections that
 start after the change.
+
+An established connection's packet costs one Python frame per hop.
+``send_forward`` / ``send_reverse`` fix the direction, so the walk runs
+that direction's handler at every forwarder: trace record, counters,
+byte meter, one flow-table lookup, the instance.  Whatever else a
+handler holds is connection set-up, run by the first packet only.  A
+reply's lookup key (its five-tuple reversed) is built once per walk, and
+again only behind a header-rewriting VNF.  DESIGN section 14 has the
+cost model, ``tests/test_dataplane_fastpath.py`` pins it.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from repro.dataplane.flowtable import FlowTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
-from repro.dataplane.labels import Labels, Packet
+from repro.dataplane.labels import FiveTuple, Labels, Packet
 from repro.dataplane.rules import LoadBalancingRule, RuleError
 
 
@@ -79,7 +88,7 @@ class VnfInstance:
     def process(self, packet: Packet) -> Packet:
         self.packets_processed += 1
         self.saw_labels.append(packet.labels is not None)
-        packet.record(self.name)
+        packet.trace.append(self.name)
         if self.transform is not None:
             self.transform(packet)
         return packet
@@ -184,6 +193,9 @@ class DataPlane:
         self.forwarders: dict[str, Forwarder] = {}
         self.endpoints: dict[str, ChainEndpoint] = {}
         self.drops: list[tuple[Packet, str]] = []
+        #: (a reply's flow, that tuple reversed): the last reverse lookup
+        #: key, good for as long as ``packet.flow`` is that very object.
+        self._reverse_key: tuple[FiveTuple | None, FiveTuple | None] = (None, None)
         if metrics is not None:
             self._packet_counter = metrics.counter("dataplane.packet_hops")
             self._drop_counter = metrics.counter("dataplane.packet_drops")
@@ -209,29 +221,26 @@ class DataPlane:
         """Walk a labelled forward-direction packet from the ingress
         edge's forwarder to the egress endpoint."""
         packet.direction = "forward"
-        return self._walk(packet, first_forwarder, came_from)
+        return self._walk(packet, first_forwarder, came_from, self._forward_hop)
 
     def send_reverse(self, packet: Packet, first_forwarder: str, came_from: str) -> Packet:
         """Walk a labelled reverse-direction packet from the egress
         edge's forwarder back to the ingress endpoint."""
         packet.direction = "reverse"
-        return self._walk(packet, first_forwarder, came_from)
+        return self._walk(packet, first_forwarder, came_from, self._reverse_hop)
 
-    def _walk(self, packet: Packet, target: str, came_from: str) -> Packet:
-        hops = 0
-        while True:
-            hops += 1
-            if hops > self.MAX_HOPS:
-                raise ForwardingError(
-                    f"packet exceeded {self.MAX_HOPS} hops: trace={packet.trace}"
-                )
-            if target in self.endpoints:
-                self.endpoints[target].receive_from_chain(packet, came_from)
+    def _walk(self, packet: Packet, target: str, came_from: str, hop) -> Packet:
+        """``hop`` handles one forwarder: the next target's name, or None to drop."""
+        endpoint_of, forwarder_of = self.endpoints.get, self.forwarders.get
+        for _ in range(self.MAX_HOPS):
+            endpoint = endpoint_of(target)
+            if endpoint is not None:
+                endpoint.receive_from_chain(packet, came_from)
                 return packet
-            forwarder = self.forwarders.get(target)
+            forwarder = forwarder_of(target)
             if forwarder is None:
                 raise ForwardingError(f"unknown forwarding target {target!r}")
-            step = self._forward_step(forwarder, packet, came_from)
+            step = hop(forwarder, packet, came_from)
             if step is None:
                 self.drops.append((packet, forwarder.name))
                 forwarder.packets_dropped += 1
@@ -240,45 +249,40 @@ class DataPlane:
                 return packet
             came_from = forwarder.name
             target = step
+        raise ForwardingError(
+            f"packet exceeded {self.MAX_HOPS} hops: trace={packet.trace}"
+        )
 
     # -- per-forwarder behaviour ----------------------------------------------
 
-    def _forward_step(
-        self, fwd: Forwarder, packet: Packet, came_from: str
-    ) -> str | None:
-        """Process one packet at one forwarder; returns the next target
-        name, or None if the packet must be dropped."""
-        labels, direction = packet.labels, packet.direction
+    def _forward_hop(self, fwd: Forwarder, packet: Packet, came_from: str) -> str | None:
+        labels = packet.labels
         if labels is None:
             return None
-        packet.record(fwd.name)
+        packet.trace.append(fwd.name)
         fwd.packets_forwarded += 1
         if self._packet_counter is not None:
             self._packet_counter.inc()
-        meter_key = (labels.chain, labels.egress_site, direction)
+        meter_key = (labels.chain, labels.egress_site, "forward")
         traffic = fwd.traffic_bytes
         traffic[meter_key] = traffic.get(meter_key, 0) + packet.size_bytes
-        if direction == "forward":
-            return self._forward_direction(fwd, packet, came_from)
-        return self._reverse_direction(fwd, packet, came_from)
-
-    def _forward_direction(
-        self, fwd: Forwarder, packet: Packet, came_from: str
-    ) -> str | None:
-        labels = packet.labels
         in_flow = packet.flow
         entry = fwd.flow_table.lookup(labels, in_flow)
         if entry is None:
             rule = fwd.rule_for(labels)
             if rule is None:
                 return None
-            entry = fwd.flow_table.insert(labels, packet.flow)
-            entry.prev_hop = came_from
+            # Pick before inserting: a set-up dropped here must leave no
+            # entry for the flow's next packet to hit and skip the VNF.
+            local_instance = None
             try:
                 if len(rule.local_instances):
-                    entry.local_instance = rule.local_instances.pick(self.rng)
+                    local_instance = rule.local_instances.pick(self.rng)
             except RuleError:
                 return None
+            entry = fwd.flow_table.insert(labels, in_flow)
+            entry.prev_hop = came_from
+            entry.local_instance = local_instance
             # The next hop is chosen after the local VNF runs (the tuple
             # may change); leave next_hop unset until then.
         entry.packets += 1
@@ -288,11 +292,14 @@ class DataPlane:
             if instance is None:
                 return None
             try:
-                self._run_instance(fwd, instance, packet)
+                if instance.supports_labels:
+                    instance.process(packet)
+                else:
+                    self._run_instance(instance, packet)
             except DropPacket:
                 return None
             out_flow = packet.flow
-            if out_flow != in_flow:
+            if out_flow is not in_flow and out_flow != in_flow:
                 # Header-rewriting VNF: alias the entry under the new
                 # tuple so reverse-direction lookups still match (the
                 # per-interface label re-association of Section 5.3).
@@ -308,13 +315,26 @@ class DataPlane:
                 return None
         return entry.next_hop
 
-    def _reverse_direction(
-        self, fwd: Forwarder, packet: Packet, came_from: str
-    ) -> str | None:
+    def _reverse_hop(self, fwd: Forwarder, packet: Packet, came_from: str) -> str | None:
         labels = packet.labels
+        if labels is None:
+            return None
+        packet.trace.append(fwd.name)
+        fwd.packets_forwarded += 1
+        if self._packet_counter is not None:
+            self._packet_counter.inc()
+        meter_key = (labels.chain, labels.egress_site, "reverse")
+        traffic = fwd.traffic_bytes
+        traffic[meter_key] = traffic.get(meter_key, 0) + packet.size_bytes
         # Reverse packets match the entry installed by the forward
-        # direction: key by the reversed five-tuple.
-        entry = fwd.flow_table.lookup(labels, packet.flow.reversed())
+        # direction: key by the reversed five-tuple, carried from hop to
+        # hop until a header-rewriting VNF replaces ``packet.flow``.
+        flow = packet.flow
+        reversed_of, key = self._reverse_key
+        if reversed_of is not flow:
+            key = flow.reversed()
+            self._reverse_key = (flow, key)
+        entry = fwd.flow_table.lookup(labels, key)
         if entry is None:
             return None
         entry.packets += 1
@@ -323,17 +343,17 @@ class DataPlane:
             if instance is None:
                 return None
             try:
-                self._run_instance(fwd, instance, packet)
+                if instance.supports_labels:
+                    instance.process(packet)
+                else:
+                    self._run_instance(instance, packet)
             except DropPacket:
                 return None
         return entry.prev_hop
 
-    def _run_instance(
-        self, fwd: Forwarder, instance: VnfInstance, packet: Packet
-    ) -> None:
-        if instance.supports_labels:
-            instance.process(packet)
-            return
+    @staticmethod
+    def _run_instance(instance: VnfInstance, packet: Packet) -> None:
+        """Run a label-unaware instance: strip the labels, re-affix them."""
         saved = packet.labels
         packet.labels = None
         try:

@@ -26,7 +26,8 @@ class FiveTuple(NamedTuple):
 
     def reversed(self) -> "FiveTuple":
         """The same connection seen in the opposite direction."""
-        return self._make((self[1], self[0], self[2], self[4], self[3]))
+        # One frame: every reply is reversed at its edge and once per walk.
+        return tuple.__new__(type(self), (self[1], self[0], self[2], self[4], self[3]))
 
 
 class Labels(NamedTuple):

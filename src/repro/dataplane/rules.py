@@ -34,6 +34,8 @@ class WeightedChoice:
 
     def __init__(self, weights: Mapping[str, float] | None = None):
         self._weights: dict[str, float] = {}
+        #: ``sum(self._weights.values())``, or None after an edit.
+        self._total: float | None = None
         if weights:
             for target, weight in weights.items():
                 self.set_weight(target, weight)
@@ -42,9 +44,11 @@ class WeightedChoice:
         if weight < 0:
             raise RuleError(f"negative weight for {target!r}")
         self._weights[target] = float(weight)
+        self._total = None
 
     def remove(self, target: str) -> None:
         self._weights.pop(target, None)
+        self._total = None
 
     @property
     def targets(self) -> list[str]:
@@ -52,7 +56,9 @@ class WeightedChoice:
 
     @property
     def total_weight(self) -> float:
-        return sum(self._weights.values())
+        if self._total is None:
+            self._total = sum(self._weights.values())
+        return self._total
 
     def weight(self, target: str) -> float:
         return self._weights.get(target, 0.0)

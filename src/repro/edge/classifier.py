@@ -75,6 +75,9 @@ class PrefixIndex:
     def __init__(self) -> None:
         #: version -> {shift: {prefix bits: values}}, ascending shift.
         self._tables: dict[int, dict[int, dict[int, list]]] = {4: {}, 6: {}}
+        #: Counts the calls that filed or dropped a value: an answer
+        #: read from this index holds while ``version`` is unchanged.
+        self.version = 0
 
     def __len__(self) -> int:
         return sum(
@@ -90,6 +93,7 @@ class PrefixIndex:
             tables[prefix.shift] = {}
             self._tables[prefix.version] = tables = dict(sorted(tables.items()))
         tables[prefix.shift].setdefault(prefix.bits, []).append(value)
+        self.version += 1
 
     def remove(self, prefix: Prefix, value: Any = None) -> bool:
         """Remove the first ``value`` filed under ``prefix`` (every value
@@ -108,6 +112,7 @@ class PrefixIndex:
             del tables[prefix.shift][prefix.bits]
             if not tables[prefix.shift]:
                 del tables[prefix.shift]
+        self.version += 1
         return True
 
     def covering(self, address: Address) -> Iterator[list]:
@@ -192,7 +197,7 @@ class ClassifierTable:
         #: chain label -> [(install order, rule)]
         self._by_label: dict[int, list[tuple[int, ClassifierRule]]] = {}
         #: source prefix -> [(install order, rule)], ascending order
-        self._by_source = PrefixIndex()
+        self.index = PrefixIndex()
 
     def __iter__(self) -> Iterator[ClassifierRule]:
         entries = sorted(itertools.chain.from_iterable(self._by_label.values()))
@@ -206,13 +211,13 @@ class ClassifierTable:
         entry = (next(self._order), rule)
         self._by_label.setdefault(rule.chain_label, []).append(entry)
         for prefix in self._sources(rule):
-            self._by_source.add(prefix, entry)
+            self.index.add(prefix, entry)
 
     def remove(self, chain_label: int) -> None:
         """Remove every rule that applies ``chain_label``."""
         for entry in self._by_label.pop(chain_label, []):
             for prefix in self._sources(entry[1]):
-                self._by_source.remove(prefix, entry)
+                self.index.remove(prefix, entry)
 
     def first_match(
         self, flow: FiveTuple, src: Address, dst: Address | None = None
@@ -220,7 +225,7 @@ class ClassifierTable:
         """The chain label of the first installed rule matching ``flow``
         (whose parsed addresses are ``src`` and, if at hand, ``dst``)."""
         best = None
-        for entries in self._by_source.covering(src):
+        for entries in self.index.covering(src):
             for entry in entries:
                 if best is not None and entry[0] > best[0]:
                     break
@@ -240,23 +245,24 @@ class EgressTable:
     """
 
     def __init__(self) -> None:
-        self._routes = PrefixIndex()
+        #: destination prefix -> [egress site], in the order added.
+        self.index = PrefixIndex()
 
     def add_route(self, prefix: str, egress_site: str) -> None:
-        self._routes.add(Prefix(prefix), egress_site)
+        self.index.add(Prefix(prefix), egress_site)
 
     def remove_route(self, prefix: str, egress_site: str | None = None) -> bool:
         """Remove one route to ``egress_site`` under ``prefix`` (every
         route under it when None); True if any was removed."""
-        return self._routes.remove(Prefix(prefix), egress_site)
+        return self.index.remove(Prefix(prefix), egress_site)
 
     def lookup(self, dst_ip: str) -> str | None:
         return self.longest_match(parse_address(dst_ip))
 
     def longest_match(self, address: Address) -> str | None:
-        for sites in self._routes.covering(address):
+        for sites in self.index.covering(address):
             return sites[0]
         return None
 
     def __len__(self) -> int:
-        return len(self._routes)
+        return len(self.index)

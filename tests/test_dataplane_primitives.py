@@ -179,6 +179,46 @@ class TestWeightedChoice:
         picked = choice.pick(random.Random(seed))
         assert weights[picked] > 0
 
+    def test_held_total_draws_as_the_resumming_loop_did(self):
+        """``pick`` holds its total between edits; the loop that summed
+        the weights on every draw is the definition."""
+
+        def resumming_pick(weights, rng):
+            total = sum(weights.values())
+            if total <= 0:
+                raise RuleError("no eligible targets (all weights zero)")
+            point = rng.uniform(0.0, total)
+            acc, chosen = 0.0, None
+            for target, weight in weights.items():
+                if weight <= 0:
+                    continue
+                acc += weight
+                chosen = target
+                if point <= acc:
+                    break
+            return chosen
+
+        weights = {"a": 1.0, "b": 0.0, "c": 2.5, "d": 0.25, "e": 0.0}
+        choice, rng, reference_rng = WeightedChoice(weights), random.Random(11), random.Random(11)
+        for draw in range(10_000):
+            if draw == 3_000:
+                choice.set_weight("b", 4.0)
+                weights["b"] = 4.0
+            elif draw == 6_000:
+                choice.remove("c")
+                del weights["c"]
+            elif draw == 8_000:
+                choice.set_weight("f", 0.125)
+                weights["f"] = 0.125
+            assert choice.pick(rng) == resumming_pick(weights, reference_rng)
+        assert rng.getstate() == reference_rng.getstate()
+        assert choice.total_weight == sum(weights.values())
+        for target in list(weights):
+            choice.set_weight(target, 0.0)
+        with pytest.raises(RuleError):
+            choice.pick(rng)
+        assert rng.getstate() == reference_rng.getstate()  # refused before drawing
+
 
 class TestHierarchicalWeights:
     def test_product_of_site_fraction_and_instance_weight(self):

@@ -10,6 +10,7 @@ import pytest
 
 from repro.dataplane.forwarder import (
     DataPlane,
+    DropPacket,
     Forwarder,
     ForwardingError,
     VnfInstance,
@@ -108,6 +109,45 @@ class TestConformity:
         )
         with pytest.raises(ForwardingError, match="hops"):
             dp.send_forward(Packet(flow(0), labels=Labels(1, "E")), "f1", "e")
+
+    def test_failed_local_pick_leaves_no_flow_entry(self, fabric):
+        """A set-up dropped because every local weight is zero leaves no
+        half-built entry behind: with the weight restored the flow's next
+        packet is a first packet again and visits the VNF, both ways."""
+        dp, _f_in, f_g, (g1, _g2), sink = fabric
+        rule = LoadBalancingRule(
+            local_instances=WeightedChoice({"g1": 0.0}),
+            next_forwarders=WeightedChoice({"egress": 1.0}),
+        )
+        f_g.install_rule(1, "E", rule)
+        dropped = send(dp, 0)
+        assert dropped.trace == ["f.in", "f.g"]
+        assert [name for _packet, name in dp.drops] == ["f.g"]
+        assert (len(f_g.flow_table), f_g.flow_table.inserts) == (0, 0)
+        rule.local_instances.set_weight("g1", 1.0)
+        delivered = send(dp, 0)
+        assert delivered.trace == ["f.in", "f.g", "g1", "egress"]
+        assert sink.received == [delivered] and g1.packets_processed == 1
+        reply = send(dp, 0, direction="reverse")
+        assert reply.trace == ["f.g", "g1", "f.in", "ingress-edge"]
+
+    def test_packet_dropped_by_the_vnf_keeps_its_entry(self, fabric):
+        """The VNF's own verdict is not a failed set-up: the entry and
+        its instance affinity stay (a firewall sees the flow's retry)."""
+        dp, _f_in, f_g, (g1, g2), sink = fabric
+        verdicts = iter([DropPacket("first packet refused")])
+
+        def transform(packet):
+            for verdict in verdicts:
+                raise verdict
+
+        g1.transform = g2.transform = transform
+        dropped = send(dp, 0)
+        assert dropped.trace[:2] == ["f.in", "f.g"] and len(dropped.trace) == 3
+        assert (len(f_g.flow_table), f_g.flow_table.inserts) == (1, 1)
+        retried = send(dp, 0)
+        assert retried.trace == dropped.trace + ["egress"]
+        assert sink.received == [retried] and f_g.flow_table.inserts == 1
 
 
 class TestFlowAffinity:

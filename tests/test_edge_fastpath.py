@@ -11,16 +11,18 @@ do not grow with the rules installed, and the key types stay tuples.
 
 import ipaddress
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.controller import ChainSpecification, GlobalSwitchboard, LocalSwitchboard
 from repro.core.model import CloudSite, NetworkModel, VNF
-from repro.dataplane import DataPlane
+from repro.dataplane import DataPlane, Forwarder
 from repro.dataplane.flowtable import FlowKey, FlowTable
 from repro.dataplane.labels import FiveTuple, Labels, Packet
 from repro.edge import ClassifierRule, EdgeController, EdgeInstance, EgressTable
+from repro.edge import instance as edge_instance
 from repro.vnf import NatFunction, StatefulFirewall, VnfService
 from repro.vnf.firewall import FirewallRule
 
@@ -149,6 +151,134 @@ def test_compiled_state_agrees_with_the_linear_reference(steps, probes):
             assert edge.egress_table.lookup(flow.dst_ip) == reference_lookup(
                 routes, flow.dst_ip
             )
+
+
+# -- the connection table: a memo of (flow, classifier, egress table) ----
+
+
+def _without_route(routes, prefix, site):
+    """``routes`` less what ``remove_route(prefix, site)`` removes: the
+    first route to ``site`` under ``prefix``, every one when None."""
+    network = ipaddress.ip_network(prefix, strict=False)
+    same = [
+        i for i, (p, s) in enumerate(routes)
+        if ipaddress.ip_network(p, strict=False) == network and site in (None, s)
+    ]
+    doomed = same if site is None else same[:1]
+    return [r for i, r in enumerate(routes) if i not in doomed]
+
+
+# Addresses and prefixes that mostly nest, so that most flows are
+# labelled and most edits move some flow's answer.
+near_prefix = st.one_of(prefix, st.sampled_from([
+    "0.0.0.0/0", "10.0.0.0/8", "10.0.0.0/16", "10.0.0.0/24", "10.0.0.1/32",
+    "::/0", "2001:db8::/32", "2001:db8::/64", "2001:db8::1/128",
+]))
+near_address = st.one_of(address, st.sampled_from([
+    "10.0.0.1", "10.0.0.77", "10.0.1.1", "10.1.0.1",
+    "2001:db8::1", "2001:db8::4d", "2001:db8:1::1",
+]))
+near_flows = st.builds(
+    FiveTuple, near_address, near_address, st.sampled_from(["tcp", "tcp", "udp"]),
+    st.sampled_from([80, 443]), st.just(80),
+)
+
+
+def _rules_of(label):
+    return st.builds(
+        ClassifierRule,
+        chain_label=label,
+        src_prefix=st.one_of(st.none(), near_prefix),
+        dst_prefix=st.one_of(st.none(), st.none(), st.none(), near_prefix),
+        protocol=st.sampled_from([None, None, None, "tcp", "udp"]),
+        src_port_range=port_range,
+    )
+
+
+route = st.tuples(near_prefix, st.sampled_from("ABC"))
+connection_steps = st.lists(
+    st.one_of(
+        # label 7 is never installed: removing it must change nothing
+        st.integers(1, 6).flatmap(
+            lambda label: st.tuples(
+                st.just("install_chain"), st.just(label),
+                st.one_of(st.none(), _rules_of(st.just(label))),
+                st.lists(route, max_size=2),
+            )
+        ),
+        st.tuples(st.just("remove_chain"), st.integers(1, 7)),
+        st.tuples(st.just("install"), _rules_of(st.integers(1, 6))),
+        st.tuples(st.just("remove"), st.integers(1, 7)),
+        route.map(lambda added: ("add_route", *added)),
+        st.tuples(st.just("remove_route"), near_prefix, st.sampled_from([None, *"ABC"])),
+        st.tuples(st.just("packet"), near_flows),
+    ),
+    min_size=4, max_size=30,
+)
+#: Every example starts with both address families labelled.
+PRELUDE = [
+    ("install_chain", 1, ClassifierRule(1, src_prefix="10.0.0.0/8"), [("10.0.0.0/8", "A")]),
+    ("install_chain", 2, ClassifierRule(2, protocol="tcp"), [("::/0", "B")]),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(connection_steps, st.lists(near_flows, min_size=1, max_size=4), st.sampled_from([2, 8192]))
+def test_ingress_labels_every_packet_as_the_uncached_reference_does(steps, known, bound):
+    """Whatever edits the two tables -- the controller, the instance's
+    own methods, or the tables directly -- and whether or not a flow was
+    seen before, ``ingress`` applies the labels the linear scan computes
+    now; a flow it cannot label is reported every time it is sent."""
+    dp = DataPlane(random.Random(0))
+    dp.add_forwarder(Forwarder("fwd", "A"))  # no rules: it drops, labels intact
+    edge = EdgeInstance("edge", "A", dp)
+    edge.attach_forwarder("fwd")
+    controller = EdgeController("vpn")
+    controller.register_instance(edge)
+    installed: list[ClassifierRule] = []
+    routes: list[tuple[str, str]] = []
+    chain_routes: dict[int, list[tuple[str, str]]] = {}
+    known = list(known)
+    with mock.patch.object(edge_instance, "MAX_CONNECTIONS", bound):
+        for step in PRELUDE + steps:
+            if step[0] == "install_chain":
+                _, label, rule, added = step
+                controller.install_chain("A", Labels(label, "B"), rule, added)
+                installed += [rule] if rule is not None else []
+                routes += added
+                chain_routes.setdefault(label, []).extend(added)
+            elif step[0] == "remove_chain":
+                controller.remove_chain(Labels(step[1], "B"))
+                installed = [r for r in installed if r.chain_label != step[1]]
+                for added in chain_routes.pop(step[1], []):
+                    routes = _without_route(routes, *added)
+            elif step[0] == "install":
+                edge.classifier.install(step[1])
+                installed.append(step[1])
+            elif step[0] == "remove":
+                edge.classifier.remove(step[1])
+                installed = [r for r in installed if r.chain_label != step[1]]
+            elif step[0] == "add_route":
+                edge.egress_table.add_route(step[1], step[2])
+                routes.append(step[1:])
+            elif step[0] == "remove_route":
+                edge.egress_table.remove_route(step[1], step[2])
+                routes = _without_route(routes, step[1], step[2])
+            else:
+                known.append(step[1])
+            for flow in known:
+                chain = reference_classify(installed, flow)
+                site = reference_lookup(routes, flow.dst_ip)
+                packet, reported = Packet(flow), len(edge.unclassified)
+                edge.ingress(packet)
+                if chain is None or site is None:
+                    assert packet.labels is None and packet.trace == ["edge"]
+                    assert len(edge.unclassified) == reported + 1
+                    assert edge.unclassified[-1] is packet
+                else:
+                    assert packet.labels == Labels(chain, site)
+                    assert packet.trace == ["edge", "fwd"]
+                    assert len(edge.unclassified) == reported
 
 
 @given(address, prefix)
