@@ -30,8 +30,8 @@ DESIGN.md):
   for sites (a site and its colocated node are distinct endpoints);
 - variable order is chain-major, then stage, then source-major over the
   stage's (sources × destinations) — identical to the enumeration of
-  the scalar reference (``formulation.ScalarRows``), so cached matrices
-  stay valid for solution extraction.
+  the scalar reference (``tests/reference/scalar_rows.py``), so cached
+  matrices stay valid for solution extraction.
 """
 
 from __future__ import annotations
@@ -170,6 +170,12 @@ class SubstrateColumns:
                 np.array([self.site_index[s] for s in sites], dtype=np.int64)
             )
 
+        #: Endpoint ids of each VNF's deployment sites, and (filled on
+        #: demand) the one-element array of a named endpoint: what a
+        #: chain's stage table is concatenated from.
+        self.vnf_endpoints = [n + sites for sites in self.vnf_sites]
+        self._endpoint_arrays: dict[str, np.ndarray] = {}
+
         # Name ranks reproduce the scalar code's sorted-by-name row order.
         self.site_rank = _rank(self.site_names)
         self.vnf_rank = _rank(self.vnf_names)
@@ -201,6 +207,13 @@ class SubstrateColumns:
         self.pair_len = np.array(lens, dtype=np.int64)
         self.pool_link = np.array(pool_link, dtype=np.int64)
         self.pool_frac = np.array(pool_frac)
+        #: Per pool entry, the node pair it belongs to and its link in
+        #: *name* order: traffic per pair -> traffic per link (Equation 6)
+        #: is one gather and one ``bincount``.
+        self.pool_pair = np.repeat(
+            np.arange(len(lens), dtype=np.int64), self.pair_len
+        )
+        self.pool_link_rank = self.link_rank[self.pool_link]
         self.mlu_limit = model.mlu_limit
         # Filled on demand, keyed by (source nodes, destination nodes),
         # dropped with this object by invalidate_substrate().
@@ -340,6 +353,15 @@ class SubstrateColumns:
             targets, links, self.pool_frac[pool_idx], self.link_bandwidth[links]
         )
 
+    def endpoint_array(self, name: str, model: NetworkModel) -> np.ndarray:
+        """``[endpoint_id(name)]`` as a shared, read-only array."""
+        found = self._endpoint_arrays.get(name)
+        if found is None:
+            found = self._endpoint_arrays[name] = np.array(
+                [self.endpoint_id(name, model)], dtype=np.int64
+            )
+        return found
+
     def endpoint_id(self, name: str, model: NetworkModel) -> int:
         """Endpoint id of a site name or node name (site wins)."""
         if name in self.site_index:
@@ -397,22 +419,18 @@ class ChainColumns:
                 st_fwd.append(chain.forward_traffic[z - 1])
                 st_rev.append(chain.reverse_traffic[z - 1])
                 if z == 1:
-                    srcs = np.array(
-                        [sub.endpoint_id(chain.ingress, model)], dtype=np.int64
-                    )
+                    srcs = sub.endpoint_array(chain.ingress, model)
                     st_src_vnf.append(-1)
                 else:
                     vi = sub.vnf_index[chain.vnfs[z - 2]]
-                    srcs = sub.n_nodes + sub.vnf_sites[vi]
+                    srcs = sub.vnf_endpoints[vi]
                     st_src_vnf.append(vi)
                 if z == stages:
-                    dsts = np.array(
-                        [sub.endpoint_id(chain.egress, model)], dtype=np.int64
-                    )
+                    dsts = sub.endpoint_array(chain.egress, model)
                     st_dst_vnf.append(-1)
                 else:
                     vi = sub.vnf_index[chain.vnfs[z - 1]]
-                    dsts = sub.n_nodes + sub.vnf_sites[vi]
+                    dsts = sub.vnf_endpoints[vi]
                     st_dst_vnf.append(vi)
                 src_pool.append(srcs)
                 dst_pool.append(dsts)

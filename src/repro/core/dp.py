@@ -22,8 +22,8 @@ The default path search (``_find_path_dp_vec``) evaluates a whole stage
 front at a time, and -- the residual state being constant within one
 search -- prices the utilizations of *all* stages in one penalty pass
 through the substrate's per-shape :class:`~repro.core.columns.ChainTable`;
-the scalar ``_find_path_dp`` is the oracle it is tested against, route
-for route.
+the scalar recurrence it replaced (``tests/reference/dp_scalar.py``) is
+the oracle it is tested against, route for route.
 
 Two ablations from Figure 13a are expressed as configurations:
 
@@ -69,12 +69,6 @@ class DpConfig:
     penalty: PiecewiseLinearCost = field(default=FORTZ_THORUP)
     max_paths_per_chain: int = 64
     sort_by_demand: bool = False
-    #: Evaluate the Equation 8 recurrence one stage front at a time over
-    #: columnar arrays instead of one ``_transition_cost`` call per
-    #: (source, destination) pair.  Same routes (the accumulation order
-    #: per matrix element matches the scalar code exactly); ``False``
-    #: forces the scalar reference implementation.
-    vectorized: bool = True
 
     @staticmethod
     def latency_only() -> "DpConfig":
@@ -334,49 +328,7 @@ class _DpRouter:
     def _find_path(self, chain: Chain, pass_fraction: float) -> list[str] | None:
         if self.config.per_hop:
             return self._find_path_greedy(chain, pass_fraction)
-        if self.config.vectorized:
-            return self._find_path_dp_vec(chain, pass_fraction)
-        return self._find_path_dp(chain, pass_fraction)
-
-    def _find_path_dp(self, chain: Chain, pass_fraction: float) -> list[str] | None:
-        """The Equation 8 table computation with parent backtracking."""
-        # Chain nodes 0 .. num_stages: node 0 is the ingress, node
-        # num_stages is the egress; node z (1-based) hosts VNF z.
-        prev_sites = [chain.ingress]
-        prev_cost = {chain.ingress: 0.0}
-        parents: list[dict[str, str]] = []
-
-        for z in range(1, chain.num_stages + 1):
-            dests = self.model.stage_destinations(chain, z)
-            cost: dict[str, float] = {}
-            parent: dict[str, str] = {}
-            for dst in dests:
-                best, best_src = _INF, None
-                for src in prev_sites:
-                    base = prev_cost.get(src, _INF)
-                    if base == _INF:
-                        continue
-                    step = self._transition_cost(chain, z, src, dst, pass_fraction)
-                    if base + step < best:
-                        best = base + step
-                        best_src = src
-                if best_src is not None:
-                    cost[dst] = best
-                    parent[dst] = best_src
-            if not cost:
-                return None
-            parents.append(parent)
-            prev_sites = list(cost)
-            prev_cost = cost
-
-        # Backtrack from the egress.
-        path = [chain.egress]
-        current = chain.egress
-        for parent in reversed(parents):
-            current = parent[current]
-            path.append(current)
-        path.reverse()
-        return path
+        return self._find_path_dp_vec(chain, pass_fraction)
 
     def _find_path_dp_vec(
         self, chain: Chain, pass_fraction: float

@@ -14,10 +14,12 @@ module is the only place those constraints are written down:
   its own.  Every entry carries a kind saying how it scales with the
   current demands, so a re-solve after a demand change is one
   :meth:`Program.refresh` over the cached structure.
-- :class:`ScalarRows` generates the same rows with per-variable Python
-  loops.  It is the oracle the vectorised blocks are property-tested
-  against (equal matrices within 1e-9) and the assembly behind every
-  ``*_reference`` solve.
+- ``tests/reference/scalar_rows.py`` generates the same rows with
+  per-variable Python loops: the oracle the vectorised blocks are
+  property-tested against (equal matrices within 1e-9).
+- :func:`solved_flows` turns a solved program's flow values into the
+  routing solution, its rows and -- :func:`certify`, from the columnar
+  views alone -- the certificate of their feasibility.
 - :class:`StructureCache` is the LRU that keeps built programs -- and the
   warm column-generation solver hanging off each -- across solves, and
   :func:`solve` is the one dispatch: column generation on the direct
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -37,8 +38,8 @@ from scipy.sparse import csc_matrix, csr_matrix, get_index_dtype
 
 from repro.core import highs as highs_backend
 from repro.core.columns import ragged_gather
-from repro.core.model import Chain, NetworkModel
-from repro.core.routes import RoutingSolution
+from repro.core.model import NetworkModel
+from repro.core.routes import Certificate, RoutingSolution, flow_table
 
 # Data-entry kinds: how a cached base coefficient scales with the current
 # demands.  KIND_CONST entries never change on a cache hit.
@@ -82,6 +83,7 @@ class ChainFlow:
         self.n_flow = n = vc.n_vars
         self.n_chains = len(ch.chain_names)
         self.var_stage = var_stage = vc.var_stage
+        self.var_src_ep, self.var_dst_ep = vc.var_src_ep, vc.var_dst_ep
         self.var_latency = vc.var_latency
         var_dst_vnf = ch.stage_dst_vnf[var_stage]
         var_src_vnf = ch.stage_src_vnf[var_stage]
@@ -351,22 +353,101 @@ class Program:
         return both[: len(self.b_ub)], both[len(self.b_ub):]
 
 
-def flow_solution(model: NetworkModel, flows: np.ndarray) -> RoutingSolution:
-    """A :class:`RoutingSolution` from the flow-variable values."""
+def certify(sub, ch, stage, src, dst, value) -> Certificate:
+    """The :class:`~repro.core.routes.Certificate` of the flows ``value``
+    of stage-table rows ``stage`` between endpoints ``src`` and ``dst``.
+
+    Everything comes from the columnar views' endpoint, VNF and link
+    index arrays, nothing from a program's matrix or the solver's row
+    activity: what certifies a solution shares no code with what
+    assembled the program it solves.
+    """
+    n_sites, n_endpoints = len(sub.site_names), len(sub.endpoint_names)
+    into, out_of = ch.stage_dst_vnf[stage], ch.stage_src_vnf[stage]
+    arrive, leave = np.flatnonzero(into >= 0), np.flatnonzero(out_of >= 0)
+    # Every end of a flow that is at a VNF: the flow, the VNF, the
+    # endpoint, and +1 where the flow arrives, -1 where it leaves.
+    ends = np.concatenate([arrive, leave])
+    vnf = np.concatenate([into[arrive], out_of[leave]])
+    at = np.concatenate([dst[arrive], src[leave]])
+    sign = np.repeat([1.0, -1.0], [arrive.size, leave.size])
+
+    # Equation 4: a flow loads the VNF it arrives at and the VNF it leaves.
+    site = at - sub.n_nodes
+    pair_load = np.bincount(
+        sub.vnf_rank[vnf] * n_sites + sub.site_rank[site],
+        weights=sub.vnf_load[vnf] * (ch.stage_total[stage] * value)[ends],
+        minlength=len(sub.vnf_names) * n_sites,
+    )
+    site_load = pair_load.reshape(-1, n_sites).sum(axis=0)
+
+    # Equations 6-7: forward demand travels n1 -> n2, reverse demand
+    # n2 -> n1; a node pair's traffic crosses its links by their routing
+    # fractions (a pair without routing, id -1, lands in a spare bin).
+    n1, n2 = sub.endpoint_node[src], sub.endpoint_node[dst]
+    pair_traffic = np.bincount(
+        np.concatenate([sub.pair_id[n1, n2], sub.pair_id[n2, n1]]) + 1,
+        weights=np.concatenate([ch.stage_fwd[stage] * value, ch.stage_rev[stage] * value]),
+        minlength=len(sub.pair_len) + 1,
+    )
+    link_traffic = np.bincount(
+        sub.pool_link_rank,
+        weights=pair_traffic[1:][sub.pool_pair] * sub.pool_frac,
+        minlength=len(sub.link_names),
+    )
+
+    # Per chain: the stage-1 flows sum to at most 1, and (Equation 5)
+    # what arrives at a site at stage z leaves it at stage z + 1 -- the
+    # stage table lists a chain's stages consecutively, so the stage a
+    # flow leaves behind is the row before its own.
+    first = np.flatnonzero(ch.stage_z[stage] == 1)
+    routed = np.bincount(ch.stage_chain[stage[first]], weights=value[first])
+    _, where = np.unique(
+        (stage[ends] - (sign < 0)) * n_endpoints + at, return_inverse=True
+    )
+    imbalance = np.bincount(where, weights=sign * value[ends])
+    excess = max(
+        routed.max(initial=1.0) - 1.0,
+        np.abs(imbalance).max(initial=0.0),
+        -value.min(initial=0.0),
+        np.inf if np.isnan(sub.vnf_cap[vnf, site]).any() else 0.0,
+    )
+    return Certificate(
+        float(excess), np.concatenate([pair_load, site_load, link_traffic])
+    )
+
+
+def solved_flows(
+    model: NetworkModel, variables, flows: np.ndarray
+) -> tuple[RoutingSolution, tuple, Certificate]:
+    """What a solve hands on, from the flow-variable values: the
+    :class:`RoutingSolution`, the same flows as ``(chain, stage, src,
+    dst, fraction)`` rows in variable order, and their certificate --
+    all three from the one set of values above ``EPSILON``, gathered
+    from the arrays once.  ``variables`` says what each variable is
+    (``var_stage`` / ``var_src_ep`` / ``var_dst_ep``): the model's
+    variable columns, or the :class:`ChainFlow` of a cached program of
+    its structure, which spares building them."""
     sub = model.substrate_columns()
     ch = model.chain_columns()
-    vc = model.variable_columns()
-    solution = RoutingSolution(model)
-    for i in np.flatnonzero(flows > RoutingSolution.EPSILON):
-        k = int(vc.var_stage[i])
-        solution.add_flow(
-            ch.chain_names[int(ch.stage_chain[k])],
-            int(ch.stage_z[k]),
-            sub.endpoint_names[int(vc.var_src_ep[i])],
-            sub.endpoint_names[int(vc.var_dst_ep[i])],
-            float(flows[i]),
+    keep = np.flatnonzero(flows > RoutingSolution.EPSILON)
+    stage, value = variables.var_stage[keep], flows[keep]
+    src, dst = variables.var_src_ep[keep], variables.var_dst_ep[keep]
+    names, endpoints = ch.chain_names, sub.endpoint_names
+    rows = tuple([
+        (names[c], z, endpoints[a], endpoints[b], x)
+        for c, z, a, b, x in zip(
+            ch.stage_chain[stage].tolist(), ch.stage_z[stage].tolist(),
+            src.tolist(), dst.tolist(), value.tolist(),
         )
-    return solution
+    ])
+    solution = RoutingSolution.assemble(model, [flow_table(rows)])
+    return solution, rows, certify(sub, ch, stage, src, dst, value)
+
+
+def flow_solution(model: NetworkModel, flows: np.ndarray) -> RoutingSolution:
+    """A :class:`RoutingSolution` from the flow-variable values."""
+    return solved_flows(model, model.variable_columns(), flows)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -525,161 +606,3 @@ def solve(
                 metrics.counter("lp.colgen_fallbacks").inc()
     a_ub, a_eq = program.matrices(data_ub)
     return run_linprog(cost, a_ub, b_ub, a_eq, program.b_eq, col_upper)
-
-
-# ---------------------------------------------------------------------------
-# Scalar reference generator (pre-vectorization)
-# ---------------------------------------------------------------------------
-
-
-class _Rows:
-    """Row-by-row COO accumulator: ``add`` a coefficient dict and a bound."""
-
-    def __init__(self) -> None:
-        self.rows: list[int] = []
-        self.cols: list[int] = []
-        self.data: list[float] = []
-        self.bounds: list[float] = []
-
-    def add(self, coeffs: dict[int, float], bound: float) -> None:
-        row = len(self.bounds)
-        for col, val in coeffs.items():
-            self.rows.append(row)
-            self.cols.append(col)
-            self.data.append(val)
-        self.bounds.append(bound)
-
-    def matrix(self, n_cols: int) -> csr_matrix:
-        return csr_matrix(
-            (self.data, (self.rows, self.cols)), shape=(len(self.bounds), n_cols)
-        )
-
-
-@dataclass
-class ScalarProgram:
-    """A fully assembled reference program (for equivalence tests)."""
-
-    cost: np.ndarray
-    a_ub: csr_matrix
-    b_ub: np.ndarray
-    a_eq: csr_matrix
-    b_eq: np.ndarray
-    col_upper: np.ndarray
-    rows: "ScalarRows"
-    n_total: int
-
-    def solve(self) -> tuple:
-        return run_linprog(
-            self.cost, self.a_ub, self.b_ub, self.a_eq, self.b_eq, self.col_upper
-        )
-
-
-class ScalarRows:
-    """The original per-variable Python-loop generator of the Section 4.3
-    rows, kept as the ground truth the columnar blocks are tested
-    against.  A program picks the row order by the order in which it
-    ``add``s the coefficient dicts to ``ub`` and ``eq``."""
-
-    def __init__(self, model: NetworkModel):
-        self.model = model
-        self.index: dict[tuple[str, int, str, str], int] = {}
-        self.vars: list[tuple[str, int, str, str]] = []
-        for name, chain in model.chains.items():
-            for z in range(1, chain.num_stages + 1):
-                for src in model.stage_sources(chain, z):
-                    for dst in model.stage_destinations(chain, z):
-                        self.index[(name, z, src, dst)] = len(self.vars)
-                        self.vars.append((name, z, src, dst))
-        self.n_flow = len(self.vars)
-        self.ub = _Rows()
-        self.eq = _Rows()
-
-    def coverage(self, chain: Chain) -> dict[int, float]:
-        """The chain's stage-1 flows, coefficient 1 each."""
-        return {
-            self.index[(chain.name, 1, src, dst)]: 1.0
-            for src in self.model.stage_sources(chain, 1)
-            for dst in self.model.stage_destinations(chain, 1)
-        }
-
-    def conservation(self, chain: Chain) -> list[dict[int, float]]:
-        """Equation 5 at each intermediate site of one chain."""
-        model, rows = self.model, []
-        for z in range(1, chain.num_stages):
-            for site in model.stage_destinations(chain, z):
-                coeffs: dict[int, float] = {}
-                for src in model.stage_sources(chain, z):
-                    coeffs[self.index[(chain.name, z, src, site)]] = 1.0
-                for dst in model.stage_destinations(chain, z + 1):
-                    idx = self.index[(chain.name, z + 1, site, dst)]
-                    coeffs[idx] = coeffs.get(idx, 0.0) - 1.0
-                rows.append(coeffs)
-        return rows
-
-    def loads(self) -> tuple[dict, dict]:
-        """Equation 4 coefficients per (VNF, site) in first-use order, and
-        the same merged per site."""
-        model = self.model
-        vnf_site: dict[tuple[str, str], dict[int, float]] = {}
-        for i, (cname, z, src, dst) in enumerate(self.vars):
-            chain = model.chains[cname]
-            traffic = chain.stage_traffic(z)
-            if z < chain.num_stages:
-                vnf_name = chain.vnf_at(z)
-                load = model.vnfs[vnf_name].load_per_unit * traffic
-                coeffs = vnf_site.setdefault((vnf_name, dst), {})
-                coeffs[i] = coeffs.get(i, 0.0) + load
-            if z > 1:
-                vnf_name = chain.vnf_at(z - 1)
-                load = model.vnfs[vnf_name].load_per_unit * traffic
-                coeffs = vnf_site.setdefault((vnf_name, src), {})
-                coeffs[i] = coeffs.get(i, 0.0) + load
-        per_site: dict[str, dict[int, float]] = {}
-        for (_vnf_name, site), coeffs in vnf_site.items():
-            merged = per_site.setdefault(site, {})
-            for col, val in coeffs.items():
-                merged[col] = merged.get(col, 0.0) + val
-        return vnf_site, per_site
-
-    def link_loads(self) -> dict[str, dict[int, float]]:
-        """Equations 6-7 coefficients per link carrying chain traffic."""
-        model = self.model
-        per_link: dict[str, dict[int, float]] = {}
-        for i, (cname, z, src, dst) in enumerate(self.vars):
-            chain = model.chains[cname]
-            n1 = model.endpoint_node(src)
-            n2 = model.endpoint_node(dst)
-            for demand, a, b in (
-                (chain.forward_traffic[z - 1], n1, n2),
-                (chain.reverse_traffic[z - 1], n2, n1),
-            ):
-                if demand > 0:
-                    for link_name, frac in model.links_between(a, b).items():
-                        coeffs = per_link.setdefault(link_name, {})
-                        coeffs[i] = coeffs.get(i, 0.0) + demand * frac
-        return per_link
-
-    def weighted_latency(self) -> np.ndarray:
-        """``(w_cz + v_cz) * d_{n1 n2}`` per flow variable (Equation 3)."""
-        demand = np.array(
-            [self.model.chains[c].stage_traffic(z) for c, z, _s, _d in self.vars]
-        )
-        latency = np.array(
-            [self.model.site_latency(src, dst) for _c, _z, src, dst in self.vars]
-        )
-        return demand * latency
-
-    def program(self, cost: np.ndarray, col_upper: np.ndarray) -> ScalarProgram:
-        n = len(cost)
-        return ScalarProgram(
-            cost, self.ub.matrix(n), np.array(self.ub.bounds),
-            self.eq.matrix(n), np.array(self.eq.bounds), col_upper, self, n,
-        )
-
-    def solution(self, flows) -> RoutingSolution:
-        """A :class:`RoutingSolution` from the flow-variable values."""
-        solution = RoutingSolution(self.model)
-        for (cname, z, src, dst), value in zip(self.vars, flows):
-            if value > RoutingSolution.EPSILON:
-                solution.add_flow(cname, z, src, dst, float(value))
-        return solution

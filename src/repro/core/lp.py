@@ -37,10 +37,10 @@ zero flow) are solved through warm-started column generation
 (:mod:`repro.core.highs`); the other objectives go through
 ``scipy.optimize.linprog`` on the cached matrix.
 
-``solve_chain_routing_lp_reference`` assembles the same program from the
-scalar row generator and solves it with ``linprog``: the ground truth
-the vectorized path is property-tested against (equal matrices within
-1e-9).
+``tests/reference/lp_scalar.py`` assembles the same program from the
+scalar row generator (``tests/reference/scalar_rows.py``) and
+solves it with ``linprog``: the ground truth the vectorized path is
+property-tested against (equal matrices within 1e-9).
 """
 
 from __future__ import annotations
@@ -54,14 +54,12 @@ import numpy as np
 from repro.core.formulation import (
     ChainFlow,
     Program,
-    ScalarProgram,
-    ScalarRows,
     StructureCache,
-    flow_solution,
     solve,
+    solved_flows,
 )
 from repro.core.model import NetworkModel
-from repro.core.routes import RoutingSolution
+from repro.core.routes import Certificate, RoutingSolution
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
@@ -95,6 +93,10 @@ class LpResult:
     num_variables: int
     num_constraints: int
     solve_seconds: float
+    #: The solution's flows as ``(chain, stage, src, dst, fraction)``
+    #: rows and their feasibility certificate (the columnar solve only).
+    flows: tuple[tuple[str, int, str, str, float], ...] = ()
+    certificate: Certificate | None = None
 
     @property
     def ok(self) -> bool:
@@ -110,7 +112,7 @@ class _RoutingProgram(Program):
     """The SB-LP constraint matrix over the shared chain-flow blocks.
 
     Row order replicates the scalar reference exactly (see
-    ``_scalar_program``): coverage rows first (dict order), then -- in
+    ``tests/reference/lp_scalar.py``): coverage rows first (dict order), then -- in
     the equality block -- flow conservation; the inequality block
     continues with (VNF, site) rows sorted by name, per-site rows sorted
     by name, and link rows sorted by link name.
@@ -294,8 +296,10 @@ def _result(
         return LpResult(status, None, None, n_total, n_constraints, elapsed)
     if beta_index is not None:
         objective_value = float(x[beta_index])  # the achieved MLU
+    solution, *certified = extract(x)
     return LpResult(
-        "optimal", objective_value, extract(x), n_total, n_constraints, elapsed
+        "optimal", objective_value, solution, n_total, n_constraints, elapsed,
+        *certified,
     )
 
 
@@ -340,118 +344,9 @@ def solve_chain_routing_lp(
     return _result(
         objective,
         outcome,
-        lambda x: flow_solution(model, x[:n]),
+        lambda x: solved_flows(model, structure.flow, x[:n]),
         structure.beta_index,
         structure.n_total,
         len(structure.b_ub) + len(structure.b_eq),
-        metrics,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Scalar reference implementation (pre-vectorization)
-# ---------------------------------------------------------------------------
-
-
-def _scalar_program(
-    model: NetworkModel,
-    objective: LpObjective,
-    enforce_mlu: bool,
-    latency_tiebreak: float,
-) -> ScalarProgram:
-    """The routing program from the per-variable reference generator."""
-    rows = ScalarRows(model)
-    n = rows.n_flow
-    # MIN_MLU adds the utilization variable beta after the flow variables.
-    beta_index = n if objective is LpObjective.MIN_MLU else None
-    n_total = n + (1 if beta_index is not None else 0)
-
-    # Demand-coverage constraints on stage-1 flows.
-    for chain in model.chains.values():
-        if objective is LpObjective.MAX_THROUGHPUT:
-            rows.ub.add(rows.coverage(chain), 1.0)
-        else:
-            rows.eq.add(rows.coverage(chain), 1.0)
-
-    # Flow conservation (Equation 5) at each intermediate site.
-    for chain in model.chains.values():
-        for coeffs in rows.conservation(chain):
-            rows.eq.add(coeffs, 0.0)
-
-    # Compute constraints (Equation 4): per (VNF, site) and per site.
-    vnf_site_coeffs, site_coeffs = rows.loads()
-    for (vnf_name, site), coeffs in sorted(vnf_site_coeffs.items()):
-        cap = model.vnfs[vnf_name].site_capacity.get(site)
-        if cap is None:
-            raise LpError(
-                f"internal: VNF {vnf_name!r} routed at non-deployment site {site!r}"
-            )
-        rows.ub.add(coeffs, cap)
-    for site, coeffs in sorted(site_coeffs.items()):
-        rows.ub.add(coeffs, model.sites[site].capacity)
-
-    # Network cost (Equations 6-7): per-link MLU budget, or -- for
-    # MIN_MLU -- the same inequality with beta as a variable.
-    if (enforce_mlu or beta_index is not None) and model.links and model.routing:
-        link_coeffs = rows.link_loads()
-        for link_name, coeffs in sorted(link_coeffs.items()):
-            link = model.links[link_name]
-            if beta_index is not None:
-                # g_e + traffic_e <= beta * b_e
-                rows.ub.add({**coeffs, beta_index: -link.bandwidth}, -link.background)
-                continue
-            # Background traffic may already exceed the MLU budget on a
-            # link; Switchboard cannot reduce it, so its own traffic
-            # there is simply forced to zero rather than making the
-            # whole program infeasible.
-            rows.ub.add(coeffs, model.link_headroom(link))
-        if beta_index is not None:
-            # Links Switchboard never touches still bound beta from below.
-            for link_name, link in model.links.items():
-                if link_name not in link_coeffs and link.background > 0:
-                    rows.ub.add({beta_index: -link.bandwidth}, -link.background)
-
-    # Objective vector.
-    cost = np.zeros(n_total)
-    padded_latency = np.zeros(n_total)
-    padded_latency[:n] = weighted_latency = rows.weighted_latency()
-    latency_scale = float(np.max(weighted_latency)) or 1.0
-    if objective is LpObjective.MIN_LATENCY:
-        cost = padded_latency
-    elif objective is LpObjective.MIN_MLU:
-        cost[beta_index] = 1.0
-        cost = cost + (latency_tiebreak / latency_scale) * padded_latency
-    else:
-        # Maximize carried stage-1 demand; minimize latency as a tiebreak.
-        for chain in model.chains.values():
-            for idx in rows.coverage(chain):
-                cost[idx] -= chain.stage_traffic(1)
-        min_demand = min(c.stage_traffic(1) for c in model.chains.values())
-        cost = cost + (latency_tiebreak * min_demand / latency_scale) * padded_latency
-    return rows.program(cost, _column_upper(n, beta_index))
-
-
-def solve_chain_routing_lp_reference(
-    model: NetworkModel,
-    objective: LpObjective = LpObjective.MIN_LATENCY,
-    enforce_mlu: bool = True,
-    latency_tiebreak: float = 1e-6,
-    metrics: "MetricsRegistry | None" = None,
-) -> LpResult:
-    """The pre-vectorization scalar path: loop assembly + ``linprog``.
-
-    Kept as the ground truth for equivalence property tests; prefer
-    :func:`solve_chain_routing_lp` everywhere else.
-    """
-    _check_inputs(model, objective)
-    program = _scalar_program(model, objective, enforce_mlu, latency_tiebreak)
-    n = program.rows.n_flow
-    return _result(
-        objective,
-        program.solve(),
-        lambda x: program.rows.solution(x[:n]),
-        n if objective is LpObjective.MIN_MLU else None,
-        program.n_total,
-        len(program.b_ub) + len(program.b_eq),
         metrics,
     )

@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 
@@ -163,6 +164,24 @@ class Chain:
         if not 1 <= z <= self.num_stages:
             raise ModelError(f"chain {self.name!r}: stage {z} out of range")
 
+    @cached_property
+    def _document(self) -> str:
+        """This chain's entry of the digest document, encoded once (a
+        chain is immutable; a re-scaled chain is another object)."""
+        return _encode((
+            self.name, self.ingress, self.egress, list(self.vnfs),
+            list(self.forward_traffic), list(self.reverse_traffic),
+        ))
+
+    @cached_property
+    def _structure_document(self) -> str:
+        """The same with the demands reduced to positivity."""
+        return _encode((
+            self.name, self.ingress, self.egress, list(self.vnfs),
+            [w > 0 for w in self.forward_traffic],
+            [v > 0 for v in self.reverse_traffic],
+        ))
+
     def scaled(self, factor: float) -> "Chain":
         """Return a copy with all stage demands multiplied by ``factor``."""
         return Chain(
@@ -192,18 +211,23 @@ def _per_stage(
     return values
 
 
-def _encode(value) -> str:
-    return json.dumps(value, separators=(",", ":"), sort_keys=True)
+#: Canonical JSON of a digest-document fragment.
+_encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 
-def _hash_document(fragments: Mapping[str, str], **values) -> str:
+def _hash_document(fragments: Mapping[str, str], **encoded: str) -> str:
     """Hex SHA-256 of the digest document made of the already-encoded
-    ``fragments`` overlaid with ``values``: byte for byte the hash of
-    ``_encode({**decoded fragments, **values})``, at the cost of
-    encoding ``values`` only."""
-    merged = {**fragments, **{key: _encode(v) for key, v in values.items()}}
+    ``fragments`` overlaid with the already-encoded ``encoded``: byte
+    for byte the hash of ``_encode({**decoded fragments, **decoded})``,
+    with nothing encoded here."""
+    merged = {**fragments, **encoded}
     body = ",".join(f'"{key}":{merged[key]}' for key in sorted(merged))
     return hashlib.sha256(f"{{{body}}}".encode()).hexdigest()
+
+
+def _array(documents: Iterable[str]) -> str:
+    """The JSON array of already-encoded ``documents``."""
+    return f"[{','.join(documents)}]"
 
 
 class NetworkModel:
@@ -455,7 +479,7 @@ class NetworkModel:
 
     # -- identity ---------------------------------------------------------
 
-    def digest(self, chains: Iterable[str] | None = None) -> str:
+    def digest(self, chains: "Iterable[str | Chain] | None" = None) -> str:
         """A stable content hash of the model (hex SHA-256).
 
         The digest covers everything the traffic-engineering algorithms
@@ -466,30 +490,33 @@ class NetworkModel:
         order, so the digest is usable as a solver-cache key and for
         snapshot tests across serialization round-trips.
 
-        ``chains`` optionally restricts the chain portion of the digest
-        to a subset (unknown names raise :class:`ModelError`); the
-        substrate portion is always included.  This is how the solver
-        farm keys partition results without copying the model.
+        ``chains`` optionally replaces the chain portion of the digest:
+        a name picks that chain of this model (unknown names raise
+        :class:`ModelError`), a :class:`Chain` is hashed as given; the
+        substrate portion is always included.  The result is the digest
+        of ``copy_with_chains`` of those chains, which is how the solver
+        farm keys a partition without building its sub-model
+        (:meth:`repro.scale.partition.PartitionPlan.key`).  Only the
+        chains that are new objects since their last digest are encoded
+        (each :class:`Chain` keeps its own entry of the document).
         """
         if chains is None:
-            chain_names = sorted(self.chains)
-        else:
-            chain_names = sorted(set(chains))
-            unknown = [n for n in chain_names if n not in self.chains]
-            if unknown:
-                raise ModelError(f"digest over unknown chains: {unknown}")
-        chain_doc = [
-            (
-                c.name,
-                c.ingress,
-                c.egress,
-                list(c.vnfs),
-                list(c.forward_traffic),
-                list(c.reverse_traffic),
-            )
-            for c in (self.chains[n] for n in chain_names)
-        ]
-        return _hash_document(self._substrate_fragments(), chains=chain_doc)
+            chains = self.chains.values()
+        by_name: dict[str, Chain] = {}
+        unknown = []
+        for chain in chains:
+            if isinstance(chain, str):
+                name, chain = chain, self.chains.get(chain)
+                if chain is None:
+                    unknown.append(name)
+                    continue
+            by_name[chain.name] = chain
+        if unknown:
+            raise ModelError(f"digest over unknown chains: {sorted(set(unknown))}")
+        return _hash_document(
+            self._substrate_fragments(),
+            chains=_array(by_name[name]._document for name in sorted(by_name)),
+        )
 
     def substrate_digest(self) -> str:
         """A stable content hash of the substrate alone (hex SHA-256).
@@ -515,7 +542,8 @@ class NetworkModel:
         dominates digest cost (the solver farm digests once per
         partition per round), so it is done once per substrate and
         shared with ``copy_with_chains`` copies; every digest splices
-        its per-call chain fragment into these.
+        its chain fragment (itself spliced from per-chain entries)
+        into these.
         """
         if self._substrate_json is None:
             document = {
@@ -569,19 +597,9 @@ class NetworkModel:
             }
         return self._structure_json
 
-    def _chain_structure_document(self) -> list:
+    def _chain_structure_document(self) -> str:
         """Chains in iteration order with demands reduced to positivity."""
-        return [
-            (
-                c.name,
-                c.ingress,
-                c.egress,
-                list(c.vnfs),
-                [w > 0 for w in c.forward_traffic],
-                [v > 0 for v in c.reverse_traffic],
-            )
-            for c in self.chains.values()
-        ]
+        return _array(c._structure_document for c in self.chains.values())
 
     def structure_digest(self) -> str:
         """Hash of the LP matrix *structure* this model induces.
@@ -613,9 +631,9 @@ class NetworkModel:
         capacity_free = self._structure_fragments()
         return _hash_document(
             {**self._substrate_fragments(), "vnfs": capacity_free["vnfs"]},
-            sites=sorted(
+            sites=_encode(sorted(
                 (s.name, s.node, s.capacity > 0) for s in self.sites.values()
-            ),
+            )),
             chain_structure=self._chain_structure_document(),
         )
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from repro.core.model import Chain, ModelError, NetworkModel
 
@@ -34,6 +36,79 @@ class StageFlow:
     fraction: float
 
 
+#: How much of a check's tolerance the certificate may use up before it
+#: defers to :meth:`RoutingSolution.violations` -- the two add the same
+#: terms in another order --, and the relative error allowed on a load.
+_CERTIFIED_SHARE = 0.5
+_LOAD_ROUNDING = 1e-9
+
+
+@dataclass(frozen=True, eq=False)
+class Certificate:
+    """What a solved program says about its own feasibility, taken from
+    its flow values while they are still an array
+    (:func:`repro.core.formulation.certify`) and cheap to add up across
+    programs that route disjoint chains over one substrate.
+
+    ``loads`` holds, in *name* order (so two models of equal content but
+    another insertion order agree on it), the (VNF, site) loads of
+    Equation 4 VNF-major, the site loads, and the link traffic of
+    Equation 6.  ``excess`` is the worst a single chain does: by how much
+    it routes more than 1, breaks Equation 5 at a site or goes negative;
+    infinite for a flow at a site its VNF is not deployed at.
+    """
+
+    excess: float
+    loads: np.ndarray
+
+    @staticmethod
+    def total(parts: "Iterable[Certificate | None]") -> "Certificate | None":
+        """The certificate of the union (``None`` if a part has none)."""
+        parts = list(parts)
+        if not parts or any(part is None for part in parts):
+            return None
+        return Certificate(
+            max(part.excess for part in parts),
+            np.sum([part.loads for part in parts], axis=0),
+        )
+
+    def clears(self, sub, tol: float = 1e-6) -> bool:
+        """True only if ``violations(tol)`` of the certified flows on a
+        model with the substrate columns ``sub`` is certainly empty.
+
+        Conservative: whatever comes within half of ``tol`` of failing a
+        check is left to the reference to decide (and to word).
+        """
+        margin = _CERTIFIED_SHARE * tol
+        vnfs, sites, links = (
+            np.argsort(rank) for rank in (sub.vnf_rank, sub.site_rank, sub.link_rank)
+        )
+        # A VNF carries nothing where it is not deployed.
+        pairs = np.nan_to_num(sub.vnf_cap[np.ix_(vnfs, sites)].ravel(), nan=0.0)
+        bandwidth = sub.link_bandwidth[links]
+        bounds = np.concatenate([
+            pairs + margin,
+            sub.site_capacity[sites] + margin,
+            (sub.mlu_limit + margin) * bandwidth - sub.link_background[links],
+        ])
+        return bool(
+            self.excess <= margin
+            and self.loads.shape == bounds.shape
+            and (self.loads * (1.0 + _LOAD_ROUNDING) <= bounds).all()
+        )
+
+
+def flow_table(rows: Iterable[tuple]) -> dict[tuple[str, int], dict]:
+    """``(chain, stage, src, dst, fraction)`` rows as the ``(chain,
+    stage) -> {(src, dst): fraction}`` table a solution stores them in
+    (one row per (chain, stage, src, dst); see
+    :meth:`RoutingSolution.assemble`)."""
+    table: dict[tuple[str, int], dict] = {}
+    for chain, stage, src, dst, fraction in rows:
+        table.setdefault((chain, stage), {})[(src, dst)] = fraction
+    return table
+
+
 class RoutingSolution:
     """A (possibly partial) routing for every chain in a model.
 
@@ -50,6 +125,9 @@ class RoutingSolution:
 
     def __init__(self, model: NetworkModel):
         self.model = model
+        #: The chains this routing is for: the model's own (live) map
+        #: unless :meth:`assemble` bound a snapshot.
+        self.chains: Mapping[str, Chain] = model.chains
         # (chain, stage) -> {(src, dst): fraction}
         self._flows: dict[tuple[str, int], dict[tuple[str, str], float]] = (
             defaultdict(dict)
@@ -57,13 +135,40 @@ class RoutingSolution:
 
     # -- construction ---------------------------------------------------
 
+    @classmethod
+    def assemble(
+        cls,
+        model: NetworkModel,
+        tables: Iterable[Mapping],
+        chains: Mapping[str, Chain] | None = None,
+    ) -> "RoutingSolution":
+        """The solution holding the flows of every one of ``tables``
+        (each what :meth:`table` returns; between them at most one per
+        chain and stage), in that order.  The per-stage flows are shared
+        with the tables, not copied: assembling costs one entry per
+        (chain, stage), and neither side may be edited afterwards.
+
+        ``chains`` is the chain set the flows were solved for, where
+        that must outlive edits of ``model`` (a plan handed to a caller
+        stays a value when a chain is later removed or re-scaled)."""
+        solution = cls(model)
+        if chains is not None:
+            solution.chains = chains
+        for table in tables:
+            solution._flows.update(table)
+        return solution
+
+    def table(self) -> Mapping[tuple[str, int], Mapping[tuple[str, str], float]]:
+        """The flows as stored, per (chain, stage) -- for :meth:`assemble`."""
+        return self._flows
+
     def add_flow(
         self, chain: str, stage: int, src: str, dst: str, fraction: float
     ) -> None:
         """Accumulate ``fraction`` of stage traffic onto the (src, dst) pair."""
-        if chain not in self.model.chains:
+        if chain not in self.chains:
             raise RoutingError(f"unknown chain {chain!r}")
-        c = self.model.chains[chain]
+        c = self.chains[chain]
         if not 1 <= stage <= c.num_stages:
             raise RoutingError(f"chain {chain!r}: stage {stage} out of range")
         if fraction < -self.EPSILON:
@@ -82,7 +187,7 @@ class RoutingSolution:
         stage flow each.  This is how the DP heuristic and the per-hop
         baselines emit their routes.
         """
-        c = self.model.chains[chain]
+        c = self.chains[chain]
         expected = len(c.vnfs) + 2
         if len(sites) != expected:
             raise RoutingError(
@@ -95,7 +200,7 @@ class RoutingSolution:
         self, chain: str, stage: int, src: str, dst: str, fraction: float
     ) -> None:
         """Overwrite (or remove, when ~0) a single stage flow."""
-        if chain not in self.model.chains:
+        if chain not in self.chains:
             raise RoutingError(f"unknown chain {chain!r}")
         if fraction < -self.EPSILON:
             raise RoutingError(f"negative flow fraction {fraction}")
@@ -107,9 +212,9 @@ class RoutingSolution:
 
     def clear_chain(self, chain: str) -> None:
         """Remove every flow of a chain (route rollback / teardown)."""
-        if chain not in self.model.chains:
+        if chain not in self.chains:
             raise RoutingError(f"unknown chain {chain!r}")
-        stages = self.model.chains[chain].num_stages
+        stages = self.chains[chain].num_stages
         for z in range(1, stages + 1):
             self._flows.pop((chain, z), None)
 
@@ -138,7 +243,7 @@ class RoutingSolution:
         ``(w_cz + v_cz) * d_{n1 n2} * x``."""
         total = 0.0
         for flow in self.flows():
-            c = self.model.chains[flow.chain]
+            c = self.chains[flow.chain]
             demand = c.stage_traffic(flow.stage)
             total += demand * self.model.site_latency(flow.src, flow.dst) * flow.fraction
         return total
@@ -153,7 +258,7 @@ class RoutingSolution:
         routed = self.routed_fraction(chain)
         if routed <= self.EPSILON:
             return float("inf")
-        c = self.model.chains[chain]
+        c = self.chains[chain]
         total = 0.0
         for z in range(1, c.num_stages + 1):
             stage_total = 0.0
@@ -165,7 +270,7 @@ class RoutingSolution:
     def mean_latency(self) -> float:
         """Traffic-weighted mean chain latency over carried traffic."""
         num, den = 0.0, 0.0
-        for name, chain in self.model.chains.items():
+        for name, chain in self.chains.items():
             routed = self.routed_fraction(name)
             if routed <= self.EPSILON:
                 continue
@@ -178,7 +283,7 @@ class RoutingSolution:
         """Total chain demand carried (stage-1 forward+reverse traffic)."""
         return sum(
             self.routed_fraction(name) * chain.stage_traffic(1)
-            for name, chain in self.model.chains.items()
+            for name, chain in self.chains.items()
         )
 
     def _accumulate(self) -> tuple[dict, dict, dict, dict]:
@@ -189,7 +294,7 @@ class RoutingSolution:
         loads: dict[tuple[str, str], float] = defaultdict(float)
         traffic: dict[tuple[str, str], float] = defaultdict(float)
         for (chain, stage), pairs in self._flows.items():
-            c = model.chains[chain]
+            c = self.chains[chain]
             total = c.stage_traffic(stage)
             forward = c.forward_traffic[stage - 1]
             reverse = c.reverse_traffic[stage - 1]
@@ -271,7 +376,7 @@ class RoutingSolution:
         when links are modelled.
         """
         problems: list[str] = []
-        for name, chain in self.model.chains.items():
+        for name, chain in self.chains.items():
             problems.extend(self._check_chain(name, chain, tol))
 
         loads, site_loads, _pairs, link_traffic = self._accumulate()
@@ -358,6 +463,6 @@ class RoutingSolution:
     def __repr__(self) -> str:
         n_flows = sum(len(p) for p in self._flows.values())
         return (
-            f"RoutingSolution(chains={len(self.model.chains)}, flows={n_flows}, "
+            f"RoutingSolution(chains={len(self.chains)}, flows={n_flows}, "
             f"throughput={self.throughput():.6g})"
         )

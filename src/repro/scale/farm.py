@@ -11,12 +11,23 @@
   a serial path is used for single-worker configurations and as an
   automatic fallback when no pool can be spawned);
 - a :class:`~repro.scale.cache.SolutionCache` keyed by the sub-model
-  digest serves repeated and unchanged partitions without a solve;
+  digest serves repeated and unchanged partitions without a solve; the
+  plan hands out the key (:meth:`PartitionPlan.key`, carried while the
+  partition's chains are the same objects), so a sub-model is built only
+  for a partition that missed;
 - :meth:`SolverFarm.resolve` is the incremental entry point used by
   :func:`repro.controller.reoptimize.reoptimize`: it reuses the stored
   partition plan, so only partitions containing changed-demand chains
   miss the cache and are re-solved, and merges fresh results with
   cached ones into a single :class:`~repro.core.routes.RoutingSolution`;
+- a run costs what it re-solved: every :class:`SolveResult` holds its
+  flows as rows, as the piece of a merged solution they contribute
+  (``table``) and their feasibility certificate, all taken from the
+  solver's arrays once, where they were solved (here or in a pool
+  worker); the merged solution is assembled from the pieces without
+  re-adding a flow and is bound to the chains as they were solved, so a
+  :class:`FarmResult` stays a value when the model moves on, and its
+  ``certificate`` is the partitions' added up;
 - a chain-set change re-plans what changed: the stored plan is handed to
   the partitioner as ``previous``, which carries every unchanged chain's
   facts, pre-route and seat, so a partition nothing joined or left keeps
@@ -37,7 +48,7 @@ from typing import Iterable, TYPE_CHECKING
 
 from repro.core.lp import LpObjective, LpResult, solve_chain_routing_lp
 from repro.core.model import NetworkModel
-from repro.core.routes import RoutingSolution
+from repro.core.routes import Certificate, RoutingSolution, flow_table
 from repro.core.serialization import model_from_dict, model_to_dict
 from repro.scale.cache import SolutionCache
 from repro.scale.partition import PartitionPlan, partition_chains
@@ -74,6 +85,17 @@ class SolveResult:
     num_variables: int
     num_constraints: int
     solve_seconds: float
+    #: What the flows say about their own feasibility, by name order of
+    #: the substrate (``None``: check them the long way).
+    certificate: Certificate | None = field(default=None, compare=False)
+    #: ``flows`` again as ``(chain, stage) -> {(src, dst): fraction}``,
+    #: the piece of a merged solution this result contributes
+    #: (:meth:`RoutingSolution.assemble`); never edited.
+    table: dict | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.table is None:
+            object.__setattr__(self, "table", flow_table(self.flows))
 
     @property
     def ok(self) -> bool:
@@ -83,21 +105,17 @@ class SolveResult:
 def _result_from_lp(
     index: int, chains: tuple[str, ...], lp: LpResult
 ) -> SolveResult:
-    flows: tuple[tuple[str, int, str, str, float], ...] = ()
-    if lp.solution is not None:
-        flows = tuple(
-            (f.chain, f.stage, f.src, f.dst, f.fraction)
-            for f in lp.solution.flows()
-        )
     return SolveResult(
         partition_index=index,
         chains=chains,
         status=lp.status,
         objective=lp.objective,
-        flows=flows,
+        flows=lp.flows,
         num_variables=lp.num_variables,
         num_constraints=lp.num_constraints,
         solve_seconds=lp.solve_seconds,
+        certificate=lp.certificate,
+        table=None if lp.solution is None else lp.solution.table(),
     )
 
 
@@ -152,6 +170,8 @@ class FarmResult:
     #: partition came back infeasible).
     fallback: bool = False
     results: dict[int, SolveResult] = field(default_factory=dict)
+    #: The partitions' certificates added up (``None`` on the fallback).
+    certificate: Certificate | None = None
 
     @property
     def ok(self) -> bool:
@@ -258,10 +278,10 @@ class SolverFarm:
 
         Reuses the stored partition plan (structure and capacity shares
         are demand-independent).  What makes an untouched partition free
-        is its unchanged cache key: computing it costs O(the partition's
-        chains) -- the plan holds each partition's substrate already
-        validated and encoded -- and a hit merges straight from the
-        cache.  ``changed_chains`` is checked against the plan
+        is its unchanged cache key: the plan carries it while the
+        partition's chains are the same objects (else only the new
+        chains are encoded, into the substrate document the plan holds
+        per partition), and a hit merges straight from the cache.  ``changed_chains`` is checked against the plan
         (:class:`PartitionError` for a chain it does not know) but does
         not select what re-solves; the keys do.  Falls back to
         :meth:`solve` when no compatible plan exists: first call, the
@@ -287,29 +307,25 @@ class SolverFarm:
         mode: str,
     ) -> FarmResult:
         start = time.perf_counter()
-        submodels: dict[int, NetworkModel] = {}
         keys: dict[int, str] = {}
         results: dict[int, SolveResult] = {}
         misses: list[int] = []
         cache_hits = 0
+        options = f":{objective.value}:mlu={self.enforce_mlu}"
         for part in plan.partitions:
-            submodel = plan.submodel(model, part.index)
-            submodels[part.index] = submodel
-            key = (
-                f"{submodel.digest()}:{objective.value}"
-                f":mlu={self.enforce_mlu}"
-            )
-            keys[part.index] = key
+            key = keys[part.index] = plan.key(model, part.index) + options
             cached = self.cache.get(key)
-            if cached is not None:
-                # The entry may have been solved under another index (a
-                # re-plan, or a cache shared between farms).
-                results[part.index] = replace(cached, partition_index=part.index)
-                cache_hits += 1
-            else:
+            if cached is None:
                 misses.append(part.index)
+                continue
+            if cached.partition_index != part.index:
+                # Solved under another index (a re-plan, or a cache
+                # shared between farms).
+                cached = replace(cached, partition_index=part.index)
+            results[part.index] = cached
+            cache_hits += 1
 
-        for result in self._execute(misses, submodels, plan, objective):
+        for result in self._execute(model, misses, plan, objective):
             results[result.partition_index] = result
             if result.ok:
                 self.cache.put(keys[result.partition_index], result)
@@ -328,14 +344,17 @@ class SolverFarm:
 
     def _execute(
         self,
+        model: NetworkModel,
         indices: list[int],
-        submodels: dict[int, NetworkModel],
         plan: PartitionPlan,
         objective: LpObjective,
     ) -> list[SolveResult]:
+        """Solve the partitions that missed the cache: the only ones a
+        sub-model is built for."""
         if not indices:
             return []
         chains = {i: plan.partitions[i].chains for i in indices}
+        submodels = {i: plan.submodel(model, i) for i in indices}
         workers = min(self.max_workers, len(indices))
         if workers > 1:
             requests = [
@@ -382,10 +401,15 @@ class SolverFarm:
                 model, objective, enforce_mlu=self.enforce_mlu,
                 metrics=self.metrics,
             )
+            solution = lp.solution
+            if solution is not None:
+                solution = RoutingSolution.assemble(
+                    model, [solution.table()], dict(model.chains)
+                )
             return FarmResult(
                 status=lp.status,
                 objective=lp.objective,
-                solution=lp.solution,
+                solution=solution,
                 partitions=len(plan.partitions),
                 solved=tuple(misses),
                 cache_hits=0,
@@ -395,10 +419,11 @@ class SolverFarm:
                 results=results,
             )
 
-        solution = RoutingSolution(model)
-        for result in results.values():
-            for chain, stage, src, dst, fraction in result.flows:
-                solution.add_flow(chain, stage, src, dst, fraction)
+        # Bound to the chains as solved, not to the live model: the
+        # result stays a value when a chain is later removed or re-scaled.
+        solution = RoutingSolution.assemble(
+            model, (r.table for r in results.values()), dict(model.chains)
+        )
         objectives = [
             r.objective for r in results.values() if r.objective is not None
         ]
@@ -416,6 +441,9 @@ class SolverFarm:
             wall_seconds=0.0,
             exact=plan.exact,
             results=results,
+            certificate=Certificate.total(
+                r.certificate for r in results.values()
+            ),
         )
 
 

@@ -25,12 +25,19 @@ that can be solved as independent, much smaller programs:
 3. A plan is **maintained** across chain-set changes the way the
    paper's controller treats installed chains (Section 4.4, Figure 10:
    a new route is fitted in, "existing route unaffected"): the plan
-   keeps, per chain, the chain as planned, its resource set and its
-   weights, plus one SB-DP router holding every chain's pre-route, and
+   keeps, per chain, the chain as planned, its per-stage link sets, its
+   resource set and its weights, plus one SB-DP router holding every
+   chain's pre-route, and
    :func:`partition_chains` given that plan as ``previous`` re-derives
    only what changed -- see there for exactly what is carried.  Shares
    always reflect the demands as of the last re-plan; a plan built from
    nothing is the same code with nothing to carry.
+
+4. Between re-plans a plan also keeps what a *run* would otherwise
+   rebuild per partition: the scaled substrate of a split partition and
+   (:meth:`PartitionPlan.key`) the partition's cache key, for as long as
+   every one of its chains is the same object.  A substrate edit replaces
+   the plan and with it everything it holds.
 
 Optimality-gap contract (documented, checked by
 ``tests/test_scale_properties.py`` and
@@ -52,6 +59,7 @@ Optimality-gap contract (documented, checked by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import Iterable, Mapping
 
 from repro.core.dp import DpConfig, IncrementalDpRouter
@@ -92,6 +100,8 @@ class _ChainFacts:
 
     chain: Chain
     structure: tuple
+    #: Per stage, the links its traffic could cross (:func:`_stage_links`).
+    stage_links: list[set[ResourceKey]]
     resources: set[ResourceKey]
     #: Proportional-split weights, ``None`` while no coupling group is
     #: split (then nothing is pre-routed either).
@@ -107,7 +117,7 @@ class PartitionPlan:
     partitions bit-identical -- which is what lets the solution cache
     serve them without re-solving.  Besides the partitions the plan
     holds what they were derived from -- per chain the chain as planned,
-    its resource set and its weights, and the SB-DP router holding every
+    its link sets, resource set and weights, and the SB-DP router holding every
     chain's pre-route -- so that :func:`partition_chains` can carry it
     all into the successor plan for every chain that did not change.
     """
@@ -137,8 +147,12 @@ class PartitionPlan:
         #: only call ``invalidate_substrate()``).
         self.substrate_digest = substrate_digest
         #: Split partition index -> its scaled substrate (no chains),
-        #: built on first use and cloned per round by :meth:`submodel`.
+        #: built on first use; :meth:`key` digests against it and
+        #: :meth:`submodel` clones it.
         self._templates: dict[int, NetworkModel] = {}
+        #: Partition index -> (the chains it was last keyed for, their
+        #: key): good for as long as every chain is that same object.
+        self._keys: dict[int, tuple[list[Chain], str]] = {}
         self.chain_partition: dict[str, int] = {}
         for part in partitions:
             for name in part.chains:
@@ -189,25 +203,44 @@ class PartitionPlan:
         the resource is not contended across split subgroups)."""
         return self._shares.get(index, {}).get(resource, 1.0)
 
-    def submodel(self, model: NetworkModel, index: int) -> NetworkModel:
-        """Build partition ``index``'s solve model from current demands.
-
-        Exact partitions reuse the full substrate; split partitions get
-        capacities and link budgets scaled by their stored shares.
-        Either way the chains are the only per-call work: the scaled
-        substrate, its columns and its encoded digest document are built
-        once per plan (a plan never outlives its substrate, see
-        :meth:`compatible_with`).
-        """
-        part = self.partitions[index]
-        chains = [model.chains[name] for name in part.chains]
+    def _substrate(self, model: NetworkModel, index: int) -> NetworkModel:
+        """What partition ``index`` is solved on: ``model`` itself for an
+        exact partition, else ``model``'s substrate (no chains) with
+        capacities and link budgets scaled by the partition's shares.
+        The scaled substrate, its columns and its encoded digest
+        document are built once per plan (a plan never outlives its
+        substrate, see :meth:`compatible_with`)."""
         shares = self._shares.get(index)
         if not shares:
-            return model.copy_with_chains(chains)
+            return model
         template = self._templates.get(index)
         if template is None:
             template = self._templates[index] = _scaled_substrate(model, shares)
-        return template.copy_with_chains(chains)
+        return template
+
+    def key(self, model: NetworkModel, index: int) -> str:
+        """``submodel(model, index).digest()`` without the sub-model.
+
+        Carried from the last call while every chain of the partition is
+        the same object it was then (a :class:`Chain` is immutable, and
+        the substrate and the shares are the plan's own); otherwise the
+        partition's substrate digests the chains, of which only the new
+        objects are encoded."""
+        chains = [model.chains[name] for name in self.partitions[index].chains]
+        held = self._keys.get(index)
+        if held is None or not all(map(is_, chains, held[0])):
+            held = self._keys[index] = (
+                chains, self._substrate(model, index).digest(chains)
+            )
+        return held[1]
+
+    def submodel(self, model: NetworkModel, index: int) -> NetworkModel:
+        """Build partition ``index``'s solve model from current demands:
+        its substrate (:meth:`_substrate`) under its chains."""
+        part = self.partitions[index]
+        return self._substrate(model, index).copy_with_chains(
+            [model.chains[name] for name in part.chains]
+        )
 
 
 def _scaled_substrate(
@@ -272,14 +305,21 @@ def _stage_links(model: NetworkModel, chain: Chain) -> list[set[ResourceKey]]:
     return stages
 
 
-def chain_resources(model: NetworkModel, chain: Chain) -> set[ResourceKey]:
-    """Every capacity resource the chain's LP variables can touch."""
-    resources: set[ResourceKey] = set().union(*_stage_links(model, chain))
+def _resources(
+    model: NetworkModel, chain: Chain, stage_links: list[set[ResourceKey]]
+) -> set[ResourceKey]:
+    """:func:`chain_resources` given the chain's :func:`_stage_links`."""
+    resources: set[ResourceKey] = set().union(*stage_links)
     for z in range(1, chain.num_stages):
         for site in model.stage_destinations(chain, z):
             resources.add(("vnf", chain.vnf_at(z), site))
             resources.add(("site", site))
     return resources
+
+
+def chain_resources(model: NetworkModel, chain: Chain) -> set[ResourceKey]:
+    """Every capacity resource the chain's LP variables can touch."""
+    return _resources(model, chain, _stage_links(model, chain))
 
 
 #: Fraction of a chain's stage traffic spread uniformly over every link
@@ -358,6 +398,7 @@ def _latency_path(model: NetworkModel, chain: Chain) -> list[str]:
 def _chain_resource_weights(
     model: NetworkModel,
     chain: Chain,
+    stage_links: list[set[ResourceKey]],
     link_usage: Mapping[ResourceKey, float] | None = None,
 ) -> dict[ResourceKey, float]:
     """Demand each chain can place on a resource (the proportional-split
@@ -369,7 +410,7 @@ def _chain_resource_weights(
     VNF proportional to its demand).  Link weights come from the SB-DP
     pre-route (``link_usage``), falling back to the chain's latency-best
     path when the pre-route carried nothing for it; every other link
-    the chain could use gets a small uniform share
+    the chain could use (``stage_links``) gets a small uniform share
     (:data:`_LINK_OVERFLOW_WEIGHT`) so overflow routing stays possible.
     """
     weights: dict[ResourceKey, float] = {}
@@ -378,7 +419,7 @@ def _chain_resource_weights(
         path = None
     else:
         path = _latency_path(model, chain) if model.routing else None
-    for z, overflow in enumerate(_stage_links(model, chain), start=1):
+    for z, overflow in enumerate(stage_links, start=1):
         if z < chain.num_stages:
             vnf_name = chain.vnf_at(z)
             load = model.vnfs[vnf_name].load_per_unit * (
@@ -502,12 +543,15 @@ def partition_chains(
         known = old.get(name)
         if known is None or known.chain != chain:
             structure = _chain_structure(chain)
-            rescaled = known is not None and known.structure == structure
-            known = _ChainFacts(
-                chain,
-                structure,
-                known.resources if rescaled else chain_resources(model, chain),
-            )
+            if known is not None and known.structure == structure:
+                known = _ChainFacts(
+                    chain, structure, known.stage_links, known.resources
+                )
+            else:
+                links = _stage_links(model, chain)
+                known = _ChainFacts(
+                    chain, structure, links, _resources(model, chain, links)
+                )
         facts[name] = known
 
     groups = _coupled({name: known.resources for name, known in facts.items()})
@@ -541,7 +585,9 @@ def partition_chains(
                     router.model.add_chain(known.chain)
                     router.route(name)
                     usage = _link_usage(router, known.chain)
-                known.weights = _chain_resource_weights(model, known.chain, usage)
+                known.weights = _chain_resource_weights(
+                    model, known.chain, known.stage_links, usage
+                )
 
     def touching(names: list[str], resource: ResourceKey) -> int:
         return sum(resource in facts[name].weights for name in names)

@@ -17,7 +17,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.brute import BruteForceError, enumerate_paths, min_latency_path
+from tests.reference.brute import BruteForceError, enumerate_paths, min_latency_path
 from repro.core.dp import DpConfig, route_chains_dp
 from repro.core.model import Chain, CloudSite, NetworkModel, VNF
 

@@ -4,12 +4,12 @@ Each vectorized implementation keeps its pre-vectorization scalar
 twin in the tree as ground truth:
 
 - ``solve_chain_routing_lp`` (the columnar blocks of
-  ``repro.core.formulation``) vs. ``solve_chain_routing_lp_reference``
+  ``repro.core.formulation``) vs. ``tests/reference/lp_scalar.py``
   (its per-variable row generator);
 - ``plan_cloud_capacity`` vs. ``plan_cloud_capacity_reference`` and
   ``plan_vnf_placement`` vs. ``plan_vnf_placement_reference``, over the
   same two assemblies;
-- ``route_chains_dp`` with ``DpConfig(vectorized=True)`` vs. the
+- ``route_chains_dp`` vs. ``tests/reference/dp_scalar.py``, the
   scalar stage recurrence;
 - ``E2ETestbed.evaluate`` (numpy water-filling) vs.
   ``evaluate_reference`` (progressive filling).
@@ -22,7 +22,6 @@ tests pin the reuse/invalidation contract of the module-global
 constraint-matrix cache.
 """
 
-import dataclasses
 import random
 
 import numpy as np
@@ -31,12 +30,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import capacity as capacity_mod
 from repro.core import lp as lp_mod
-from repro.core.capacity import (
-    plan_cloud_capacity,
-    plan_cloud_capacity_reference,
-    plan_vnf_placement,
-    plan_vnf_placement_reference,
-)
+from repro.core.capacity import plan_cloud_capacity, plan_vnf_placement
 from repro.core.dp import DpConfig, route_chains_dp
 from repro.core.model import Chain, CloudSite, Link, NetworkModel, VNF
 from repro.core.lp import (
@@ -44,11 +38,21 @@ from repro.core.lp import (
     clear_matrix_cache,
     matrix_cache_stats,
     solve_chain_routing_lp,
-    solve_chain_routing_lp_reference,
 )
 from repro.dataplane.e2e import E2ERoute, E2ETestbed, VnfInstanceSpec
 from repro.topology import WorkloadConfig, build_backbone, generate_workload
 from repro.topology.cities import DEFAULT_CITIES
+from tests.reference.capacity_scalar import (
+    plan_cloud_capacity_reference,
+    plan_vnf_placement_reference,
+    scalar_cloud_program,
+    scalar_placement_program,
+)
+from tests.reference.dp_scalar import route_chains_dp_reference
+from tests.reference.lp_scalar import (
+    scalar_program,
+    solve_chain_routing_lp_reference,
+)
 
 TOL = 1e-9
 
@@ -84,7 +88,7 @@ class TestLpMatrixEquivalence:
         )
         cost = lp_mod._cost_vector(structure, ch, objective, 1e-6)
 
-        program = lp_mod._scalar_program(model, objective, True, 1e-6)
+        program = scalar_program(model, objective, True, 1e-6)
         assert structure.n_total == program.n_total
         assert np.max(np.abs(dense(a_ub) - dense(program.a_ub))) <= TOL
         b_ub = structure.bounds(model.substrate_columns())
@@ -118,7 +122,7 @@ class TestCapacityMatrixEquivalence:
         cost = np.zeros(structure.n_total)
         cost[structure.alpha_index] = -1.0
 
-        program = capacity_mod._scalar_cloud_program(model, budget)
+        program = scalar_cloud_program(model, budget)
         assert structure.n_total == program.n_total
         assert structure.alpha_index == program.n_total - 1
         assert np.max(np.abs(dense(a_ub) - dense(program.a_ub))) <= TOL
@@ -208,7 +212,7 @@ class TestGeneratedModelEquivalence:
             a_ub, structure.bounds(model.substrate_columns()), a_eq,
             structure.b_eq,
             lp_mod._cost_vector(structure, ch, objective, 1e-6),
-            lp_mod._scalar_program(model, objective, enforce_mlu, 1e-6),
+            scalar_program(model, objective, enforce_mlu, 1e-6),
         )
 
     @settings(max_examples=40, deadline=None)
@@ -221,7 +225,7 @@ class TestGeneratedModelEquivalence:
         cost[structure.alpha_index] = -1.0
         assert_same_program(
             a_ub, b_ub, a_eq, structure.b_eq, cost,
-            capacity_mod._scalar_cloud_program(model, budget),
+            scalar_cloud_program(model, budget),
         )
 
     @settings(max_examples=25, deadline=None)
@@ -241,7 +245,7 @@ class TestGeneratedModelEquivalence:
             model, quotas, capacity
         )
         ours = capacity_mod._placement_program(extended, candidates, quotas)
-        theirs = capacity_mod._scalar_placement_program(
+        theirs = scalar_placement_program(
             extended, candidates, quotas
         )
         assert ours.quota_first == theirs.quota_first
@@ -262,8 +266,8 @@ class TestDpVectorizedEquivalence:
         """
         model_v = make_model(seed=seed)
         model_s = make_model(seed=seed)
-        vec = route_chains_dp(model_v, DpConfig(vectorized=True))
-        ref = route_chains_dp(model_s, DpConfig(vectorized=False))
+        vec = route_chains_dp(model_v, DpConfig())
+        ref = route_chains_dp_reference(model_s, DpConfig())
         assert vec.unrouted == ref.unrouted
         for name, chain in model_v.chains.items():
             for z in range(1, chain.num_stages + 1):
@@ -350,7 +354,7 @@ class TestDpBatchedSearchEquivalence:
     @given(dp_models, st.sampled_from(CONFIGS))
     def test_same_flows_remainders_and_search_count(self, model, config):
         vec = route_chains_dp(model, config)
-        ref = route_chains_dp(model, dataclasses.replace(config, vectorized=False))
+        ref = route_chains_dp_reference(model, config)
         assert vec.solution._flows == ref.solution._flows
         assert vec.unrouted == ref.unrouted
         assert vec.paths_computed == ref.paths_computed
@@ -378,8 +382,8 @@ class TestDpBatchedSearchEquivalence:
             chain = Chain("c", "in", "out", ["fw"], 1.0, reverse)
             return NetworkModel(nodes, latency, sites, vnfs, [chain], links, routing)
 
-        for vectorized in (True, False):
-            result = route_chains_dp(routed(0.0), DpConfig(vectorized=vectorized))
+        for route in (route_chains_dp, route_chains_dp_reference):
+            result = route(routed(0.0), DpConfig())
             assert result.solution._flows == {
                 ("c", 1): {("in", "N"): 1.0}, ("c", 2): {("N", "out"): 1.0}
             }

@@ -32,6 +32,7 @@ from repro.core.lp import (
 )
 from repro.core.model import CloudSite, Link, NetworkModel, VNF
 from repro.scale.partition import _MIN_LINK_SHARE, _scaled_substrate
+from tests.reference.lp_scalar import scalar_program
 from tests.test_core_lp import small_model
 from tests.test_vectorized_equivalence import make_model
 
@@ -133,7 +134,12 @@ def share_vector(model: NetworkModel, rng: random.Random) -> dict:
     return shares
 
 
-@settings(max_examples=15, deadline=None)
+# Derandomized: some (seed, MIN_MLU) draws hand scipy's HiGHS a program
+# it does not return from -- seed=509 spins in ``linprog`` for minutes,
+# at the tree this test was written on as well -- and ``run_linprog``
+# has no time limit, so with a fresh draw per run tier-1 hung now and
+# then (two of some fifteen full runs in one session).
+@settings(max_examples=15, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 100_000), objective=st.sampled_from(list(LpObjective)))
 def test_shares_reach_the_program_as_right_hand_side(seed, objective):
     rng = random.Random(seed)
@@ -153,7 +159,7 @@ def test_shares_reach_the_program_as_right_hand_side(seed, objective):
         sub = model.substrate_columns()
         fresh = lp_mod._RoutingProgram(model, objective, True)
         assert np.array_equal(cached.bounds(sub), fresh.bounds(sub))
-        reference = lp_mod._scalar_program(model, objective, True, 1e-6)
+        reference = scalar_program(model, objective, True, 1e-6)
         assert np.max(np.abs(cached.bounds(sub) - reference.b_ub)) <= 1e-9
         warm = solve_chain_routing_lp(model, objective)
         clear_matrix_cache()
