@@ -170,12 +170,6 @@ class SubstrateColumns:
                 np.array([self.site_index[s] for s in sites], dtype=np.int64)
             )
 
-        #: Endpoint ids of each VNF's deployment sites, and (filled on
-        #: demand) the one-element array of a named endpoint: what a
-        #: chain's stage table is concatenated from.
-        self.vnf_endpoints = [n + sites for sites in self.vnf_sites]
-        self._endpoint_arrays: dict[str, np.ndarray] = {}
-
         # Name ranks reproduce the scalar code's sorted-by-name row order.
         self.site_rank = _rank(self.site_names)
         self.vnf_rank = _rank(self.vnf_names)
@@ -353,15 +347,6 @@ class SubstrateColumns:
             targets, links, self.pool_frac[pool_idx], self.link_bandwidth[links]
         )
 
-    def endpoint_array(self, name: str, model: NetworkModel) -> np.ndarray:
-        """``[endpoint_id(name)]`` as a shared, read-only array."""
-        found = self._endpoint_arrays.get(name)
-        if found is None:
-            found = self._endpoint_arrays[name] = np.array(
-                [self.endpoint_id(name, model)], dtype=np.int64
-            )
-        return found
-
     def endpoint_id(self, name: str, model: NetworkModel) -> int:
         """Endpoint id of a site name or node name (site wins)."""
         if name in self.site_index:
@@ -419,18 +404,22 @@ class ChainColumns:
                 st_fwd.append(chain.forward_traffic[z - 1])
                 st_rev.append(chain.reverse_traffic[z - 1])
                 if z == 1:
-                    srcs = sub.endpoint_array(chain.ingress, model)
+                    srcs = np.array(
+                        [sub.endpoint_id(chain.ingress, model)], dtype=np.int64
+                    )
                     st_src_vnf.append(-1)
                 else:
                     vi = sub.vnf_index[chain.vnfs[z - 2]]
-                    srcs = sub.vnf_endpoints[vi]
+                    srcs = sub.n_nodes + sub.vnf_sites[vi]
                     st_src_vnf.append(vi)
                 if z == stages:
-                    dsts = sub.endpoint_array(chain.egress, model)
+                    dsts = np.array(
+                        [sub.endpoint_id(chain.egress, model)], dtype=np.int64
+                    )
                     st_dst_vnf.append(-1)
                 else:
                     vi = sub.vnf_index[chain.vnfs[z - 1]]
-                    dsts = sub.vnf_endpoints[vi]
+                    dsts = sub.n_nodes + sub.vnf_sites[vi]
                     st_dst_vnf.append(vi)
                 src_pool.append(srcs)
                 dst_pool.append(dsts)

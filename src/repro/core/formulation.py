@@ -39,7 +39,7 @@ from scipy.sparse import csc_matrix, csr_matrix, get_index_dtype
 from repro.core import highs as highs_backend
 from repro.core.columns import ragged_gather
 from repro.core.model import NetworkModel
-from repro.core.routes import Certificate, RoutingSolution, flow_table
+from repro.core.routes import Certificate, RoutingSolution
 
 # Data-entry kinds: how a cached base coefficient scales with the current
 # demands.  KIND_CONST entries never change on a cache hit.
@@ -417,37 +417,53 @@ def certify(sub, ch, stage, src, dst, value) -> Certificate:
     )
 
 
-def solved_flows(
-    model: NetworkModel, variables, flows: np.ndarray
-) -> tuple[RoutingSolution, tuple, Certificate]:
-    """What a solve hands on, from the flow-variable values: the
-    :class:`RoutingSolution`, the same flows as ``(chain, stage, src,
-    dst, fraction)`` rows in variable order, and their certificate --
-    all three from the one set of values above ``EPSILON``, gathered
-    from the arrays once.  ``variables`` says what each variable is
-    (``var_stage`` / ``var_src_ep`` / ``var_dst_ep``): the model's
-    variable columns, or the :class:`ChainFlow` of a cached program of
-    its structure, which spares building them."""
+def _kept(variables, flows: np.ndarray) -> tuple:
+    """The flows above ``EPSILON`` as ``certify`` takes them: stage-table
+    row, source and destination endpoint, value.  ``variables`` says what
+    each variable is (``var_stage`` / ``var_src_ep`` / ``var_dst_ep``)."""
+    keep = np.flatnonzero(flows > RoutingSolution.EPSILON)
+    return (
+        variables.var_stage[keep],
+        variables.var_src_ep[keep],
+        variables.var_dst_ep[keep],
+        flows[keep],
+    )
+
+
+def _assemble(model: NetworkModel, stage, src, dst, value) -> RoutingSolution:
+    """The :class:`RoutingSolution` of those flows, in variable order:
+    the one place they leave the arrays, one ``tolist()`` each."""
     sub = model.substrate_columns()
     ch = model.chain_columns()
-    keep = np.flatnonzero(flows > RoutingSolution.EPSILON)
-    stage, value = variables.var_stage[keep], flows[keep]
-    src, dst = variables.var_src_ep[keep], variables.var_dst_ep[keep]
     names, endpoints = ch.chain_names, sub.endpoint_names
-    rows = tuple([
-        (names[c], z, endpoints[a], endpoints[b], x)
-        for c, z, a, b, x in zip(
-            ch.stage_chain[stage].tolist(), ch.stage_z[stage].tolist(),
-            src.tolist(), dst.tolist(), value.tolist(),
-        )
-    ])
-    solution = RoutingSolution.assemble(model, [flow_table(rows)])
-    return solution, rows, certify(sub, ch, stage, src, dst, value)
+    table: dict[tuple[str, int], dict[tuple[str, str], float]] = {}
+    for c, z, a, b, x in zip(
+        ch.stage_chain[stage].tolist(), ch.stage_z[stage].tolist(),
+        src.tolist(), dst.tolist(), value.tolist(),
+    ):
+        table.setdefault((names[c], z), {})[(endpoints[a], endpoints[b])] = x
+    return RoutingSolution.assemble(model, [table])
+
+
+def solved_flows(
+    model: NetworkModel, variables, flows: np.ndarray
+) -> tuple[RoutingSolution, Certificate]:
+    """What a solve hands on, from the flow-variable values: the
+    :class:`RoutingSolution` and its certificate, both from the one set
+    of values above ``EPSILON``.  ``variables`` is the model's variable
+    columns, or the :class:`ChainFlow` of a cached program of its
+    structure -- built from a model that lists nodes, sites, VNFs and
+    chains in the same order (the precondition ``Program.bounds``
+    already has) --, which spares building them."""
+    kept = _kept(variables, flows)
+    return _assemble(model, *kept), certify(
+        model.substrate_columns(), model.chain_columns(), *kept
+    )
 
 
 def flow_solution(model: NetworkModel, flows: np.ndarray) -> RoutingSolution:
     """A :class:`RoutingSolution` from the flow-variable values."""
-    return solved_flows(model, model.variable_columns(), flows)[0]
+    return _assemble(model, *_kept(model.variable_columns(), flows))
 
 
 # ---------------------------------------------------------------------------

@@ -93,9 +93,7 @@ class LpResult:
     num_variables: int
     num_constraints: int
     solve_seconds: float
-    #: The solution's flows as ``(chain, stage, src, dst, fraction)``
-    #: rows and their feasibility certificate (the columnar solve only).
-    flows: tuple[tuple[str, int, str, str, float], ...] = ()
+    #: The solution's feasibility certificate (the columnar solve only).
     certificate: Certificate | None = None
 
     @property
@@ -344,6 +342,9 @@ def solve_chain_routing_lp(
     return _result(
         objective,
         outcome,
+        # The cached program's variable ids name this model's endpoints:
+        # equal structure digests *and* the same insertion order of nodes,
+        # sites and deployments, as ``bounds`` above assumes already.
         lambda x: solved_flows(model, structure.flow, x[:n]),
         structure.beta_index,
         structure.n_total,

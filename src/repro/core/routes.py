@@ -98,17 +98,6 @@ class Certificate:
         )
 
 
-def flow_table(rows: Iterable[tuple]) -> dict[tuple[str, int], dict]:
-    """``(chain, stage, src, dst, fraction)`` rows as the ``(chain,
-    stage) -> {(src, dst): fraction}`` table a solution stores them in
-    (one row per (chain, stage, src, dst); see
-    :meth:`RoutingSolution.assemble`)."""
-    table: dict[tuple[str, int], dict] = {}
-    for chain, stage, src, dst, fraction in rows:
-        table.setdefault((chain, stage), {})[(src, dst)] = fraction
-    return table
-
-
 class RoutingSolution:
     """A (possibly partial) routing for every chain in a model.
 

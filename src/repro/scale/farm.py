@@ -21,10 +21,10 @@
   miss the cache and are re-solved, and merges fresh results with
   cached ones into a single :class:`~repro.core.routes.RoutingSolution`;
 - a run costs what it re-solved: every :class:`SolveResult` holds its
-  flows as rows, as the piece of a merged solution they contribute
-  (``table``) and their feasibility certificate, all taken from the
-  solver's arrays once, where they were solved (here or in a pool
-  worker); the merged solution is assembled from the pieces without
+  flows as the piece of a merged solution they contribute (``table``)
+  and their feasibility certificate, both taken from the solver's
+  arrays once, where they were solved (here or in a pool worker); the
+  merged solution is assembled from the pieces without
   re-adding a flow and is bound to the chains as they were solved, so a
   :class:`FarmResult` stays a value when the model moves on, and its
   ``certificate`` is the partitions' added up;
@@ -48,7 +48,7 @@ from typing import Iterable, TYPE_CHECKING
 
 from repro.core.lp import LpObjective, LpResult, solve_chain_routing_lp
 from repro.core.model import NetworkModel
-from repro.core.routes import Certificate, RoutingSolution, flow_table
+from repro.core.routes import Certificate, RoutingSolution
 from repro.core.serialization import model_from_dict, model_to_dict
 from repro.scale.cache import SolutionCache
 from repro.scale.partition import PartitionPlan, partition_chains
@@ -80,26 +80,29 @@ class SolveResult:
     chains: tuple[str, ...]
     status: str
     objective: float | None
-    #: Non-zero flows as ``(chain, stage, src, dst, fraction)`` tuples.
-    flows: tuple[tuple[str, int, str, str, float], ...]
+    #: Non-zero flows as ``(chain, stage) -> {(src, dst): fraction}``, in
+    #: variable order: the piece of a merged solution this result
+    #: contributes (:meth:`RoutingSolution.assemble`); never edited.
+    table: dict = field(hash=False, repr=False)
     num_variables: int
     num_constraints: int
     solve_seconds: float
     #: What the flows say about their own feasibility, by name order of
     #: the substrate (``None``: check them the long way).
     certificate: Certificate | None = field(default=None, compare=False)
-    #: ``flows`` again as ``(chain, stage) -> {(src, dst): fraction}``,
-    #: the piece of a merged solution this result contributes
-    #: (:meth:`RoutingSolution.assemble`); never edited.
-    table: dict | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.table is None:
-            object.__setattr__(self, "table", flow_table(self.flows))
 
     @property
     def ok(self) -> bool:
         return self.status == "optimal"
+
+    @property
+    def flows(self) -> tuple[tuple[str, int, str, str, float], ...]:
+        """``table`` as ``(chain, stage, src, dst, fraction)`` rows."""
+        return tuple(
+            (chain, stage, src, dst, fraction)
+            for (chain, stage), pairs in self.table.items()
+            for (src, dst), fraction in pairs.items()
+        )
 
 
 def _result_from_lp(
@@ -110,12 +113,11 @@ def _result_from_lp(
         chains=chains,
         status=lp.status,
         objective=lp.objective,
-        flows=lp.flows,
+        table={} if lp.solution is None else lp.solution.table(),
         num_variables=lp.num_variables,
         num_constraints=lp.num_constraints,
         solve_seconds=lp.solve_seconds,
         certificate=lp.certificate,
-        table=None if lp.solution is None else lp.solution.table(),
     )
 
 

@@ -23,6 +23,7 @@ clear the region's capacities outright.  Contracts:
 
 import random
 import sys
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -40,6 +41,11 @@ from tests.test_vectorized_equivalence import small_models
 
 
 # -- the function against violations(), flows tampered with ----------------
+
+
+def rows_of(solution):
+    """A solution's flows as ``(chain, stage, src, dst, fraction)`` rows."""
+    return [astuple(flow) for flow in solution.flows()]
 
 
 def flow_arrays(model, rows):
@@ -107,7 +113,7 @@ class TestCertificateAgainstReference:
         assert result.ok
         sub, ch = model.substrate_columns(), model.chain_columns()
         arrays = mutate(
-            kind, random.Random(seed), model, *flow_arrays(model, result.flows)
+            kind, random.Random(seed), model, *flow_arrays(model, rows_of(result.solution))
         )
         reference = planted(model, *arrays).violations()
         cleared = certify(sub, ch, *arrays).clears(sub)
@@ -125,7 +131,7 @@ class TestCertificateAgainstReference:
         model = tight_model()
         result = solve_chain_routing_lp(model, LpObjective.MAX_THROUGHPUT)
         sub, ch = model.substrate_columns(), model.chain_columns()
-        base = flow_arrays(model, result.flows)
+        base = flow_arrays(model, rows_of(result.solution))
         assert certify(sub, ch, *base).clears(sub)
         assert result.solution.violations() == []
         for kind in MUTATIONS[1:]:

@@ -134,12 +134,7 @@ def share_vector(model: NetworkModel, rng: random.Random) -> dict:
     return shares
 
 
-# Derandomized: some (seed, MIN_MLU) draws hand scipy's HiGHS a program
-# it does not return from -- seed=509 spins in ``linprog`` for minutes,
-# at the tree this test was written on as well -- and ``run_linprog``
-# has no time limit, so with a fresh draw per run tier-1 hung now and
-# then (two of some fifteen full runs in one session).
-@settings(max_examples=15, deadline=None, derandomize=True)
+@settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 100_000), objective=st.sampled_from(list(LpObjective)))
 def test_shares_reach_the_program_as_right_hand_side(seed, objective):
     rng = random.Random(seed)
