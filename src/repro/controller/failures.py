@@ -158,10 +158,7 @@ def _reroute_affected(gs: GlobalSwitchboard, report: FailureReport) -> None:
             gs._assign_instances(installation)
             gs._install_rules(installation)
         else:
-            for local in gs.locals.values():
-                local.remove_chain_rules(
-                    installation.label, installation.egress_site
-                )
+            gs._remove_rules(installation)
 
 
 def restore_site(

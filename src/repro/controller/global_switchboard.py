@@ -61,6 +61,10 @@ class ChainInstallation:
     committed_load: dict[tuple[str, str], float] = field(default_factory=dict)
     #: additional ingress edge sites grafted on later (Section 6).
     extra_edge_sites: list[str] = field(default_factory=list)
+    #: every site whose Local Switchboard was handed a rule for the chain
+    #: (on its route, on a route since replaced, or as a grafted edge
+    #: site): where a removal has rules to clear.
+    rule_sites: set[str] = field(default_factory=set)
 
     @property
     def labels(self) -> Labels:
@@ -263,8 +267,7 @@ class GlobalSwitchboard:
         installation = self._installation(chain_name)
         for (vnf_name, site), load in installation.committed_load.items():
             self.vnf_services[vnf_name].release(chain_name, site, load)
-        for local in self.locals.values():
-            local.remove_chain_rules(installation.label, installation.egress_site)
+        self._remove_rules(installation)
         edge = self.edge_controllers.get(installation.spec.edge_service)
         if edge is not None:
             edge.remove_chain(installation.labels)
@@ -317,6 +320,7 @@ class GlobalSwitchboard:
         local.install_edge_rule(
             installation.label, installation.egress_site, next_hops
         )
+        installation.rule_sites.add(edge_site)
         # Configure edge instances at the new site.
         edge = self.edge_controllers[installation.spec.edge_service]
         classifier = self._classifier_for(installation)
@@ -334,6 +338,14 @@ class GlobalSwitchboard:
         return best
 
     # -- internals -----------------------------------------------------------
+
+    def _remove_rules(self, installation: ChainInstallation) -> None:
+        """Clear the chain's rules at every site that was handed one."""
+        for site in installation.rule_sites:
+            self.locals[site].remove_chain_rules(
+                installation.label, installation.egress_site
+            )
+        installation.rule_sites.clear()
 
     def _installation(self, chain_name: str) -> ChainInstallation:
         installation = self.installations.get(chain_name)
@@ -607,6 +619,7 @@ class GlobalSwitchboard:
         # Position-0 rule on the ingress site's edge forwarder.
         if only_site is None or only_site == installation.ingress_site:
             ingress_local = self.local_switchboard(installation.ingress_site)
+            installation.rule_sites.add(installation.ingress_site)
             ingress_local.install_edge_rule(
                 label,
                 egress_site,
@@ -630,6 +643,7 @@ class GlobalSwitchboard:
                 if only_site is not None and site != only_site:
                     continue
                 local = self.local_switchboard(site)
+                installation.rule_sites.add(site)
                 next_hops = self._next_hop_weights(
                     installation, position, site
                 )

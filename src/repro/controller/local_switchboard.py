@@ -179,7 +179,7 @@ class LocalSwitchboard:
         return fwd
 
     def remove_chain_rules(self, chain_label: int, egress_site: str) -> None:
-        for fwd in self.forwarders:
-            fwd.remove_rule(chain_label, egress_site)
-        if self._edge_forwarder is not None:
-            self._edge_forwarder.remove_rule(chain_label, egress_site)
+        """Drop the chain's rule from every forwarder here that holds one."""
+        for fwd in (*self.forwarders, self._edge_forwarder):
+            if fwd is not None and (chain_label, egress_site) in fwd.rules:
+                fwd.remove_rule(chain_label, egress_site)

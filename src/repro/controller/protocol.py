@@ -691,7 +691,7 @@ class BusDrivenInstaller:
     # -- arrows 3-5: bus publications and rule installation ------------------
 
     def _route_sites(self, pending: "_PendingInstall") -> set[str]:
-        """Every site that must install rules for the chain."""
+        """Every site that must install rules for the chain's route."""
         chain = self.gs.model.chains[pending.spec.name]
         sites = {pending.ingress_site}
         for z in range(1, chain.num_stages):
@@ -747,7 +747,8 @@ class BusDrivenInstaller:
                 kind="instances",
             )
             pending.involved_topics[str(topic)] = topic
-        for site in self._route_sites(pending):
+        pending.route_sites = self._route_sites(pending)
+        for site in pending.route_sites:
             client = self.local_clients[site]
             pending.subscribers.append(client)
             callback = self._make_local_callback(pending, site)
@@ -804,8 +805,7 @@ class BusDrivenInstaller:
                 installation = pending.timeline.installation
                 self.gs._install_rules(installation, only_site=site)
                 pending.timeline.site_configured_at[site] = self.sim.now
-                needed = self._route_sites(pending)
-                if needed <= set(pending.timeline.site_configured_at):
+                if pending.route_sites <= pending.timeline.site_configured_at.keys():
                     pending.timeline.completed_at = self.sim.now
                     self._complete(pending)
 
@@ -893,6 +893,8 @@ class _PendingInstall:
     #: and the bus clients subscribed to them (released at retirement).
     involved_topics: dict[str, Topic] = field(default_factory=dict)
     subscribers: list[str] = field(default_factory=list)
+    #: the sites that must configure, fixed when the route is published.
+    route_sites: set[str] = field(default_factory=set)
     #: site -> topics whose instance info has arrived there.
     seen_instance_info: dict[str, set[str]] = field(default_factory=dict)
     #: stage name -> open tracing span (populated only when the

@@ -302,6 +302,10 @@ def restore_installations(store: ReplicatedStore) -> dict[str, ChainInstallation
             record["routed_fraction"],
             committed,
             list(record["extra_edge_sites"]),
+            # Where the recorded route and grafts put rules: the ingress,
+            # the sites holding its load, the grafted edge sites.
+            {record["ingress_site"], *record["extra_edge_sites"]}
+            | {site for _vnf, site in committed},
         )
         installations[spec.name] = installation
     return installations

@@ -180,7 +180,8 @@ def plan_cloud_capacity(
     """
     _check_cloud_inputs(model, budget)
     structure, _cached = _CACHE.get(
-        (model.capacity_structure_digest(),), lambda: _CloudProgram(model)
+        (model.capacity_structure_digest(), model.substrate_columns().order),
+        lambda: _CloudProgram(model),
     )
     data, b_ub = structure.refreshed(model, budget)
     n = structure.n_total

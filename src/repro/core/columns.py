@@ -91,23 +91,23 @@ class StageTransition(NamedTuple):
 class ChainTable(NamedTuple):
     """What the substrate alone says about routing one chain *shape*
     (ingress, egress, VNF sequence), laid out so a path search reads the
-    residual state of every stage with one gather.
+    residual state of every VNF stage with one gather.
 
-    The (VNF, site) elements of all VNF stages sit in one stage-major
-    run; the link entries stay where they are, in the transitions every
-    shape crossing the same fronts shares -- a shape holds references,
-    never a copy, so a thousand shapes cost a thousand short tuples.
+    A table is references, put together per search; what it refers to
+    is cached where it varies.  The (VNF, site) elements of all VNF
+    stages, one stage-major run, hang on the VNF sequence and hit for
+    every chain through that sequence; a stage's latencies and link
+    entries hang on its two fronts (:meth:`SubstrateColumns.transition`)
+    and hit for every chain crossing that pair.  A shape itself is not a
+    key: under churn four searches in five are of a shape never seen.
     """
 
     stages: tuple[StageTransition, ...]
-    vnf: np.ndarray  # VNF index of every (VNF stage, site) element
+    index: np.ndarray  # vnf * n_sites + site of every (VNF stage, site) element
     site: np.ndarray  # its site index
     load: np.ndarray  # its VNF's load per unit of traffic
     sizes: np.ndarray  # elements (deployment sites) per VNF stage
     front: list[int]  # first element of each VNF stage, then the total
-    tables: tuple[LinkTable, ...]  # fwd, rev of stage 1, fwd, rev of stage 2, ...
-    counts: np.ndarray  # link entries in each of ``tables``
-    bounds: list[int]  # first link entry of each of ``tables``, then the total
 
 
 class SubstrateColumns:
@@ -180,6 +180,15 @@ class SubstrateColumns:
             name: i for i, name in enumerate(self.link_names)
         }
         self.link_rank = _rank(self.link_names)
+        #: The insertion orders the ids above follow: a program assembled
+        #: over these columns holds such ids, so it serves another model
+        #: of equal content only if that model's orders are these.
+        self.order = (
+            tuple(self.nodes),
+            tuple(self.site_names),
+            tuple((v, *model.vnfs[v].sites) for v in self.vnf_names),
+            tuple(self.link_names),
+        )
         self._read_capacities(model)
 
         # Routing fractions as a CSR over node pairs: pair_id[n1, n2]
@@ -209,12 +218,12 @@ class SubstrateColumns:
         )
         self.pool_link_rank = self.link_rank[self.pool_link]
         self.mlu_limit = model.mlu_limit
-        # Filled on demand, keyed by (source nodes, destination nodes),
+        # Filled on demand, keyed by a pair of front ids (chain_fronts),
         # dropped with this object by invalidate_substrate().
-        self._transitions: dict[tuple[bytes, bytes], StageTransition] = {}
-        self._candidate_links: dict[tuple[bytes, bytes], tuple] = {}
-        # ...and by chain shape (ingress, egress, VNF sequence).
-        self._chain_tables: dict[tuple, ChainTable] = {}
+        self._transitions: dict[tuple[int, int], StageTransition] = {}
+        self._candidate_links: dict[tuple[int, int], tuple] = {}
+        # ...and by VNF sequence: the ChainTable fields after ``stages``.
+        self._site_runs: dict[tuple[str, ...], tuple] = {}
 
     def _read_capacities(self, model: NetworkModel) -> None:
         """The four capacity arrays: per site, per (VNF, site) -- NaN
@@ -242,7 +251,7 @@ class SubstrateColumns:
         bandwidths) start empty."""
         clone = copy.copy(self)
         clone._read_capacities(model)
-        clone._transitions, clone._candidate_links, clone._chain_tables = {}, {}, {}
+        clone._transitions, clone._candidate_links, clone._site_runs = {}, {}, {}
         return clone
 
     def headroom(self) -> np.ndarray:
@@ -251,56 +260,52 @@ class SubstrateColumns:
             0.0, self.mlu_limit * self.link_bandwidth - self.link_background
         )
 
-    def chain_fronts(self, chain, model: NetworkModel) -> list[np.ndarray]:
-        """Network-node indices of a chain's stage fronts: the ingress,
-        each VNF's deployment sites in chain order, the egress.  Stage
-        ``z`` runs from front ``z - 1`` to front ``z``."""
-        ends = self.endpoint_node[
-            [self.endpoint_id(chain.ingress, model), self.endpoint_id(chain.egress, model)]
+    def chain_fronts(self, chain, model: NetworkModel) -> list[int]:
+        """Ids of a chain's stage fronts: the ingress, each VNF in chain
+        order, the egress.  Stage ``z`` runs from front ``z - 1`` to front
+        ``z``.  An endpoint's front id is its network node's index, a
+        VNF's ``n_nodes +`` its index (its deployment sites' nodes)."""
+        node = self.endpoint_node
+        return [
+            int(node[self.endpoint_id(chain.ingress, model)]),
+            *(self.n_nodes + self.vnf_index[v] for v in chain.vnfs),
+            int(node[self.endpoint_id(chain.egress, model)]),
         ]
-        vnf_fronts = (self.site_node[self.vnf_sites[self.vnf_index[v]]] for v in chain.vnfs)
-        return [ends[:1], *vnf_fronts, ends[1:]]
+
+    def _front_nodes(self, front: int) -> np.ndarray:
+        """Network-node indices of the front with id ``front``."""
+        if front < self.n_nodes:
+            return np.array([front], dtype=np.int64)
+        return self.site_node[self.vnf_sites[front - self.n_nodes]]
 
     def chain_table(self, chain, model: NetworkModel) -> ChainTable:
-        """The whole-chain gather table of ``chain``'s shape, built once
-        per shape: nothing in it depends on the chain's name or demands,
-        so churn (every install a new name) hits."""
-        key = (chain.ingress, chain.egress, tuple(chain.vnfs))
-        found = self._chain_tables.get(key)
-        if found is None:
-            nodes = self.chain_fronts(chain, model)
-            stages = tuple(
-                self.transition(a, b) for a, b in zip(nodes, nodes[1:])
-            )
-            tables = tuple(t for stage in stages for t in (stage.fwd, stage.rev))
+        """The whole-chain gather table of ``chain``'s shape: references
+        to the per-front-pair transitions and the per-sequence run."""
+        fronts = self.chain_fronts(chain, model)
+        run = self._site_runs.get(chain.vnfs)
+        if run is None:
             ids = [self.vnf_index[v] for v in chain.vnfs]
             sites = [self.vnf_sites[i] for i in ids]
             sizes = np.array([len(s) for s in sites], dtype=np.int64)
             vnf = np.repeat(np.array(ids, dtype=np.int64), sizes)
-            counts = np.array([t.targets.size for t in tables], dtype=np.int64)
-            found = self._chain_tables[key] = ChainTable(
-                stages,
-                vnf,
-                np.concatenate(sites) if sites else np.zeros(0, np.int64),
+            site = np.concatenate(sites) if sites else np.zeros(0, np.int64)
+            run = self._site_runs[chain.vnfs] = (
+                vnf * len(self.site_names) + site,
+                site,
                 self.vnf_load[vnf],
                 sizes,
                 [0, *np.cumsum(sizes).tolist()],
-                tables,
-                counts,
-                [0, *np.cumsum(counts).tolist()],
             )
-        return found
+        return ChainTable(tuple(map(self.transition, fronts, fronts[1:])), *run)
 
-    def transition(
-        self, src_nodes: np.ndarray, dst_nodes: np.ndarray
-    ) -> "StageTransition":
+    def transition(self, src: int, dst: int) -> "StageTransition":
         """Everything the substrate alone says about stage traffic from
-        one front of nodes to the next, computed once per distinct pair
+        front ``src`` to front ``dst``, computed once per distinct pair
         of fronts (chains sharing a consecutive VNF pair share it)."""
-        key = (src_nodes.tobytes(), dst_nodes.tobytes())
-        found = self._transitions.get(key)
+        found = self._transitions.get((src, dst))
         if found is None:
-            found = self._transitions[key] = StageTransition(
+            src_nodes, dst_nodes = self._front_nodes(src), self._front_nodes(dst)
+            found = self._transitions[src, dst] = StageTransition(
                 self.latency[np.ix_(src_nodes, dst_nodes)],
                 self._link_table(src_nodes, dst_nodes, transpose=False),
                 self._link_table(dst_nodes, src_nodes, transpose=True),
@@ -308,16 +313,16 @@ class SubstrateColumns:
         return found
 
     def candidate_links(
-        self, src_nodes: np.ndarray, dst_nodes: np.ndarray
+        self, src: int, dst: int
     ) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """Names of the distinct links src -> dst traffic can cross, and
-        of those dst -> src traffic can (each in link-index order)."""
-        key = (src_nodes.tobytes(), dst_nodes.tobytes())
-        found = self._candidate_links.get(key)
+        """Names of the distinct links traffic from front ``src`` to front
+        ``dst`` can cross, and of those dst -> src traffic can (each in
+        link-index order)."""
+        found = self._candidate_links.get((src, dst))
         if found is None:
-            found = self._candidate_links[key] = tuple(
+            found = self._candidate_links[src, dst] = tuple(
                 tuple(self.link_names[i] for i in np.unique(table.links))
-                for table in self.transition(src_nodes, dst_nodes)[1:]
+                for table in self.transition(src, dst)[1:]
             )
         return found
 

@@ -47,6 +47,13 @@ class PiecewiseLinearCost:
             raise CostError("slopes must be non-decreasing (convexity)")
         object.__setattr__(self, "breakpoints", breakpoints)
         object.__setattr__(self, "slopes", slopes)
+        # Segment starts, ends and slopes as columns, for ``batch``.
+        ends = breakpoints[1:] + (float("inf"),)
+        object.__setattr__(
+            self,
+            "_segments",
+            tuple(np.array(part).reshape(-1, 1) for part in (breakpoints, ends, slopes)),
+        )
 
     def __call__(self, utilization: float) -> float:
         """Evaluate the penalty at the given utilization (>= 0)."""
@@ -76,14 +83,11 @@ class PiecewiseLinearCost:
         batch and scalar results are bitwise equal.
         """
         u = np.asarray(utilization, dtype=float)
-        column = (-1,) + (1,) * u.ndim
-        starts = np.array(self.breakpoints).reshape(column)
-        ends = np.array(self.breakpoints[1:] + (float("inf"),)).reshape(column)
-        slopes = np.array(self.slopes).reshape(column)
-        total = np.zeros_like(u)
-        for term in slopes * np.maximum(np.minimum(u, ends) - starts, 0.0):
+        starts, ends, slopes = self._segments
+        total = np.zeros(u.size)
+        for term in slopes * np.maximum(np.minimum(u.reshape(1, -1), ends) - starts, 0.0):
             total += term
-        return total
+        return total.reshape(u.shape)
 
     def marginal(self, utilization: float) -> float:
         """Slope of the penalty at the given utilization."""

@@ -21,7 +21,7 @@ efficient routing heuristic" evaluated against SB-LP in Section 7.3.
 The default path search (``_find_path_dp_vec``) evaluates a whole stage
 front at a time, and -- the residual state being constant within one
 search -- prices the utilizations of *all* stages in one penalty pass
-through the substrate's per-shape :class:`~repro.core.columns.ChainTable`;
+through the :class:`~repro.core.columns.ChainTable` of the chain's shape;
 the scalar recurrence it replaced (``tests/reference/dp_scalar.py``) is
 the oracle it is tested against, route for route.
 
@@ -97,6 +97,7 @@ class _ResourceState:
         n_vnfs = len(sub.vnf_names)
         n_sites = len(sub.site_names)
         self.vnf_load = np.zeros((n_vnfs, n_sites))
+        self.vnf_load_flat = self.vnf_load.reshape(-1)  # a view, for one gather
         self.site_load = np.zeros(n_sites)
         self.link_load = sub.link_background.copy()
         self.refresh_substrate(sub)
@@ -110,6 +111,7 @@ class _ResourceState:
         """
         self.sub = sub
         self.vnf_cap = np.where(np.isnan(sub.vnf_cap), 0.0, sub.vnf_cap)
+        self.vnf_cap_flat = self.vnf_cap.reshape(-1)
 
     # -- residual capacities -------------------------------------------
 
@@ -352,40 +354,46 @@ class _DpRouter:
         cfg = self.config
         state = self.state
         sub = self._sub
-        table = sub.chain_table(chain, self.model)
+        stages, index, site, load, sizes, front = sub.chain_table(chain, self.model)
+        last = len(stages) - 1  # the egress stage; the others end at a VNF
         use_links = cfg.use_network_cost and bool(self.model.routing)
 
-        caps = state.vnf_cap[table.vnf, table.site]
-        loads = state.vnf_load[table.vnf, table.site]
+        caps = state.vnf_cap_flat[index]
+        loads = state.vnf_load_flat[index]
         blocked = (caps - loads <= _EPS) | (
-            sub.site_capacity[table.site] - state.site_load[table.site] <= _EPS
+            (sub.site_capacity - state.site_load)[site] <= _EPS
         )
+        any_blocked = np.count_nonzero(blocked) > 0
         utils = []
         if cfg.use_compute_cost:
             traffic = [
-                chain.stage_traffic(z) * pass_fraction
-                for z in range(1, chain.num_stages)
+                (fwd + rev) * pass_fraction
+                for fwd, rev in zip(
+                    chain.forward_traffic[:last], chain.reverse_traffic[:last]
+                )
             ]
-            extra = table.load * np.repeat(traffic, table.sizes) * 2.0
-            # Without capacity the quotient is never used (x / 0, or 0 / 0
-            # for a stage an all-blocked earlier one makes unreachable).
-            with np.errstate(divide="ignore", invalid="ignore"):
-                utils.append(np.where(caps > 0, (loads + extra) / caps, _INF))
+            # Without capacity the quotient is never computed (x / 0, or
+            # 0 / 0 for a stage an all-blocked earlier one makes unreachable).
+            extra = load * np.array(traffic).repeat(sizes) * 2.0
+            compute = np.empty(index.size)
+            compute.fill(_INF)
+            utils.append(np.divide(loads + extra, caps, out=compute, where=caps > 0))
         if use_links:
-            # Per stage the forward then the reverse volume, as ``tables``.
+            # Per stage the forward then the reverse table and volume.
+            tables = [table for stage in stages for table in (stage.fwd, stage.rev)]
             volumes = [
                 demand[z] * pass_fraction
-                for z in range(chain.num_stages)
+                for z in range(last + 1)
                 for demand in (chain.forward_traffic, chain.reverse_traffic)
             ]
             links, fracs, bandwidth = (
-                np.concatenate(part) for part in zip(*(t[1:] for t in table.tables))
+                np.concatenate(part) for part in zip(*(t[1:] for t in tables))
             )
-            volume = np.repeat(volumes, table.counts)
+            volume = np.array(volumes).repeat([t.targets.size for t in tables])
             utils.append((state.link_load[links] + volume * fracs) / bandwidth)
         if utils:
             pens = cfg.penalty.batch(np.minimum(np.concatenate(utils), 2.0))
-            n_compute = table.vnf.size if cfg.use_compute_cost else 0
+            n_compute = index.size if cfg.use_compute_cost else 0
             compute_pen = self._weight * pens[:n_compute]
             if use_links:
                 link_pen = (self._weight * fracs) * pens[n_compute:]
@@ -393,34 +401,36 @@ class _DpRouter:
         # Costs run over the *full* stage fronts; capacity-blocked or
         # unreachable entries carry +inf, which the min-reduction
         # ignores whenever any finite alternative exists -- the same
-        # outcome as the scalar code's explicit skips.
-        prev_cost = np.zeros(1)
-        parents: list[np.ndarray] = []
-        for z, stage in enumerate(table.stages):
-            step = stage.latency.copy()
-            if z < chain.num_stages - 1:  # a VNF stage; the last is the egress
-                front = slice(table.front[z], table.front[z + 1])
-                if cfg.use_compute_cost:
-                    step += compute_pen[front]
-                step[:, blocked[front]] = _INF
+        # outcome as the scalar code's explicit skips.  A front no
+        # finite cost reaches stays all +inf through the later stages
+        # (only finite terms and +inf are ever added), so the one test
+        # after the last stage covers every stage.
+        parents: list[np.ndarray] = []  # of stages 2, 3, ...: stage 1 has one source
+        entry = 0  # first link entry of the table at hand
+        for z, stage in enumerate(stages):
+            if z < last and cfg.use_compute_cost:
+                step = stage.latency + compute_pen[front[z] : front[z + 1]]
+            else:
+                step = stage.latency.copy()
+            if z < last and any_blocked:
+                step[:, blocked[front[z] : front[z + 1]]] = _INF
             if use_links:
                 flat = step.ravel()
                 for k in (2 * z, 2 * z + 1):  # forward, then reverse
+                    size = tables[k].targets.size
                     # A direction without demand was priced with the rest
                     # but, as in the scalar code, adds nothing.
-                    if volumes[k] > 0 and table.tables[k].targets.size:
+                    if volumes[k] > 0 and size:
                         np.add.at(
-                            flat,
-                            table.tables[k].targets,
-                            link_pen[table.bounds[k] : table.bounds[k + 1]],
+                            flat, tables[k].targets, link_pen[entry : entry + size]
                         )
-            total = prev_cost[:, None] + step
-            best_src = np.argmin(total, axis=0)
-            best = total[best_src, np.arange(total.shape[1])]
-            if not (best < _INF).any():
-                return None
-            parents.append(best_src)
-            prev_cost = best
+                    entry += size
+            if z == 0:  # from the ingress alone: nothing to choose between
+                prev_cost = step[0]
+            else:
+                total = prev_cost[:, None] + step
+                parents.append(total.argmin(axis=0))
+                prev_cost = np.minimum.reduce(total, axis=0)
 
         if not prev_cost[0] < _INF:
             return None
@@ -428,9 +438,9 @@ class _DpRouter:
         # stage, so its front index is 0).
         idx = 0
         path = [chain.egress]
-        for z in range(len(parents) - 1, 0, -1):
-            idx = int(parents[z][idx])
-            path.append(sub.site_names[table.site[table.front[z - 1] + idx]])
+        for z in range(last, 0, -1):
+            idx = int(parents[z - 1][idx])
+            path.append(sub.site_names[site[front[z - 1] + idx]])
         path.append(chain.ingress)
         path.reverse()
         return path

@@ -472,7 +472,10 @@ def flow_solution(model: NetworkModel, flows: np.ndarray) -> RoutingSolution:
 
 
 class StructureCache:
-    """LRU of built programs keyed on ``(structure digest, *kind)``.
+    """LRU of built programs keyed on ``(structure digest, *kind)``,
+    where the kind starts with the insertion order of the model's
+    catalogues (``SubstrateColumns.order``): the digest sorts, a
+    program's column ids do not.
 
     A hit hands back the program built for an earlier model of the same
     structure, with its warm :class:`~repro.core.highs.ColumnGenSolver`.
@@ -555,13 +558,20 @@ class StructureCache:
         self.rebuilds = 0
 
 
+#: Seconds HiGHS may spend inside one ``linprog`` call.  The programs of
+#: this repository solve in at most a few seconds; without a limit some
+#: ``MIN_MLU`` programs with a zero capacity share never return.
+LINPROG_TIME_LIMIT_S = 60.0
+
+
 def run_linprog(cost, a_ub, b_ub, a_eq, b_eq, col_upper) -> tuple:
     """``min cost @ x`` over ``0 <= x <= col_upper`` through scipy's
     ``linprog`` (HiGHS); an empty block is passed as ``None``.
 
     Returns ``(x, objective, solver seconds, failure)``: ``failure`` is
-    the unsuccessful ``linprog`` result, and then ``x`` and ``objective``
-    are ``None``.
+    the unsuccessful ``linprog`` result -- infeasible, or out of
+    :data:`LINPROG_TIME_LIMIT_S` (status 1) -- and then ``x`` and
+    ``objective`` are ``None``.
     """
     start = time.perf_counter()
     result = linprog(
@@ -572,6 +582,7 @@ def run_linprog(cost, a_ub, b_ub, a_eq, b_eq, col_upper) -> tuple:
         b_eq=b_eq if len(b_eq) else None,
         bounds=np.column_stack([np.zeros(len(cost)), col_upper]),
         method="highs",
+        options={"time_limit": LINPROG_TIME_LIMIT_S},
     )
     elapsed = time.perf_counter() - start
     if not result.success:

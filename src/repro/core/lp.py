@@ -216,8 +216,9 @@ def _structure_for(
         # with background traffic pick its absent-link rows: this one
         # program is keyed on the capacities too.
         digest += model.substrate_digest()
+    # The digest sorts; the program's column ids follow one insertion order.
     structure, cached = _CACHE.get(
-        (digest, objective.value, bool(enforce_mlu)),
+        (digest, model.substrate_columns().order, objective.value, bool(enforce_mlu)),
         lambda: _RoutingProgram(model, objective, enforce_mlu),
     )
     if metrics is not None:
@@ -290,7 +291,9 @@ def _result(
             ok=str(x is not None).lower(),
         ).inc()
     if x is None:
-        status = "infeasible" if failure.status == 2 else f"failed({failure.status})"
+        status = {1: "time limit", 2: "infeasible"}.get(
+            failure.status, f"failed({failure.status})"
+        )
         return LpResult(status, None, None, n_total, n_constraints, elapsed)
     if beta_index is not None:
         objective_value = float(x[beta_index])  # the achieved MLU

@@ -111,7 +111,8 @@ class Chain:
     ``forward_traffic`` / ``reverse_traffic`` are the per-stage demands
     ``w_cz`` / ``v_cz`` for stages ``1 .. len(vnfs) + 1``.  Scalars are
     broadcast to all stages (the common case: VNFs that neither compress
-    nor amplify traffic).
+    nor amplify traffic).  ``num_stages`` is ``|F_c| + 1``, the logical
+    links between chain nodes, fixed at construction.
     """
 
     name: str
@@ -135,17 +136,13 @@ class Chain:
         object.__setattr__(self, "egress", egress)
         object.__setattr__(self, "vnfs", tuple(vnfs))
         stages = len(self.vnfs) + 1
+        object.__setattr__(self, "num_stages", stages)
         object.__setattr__(
             self, "forward_traffic", _per_stage(forward_traffic, stages, name)
         )
         object.__setattr__(
             self, "reverse_traffic", _per_stage(reverse_traffic, stages, name)
         )
-
-    @property
-    def num_stages(self) -> int:
-        """``|F_c| + 1`` logical links between chain nodes."""
-        return len(self.vnfs) + 1
 
     def stage_traffic(self, z: int) -> float:
         """Combined forward + reverse demand ``w_cz + v_cz`` at stage ``z``."""

@@ -180,8 +180,8 @@ class E2ETestbed:
         route/instance incidence arrays: each round computes the largest
         uniform increment over all active routes at once, then freezes
         every route bound by the binding instance (or its own cap) in one
-        mask operation.  ``evaluate_reference`` keeps the original scalar
-        progressive-filling loop for equivalence testing.
+        mask operation.  The scalar progressive-filling loop it replaced
+        is its oracle (``tests/reference/e2e_scalar.py``).
         """
         route_names = list(self.routes)
         inst_names = list(self.instances)
@@ -273,75 +273,6 @@ class E2ETestbed:
             name: RouteMetrics(float(rates[j]), float(rtts[j]), bottleneck[j])
             for j, name in enumerate(route_names)
         }
-        return E2EResult(metrics, utilization)
-
-    def evaluate_reference(self) -> E2EResult:
-        """Scalar reference for :meth:`evaluate` (progressive filling).
-
-        Kept as the ground truth the vectorized allocator is
-        property-tested against; do not use on hot paths.
-        """
-        caps = {
-            name: min(route.demand_mbps, self.tcp_cap_mbps(route))
-            for name, route in self.routes.items()
-        }
-        rates = {name: 0.0 for name in self.routes}
-        frozen: set[str] = set()
-        bottleneck: dict[str, str | None] = {name: None for name in self.routes}
-        residual = {name: spec.capacity_mbps for name, spec in self.instances.items()}
-
-        while len(frozen) < len(self.routes):
-            active = [name for name in self.routes if name not in frozen]
-            # Largest uniform increment before a route cap or an instance
-            # capacity binds.
-            increment = min(caps[name] - rates[name] for name in active)
-            binding_instance = None
-            for inst_name, left in residual.items():
-                users = [
-                    r for r in active
-                    if inst_name in self.routes[r].instances
-                ]
-                if not users:
-                    continue
-                inst_increment = left / len(users)
-                if inst_increment < increment:
-                    increment = inst_increment
-                    binding_instance = inst_name
-            increment = max(0.0, increment)
-
-            for name in active:
-                rates[name] += increment
-                for inst_name in self.routes[name].instances:
-                    residual[inst_name] = max(
-                        0.0, residual[inst_name] - increment
-                    )
-
-            if binding_instance is None:
-                # A route cap bound first: freeze every route at its cap.
-                for name in active:
-                    if rates[name] >= caps[name] - 1e-9:
-                        frozen.add(name)
-                        bottleneck[name] = (
-                            "tcp"
-                            if caps[name] < self.routes[name].demand_mbps
-                            else "demand"
-                        )
-            else:
-                for name in active:
-                    if binding_instance in self.routes[name].instances:
-                        frozen.add(name)
-                        bottleneck[name] = binding_instance
-
-        utilization = {
-            name: (spec.capacity_mbps - residual[name]) / spec.capacity_mbps
-            for name, spec in self.instances.items()
-        }
-        metrics = {}
-        for name, route in self.routes.items():
-            rtt = self.base_rtt(route)
-            for inst_name in route.instances:
-                rtt += 2 * self._queue_delay(utilization[inst_name])
-            metrics[name] = RouteMetrics(rates[name], rtt, bottleneck[name])
         return E2EResult(metrics, utilization)
 
     def _queue_delay(self, utilization: float) -> float:

@@ -49,6 +49,19 @@ class Prefix:
     __slots__ = ("version", "shift", "bits")
 
     def __init__(self, text: str):
+        # Plain ``a.b.c.d/n`` goes through the C parser, as in
+        # parse_address; whatever that path does not take (IPv6, a netmask,
+        # no length, malformed text) is ipaddress's to accept or refuse.
+        address, _, length = text.partition("/") if isinstance(text, str) else ("", "", "")
+        if len(length) <= 2 and length.isascii() and length.isdigit() and int(length) <= 32:
+            try:
+                value = int.from_bytes(inet_pton(AF_INET, address), "big")
+            except (OSError, ValueError):
+                pass
+            else:
+                self.version, self.shift = 4, 32 - int(length)
+                self.bits = value >> self.shift
+                return
         network = ipaddress.ip_network(text, strict=False)
         self.version = network.version
         self.shift = network.max_prefixlen - network.prefixlen

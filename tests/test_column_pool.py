@@ -47,7 +47,10 @@ def build_through_cache(model):
     """The model's program as a structure-cache miss leaves it: built,
     seeded from its predecessor, not yet solved."""
     program, cached = lp_mod._CACHE.get(
-        (model.structure_digest(), LpObjective.MAX_THROUGHPUT.value, True),
+        (
+            model.structure_digest(), model.substrate_columns().order,
+            LpObjective.MAX_THROUGHPUT.value, True,
+        ),
         lambda: lp_mod._RoutingProgram(model, LpObjective.MAX_THROUGHPUT, True),
     )
     assert not cached

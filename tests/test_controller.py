@@ -234,6 +234,101 @@ class TestDynamicChaining:
         assert not egress.delivered
 
 
+def rule_holders(dataplane, label):
+    """Every forwarder of the deployment holding a rule of the chain --
+    the all-forwarders sweep ``remove_chain`` itself no longer does."""
+    return sorted(
+        fwd.name for fwd in dataplane.forwarders.values()
+        if any(chain == label for chain, _egress in fwd.rules)
+    )
+
+
+class TestRemovalLeavesNoRule:
+    """``remove_chain`` visits the sites recorded on the installation;
+    whichever way the rules got there, none may stay."""
+
+    def removed(self, gs, dp, name="corp", sites=None):
+        installation = gs.installations[name]
+        held = rule_holders(dp, installation.label)
+        assert held
+        if sites is not None:
+            assert {fwd.split(".")[1] for fwd in held} == set(sites)
+            assert installation.rule_sites == set(sites)
+        gs.remove_chain(name)
+        assert rule_holders(dp, installation.label) == []
+
+    def test_plain_install(self):
+        gs, dp, *_ = build_deployment()
+        gs.create_chain(spec())
+        self.removed(gs, dp, sites={"A", "B"})  # ingress edge, firewall
+
+    def test_route_recomputed_after_a_rejected_prepare(self):
+        gs, dp, service, *_ = build_deployment(fw_cap_a=100.0, fw_cap_b=100.0)
+        service.prepare("tenant-x", "B", 95.0)  # out of band: B will reject
+        service.commit("tenant-x", "B")
+        installation = gs.create_chain(spec(demand=5.0))
+        assert ("firewall", "A") in installation.committed_load
+        self.removed(gs, dp, sites={"A"})  # ingress edge and firewall
+
+    def test_extended_chain(self):
+        gs, dp, service, *_ = build_deployment(fw_cap_a=12.0, fw_cap_b=0.0)
+        gs.create_chain(spec(demand=10.0))
+        gs.model.vnfs["firewall"] = VNF("firewall", 1.0, {"A": 12.0, "B": 12.0})
+        service.site_capacity["B"] = 12.0
+        service._committed.setdefault("B", 0.0)
+        assert gs.extend_chain("corp") > 0
+        self.removed(gs, dp, sites={"A", "B"})
+
+    def test_grafted_edge_site(self):
+        gs, dp, _svc, edge, *_ = build_deployment()
+        gs.create_chain(spec())
+        edge.register_instance(EdgeInstance("edge.B", "B", dp))
+        gs.add_edge_site("corp", "B")
+        self.removed(gs, dp, sites={"A", "B"})
+
+    def test_rerouted_off_a_failed_site(self):
+        from repro.controller.failures import fail_site
+
+        gs, dp, *_ = build_deployment()
+        gs.create_chain(spec())
+        fail_site(gs, "B")  # the firewall moves to A; B's old rule is stale
+        assert ("firewall", "A") in gs.installations["corp"].committed_load
+        self.removed(gs, dp, sites={"A", "B"})
+
+    def test_bus_driven_install(self):
+        from tests.test_resilience import build, make_installer, spec as bus_spec
+
+        gs = build()
+        installer = make_installer(gs)
+        timeline = installer.install(bus_spec())
+        installer.network.run()
+        assert timeline.completed_at is not None
+        self.removed(gs, gs.dataplane, sites={"A", "B"})
+
+    def test_adopted_by_a_standby_after_takeover(self):
+        from repro.controller.replication import ReplicatedStore
+        from repro.resilience import FailoverManager
+        from tests.test_resilience import build, make_installer, spec as bus_spec
+
+        store = ReplicatedStore(["ctl.A", "ctl.B", "ctl.C"])
+        gs = build()
+        installer = make_installer(gs, store=store)
+        timeline = installer.install(bus_spec())
+        installer.network.run()
+        assert timeline.completed_at is not None
+        label = gs.installations["corp"].label
+        # The standby knows the chain from its checkpoint alone.
+        del gs.installations["corp"]
+        fm = FailoverManager(installer, store)
+        fm.check()
+        installer.network.crash_host(installer.gs_host)
+        fm.mark_dead(fm.active)
+        fm.take_over("gs-standby")
+        installer.network.run()
+        assert gs.installations["corp"].label == label
+        self.removed(gs, gs.dataplane, sites={"A", "B"})
+
+
 class TestEdgeSiteAddition:
     def test_new_edge_site_reaches_chain(self):
         gs, dp, _svc, edge, _ingress, egress = build_deployment()

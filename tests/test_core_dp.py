@@ -244,8 +244,10 @@ class TestStageFrontCache:
             for i in range(200):
                 name = f"churn{i}"
                 model.add_chain(Chain(name, "a", "c", ["fw"], 0.5))
-                if clear:  # the reference: every route builds its table
-                    model.substrate_columns()._chain_tables.clear()
+                if clear:  # the reference: every route builds its arrays
+                    sub = model.substrate_columns()
+                    sub._site_runs.clear()
+                    sub._transitions.clear()
                 fraction = router.route(name)
                 flows.append((fraction, dict(router.solution.stage_flows(name, 1)),
                               dict(router.solution.stage_flows(name, 2))))
@@ -260,6 +262,9 @@ class TestStageFrontCache:
         assert churn(cached, cached_model, False) == churn(
             reference, reference_model, True
         )
-        # 200 names, one (ingress, egress, vnfs) shape: one entry, and it
-        # lives with the substrate, not with the router.
-        assert len(cached_model.substrate_columns()._chain_tables) == 1
+        # 200 names, one (ingress, egress, vnfs) shape: one VNF sequence
+        # and two front pairs, and they live with the substrate, not with
+        # the router.
+        sub = cached_model.substrate_columns()
+        assert len(sub._site_runs) == 1
+        assert len(sub._transitions) == 2

@@ -8,6 +8,7 @@ from repro.dataplane.e2e import (
     E2ETestbed,
     VnfInstanceSpec,
 )
+from tests.reference.e2e_scalar import evaluate_reference
 
 
 def make_testbed(rtt=80.0):
@@ -186,7 +187,7 @@ class TestResidualDrift:
         assert result.utilization["shared"] == pytest.approx(1.0)
 
     def test_reference_allocator_also_clamps(self):
-        result = self._drift_testbed().evaluate_reference()
+        result = evaluate_reference(self._drift_testbed())
         assert result.utilization["shared"] <= 1.0
 
     def test_drift_case_splits_capacity_fairly(self):

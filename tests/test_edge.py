@@ -1,13 +1,21 @@
 """Tests for edge classification, egress tables, instances, and controller."""
 
+import ipaddress
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.dataplane import DataPlane, Forwarder, LoadBalancingRule, WeightedChoice
 from repro.dataplane.forwarder import ForwardingError
 from repro.dataplane.labels import FiveTuple, Labels, Packet
-from repro.edge.classifier import ClassifierError, ClassifierRule, EgressTable, ip_in_prefix
+from repro.edge.classifier import (
+    ClassifierError,
+    ClassifierRule,
+    EgressTable,
+    Prefix,
+    ip_in_prefix,
+)
 from repro.edge.controller import EdgeController
 from repro.edge.instance import EdgeError, EdgeInstance
 
@@ -22,6 +30,81 @@ class TestPrefixMatching:
 
     def test_host_prefix(self):
         assert ip_in_prefix("10.0.0.5", "10.0.0.5/32")
+
+
+def prefix_texts():
+    """Prefix text, well-formed and not: dotted quads with every kind of
+    length, IPv6, and the ways a hand-written prefix goes wrong."""
+    good = st.integers(0, 255).map(str)
+    octet = st.one_of(
+        good,
+        st.sampled_from(["256", "01", "007", "", " 1", "1 ", "-1", "0x1", "\u0661", "1\x00"]),
+    )
+    quad = st.one_of(
+        st.tuples(good, good, good, good), st.lists(octet, min_size=3, max_size=5)
+    ).map(".".join)
+    length = st.one_of(
+        st.integers(0, 40).map(str),
+        st.sampled_from([
+            "", "08", "032", "033", " 24", "24 ", "+8", "-1", "2_4", "\u0662\u0664",
+            "255.255.255.0", "0.0.0.255", "255.0.255.0", "24/8",
+        ]),
+    )
+    v4 = st.one_of(quad, st.builds("{}/{}".format, quad, length))
+    v6 = st.builds(
+        "{}/{}".format,
+        st.sampled_from(["::", "::1", "2001:db8::", "2001:db8::1", "fe80::1%eth0", "1::2::3"]),
+        st.one_of(st.integers(0, 130).map(str), st.just("ffff::")),
+    )
+    return st.one_of(v4, v6, st.text(max_size=12))
+
+
+def fast(text):
+    prefix = Prefix(text)
+    return prefix.version, prefix.shift, prefix.bits
+
+
+def reference(text):
+    network = ipaddress.ip_network(text, strict=False)
+    shift = network.max_prefixlen - network.prefixlen
+    return network.version, shift, int(network.network_address) >> shift
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # whatever it is, both sides must raise it
+        return type(exc)
+
+
+class TestPrefixParsing:
+    """``Prefix`` reads a plain ``a.b.c.d/n`` itself; the language it
+    accepts, what it makes of it and every refusal stay ``ipaddress``'s."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(prefix_texts())
+    @example("10.0.0.0/24")
+    @example("10.0.0.77/24")  # host bits set
+    @example("0.0.0.0/0")
+    @example("10.1.2.3/32")
+    @example("10.1.2.3/33")
+    @example("10.1.2.3")
+    @example("10.0.0.0/255.255.255.0")
+    @example("010.0.0.0/24")
+    @example("10.0.0.0/024")
+    @example(" 10.0.0.0/24")
+    @example("10.0.0.0/24\n")
+    @example("")
+    @example("/")
+    @example("10.0.0.0/\u0662\u0664")
+    @example("2001:db8::/32")
+    @example("::/0")
+    def test_same_prefix_or_same_refusal_as_ipaddress(self, text):
+        assert outcome(fast, text) == outcome(reference, text)
+
+    @pytest.mark.parametrize("value", [167772160, b"\n\x00\x00\x00", ("10.0.0.0", 8), None])
+    def test_what_is_not_text_is_left_to_ipaddress(self, value):
+        assert outcome(fast, value) == outcome(reference, value)
 
 
 class TestClassifierRule:

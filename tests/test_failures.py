@@ -169,25 +169,23 @@ class TestSiteFailure:
         gs, *_ = build_deployment()
         gs.create_chain(spec("c1"))  # lands on B, the shorter way round
         before = gs.model.substrate_columns()
-        assert before._chain_tables  # the install searched a path
+        assert before._site_runs and before._transitions  # the install searched a path
         fail_site(gs, "B")
         failed = gs.model.substrate_columns()
         assert failed is not before
         assert failed.vnf_cap[0, 1] == 0.0
-        # ...and the whole-chain DP tables went with the old views: the
-        # re-route inside fail_site built its own from the new ones.
-        own = {id(stage) for stage in failed._transitions.values()}
-        assert failed._chain_tables
-        assert all(
-            id(stage) in own
-            for table in failed._chain_tables.values()
-            for stage in table.stages
-        )
+        # ...and the DP's per-sequence and per-front arrays went with the
+        # old views: the re-route inside fail_site built its own.
+        old = {id(part) for part in (*before._site_runs.values(), *before._transitions.values())}
+        assert failed._site_runs and failed._transitions
+        assert not old & {
+            id(part) for part in (*failed._site_runs.values(), *failed._transitions.values())
+        }
         restore_site(gs, "B", 100.0, {"fw": 40.0})
         restored = gs.model.substrate_columns()
         assert restored is not failed
         assert restored.vnf_cap[0, 1] == 40.0
-        assert not restored._chain_tables
+        assert not restored._site_runs and not restored._transitions
 
 
 class TestLinkFailure:

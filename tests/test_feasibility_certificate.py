@@ -31,7 +31,12 @@ from hypothesis import given, settings, strategies as st
 
 import repro.core.lp as lp_mod
 from repro.core.formulation import certify
-from repro.core.lp import LpObjective, clear_matrix_cache, solve_chain_routing_lp
+from repro.core.lp import (
+    LpObjective,
+    clear_matrix_cache,
+    matrix_cache_stats,
+    solve_chain_routing_lp,
+)
 from repro.core.model import Chain, CloudSite, Link, NetworkModel, VNF
 from repro.core.routes import RoutingSolution
 from repro.federation import GlobalCoordinator
@@ -397,11 +402,7 @@ class TestSharedCacheAcrossInsertionOrders:
         alone = SolverFarm(partition_size=3, max_workers=1)
         solved = first.solve(forward)
         picked = second.solve(backward)
-        # (the LP structure cache is keyed by content too but holds one
-        # model's column ids: not this test's subject)
-        clear_matrix_cache()
         fresh = alone.solve(backward)
-        clear_matrix_cache()
         assert solved.solved and not picked.solved
         assert picked.cache_hits == len(picked.results) > 1
         np.testing.assert_allclose(
@@ -416,6 +417,30 @@ class TestSharedCacheAcrossInsertionOrders:
         value[int(np.argmax(value))] *= 50.0
         tampered = certify(sub, backward.chain_columns(), stage, src, dst, value)
         assert not tampered.clears(sub)
+
+
+    @pytest.mark.parametrize("objective", list(LpObjective))
+    def test_a_cached_program_serves_only_its_own_insertion_order(self, objective):
+        """ROADMAP item 6 (i): the structure digest sorts, a program's
+        bounds and flow extraction hold one model's column ids."""
+        forward, backward = tight_model(1), tight_model(-1)
+        assert forward.structure_digest() == backward.structure_digest()
+        clear_matrix_cache()
+        first = solve_chain_routing_lp(forward, objective)
+        second = solve_chain_routing_lp(backward, objective)
+        assert matrix_cache_stats()["matrix_rebuilds"] == 2
+        again = solve_chain_routing_lp(forward, objective)
+        assert matrix_cache_stats()["matrix_reuse_hits"] == 1
+        clear_matrix_cache()
+        alone = solve_chain_routing_lp(backward, objective)
+        assert first.ok and second.ok and alone.ok
+        assert second.objective == pytest.approx(first.objective, rel=1e-7)
+        assert second.objective == alone.objective
+        assert again.objective == pytest.approx(first.objective, rel=1e-7)
+        for own, result in ((forward, first), (backward, second), (forward, again)):
+            assert result.solution.violations() == []
+            assert result.certificate.clears(own.substrate_columns())
+        assert second.solution._flows == alone.solution._flows
 
 
 # -- a demand-only round pays for the partition it touched -----------------

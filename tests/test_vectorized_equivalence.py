@@ -12,7 +12,7 @@ twin in the tree as ground truth:
 - ``route_chains_dp`` vs. ``tests/reference/dp_scalar.py``, the
   scalar stage recurrence;
 - ``E2ETestbed.evaluate`` (numpy water-filling) vs.
-  ``evaluate_reference`` (progressive filling).
+  ``tests/reference/e2e_scalar.py`` (progressive filling).
 
 The matrix comparisons are at the 1e-9 level (in practice exact: the
 columnar assembly reproduces the scalar coefficient arithmetic, not
@@ -22,7 +22,9 @@ tests pin the reuse/invalidation contract of the module-global
 constraint-matrix cache.
 """
 
+import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import capacity as capacity_mod
 from repro.core import lp as lp_mod
 from repro.core.capacity import plan_cloud_capacity, plan_vnf_placement
-from repro.core.dp import DpConfig, route_chains_dp
+from repro.core.dp import DpConfig, IncrementalDpRouter, route_chains_dp
 from repro.core.model import Chain, CloudSite, Link, NetworkModel, VNF
 from repro.core.lp import (
     LpObjective,
@@ -48,7 +50,8 @@ from tests.reference.capacity_scalar import (
     scalar_cloud_program,
     scalar_placement_program,
 )
-from tests.reference.dp_scalar import route_chains_dp_reference
+from tests.reference.dp_scalar import ScalarDpRouter, route_chains_dp_reference
+from tests.reference.e2e_scalar import evaluate_reference
 from tests.reference.lp_scalar import (
     scalar_program,
     solve_chain_routing_lp_reference,
@@ -419,6 +422,253 @@ class TestDpBatchedSearchEquivalence:
         assert all(count >= 5 for count in seen.values()), seen
 
 
+def scalar_incremental(model, config=None):
+    """``IncrementalDpRouter`` searching with the scalar recurrence."""
+    router = IncrementalDpRouter(model, config)
+    router._router = ScalarDpRouter(model, router.config)
+    return router
+
+
+def new_shapes(model, rng, count):
+    """``count`` chains, every one a new (ingress, egress, VNF sequence)."""
+    sequences = [
+        seq for k in range(len(model.vnfs) + 1)
+        for seq in itertools.permutations(model.vnfs, k)
+    ]
+    shapes = [
+        (a, b, seq) for a in model.nodes for b in model.nodes for seq in sequences
+    ]
+    chains = []
+    for i, (a, b, seq) in enumerate(rng.sample(shapes, min(count, len(shapes)))):
+        stages = len(seq) + 1
+        chains.append(Chain(
+            f"s{i}", a, b, seq,
+            [rng.choice([0.0, 1.0, 4.0, 9.0]) for _ in range(stages)],
+            [rng.choice([0.0, 0.0, 0.5, 3.0]) for _ in range(stages)],
+        ))
+    return chains
+
+
+def churn(router, model, chains, retire=None, cold=False):
+    """Install the chains one by one -- retiring some when given an rng,
+    dropping the substrate's per-sequence and per-front arrays before
+    every search when ``cold``; everything a caller can see after every
+    step."""
+    seen = []
+    for chain in chains:
+        model.add_chain(chain)
+        if cold:
+            sub = model.substrate_columns()
+            sub._site_runs.clear()
+            sub._transitions.clear()
+        carried = router.route(chain.name)
+        seen.append((carried, {k: dict(v) for k, v in router.solution._flows.items()}))
+        if retire is not None and retire.random() < 0.4:
+            router.rollback(chain.name)
+            model.remove_chain(chain.name)
+    state = router._router.state
+    seen.append((state.vnf_load.tolist(), state.site_load.tolist(), state.link_load.tolist()))
+    return seen
+
+
+def profiled_calls(call):
+    """Calls while ``call()`` runs, Python and C functions alike, by
+    name and by (calling function, name)."""
+    counts: dict = {}
+
+    def tracer(frame, event, arg):
+        if event == "call":
+            name, caller = frame.f_code.co_name, frame.f_back.f_code.co_name
+        elif event == "c_call":
+            name, caller = arg.__name__, frame.f_code.co_name
+        else:
+            return
+        for key in (name, (caller, name)):
+            counts[key] = counts.get(key, 0) + 1
+
+    sys.setprofile(tracer)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+class TestDpSearchUnderShapeChurn:
+    """What a chain table refers to is cached per VNF sequence and per
+    front pair on the substrate: every way those caches could hand a
+    search the wrong array, against the scalar oracle with ``==``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 1_000_000),
+        st.sampled_from(TestDpBatchedSearchEquivalence.CONFIGS),
+        st.booleans(),
+    )
+    def test_every_chain_a_new_shape(self, seed, config, with_routing):
+        models = [
+            dp_model(seed, n_vnfs=3, n_chains=0, with_routing=with_routing)
+            for _ in range(2)
+        ]
+        chains = new_shapes(models[0], random.Random(seed), 10)
+        assert len({(c.ingress, c.egress, c.vnfs) for c in chains}) == len(chains)
+        vec = churn(IncrementalDpRouter(models[0], config), models[0], chains)
+        ref = churn(scalar_incremental(models[1], config), models[1], chains)
+        assert vec == ref
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 1_000_000), st.booleans())
+    def test_retirements_leave_nothing_stale(self, seed, with_routing):
+        """Install / retire churn (a rollback leaves float residue the
+        scalar penalty refuses, so the twin here is the same search
+        building its arrays anew every time)."""
+        models = [
+            dp_model(seed, n_vnfs=3, n_chains=0, with_routing=with_routing)
+            for _ in range(2)
+        ]
+        chains = new_shapes(models[0], random.Random(seed), 12)
+        warm = churn(IncrementalDpRouter(models[0]), models[0], chains, random.Random(seed))
+        cold = churn(
+            IncrementalDpRouter(models[1]), models[1], chains, random.Random(seed), cold=True
+        )
+        assert warm == cold
+
+    @staticmethod
+    def line_model(caps, site_caps, extra_nodes=(), routing=False):
+        """``in`` -> one of three sites at growing distance -> ``out``."""
+        nodes = ["in", "x", "y", "z", "out", *extra_nodes]
+        latency = {(a, b): 10.0 for a in nodes for b in nodes if a != b}
+        latency.update({
+            ("in", "x"): 1.0, ("x", "out"): 1.0, ("in", "y"): 2.0,
+            ("y", "out"): 2.0, ("in", "z"): 3.0, ("z", "out"): 3.0,
+        })
+        sites = [CloudSite(s.upper(), s, c) for s, c in zip("xyz", site_caps)]
+        vnfs = [VNF("fw", 1.0, dict(zip("XYZ", caps)))]
+        links, table = [], {}
+        if routing:
+            links = [Link(f"{a}>{b}", a, b, 50.0) for a in nodes for b in nodes if a != b]
+            table = {(k.src, k.dst): {k.name: 1.0} for k in links}
+        return NetworkModel(nodes, latency, sites, vnfs, [], links, table)
+
+    def both(self, build, chain, config=None):
+        """Route ``chain`` on two builds of one model; the vectorized
+        result, checked against the oracle's."""
+        results = []
+        for make in (IncrementalDpRouter, scalar_incremental):
+            model = build()
+            model.add_chain(chain)
+            router = make(model, config)
+            results.append((router.route(chain.name), router.solution._flows, router))
+        assert results[0][:2] == results[1][:2]
+        return results[0]
+
+    def test_a_vnf_blocked_site_and_a_site_blocked_site_are_skipped(self):
+        chain = Chain("c", "in", "out", ["fw"], 1.0)
+        # X has no VNF capacity left, Y no site capacity: Z carries it.
+        carried, flows, _ = self.both(
+            lambda: self.line_model((0.0, 50.0, 50.0), (100.0, 0.0, 100.0)), chain
+        )
+        assert carried == 1.0
+        assert flows[("c", 1)] == {("in", "Z"): 1.0}
+
+    @pytest.mark.parametrize("routing", [False, True])
+    def test_a_stage_with_every_site_blocked_commits_nothing(self, routing):
+        chain = Chain("c", "in", "out", ["fw"], 1.0, 0.5)
+        carried, flows, router = self.both(
+            lambda: self.line_model((0.0, 50.0, 0.0), (100.0, 0.0, 100.0), routing=routing),
+            chain,
+        )
+        assert carried == 0.0 and flows == {}
+        state = router._router.state
+        assert not state.vnf_load.any() and not state.site_load.any()
+        assert (state.link_load == state.sub.link_background).all()
+
+    @pytest.mark.parametrize("config", [
+        DpConfig(), DpConfig(use_compute_cost=False), DpConfig(use_network_cost=False),
+    ])
+    @pytest.mark.parametrize("routing", [False, True])
+    def test_an_ingress_that_is_a_node_and_not_a_site(self, routing, config):
+        chain = Chain("c", "edge", "out", ["fw"], [2.0, 0.0], [0.0, 1.0])
+        build = lambda: self.line_model(  # noqa: E731
+            (1.0, 50.0, 50.0), (100.0, 100.0, 100.0), ["edge"], routing
+        )
+        assert "edge" not in build().sites
+        carried, flows, _ = self.both(build, chain, config)
+        assert carried == 1.0
+        assert {src for src, _dst in flows[("c", 1)]} == {"edge"}
+
+    def test_the_caches_die_with_the_substrate(self):
+        """A catalogue entry swapped in place + ``invalidate_substrate()``
+        (``controller.failures``): the next search sees the new capacity
+        and bandwidth, not the arrays of the old views."""
+        def run(make):
+            model = self.line_model((50.0, 50.0, 50.0), (100.0, 100.0, 100.0), routing=True)
+            router = make(model)
+            model.add_chain(Chain("c0", "in", "out", ["fw"], 1.0))
+            first = router.route("c0")
+            old = model.substrate_columns()
+            model.vnfs["fw"] = VNF("fw", 1.0, {"X": 0.0, "Y": 50.0, "Z": 50.0})
+            link = model.links["in>y"]
+            model.links["in>y"] = Link(link.name, link.src, link.dst, 0.5)
+            model.invalidate_substrate()
+            model.add_chain(Chain("c1", "in", "out", ["fw"], 1.0))
+            second = router.route("c1")
+            assert model.substrate_columns() is not old
+            return first, second, router.solution._flows
+
+        vec, ref = run(IncrementalDpRouter), run(scalar_incremental)
+        assert vec == ref
+        assert ("in", "X") in vec[2][("c0", 1)] and ("in", "X") not in vec[2][("c1", 1)]
+
+    def test_a_capacity_clone_starts_its_own_caches(self):
+        base = self.line_model((50.0, 50.0, 50.0), (100.0, 100.0, 100.0), routing=True)
+        chain = Chain("c", "in", "out", ["fw"], 4.0, 1.0)
+        base.add_chain(chain)
+        IncrementalDpRouter(base).route("c")  # fills the base's caches
+        shrunk = [
+            Link(k.name, k.src, k.dst, 2.0 if k.name == "in>x" else k.bandwidth)
+            for k in base.links.values()
+        ]
+        tight = [VNF("fw", 1.0, {"X": 50.0, "Y": 3.0, "Z": 50.0})]
+        results, clones = [], []
+        for make in (IncrementalDpRouter, scalar_incremental):
+            clone = base.copy_with_capacities(base.sites.values(), tight, shrunk)
+            clone.add_chain(chain)
+            router = make(clone)
+            results.append((router.route("c"), router.solution._flows))
+            clones.append(clone)
+        assert results[0] == results[1]
+        sub, own = base.substrate_columns(), clones[0].substrate_columns()
+        assert sub._transitions and own._transitions and own._site_runs
+        assert not {id(t) for t in sub._transitions.values()} & {
+            id(t) for t in own._transitions.values()
+        }
+        x = own.link_index["in>x"]
+        for stage in own._transitions.values():
+            for table in (stage.fwd, stage.rev):
+                assert (table.bandwidth[table.links == x] == 2.0).all()
+
+    def test_an_unseen_shape_over_seen_fronts_builds_no_array(self):
+        model = self.line_model((50.0, 50.0, 50.0), (100.0, 100.0, 100.0), routing=True)
+        router = IncrementalDpRouter(model)
+        chains = [
+            Chain("there", "in", "out", ["fw"], 1.0),
+            Chain("back", "out", "in", ["fw"], 1.0),
+            Chain("loop", "in", "in", ["fw"], 1.0),  # in -> fw and fw -> in were crossed
+        ]
+        counts = []
+        for chain in chains:
+            model.add_chain(chain)
+            counts.append(profiled_calls(lambda: router.route(chain.name)))
+            assert router.solution.routed_fraction(chain.name) == 1.0
+        assert counts[0]["_link_table"] == 4 and counts[0][("chain_table", "repeat")] == 1
+        assert counts[1]["_link_table"] == 4 and ("chain_table", "repeat") not in counts[1]
+        unseen = counts[2]
+        assert unseen["chain_table"] == 1
+        for name in ("_link_table", ("chain_table", "repeat"), "cumsum", "tobytes", "ix_"):
+            assert name not in unseen, name
+
+
 class TestMaxMinEquivalence:
     def _random_testbed(self, rng):
         nodes = ["A", "B", "C", "D"]
@@ -456,7 +706,7 @@ class TestMaxMinEquivalence:
         for _ in range(25):
             bed = self._random_testbed(rng)
             fast = bed.evaluate()
-            slow = bed.evaluate_reference()
+            slow = evaluate_reference(bed)
             assert set(fast.routes) == set(slow.routes)
             for name in fast.routes:
                 f, s = fast.routes[name], slow.routes[name]
