@@ -7,7 +7,8 @@ capacity planning and VNF placement by adding a few columns to it.  This
 module is the only place those constraints are written down:
 
 - :class:`ChainFlow` derives the shared blocks from the columnar model
-  views (:mod:`repro.core.columns`) as index arrays, and
+  views (:mod:`repro.core.columns`) as index arrays -- and prices routes
+  over them for column generation (``cheapest_paths``) --, and
   :class:`Program` lays them out as COO triplets.  A program
   (:mod:`repro.core.lp` for routing, :mod:`repro.core.capacity` for the
   two planners) only decides the *order* of the blocks and adds what is
@@ -178,6 +179,20 @@ class ChainFlow:
             for i, (name, c) in enumerate(model.chains.items())
         }
 
+        # Path-pricing layout: per stage depth, the chains that deep and
+        # the variable of each (chain, source, destination), padded to the
+        # widest front with ``n`` (which ``cheapest_paths`` holds at +inf).
+        stage0 = np.asarray(ch.chain_stage_start[:-1], dtype=np.int64)
+        depth = np.diff(ch.chain_stage_start)
+        src = np.arange(ch.dst_len.max(initial=1))[:, None]  # fronts past the
+        self._depths = []  # ingress are the destinations of the stage before
+        for z in range(depth.max(initial=0)):
+            chains = np.flatnonzero(depth > z)
+            s = (stage0[chains] + z)[:, None, None]
+            real = (src < ch.src_len[s]) & (src.T < ch.dst_len[s])
+            var = vc.stage_var_start[s] + src * ch.dst_len[s] + src.T
+            self._depths.append((chains, np.where(real, var, n)))
+
         # Seed columns for column generation: every stage-1 variable plus
         # the few lowest-latency variables of every other stage.
         order = np.lexsort((vc.var_latency, var_stage))
@@ -187,6 +202,31 @@ class ChainFlow:
         self.seed_columns = np.unique(
             np.concatenate([self.stage1_vars, order[pos_in_stage < 4]])
         )
+
+    def cheapest_paths(self, reduced: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every chain's cheapest ingress-to-egress route when flow
+        variable ``v`` costs ``reduced[v]`` -- the summed cost per chain,
+        and the route's variables, one per stage, ``-1`` past a chain's
+        last: Equation 8's recurrence, all chains a stage depth at a time.
+        A route enters a conservation row (Equation 5) with +1 and leaves
+        it with -1, so no dual on those rows moves a reduced-cost sum."""
+        priced = np.append(reduced[: self.n_flow], np.inf)
+        best = np.full((self.n_chains, self._depths[0][1].shape[1]), np.inf)
+        best[:, 0] = 0.0  # one ingress per chain
+        parents = []
+        for chains, var in self._depths:
+            via = best[chains, :, None] + priced[var]
+            parents.append(via.argmin(axis=1))
+            best[chains] = via.min(axis=1)
+        arcs = np.full((self.n_chains, len(parents)), -1, dtype=np.int64)
+        at = np.zeros(self.n_chains, dtype=np.int64)  # and one egress
+        for z in range(len(parents) - 1, -1, -1):
+            chains, var = self._depths[z]
+            rows = np.arange(len(chains))
+            src = parents[z][rows, at[chains]]
+            arcs[chains, z] = var[rows, src, at[chains]]
+            at[chains] = src
+        return best[:, 0], arcs
 
     def release_entries(self) -> None:
         """Drop the per-entry arrays once a program has folded them into
@@ -228,7 +268,7 @@ class Program:
         self.b_eq = np.zeros(0)
         self.seed_columns = flow.seed_columns
         # Warm-startable solver retained across solves of this structure.
-        self.cg_solver: highs_backend.ColumnGenSolver | None = None
+        self.cg_solver = highs_backend.ColumnGenSolver(flow)
         self._ub: tuple[list, ...] = ([], [], [], [], [])
         self._eq: tuple[list, ...] = ([], [], [])
 
@@ -529,12 +569,8 @@ class StructureCache:
                 if name in blocks and blocks[name][1] == shape
             ]
 
-        solved = [
-            other
-            for other_key, other in reversed(self._entries.items())
-            if other_key[1:] == key[1:] and other.cg_solver is not None
-        ]
-        best = max(solved, key=lambda other: len(shared(other)), default=None)
+        kin = [o for k, o in reversed(self._entries.items()) if k[1:] == key[1:]]
+        best = max(kin, key=lambda other: len(shared(other)), default=None)
         support = best.cg_solver.support() if best is not None else None
         if support is None:
             return
@@ -542,7 +578,6 @@ class StructureCache:
         for start, length, mine in shared(best):
             lo, hi = np.searchsorted(support, (start, start + length))
             columns.append(support[lo:hi] + (mine - start))
-        program.cg_solver = highs_backend.ColumnGenSolver()
         program.cg_solver.seed(np.concatenate(columns))
 
     def stats(self) -> dict[str, int]:
@@ -602,27 +637,19 @@ def solve(
     """Solve a program under refreshed data; returns as :func:`run_linprog`.
 
     A program that is feasible with every flow at zero goes through
-    warm-started column generation on its own solver when the direct
-    HiGHS backend is there; everything else -- the equality-covered
-    objectives, a :class:`~repro.core.highs.ColumnGenError`, a scipy
-    without the bundled HiGHS -- goes through ``linprog``.
+    warm-started column generation on its own solver; everything else
+    -- the equality-covered objectives, a
+    :class:`~repro.core.highs.ColumnGenError` -- goes through ``linprog``.
     """
     n_ub, n = len(b_ub), program.n_total
-    if zero_feasible and highs_backend.direct_backend_available():
+    if zero_feasible:
         matrix = program.matrix(data_ub)
         row_lower = np.concatenate([np.full(n_ub, -np.inf), program.b_eq])
         row_upper = np.concatenate([b_ub, program.b_eq])
-        if program.cg_solver is None:
-            program.cg_solver = highs_backend.ColumnGenSolver()
         start = time.perf_counter()
         try:
             x, objective = program.cg_solver.solve(
-                cost,
-                matrix,
-                row_lower,
-                row_upper,
-                np.zeros(n),
-                col_upper,
+                cost, matrix, row_lower, row_upper, np.zeros(n), col_upper,
                 seed_columns=program.seed_columns,
             )
             return x, objective, time.perf_counter() - start, None

@@ -11,8 +11,11 @@ hides:
 - keeping a solver instance alive across solves,
 - warm-starting dual simplex from the previous optimal basis, and
 - column generation: solving a restricted master over a subset of
-  columns and pricing the rest in with one vectorized reduced-cost pass
-  (``c - A.T @ y``) per round.
+  columns and pricing the rest in from one vectorized reduced-cost pass
+  (``c - A.T @ y``) per round -- by *route*, not by arc (the dual of a
+  conservation row no active column touches is arbitrary; along a route
+  those duals cancel): the missing arcs of every chain's cheapest route
+  of negative summed reduced cost, until no chain has any.
 
 Column generation is only used for programs that are feasible with all
 flow variables at zero (``MAX_THROUGHPUT`` chain routing and the
@@ -25,31 +28,19 @@ called through their array overloads (assigning numpy arrays to
 ``HighsBasis`` is read or written only after a solve that priced
 columns in, and every ``HighsStatus`` is checked -- a call HiGHS
 rejects leaves its previous model in place, which ``run()`` would then
-report optimal.  DESIGN.md section 9 has the call table and what was
-measured.
+report optimal.  DESIGN.md section 9 has the call table, why the
+pricing rule is exact and what was measured.
 
-The private-module import is feature-detected: when unavailable, every
-caller falls back to the scipy ``linprog`` path, which also serves the
-equality-covered objectives and is where a :class:`ColumnGenError` lands.
+This is the one backend: a scipy without the private module fails here,
+at import.  ``linprog`` serves the equality-covered objectives and is
+where a :class:`ColumnGenError` lands.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize._highspy import _core as _hc
 from scipy.sparse import csc_matrix
-
-try:  # pragma: no cover - exercised implicitly by every import
-    from scipy.optimize._highspy import _core as _hc
-
-    _HIGHS_IMPORTED = True
-except Exception:  # pragma: no cover - older/newer scipy layouts
-    _hc = None
-    _HIGHS_IMPORTED = False
-
-
-def direct_backend_available() -> bool:
-    """True when scipy's bundled HiGHS could be imported."""
-    return _HIGHS_IMPORTED
 
 
 class ColumnGenError(Exception):
@@ -69,7 +60,10 @@ def _new_highs():
 class ColumnGenSolver:
     """Restricted-master column generation with cross-solve warm starts.
 
-    One instance corresponds to one constraint-matrix *structure*; the
+    One instance corresponds to one constraint-matrix *structure* and is
+    made with its ``flow`` (a :class:`~repro.core.formulation.ChainFlow`:
+    the first ``n_flow`` columns are chain flows, priced by
+    ``cheapest_paths``; any further column is priced on its own).  The
     caller caches instances keyed on the model's structure digest and
     calls :meth:`solve` with refreshed numeric data each round.  The
     active column set and the optimal basis survive between calls, so a
@@ -77,7 +71,7 @@ class ColumnGenSolver:
     plus one or two pricing rounds.  The master is always passed with
     its columns sorted (column order decides which of several optimal
     vertices simplex ends on), so the basis is reordered -- through
-    Python lists, 3 ms at 3 800 columns -- only after a solve that
+    Python lists, 0.3 ms at 850 columns -- only after a solve that
     priced columns in behind the sorted ones.
 
     A *new* structure can start from another one's outcome:
@@ -87,12 +81,12 @@ class ColumnGenSolver:
 
     #: Reduced costs below this are considered improving.
     PRICING_TOL = 1e-9
-    #: Safety cap; genuine solves converge in < 20 rounds.
-    MAX_ROUNDS = 60
+    #: Safety cap (then ``linprog``, counted): cold solves of the 25-PoP
+    #: shape take 17-27 rounds at 16 to 128 chains, warm ones 1-10.
+    MAX_ROUNDS = 120
 
-    def __init__(self) -> None:
-        if not _HIGHS_IMPORTED:  # pragma: no cover - guarded by callers
-            raise ColumnGenError("direct HiGHS backend unavailable")
+    def __init__(self, flow) -> None:
+        self._flow = flow
         self._highs = _new_highs()
         # Columns of the last restricted master (sorted), its optimal
         # basis and their primal values.
@@ -160,11 +154,15 @@ class ColumnGenSolver:
             solution = highs.getSolution()
             duals = np.asarray(solution.row_dual)
             reduced = cost - matrix_t @ duals
-            candidates = np.flatnonzero(~active_mask & (reduced < -self.PRICING_TOL))
-            if candidates.size == 0:
+            take = self._improving(reduced)
+            take = take[~active_mask[take]]
+            if take.size == 0:
                 break
-            take = self._select_columns(candidates, reduced)
-            self._add_columns(cost, matrix, col_lower, col_upper, take)
+            sub = matrix[:, take]
+            self._checked(highs.addCols(
+                int(take.size), cost[take], col_lower[take], col_upper[take],
+                int(sub.nnz), sub.indptr[:-1], sub.indices, sub.data,
+            ), "addCols")
             active = np.concatenate([active, take])
             active_mask[take] = True
             self._run()
@@ -187,19 +185,20 @@ class ColumnGenSolver:
 
     # -- internals ------------------------------------------------------
 
-    @staticmethod
-    def _select_columns(
-        candidates: np.ndarray, reduced: np.ndarray
-    ) -> np.ndarray:
-        """Most-negative reduced-cost candidates to price in this round."""
-        order = np.argsort(reduced[candidates])
-        return candidates[order[: max(500, candidates.size // 4)]]
+    def _improving(self, reduced: np.ndarray) -> np.ndarray:
+        """The arcs of every chain's cheapest route, where it prices
+        negative, then the negative columns that are not flows; in column
+        order.  A negative route already in the master whole has an arc
+        at its upper bound 1 -- a chain routed whole -- and no dearer
+        route of that chain improves either: the caller stops."""
+        n_flow = self._flow.n_flow
+        costs, arcs = self._flow.cheapest_paths(reduced)
+        arcs = arcs[costs < -self.PRICING_TOL]
+        own = np.flatnonzero(reduced[n_flow:] < -self.PRICING_TOL)
+        return np.concatenate([arcs[arcs >= 0], own + n_flow])
 
     def _initial_active(
-        self,
-        cost: np.ndarray,
-        n_cols: int,
-        seed_columns: np.ndarray | None,
+        self, cost: np.ndarray, n_cols: int, seed_columns: np.ndarray | None
     ) -> np.ndarray:
         if self._active is not None and self._active.size and (
             self._active < n_cols
@@ -236,30 +235,14 @@ class ColumnGenSolver:
         )
         self._checked(status, "passModel")
 
-    def _add_columns(
-        self,
-        cost: np.ndarray,
-        matrix: csc_matrix,
-        col_lower: np.ndarray,
-        col_upper: np.ndarray,
-        take: np.ndarray,
-    ) -> None:
-        sub = matrix[:, take]
-        status = self._highs.addCols(
-            int(take.size),
-            cost[take],
-            col_lower[take],
-            col_upper[take],
-            int(sub.nnz),
-            sub.indptr[:-1],
-            sub.indices,
-            sub.data,
-        )
-        self._checked(status, "addCols")
-
     def _run(self) -> None:
         self._checked(self._highs.run(), "run")
-        self._check_status()
+        status = self._highs.getModelStatus()
+        if status != _hc.HighsModelStatus.kOptimal:
+            # Any restricted master of a zero-feasible program is
+            # feasible; anything else is a numerical failure.
+            self._active = self._basis = None
+            raise ColumnGenError(f"HiGHS status {status}")
 
     def _checked(self, status, call: str) -> None:
         """A call HiGHS rejects leaves its previous model or basis in
@@ -269,18 +252,8 @@ class ColumnGenSolver:
             self._active = self._basis = None
             raise ColumnGenError(f"HiGHS rejected {call}")
 
-    def _check_status(self) -> None:
-        status = self._highs.getModelStatus()
-        if status != _hc.HighsModelStatus.kOptimal:
-            # Any restricted master of a zero-feasible program is
-            # feasible; anything else is a numerical failure.
-            self._active = None
-            self._basis = None
-            raise ColumnGenError(f"HiGHS status {status}")
-
 
 __all__ = [
     "ColumnGenError",
     "ColumnGenSolver",
-    "direct_backend_available",
 ]

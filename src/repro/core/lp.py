@@ -33,9 +33,9 @@ the data vector with a few vectorized multiplies, and every solve
 gathers the right-hand side of the capacity rows from the model's
 columns (``_RoutingProgram.bounds``), so the solver farm's re-shared
 partitions hit the cache too.  ``MAX_THROUGHPUT`` programs (feasible at
-zero flow) are solved through warm-started column generation
-(:mod:`repro.core.highs`); the other objectives go through
-``scipy.optimize.linprog`` on the cached matrix.
+zero flow) are solved through warm-started column generation, a round of
+which adds each chain's best route (:mod:`repro.core.highs`); the other
+objectives go through ``scipy.optimize.linprog`` on the cached matrix.
 
 ``tests/reference/lp_scalar.py`` assembles the same program from the
 scalar row generator (``tests/reference/scalar_rows.py``) and

@@ -97,6 +97,10 @@ def _cg_solve(self, cost, matrix, row_lower, row_upper, col_lower, col_upper,
     ))
 
 
+def _cg_refuse(self, *_program, **_seeds):
+    raise highs_backend.ColumnGenError("refused for the test")
+
+
 def _linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
              **_options):
     raise _Captured(_digest(c, A_ub, b_ub, A_eq, b_eq, _bounds_array(bounds)))
@@ -219,8 +223,8 @@ def fingerprints(monkeypatch) -> dict:
                 # The second pass ran on the cached structures.
                 assert matrix_cache_stats()["matrix_rebuilds"] == rebuilds
     # The ``linprog`` form of the two column-generation programs (what a
-    # ColumnGenError or a scipy without the bundled HiGHS falls back to).
-    monkeypatch.setattr(highs_backend, "direct_backend_available", lambda: False)
+    # ColumnGenError falls back to).
+    monkeypatch.setattr(highs_backend.ColumnGenSolver, "solve", _cg_refuse)
     clear_matrix_cache()
     model = equivalence_model()
     programs = _programs(model)
