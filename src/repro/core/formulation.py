@@ -184,8 +184,8 @@ class ChainFlow:
         # widest front with ``n`` (which ``cheapest_paths`` holds at +inf).
         stage0 = np.asarray(ch.chain_stage_start[:-1], dtype=np.int64)
         depth = np.diff(ch.chain_stage_start)
-        src = np.arange(ch.dst_len.max(initial=1))[:, None]  # fronts past the
-        self._depths = []  # ingress are the destinations of the stage before
+        src = np.arange(max(ch.src_len.max(initial=1), ch.dst_len.max(initial=1)))[:, None]
+        self._depths = []
         for z in range(depth.max(initial=0)):
             chains = np.flatnonzero(depth > z)
             s = (stage0[chains] + z)[:, None, None]

@@ -22,6 +22,7 @@ from repro.core.model import Chain
 from repro.obs.registry import MetricsRegistry
 from tests.test_program_fingerprints import regional_model, te_replan_model
 
+
 def solve(model, **kwargs):
     result = solve_chain_routing_lp(model, LpObjective.MAX_THROUGHPUT, **kwargs)
     assert result.ok

@@ -33,7 +33,7 @@ from repro.topology.cities import DEFAULT_CITIES
 from tests.reference.brute import enumerate_paths
 from tests.reference.capacity_scalar import plan_cloud_capacity_reference
 from tests.reference.lp_scalar import solve_chain_routing_lp_reference
-from tests.test_column_pool import remove_and_add
+from tests.test_column_pool import cached_program, remove_and_add
 from tests.test_maintained_plan import solver_farm_bench_model
 from tests.test_program_fingerprints import regional_model, te_replan_model
 from tests.test_vectorized_equivalence import make_model, small_models
@@ -169,7 +169,7 @@ def test_a_chain_routed_whole_on_one_route_ends_the_loop():
     assert result.ok and metrics.counter("lp.colgen_fallbacks").value == 0
     assert result.solution.throughput() == pytest.approx(model.total_demand())
 
-    program = list(lp_mod._CACHE._entries.values())[-1]
+    program = cached_program()
     solver, ch = program.cg_solver, model.chain_columns()
     assert 1 < solver.last_rounds < ColumnGenSolver.MAX_ROUNDS
     x = np.zeros(program.n_total)
@@ -200,17 +200,22 @@ def test_no_solve_of_the_measured_models_reaches_the_round_cap(build):
     metrics = MetricsRegistry()
     model = build()
     rng = random.Random(0)
+
+    def demands(model):
+        return rescaled_demands(model, rng)
+
+    def churned(model):
+        remove_and_add(model)
+        return model
+
     rounds = []
-    for change in (None, rescaled_demands, None, remove_and_add, rescaled_demands):
-        if change is rescaled_demands:
-            model = change(model, rng)
-        elif change is not None:
-            change(model)
+    for change in (None, demands, None, churned, demands):
+        if change is not None:
+            model = change(model)
         assert solve_chain_routing_lp(model, MAX_THROUGHPUT, metrics=metrics).ok
-        rounds.append(list(lp_mod._CACHE._entries.values())[-1].cg_solver.last_rounds)
+        rounds.append(cached_program().cg_solver.last_rounds)
     assert metrics.counter("lp.colgen_fallbacks").value == 0
     assert max(rounds) <= ColumnGenSolver.MAX_ROUNDS // 3, rounds
     assert matrix_cache_stats() == {
         "matrix_reuse_hits": 3, "matrix_rebuilds": 2, "cached_structures": 2,
     }
-
