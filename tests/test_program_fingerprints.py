@@ -4,8 +4,9 @@ Every solve is intercepted at the solver boundary -- the arguments of
 ``ColumnGenSolver.solve``, ``linprog`` and ``milp`` -- and reduced to a
 SHA-256 over dtype + shape + bytes of the canonical (duplicates summed,
 indices sorted) CSC ``data / indices / indptr``, the row and column
-bounds (``b_ub`` / ``b_eq``), the cost vector, the seed columns and the
-integrality vector.  Nothing is solved: the interceptor raises as soon
+bounds (``b_ub`` / ``b_eq``), the cost vector and the integrality
+vector (not the first restricted master: column generation may start
+where it likes).  Nothing is solved: the interceptor raises as soon
 as it has the arguments.  The digests in ``program_fingerprints.json``
 were recorded on the tree *before* the chain-flow formulation got its
 one home, so a refactor of the assembly code must leave every one of
@@ -90,10 +91,9 @@ def _bounds_array(bounds) -> np.ndarray:
 
 
 def _cg_solve(self, cost, matrix, row_lower, row_upper, col_lower, col_upper,
-              seed_columns=None):
+              **_seeds):
     raise _Captured(_digest(
         cost, matrix, row_lower, row_upper, col_lower, col_upper,
-        np.asarray(seed_columns, dtype=np.int64),
     ))
 
 
