@@ -113,12 +113,6 @@ class _CloudProgram(Program):
         self.ub(pair_first + self.relief, n_flow + flow.pair_site[self.relief], 0.0)
         self.freeze()
 
-        # Column-generation seeds: stage-1 flows, the cheapest few flows of
-        # every later stage, every site addition, and alpha itself.
-        self.seed_columns = np.concatenate(
-            [flow.seed_columns, site_cols, [self.alpha_index]]
-        )
-
     def refreshed(
         self, model: NetworkModel, budget: float
     ) -> tuple[np.ndarray, np.ndarray]:

@@ -168,8 +168,8 @@ class ChainFlow:
         self.load_links = _inverse_permutation(sub.link_rank)[uniq_links]
 
         # Where each chain's flows sit, and what makes two such blocks the
-        # same variables in the same order (the column pool of a solved
-        # program is carried to its successor block by block).
+        # same variables in the same order (the routes a solved program
+        # ended on are carried to its successor block by block).
         first = vc.stage_var_start[ch.chain_stage_start]
         self.chain_blocks = {
             name: (
@@ -179,54 +179,58 @@ class ChainFlow:
             for i, (name, c) in enumerate(model.chains.items())
         }
 
-        # Path-pricing layout: per stage depth, the chains that deep and
-        # the variable of each (chain, source, destination), padded to the
-        # widest front with ``n`` (which ``cheapest_paths`` holds at +inf).
+        # Path-pricing layout: the variable of every (depth, chain,
+        # source, destination), fronts padded to the widest (two at
+        # least) with ``n``, which ``cheapest_paths`` holds at +inf.  A
+        # chain shorter than the deepest waits at its ingress first --
+        # ``n + 1``, free -- so that every chain ends at the last depth.
         stage0 = np.asarray(ch.chain_stage_start[:-1], dtype=np.int64)
         depth = np.diff(ch.chain_stage_start)
-        src = np.arange(max(ch.src_len.max(initial=1), ch.dst_len.max(initial=1)))[:, None]
-        self._depths = []
-        for z in range(depth.max(initial=0)):
-            chains = np.flatnonzero(depth > z)
-            s = (stage0[chains] + z)[:, None, None]
+        self.depth = int(depth.max(initial=0))
+        src = np.arange(
+            max(ch.src_len.max(initial=2), ch.dst_len.max(initial=2))
+        )[:, None]
+        self._var = np.full((self.depth, self.n_chains, len(src), len(src)), n)
+        for z in range(self.depth):
+            waits = z < self.depth - depth
+            self._var[z, waits, 0, 0] = n + 1
+            s = (stage0 + z - (self.depth - depth))[~waits, None, None]
             real = (src < ch.src_len[s]) & (src.T < ch.dst_len[s])
-            var = vc.stage_var_start[s] + src * ch.dst_len[s] + src.T
-            self._depths.append((chains, np.where(real, var, n)))
-
-        # Seed columns for column generation: every stage-1 variable plus
-        # the few lowest-latency variables of every other stage.
-        order = np.lexsort((vc.var_latency, var_stage))
-        pos_in_stage = np.arange(n, dtype=np.int64) - np.repeat(
-            vc.stage_var_start[:-1], np.diff(vc.stage_var_start)
-        )
-        self.seed_columns = np.unique(
-            np.concatenate([self.stage1_vars, order[pos_in_stage < 4]])
-        )
+            self._var[z, ~waits] = np.where(
+                real, vc.stage_var_start[s] + src * ch.dst_len[s] + src.T, n
+            )
 
     def cheapest_paths(self, reduced: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every chain's cheapest ingress-to-egress route when flow
-        variable ``v`` costs ``reduced[v]`` -- the summed cost per chain,
-        and the route's variables, one per stage, ``-1`` past a chain's
-        last: Equation 8's recurrence, all chains a stage depth at a time.
-        A route enters a conservation row (Equation 5) with +1 and leaves
-        it with -1, so no dual on those rows moves a reduced-cost sum."""
-        priced = np.append(reduced[: self.n_flow], np.inf)
-        best = np.full((self.n_chains, self._depths[0][1].shape[1]), np.inf)
+        """Every chain's two cheapest ingress-to-egress routes that leave
+        its last front (the sites of its last VNF) from different sites,
+        when flow variable ``v`` costs ``reduced[v]`` -- the summed costs
+        ``(n_chains, 2)``, +inf where the last front is one site, and the
+        routes' variables ``(n_chains, 2, depth)``, one per stage, ``-1``
+        before a shorter chain's first: Equation 8's recurrence, all
+        chains a stage depth at a time, both routes from the one forward
+        pass.  A route enters a conservation row (Equation 5) with +1 and
+        leaves it with -1, so no dual on those rows moves a reduced-cost
+        sum."""
+        step = np.concatenate([reduced[: self.n_flow], [np.inf, 0.0]])[self._var]
+        best = np.full(step.shape[1:3], np.inf)
         best[:, 0] = 0.0  # one ingress per chain
         parents = []
-        for chains, var in self._depths:
-            via = best[chains, :, None] + priced[var]
+        for hop in step:
+            via = best[:, :, None] + hop
             parents.append(via.argmin(axis=1))
-            best[chains] = via.min(axis=1)
-        arcs = np.full((self.n_chains, len(parents)), -1, dtype=np.int64)
-        at = np.zeros(self.n_chains, dtype=np.int64)  # and one egress
-        for z in range(len(parents) - 1, -1, -1):
-            chains, var = self._depths[z]
-            rows = np.arange(len(chains))
-            src = parents[z][rows, at[chains]]
-            arcs[chains, z] = var[rows, src, at[chains]]
-            at[chains] = src
-        return best[:, 0], arcs
+            best = via.min(axis=1)
+        into = via[:, :, 0]  # and one egress
+        src = np.argsort(into, axis=1, kind="stable")[:, :2]
+        costs = np.take_along_axis(into, src, axis=1)
+        arcs = np.empty((self.n_chains, 2, self.depth), dtype=np.int64)
+        rows = np.arange(self.n_chains)[:, None]
+        at = np.zeros_like(src)
+        for z in range(self.depth - 1, -1, -1):
+            arcs[:, :, z] = self._var[z][rows, src, at]
+            if z:
+                at, src = src, parents[z - 1][rows, src]
+        arcs[arcs >= self.n_flow] = -1
+        return costs, arcs
 
     def release_entries(self) -> None:
         """Drop the per-entry arrays once a program has folded them into
@@ -266,9 +270,6 @@ class Program:
         self.n_total = n_total
         self.b_ub = np.zeros(0)
         self.b_eq = np.zeros(0)
-        self.seed_columns = flow.seed_columns
-        # Warm-startable solver retained across solves of this structure.
-        self.cg_solver = highs_backend.ColumnGenSolver(flow)
         self._ub: tuple[list, ...] = ([], [], [], [], [])
         self._eq: tuple[list, ...] = ([], [], [])
 
@@ -298,6 +299,7 @@ class Program:
     def conservation(self, row_of: np.ndarray) -> None:
         """Equation 5; ``row_of[r]`` is where conservation row ``r`` goes."""
         flow = self.flow
+        self._cons_rows = row_of
         self.eq(row_of[flow.cons_rows], flow.cons_cols, flow.cons_data)
 
     def load_rows(self, group: np.ndarray, bounds) -> int:
@@ -357,6 +359,19 @@ class Program:
         self._first = order[opens]
         self._extra_slot = (np.cumsum(opens) - 1)[~opens]
         self._extra = order[~opens]
+
+        # Column generation holds routes, and a route crosses a row of
+        # Equation 5 with +1 and -1: its master keeps the other rows,
+        # whose share of the pattern is fixed here as well.  The solver,
+        # warm-startable, stays with this structure across solves.
+        kept = np.ones(n_rows, dtype=bool)
+        kept[len(self.b_ub) + self._cons_rows] = False
+        entries = np.flatnonzero(kept[self._indices])
+        self.cg_solver = highs_backend.ColumnGenSolver(
+            self.flow, np.flatnonzero(kept), entries,
+            (np.cumsum(kept) - 1).astype(idx_dtype)[self._indices[entries]],
+            np.searchsorted(entries, self._indptr).astype(idx_dtype),
+        )
 
     def refresh(self, stage_total, stage_fwd, stage_rev) -> np.ndarray:
         """The UB data vector under the given per-stage demands."""
@@ -519,9 +534,9 @@ class StructureCache:
 
     A hit hands back the program built for an earlier model of the same
     structure, with its warm :class:`~repro.core.highs.ColumnGenSolver`.
-    A miss builds the program and starts its solver from the column pool
-    of the cached program of the same kind it shares the most chains
-    with (:meth:`_carry_pool`).  All of that is state of the entries, so
+    A miss builds the program and starts its solver from the routes the
+    cached program of the same kind it shares the most chains with ended
+    on (:meth:`_carry_pool`).  All of that is state of the entries, so
     :meth:`clear` returns the cache to what it was at import time.
     """
 
@@ -554,10 +569,8 @@ class StructureCache:
         most column blocks, as they were.  The predecessor is the solved
         program of the same kind sharing the most chains (same name, same
         block shape; the most recently used on a tie); what crosses is
-        its *support* -- the columns its last optimum left basic or
-        non-zero -- block by block, next to the new program's ordinary
-        seed columns.  Neither its basis nor the rest of its pool: both
-        were measured and lose to a cold start (DESIGN section 9).
+        its *support* -- the routes its last optimum left basic or
+        non-zero -- of the shared chains, shifted by the block offset.
         """
         blocks = program.flow.chain_blocks
 
@@ -574,11 +587,18 @@ class StructureCache:
         support = best.cg_solver.support() if best is not None else None
         if support is None:
             return
-        columns = [program.seed_columns]
+        # A route lies in one block, and the pads in front absorb a depth
+        # difference: a shared chain is no deeper than either program.
+        last, depth = support[:, -1], program.flow.depth
+        width = min(depth, support.shape[1])
+        routes = np.full((len(support), depth), -1)
+        routes[:, -width:] = support[:, -width:]
+        keep = np.zeros(len(support), dtype=bool)
         for start, length, mine in shared(best):
-            lo, hi = np.searchsorted(support, (start, start + length))
-            columns.append(support[lo:hi] + (mine - start))
-        program.cg_solver.seed(np.concatenate(columns))
+            block = (last >= start) & (last < start + length)
+            routes[block] += (mine - start) * (routes[block] >= 0)
+            keep |= block
+        program.cg_solver.seed = routes[keep]
 
     def stats(self) -> dict[str, int]:
         return {
@@ -649,8 +669,7 @@ def solve(
         start = time.perf_counter()
         try:
             x, objective = program.cg_solver.solve(
-                cost, matrix, row_lower, row_upper, np.zeros(n), col_upper,
-                seed_columns=program.seed_columns,
+                cost, matrix, row_lower, row_upper, np.zeros(n), col_upper
             )
             return x, objective, time.perf_counter() - start, None
         except highs_backend.ColumnGenError:

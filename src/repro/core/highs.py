@@ -10,30 +10,27 @@ hides:
 
 - keeping a solver instance alive across solves,
 - warm-starting dual simplex from the previous optimal basis, and
-- column generation: solving a restricted master over a subset of
-  columns and pricing the rest in from one vectorized reduced-cost pass
-  (``c - A.T @ y``) per round -- by *route*, not by arc (the dual of a
-  conservation row no active column touches is arbitrary; along a route
-  those duals cancel): the missing arcs of every chain's cheapest route
-  of negative summed reduced cost, until no chain has any.
+- column generation over *routes* (the path-flow master): a column is
+  one chain's ingress-to-egress route, the sum of its arcs' columns, so
+  the conservation rows cancel out of the master altogether; each round
+  prices every arc in one pass (``c - A.T @ y`` over the kept rows) and
+  adds every chain's cheapest routes of negative summed reduced cost,
+  until no chain has any.
 
 Column generation is only used for programs that are feasible with all
 flow variables at zero (``MAX_THROUGHPUT`` chain routing and the
-capacity-planning alpha maximization); equality-covered objectives go
-through ``linprog`` unchanged.
+capacity-planning alpha maximization); the equality-covered objectives
+go through ``linprog``, which is also where a :class:`ColumnGenError`
+lands.  This is the one backend: a scipy without the private module
+fails here, at import.
 
 Arrays cross the boundary as arrays: ``passModel`` and ``addCols`` are
 called through their array overloads (assigning numpy arrays to
 ``HighsLp`` fields converts them element by element), the saved
-``HighsBasis`` is read or written only after a solve that priced
-columns in, and every ``HighsStatus`` is checked -- a call HiGHS
-rejects leaves its previous model in place, which ``run()`` would then
-report optimal.  DESIGN.md section 9 has the call table, why the
-pricing rule is exact and what was measured.
-
-This is the one backend: a scipy without the private module fails here,
-at import.  ``linprog`` serves the equality-covered objectives and is
-where a :class:`ColumnGenError` lands.
+``HighsBasis`` is handed back as it came, and every ``HighsStatus`` is
+checked -- a call HiGHS rejects leaves its previous model in place,
+which ``run()`` would then report optimal.  DESIGN.md section 9 has the
+call table, why the route master is exact and what was measured.
 """
 
 from __future__ import annotations
@@ -57,58 +54,64 @@ def _new_highs():
     return h
 
 
+def route_columns(matrix: csc_matrix, routes: np.ndarray) -> csc_matrix:
+    """One column per row of ``routes``: the sum of the columns of
+    ``matrix`` the row names (``-1`` pads), entries of one row summed."""
+    real = routes >= 0
+    pick = csc_matrix(
+        (np.ones(int(real.sum())), routes[real],
+         np.concatenate([[0], np.cumsum(real.sum(axis=1))])),
+        shape=(matrix.shape[1], len(routes)),
+    )
+    return matrix @ pick
+
+
 class ColumnGenSolver:
-    """Restricted-master column generation with cross-solve warm starts.
+    """Column generation over routes, with cross-solve warm starts.
 
     One instance corresponds to one constraint-matrix *structure* and is
     made with its ``flow`` (a :class:`~repro.core.formulation.ChainFlow`:
-    the first ``n_flow`` columns are chain flows, priced by
-    ``cheapest_paths``; any further column is priced on its own).  The
-    caller caches instances keyed on the model's structure digest and
-    calls :meth:`solve` with refreshed numeric data each round.  The
-    active column set and the optimal basis survive between calls, so a
-    re-solve after a demand change usually costs one dual-simplex run
-    plus one or two pricing rounds.  The master is always passed with
-    its columns sorted (column order decides which of several optimal
-    vertices simplex ends on), so the basis is reordered -- through
-    Python lists, 0.3 ms at 850 columns -- only after a solve that
-    priced columns in behind the sorted ones.
-
-    A *new* structure can start from another one's outcome:
-    :meth:`support` names the columns a solve ended on and :meth:`seed`
-    makes a column set the first restricted master of the next solve.
+    the first ``n_flow`` columns are chain flows) and the rows a route
+    does not cancel on -- all but Equation 5's -- as ``rows`` and the
+    share ``(entries, indices, indptr)`` of the program's CSC pattern on
+    them.  A master column is a row of :attr:`routes`: one chain's
+    ingress-to-egress route, the sum of its arcs' columns, or one of the
+    columns past ``n_flow`` on its own.  The caller caches instances keyed
+    on the model's structure digest and calls :meth:`solve` with refreshed
+    numeric data each round.  The routes and the optimal basis survive
+    between calls (routes are only ever appended, so the basis needs no
+    reordering): a re-solve after a demand change usually costs one
+    dual-simplex run plus one or two pricing rounds.
     """
 
     #: Reduced costs below this are considered improving.
     PRICING_TOL = 1e-9
-    #: Safety cap (then ``linprog``, counted): cold solves of the 25-PoP
-    #: shape take 17-27 rounds at 16 to 128 chains, warm ones 1-10.
+    #: Safety cap (then ``linprog``, counted): cold solves take 3-19
+    #: rounds at 12 to 128 chains, warm and carried ones 1-11.
     MAX_ROUNDS = 120
 
-    def __init__(self, flow) -> None:
+    def __init__(self, flow, rows, entries, indices, indptr) -> None:
         self._flow = flow
+        self.rows = rows
+        self._pattern = (entries, indices, indptr)
         self._highs = _new_highs()
-        # Columns of the last restricted master (sorted), its optimal
-        # basis and their primal values.
-        self._active: np.ndarray | None = None
+        #: The master's columns, ``(n, depth)`` program columns each.
+        self.routes: np.ndarray | None = None
+        self._known: set[bytes] = set()
+        #: Routes a first solve starts from, next to every chain's cheapest.
+        self.seed = np.zeros((0, flow.depth), dtype=np.int64)
         self._basis = None
-        self._values: np.ndarray | None = None
         self.last_rounds = 0
 
-    def seed(self, columns: np.ndarray) -> None:
-        """Make ``columns`` the first restricted master of the next solve
-        (instead of the ``seed_columns`` handed to :meth:`solve`)."""
-        self._active = np.unique(np.asarray(columns, dtype=np.int64))
-        self._basis = self._values = None
-
     def support(self) -> np.ndarray | None:
-        """Columns the last solve ended on -- basic, or non-basic away
-        from zero -- in order; ``None`` before the first successful solve."""
+        """The chain routes the last solve ended on -- basic, or non-basic
+        away from zero --; ``None`` before the first successful solve."""
         if self._basis is None:
             return None
         status = np.array(self._basis.col_status, dtype=np.int8)
-        basic = status == int(_hc.HighsBasisStatus.kBasic)
-        return self._active[basic | (self._values != 0.0)]
+        values = np.asarray(self._highs.getSolution().col_value)
+        on = (status == int(_hc.HighsBasisStatus.kBasic)) | (values != 0.0)
+        return self.routes[on & (self.routes[:, -1] < self._flow.n_flow)]
 
     def solve(
         self,
@@ -118,22 +121,45 @@ class ColumnGenSolver:
         row_upper: np.ndarray,
         col_lower: np.ndarray,
         col_upper: np.ndarray,
-        seed_columns: np.ndarray | None = None,
     ) -> tuple[np.ndarray, float]:
         """Solve ``min c@x  s.t.  rl <= A x <= ru, cl <= x <= cu``.
 
         The program must be feasible with every column absent (all-zero
-        flow), which makes any restricted master feasible.  Returns the
-        full-length primal solution and the objective value.
+        flow), which makes any restricted master feasible, and its rows
+        must imply the upper bounds of its flow columns: those are dropped
+        (the routing program's ``x <= 1`` follows from its coverage rows,
+        the cloud program has none).  Returns the full-length primal
+        solution and the objective value.
         """
+        flow, highs = self._flow, self._highs
         n_cols = matrix.shape[1]
-        matrix_t = matrix.T.tocsr()
-        active = self._initial_active(cost, n_cols, seed_columns)
-
-        highs = self._highs
-        self._pass_restricted(
-            cost, matrix, row_lower, row_upper, col_lower, col_upper, active
+        entries, indices, indptr = self._pattern
+        kept = csc_matrix(
+            (matrix.data[entries], indices, indptr), shape=(len(self.rows), n_cols)
         )
+        if self.routes is None:
+            # Every chain's cheapest route at zero duals, the columns that
+            # are not flows, and what a predecessor handed on.
+            self.routes, self._known = self.seed[:0], set()
+            single = np.full((n_cols - flow.n_flow, flow.depth), -1, dtype=np.int64)
+            single[:, -1] = np.arange(flow.n_flow, n_cols)
+            cheapest = flow.cheapest_paths(cost)[1][:, 0]
+            self._admit(np.concatenate([cheapest, single, self.seed]))
+        last = self.routes[:, -1]  # never a pad
+        own = last >= flow.n_flow
+        lower = np.where(own, col_lower[last], 0.0)
+        upper = np.where(own, col_upper[last], np.inf)
+        columns = route_columns(kept, self.routes)
+        padded_cost = np.append(cost, 0.0)  # what a ``-1`` costs
+        self._checked(highs.passModel(
+            len(self.routes), len(self.rows), columns.nnz,
+            int(_hc.MatrixFormat.kColwise), int(_hc.ObjSense.kMinimize), 0.0,
+            padded_cost[self.routes].sum(axis=1), lower, upper,
+            row_lower[self.rows], row_upper[self.rows],
+            columns.indptr, columns.indices, columns.data,
+            # All continuous, but full length: HiGHS rejects an empty one.
+            np.zeros(len(self.routes), dtype=np.int32),
+        ), "passModel")
         if self._basis is not None:
             self._checked(highs.setBasis(self._basis), "setBasis")
         # Dual simplex for the (possibly warm-started) restricted master...
@@ -146,94 +172,52 @@ class ColumnGenSolver:
         # re-solving from scratch.  Measured ~9x on the 128-chain bench.
         highs.setOptionValue("simplex_strategy", 4)
 
-        active_mask = np.zeros(n_cols, dtype=bool)
-        active_mask[active] = True
+        priced_by = kept.T  # CSR, no copy
         self.last_rounds = 0
         for _ in range(self.MAX_ROUNDS):
             self.last_rounds += 1
             solution = highs.getSolution()
-            duals = np.asarray(solution.row_dual)
-            reduced = cost - matrix_t @ duals
-            take = self._improving(reduced)
-            take = take[~active_mask[take]]
-            if take.size == 0:
+            reduced = cost - priced_by @ np.asarray(solution.row_dual)
+            costs, arcs = flow.cheapest_paths(reduced)
+            # A negative route the master holds already is negative within
+            # HiGHS's dual tolerance only (1e-7, above ``PRICING_TOL``).
+            new = self._admit(arcs[costs < -self.PRICING_TOL])
+            if not len(new):
                 break
-            sub = matrix[:, take]
+            columns = route_columns(kept, new)
             self._checked(highs.addCols(
-                int(take.size), cost[take], col_lower[take], col_upper[take],
-                int(sub.nnz), sub.indptr[:-1], sub.indices, sub.data,
+                len(new), padded_cost[new].sum(axis=1),
+                np.zeros(len(new)), np.full(len(new), np.inf),
+                columns.nnz, columns.indptr[:-1], columns.indices, columns.data,
             ), "addCols")
-            active = np.concatenate([active, take])
-            active_mask[take] = True
             self._run()
         else:
+            self._forget()
             raise ColumnGenError("column generation did not converge")
 
         values = np.asarray(solution.col_value)
-        x = np.zeros(n_cols)
-        x[active] = values
-        objective = float(cost[active] @ values)
         self._basis = highs.getBasis()
-        if self.last_rounds > 1:
-            # HiGHS holds the priced-in columns behind the first master.
-            order = np.argsort(active, kind="stable")
-            status = self._basis.col_status
-            self._basis.col_status = [status[i] for i in order.tolist()]
-            active, values = active[order], values[order]
-        self._active, self._values = active, values
-        return x, objective
+        # A flow is the sum of the routes through it (pads fall in bin 0).
+        x = np.bincount(
+            self.routes.ravel() + 1, np.repeat(values, flow.depth), n_cols + 1
+        )[1:]
+        return x, float(cost @ x)
 
     # -- internals ------------------------------------------------------
 
-    def _improving(self, reduced: np.ndarray) -> np.ndarray:
-        """The arcs of every chain's cheapest route, where it prices
-        negative, then the negative columns that are not flows; in column
-        order.  A negative route already in the master whole has an arc
-        at its upper bound 1 -- a chain routed whole -- and no dearer
-        route of that chain improves either: the caller stops."""
-        n_flow = self._flow.n_flow
-        costs, arcs = self._flow.cheapest_paths(reduced)
-        arcs = arcs[costs < -self.PRICING_TOL]
-        own = np.flatnonzero(reduced[n_flow:] < -self.PRICING_TOL)
-        return np.concatenate([arcs[arcs >= 0], own + n_flow])
+    def _admit(self, routes: np.ndarray) -> np.ndarray:
+        """Append the routes the master does not hold yet; returns them."""
+        fresh = []
+        for i, route in enumerate(routes):
+            key = route.tobytes()
+            if key not in self._known:
+                self._known.add(key)
+                fresh.append(i)
+        self.routes = np.concatenate([self.routes, routes[fresh]])
+        return routes[fresh]
 
-    def _initial_active(
-        self, cost: np.ndarray, n_cols: int, seed_columns: np.ndarray | None
-    ) -> np.ndarray:
-        if self._active is not None and self._active.size and (
-            self._active < n_cols
-        ).all():
-            return self._active
-        self._basis = None  # belongs to the column set being dropped
-        if seed_columns is not None:
-            active = np.unique(np.asarray(seed_columns, dtype=np.int64))
-        else:
-            active = np.flatnonzero(cost != 0.0)
-        if active.size == 0:
-            active = np.arange(min(n_cols, 1), dtype=np.int64)
-        return active
-
-    def _pass_restricted(
-        self,
-        cost: np.ndarray,
-        matrix: csc_matrix,
-        row_lower: np.ndarray,
-        row_upper: np.ndarray,
-        col_lower: np.ndarray,
-        col_upper: np.ndarray,
-        active: np.ndarray,
-    ) -> None:
-        sub = matrix[:, active]
-        status = self._highs.passModel(
-            len(active), matrix.shape[0], sub.nnz,
-            int(_hc.MatrixFormat.kColwise), int(_hc.ObjSense.kMinimize), 0.0,
-            cost[active], col_lower[active], col_upper[active],
-            row_lower, row_upper,
-            sub.indptr, sub.indices, sub.data,
-            # All continuous, but full length: HiGHS rejects an empty one.
-            np.zeros(len(active), dtype=np.int32),
-        )
-        self._checked(status, "passModel")
+    def _forget(self) -> None:
+        self.routes = self._basis = None
 
     def _run(self) -> None:
         self._checked(self._highs.run(), "run")
@@ -241,7 +225,7 @@ class ColumnGenSolver:
         if status != _hc.HighsModelStatus.kOptimal:
             # Any restricted master of a zero-feasible program is
             # feasible; anything else is a numerical failure.
-            self._active = self._basis = None
+            self._forget()
             raise ColumnGenError(f"HiGHS status {status}")
 
     def _checked(self, status, call: str) -> None:
@@ -249,11 +233,12 @@ class ColumnGenSolver:
         place, and a later ``run()`` would report that stale program
         optimal: stop here instead."""
         if status == _hc.HighsStatus.kError:
-            self._active = self._basis = None
+            self._forget()
             raise ColumnGenError(f"HiGHS rejected {call}")
 
 
 __all__ = [
     "ColumnGenError",
     "ColumnGenSolver",
+    "route_columns",
 ]

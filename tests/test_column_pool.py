@@ -3,11 +3,12 @@
 Three contracts of ``repro.core.highs`` / ``repro.core.formulation``:
 
 - a structure-cache miss starts column generation from the *support* of
-  the cached program sharing the most chains (same optimum as a cold
-  solve, fewer pricing rounds, nothing that survives
-  ``clear_matrix_cache()``);
-- the restricted master reaches HiGHS through the array overload of
-  ``passModel`` exactly as sliced;
+  the cached program sharing the most chains -- the routes its optimum
+  left basic or non-zero, shifted to where the shared chains' blocks now
+  sit (same optimum as a cold solve, fewer pricing rounds, nothing that
+  survives ``clear_matrix_cache()``);
+- the master reaches HiGHS through the array overload of ``passModel``,
+  one column per route, on the rows a route does not cancel on;
 - a call HiGHS rejects ends in ``linprog`` with the right optimum, never
   in a stale "optimal".
 """
@@ -38,20 +39,6 @@ def last_solver():
     return cached_program().cg_solver
 
 
-def build_through_cache(model):
-    """The model's program as a structure-cache miss leaves it: built,
-    seeded from its predecessor, not yet solved."""
-    program, cached = lp_mod._CACHE.get(
-        (
-            model.structure_digest(), model.substrate_columns().order,
-            LpObjective.MAX_THROUGHPUT.value, True,
-        ),
-        lambda: lp_mod._RoutingProgram(model, LpObjective.MAX_THROUGHPUT, True),
-    )
-    assert not cached
-    return program
-
-
 def spare_chain(model, name):
     """A chain the model does not hold yet: the first one's shape, turned
     round, under a new name."""
@@ -78,6 +65,14 @@ def remove_and_add(model):
 CHURN = [remove_one, add_one, remove_and_add]
 
 
+def routes_of(solver, flow, chain_name) -> set:
+    """The chain's routes in the solver's master, relative to its block."""
+    start, shape = flow.chain_blocks[chain_name]
+    last = solver.routes[:, -1]
+    mine = solver.routes[(last >= start) & (last < start + shape[-1])]
+    return {tuple(route[route >= 0] - start) for route in mine}
+
+
 class TestCarriedPool:
     @pytest.mark.parametrize("churn", CHURN)
     @pytest.mark.parametrize("build", [te_replan_model, regional_model])
@@ -92,9 +87,7 @@ class TestCarriedPool:
         clear_matrix_cache()
         cold = solve(model)
         assert carried.objective == pytest.approx(cold.objective, rel=1e-7)
-        if build is te_replan_model:
-            # 10-11 rounds from the seed columns, 6-8 from the support.
-            assert carried_rounds < last_solver().last_rounds
+        assert carried_rounds <= last_solver().last_rounds
 
     def test_the_same_op_stream_twice_gives_equal_results(self):
         def stream():
@@ -110,58 +103,58 @@ class TestCarriedPool:
 
         assert stream() == stream()
 
-    def test_what_is_carried_is_the_support_next_to_the_seeds(self):
+    def test_what_is_carried_is_the_support_of_the_shared_chains(self):
         model = te_replan_model()
         solve(model)
         old = cached_program()
         support = old.cg_solver.support()
-        assert 0 < len(support) and set(support) <= set(old.cg_solver._active)
-        values = np.zeros(old.n_total)
-        values[old.cg_solver._active] = old.cg_solver._values
-        assert set(np.flatnonzero(values)) <= set(support)
-
-        gone = next(iter(model.chains))
-        remove_one(model)
-        program = build_through_cache(model)
-        shift = old.flow.chain_blocks[gone][1][-1]  # the first block left
-        assert set(program.cg_solver._active) == set(program.seed_columns) | {
-            int(c) - shift for c in support if c >= shift
+        assert 0 < len(support) < len(old.cg_solver.routes)
+        assert {r.tobytes() for r in support} <= {
+            r.tobytes() for r in old.cg_solver.routes
         }
+        assert (support[:, -1] < old.n_flow).all()  # routes of chains only
+
+        _gone, *kept = model.chains
+        remove_one(model)
+        solve(model)
+        new = cached_program()
+        assert new is not old
+        for name in kept:
+            start, shape = old.flow.chain_blocks[name]
+            last = support[:, -1]
+            mine = support[(last >= start) & (last < start + shape[-1])]
+            carried = {tuple(route[route >= 0] - start) for route in mine}
+            assert carried and carried <= routes_of(new.cg_solver, new.flow, name)
 
     def test_a_same_named_chain_of_another_shape_is_not_mapped(self):
         model = te_replan_model()
         solve(model)
+        old = cached_program()
         name, chain = next(iter(model.chains.items()))
-        kept = list(model.chains)[1]
         reshaped = Chain(  # same name, one VNF fewer: another block shape
             name, chain.ingress, chain.egress, chain.vnfs[1:],
             chain.forward_traffic[1:], chain.reverse_traffic[1:],
         )
         model.remove_chain(name)
         changed = model.copy_with_chains([reshaped, *model.chains.values()])
-        program = build_through_cache(changed)
-
-        def started_with(chain_name):
-            start, shape = program.flow.chain_blocks[chain_name]
-            active = program.cg_solver._active
-            return set(active[(active >= start) & (active < start + shape[-1])])
-
-        def seeds_of(chain_name):
-            start, shape = program.flow.chain_blocks[chain_name]
-            seeds = program.seed_columns
-            return set(seeds[(seeds >= start) & (seeds < start + shape[-1])])
-
-        assert started_with(name) == seeds_of(name)
-        assert started_with(kept) > seeds_of(kept)
+        solve(changed)
+        new = cached_program()
+        stages = len(reshaped.vnfs) + 1
+        assert all(len(r) == stages for r in routes_of(new.cg_solver, new.flow, name))
+        kept = list(model.chains)[0]
+        assert routes_of(old.cg_solver, old.flow, kept) & routes_of(
+            new.cg_solver, new.flow, kept
+        )
 
     def test_clear_matrix_cache_forgets_the_predecessor(self):
         model = te_replan_model()
         solve(model)
-        clear_matrix_cache()
         remove_one(model)
         solve(model)
-        cold_rounds = last_solver().last_rounds
-        assert cold_rounds >= 9  # the cold count, not the carried one
+        carried_rounds = last_solver().last_rounds
+        clear_matrix_cache()
+        solve(model)
+        assert last_solver().last_rounds > carried_rounds  # the cold count
 
 
 class _Rejecting:
@@ -178,27 +171,22 @@ class _Rejecting:
 
 
 class TestHighsBoundary:
-    def test_restricted_master_arrives_as_sliced(self):
+    def test_the_master_is_one_column_per_route_on_the_kept_rows(self):
         model = te_replan_model()
         solve(model)
         program = cached_program()
-        ch = model.chain_columns()
-        matrix = program.matrix(
-            program.refresh(ch.stage_total, ch.stage_fwd, ch.stage_rev)
-        )
-        n = program.n_total
-        active = np.array([5, 3, 900, 17, 4000])
-        solver = highs_backend.ColumnGenSolver(program.flow)
-        solver._pass_restricted(
-            np.arange(n, dtype=float), matrix,
-            np.full(matrix.shape[0], -np.inf), np.ones(matrix.shape[0]),
-            np.zeros(n), np.ones(n), active,
-        )
-        assert solver._highs.getNumCol() == len(active)
-        assert solver._highs.getNumRow() == matrix.shape[0]
-        assert solver._highs.getNumNz() == matrix[:, active].nnz
+        solver = program.cg_solver
         lp = solver._highs.getLp()
-        assert list(lp.col_cost_) == [5.0, 3.0, 900.0, 17.0, 4000.0]
+        assert lp.num_col_ == len(solver.routes)
+        assert lp.num_row_ == len(solver.rows)
+        assert len(solver.rows) == len(program.b_ub)  # all but Equation 5's
+        assert np.isinf(lp.col_upper_).all() and not np.any(lp.col_lower_)
+        cost = lp_mod._cost_vector(
+            program, model.chain_columns(), LpObjective.MAX_THROUGHPUT, 1e-6
+        )
+        assert list(lp.col_cost_) == pytest.approx(
+            [cost[route[route >= 0]].sum() for route in solver.routes]
+        )
 
     def test_rejected_model_lands_in_linprog_with_the_right_optimum(self):
         model = te_replan_model()
@@ -212,7 +200,7 @@ class TestHighsBoundary:
         solver._highs = _Rejecting(solver._highs)
         metrics = MetricsRegistry()
         fallen = solve(model, metrics=metrics)
-        assert solver._active is None and solver._basis is None
+        assert solver.routes is None and solver.support() is None
         assert metrics.counter("lp.colgen_fallbacks").value == 1
 
         clear_matrix_cache()

@@ -1,18 +1,25 @@
-"""Column generation prices routes, not arcs.
+"""Column generation holds routes, not arcs.
 
-Each round ``ColumnGenSolver`` asks the structure's ``ChainFlow`` for
-every chain's cheapest ingress-to-egress route under the current reduced
-costs and adds the arcs of the improving ones.  Three things are checked:
+A column of ``ColumnGenSolver``'s master is one chain's ingress-to-egress
+route -- the sum of its arcs' columns, on the rows that sum does not
+cancel on -- and each round the structure's ``ChainFlow`` prices every
+chain's two cheapest routes out of different last-front sites under the
+current reduced costs.  What is checked:
 
 - the pricing step is the minimum over *all* routes (brute-force
-  enumeration), and conservation duals do not move it: a route enters a
+  enumeration), its second route the minimum over those through another
+  last site, and conservation duals move neither: a route enters a
   conservation row with +1 and leaves it with -1;
-- whatever the first restricted master was -- seed columns, the previous
-  optimum's pool and basis, a predecessor's carried support -- the solve
-  ends on the optimum ``linprog`` finds for the whole program;
-- a chain routed whole along one route (arcs non-basic at their upper
-  bound 1, so its cheapest route prices negative with nothing left to
-  add) ends the loop instead of spinning to ``MAX_ROUNDS``.
+- a route's column is the sum of its arcs' columns, exactly zero on the
+  conservation rows;
+- whatever the master started from -- nothing, the previous optimum's
+  routes and basis, a predecessor's carried support -- every solve ends
+  on the optimum ``linprog`` finds for the whole arc-flow program, and
+  the flows handed back conserve (Equation 5) to rounding;
+- no route enters a master twice, and no solve of the measured shapes
+  comes near the round cap;
+- a partition without capacity and a chain without a usable route, both
+  through the farm, are optima with slack coverage rows, not errors.
 """
 
 import random
@@ -20,19 +27,20 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from repro.core import capacity as capacity_mod
-from repro.core import lp as lp_mod
+from repro.core import formulation, lp as lp_mod
 from repro.core.capacity import plan_cloud_capacity
-from repro.core.highs import ColumnGenSolver
+from repro.core.highs import ColumnGenSolver, route_columns
 from repro.core.lp import LpObjective, matrix_cache_stats, solve_chain_routing_lp
+from repro.core.model import VNF
 from repro.obs.registry import MetricsRegistry
+from repro.scale import SolverFarm, farm as farm_mod
 from repro.scale.partition import _scaled_substrate
 from repro.topology import WorkloadConfig, build_backbone, generate_workload
 from repro.topology.cities import DEFAULT_CITIES
 from tests.reference.brute import enumerate_paths
-from tests.reference.capacity_scalar import plan_cloud_capacity_reference
-from tests.reference.lp_scalar import solve_chain_routing_lp_reference
 from tests.test_column_pool import cached_program, remove_and_add
 from tests.test_maintained_plan import solver_farm_bench_model
 from tests.test_program_fingerprints import regional_model, te_replan_model
@@ -40,6 +48,11 @@ from tests.test_vectorized_equivalence import make_model, small_models
 from tests.test_warm_start_contract import rescaled_demands, share_vector
 
 MAX_THROUGHPUT = LpObjective.MAX_THROUGHPUT
+
+
+def refreshed_matrix(program, model):
+    ch = model.chain_columns()
+    return program.matrix(program.refresh(ch.stage_total, ch.stage_fwd, ch.stage_rev))
 
 
 # -- (a) the pricing step ---------------------------------------------------
@@ -69,21 +82,34 @@ def route_variables(model, flow) -> dict:
 
 @settings(max_examples=60, deadline=None)
 @given(small_models(), st.integers(0, 1_000_000))
-def test_cheapest_route_is_the_minimum_over_all_routes(model, seed):
+def test_the_two_routes_are_minima_over_all_routes(model, seed):
     rng = np.random.default_rng(seed)
     program = lp_mod._RoutingProgram(model, MAX_THROUGHPUT, True)
-    flow, ch = program.flow, model.chain_columns()
-    matrix = program.matrix(program.refresh(ch.stage_total, ch.stage_fwd, ch.stage_rev))
+    flow = program.flow
+    matrix = refreshed_matrix(program, model)
     duals = rng.normal(size=matrix.shape[0])
     reduced = rng.normal(size=program.n_total) - matrix.T @ duals
     costs, arcs = flow.cheapest_paths(reduced)
+    assert costs.shape == (flow.n_chains, 2)
+    assert arcs.shape == (flow.n_chains, 2, flow.depth)
+
+    def price(route):
+        return reduced[list(route)].sum()
 
     for c, routes in enumerate(route_variables(model, flow).values()):
-        best = min(reduced[list(route)].sum() for route in routes)
-        assert costs[c] == pytest.approx(best, abs=1e-12)
-        found = tuple(arcs[c][arcs[c] >= 0])
+        found = tuple(arcs[c, 0][arcs[c, 0] >= 0])
         assert found in routes
-        assert reduced[list(found)].sum() == pytest.approx(costs[c], abs=1e-12)
+        assert costs[c, 0] == pytest.approx(min(map(price, routes)), abs=1e-12)
+        assert price(found) == pytest.approx(costs[c, 0], abs=1e-12)
+        # The second: the cheapest route whose last arc leaves another site.
+        others = [r for r in routes if r[-1] != found[-1]]
+        if not others:
+            assert costs[c, 1] == np.inf
+            continue
+        second = tuple(arcs[c, 1][arcs[c, 1] >= 0])
+        assert second in others
+        assert costs[c, 1] == pytest.approx(min(map(price, others)), abs=1e-12)
+        assert price(second) == pytest.approx(costs[c, 1], abs=1e-12)
 
     # The telescoping argument: MAX_THROUGHPUT's equality rows are the
     # conservation rows, and no dual on them moves any route's cost.
@@ -96,66 +122,123 @@ def test_cheapest_route_is_the_minimum_over_all_routes(model, seed):
     assert flow.cheapest_paths(moved)[0] == pytest.approx(costs, abs=1e-9)
 
 
-# -- (b) the optimum of the whole program, from any first master ---------------
+# -- (b) a route's column -----------------------------------------------------
 
 
-def generated(seed: int):
-    """Ten chains on eight cities: stages of 5 x 5 sites, of which the
-    seed columns hold four, so the rest has to be priced in."""
-    return make_model(seed=seed, num_chains=10)
-
-
-def assert_optimal(model, metrics) -> None:
-    ours = solve_chain_routing_lp(model, MAX_THROUGHPUT, metrics=metrics)
-    reference = solve_chain_routing_lp_reference(model, MAX_THROUGHPUT)
-    assert ours.ok and reference.ok
-    assert ours.objective == pytest.approx(reference.objective, rel=1e-6)
-    # ``linprog`` presolves, the restricted masters do not: under cut
-    # capacity shares the two stop up to 1.2e-9 apart (arc pricing too).
-    assert ours.solution.throughput() == pytest.approx(
-        reference.solution.throughput(), rel=1e-8
-    )
-    # At loads near 1e3 HiGHS's feasibility tolerance is 1e-6 absolute.
-    assert ours.solution.violations(tol=1e-5) == []
-
-
-@settings(max_examples=15, deadline=None)
-@given(seed=st.integers(0, 100_000))
-def test_routing_ends_on_the_linprog_optimum(seed):
-    rng = random.Random(seed)
+@pytest.mark.parametrize("build", [make_model, te_replan_model, regional_model])
+def test_a_route_column_is_the_sum_of_its_arcs_columns(build):
+    model = build()
     lp_mod.clear_matrix_cache()
+    assert solve_chain_routing_lp(model, MAX_THROUGHPUT).ok
+    program = cached_program()
+    solver, matrix = program.cg_solver, refreshed_matrix(program, model)
+    cons = np.setdiff1d(np.arange(matrix.shape[0]), solver.rows)
+    assert len(cons) == program.flow.n_cons > 0
+    assert len(solver.routes) > program.flow.n_chains
+
+    whole = route_columns(matrix, solver.routes).toarray()
+    for route, column in zip(solver.routes, whole.T):
+        arcs = route[route >= 0]
+        assert np.array_equal(column, matrix[:, arcs].toarray().sum(axis=1))
+    assert not whole[cons].any()  # +1 and -1: exactly zero, not about
+    # What the master holds is those columns without the rows of zeros.
+    held = solver._highs.getLp()
+    assert (held.num_col_, held.num_row_) == (len(solver.routes), len(solver.rows))
+    assert held.a_matrix_.value_ == pytest.approx(
+        route_columns(matrix[solver.rows], solver.routes).data
+    )
+
+
+# -- (c) the optimum of the whole program, from any first master ---------------
+
+
+def checked_against_linprog(monkeypatch) -> list:
+    """Every ``ColumnGenSolver.solve`` from here on is compared with
+    ``linprog`` on the program it was handed, and its flows checked;
+    returns the list the solvers that ran are appended to."""
+    honest, ran = ColumnGenSolver.solve, []
+
+    def solve(self, cost, matrix, row_lower, row_upper, col_lower, col_upper):
+        x, objective = honest(
+            self, cost, matrix, row_lower, row_upper, col_lower, col_upper
+        )
+        ran.append(self)
+        equal = row_lower == row_upper
+        reference = linprog(
+            cost, A_ub=matrix[~equal], b_ub=row_upper[~equal],
+            A_eq=matrix[equal], b_eq=row_upper[equal],
+            bounds=np.column_stack([col_lower, col_upper]), method="highs",
+        )
+        assert reference.success
+        assert objective == pytest.approx(reference.fun, rel=1e-7, abs=1e-9)
+        activity = matrix @ x
+        cons = np.setdiff1d(np.arange(matrix.shape[0]), self.rows)
+        assert len(cons) == self._flow.n_cons
+        assert np.abs(activity[cons]).max(initial=0.0) <= 1e-12  # Equation 5
+        scale = 1e-9 * (1.0 + np.abs(activity))
+        assert (activity <= row_upper + scale).all()  # coverage <= 1 among them
+        assert (activity >= row_lower - scale).all()
+        # HiGHS's primal feasibility tolerance, on a route's value too.
+        assert (x >= col_lower - 1e-7).all() and (x <= col_upper + 1e-7).all()
+        return x, objective
+
+    monkeypatch.setattr(ColumnGenSolver, "solve", solve)
+    return ran
+
+
+def routed_and_planned(model, metrics) -> None:
+    """Both zero-feasible programs on ``model``."""
+    assert solve_chain_routing_lp(model, MAX_THROUGHPUT, metrics=metrics).ok
+    total = sum(s.capacity for s in model.sites.values())
+    assert plan_cloud_capacity(model, 0.25 * total).alpha >= 0.0
+
+
+@pytest.mark.parametrize("build", [make_model, te_replan_model, regional_model])
+def test_every_solve_ends_on_the_linprog_optimum(build, monkeypatch):
+    ran = checked_against_linprog(monkeypatch)
+    lp_mod.clear_matrix_cache()
+    capacity_mod._CACHE.clear()
+    rng = random.Random(11)
     metrics = MetricsRegistry()
-    base = generated(seed)
-    assert_optimal(base, metrics)  # cold
-    assert_optimal(rescaled_demands(base, rng), metrics)  # pool and basis
-    shared = _scaled_substrate(base, share_vector(base, rng))
-    assert_optimal(shared.copy_with_chains(base.chains.values()), metrics)
+    model = build()
+    routed_and_planned(model, metrics)  # cold
+    model = rescaled_demands(model, rng)
+    routed_and_planned(model, metrics)  # the routes and basis of the last solve
     assert matrix_cache_stats()["matrix_rebuilds"] == 1
-    remove_and_add(base)  # a predecessor's support, carried
-    assert_optimal(base, metrics)
+    remove_and_add(model)
+    routed_and_planned(model, metrics)  # after chain churn
     assert matrix_cache_stats()["matrix_rebuilds"] == 2
+    shared = _scaled_substrate(model, share_vector(model, rng))
+    routed_and_planned(shared.copy_with_chains(model.chains.values()), metrics)
+    assert matrix_cache_stats()["matrix_rebuilds"] == 2  # shares are data
+    assert len(ran) == 8
     assert metrics.counter("lp.colgen_fallbacks").value == 0
 
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 100_000))
-def test_cloud_capacity_sweep_ends_on_the_linprog_optimum(seed):
-    """``a_s`` and ``alpha`` are not flows: always seeded, priced singly."""
-    capacity_mod._CACHE.clear()
-    model = generated(seed)
-    total = sum(s.capacity for s in model.sites.values())
-    for share in (0.0, 0.1, 0.5, 0.25):
-        ours = plan_cloud_capacity(model, share * total)
-        reference = plan_cloud_capacity_reference(model, share * total)
-        assert ours.alpha == pytest.approx(reference.alpha, rel=1e-6)
-        assert sum(ours.additional.values()) <= share * total * (1 + 1e-9) + 1e-9
-    assert capacity_mod._CACHE.stats()["matrix_rebuilds"] == 1
+def test_generated_models_end_on_the_linprog_optimum(seed):
+    """Ten chains on eight cities, cold, re-scaled, re-shared, churned."""
+    rng = random.Random(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        checked_against_linprog(patch)
+        lp_mod.clear_matrix_cache()
+        capacity_mod._CACHE.clear()
+        metrics = MetricsRegistry()
+        base = make_model(seed=seed, num_chains=10)
+        routed_and_planned(base, metrics)
+        routed_and_planned(rescaled_demands(base, rng), metrics)
+        shared = _scaled_substrate(base, share_vector(base, rng))
+        routed_and_planned(shared.copy_with_chains(base.chains.values()), metrics)
+        remove_and_add(base)
+        routed_and_planned(base, metrics)
+        assert metrics.counter("lp.colgen_fallbacks").value == 0
 
 
-# -- (c) the degenerate stop ---------------------------------------------------
+# -- (d) one chain, one route: the degenerate optimum ---------------------------
 
 
-def test_a_chain_routed_whole_on_one_route_ends_the_loop():
+def test_chains_routed_whole_on_one_route_end_the_loop():
     cities = DEFAULT_CITIES[:10]
     model = generate_workload(
         WorkloadConfig(
@@ -168,35 +251,33 @@ def test_a_chain_routed_whole_on_one_route_ends_the_loop():
     result = solve_chain_routing_lp(model, MAX_THROUGHPUT, metrics=metrics)
     assert result.ok and metrics.counter("lp.colgen_fallbacks").value == 0
     assert result.solution.throughput() == pytest.approx(model.total_demand())
-
-    program = cached_program()
-    solver, ch = program.cg_solver, model.chain_columns()
-    assert 1 < solver.last_rounds < ColumnGenSolver.MAX_ROUNDS
-    x = np.zeros(program.n_total)
-    x[solver._active] = solver._values
-    assert sorted(x[x > 0]) == pytest.approx([1.0] * int((x > 0).sum()))
-    # What the last round saw: a cheapest route that prices negative --
-    # and is in the master already, whole.
-    matrix = program.matrix(program.refresh(ch.stage_total, ch.stage_fwd, ch.stage_rev))
-    cost = lp_mod._cost_vector(program, ch, MAX_THROUGHPUT, 1e-6)
-    duals = np.asarray(solver._highs.getSolution().row_dual)
-    costs, arcs = program.flow.cheapest_paths(cost - matrix.T @ duals)
-    negative = arcs[costs < -ColumnGenSolver.PRICING_TOL]
-    assert negative.size
-    assert np.isin(negative[negative >= 0], solver._active).all()
-    assert x[negative[negative >= 0]] == pytest.approx(1.0)
+    solver = cached_program().cg_solver
+    # Each chain's cheapest route at zero duals carries all of it: the
+    # first pricing round finds nothing better and is the last.
+    assert solver.last_rounds == 1 and len(solver.routes) == 2
 
 
-# -- the round cap is a fallback that shows -----------------------------------
+# -- (e) no route twice, and the round cap is a fallback that shows ------------------
+
+
+def sixty_four_chains():
+    """The ``te_replan`` shape at four times the chains."""
+    config = WorkloadConfig(
+        num_chains=64, num_vnfs=12, coverage=0.5, seed=7, total_traffic=2000.0
+    )
+    return generate_workload(config, build_backbone(DEFAULT_CITIES))
 
 
 @pytest.mark.parametrize(
-    "build", [te_replan_model, regional_model, solver_farm_bench_model]
+    "build",
+    [te_replan_model, regional_model, sixty_four_chains, solver_farm_bench_model],
 )
-def test_no_solve_of_the_measured_models_reaches_the_round_cap(build):
-    """Hitting ``MAX_ROUNDS`` would still end "optimal", through
-    ``linprog`` at three times the cost: the counter says it did not,
-    cold, warm and after churn, with rounds to spare."""
+def test_no_route_is_added_twice_and_no_solve_nears_the_round_cap(build):
+    """HiGHS stops at a dual tolerance of 1e-7, pricing at 1e-9: a route
+    the master holds can price negative again and must not be re-added
+    (the loop would spin to ``MAX_ROUNDS``, then end "optimal" through
+    ``linprog`` at several times the cost -- the counter says it did
+    not), cold, warm and after churn, with rounds to spare."""
     metrics = MetricsRegistry()
     model = build()
     rng = random.Random(0)
@@ -213,9 +294,69 @@ def test_no_solve_of_the_measured_models_reaches_the_round_cap(build):
         if change is not None:
             model = change(model)
         assert solve_chain_routing_lp(model, MAX_THROUGHPUT, metrics=metrics).ok
-        rounds.append(cached_program().cg_solver.last_rounds)
+        solver = cached_program().cg_solver
+        rounds.append(solver.last_rounds)
+        assert len({route.tobytes() for route in solver.routes}) == len(solver.routes)
     assert metrics.counter("lp.colgen_fallbacks").value == 0
     assert max(rounds) <= ColumnGenSolver.MAX_ROUNDS // 3, rounds
     assert matrix_cache_stats() == {
         "matrix_reuse_hits": 3, "matrix_rebuilds": 2, "cached_structures": 2,
     }
+
+
+# -- (f) nothing to route is an optimum, not an error --------------------------------
+
+
+def refuse_linprog(monkeypatch) -> None:
+    def refused(*_program):
+        raise AssertionError("column generation fell back to linprog")
+
+    monkeypatch.setattr(formulation, "run_linprog", refused)
+
+
+def test_a_partition_with_zero_capacity_shares_solves_to_nothing(monkeypatch):
+    """Every contended budget of one partition cut to nothing: its routes
+    are columns no flow fits on, its coverage rows stay slack, the master
+    is feasible at zero -- an optimum of column generation, not a
+    ``ColumnGenError``."""
+    refuse_linprog(monkeypatch)
+    plan_of = farm_mod.partition_chains
+
+    def starved(model, max_chains, previous=None):
+        plan = plan_of(model, max_chains, previous)
+        plan._shares[0] = dict.fromkeys(plan._shares[0], 0.0)
+        return plan
+
+    monkeypatch.setattr(farm_mod, "partition_chains", starved)
+    model = te_replan_model()
+    farm = SolverFarm(partition_size=4, max_workers=1)
+    result = farm.solve(model)
+    assert result.ok and not result.fallback and len(result.solved) == 4
+    assert result.solution.violations() == []
+    starved_chains = farm.plan.partitions[0].chains
+    routed = [result.solution.routed_fraction(name) for name in model.chains]
+    assert max(result.solution.routed_fraction(c) for c in starved_chains) < 1.0
+    assert max(routed) == pytest.approx(1.0)
+
+
+def test_a_chain_whose_last_front_is_blocked_stays_unrouted(monkeypatch):
+    """No capacity at any site of one VNF: the chains through it have
+    routes -- columns -- but none that can carry flow."""
+    refuse_linprog(monkeypatch)
+    model = te_replan_model()
+    blocked = next(iter(model.chains.values())).vnfs[-1]
+    model = model.copy_with_vnfs([
+        VNF(v.name, v.load_per_unit, dict.fromkeys(v.site_capacity, 0.0))
+        if v.name == blocked else v
+        for v in model.vnfs.values()
+    ]).copy_with_chains(model.chains.values())
+    stuck = [c.name for c in model.chains.values() if blocked in c.vnfs]
+    assert 0 < len(stuck) < len(model.chains)
+    for farm in (SolverFarm(partition_size=None), SolverFarm(4, max_workers=1)):
+        result = farm.solve(model)
+        assert result.ok and not result.fallback
+        assert result.solution.violations() == []
+        for name in model.chains:
+            routed = result.solution.routed_fraction(name)
+            assert (routed == 0.0) if name in stuck else (routed >= 0.0)
+        assert result.solution.throughput() > 0.0

@@ -90,14 +90,13 @@ def _bounds_array(bounds) -> np.ndarray:
     )
 
 
-def _cg_solve(self, cost, matrix, row_lower, row_upper, col_lower, col_upper,
-              **_seeds):
+def _cg_solve(self, cost, matrix, row_lower, row_upper, col_lower, col_upper):
     raise _Captured(_digest(
         cost, matrix, row_lower, row_upper, col_lower, col_upper,
     ))
 
 
-def _cg_refuse(self, *_program, **_seeds):
+def _cg_refuse(self, *_program):
     raise highs_backend.ColumnGenError("refused for the test")
 
 
