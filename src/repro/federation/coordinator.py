@@ -318,7 +318,7 @@ class GlobalCoordinator:
         last result."""
         start = time.perf_counter()
         by_region: dict[int, set[str]] = {}
-        for name in set(changed_chains):
+        for name in dict.fromkeys(changed_chains):  # caller order, not hash order
             chain = self.model.chains.get(name)
             if chain is None:
                 raise FederationError(f"unknown chain {name!r}")

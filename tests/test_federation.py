@@ -1,6 +1,12 @@
 """Tests for the federated control plane: shard map, regional 2PC
 participant, cross-shard split + install, invariants, and the soak."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.lp import LpObjective
@@ -549,3 +555,52 @@ class TestSoak:
         assert report["counts"]["submit"] > 0
         assert report["counts"]["resolve"] > 0
         assert report["final_status"] == "optimal"
+
+
+# -- hash order is not an input ------------------------------------------------
+
+_RESOLVE_SCRIPT = """
+import json, random
+from repro.core.highs import ColumnGenSolver
+from tests.test_feasibility_certificate import federation, rescale
+
+objectives = []
+solve = ColumnGenSolver.solve
+
+def recording(self, *program):
+    x, objective = solve(self, *program)
+    objectives.append(objective)
+    return x, objective
+
+ColumnGenSolver.solve = recording
+coordinator = federation()
+coordinator.plan_all()
+rng = random.Random(4)
+for _ in range(3):
+    assert coordinator.resolve(coordinator.model, rescale(coordinator, rng, 6)).ok
+orders = [list(r.model.chains) for _, r in sorted(coordinator.regionals.items())]
+print(json.dumps([objectives, orders]))
+"""
+
+
+def test_resolve_does_not_depend_on_the_hash_seed():
+    """``resolve`` pushes the changed chains' demands into the regional
+    models in the caller's order, so every process leaves the same
+    regional models behind and solves the same programs.  (A ``set`` of
+    names walked them in ``str``-hash order; a regional model's chain
+    order is the order its partitioner pre-routes re-scaled chains in,
+    which decides the capacity shares of the next solves.)"""
+    root = Path(__file__).resolve().parent.parent
+
+    def solved(hash_seed: str) -> list:
+        done = subprocess.run(
+            [sys.executable, "-c", _RESOLVE_SCRIPT], cwd=root, check=True,
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed,
+                 "PYTHONPATH": str(root / "src")},
+        )
+        return json.loads(done.stdout)
+
+    objectives, orders = first = solved("1")
+    assert len(objectives) > 6 and all(orders)
+    assert first == solved("2") == solved("3")
