@@ -366,11 +366,11 @@ class Program:
         # warm-startable, stays with this structure across solves.
         kept = np.ones(n_rows, dtype=bool)
         kept[len(self.b_ub) + self._cons_rows] = False
-        entries = np.flatnonzero(kept[self._indices])
+        entries = kept[self._indices]
         self.cg_solver = highs_backend.ColumnGenSolver(
             self.flow, np.flatnonzero(kept), entries,
             (np.cumsum(kept) - 1).astype(idx_dtype)[self._indices[entries]],
-            np.searchsorted(entries, self._indptr).astype(idx_dtype),
+            np.concatenate([[0], np.cumsum(entries)]).astype(idx_dtype)[self._indptr],
         )
 
     def refresh(self, stage_total, stage_fwd, stage_rev) -> np.ndarray:
