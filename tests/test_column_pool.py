@@ -103,7 +103,8 @@ class TestCarriedPool:
 
         assert stream() == stream()
 
-    def test_what_is_carried_is_the_support_of_the_shared_chains(self):
+    def test_what_is_carried_is_the_support_next_to_the_seeds(self):
+        """The seeds of a route master: every chain's cheapest route."""
         model = te_replan_model()
         solve(model)
         old = cached_program()

@@ -41,6 +41,7 @@ from repro.scale.partition import _scaled_substrate
 from repro.topology import WorkloadConfig, build_backbone, generate_workload
 from repro.topology.cities import DEFAULT_CITIES
 from tests.reference.brute import enumerate_paths
+from tests.reference.capacity_scalar import plan_cloud_capacity_reference
 from tests.test_column_pool import cached_program, remove_and_add
 from tests.test_maintained_plan import solver_farm_bench_model
 from tests.test_program_fingerprints import regional_model, te_replan_model
@@ -82,7 +83,8 @@ def route_variables(model, flow) -> dict:
 
 @settings(max_examples=60, deadline=None)
 @given(small_models(), st.integers(0, 1_000_000))
-def test_the_two_routes_are_minima_over_all_routes(model, seed):
+def test_cheapest_route_is_the_minimum_over_all_routes(model, seed):
+    """And the second route the minimum over those through another last site."""
     rng = np.random.default_rng(seed)
     program = lp_mod._RoutingProgram(model, MAX_THROUGHPUT, True)
     flow = program.flow
@@ -217,7 +219,7 @@ def test_every_solve_ends_on_the_linprog_optimum(build, monkeypatch):
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 100_000))
-def test_generated_models_end_on_the_linprog_optimum(seed):
+def test_routing_ends_on_the_linprog_optimum(seed):
     """Ten chains on eight cities, cold, re-scaled, re-shared, churned."""
     rng = random.Random(seed)
     with pytest.MonkeyPatch.context() as patch:
@@ -235,10 +237,26 @@ def test_generated_models_end_on_the_linprog_optimum(seed):
         assert metrics.counter("lp.colgen_fallbacks").value == 0
 
 
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_cloud_capacity_sweep_ends_on_the_linprog_optimum(seed):
+    """``a_s`` and ``alpha`` are not flows: columns of the first master,
+    one budget after the other on the one cached structure."""
+    capacity_mod._CACHE.clear()
+    model = make_model(seed=seed, num_chains=10)
+    total = sum(s.capacity for s in model.sites.values())
+    for share in (0.0, 0.1, 0.5, 0.25):
+        ours = plan_cloud_capacity(model, share * total)
+        reference = plan_cloud_capacity_reference(model, share * total)
+        assert ours.alpha == pytest.approx(reference.alpha, rel=1e-6)
+        assert sum(ours.additional.values()) <= share * total * (1 + 1e-9) + 1e-9
+    assert capacity_mod._CACHE.stats()["matrix_rebuilds"] == 1
+
+
 # -- (d) one chain, one route: the degenerate optimum ---------------------------
 
 
-def test_chains_routed_whole_on_one_route_end_the_loop():
+def test_a_chain_routed_whole_on_one_route_ends_the_loop():
     cities = DEFAULT_CITIES[:10]
     model = generate_workload(
         WorkloadConfig(
@@ -272,7 +290,7 @@ def sixty_four_chains():
     "build",
     [te_replan_model, regional_model, sixty_four_chains, solver_farm_bench_model],
 )
-def test_no_route_is_added_twice_and_no_solve_nears_the_round_cap(build):
+def test_no_solve_of_the_measured_models_reaches_the_round_cap(build):
     """HiGHS stops at a dual tolerance of 1e-7, pricing at 1e-9: a route
     the master holds can price negative again and must not be re-added
     (the loop would spin to ``MAX_ROUNDS``, then end "optimal" through
