@@ -72,9 +72,9 @@ class ColumnGenSolver:
     One instance corresponds to one constraint-matrix *structure* and is
     made with its ``flow`` (a :class:`~repro.core.formulation.ChainFlow`:
     the first ``n_flow`` columns are chain flows) and the rows a route
-    does not cancel on -- all but Equation 5's -- as ``rows`` and the
-    share ``(entries, indices, indptr)`` of the program's CSC pattern on
-    them.  A master column is a row of :attr:`routes`: one chain's
+    does not cancel on -- all but Equation 5's -- as ``rows``, with the
+    program's CSC pattern on them: which ``entries`` of it (a mask),
+    their row ``indices`` and the ``indptr``.  A master column is a row of :attr:`routes`: one chain's
     ingress-to-egress route, the sum of its arcs' columns, or one of the
     columns past ``n_flow`` on its own.  The caller caches instances keyed
     on the model's structure digest and calls :meth:`solve` with refreshed

@@ -603,4 +603,4 @@ def test_resolve_does_not_depend_on_the_hash_seed():
 
     objectives, orders = first = solved("1")
     assert len(objectives) > 6 and all(orders)
-    assert first == solved("2") == solved("3")
+    assert first == solved("2")
