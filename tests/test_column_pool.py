@@ -87,7 +87,11 @@ class TestCarriedPool:
         clear_matrix_cache()
         cold = solve(model)
         assert carried.objective == pytest.approx(cold.objective, rel=1e-7)
-        assert carried_rounds <= last_solver().last_rounds
+        cold_rounds = last_solver().last_rounds
+        if build is te_replan_model:
+            assert carried_rounds < cold_rounds
+        else:  # a regional partition's cold master is two or three rounds
+            assert carried_rounds <= cold_rounds
 
     def test_the_same_op_stream_twice_gives_equal_results(self):
         def stream():

@@ -178,9 +178,13 @@ def test_shares_reach_the_program_as_right_hand_side(seed, objective):
         warm = solve_chain_routing_lp(model, objective)
         clear_matrix_cache()
         cold = solve_chain_routing_lp(model, objective)
-        # A solve that takes about the limit ends either side of it.
-        assert warm.status == cold.status or "time limit" in (warm.status, cold.status)
-        if cold.ok and warm.ok:
+        # A MIN_MLU draw (linprog on the whole program, no column
+        # generation) whose solve takes about the limit ends either side
+        # of it (seed 708); every other objective's statuses must agree.
+        at_the_limit = objective is LpObjective.MIN_MLU and "time limit" in (
+            warm.status, cold.status)
+        assert warm.status == cold.status or at_the_limit
+        if cold.ok and not at_the_limit:
             assert warm.objective == pytest.approx(cold.objective, rel=1e-7)
             # MIN_MLU's beta is free; and at these loads (about 1e3)
             # HiGHS's own feasibility tolerance is 1e-6 absolute, cold too.
