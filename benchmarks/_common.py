@@ -3,15 +3,9 @@
 Every bench writes its paper-style table both to stdout and to
 ``benchmarks/results/<name>.txt`` so the numbers recorded in
 EXPERIMENTS.md can be regenerated with
-``pytest benchmarks/ --benchmark-only``.
-
-Besides the pytest entry points, every suite registers its measured
-function with :data:`REGISTRY` via the :func:`register_bench`
-decorator.  ``python -m repro bench`` (the ``repro.bench`` runner)
-imports the same modules, pulls the registered callables out of the
-registry, and times them with warmup/repeat control -- no pytest
-involved -- emitting machine-readable ``BENCH_<suite>.json`` documents
-next to the human-readable tables.
+``pytest benchmarks --ignore=benchmarks/ledger --benchmark-disable``.
+The benches reproduce the paper's figure *shapes* and assert on them;
+the perf instrument is the ledger (``benchmarks/ledger/README.md``).
 
 Scale note: the paper's Section 7.3 simulations use the full AT&T
 backbone with 10 000 chains and CPLEX; this harness runs the identical
@@ -23,11 +17,9 @@ reproduction target, not absolute Gbps.
 
 from __future__ import annotations
 
-import inspect
 import os
 import tempfile
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import pytest
 
@@ -37,80 +29,6 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 def metrics_enabled() -> bool:
     """True when the REPRO_METRICS environment variable opts in."""
     return os.environ.get("REPRO_METRICS", "0") not in ("", "0")
-
-
-@dataclass(frozen=True)
-class BenchSuite:
-    """One registered benchmark suite: a measured callable plus its
-    timing policy and comparison tolerances.
-
-    ``fn`` is the exact function the pytest benchmark times via
-    ``benchmark.pedantic`` -- registration adds a second, pytest-free
-    entry point to the same code, it never forks the measured path.
-    """
-
-    name: str
-    fn: Callable[..., object]
-    module: str
-    warmup: int = 1
-    repeats: int = 3
-    #: Builds the scenario's NetworkModel so the result document can
-    #: embed its content digest (``None`` for suites without one model).
-    model_factory: Callable[[], object] | None = None
-    #: Whether ``fn`` accepts a ``metrics=`` registry (REPRO_METRICS=1).
-    accepts_metrics: bool = False
-    #: Per-suite comparison tolerances (see ``repro.bench.compare``):
-    #: a run regresses when its median exceeds the baseline median by
-    #: more than ``max(rel_tol * baseline_median, k * pooled_stddev)``.
-    rel_tol: float = 0.25
-    k: float = 3.0
-    tags: tuple[str, ...] = field(default_factory=tuple)
-
-
-#: Suite name -> BenchSuite, populated at import time by the
-#: ``bench_*.py`` modules.  ``repro.bench.discovery`` imports those
-#: modules and reads this mapping.
-REGISTRY: dict[str, BenchSuite] = {}
-
-
-def register_bench(
-    name: str,
-    *,
-    warmup: int = 1,
-    repeats: int = 3,
-    model_factory: Callable[[], object] | None = None,
-    rel_tol: float = 0.25,
-    k: float = 3.0,
-    tags: Sequence[str] = (),
-) -> Callable[[Callable[..., object]], Callable[..., object]]:
-    """Register ``fn`` as the measured entry point of suite ``name``.
-
-    By convention ``name`` equals the module filename minus its
-    ``bench_`` prefix, so ``python -m repro bench --suites X`` knows to
-    import ``bench_X.py`` without importing everything else.  The
-    decorated function is returned unchanged -- pytest keeps calling it
-    through ``benchmark.pedantic`` exactly as before.
-    """
-
-    def decorator(fn: Callable[..., object]) -> Callable[..., object]:
-        accepts_metrics = "metrics" in inspect.signature(fn).parameters
-        if name in REGISTRY and REGISTRY[name].fn is not fn:
-            raise ValueError(f"duplicate bench suite registration: {name!r}")
-        REGISTRY[name] = BenchSuite(
-            name=name,
-            fn=fn,
-            module=fn.__module__,
-            warmup=warmup,
-            repeats=repeats,
-            model_factory=model_factory,
-            accepts_metrics=accepts_metrics,
-            rel_tol=rel_tol,
-            k=k,
-            tags=tuple(tags),
-        )
-        return fn
-
-    return decorator
 
 
 @pytest.fixture
@@ -157,10 +75,10 @@ def format_table(
 def write_atomic(path: str, text: str) -> None:
     """Write ``text`` to ``path`` atomically (tmp file + ``os.replace``).
 
-    Parallel benchmark runs (``pytest -n``) and the ``repro.bench``
-    runner may emit the same result file concurrently; the unique tmp
-    name keeps writers from clobbering each other mid-write and the
-    rename makes the final file appear whole or not at all.
+    Parallel benchmark runs (``pytest -n``) may emit the same result
+    file concurrently; the unique tmp name keeps writers from
+    clobbering each other mid-write and the rename makes the final
+    file appear whole or not at all.
     """
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)

@@ -18,7 +18,7 @@ It also reports the DHT's costs: remote lookups and rebalance transfers.
 
 import random
 
-from _common import emit, fmt, format_table, register_bench
+from _common import emit, fmt, format_table
 
 from repro.dataplane.dht import DhtFlowTableView, ReplicatedFlowTable
 from repro.dataplane.forwarder import DataPlane, Forwarder, VnfInstance
@@ -114,7 +114,6 @@ def run_mode(mode: str):
     return preserved / NUM_FLOWS, remote, transfers
 
 
-@register_bench("ablation_dht_flowtable")
 def run_ablation():
     return {mode: run_mode(mode) for mode in ("private", "dht1", "dht2")}
 

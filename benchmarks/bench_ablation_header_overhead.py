@@ -12,14 +12,13 @@ chains grow, and goodput efficiency at the paper's two reference packet
 sizes (64 B minimum and 500 B average).
 """
 
-from _common import emit, fmt, format_table, register_bench
+from _common import emit, fmt, format_table
 
 from repro.dataplane.headers import compare_overheads
 
 CHAIN_LENGTHS = (1, 2, 3, 5, 8, 12)
 
 
-@register_bench("ablation_header_overhead", warmup=1, repeats=5)
 def run_bench():
     return [compare_overheads(n) for n in CHAIN_LENGTHS]
 

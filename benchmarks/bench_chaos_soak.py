@@ -9,7 +9,7 @@ site outage (capacity is provisioned for it), and honest accounting
 (every fault-induced loss shows up in the drop-reason tally).
 """
 
-from _common import emit, fmt, format_table, register_bench
+from _common import emit, fmt, format_table
 
 from repro.chaos import SoakConfig, run_soak
 
@@ -17,7 +17,6 @@ SEEDS = (1, 2, 3, 4, 5)
 DURATION_S = 30.0
 
 
-@register_bench("chaos_soak", warmup=0, repeats=1)
 def run_soaks():
     reports = []
     for seed in SEEDS:

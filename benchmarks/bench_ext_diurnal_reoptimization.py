@@ -15,7 +15,7 @@ threshold over the day.
 
 import random
 
-from _common import emit, fmt, format_table, register_bench
+from _common import emit, fmt, format_table
 
 from repro.controller import (
     ChainSpecification,
@@ -105,7 +105,6 @@ def run_day(threshold: float):
     return reroutes, min(carried_shares), sum(carried_shares) / len(carried_shares)
 
 
-@register_bench("ext_diurnal_reoptimization", warmup=0, repeats=1)
 def run_bench():
     return {t: run_day(t) for t in THRESHOLDS}
 

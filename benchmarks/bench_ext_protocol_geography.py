@@ -16,7 +16,7 @@ chain-creation latency.
 
 import random
 
-from _common import emit, fmt, format_table, register_bench
+from _common import emit, fmt, format_table
 
 from repro.bus.bus import make_bus
 from repro.controller import (
@@ -77,7 +77,6 @@ def install_once(gs_site: str, wan_delay_s: float) -> float:
     return timeline.total_s
 
 
-@register_bench("ext_protocol_geography")
 def run_bench():
     rows = []
     for placement, gs_site in zip(GS_PLACEMENTS, SITES):

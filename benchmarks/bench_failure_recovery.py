@@ -17,7 +17,7 @@ planning.
 
 import random
 
-from _common import emit, fmt, format_table, register_bench
+from _common import emit, fmt, format_table
 
 from repro.controller import (
     ChainSpecification,
@@ -83,7 +83,6 @@ def busiest_site(gs: GlobalSwitchboard) -> str:
     return max(loads, key=loads.get)
 
 
-@register_bench("failure_recovery", warmup=0, repeats=2)
 def run_failure_recovery():
     rows = []
     for headroom in HEADROOM:

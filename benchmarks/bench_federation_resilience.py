@@ -11,7 +11,7 @@ the resilience costs: how fast the standby recovers the control plane
 after the crash, and how much work the degraded/queued paths carried.
 """
 
-from _common import emit, fmt, format_table, register_bench
+from _common import emit, fmt, format_table
 
 from repro.federation import FederationChaosConfig, run_federation_chaos
 
@@ -19,7 +19,6 @@ SEEDS = (1, 2, 3, 4, 5)
 DURATION_S = 40.0
 
 
-@register_bench("federation_resilience", warmup=0, repeats=1)
 def run_soaks():
     reports = []
     for seed in SEEDS:

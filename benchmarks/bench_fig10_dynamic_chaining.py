@@ -17,7 +17,7 @@ via the Global Switchboard + E2E model.
 import random
 
 import pytest
-from _common import emit, fmt, format_table, register_bench
+from _common import emit, fmt, format_table
 
 from repro.controller import (
     ChainSpecification,
@@ -100,7 +100,6 @@ def run_data_plane():
     return one, two
 
 
-@register_bench("fig10_dynamic_chaining")
 def run_figure10():
     timeline = simulate_chain_route_update()
     control = run_control_plane()

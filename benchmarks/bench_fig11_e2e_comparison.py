@@ -26,7 +26,7 @@ TCP bound on lossy wide-area hops).
 
 from dataclasses import dataclass
 
-from _common import emit, fmt, format_table, register_bench
+from _common import emit, fmt, format_table
 
 from repro.core.baselines import route_anycast, route_compute_aware
 from repro.core.lp import LpObjective, solve_chain_routing_lp
@@ -106,7 +106,6 @@ def evaluate_on_testbed(
     return bed.evaluate()
 
 
-@register_bench("fig11_e2e_comparison", warmup=0, repeats=1)
 def run_figure11():
     results = {}
     for config in TESTBEDS:

@@ -21,7 +21,7 @@ are the reproduction target.
 import os
 from functools import lru_cache
 
-from _common import emit, fmt, format_table, register_bench
+from _common import emit, fmt, format_table
 
 from repro.core.baselines import route_anycast, scale_to_capacity
 from repro.core.dp import route_chains_dp
@@ -110,9 +110,6 @@ def run_figure12c():
     return rows
 
 
-@register_bench(
-    "fig12_te_comparison", warmup=0, repeats=1, model_factory=make_model
-)
 def run_figure12():
     return run_figure12a(), run_figure12b(), run_figure12c()
 

@@ -7,9 +7,7 @@ SB-DP only at high coverage (>= 0.75), where the shortest-latency site
 is usually good enough; ONEHOP stays behind at every coverage.
 """
 
-from functools import partial
-
-from _common import emit, fmt, format_table, register_bench
+from _common import emit, fmt, format_table
 
 from repro.core.dp import DpConfig, route_chains_dp
 from repro.topology import WorkloadConfig, build_backbone, generate_workload
@@ -32,9 +30,6 @@ def make_model(coverage):
     return generate_workload(config, build_backbone(CITIES))
 
 
-@register_bench(
-    "fig13a_dp_ablation", model_factory=partial(make_model, 0.5)
-)
 def run_figure13a():
     rows = []
     for coverage in COVERAGES:

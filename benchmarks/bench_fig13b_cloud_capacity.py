@@ -6,7 +6,7 @@ traffic scale factor alpha) improves maximum sustainable throughput by
 up to 22% over provisioning the same budget uniformly across sites.
 """
 
-from _common import emit, fmt, format_table, register_bench
+from _common import emit, fmt, format_table
 
 from repro.core.capacity import max_alpha, plan_cloud_capacity, uniform_cloud_plan
 from repro.topology import WorkloadConfig, build_backbone, generate_workload
@@ -30,7 +30,6 @@ def make_model():
     return generate_workload(config, build_backbone(CITIES))
 
 
-@register_bench("fig13b_cloud_capacity", model_factory=make_model)
 def run_figure13b():
     model = make_model()
     base_alpha = max_alpha(model)

@@ -7,7 +7,7 @@ chain latency than selecting the new sites at random.
 
 import random
 
-from _common import emit, fmt, format_table, register_bench
+from _common import emit, fmt, format_table
 
 from repro.core.capacity import plan_vnf_placement, random_vnf_placement
 from repro.core.lp import LpObjective, solve_chain_routing_lp
@@ -41,9 +41,6 @@ def weighted_latency(model) -> float:
     return result.objective
 
 
-@register_bench(
-    "fig13c_vnf_placement", warmup=0, repeats=2, model_factory=make_model
-)
 def run_figure13c():
     model = make_model()
     quotas = {name: NEW_SITES_PER_VNF for name in model.vnfs}

@@ -6,14 +6,13 @@ overhead shrinking as concurrent flows grow from 1 to 50; beyond that,
 OVS scales poorly in the number of flows.
 """
 
-from _common import emit, fmt, format_table, register_bench
+from _common import emit, fmt, format_table
 
 from repro.dataplane.perfmodel import OvsForwarderModel
 
 FLOW_POINTS = (1, 2, 5, 10, 20, 50)
 
 
-@register_bench("fig7_ovs_overhead", warmup=1, repeats=5)
 def run_figure7():
     model = OvsForwarderModel()
     rows = []

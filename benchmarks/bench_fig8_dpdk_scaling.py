@@ -8,12 +8,11 @@ far exceeds the CPU cache; 1 ms latency at peak load, tens of
 microseconds otherwise.
 """
 
-from _common import emit, fmt, format_table, register_bench
+from _common import emit, fmt, format_table
 
 from repro.dataplane.perfmodel import DpdkForwarderModel, pps_to_gbps
 
 
-@register_bench("fig8_dpdk_scaling", warmup=1, repeats=5)
 def run_figure8():
     model = DpdkForwarderModel()
     core_rows = []

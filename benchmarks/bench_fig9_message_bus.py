@@ -8,7 +8,7 @@ overflows its buffers (drops), while the bus sends one copy per
 subscribed *site*.
 """
 
-from _common import emit, fmt, format_table, register_bench
+from _common import emit, fmt, format_table
 
 from repro.bus import Topic, make_bus, make_full_mesh_bus
 
@@ -44,7 +44,6 @@ def run_bus(make, metrics=None):
     return bus.stats
 
 
-@register_bench("fig9_message_bus")
 def run_figure9(metrics=None):
     return run_bus(make_bus, metrics), run_bus(make_full_mesh_bus, metrics)
 

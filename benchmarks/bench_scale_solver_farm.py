@@ -12,9 +12,13 @@ direct-HiGHS backend the *monolithic* solve is no longer superlinearly
 slow at this size, so the farm's edge is amortization, not raw cold
 wall time:
 
-- cold farm solve stays within a small factor of monolithic (the
-  decomposition overhead -- partitioning plus per-partition solver
-  setup -- is bounded);
+- cold farm solve stays within ``COLD_OVERHEAD_FACTOR`` (6x) of
+  monolithic: the decomposition overhead -- partitioning plus eight
+  per-partition solver set-ups -- is bounded.  The factor was 3x while
+  the monolithic solve took ~0.4 s; column generation over route
+  columns (DESIGN.md section 9) cut that to ~0.05 s and the cold farm
+  solve only to ~0.2 s, so the ratio rose to 3.2-4.2x over twenty runs
+  on a 2-vCPU Xeon, and 6x leaves ~1.4x headroom over the worst;
 - merged-objective optimality gap vs. the documented
   ``DEFAULT_GAP_TOLERANCE`` contract;
 - warm-cache re-solve (every partition a cache hit) beats monolithic
@@ -31,7 +35,7 @@ incomparable.
 
 import time
 
-from _common import emit, fmt, format_table, register_bench
+from _common import emit, fmt, format_table
 
 from repro.core.lp import (
     LpObjective,
@@ -46,6 +50,7 @@ from repro.topology.cities import DEFAULT_CITIES
 CITIES = DEFAULT_CITIES[:14]
 NUM_CHAINS = 128
 PARTITION_SIZE = 16
+COLD_OVERHEAD_FACTOR = 6.0
 
 
 def make_model():
@@ -61,9 +66,6 @@ def make_model():
     return generate_workload(config, build_backbone(CITIES))
 
 
-@register_bench(
-    "scale_solver_farm", warmup=0, repeats=2, model_factory=make_model
-)
 def run_solver_farm():
     clear_matrix_cache()
     model = make_model()
@@ -154,7 +156,7 @@ def test_scale_solver_farm(benchmark):
     cold_s, warm_s, incr_s = rows[1][1], rows[2][1], rows[3][1]
     # Acceptance: decomposition overhead bounded on the cold solve, gap
     # within the documented tolerance, zero constraint violations.
-    assert cold_s <= 3.0 * mono_s
+    assert cold_s <= COLD_OVERHEAD_FACTOR * mono_s
     assert gap <= DEFAULT_GAP_TOLERANCE
     assert not cold_violations
     assert not incr.solution.violations()

@@ -13,7 +13,7 @@ here usually means schedule composition or the install path under
 degraded links got slower.
 """
 
-from _common import emit, format_table, register_bench
+from _common import emit, format_table
 
 from repro.bus.bus import proxy_name
 from repro.chaos import ScenarioConfig, SoakConfig, generate_scenario, run_soak
@@ -48,7 +48,6 @@ def run_one(seed: int):
     return workload, report
 
 
-@register_bench("scenario_flash_crowd", warmup=1, repeats=3)
 def run_bench():
     return {seed: run_one(seed) for seed in SEEDS}
 

@@ -13,7 +13,7 @@ schedule applied so a generator change that silently shrinks the
 workload is visible in review.
 """
 
-from _common import emit, format_table, register_bench
+from _common import emit, format_table
 
 from repro.chaos import Scenario, SoakConfig, run_soak
 from repro.scenarios import generate
@@ -32,7 +32,6 @@ def run_one(seed: int):
     return workload, report
 
 
-@register_bench("scenario_zipf_mix", warmup=1, repeats=3)
 def run_bench():
     return {seed: run_one(seed) for seed in SEEDS}
 

@@ -6,7 +6,7 @@ stays below 600 ms, so a chain extends to a new edge site within the
 first packet's connection-setup budget.
 """
 
-from _common import emit, fmt, format_table, register_bench
+from _common import emit, fmt, format_table
 
 from repro.controller.timing import (
     PAPER_TABLE2_MS,
@@ -14,7 +14,6 @@ from repro.controller.timing import (
 )
 
 
-@register_bench("table2_edge_addition", warmup=1, repeats=5)
 def run_table2():
     return simulate_edge_site_addition()
 

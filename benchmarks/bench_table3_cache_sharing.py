@@ -10,7 +10,7 @@ relative improvement) and a 56.49 ms vs 70.02 ms mean download time
 (19% better).
 """
 
-from _common import emit, fmt, format_table, register_bench
+from _common import emit, fmt, format_table
 
 from repro.vnf.cache import run_cache_experiment
 
@@ -38,7 +38,6 @@ PARAMS = dict(
 )
 
 
-@register_bench("table3_cache_sharing")
 def run_table3():
     shared = run_cache_experiment(shared=True, **PARAMS)
     siloed = run_cache_experiment(shared=False, **PARAMS)

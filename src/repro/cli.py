@@ -12,13 +12,11 @@ Usage::
     python -m repro federation [--pops N] [--chains N] [--regions K] [--soak OPS]
     python -m repro chaos [--seed N] [--duration S] [--json] [--out [FILE]]
     python -m repro fuzz [--seed N] [--cases N] [--budget S] [--plant] [--out [FILE]]
-    python -m repro bench [--suites A,B] [--compare] [--update-baselines] [--out DIR]
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -193,8 +191,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     Three phases share one simulator and one registry: a bus-driven
     chain installation (2PC stage timings), a pub/sub load phase that
     overloads site A's WAN uplink (queueing-delay histograms and
-    WAN-drop counters), and one run of each solver (wall-clock
-    timings).
+    WAN-drop counters), and one run of each solver (``solver.*`` /
+    ``lp.*`` counters).
     """
     import random
 
@@ -212,7 +210,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.edge import EdgeController, EdgeInstance
     from repro.obs import (
         MetricsRegistry,
-        collect_bench,
         collect_bus,
         collect_dataplane,
         collect_federation,
@@ -301,27 +298,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         sim.schedule(i / args.rate, bus.publish, "load.pub", topic, {"seq": i})
     net.run()
 
-    # Phase 3: solver micro-bench -- a few timed passes per scheme,
-    # folded into the report as bench.* gauges via collect_bench.
-    from repro.bench.stats import SampleStats
-
-    solver_samples: dict[str, list[float]] = {"dp_solver": [], "lp_solver": []}
-    for _ in range(args.bench_repeats):
-        start = time.perf_counter()
-        route_chains_dp(model, metrics=registry)
-        solver_samples["dp_solver"].append(time.perf_counter() - start)
-        start = time.perf_counter()
-        solve_chain_routing_lp(
-            model, LpObjective.MAX_THROUGHPUT, metrics=registry
-        )
-        solver_samples["lp_solver"].append(time.perf_counter() - start)
-    collect_bench(
-        registry,
-        {
-            name: SampleStats.from_samples(samples)
-            for name, samples in solver_samples.items()
-        },
-    )
+    # Phase 3: one run of each solver against the registry.
+    route_chains_dp(model, metrics=registry)
+    solve_chain_routing_lp(model, LpObjective.MAX_THROUGHPUT, metrics=registry)
 
     # Phase 4: federated resilience micro-drill.  A tiny two-region
     # partition-tolerant deployment takes one coordinator crash while
@@ -829,102 +808,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Machine-readable benchmark runner with regression gating.
-
-    Discovers the registered ``benchmarks/bench_*.py`` suites, times
-    their measured functions in-process (warmup + repeats), and writes
-    one canonical ``BENCH_<suite>.json`` per suite.  ``--compare``
-    checks each run against the committed baseline and exits 1 on any
-    noise-adjusted regression; ``--update-baselines`` blesses the run
-    as the new baseline instead.  Exit codes: 0 pass, 1 regression,
-    2 usage error (unknown suite, missing baseline, bad flags).
-    """
-    from pathlib import Path
-
-    from repro import bench as rb
-
-    if args.compare and args.update_baselines:
-        print(
-            "--compare and --update-baselines are mutually exclusive",
-            file=sys.stderr,
-        )
-        return 2
-
-    bench_dir = Path(args.bench_dir) if args.bench_dir else None
-    try:
-        if args.list:
-            for name in rb.available_suites(bench_dir):
-                print(name)
-            return 0
-        suites = (
-            [s for s in args.suites.split(",") if s] if args.suites else None
-        )
-        selected = rb.discover(suites, bench_dir)
-    except rb.BenchUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    baseline_dir = (
-        Path(args.baselines) if args.baselines else rb.default_baseline_dir()
-    )
-    out_dir = Path(args.out) if args.out else Path.cwd()
-    capture_metrics = os.environ.get("REPRO_METRICS", "0") not in ("", "0")
-    environment = rb.environment_fingerprint()
-    sha = rb.git_sha()
-
-    # With --compare, refuse to start a long run that cannot finish:
-    # every requested suite needs a committed baseline up front.
-    if args.compare:
-        missing = [
-            name for name in selected
-            if rb.load_baseline(baseline_dir, name) is None
-        ]
-        if missing:
-            print(
-                f"error: no baseline under {baseline_dir} for: "
-                f"{', '.join(missing)} (run with --update-baselines "
-                "and commit the result)",
-                file=sys.stderr,
-            )
-            return 2
-
-    comparisons: list = []
-    for name, suite in selected.items():
-        run = rb.run_suite(
-            suite,
-            warmup=args.warmup,
-            repeats=args.repeats,
-            capture_metrics=capture_metrics,
-        )
-        document = rb.build_document(
-            run, suite, environment=environment, sha=sha
-        )
-        path = rb.write_document(rb.document_path(out_dir, name), document)
-        line = (
-            f"{name:<28} median {run.stats.median:8.4f}s "
-            f"(n={run.stats.n}, stddev {run.stats.stddev:.4f}s) -> {path}"
-        )
-        if args.update_baselines:
-            baseline_file = rb.save_baseline(baseline_dir, document)
-            line += f"  [baseline: {baseline_file}]"
-        print(line)
-        if args.compare:
-            baseline = rb.load_baseline(baseline_dir, name)
-            comparison = rb.compare_documents(document, baseline)
-            comparisons.append(comparison)
-            print(f"  {comparison.render()}")
-
-    regressions = [c for c in comparisons if c.regressed]
-    if args.compare:
-        mode = " (CI tolerances)" if rb.ci_mode_enabled() else ""
-        print(
-            f"compared {len(comparisons)} suite(s){mode}: "
-            f"{len(regressions)} regression(s)"
-        )
-    return 1 if regressions else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -976,8 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subscribers", type=int, default=3)
     p.add_argument("--uplink-bps", type=float, default=8e6)
     p.add_argument("--buffer-bytes", type=int, default=64_000)
-    p.add_argument("--bench-repeats", type=int, default=3,
-                   help="timed solver passes for the bench.* gauges")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_metrics)
 
@@ -1096,33 +977,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the JSON report to a file (bare "
                    "--out derives fuzz-report-seed<seed>.json)")
     p.set_defaults(func=_cmd_fuzz)
-
-    p = sub.add_parser(
-        "bench",
-        help="machine-readable benchmark runner with regression gating",
-    )
-    p.add_argument(
-        "--suites",
-        help="comma-separated suite names (default: every suite; "
-        "see --list)",
-    )
-    p.add_argument("--list", action="store_true",
-                   help="list available suites and exit")
-    p.add_argument("--compare", action="store_true",
-                   help="compare against committed baselines; exit 1 on "
-                   "regression")
-    p.add_argument("--update-baselines", action="store_true",
-                   help="bless this run as the new baselines")
-    p.add_argument("--out", help="directory for BENCH_<suite>.json "
-                   "documents (default: current directory)")
-    p.add_argument("--baselines", help="baseline store directory "
-                   "(default: benchmarks/baselines)")
-    p.add_argument("--bench-dir", help="benchmarks directory override")
-    p.add_argument("--repeats", type=int,
-                   help="timed repeats per suite (default: per-suite)")
-    p.add_argument("--warmup", type=int,
-                   help="discarded warmup iterations (default: per-suite)")
-    p.set_defaults(func=_cmd_bench)
     return parser
 
 

@@ -16,7 +16,6 @@ prints the report; benchmarks opt in via the ``obs_registry`` fixture in
 """
 
 from repro.obs.collect import (
-    collect_bench,
     collect_bus,
     collect_dataplane,
     collect_federation,
@@ -42,7 +41,6 @@ __all__ = [
     "MetricsRegistry",
     "Span",
     "TraceError",
-    "collect_bench",
     "collect_bus",
     "collect_dataplane",
     "collect_federation",

@@ -17,7 +17,7 @@ keep plain names.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any
 
 from repro.obs.registry import MetricsRegistry
 
@@ -97,28 +97,6 @@ def collect_resilience(
         registry.gauge("sweeper.stalled_installs_total").set(
             sweeper.stalled_installs_aborted
         )
-
-
-def collect_bench(
-    registry: MetricsRegistry, stats_by_suite: "Mapping[str, Any]"
-) -> None:
-    """Benchmark timing stats as per-suite gauges.
-
-    ``stats_by_suite`` maps suite names to objects with the
-    ``repro.bench.stats.SampleStats`` attributes (``n``, ``min``,
-    ``max``, ``mean``, ``median``, ``stddev``); duck-typed so ``repro.obs``
-    never imports ``repro.bench`` at runtime.  Used by
-    ``python -m repro metrics`` to fold its solver micro-bench into the
-    report and available to any harness that wants bench numbers next
-    to its live counters.
-    """
-    for suite, stats in stats_by_suite.items():
-        registry.gauge("bench.samples", suite=suite).set(stats.n)
-        registry.gauge("bench.min_s", suite=suite).set(stats.min)
-        registry.gauge("bench.max_s", suite=suite).set(stats.max)
-        registry.gauge("bench.mean_s", suite=suite).set(stats.mean)
-        registry.gauge("bench.median_s", suite=suite).set(stats.median)
-        registry.gauge("bench.stddev_s", suite=suite).set(stats.stddev)
 
 
 def collect_federation(

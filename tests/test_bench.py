@@ -1,327 +1,19 @@
-"""Tests for ``repro.bench``: discovery, stats, comparison, CLI gating.
-
-The CLI tests register synthetic suites directly in the benchmark
-registry (``benchmarks/_common.REGISTRY``) so they can plant an exact
-2x slowdown without waiting on the real solver suites; the discovery
-test is the one place the real ``bench_*.py`` modules are imported.
-"""
+"""Tests for the shared benchmark helpers in ``benchmarks/_common.py``."""
 
 from __future__ import annotations
 
-import json
-import math
-import random
+import pathlib
 import sys
-import time
 
-import pytest
-
-from repro import bench as rb
-from repro.bench.stats import SampleStats, StatsError, pooled_stddev
-from repro.cli import main
+BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def _common_module():
-    bench_dir = rb.default_bench_dir()
-    if str(bench_dir) not in sys.path:
-        sys.path.insert(0, str(bench_dir))
+    if str(BENCH_DIR) not in sys.path:
+        sys.path.insert(0, str(BENCH_DIR))
     import _common
 
     return _common
-
-
-@pytest.fixture
-def synthetic_suite():
-    """Register a sleep-driven suite; duration is adjustable per test."""
-    _common = _common_module()
-    state = {"duration_s": 0.005}
-
-    def run_synthetic():
-        time.sleep(state["duration_s"])
-        return state["duration_s"]
-
-    _common.register_bench(
-        "synthetic_sleep", warmup=0, repeats=3
-    )(run_synthetic)
-    try:
-        yield state
-    finally:
-        _common.REGISTRY.pop("synthetic_sleep", None)
-
-
-class TestDiscovery:
-    def test_finds_every_suite_on_disk(self):
-        on_disk = rb.available_suites()
-        files = sorted(
-            p.stem[len("bench_"):]
-            for p in rb.default_bench_dir().glob("bench_*.py")
-        )
-        assert on_disk == files
-        assert len(on_disk) >= 18
-
-        discovered = rb.discover()
-        assert set(files) <= set(discovered)
-        for name, suite in discovered.items():
-            if name in files:
-                assert suite.module == f"bench_{name}"
-            assert callable(suite.fn)
-            assert suite.repeats >= 1
-
-    def test_suite_names_match_module_convention(self):
-        discovered = rb.discover(["fig9_message_bus", "scale_solver_farm"])
-        assert list(discovered) == ["fig9_message_bus", "scale_solver_farm"]
-        assert discovered["fig9_message_bus"].accepts_metrics
-        assert discovered["scale_solver_farm"].model_factory is not None
-
-    def test_unknown_suite_rejected(self):
-        with pytest.raises(rb.BenchUsageError, match="unknown suite"):
-            rb.discover(["no_such_suite"])
-
-    def test_registered_only_suite_needs_no_module(self, synthetic_suite):
-        discovered = rb.discover(["synthetic_sleep"])
-        assert discovered["synthetic_sleep"].warmup == 0
-
-
-class TestStats:
-    def test_aggregation_on_synthetic_samples(self):
-        stats = SampleStats.from_samples([5.0, 1.0, 3.0, 2.0, 4.0])
-        assert stats.n == 5
-        assert stats.min == 1.0 and stats.max == 5.0
-        assert stats.mean == 3.0
-        assert stats.median == 3.0
-        assert stats.stddev == pytest.approx(math.sqrt(2.5))
-        assert stats.iqr == pytest.approx(2.0)
-
-    def test_single_sample(self):
-        stats = SampleStats.from_samples([0.25])
-        assert stats.n == 1
-        assert stats.median == 0.25
-        assert stats.stddev == 0.0
-        assert stats.iqr == 0.0
-
-    def test_median_interpolates_even_counts(self):
-        stats = SampleStats.from_samples([1.0, 2.0, 3.0, 4.0])
-        assert stats.median == 2.5
-
-    def test_rejects_empty_and_invalid(self):
-        with pytest.raises(StatsError):
-            SampleStats.from_samples([])
-        with pytest.raises(StatsError):
-            SampleStats.from_samples([1.0, -0.5])
-        with pytest.raises(StatsError):
-            SampleStats.from_samples([float("nan")])
-
-    def test_dict_round_trip_is_exact(self):
-        stats = SampleStats.from_samples([0.1, 0.2, 0.30000000000000004])
-        assert SampleStats.from_dict(stats.to_dict()) == stats
-
-    def test_pooled_stddev(self):
-        a = SampleStats.from_samples([1.0, 2.0, 3.0])
-        b = SampleStats.from_samples([2.0, 4.0, 6.0])
-        expected = math.sqrt((2 * a.stddev**2 + 2 * b.stddev**2) / 4)
-        assert pooled_stddev(a, b) == pytest.approx(expected)
-        single = SampleStats.from_samples([1.0])
-        assert pooled_stddev(single, single) == 0.0
-
-
-class TestComparator:
-    def _stats(self, median: float, jitter: float = 0.0) -> SampleStats:
-        return SampleStats.from_samples(
-            [median - jitter, median, median + jitter]
-        )
-
-    def test_planted_2x_regression_flagged(self):
-        comparison = rb.compare_stats(
-            "s",
-            self._stats(2.0, 0.01),
-            self._stats(1.0, 0.01),
-            rb.Tolerance(rel_tol=0.25, k=3.0),
-        )
-        assert comparison.regressed
-        assert not comparison.improved
-        assert comparison.ratio == pytest.approx(2.0)
-        assert "REGRESSION" in comparison.render()
-
-    def test_identical_rerun_passes(self):
-        stats = self._stats(1.0, 0.01)
-        comparison = rb.compare_stats(
-            "s", stats, stats, rb.Tolerance(rel_tol=0.25, k=3.0)
-        )
-        assert not comparison.regressed
-        assert not comparison.improved
-
-    def test_noise_term_absorbs_jittery_suites(self):
-        # 10% slower, but the samples spread +-15%: within k*pooled.
-        comparison = rb.compare_stats(
-            "s",
-            self._stats(1.1, 0.15),
-            self._stats(1.0, 0.15),
-            rb.Tolerance(rel_tol=0.05, k=3.0),
-        )
-        assert not comparison.regressed
-
-    def test_improvement_detected(self):
-        comparison = rb.compare_stats(
-            "s",
-            self._stats(0.4, 0.001),
-            self._stats(1.0, 0.001),
-            rb.Tolerance(rel_tol=0.25, k=3.0),
-        )
-        assert comparison.improved and not comparison.regressed
-
-    def test_ci_mode_widens_tolerance(self, monkeypatch):
-        current, baseline = self._stats(1.6, 0.001), self._stats(1.0, 0.001)
-        tolerance = rb.Tolerance(rel_tol=0.25, k=3.0)
-        assert rb.compare_stats("s", current, baseline, tolerance).regressed
-        monkeypatch.setenv("REPRO_BENCH_CI", "1")
-        assert rb.ci_mode_enabled()
-        relaxed = rb.compare_stats("s", current, baseline, tolerance)
-        assert not relaxed.regressed
-
-    def test_digest_change_suppresses_regression(self, synthetic_suite):
-        suite = rb.discover(["synthetic_sleep"])["synthetic_sleep"]
-        run_slow = rb.run_suite(suite, repeats=2)
-        doc_base = rb.build_document(
-            run_slow, suite, environment={}, sha="a"
-        )
-        doc_base["model_digest"] = "digest-one"
-        doc_cur = json.loads(rb.canonical_json(doc_base))
-        doc_cur["model_digest"] = "digest-two"
-        doc_cur["stats"]["median_s"] = doc_base["stats"]["median_s"] * 10
-        comparison = rb.compare_documents(doc_cur, doc_base)
-        assert comparison.digest_changed
-        assert not comparison.regressed
-
-
-class TestDocuments:
-    def test_baseline_round_trips_byte_identically(self, tmp_path):
-        rng = random.Random(1234)
-        samples = sorted(rng.uniform(0.01, 0.02) for _ in range(7))
-        document = {
-            "schema": rb.SCHEMA,
-            "suite": "round_trip",
-            "warmup": 1,
-            "samples_s": samples,
-            "stats": SampleStats.from_samples(samples).to_dict(),
-            "model_digest": None,
-            "environment": rb.environment_fingerprint(),
-            "git_sha": "f" * 40,
-            "tolerance": {"rel_tol": 0.25, "k": 3.0},
-            "metrics": None,
-        }
-        first = rb.save_baseline(tmp_path, document)
-        loaded = rb.load_baseline(tmp_path, "round_trip")
-        second = rb.save_baseline(tmp_path, loaded)
-        assert first == second
-        assert first.read_bytes() == rb.canonical_json(document).encode()
-        assert first.read_bytes() == rb.canonical_json(loaded).encode()
-
-    def test_load_rejects_wrong_schema(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"schema": "other/v9"}')
-        with pytest.raises(rb.BenchError, match="unsupported schema"):
-            rb.load_document(path)
-
-    def test_atomic_write_creates_parents(self, tmp_path):
-        nested = tmp_path / "a" / "b" / "BENCH_x.json"
-        rb.write_document(nested, {"schema": rb.SCHEMA, "suite": "x"})
-        assert json.loads(nested.read_text())["suite"] == "x"
-        leftovers = [
-            p for p in nested.parent.iterdir() if p.name != nested.name
-        ]
-        assert leftovers == []
-
-
-class TestRunner:
-    def test_warmup_and_repeats_respected(self, synthetic_suite):
-        calls = {"n": 0}
-        _common = _common_module()
-
-        def counted():
-            calls["n"] += 1
-
-        _common.register_bench("synthetic_counted", warmup=2, repeats=4)(
-            counted
-        )
-        try:
-            suite = rb.discover(["synthetic_counted"])["synthetic_counted"]
-            run = rb.run_suite(suite)
-            assert calls["n"] == 6
-            assert run.stats.n == 4
-            assert len(run.samples) == 4
-        finally:
-            _common.REGISTRY.pop("synthetic_counted", None)
-
-    def test_run_rejects_bad_overrides(self, synthetic_suite):
-        suite = rb.discover(["synthetic_sleep"])["synthetic_sleep"]
-        with pytest.raises(ValueError):
-            rb.run_suite(suite, repeats=0)
-        with pytest.raises(ValueError):
-            rb.run_suite(suite, warmup=-1)
-
-
-class TestCli:
-    def _run(self, tmp_path, *extra):
-        return main([
-            "bench",
-            "--suites", "synthetic_sleep",
-            "--out", str(tmp_path / "out"),
-            "--baselines", str(tmp_path / "baselines"),
-            *extra,
-        ])
-
-    def test_exit_0_on_identical_rerun(self, tmp_path, synthetic_suite):
-        assert self._run(tmp_path, "--update-baselines") == 0
-        assert rb.list_baselines(tmp_path / "baselines") == [
-            "synthetic_sleep"
-        ]
-        assert self._run(tmp_path, "--compare") == 0
-        document = rb.load_document(
-            tmp_path / "out" / "BENCH_synthetic_sleep.json"
-        )
-        assert document["suite"] == "synthetic_sleep"
-        assert document["stats"]["n"] == 3
-
-    def test_exit_1_on_planted_2x_regression(
-        self, tmp_path, synthetic_suite, capsys
-    ):
-        assert self._run(tmp_path, "--update-baselines") == 0
-        synthetic_suite["duration_s"] *= 10
-        assert self._run(tmp_path, "--compare") == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_exit_2_on_unknown_suite(self, tmp_path):
-        code = main([
-            "bench", "--suites", "definitely_missing",
-            "--out", str(tmp_path),
-        ])
-        assert code == 2
-
-    def test_exit_2_on_missing_baseline(self, tmp_path, synthetic_suite):
-        assert self._run(tmp_path, "--compare") == 2
-
-    def test_exit_2_on_conflicting_flags(self, tmp_path, synthetic_suite):
-        assert (
-            self._run(tmp_path, "--compare", "--update-baselines") == 2
-        )
-
-    def test_list_prints_suites(self, capsys):
-        assert main(["bench", "--list"]) == 0
-        out = capsys.readouterr().out.split()
-        assert "scale_solver_farm" in out
-        assert "fig9_message_bus" in out
-
-    def test_update_baselines_round_trips_byte_identically(
-        self, tmp_path, synthetic_suite
-    ):
-        assert self._run(tmp_path, "--update-baselines") == 0
-        path = rb.baseline_path(tmp_path / "baselines", "synthetic_sleep")
-        before = path.read_bytes()
-        rb.save_baseline(
-            tmp_path / "baselines",
-            rb.load_baseline(tmp_path / "baselines", "synthetic_sleep"),
-        )
-        assert path.read_bytes() == before
 
 
 class TestAtomicEmit:

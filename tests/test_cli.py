@@ -81,6 +81,14 @@ class TestCommands:
         data = json.loads(capsys.readouterr().out)
         assert data["counters"]["install.completed"] == 1
         assert any(k.startswith("span.2pc.") for k in data["histograms"])
+        # Phase 3 runs each solver once against the registry: its
+        # counters stay in the report, and no bench.* timing gauge does.
+        counters = data["counters"]
+        assert counters["solver.dp_paths_computed"] > 0
+        assert any(k.startswith("solver.lp_solves") for k in counters)
+        keys = [k for section in ("counters", "gauges", "histograms")
+                for k in data[section]]
+        assert not [k for k in keys if k.startswith("bench.")]
 
 
 class TestFuzzParser:
