@@ -147,9 +147,9 @@ def _check_cloud_inputs(model: NetworkModel, budget: float) -> None:
 def _cloud_plan(
     model: NetworkModel, outcome: tuple, n_flow: int, extract: Callable
 ) -> CloudCapacityPlan:
-    x, _objective, elapsed, failure = outcome
+    x, _objective, elapsed = outcome
     if x is None:
-        raise CapacityPlanningError(f"cloud capacity LP failed: {failure.message}")
+        raise CapacityPlanningError("cloud capacity LP is infeasible")
     alpha = float(x[-1])
     additional = {
         s: float(x[n_flow + i])
@@ -181,9 +181,7 @@ def plan_cloud_capacity(
     n = structure.n_total
     cost = np.zeros(n)
     cost[structure.alpha_index] = -1.0  # maximize alpha
-    outcome = solve(
-        structure, cost, data, b_ub, np.full(n, np.inf), zero_feasible=True
-    )
+    outcome = solve(structure, cost, data, b_ub, np.full(n, np.inf))
     return _cloud_plan(
         model, outcome, structure.n_flow, lambda flows: flow_solution(model, flows)
     )
@@ -331,13 +329,14 @@ def _placement_program(
     program.ub(quota_first + owner, n_flow + np.arange(len(w_index)), 1.0)
     program.freeze()
 
-    a_ub, a_eq = program.matrices(
+    both = program.matrix(
         program.refresh(ch.stage_total, ch.stage_fwd, ch.stage_rev)
-    )
+    ).tocsr()
+    n_ub = len(program.b_ub)
     cost = np.zeros(program.n_total)
     cost[:n_flow] = ch.stage_total[flow.var_stage] * flow.var_latency
     return _PlacementProgram(
-        cost, a_eq, program.b_eq, a_ub, program.b_ub, quota_first, w_index,
+        cost, both[n_ub:], program.b_eq, both[:n_ub], program.b_ub, quota_first, w_index,
         lambda flows: flow_solution(extended, flows),
     )
 

@@ -23,9 +23,9 @@ module is the only place those constraints are written down:
   views alone -- the certificate of their feasibility.
 - :class:`StructureCache` is the LRU that keeps built programs -- and the
   warm column-generation solver hanging off each -- across solves, and
-  :func:`solve` is the one dispatch: column generation on the direct
-  HiGHS backend for programs feasible at zero flow, ``linprog``
-  otherwise and on a :class:`~repro.core.highs.ColumnGenError`.
+  :func:`solve` is the one solve path: column generation on the direct
+  HiGHS backend, for every objective (a program infeasible at zero flow
+  starts with phase I in the master, :mod:`repro.core.highs`).
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ import time
 from collections import OrderedDict
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csc_matrix, csr_matrix, get_index_dtype
+from scipy.sparse import csc_matrix, get_index_dtype
 
 from repro.core import highs as highs_backend
 from repro.core.columns import ragged_gather
@@ -402,11 +401,6 @@ class Program:
             shape=(len(self.b_ub) + len(self.b_eq), self.n_total),
         )
 
-    def matrices(self, data_ub: np.ndarray) -> tuple[csr_matrix, csr_matrix]:
-        """``(A_ub, A_eq)`` with ``data_ub`` from :meth:`refresh`."""
-        both = self.matrix(data_ub).tocsr()
-        return both[: len(self.b_ub)], both[len(self.b_ub):]
-
 
 def certify(sub, ch, stage, src, dst, value) -> Certificate:
     """The :class:`~repro.core.routes.Certificate` of the flows ``value``
@@ -522,7 +516,7 @@ def flow_solution(model: NetworkModel, flows: np.ndarray) -> RoutingSolution:
 
 
 # ---------------------------------------------------------------------------
-# Structure cache and solve dispatch
+# Structure cache and solve
 # ---------------------------------------------------------------------------
 
 
@@ -613,69 +607,22 @@ class StructureCache:
         self.rebuilds = 0
 
 
-#: Seconds HiGHS may spend inside one ``linprog`` call.  The programs of
-#: this repository solve in at most a few seconds; without a limit some
-#: ``MIN_MLU`` programs with a zero capacity share never return.
-LINPROG_TIME_LIMIT_S = 60.0
-
-
-def run_linprog(cost, a_ub, b_ub, a_eq, b_eq, col_upper) -> tuple:
-    """``min cost @ x`` over ``0 <= x <= col_upper`` through scipy's
-    ``linprog`` (HiGHS); an empty block is passed as ``None``.
-
-    Returns ``(x, objective, solver seconds, failure)``: ``failure`` is
-    the unsuccessful ``linprog`` result -- infeasible, or out of
-    :data:`LINPROG_TIME_LIMIT_S` (status 1) -- and then ``x`` and
-    ``objective`` are ``None``.
-    """
-    start = time.perf_counter()
-    result = linprog(
-        cost,
-        A_ub=a_ub if len(b_ub) else None,
-        b_ub=b_ub if len(b_ub) else None,
-        A_eq=a_eq if len(b_eq) else None,
-        b_eq=b_eq if len(b_eq) else None,
-        bounds=np.column_stack([np.zeros(len(cost)), col_upper]),
-        method="highs",
-        options={"time_limit": LINPROG_TIME_LIMIT_S},
-    )
-    elapsed = time.perf_counter() - start
-    if not result.success:
-        return None, None, elapsed, result
-    return np.asarray(result.x), float(result.fun), elapsed, None
-
-
 def solve(
     program: Program,
     cost: np.ndarray,
     data_ub: np.ndarray,
     b_ub: np.ndarray,
     col_upper: np.ndarray,
-    zero_feasible: bool,
-    metrics=None,
 ) -> tuple:
-    """Solve a program under refreshed data; returns as :func:`run_linprog`.
-
-    A program that is feasible with every flow at zero goes through
-    warm-started column generation on its own solver; everything else
-    -- the equality-covered objectives, a
-    :class:`~repro.core.highs.ColumnGenError` -- goes through ``linprog``.
-    """
-    n_ub, n = len(b_ub), program.n_total
-    if zero_feasible:
-        matrix = program.matrix(data_ub)
-        row_lower = np.concatenate([np.full(n_ub, -np.inf), program.b_eq])
-        row_upper = np.concatenate([b_ub, program.b_eq])
-        start = time.perf_counter()
-        try:
-            x, objective = program.cg_solver.solve(
-                cost, matrix, row_lower, row_upper, np.zeros(n), col_upper
-            )
-            return x, objective, time.perf_counter() - start, None
-        except highs_backend.ColumnGenError:
-            # Fall through to linprog below: the right optimum at about
-            # three times the time, so it is counted, not silent.
-            if metrics is not None:
-                metrics.counter("lp.colgen_fallbacks").inc()
-    a_ub, a_eq = program.matrices(data_ub)
-    return run_linprog(cost, a_ub, b_ub, a_eq, program.b_eq, col_upper)
+    """Solve a program under refreshed data through its warm
+    :class:`~repro.core.highs.ColumnGenSolver`, as one CSC ``[ub; eq]``
+    with row bounds.  Returns ``(x, objective, solver seconds)``; ``x``
+    and ``objective`` are ``None`` when the program is infeasible."""
+    row_lower = np.concatenate([np.full(len(b_ub), -np.inf), program.b_eq])
+    row_upper = np.concatenate([b_ub, program.b_eq])
+    start = time.perf_counter()
+    x, objective = program.cg_solver.solve(
+        cost, program.matrix(data_ub), row_lower, row_upper,
+        np.zeros(program.n_total), col_upper,
+    )
+    return x, objective, time.perf_counter() - start

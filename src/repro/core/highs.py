@@ -1,12 +1,9 @@
 """Warm-startable LP solves through the HiGHS library bundled with scipy.
 
-``scipy.optimize.linprog`` rebuilds and presolves the whole program on
-every call, which wastes most of the solve time when the same structure
-is re-solved under new demands -- exactly what ``reoptimize()`` rounds,
-the solver farm's incremental ``resolve``, and the capacity-planning
-budget sweeps do.  This module talks to the HiGHS instance scipy ships
-(``scipy.optimize._highspy``) directly, which exposes what ``linprog``
-hides:
+Every Section 4.3 linear program -- chain routing under all three
+objectives and the capacity-planning alpha maximization -- is solved
+here, on the HiGHS instance scipy ships (``scipy.optimize._highspy``),
+talked to directly for what ``scipy.optimize.linprog`` hides:
 
 - keeping a solver instance alive across solves,
 - warm-starting dual simplex from the previous optimal basis, and
@@ -17,12 +14,11 @@ hides:
   adds every chain's cheapest routes of negative summed reduced cost,
   until no chain has any.
 
-Column generation is only used for programs that are feasible with all
-flow variables at zero (``MAX_THROUGHPUT`` chain routing and the
-capacity-planning alpha maximization); the equality-covered objectives
-go through ``linprog``, which is also where a :class:`ColumnGenError`
-lands.  This is the one backend: a scipy without the private module
-fails here, at import.
+A program whose rows exclude zero activity (the demand-covered
+objectives) starts with a phase I on the same instance: one artificial
+column per such row, priced against zero route costs, then fixed at zero
+for phase II.  A :class:`ColumnGenError` is an error.  This is the one
+backend: a scipy without the private module fails here, at import.
 
 Arrays cross the boundary as arrays: ``passModel`` and ``addCols`` are
 called through their array overloads (assigning numpy arrays to
@@ -41,7 +37,8 @@ from scipy.sparse import csc_matrix
 
 
 class ColumnGenError(Exception):
-    """Raised when the direct backend cannot finish; callers fall back."""
+    """Raised when HiGHS rejects a call or fails on a master, or column
+    generation does not converge; the solver has forgotten its state."""
 
 
 def _new_highs():
@@ -66,6 +63,11 @@ def route_columns(matrix: csc_matrix, routes: np.ndarray) -> csc_matrix:
     return matrix @ pick
 
 
+def _route_cost(cost: np.ndarray, routes: np.ndarray) -> np.ndarray:
+    """The summed cost of each route (a ``-1`` pad costs nothing)."""
+    return np.append(cost, 0.0)[routes].sum(axis=1)
+
+
 class ColumnGenSolver:
     """Column generation over routes, with cross-solve warm starts.
 
@@ -76,7 +78,9 @@ class ColumnGenSolver:
     program's CSC pattern on them: which ``entries`` of it (a mask), their
     row ``indices`` and the ``indptr``.  A master column is a row of
     :attr:`routes`: one chain's ingress-to-egress route, the sum of its
-    arcs' columns, or a column past ``n_flow`` on its own.  The caller
+    arcs' columns, or a column past ``n_flow`` on its own; a program with
+    rows that exclude zero activity has its artificial columns in front
+    of them, in the master only.  The caller
     caches instances by structure digest and calls :meth:`solve` with new
     numbers each round; routes and the optimal basis stay, so a re-solve
     after a demand change is one dual-simplex run and a pricing round or
@@ -86,8 +90,12 @@ class ColumnGenSolver:
 
     #: Reduced costs below this are considered improving.
     PRICING_TOL = 1e-9
-    #: Safety cap (then ``linprog``, counted): cold solves take 3-19
-    #: rounds at 12 to 128 chains, warm and carried ones 1-11.
+    #: Artificial mass a phase-I optimum may keep and the program still be
+    #: feasible: HiGHS's primal feasibility tolerance, so no row the
+    #: phase-II fix leaves short is short by more than HiGHS allows.
+    FEASIBILITY_TOL = 1e-7
+    #: Safety cap over both phases (then ``ColumnGenError``): cold solves
+    #: take 3-19 rounds at 12 to 128 chains, warm and carried ones 1-11.
     MAX_ROUNDS = 120
 
     def __init__(self, flow, rows, entries, indices, indptr) -> None:
@@ -101,6 +109,9 @@ class ColumnGenSolver:
         #: Routes a first solve starts from, next to every chain's cheapest.
         self.seed = np.zeros((0, flow.depth), dtype=np.int64)
         self._basis = None
+        #: Per kept row, the sign of its artificial column (0: none) when
+        #: the basis was saved; the artificial columns come first.
+        self._signs = np.zeros(0)
         self.last_rounds = 0
 
     def support(self) -> np.ndarray | None:
@@ -108,8 +119,9 @@ class ColumnGenSolver:
         away from zero --; ``None`` before the first successful solve."""
         if self._basis is None:
             return None
-        status = np.array(self._basis.col_status, dtype=np.int8)
-        values = np.asarray(self._highs.getSolution().col_value)
+        k = np.count_nonzero(self._signs)
+        status = np.array(self._basis.col_status, dtype=np.int8)[k:]
+        values = np.asarray(self._highs.getSolution().col_value)[k:]
         on = (status == int(_hc.HighsBasisStatus.kBasic)) | (values != 0.0)
         return self.routes[on & (self.routes[:, -1] < self._flow.n_flow)]
 
@@ -121,15 +133,19 @@ class ColumnGenSolver:
         row_upper: np.ndarray,
         col_lower: np.ndarray,
         col_upper: np.ndarray,
-    ) -> tuple[np.ndarray, float]:
+    ) -> tuple[np.ndarray | None, float | None]:
         """Solve ``min c@x  s.t.  rl <= A x <= ru, cl <= x <= cu``.
 
-        The program must be feasible with every column absent (all-zero
-        flow), which makes any restricted master feasible, and its rows
-        must imply the upper bounds of its flow columns: those are dropped
-        (the routing program's ``x <= 1`` follows from its coverage rows,
-        the cloud program has none).  Returns the full-length primal
-        solution and the objective value.
+        The program's rows must imply the upper bounds of its flow
+        columns: those are dropped (the routing program's ``x <= 1``
+        follows from its coverage rows, the cloud program has none).  A
+        kept row whose bounds exclude zero activity gets an artificial
+        column, +1 or -1, and the master first minimises their sum (phase
+        I) with routes at zero cost; then the artificial columns are fixed
+        at zero, the real costs go in and primal simplex goes on from that
+        basis (phase II).  Returns the full-length primal solution and the
+        objective value, or ``(None, None)`` when phase I ends above
+        :attr:`FEASIBILITY_TOL`: the program is infeasible.
         """
         flow, highs = self._flow, self._highs
         n_cols = matrix.shape[1]
@@ -137,6 +153,10 @@ class ColumnGenSolver:
         kept = csc_matrix(
             (matrix.data[entries], indices, indptr), shape=(len(self.rows), n_cols)
         )
+        lower, upper = row_lower[self.rows], row_upper[self.rows]
+        signs = (lower > 0).astype(float) - (upper < 0)
+        artificial = np.flatnonzero(signs)
+        k = len(artificial)
         if self.routes is None:
             # Every chain's cheapest route at zero duals, the columns that
             # are not flows, and what a predecessor handed on.
@@ -145,57 +165,61 @@ class ColumnGenSolver:
             single[:, -1] = np.arange(flow.n_flow, n_cols)
             cheapest = flow.cheapest_paths(cost)[1][:, 0]
             self._admit(np.concatenate([cheapest, single, self.seed]))
+        if not np.array_equal(signs, self._signs):
+            self._basis = None  # another set of artificial columns
+        self._signs = signs
         last = self.routes[:, -1]  # never a pad
         own = last >= flow.n_flow
-        lower = np.where(own, col_lower[last], 0.0)
-        upper = np.where(own, col_upper[last], np.inf)
         columns = route_columns(kept, self.routes)
-        padded_cost = np.append(cost, 0.0)  # what a ``-1`` costs
         self._checked(highs.passModel(
-            len(self.routes), len(self.rows), columns.nnz,
+            k + len(self.routes), len(self.rows), k + columns.nnz,
             int(_hc.MatrixFormat.kColwise), int(_hc.ObjSense.kMinimize), 0.0,
-            padded_cost[self.routes].sum(axis=1), lower, upper,
-            row_lower[self.rows], row_upper[self.rows],
-            columns.indptr, columns.indices, columns.data,
+            np.repeat([1.0, 0.0], [k, len(self.routes)]) if k
+            else _route_cost(cost, self.routes),
+            np.append(np.zeros(k), np.where(own, col_lower[last], 0.0)),
+            np.append(np.full(k, np.inf), np.where(own, col_upper[last], np.inf)),
+            lower, upper,
+            # The artificial columns first, one entry each.
+            np.append(np.arange(k), k + columns.indptr),
+            np.append(artificial, columns.indices),
+            np.append(signs[artificial], columns.data),
             # All continuous, but full length: HiGHS rejects an empty one.
-            np.zeros(len(self.routes), dtype=np.int32),
+            np.zeros(k + len(self.routes), dtype=np.int32),
         ), "passModel")
         if self._basis is not None:
             self._checked(highs.setBasis(self._basis), "setBasis")
-        # Dual simplex for the (possibly warm-started) restricted master...
-        highs.setOptionValue("simplex_strategy", 1)
+        # Dual simplex for the (possibly warm-started) restricted master --
+        # primal in phase I, where dual simplex can stall on a badly scaled
+        # row (a link floored to a 4e-7 share bounding MIN_MLU's beta)...
+        highs.setOptionValue("simplex_strategy", 4 if k else 1)
         self._run()
         # ...but primal for the pricing re-solves: after addCols the old
         # basis stays primal-feasible (new columns enter nonbasic at 0)
         # while dual feasibility is exactly what pricing violated, so
         # primal iterates only on the entering columns instead of
         # re-solving from scratch.  Measured ~9x on the 128-chain bench.
+        # The same holds across the phase switch: fixing artificial
+        # columns at zero and changing costs keeps the basis feasible.
         highs.setOptionValue("simplex_strategy", 4)
 
-        priced_by = kept.T  # CSR, no copy
         self.last_rounds = 0
-        for _ in range(self.MAX_ROUNDS):
-            self.last_rounds += 1
-            solution = highs.getSolution()
-            reduced = cost - priced_by @ np.asarray(solution.row_dual)
-            costs, arcs = flow.cheapest_paths(reduced)
-            # A negative route the master holds already is negative within
-            # HiGHS's dual tolerance only (1e-7, above ``PRICING_TOL``).
-            new = self._admit(arcs[costs < -self.PRICING_TOL])
-            if not len(new):
-                break
-            columns = route_columns(kept, new)
-            self._checked(highs.addCols(
-                len(new), padded_cost[new].sum(axis=1),
-                np.zeros(len(new)), np.full(len(new), np.inf),
-                columns.nnz, columns.indptr[:-1], columns.indices, columns.data,
-            ), "addCols")
+        if k:
+            self._price(np.zeros(n_cols), kept)
+            if np.sum(highs.getSolution().col_value[:k]) > self.FEASIBILITY_TOL:
+                self._basis = highs.getBasis()
+                return None, None
+            every = np.arange(k + len(self.routes), dtype=np.int32)
+            self._checked(highs.changeColsBounds(
+                k, every[:k], np.zeros(k), np.zeros(k)
+            ), "changeColsBounds")
+            self._checked(highs.changeColsCost(
+                len(every), every,
+                np.append(np.zeros(k), _route_cost(cost, self.routes)),
+            ), "changeColsCost")
             self._run()
-        else:
-            self._forget()
-            raise ColumnGenError("column generation did not converge")
+        self._price(cost, kept)
 
-        values = np.asarray(solution.col_value)
+        values = np.asarray(highs.getSolution().col_value)[k:]
         self._basis = highs.getBasis()
         # A flow is the sum of the routes through it (pads fall in bin 0).
         x = np.bincount(
@@ -204,6 +228,29 @@ class ColumnGenSolver:
         return x, float(cost @ x)
 
     # -- internals ------------------------------------------------------
+
+    def _price(self, cost: np.ndarray, kept: csc_matrix) -> None:
+        """Pricing rounds under ``cost`` until no chain has a route of
+        negative reduced cost that the master does not hold."""
+        priced_by = kept.T  # CSR, no copy
+        while self.last_rounds < self.MAX_ROUNDS:
+            self.last_rounds += 1
+            duals = np.asarray(self._highs.getSolution().row_dual)
+            costs, arcs = self._flow.cheapest_paths(cost - priced_by @ duals)
+            # A negative route the master holds already is negative within
+            # HiGHS's dual tolerance only (1e-7, above ``PRICING_TOL``).
+            new = self._admit(arcs[costs < -self.PRICING_TOL])
+            if not len(new):
+                return
+            columns = route_columns(kept, new)
+            self._checked(self._highs.addCols(
+                len(new), _route_cost(cost, new),
+                np.zeros(len(new)), np.full(len(new), np.inf),
+                columns.nnz, columns.indptr[:-1], columns.indices, columns.data,
+            ), "addCols")
+            self._run()
+        self._forget()
+        raise ColumnGenError("column generation did not converge")
 
     def _admit(self, routes: np.ndarray) -> np.ndarray:
         """Append the routes the master does not hold yet; returns them."""
@@ -223,7 +270,7 @@ class ColumnGenSolver:
         self._checked(self._highs.run(), "run")
         status = self._highs.getModelStatus()
         if status != _hc.HighsModelStatus.kOptimal:
-            # Any restricted master of a zero-feasible program is
+            # With its artificial columns every restricted master is
             # feasible; anything else is a numerical failure.
             self._forget()
             raise ColumnGenError(f"HiGHS status {status}")

@@ -7,14 +7,49 @@ solve in this package.  Nothing under ``src/`` reaches it.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
-from repro.core.formulation import run_linprog
 from repro.core.model import Chain, NetworkModel
 from repro.core.routes import RoutingSolution
+
+
+def run_linprog(cost, a_ub, b_ub, a_eq, b_eq, col_upper) -> tuple:
+    """``min cost @ x`` over ``0 <= x <= col_upper`` through scipy's
+    ``linprog``; an empty block is passed as ``None``.
+
+    Returns what ``repro.core.formulation.solve`` returns: ``(x,
+    objective, solver seconds)``, ``x`` and ``objective`` ``None`` when
+    the program is infeasible.  ``linprog``'s HiGHS gives up (status 4)
+    on some infeasible programs of a zero capacity share, and its simplex
+    with presolve does not come back from others; no method fails on all
+    of them.  Interior point with crossover goes first, dual simplex
+    (time-limited) where it gives up, and anything else raises.
+    """
+    start = time.perf_counter()
+    for method in ("highs-ipm", "highs-ds"):
+        result = linprog(
+            cost,
+            A_ub=a_ub if len(b_ub) else None,
+            b_ub=b_ub if len(b_ub) else None,
+            A_eq=a_eq if len(b_eq) else None,
+            b_eq=b_eq if len(b_eq) else None,
+            bounds=np.column_stack([np.zeros(len(cost)), col_upper]),
+            method=method,
+            options={"time_limit": 30.0},
+        )
+        if result.status in (0, 2):
+            break
+    else:
+        raise RuntimeError(f"linprog: {result.message}")
+    elapsed = time.perf_counter() - start
+    if result.status == 2:
+        return None, None, elapsed
+    return np.asarray(result.x), float(result.fun), elapsed
 
 
 class _Rows:

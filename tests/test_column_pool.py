@@ -9,8 +9,8 @@ Three contracts of ``repro.core.highs`` / ``repro.core.formulation``:
   survives ``clear_matrix_cache()``);
 - the master reaches HiGHS through the array overload of ``passModel``,
   one column per route, on the rows a route does not cancel on;
-- a call HiGHS rejects ends in ``linprog`` with the right optimum, never
-  in a stale "optimal".
+- a call HiGHS rejects raises, never ends in a stale "optimal", and
+  leaves a solver that starts the next solve cold.
 """
 
 import numpy as np
@@ -20,7 +20,6 @@ from repro.core import highs as highs_backend
 from repro.core import lp as lp_mod
 from repro.core.lp import LpObjective, clear_matrix_cache, solve_chain_routing_lp
 from repro.core.model import Chain
-from repro.obs.registry import MetricsRegistry
 from tests.test_program_fingerprints import regional_model, te_replan_model
 
 
@@ -193,7 +192,7 @@ class TestHighsBoundary:
             [cost[route[route >= 0]].sum() for route in solver.routes]
         )
 
-    def test_rejected_model_lands_in_linprog_with_the_right_optimum(self):
+    def test_a_rejected_model_raises_and_the_next_solve_is_cold(self):
         model = te_replan_model()
         solve(model)
         # New demands on the warm structure: a model HiGHS refuses would
@@ -202,14 +201,16 @@ class TestHighsBoundary:
         model.remove_chain(name)
         model.add_chain(chain.scaled(3.0))
         solver = last_solver()
-        solver._highs = _Rejecting(solver._highs)
-        metrics = MetricsRegistry()
-        fallen = solve(model, metrics=metrics)
+        highs, solver._highs = solver._highs, _Rejecting(solver._highs)
+        with pytest.raises(highs_backend.ColumnGenError, match="passModel"):
+            solve(model)
         assert solver.routes is None and solver.support() is None
-        assert metrics.counter("lp.colgen_fallbacks").value == 1
+        assert solver._basis is None
 
+        solver._highs = highs
+        again = solve(model)
+        again_rounds = solver.last_rounds
         clear_matrix_cache()
-        metrics = MetricsRegistry()
-        honest = solve(model, metrics=metrics)
-        assert fallen.objective == pytest.approx(honest.objective, rel=1e-7)
-        assert metrics.counter("lp.colgen_fallbacks").value == 0
+        honest = solve(model)
+        assert again.objective == pytest.approx(honest.objective, rel=1e-7)
+        assert again_rounds == last_solver().last_rounds  # the cold count

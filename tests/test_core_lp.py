@@ -56,6 +56,14 @@ class TestMinLatency:
         assert result.status == "infeasible"
         assert result.solution is None
 
+    def test_a_hair_over_capacity_is_infeasible(self):
+        # fw carries 2 * d <= 5 + 5: d = 5 fits exactly, 1e-5 more leaves a
+        # phase-I mass of 1e-5, a hundred times the feasibility tolerance.
+        exact = solve_chain_routing_lp(small_model(5.0, 5.0, 5.0))
+        over = solve_chain_routing_lp(small_model(5.0 * (1 + 1e-5), 5.0, 5.0))
+        assert exact.ok and exact.solution.routed_fraction("c1") == pytest.approx(1.0)
+        assert over.status == "infeasible"
+
     def test_no_chains_raises(self):
         model = small_model()
         model.remove_chain("c1")

@@ -248,13 +248,13 @@ def tampering(monkeypatch, rng, how):
     honest = lp_mod.solve
 
     def tampered(program, *args, **kwargs):
-        x, objective, elapsed, failure = honest(program, *args, **kwargs)
+        x, objective, elapsed = honest(program, *args, **kwargs)
         busy = np.flatnonzero(x[: program.n_flow] > 1e-3)
         if x is not None and len(busy) and rng.random() < 0.6:
             x = x.copy()
             i = int(rng.choice(busy.tolist()))
             x[i] = {"up": x[i] * 40.0, "down": x[i] * 0.5, "drop": 0.0}[how]
-        return x, objective, elapsed, failure
+        return x, objective, elapsed
 
     monkeypatch.setattr(lp_mod, "solve", tampered)
 
@@ -324,7 +324,7 @@ class TestMergedReport:
         coordinator.submit(Chain("c", "a", "b", ["fw"], 10.0, 0.0))
         x = (10.0 + 1e-6 + nudge) / 20.0
         monkeypatch.setattr(
-            lp_mod, "solve", lambda *a, **k: (np.array([x, x]), -10.0 * x, 0.0, None)
+            lp_mod, "solve", lambda *a, **k: (np.array([x, x]), -10.0 * x, 0.0)
         )
         clear_matrix_cache()
         plan = coordinator.plan_all()

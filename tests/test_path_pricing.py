@@ -13,35 +13,41 @@ current reduced costs.  What is checked:
 - a route's column is the sum of its arcs' columns, exactly zero on the
   conservation rows;
 - whatever the master started from -- nothing, the previous optimum's
-  routes and basis, a predecessor's carried support -- every solve ends
-  on the optimum ``linprog`` finds for the whole arc-flow program, and
-  the flows handed back conserve (Equation 5) to rounding;
+  routes and basis, a predecessor's carried support -- and whichever
+  objective, every solve ends on the optimum ``linprog`` finds for the
+  whole arc-flow program, or is infeasible where it is, and the flows
+  handed back conserve (Equation 5) to rounding; no module under
+  ``repro`` holds ``linprog``;
 - no route enters a master twice, and no solve of the measured shapes
   comes near the round cap;
 - a partition without capacity and a chain without a usable route, both
   through the farm, are optima with slack coverage rows, not errors.
 """
 
+import importlib
+import pkgutil
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
+import repro
 from repro.core import capacity as capacity_mod
-from repro.core import formulation, lp as lp_mod
+from repro.core import lp as lp_mod
 from repro.core.capacity import plan_cloud_capacity
 from repro.core.highs import ColumnGenSolver, route_columns
 from repro.core.lp import LpObjective, matrix_cache_stats, solve_chain_routing_lp
 from repro.core.model import VNF
-from repro.obs.registry import MetricsRegistry
 from repro.scale import SolverFarm, farm as farm_mod
 from repro.scale.partition import _scaled_substrate
 from repro.topology import WorkloadConfig, build_backbone, generate_workload
 from repro.topology.cities import DEFAULT_CITIES
 from tests.reference.brute import enumerate_paths
 from tests.reference.capacity_scalar import plan_cloud_capacity_reference
+from tests.reference.lp_scalar import solve_chain_routing_lp_reference
+from tests.reference.scalar_rows import run_linprog
 from tests.test_column_pool import cached_program, remove_and_add
 from tests.test_maintained_plan import solver_farm_bench_model
 from tests.test_program_fingerprints import regional_model, te_replan_model
@@ -154,10 +160,11 @@ def test_a_route_column_is_the_sum_of_its_arcs_columns(build):
 # -- (c) the optimum of the whole program, from any first master ---------------
 
 
-def checked_against_linprog(monkeypatch) -> list:
-    """Every ``ColumnGenSolver.solve`` from here on is compared with
-    ``linprog`` on the program it was handed, and its flows checked;
-    returns the list the solvers that ran are appended to."""
+def checked_against_linprog(monkeypatch, oracle=True) -> list:
+    """Every ``ColumnGenSolver.solve`` from here on has its flows checked
+    and, with ``oracle``, is compared with ``linprog`` on the program it
+    was handed: the same status, the same objective; returns the list the
+    solvers that ran are appended to."""
     honest, ran = ColumnGenSolver.solve, []
 
     def solve(self, cost, matrix, row_lower, row_upper, col_lower, col_upper):
@@ -165,14 +172,18 @@ def checked_against_linprog(monkeypatch) -> list:
             self, cost, matrix, row_lower, row_upper, col_lower, col_upper
         )
         ran.append(self)
-        equal = row_lower == row_upper
-        reference = linprog(
-            cost, A_ub=matrix[~equal], b_ub=row_upper[~equal],
-            A_eq=matrix[equal], b_eq=row_upper[equal],
-            bounds=np.column_stack([col_lower, col_upper]), method="highs",
-        )
-        assert reference.success
-        assert objective == pytest.approx(reference.fun, rel=1e-7, abs=1e-9)
+        if oracle:
+            equal = row_lower == row_upper
+            assert not col_lower.any()
+            _x, reference, _seconds = run_linprog(
+                cost, matrix[~equal], row_upper[~equal], matrix[equal],
+                row_upper[equal], col_upper,
+            )
+            assert (objective is None) == (reference is None)  # infeasible
+            if x is not None:
+                assert objective == pytest.approx(reference, rel=1e-7, abs=1e-9)
+        if x is None:
+            return x, objective
         activity = matrix @ x
         cons = np.setdiff1d(np.arange(matrix.shape[0]), self.rows)
         assert len(cons) == self._flow.n_cons
@@ -188,11 +199,27 @@ def checked_against_linprog(monkeypatch) -> list:
     return ran
 
 
-def routed_and_planned(model, metrics) -> None:
-    """Both zero-feasible programs on ``model``."""
-    assert solve_chain_routing_lp(model, MAX_THROUGHPUT, metrics=metrics).ok
+def routed_and_planned(model) -> None:
+    """Both programs feasible at zero flow on ``model``."""
+    assert solve_chain_routing_lp(model, MAX_THROUGHPUT).ok
     total = sum(s.capacity for s in model.sites.values())
     assert plan_cloud_capacity(model, 0.25 * total).alpha >= 0.0
+
+
+def routed_as_the_reference(model, objective) -> None:
+    """SB-LP under ``objective`` and the cloud planner against the scalar
+    references -- the full arc-flow programs, solved by ``linprog``: the
+    same status, the reported objective within 1e-7."""
+    ours = solve_chain_routing_lp(model, objective)
+    reference = solve_chain_routing_lp_reference(model, objective)
+    assert ours.status == reference.status
+    assert ours.ok or objective is not MAX_THROUGHPUT
+    if ours.ok:
+        assert ours.objective == pytest.approx(reference.objective, rel=1e-7)
+    budget = 0.25 * sum(s.capacity for s in model.sites.values())
+    assert plan_cloud_capacity(model, budget).alpha == pytest.approx(
+        plan_cloud_capacity_reference(model, budget).alpha, rel=1e-7
+    )
 
 
 @pytest.mark.parametrize("build", [make_model, te_replan_model, regional_model])
@@ -201,40 +228,65 @@ def test_every_solve_ends_on_the_linprog_optimum(build, monkeypatch):
     lp_mod.clear_matrix_cache()
     capacity_mod._CACHE.clear()
     rng = random.Random(11)
-    metrics = MetricsRegistry()
     model = build()
-    routed_and_planned(model, metrics)  # cold
+    routed_and_planned(model)  # cold
     model = rescaled_demands(model, rng)
-    routed_and_planned(model, metrics)  # the routes and basis of the last solve
+    routed_and_planned(model)  # the routes and basis of the last solve
     assert matrix_cache_stats()["matrix_rebuilds"] == 1
     remove_and_add(model)
-    routed_and_planned(model, metrics)  # after chain churn
+    routed_and_planned(model)  # after chain churn
     assert matrix_cache_stats()["matrix_rebuilds"] == 2
     shared = _scaled_substrate(model, share_vector(model, rng))
-    routed_and_planned(shared.copy_with_chains(model.chains.values()), metrics)
+    routed_and_planned(shared.copy_with_chains(model.chains.values()))
     assert matrix_cache_stats()["matrix_rebuilds"] == 2  # shares are data
     assert len(ran) == 8
-    assert metrics.counter("lp.colgen_fallbacks").value == 0
 
 
 @settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 100_000))
-def test_routing_ends_on_the_linprog_optimum(seed):
-    """Ten chains on eight cities, cold, re-scaled, re-shared, churned."""
+@given(
+    seed=st.integers(0, 100_000),
+    objective=st.sampled_from(list(LpObjective)),
+    load=st.sampled_from([1.0, 2.5]),
+)
+# Optimal, optimal, infeasible (the shares), optimal; and infeasible
+# throughout, re-solved from a phase-I basis.
+@example(seed=2, objective=LpObjective.MIN_MLU, load=1.0)
+@example(seed=0, objective=LpObjective.MIN_LATENCY, load=1.0)
+@example(seed=0, objective=LpObjective.MIN_MLU, load=2.5)
+def test_routing_ends_on_the_linprog_optimum(seed, objective, load):
+    """Ten chains on eight cities, cold, re-scaled, re-shared, churned.
+    A demand-covered objective is infeasible wherever the demand exceeds
+    what the sites can carry: at ``load`` 2.5, and often under a zero
+    capacity share.
+
+    Every solve's flows are checked on the program it was handed, its
+    status and objective on the result: ``MIN_MLU``'s program adds a
+    latency tiebreak 1e-6 the size of the MLU, which HiGHS's dual
+    tolerance resolves to about 1e-6 relative -- in ``linprog``'s dual
+    simplex as in the master -- while the MLU it reports agrees far
+    inside 1e-7."""
     rng = random.Random(seed)
     with pytest.MonkeyPatch.context() as patch:
-        checked_against_linprog(patch)
+        checked_against_linprog(patch, oracle=False)
         lp_mod.clear_matrix_cache()
         capacity_mod._CACHE.clear()
-        metrics = MetricsRegistry()
         base = make_model(seed=seed, num_chains=10)
-        routed_and_planned(base, metrics)
-        routed_and_planned(rescaled_demands(base, rng), metrics)
+        base = base.copy_with_chains([c.scaled(load) for c in base.chains.values()])
+        routed_as_the_reference(base, objective)
+        routed_as_the_reference(rescaled_demands(base, rng), objective)
         shared = _scaled_substrate(base, share_vector(base, rng))
-        routed_and_planned(shared.copy_with_chains(base.chains.values()), metrics)
+        routed_as_the_reference(shared.copy_with_chains(base.chains.values()), objective)
         remove_and_add(base)
-        routed_and_planned(base, metrics)
-        assert metrics.counter("lp.colgen_fallbacks").value == 0
+        routed_as_the_reference(base, objective)
+
+
+def test_no_module_under_repro_binds_linprog():
+    """Column generation is the one solve path; ``linprog`` is the
+    oracle's, in ``tests/reference/``."""
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name != "repro.__main__":
+            module = importlib.import_module(info.name)
+            assert linprog not in vars(module).values(), info.name
 
 
 @settings(max_examples=10, deadline=None)
@@ -265,9 +317,8 @@ def test_a_chain_routed_whole_on_one_route_ends_the_loop():
         ),
         build_backbone(cities),
     )
-    metrics = MetricsRegistry()
-    result = solve_chain_routing_lp(model, MAX_THROUGHPUT, metrics=metrics)
-    assert result.ok and metrics.counter("lp.colgen_fallbacks").value == 0
+    result = solve_chain_routing_lp(model, MAX_THROUGHPUT)
+    assert result.ok
     assert result.solution.throughput() == pytest.approx(model.total_demand())
     solver = cached_program().cg_solver
     # Each chain's cheapest route at zero duals carries all of it: the
@@ -275,7 +326,7 @@ def test_a_chain_routed_whole_on_one_route_ends_the_loop():
     assert solver.last_rounds == 1 and len(solver.routes) == 2
 
 
-# -- (e) no route twice, and the round cap is a fallback that shows ------------------
+# -- (e) no route twice, and the round cap is far --------------------------------------
 
 
 def sixty_four_chains():
@@ -293,10 +344,8 @@ def sixty_four_chains():
 def test_no_solve_of_the_measured_models_reaches_the_round_cap(build):
     """HiGHS stops at a dual tolerance of 1e-7, pricing at 1e-9: a route
     the master holds can price negative again and must not be re-added
-    (the loop would spin to ``MAX_ROUNDS``, then end "optimal" through
-    ``linprog`` at several times the cost -- the counter says it did
-    not), cold, warm and after churn, with rounds to spare."""
-    metrics = MetricsRegistry()
+    (the loop would spin to ``MAX_ROUNDS`` and raise), cold, warm and
+    after churn, with rounds to spare."""
     model = build()
     rng = random.Random(0)
 
@@ -311,11 +360,10 @@ def test_no_solve_of_the_measured_models_reaches_the_round_cap(build):
     for change in (None, demands, None, churned, demands):
         if change is not None:
             model = change(model)
-        assert solve_chain_routing_lp(model, MAX_THROUGHPUT, metrics=metrics).ok
+        assert solve_chain_routing_lp(model, MAX_THROUGHPUT).ok
         solver = cached_program().cg_solver
         rounds.append(solver.last_rounds)
         assert len({route.tobytes() for route in solver.routes}) == len(solver.routes)
-    assert metrics.counter("lp.colgen_fallbacks").value == 0
     assert max(rounds) <= ColumnGenSolver.MAX_ROUNDS // 3, rounds
     assert matrix_cache_stats() == {
         "matrix_reuse_hits": 3, "matrix_rebuilds": 2, "cached_structures": 2,
@@ -325,19 +373,11 @@ def test_no_solve_of_the_measured_models_reaches_the_round_cap(build):
 # -- (f) nothing to route is an optimum, not an error --------------------------------
 
 
-def refuse_linprog(monkeypatch) -> None:
-    def refused(*_program):
-        raise AssertionError("column generation fell back to linprog")
-
-    monkeypatch.setattr(formulation, "run_linprog", refused)
-
-
 def test_a_partition_with_zero_capacity_shares_solves_to_nothing(monkeypatch):
     """Every contended budget of one partition cut to nothing: its routes
     are columns no flow fits on, its coverage rows stay slack, the master
     is feasible at zero -- an optimum of column generation, not a
     ``ColumnGenError``."""
-    refuse_linprog(monkeypatch)
     plan_of = farm_mod.partition_chains
 
     def starved(model, max_chains, previous=None):
@@ -357,10 +397,9 @@ def test_a_partition_with_zero_capacity_shares_solves_to_nothing(monkeypatch):
     assert max(routed) == pytest.approx(1.0)
 
 
-def test_a_chain_whose_last_front_is_blocked_stays_unrouted(monkeypatch):
+def test_a_chain_whose_last_front_is_blocked_stays_unrouted():
     """No capacity at any site of one VNF: the chains through it have
     routes -- columns -- but none that can carry flow."""
-    refuse_linprog(monkeypatch)
     model = te_replan_model()
     blocked = next(iter(model.chains.values())).vnfs[-1]
     model = model.copy_with_vnfs([

@@ -78,6 +78,12 @@ def dense(matrix):
     return np.asarray(matrix.todense())
 
 
+def matrices(program, data_ub):
+    """``(A_ub, A_eq)``: the rows of ``program``'s one ``[A_ub; A_eq]``."""
+    both = program.matrix(data_ub).tocsr()
+    return both[: len(program.b_ub)], both[len(program.b_ub):]
+
+
 class TestLpMatrixEquivalence:
     """Columnar COO assembly == scalar per-variable assembly."""
 
@@ -86,7 +92,8 @@ class TestLpMatrixEquivalence:
         model = make_model()
         ch = model.chain_columns()
         structure = lp_mod._structure_for(model, objective, True, None)
-        a_ub, a_eq = structure.matrices(
+        a_ub, a_eq = matrices(
+            structure,
             structure.refresh(ch.stage_total, ch.stage_fwd, ch.stage_rev)
         )
         cost = lp_mod._cost_vector(structure, ch, objective, 1e-6)
@@ -121,7 +128,7 @@ class TestCapacityMatrixEquivalence:
         budget = 50000.0
         structure = capacity_mod._CloudProgram(model)
         data, b_ub = structure.refreshed(model, budget)
-        a_ub, a_eq = structure.matrices(data)
+        a_ub, a_eq = matrices(structure, data)
         cost = np.zeros(structure.n_total)
         cost[structure.alpha_index] = -1.0
 
@@ -208,7 +215,8 @@ class TestGeneratedModelEquivalence:
     def test_routing_program(self, model, objective, enforce_mlu):
         ch = model.chain_columns()
         structure = lp_mod._RoutingProgram(model, objective, enforce_mlu)
-        a_ub, a_eq = structure.matrices(
+        a_ub, a_eq = matrices(
+            structure,
             structure.refresh(ch.stage_total, ch.stage_fwd, ch.stage_rev)
         )
         assert_same_program(
@@ -223,7 +231,7 @@ class TestGeneratedModelEquivalence:
     def test_cloud_capacity_program(self, model, budget):
         structure = capacity_mod._CloudProgram(model)
         data, b_ub = structure.refreshed(model, budget)
-        a_ub, a_eq = structure.matrices(data)
+        a_ub, a_eq = matrices(structure, data)
         cost = np.zeros(structure.n_total)
         cost[structure.alpha_index] = -1.0
         assert_same_program(
