@@ -10,7 +10,7 @@ partitioner and the per-partition pre-route DP shrink superlinearly.
 Measured on a generated clustered PoP topology
 (:func:`repro.topology.pops.generate_federation_workload`) at a
 CI-sized scale; ``python -m repro federation --pops 500
---chains 100000`` runs the same comparison at paper scale.
+--chains 100000`` runs the federated half alone at paper scale.
 
 Acceptance (checked every CI run):
 
@@ -72,7 +72,6 @@ def run_federation_scale():
         model,
         n_regions=NUM_REGIONS,
         partition_size=PARTITION_SIZE,
-        max_workers=1,
     )
     coordinator.sync_chains()
     stats = coordinator.stats()
@@ -93,7 +92,7 @@ def run_federation_scale():
     # Monolithic farm on the identical workload (fresh matrix cache so
     # the comparison is cold-vs-cold).
     clear_matrix_cache()
-    farm = SolverFarm(partition_size=PARTITION_SIZE, max_workers=1)
+    farm = SolverFarm(partition_size=PARTITION_SIZE)
     start = time.perf_counter()
     mono_cold = farm.solve(model, LpObjective.MAX_THROUGHPUT)
     mono_cold_s = time.perf_counter() - start

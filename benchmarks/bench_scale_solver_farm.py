@@ -3,8 +3,8 @@
 The paper reports SB-LP solve times that grow superlinearly with the
 chain count (up to three hours at 10 000 chains on CPLEX).  The
 ``repro.scale`` farm attacks that curve by partitioning the chain set,
-solving partitions independently (optionally across processes), caching
-partition solutions by model digest, and re-solving only changed
+solving partitions independently (one after another, in one process),
+caching partition solutions by model digest, and re-solving only changed
 partitions on re-optimization.
 
 Measured here on a 128-chain workload.  With the column-generation
@@ -76,9 +76,7 @@ def run_solver_farm():
     mono_s = time.perf_counter() - start
     assert mono.ok
 
-    farm = SolverFarm(
-        partition_size=PARTITION_SIZE, max_workers=1, metrics=registry
-    )
+    farm = SolverFarm(partition_size=PARTITION_SIZE, metrics=registry)
     start = time.perf_counter()
     cold = farm.solve(model)
     cold_s = time.perf_counter() - start
@@ -144,9 +142,8 @@ def test_scale_solver_farm(benchmark):
                 f"merged-objective gap {fmt(100 * gap, 1)}% "
                 f"(documented tolerance "
                 f"{fmt(100 * DEFAULT_GAP_TOLERANCE, 0)}%)",
-                "single process, cold LP matrix cache: the farm's edge "
-                "is warm/incremental amortization; a pool multiplies "
-                "partition solves by core count",
+                "serial partition solves, cold LP matrix cache: the "
+                "farm's edge is warm/incremental amortization",
                 f"incremental resolve after 1 chain changed: "
                 f"{incr_solves:.0f} partition solve(s), rest from cache",
             ],

@@ -8,7 +8,6 @@ Usage::
     python -m repro bus [--rate HZ] [--sites N]
     python -m repro timing
     python -m repro metrics [--publishes N] [--rate HZ] [--json]
-    python -m repro scale [--chains N] [--partition-size K] [--workers W]
     python -m repro federation [--pops N] [--chains N] [--regions K] [--soak OPS]
     python -m repro chaos [--seed N] [--duration S] [--json] [--out [FILE]]
     python -m repro fuzz [--seed N] [--cases N] [--budget S] [--plant] [--out [FILE]]
@@ -33,6 +32,14 @@ def _default_out(out: "str | None", command: str, seed: int) -> "str | None":
     if out == "auto":
         return f"{command}-report-seed{seed}.json"
     return out
+
+
+def _write_out(path: "str | None", text: str) -> None:
+    """Write ``text`` and a newline to ``path`` (an ``--out`` file);
+    nothing without a path."""
+    if path:
+        with open(path, "w") as handle:
+            handle.write(text + "\n")
 
 
 def _cmd_topology(args: argparse.Namespace) -> int:
@@ -352,97 +359,14 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_scale(args: argparse.Namespace) -> int:
-    """Monolithic vs. solver-farm comparison on one workload.
-
-    Three farm passes against one monolithic baseline: a cold solve
-    (every partition a cache miss), a warm re-solve (every partition a
-    hit), and an incremental ``resolve`` after scaling one chain's
-    demand (only that chain's partition re-solves).
-    """
-    from repro.core.lp import LpObjective, solve_chain_routing_lp
-    from repro.obs import MetricsRegistry
-    from repro.scale import SolverFarm, optimality_gap
-    from repro.topology import WorkloadConfig, build_backbone, generate_workload
-    from repro.topology.cities import DEFAULT_CITIES
-
-    cities = DEFAULT_CITIES[: args.cities]
-    config = WorkloadConfig(
-        num_chains=args.chains,
-        num_vnfs=args.vnfs,
-        coverage=args.coverage,
-        total_traffic=args.traffic,
-        site_capacity=args.site_capacity,
-        cities=cities,
-        seed=args.seed,
-    )
-    model = generate_workload(config, build_backbone(cities))
-    print(
-        f"workload: {len(model.chains)} chains, "
-        f"{model.total_demand():.0f} units offered"
-    )
-
-    start = time.perf_counter()
-    mono = solve_chain_routing_lp(model, LpObjective.MAX_THROUGHPUT)
-    mono_s = time.perf_counter() - start
-    if not mono.ok:
-        print(f"monolithic solve failed: {mono.status}", file=sys.stderr)
-        return 1
-
-    registry = MetricsRegistry()
-    farm = SolverFarm(
-        partition_size=args.partition_size,
-        max_workers=args.workers,
-        metrics=registry,
-    )
-
-    def row(name: str, result, seconds: float) -> None:
-        thr = result.solution.throughput() if result.solution else 0.0
-        extra = ""
-        if hasattr(result, "cache_hits"):
-            extra = (
-                f"  solved {len(result.solved)}/{result.partitions}"
-                f"  hits {result.cache_hits}"
-                f"  gap {optimality_gap(result, mono):.1%}"
-                f"  speedup {mono_s / seconds:.1f}x"
-            )
-        print(f"{name:<12} {seconds:7.2f}s  carried {thr:8.1f}{extra}")
-
-    row("monolithic", mono, mono_s)
-    start = time.perf_counter()
-    cold = farm.solve(model)
-    row("farm cold", cold, time.perf_counter() - start)
-    start = time.perf_counter()
-    warm = farm.solve(model)
-    row("farm warm", warm, time.perf_counter() - start)
-
-    # Scale one chain's demand and re-solve incrementally.
-    changed = sorted(model.chains)[0]
-    chain = model.chains[changed]
-    model.remove_chain(changed)
-    model.add_chain(chain.scaled(1.5))
-    start = time.perf_counter()
-    incr = farm.resolve(model, [changed])
-    row("incremental", incr, time.perf_counter() - start)
-
-    stats = farm.cache.stats
-    print(
-        f"cache: {stats.hits} hits, {stats.misses} misses, "
-        f"{stats.evictions} evictions ({stats.hit_rate:.0%} hit rate); "
-        f"exact plan: {cold.exact}"
-    )
-    return 0
-
-
 def _cmd_federation(args: argparse.Namespace) -> int:
     """Federated two-level control plane on a generated PoP topology.
 
     Builds the clustered PoP workload, cuts it into regions, installs
     every chain through the :class:`GlobalCoordinator` (cross-shard
     chains via split + 2PC), then times a cold federated plan and an
-    incremental re-plan.  ``--compare-monolithic`` also runs the
-    monolithic :class:`SolverFarm` on the same workload and reports
-    speedups and the throughput gap; ``--soak N`` runs the seeded
+    incremental re-plan (``bench_federation_scale`` compares it with
+    the monolithic farm).  ``--soak N`` runs the seeded
     fault-injection soak instead; ``--chaos-soak`` runs the full
     partition-tolerant deployment (coordinator failover, durable
     ledgers, degraded-mode regions) against a seeded schedule of real
@@ -479,9 +403,7 @@ def _cmd_federation(args: argparse.Namespace) -> int:
         )
         report = run_federation_chaos(chaos_config)
         print(report.to_json() if args.json else report.render())
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(report.to_json() + "\n")
+        _write_out(args.out, report.to_json())
         return 0 if report.passed else 1
 
     config = PopGridConfig(
@@ -512,7 +434,6 @@ def _cmd_federation(args: argparse.Namespace) -> int:
         model,
         n_regions=args.regions,
         partition_size=args.partition_size,
-        max_workers=args.workers,
         metrics=registry,
         fault_policy=policy,
     )
@@ -542,8 +463,9 @@ def _cmd_federation(args: argparse.Namespace) -> int:
         )
         collect_federation(registry, coordinator)
         report["metrics"] = registry_to_dict(registry)
+        doc = json.dumps(report, indent=1, sort_keys=True)
         if args.json:
-            print(json.dumps(report, indent=1, sort_keys=True))
+            print(doc)
         else:
             print(
                 f"soak: {report['ops']} ops, counts {report['counts']}, "
@@ -553,10 +475,7 @@ def _cmd_federation(args: argparse.Namespace) -> int:
             )
             for violation in report["violations"][:10]:
                 print(f"  VIOLATION [{violation['op']}] {violation['problem']}")
-        if args.out:
-            with open(args.out, "w") as handle:
-                json.dump(report, handle, indent=1, sort_keys=True)
-                handle.write("\n")
+        _write_out(args.out, doc)
         return 0 if report["ok"] else 1
 
     start = time.perf_counter()
@@ -609,54 +528,12 @@ def _cmd_federation(args: argparse.Namespace) -> int:
         "offered": round(incr.offered_demand, 3),
         "violations": problems,
     }
-
-    if args.compare_monolithic:
-        from repro.scale import SolverFarm
-
-        farm = SolverFarm(
-            partition_size=args.partition_size, max_workers=args.workers
-        )
-        start = time.perf_counter()
-        mono_cold = farm.solve(model, LpObjective.MAX_THROUGHPUT)
-        mono_cold_s = time.perf_counter() - start
-        mono_carried = (
-            mono_cold.solution.throughput() if mono_cold.solution else 0.0
-        )
-        for name in changed:
-            chain = model.chains[name]
-            model.remove_chain(name)
-            model.add_chain(chain.scaled(1.1))
-        start = time.perf_counter()
-        farm.resolve(model, changed, LpObjective.MAX_THROUGHPUT)
-        mono_incr_s = time.perf_counter() - start
-        denom = max(mono_carried, 1e-9)
-        gap = abs(incr.carried_demand - mono_carried) / denom
-        print(
-            f"monolithic cold: {mono_cold_s:7.2f}s  carried "
-            f"{mono_carried:9.1f}   (federated speedup "
-            f"{mono_cold_s / max(cold_s, 1e-9):.1f}x)"
-        )
-        print(
-            f"monolithic incr: {mono_incr_s:7.2f}s   (federated speedup "
-            f"{mono_incr_s / max(incr_s, 1e-9):.1f}x)  carried gap {gap:.1%}"
-        )
-        report.update(
-            monolithic_cold_s=round(mono_cold_s, 3),
-            monolithic_incr_s=round(mono_incr_s, 3),
-            cold_speedup=round(mono_cold_s / max(cold_s, 1e-9), 2),
-            incr_speedup=round(mono_incr_s / max(incr_s, 1e-9), 2),
-            carried_gap=round(gap, 4),
-        )
-
     collect_federation(registry, coordinator)
+    report["metrics"] = registry_to_dict(registry)
+    doc = json.dumps(report, indent=1, sort_keys=True)
     if args.json:
-        report["metrics"] = registry_to_dict(registry)
-        print(json.dumps(report, indent=1, sort_keys=True))
-    if args.out:
-        report.setdefault("metrics", registry_to_dict(registry))
-        with open(args.out, "w") as handle:
-            json.dump(report, handle, indent=1, sort_keys=True)
-            handle.write("\n")
+        print(doc)
+    _write_out(args.out, doc)
     return 0 if not problems else 1
 
 
@@ -684,11 +561,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         control_loss=args.control_loss,
     )
     report = run_soak(config)
-    output = report.to_json() if args.json else report.render()
-    print(output)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(report.to_json() + "\n")
+    print(report.to_json() if args.json else report.render())
+    _write_out(args.out, report.to_json())
     return 0 if report.passed else 1
 
 
@@ -736,9 +610,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                 f"ops={len(schedule.ops)} ({counts})"
             )
             print(f"digest {schedule.digest()}")
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(schedule.to_json() + "\n")
+        _write_out(args.out, schedule.to_json())
         return 0
 
     if args.replay:
@@ -781,14 +653,11 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     )
     report = run_fuzz(config)
     print(report.to_json() if args.json else report.render())
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(report.to_json() + "\n")
+    _write_out(args.out, report.to_json())
     if args.write_known_good:
-        with open(args.write_known_good, "w") as handle:
-            json.dump(report.known_good_doc(), handle, indent=1,
-                      sort_keys=True)
-            handle.write("\n")
+        _write_out(args.write_known_good, json.dumps(
+            report.known_good_doc(), indent=1, sort_keys=True
+        ))
         print(f"known-good written: {args.write_known_good}")
     if args.known_good:
         with open(args.known_good) as handle:
@@ -863,24 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser(
-        "scale", help="monolithic vs. solver-farm TE solve comparison"
-    )
-    p.add_argument("--chains", type=int, default=64)
-    p.add_argument("--vnfs", type=int, default=10)
-    p.add_argument("--coverage", type=float, default=0.5)
-    p.add_argument("--traffic", type=float, default=6000.0)
-    p.add_argument("--site-capacity", type=float, default=20000.0)
-    p.add_argument("--cities", type=int, default=14)
-    p.add_argument("--seed", type=int, default=11)
-    p.add_argument("--partition-size", type=int, default=16)
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="process-pool width (1 = serial; decomposition alone "
-        "already beats the monolithic solve)",
-    )
-    p.set_defaults(func=_cmd_scale)
-
-    p = sub.add_parser(
         "federation",
         help="federated two-level control plane on a generated PoP topology",
     )
@@ -896,11 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="probability a chain stays inside one metro")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--partition-size", type=int, default=16)
-    p.add_argument("--workers", type=int, default=1,
-                   help="process-pool width inside each regional farm")
-    p.add_argument("--compare-monolithic", action="store_true",
-                   help="also run the monolithic SolverFarm for "
-                   "speedup and gap numbers")
     p.add_argument("--chaos-soak", action="store_true",
                    help="run the partition-tolerant deployment against a "
                         "seeded schedule of real link/partition/crash "

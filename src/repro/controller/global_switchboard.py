@@ -87,9 +87,9 @@ class GlobalSwitchboard:
         self.model = model
         self.dataplane = dataplane
         self.metrics = metrics
-        #: Optional TE-solve strategy (``repro.scale.SolverFarm`` or
-        #: ``repro.scale.MonolithicSolver``).  ``None`` keeps the
-        #: original direct-LP behaviour of :meth:`plan_routes`.
+        #: Optional TE-solve strategy (``repro.scale.SolverFarm`` or a
+        #: ``GlobalCoordinator``).  ``None`` keeps the original
+        #: direct-LP behaviour of :meth:`plan_routes`.
         self.solver = solver
         #: Optional federated control plane (``attach_federation``):
         #: installs/removals are mirrored into it so cross-shard chains
@@ -167,8 +167,8 @@ class GlobalSwitchboard:
         """Whole-network TE plan (SB-LP) for the current model.
 
         Dispatches to the configured ``solver=`` strategy when one was
-        attached -- a :class:`repro.scale.SolverFarm` partitions, caches
-        and parallelizes the solve -- and otherwise calls
+        attached -- a :class:`repro.scale.SolverFarm` partitions and
+        caches the solve -- and otherwise calls
         :func:`repro.core.lp.solve_chain_routing_lp` directly, which is
         bit-for-bit the pre-farm behaviour.  Returns an
         ``LpResult``-shaped object either way (``status`` /

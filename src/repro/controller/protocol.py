@@ -394,7 +394,7 @@ class BusDrivenInstaller:
             return
         timeline = pending.timeline
         if timeline.sites_resolved_at is None:
-            if not pending.resolve_requested:
+            if not pending.sites_requested:
                 self.network.send(
                     "gsb.pub",
                     self.gs_host,
@@ -460,9 +460,9 @@ class BusDrivenInstaller:
 
     def _on_chain_request(self, message: dict) -> None:
         pending = self._pending.get(message["chain"])
-        if pending is None or pending.resolve_requested:
+        if pending is None or pending.sites_requested:
             return  # unknown chain, or a re-driven duplicate request
-        pending.resolve_requested = True
+        pending.sites_requested = True
         # Arrow 1: resolve ingress/egress sites with the edge controller.
         self.sim.schedule(
             self.delays.controller_processing_s,
@@ -901,7 +901,7 @@ class _PendingInstall:
     #: installer was built with a metrics registry).
     spans: "dict[str, Span]" = field(default_factory=dict)
     #: True once the edge resolution RPC for this install was issued.
-    resolve_requested: bool = False
+    sites_requested: bool = False
     #: True once the edge controller applied configure_edge.
     edge_configured: bool = False
     #: Handle of the next re-drive tick (cancelled on completion).

@@ -105,10 +105,6 @@ class FederatedPlan:
     def solution(self) -> None:
         return None
 
-    @property
-    def solve_seconds(self) -> float:
-        return self.wall_seconds
-
 
 class GlobalCoordinator:
     """Two-level control plane: regional switchboards + thin global tier."""
@@ -126,6 +122,10 @@ class GlobalCoordinator:
         regionals: dict[int, RegionalSwitchboard] | None = None,
         retry_backoff: "BackoffPolicy | None" = None,
     ):
+        # The farms solve serially; the keyword stays for callers that
+        # still spell out ``max_workers=1``.
+        if max_workers != 1:
+            raise ValueError(f"max_workers must be 1, got {max_workers!r}")
         self.model = model
         self.metrics = metrics
         self.max_attempts = max_attempts
@@ -155,7 +155,6 @@ class GlobalCoordinator:
                         for b in shard.owned_borders
                     ],
                     partition_size=partition_size,
-                    max_workers=max_workers,
                     metrics=metrics,
                 )
         #: Install-retry pacing: one deterministic backoff implementation
@@ -244,15 +243,6 @@ class GlobalCoordinator:
 
     def is_cross(self, name: str) -> bool:
         return name in self._cross
-
-    def installed_chain(self, name: str) -> Chain | None:
-        """The chain as the federation holds it -- with the demands its
-        regions currently plan with -- or ``None`` if not installed."""
-        if name in self._cross:
-            return self._cross[name].chain
-        if name in self._intra:
-            return self.regionals[self._intra[name]].model.chains.get(name)
-        return None
 
     def sweep(self) -> list[tuple[int, str]]:
         """Backstop GC: reclaim prepared-but-uncommitted segment residue

@@ -92,7 +92,6 @@ class CoordinatorNode(GlobalCoordinator):
         regionals: dict[int, RegionalSwitchboard] | None = None,
         n_regions: int = 4,
         partition_size: int | None = 16,
-        max_workers: int = 1,
         max_attempts: int = 3,
         metrics: "MetricsRegistry | None" = None,
         retry_backoff: BackoffPolicy | None = None,
@@ -102,7 +101,6 @@ class CoordinatorNode(GlobalCoordinator):
             model,
             n_regions=n_regions,
             partition_size=partition_size,
-            max_workers=max_workers,
             max_attempts=max_attempts,
             metrics=metrics,
             shard_map=shard_map,

@@ -146,7 +146,6 @@ class RegionalSwitchboard:
         model: NetworkModel,
         owned_borders: list[BorderLink],
         partition_size: int | None = 16,
-        max_workers: int = 1,
         cache: SolutionCache | None = None,
         metrics: "MetricsRegistry | None" = None,
     ):
@@ -155,7 +154,6 @@ class RegionalSwitchboard:
         self.metrics = metrics
         self.farm = SolverFarm(
             partition_size=partition_size,
-            max_workers=max_workers,
             cache=cache,
             metrics=metrics,
         )

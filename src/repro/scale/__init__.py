@@ -1,20 +1,19 @@
-"""``repro.scale`` -- a parallel, caching, incremental solver farm.
+"""``repro.scale`` -- a caching, incremental solver farm.
 
 The paper's scalability pain point (Section 7: SB-LP solve time vs.
 number of chains) is addressed here the way wide-area chain-mapping
 systems usually do it: decompose the program per chain partition, solve
-partitions concurrently, and on re-optimization (Section 5.3 semantics)
-re-solve only the partitions whose chains' demand actually moved.
+the partitions one after another, and on re-optimization (Section 5.3
+semantics) re-solve only the partitions whose chains' demand actually
+moved.
 
 Entry points:
 
 - :func:`partition_chains` / :class:`PartitionPlan` -- split a model's
   chain set into independent solve requests;
-- :class:`SolverFarm` -- partition + process pool + solution cache +
-  incremental :meth:`~SolverFarm.resolve`;
-- :class:`MonolithicSolver` -- the plain whole-network solve behind the
-  same strategy interface (``GlobalSwitchboard(solver=...)`` accepts
-  either);
+- :class:`SolverFarm` -- partition + solution cache + incremental
+  :meth:`~SolverFarm.resolve`; ``GlobalSwitchboard(solver=...)``
+  accepts it, and ``solver=None`` is the plain whole-network solve;
 - :class:`SolutionCache` -- digest-keyed LRU with ``scale.cache.*``
   observability counters.
 """
@@ -22,12 +21,8 @@ Entry points:
 from repro.scale.cache import CacheStats, SolutionCache
 from repro.scale.farm import (
     FarmResult,
-    MonolithicSolver,
-    SolveRequest,
     SolveResult,
     SolverFarm,
-    optimality_gap,
-    solve_request,
 )
 from repro.scale.partition import (
     DEFAULT_GAP_TOLERANCE,
@@ -44,18 +39,14 @@ __all__ = [
     "CacheStats",
     "DEFAULT_GAP_TOLERANCE",
     "FarmResult",
-    "MonolithicSolver",
     "Partition",
     "PartitionError",
     "PartitionPlan",
     "SolutionCache",
-    "SolveRequest",
     "SolveResult",
     "SolverFarm",
     "chain_resources",
     "coupling_groups",
-    "optimality_gap",
     "partition_chains",
     "shard_map",
-    "solve_request",
 ]

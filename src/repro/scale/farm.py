@@ -1,15 +1,12 @@
-"""The solver farm: parallel, caching, incremental SB-LP solving.
+"""The solver farm: partitioned, caching, incremental SB-LP solving.
 
 ``SolverFarm`` sits between the controller and
 :func:`repro.core.lp.solve_chain_routing_lp`:
 
 - :func:`~repro.scale.partition.partition_chains` splits the chain set
-  into independent solve requests (see that module for the
-  optimality-gap contract);
-- a ``concurrent.futures.ProcessPoolExecutor`` fans the requests out
-  across cores (requests and results are plain picklable dataclasses;
-  a serial path is used for single-worker configurations and as an
-  automatic fallback when no pool can be spawned);
+  into independent partitions (see that module for the optimality-gap
+  contract), which are solved one after another in this process, so the
+  LP structures a solve builds stay warm for the next one;
 - a :class:`~repro.scale.cache.SolutionCache` keyed by the sub-model
   digest serves repeated and unchanged partitions without a solve; the
   plan hands out the key (:meth:`PartitionPlan.key`, carried while the
@@ -23,58 +20,40 @@
 - a run costs what it re-solved: every :class:`SolveResult` holds its
   flows as the piece of a merged solution they contribute (``table``)
   and their feasibility certificate, both taken from the solver's
-  arrays once, where they were solved (here or in a pool worker); the
-  merged solution is assembled from the pieces without
-  re-adding a flow and is bound to the chains as they were solved, so a
-  :class:`FarmResult` stays a value when the model moves on, and its
-  ``certificate`` is the partitions' added up;
+  arrays once, where they were solved; the merged solution is
+  assembled from the pieces without re-adding a flow and is bound to
+  the chains as they were solved, so a :class:`FarmResult` stays a
+  value when the model moves on, and its ``certificate`` is the
+  partitions' added up;
 - a chain-set change re-plans what changed: the stored plan is handed to
   the partitioner as ``previous``, which carries every unchanged chain's
   facts, pre-route and seat, so a partition nothing joined or left keeps
   its chain list and re-solves warm under its new shares.
 
-``MonolithicSolver`` wraps the plain whole-network solve behind the same
-strategy interface, so ``GlobalSwitchboard(solver=...)`` can switch
-between the two without the controller caring which it got.
+The plain whole-network solve needs no wrapper: ``GlobalSwitchboard``
+with ``solver=None`` calls :func:`solve_chain_routing_lp` directly, and
+``SolverFarm(partition_size=None)`` is the exact farm.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable, TYPE_CHECKING
 
-from repro.core.lp import LpObjective, LpResult, solve_chain_routing_lp
+from repro.core.lp import LpObjective, solve_chain_routing_lp
 from repro.core.model import NetworkModel
 from repro.core.routes import Certificate, RoutingSolution
-from repro.core.serialization import model_from_dict, model_to_dict
 from repro.scale.cache import SolutionCache
 from repro.scale.partition import PartitionPlan, partition_chains
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
 
-_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class SolveRequest:
-    """A picklable solve order for one partition."""
-
-    partition_index: int
-    chains: tuple[str, ...]
-    objective: str
-    enforce_mlu: bool
-    #: The partition sub-model as its serialization document (plain
-    #: JSON-compatible containers, safe to ship across processes).
-    model_document: dict = field(hash=False)
-
 
 @dataclass(frozen=True)
 class SolveResult:
-    """A picklable solve outcome for one partition."""
+    """The solve outcome for one partition, as the cache holds it."""
 
     partition_index: int
     chains: tuple[str, ...]
@@ -103,48 +82,6 @@ class SolveResult:
             for (chain, stage), pairs in self.table.items()
             for (src, dst), fraction in pairs.items()
         )
-
-
-def _result_from_lp(
-    index: int, chains: tuple[str, ...], lp: LpResult
-) -> SolveResult:
-    return SolveResult(
-        partition_index=index,
-        chains=chains,
-        status=lp.status,
-        objective=lp.objective,
-        table={} if lp.solution is None else lp.solution.table(),
-        num_variables=lp.num_variables,
-        num_constraints=lp.num_constraints,
-        solve_seconds=lp.solve_seconds,
-        certificate=lp.certificate,
-    )
-
-
-def _solve_submodel(
-    submodel: NetworkModel,
-    index: int,
-    chains: tuple[str, ...],
-    objective: LpObjective,
-    enforce_mlu: bool,
-) -> SolveResult:
-    lp = solve_chain_routing_lp(submodel, objective, enforce_mlu=enforce_mlu)
-    return _result_from_lp(index, chains, lp)
-
-
-def solve_request(request: SolveRequest) -> SolveResult:
-    """Pool worker: rebuild the sub-model and solve it.
-
-    Module-level so ``ProcessPoolExecutor`` can pickle a reference to it.
-    """
-    submodel = model_from_dict(request.model_document)
-    return _solve_submodel(
-        submodel,
-        request.partition_index,
-        request.chains,
-        LpObjective(request.objective),
-        request.enforce_mlu,
-    )
 
 
 @dataclass
@@ -179,34 +116,9 @@ class FarmResult:
     def ok(self) -> bool:
         return self.status == "optimal"
 
-    @property
-    def solve_seconds(self) -> float:
-        return self.wall_seconds
-
-
-def optimality_gap(farm: FarmResult, monolithic: LpResult) -> float:
-    """Relative objective gap of a farm solve vs. the monolithic solve.
-
-    Uses carried throughput for ``MAX_THROUGHPUT``-style solutions (the
-    raw LP objective mixes in the latency tiebreak, whose scaling is
-    partition-dependent) and the objective value otherwise.  Returns
-    ``inf`` when either solve failed.
-    """
-    if not (farm.ok and monolithic.ok):
-        return float("inf")
-    if farm.objective is None or monolithic.objective is None:
-        return float("inf")
-    a, b = farm.objective, monolithic.objective
-    if a <= 0 and b <= 0 and farm.solution is not None:
-        # Max-throughput objectives are negated carried demand.
-        a = farm.solution.throughput()
-        b = monolithic.solution.throughput()
-    denom = max(abs(b), _EPS)
-    return abs(a - b) / denom
-
 
 class SolverFarm:
-    """Partitioned, cached, parallel chain-routing solver.
+    """Partitioned, cached chain-routing solver.
 
     Parameters
     ----------
@@ -217,9 +129,6 @@ class SolverFarm:
         well inside :data:`~repro.scale.partition.DEFAULT_GAP_TOLERANCE`
         on the benchmark workloads while the per-partition LPs stay
         small enough for a >2x wall-clock win.
-    max_workers:
-        Process-pool width; ``None`` uses ``os.cpu_count()`` and ``1``
-        forces the serial path.
     cache:
         A shared :class:`SolutionCache`; one is created when omitted.
     enforce_mlu:
@@ -229,15 +138,11 @@ class SolverFarm:
     def __init__(
         self,
         partition_size: int | None = 16,
-        max_workers: int | None = None,
         cache: SolutionCache | None = None,
         enforce_mlu: bool = True,
         metrics: "MetricsRegistry | None" = None,
     ):
         self.partition_size = partition_size
-        self.max_workers = (
-            max_workers if max_workers is not None else (os.cpu_count() or 1)
-        )
         self.metrics = metrics
         self.cache = (
             cache if cache is not None else SolutionCache(metrics=metrics)
@@ -327,10 +232,12 @@ class SolverFarm:
             results[part.index] = cached
             cache_hits += 1
 
-        for result in self._execute(model, misses, plan, objective):
-            results[result.partition_index] = result
+        for index in misses:
+            # A sub-model is built only for a partition that missed.
+            result = self._solve_partition(model, plan, index, objective)
+            results[index] = result
             if result.ok:
-                self.cache.put(keys[result.partition_index], result)
+                self.cache.put(keys[index], result)
 
         farm = self._merge(model, objective, plan, results, misses)
         farm.cache_hits = cache_hits
@@ -344,45 +251,28 @@ class SolverFarm:
             )
         return farm
 
-    def _execute(
+    def _solve_partition(
         self,
         model: NetworkModel,
-        indices: list[int],
         plan: PartitionPlan,
+        index: int,
         objective: LpObjective,
-    ) -> list[SolveResult]:
-        """Solve the partitions that missed the cache: the only ones a
-        sub-model is built for."""
-        if not indices:
-            return []
-        chains = {i: plan.partitions[i].chains for i in indices}
-        submodels = {i: plan.submodel(model, i) for i in indices}
-        workers = min(self.max_workers, len(indices))
-        if workers > 1:
-            requests = [
-                SolveRequest(
-                    partition_index=i,
-                    chains=chains[i],
-                    objective=objective.value,
-                    enforce_mlu=self.enforce_mlu,
-                    model_document=model_to_dict(submodels[i]),
-                )
-                for i in indices
-            ]
-            try:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    return list(pool.map(solve_request, requests))
-            except (OSError, PermissionError):
-                # No pool available (restricted environments): degrade
-                # to the serial path rather than failing the solve.
-                if self.metrics is not None:
-                    self.metrics.counter("scale.pool_failures").inc()
-        return [
-            _solve_submodel(
-                submodels[i], i, chains[i], objective, self.enforce_mlu
-            )
-            for i in indices
-        ]
+    ) -> SolveResult:
+        lp = solve_chain_routing_lp(
+            plan.submodel(model, index), objective,
+            enforce_mlu=self.enforce_mlu,
+        )
+        return SolveResult(
+            partition_index=index,
+            chains=plan.partitions[index].chains,
+            status=lp.status,
+            objective=lp.objective,
+            table={} if lp.solution is None else lp.solution.table(),
+            num_variables=lp.num_variables,
+            num_constraints=lp.num_constraints,
+            solve_seconds=lp.solve_seconds,
+            certificate=lp.certificate,
+        )
 
     def _merge(
         self,
@@ -449,48 +339,8 @@ class SolverFarm:
         )
 
 
-class MonolithicSolver:
-    """The plain whole-network solve behind the strategy interface.
-
-    ``GlobalSwitchboard(solver=MonolithicSolver())`` behaves exactly
-    like passing the model to :func:`solve_chain_routing_lp` yourself;
-    it exists so farm and monolithic solving are interchangeable.
-    """
-
-    def __init__(
-        self,
-        enforce_mlu: bool = True,
-        metrics: "MetricsRegistry | None" = None,
-    ):
-        self.enforce_mlu = enforce_mlu
-        self.metrics = metrics
-
-    def solve(
-        self,
-        model: NetworkModel,
-        objective: LpObjective = LpObjective.MAX_THROUGHPUT,
-    ) -> LpResult:
-        return solve_chain_routing_lp(
-            model, objective, enforce_mlu=self.enforce_mlu,
-            metrics=self.metrics,
-        )
-
-    def resolve(
-        self,
-        model: NetworkModel,
-        changed_chains: Iterable[str],
-        objective: LpObjective = LpObjective.MAX_THROUGHPUT,
-    ) -> LpResult:
-        """No incremental path: every re-solve is a full solve."""
-        return self.solve(model, objective)
-
-
 __all__ = [
     "FarmResult",
-    "MonolithicSolver",
-    "SolveRequest",
     "SolveResult",
     "SolverFarm",
-    "optimality_gap",
-    "solve_request",
 ]

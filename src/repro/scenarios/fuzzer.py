@@ -309,7 +309,6 @@ def run_case_federation(
             model,
             n_regions=case.fed_regions,
             partition_size=8,
-            max_workers=1,
             fault_policy=FaultPolicy(
                 seed=case.fed_seed,
                 reject_rate=case.fed_reject_rate,

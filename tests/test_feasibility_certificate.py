@@ -217,7 +217,7 @@ def federation(seed=5, chains=30, pops=12, regions=2, partition_size=6):
     ))
     coordinator = GlobalCoordinator(
         full.copy_with_chains([]), n_regions=regions,
-        partition_size=partition_size, max_workers=1,
+        partition_size=partition_size,
     )
     for chain in full.chains.values():
         coordinator.submit(chain)
@@ -320,7 +320,7 @@ class TestMergedReport:
             [Link("ab", "a", "b", 1e3), Link("ba", "b", "a", 1e3)],
             {("a", "b"): {"ab": 1.0}, ("b", "a"): {"ba": 1.0}},
         )
-        coordinator = GlobalCoordinator(model, n_regions=1, max_workers=1)
+        coordinator = GlobalCoordinator(model, n_regions=1)
         coordinator.submit(Chain("c", "a", "b", ["fw"], 10.0, 0.0))
         x = (10.0 + 1e-6 + nudge) / 20.0
         monkeypatch.setattr(
@@ -365,7 +365,7 @@ class TestPlainFarm:
         """A farm result's certificate is its partitions' (whole coupling
         groups under ``None``, split ones under 1 and 2) and clears only
         what the reference passes."""
-        farm = SolverFarm(partition_size=size, max_workers=1, enforce_mlu=enforce_mlu)
+        farm = SolverFarm(partition_size=size, enforce_mlu=enforce_mlu)
         result = farm.solve(model)
         assert result.ok
         sub = model.substrate_columns()
@@ -397,9 +397,9 @@ class TestSharedCacheAcrossInsertionOrders:
             != backward.substrate_columns().site_names
         )
         cache = SolutionCache()
-        first = SolverFarm(partition_size=3, max_workers=1, cache=cache)
-        second = SolverFarm(partition_size=3, max_workers=1, cache=cache)
-        alone = SolverFarm(partition_size=3, max_workers=1)
+        first = SolverFarm(partition_size=3, cache=cache)
+        second = SolverFarm(partition_size=3, cache=cache)
+        alone = SolverFarm(partition_size=3)
         solved = first.solve(forward)
         picked = second.solve(backward)
         fresh = alone.solve(backward)

@@ -12,6 +12,7 @@ from repro.cli import main
 from repro.federation import (
     FederationChaosConfig,
     build_federation_deployment,
+    check_atomicity,
     check_ledger_consistency,
     generate_federation_scenario,
     run_federation_chaos,
@@ -256,6 +257,43 @@ class TestCoordinatorFailover:
         assert chain.name in d.standby._cross
         assert d.fed_store.pending_wal() == {}
         assert check_ledger_consistency(d.standby) == []
+
+    def test_takeover_does_not_readopt_removed_chains(self):
+        """Chains removed on the primary leave the durable record with
+        them: the standby's recovery and reconciliation bring back
+        neither the intra nor the cross-shard one."""
+        config = quiet_config()
+        d = build_federation_deployment(config)
+        d.failover.start(until=config.duration_s)
+        intra = sorted(d.primary._intra)[0]
+        cross = sorted(d.primary._cross)[0]
+        removed = (intra, cross)
+        durable_intra, durable_cross = d.fed_store.restore()
+        assert intra in durable_intra and cross in durable_cross
+        kept = [name for name in d.primary.installed() if name not in removed]
+
+        for name in removed:
+            d.primary.remove(name)
+        durable_intra, durable_cross = d.fed_store.restore()
+        assert intra not in durable_intra and cross not in durable_cross
+
+        d.sim.schedule_at(1.0, d.failover.crash_active)
+        d.net.run(until=config.duration_s)
+        d.net.run()
+
+        assert d.failover.takeovers == 1
+        assert d.standby.active
+        assert d.standby.installed() == kept
+        for name in removed:
+            assert name not in d.model.chains
+        for regional in d.standby.regionals.values():
+            assert intra not in regional.model.chains
+            assert not [
+                key for key in regional.committed_segments()
+                if key.startswith(f"{cross}@")
+            ]
+        assert check_ledger_consistency(d.standby) == []
+        assert check_atomicity(d.standby) == []
 
 
 class TestFederatedChaosSoak:

@@ -50,7 +50,7 @@ def federation_region():
     )
     chains = list(full.chains.values())
     coordinator = GlobalCoordinator(
-        full.copy_with_chains([]), n_regions=3, partition_size=8, max_workers=1
+        full.copy_with_chains([]), n_regions=3, partition_size=8
     )
     for chain in chains:
         coordinator.submit(chain)
@@ -249,7 +249,7 @@ def test_random_churn_keeps_the_plan_sound(seed, steps, max_chains):
     model = coupled_model(rng)
     for serial in range(rng.randint(4, 7)):
         model.add_chain(random_chain(rng, f"c{serial:03d}"))
-    farm = SolverFarm(partition_size=max_chains, max_workers=1)
+    farm = SolverFarm(partition_size=max_chains)
     assert farm.solve(model).ok
     for serial, step in enumerate(steps, start=100):
         apply_step(model, rng, step, serial)
@@ -269,7 +269,7 @@ def test_random_churn_keeps_the_plan_sound(seed, steps, max_chains):
         # no LP structure, basis, column pool or cached solution -- gets
         # the same out of it.
         clear_matrix_cache()
-        fresh = SolverFarm(partition_size=max_chains, max_workers=1)
+        fresh = SolverFarm(partition_size=max_chains)
         fresh.plan = plan
         again = fresh.resolve(model, [])
         assert fresh.plan is plan and len(again.solved) == len(plan.partitions)
@@ -354,7 +354,7 @@ def one_way_model(reverse_demand: float) -> NetworkModel:
 
 def test_a_flipped_demand_pattern_is_not_a_demand_change():
     idle = one_way_model(0.0)
-    farm = SolverFarm(partition_size=2, max_workers=1)
+    farm = SolverFarm(partition_size=2)
     assert farm.solve(idle).ok
     assert [p.chains for p in farm.plan.partitions] == [("c1", "c3"), ("c2", "c4")]
     # nobody could load ``ba``, so nobody holds a share of it

@@ -387,7 +387,7 @@ def test_a_partition_with_zero_capacity_shares_solves_to_nothing(monkeypatch):
 
     monkeypatch.setattr(farm_mod, "partition_chains", starved)
     model = te_replan_model()
-    farm = SolverFarm(partition_size=4, max_workers=1)
+    farm = SolverFarm(partition_size=4)
     result = farm.solve(model)
     assert result.ok and not result.fallback and len(result.solved) == 4
     assert result.solution.violations() == []
@@ -409,7 +409,7 @@ def test_a_chain_whose_last_front_is_blocked_stays_unrouted():
     ]).copy_with_chains(model.chains.values())
     stuck = [c.name for c in model.chains.values() if blocked in c.vnfs]
     assert 0 < len(stuck) < len(model.chains)
-    for farm in (SolverFarm(partition_size=None), SolverFarm(4, max_workers=1)):
+    for farm in (SolverFarm(partition_size=None), SolverFarm(4)):
         result = farm.solve(model)
         assert result.ok and not result.fallback
         assert result.solution.violations() == []

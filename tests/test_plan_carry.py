@@ -92,7 +92,7 @@ def twin_of(chain: Chain) -> Chain:
 class TestCarryInvalidation:
     def farm_on_ring(self):
         model, rng = ring()
-        farm = SolverFarm(partition_size=3, max_workers=1, cache=RecordingCache())
+        farm = SolverFarm(partition_size=3, cache=RecordingCache())
         first, asked = run(farm, model, call="solve")
         assert first.ok and not first.exact and len(asked) == 3
         assert asked == from_scratch_keys(farm, model)
@@ -144,7 +144,7 @@ class TestCarryInvalidation:
         assert all(key.endswith(":max_throughput:mlu=False") for key in asked)
         assert not set(asked) & set(before) and result.cache_hits == 0
         fresh = SolverFarm(
-            partition_size=3, max_workers=1, cache=RecordingCache(),
+            partition_size=3, cache=RecordingCache(),
             enforce_mlu=False,
         )
         _result, scratch = run(fresh, model, call="solve")
@@ -176,7 +176,7 @@ class TestCarryInvalidation:
     @pytest.mark.parametrize("edit", ["link", "site"])
     def test_a_substrate_edit_drops_the_plan_and_its_keys(self, edit):
         model = spur_model()
-        farm = SolverFarm(partition_size=2, max_workers=1, cache=RecordingCache())
+        farm = SolverFarm(partition_size=2, cache=RecordingCache())
         _first, healthy = run(farm, model, call="solve")
         gs = GlobalSwitchboard(model, DataPlane(random.Random(1)))
         fail, restore = {
@@ -189,7 +189,7 @@ class TestCarryInvalidation:
         assert farm.plan is not plan and result.ok
         assert asked == from_scratch_keys(farm, model)
         assert not set(asked) & set(healthy)
-        fresh = SolverFarm(partition_size=2, max_workers=1, cache=RecordingCache())
+        fresh = SolverFarm(partition_size=2, cache=RecordingCache())
         _result, scratch = run(fresh, model, call="solve")
         assert scratch == asked
         plan = farm.plan
@@ -217,8 +217,8 @@ def test_a_carrying_farm_and_a_forgetful_one_agree_over_random_rounds():
     degenerate optimum) are dropped before every run of either."""
     rng = random.Random(33)
     model, _ = ring(seed=34, chains=8)
-    carrying = SolverFarm(partition_size=3, max_workers=1)
-    forgetful = SolverFarm(partition_size=3, max_workers=1)
+    carrying = SolverFarm(partition_size=3)
+    forgetful = SolverFarm(partition_size=3)
     for serial in range(99, 130):
         if serial >= 100:
             step = rng.choice(["scale", "scale", "scale", "add", "remove", "flip"])

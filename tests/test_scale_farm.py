@@ -1,5 +1,5 @@
-"""Tests for the solver farm: caching, incremental re-solve, pool path,
-fallbacks, and the GlobalSwitchboard wiring."""
+"""Tests for the solver farm: caching, incremental re-solve, the
+monolithic fallback, and the GlobalSwitchboard wiring."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.core.lp import LpObjective, LpResult, solve_chain_routing_lp
 from repro.obs import MetricsRegistry
 from repro.scale import (
     FarmResult,
-    MonolithicSolver,
     PartitionError,
     SolutionCache,
     SolverFarm,
@@ -25,7 +24,7 @@ class TestFarmSolve:
     def test_exact_partitioning_matches_monolithic(self):
         model = clustered_model(3)
         mono = solve_chain_routing_lp(model, LpObjective.MIN_LATENCY)
-        farm = SolverFarm(partition_size=1, max_workers=1)
+        farm = SolverFarm(partition_size=1)
         result = farm.solve(model, LpObjective.MIN_LATENCY)
         assert result.ok and result.exact
         assert result.objective == pytest.approx(mono.objective, rel=1e-6)
@@ -36,7 +35,7 @@ class TestFarmSolve:
 
     def test_split_solution_is_feasible(self):
         model = coupled_model(6, demands=[1, 2, 3, 4, 5, 6], bandwidth=100.0)
-        farm = SolverFarm(partition_size=2, max_workers=1)
+        farm = SolverFarm(partition_size=2)
         result = farm.solve(model)
         assert result.ok and not result.exact
         assert result.solution.violations() == []
@@ -44,7 +43,7 @@ class TestFarmSolve:
     def test_repeat_solve_served_from_cache(self):
         registry = MetricsRegistry()
         model = clustered_model(3)
-        farm = SolverFarm(partition_size=1, max_workers=1, metrics=registry)
+        farm = SolverFarm(partition_size=1, metrics=registry)
         first = farm.solve(model)
         second = farm.solve(model)
         assert first.cache_hits == 0 and len(first.solved) == 3
@@ -54,7 +53,7 @@ class TestFarmSolve:
         assert second.objective == pytest.approx(first.objective)
 
     def test_objective_is_part_of_cache_key(self):
-        farm = SolverFarm(partition_size=1, max_workers=1)
+        farm = SolverFarm(partition_size=1)
         model = clustered_model(2)
         farm.solve(model, LpObjective.MIN_LATENCY)
         result = farm.solve(model, LpObjective.MAX_THROUGHPUT)
@@ -63,9 +62,9 @@ class TestFarmSolve:
     def test_shared_cache_across_farms(self):
         cache = SolutionCache()
         model = clustered_model(2)
-        SolverFarm(partition_size=1, max_workers=1, cache=cache).solve(model)
+        SolverFarm(partition_size=1, cache=cache).solve(model)
         result = SolverFarm(
-            partition_size=1, max_workers=1, cache=cache
+            partition_size=1, cache=cache
         ).solve(model)
         assert result.cache_hits == 2
 
@@ -74,7 +73,7 @@ class TestIncrementalResolve:
     def test_only_changed_partition_resolves(self):
         registry = MetricsRegistry()
         model = clustered_model(4)
-        farm = SolverFarm(partition_size=1, max_workers=1, metrics=registry)
+        farm = SolverFarm(partition_size=1, metrics=registry)
         farm.solve(model)
         before = registry.value("scale.partition_solves")
         scale_demand(model, "c2", 1.5)
@@ -85,7 +84,7 @@ class TestIncrementalResolve:
 
     def test_resolved_solution_reflects_new_demand(self):
         model = clustered_model(3)
-        farm = SolverFarm(partition_size=1, max_workers=1)
+        farm = SolverFarm(partition_size=1)
         farm.solve(model)
         scale_demand(model, "c1", 2.0)
         result = farm.resolve(model, ["c1"])
@@ -96,14 +95,14 @@ class TestIncrementalResolve:
 
     def test_resolve_without_plan_falls_back_to_solve(self):
         model = clustered_model(2)
-        farm = SolverFarm(partition_size=1, max_workers=1)
+        farm = SolverFarm(partition_size=1)
         result = farm.resolve(model, ["c0"])
         assert result.ok
         assert len(result.solved) == 2
 
     def test_resolve_after_chain_set_change_replans(self):
         model = clustered_model(2)
-        farm = SolverFarm(partition_size=1, max_workers=1)
+        farm = SolverFarm(partition_size=1)
         farm.solve(model)
         grown = clustered_model(3)
         result = farm.resolve(grown, ["c2"])
@@ -115,7 +114,7 @@ class TestIncrementalResolve:
         # every later partition down one index; their sub-model digests
         # are unchanged, so they are cache hits solved under the old index.
         model = clustered_model(3)
-        farm = SolverFarm(partition_size=1, max_workers=1)
+        farm = SolverFarm(partition_size=1)
         farm.solve(model)
         model.remove_chain("c0")
         result = farm.resolve(model, [])
@@ -123,7 +122,7 @@ class TestIncrementalResolve:
         assert all(r.partition_index == i for i, r in result.results.items())
         assert [r.chains for r in result.results.values()] == [("c1",), ("c2",)]
         # ... and with a cache shared between farms planning different sets
-        other = SolverFarm(partition_size=1, max_workers=1, cache=farm.cache)
+        other = SolverFarm(partition_size=1, cache=farm.cache)
         shifted = other.solve(clustered_model(3).copy_with_chains(
             [model.chains["c2"]]
         ))
@@ -132,7 +131,7 @@ class TestIncrementalResolve:
 
     def test_resolve_rejects_a_chain_the_plan_does_not_know(self):
         model = clustered_model(2)
-        farm = SolverFarm(partition_size=1, max_workers=1)
+        farm = SolverFarm(partition_size=1)
         farm.solve(model)
         with pytest.raises(PartitionError):
             farm.resolve(model, ["nope"])
@@ -143,7 +142,7 @@ class TestIncrementalResolve:
         # unchanged, but the stored partition plan (shares, pre-route)
         # was computed against the old substrate and must not be reused.
         model = clustered_model(3)
-        farm = SolverFarm(partition_size=1, max_workers=1)
+        farm = SolverFarm(partition_size=1)
         first = farm.solve(model, LpObjective.MIN_LATENCY)
         plan_before = farm.plan
         # Degrade cluster 0's b0-c0 link the way fail_link does.
@@ -166,23 +165,11 @@ class TestIncrementalResolve:
 
 
 class TestPoolAndFallback:
-    def test_pool_matches_serial(self):
-        model = clustered_model(3)
-        serial = SolverFarm(partition_size=1, max_workers=1).solve(model)
-        try:
-            pooled = SolverFarm(partition_size=1, max_workers=2).solve(model)
-        except Exception as exc:  # pragma: no cover - sandboxed CI
-            pytest.skip(f"process pool unavailable: {exc}")
-        assert pooled.objective == pytest.approx(serial.objective, rel=1e-6)
-        assert pooled.solution.throughput() == pytest.approx(
-            serial.solution.throughput(), rel=1e-6
-        )
-
     def test_infeasible_partition_falls_back_to_monolithic(self):
         registry = MetricsRegistry()
         # MIN_LATENCY must route everything; demand 40 > capacity 20.
         model = coupled_model(2, demands=[20.0, 20.0], fw_cap=20.0)
-        farm = SolverFarm(partition_size=1, max_workers=1, metrics=registry)
+        farm = SolverFarm(partition_size=1, metrics=registry)
         result = farm.solve(model, LpObjective.MIN_LATENCY)
         assert result.fallback
         assert result.status == "infeasible"
@@ -190,26 +177,39 @@ class TestPoolAndFallback:
 
     def test_failed_results_not_cached(self):
         model = coupled_model(2, demands=[20.0, 20.0], fw_cap=20.0)
-        farm = SolverFarm(partition_size=1, max_workers=1)
+        farm = SolverFarm(partition_size=1)
         farm.solve(model, LpObjective.MIN_LATENCY)
         assert len(farm.cache) == 0
 
 
-class TestMonolithicSolver:
-    def test_matches_direct_lp(self):
-        model = clustered_model(2)
-        direct = solve_chain_routing_lp(model, LpObjective.MAX_THROUGHPUT)
-        solver = MonolithicSolver()
-        result = solver.solve(model)
-        assert isinstance(result, LpResult)
-        assert result.objective == pytest.approx(direct.objective)
+class TestSerialOnly:
+    def test_no_module_imports_a_process_pool(self):
+        import ast
+        from pathlib import Path
 
-    def test_resolve_is_full_solve(self):
-        model = clustered_model(2)
-        solver = MonolithicSolver()
-        full = solver.solve(model)
-        incremental = solver.resolve(model, ["c0"])
-        assert incremental.objective == pytest.approx(full.objective)
+        import repro
+
+        root = Path(repro.__file__).parent
+        found = []
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                found += [
+                    f"{path.relative_to(root)}: {name}" for name in names
+                    if name.split(".")[0] in ("concurrent", "multiprocessing")
+                ]
+        assert found == []
+
+    def test_coordinator_accepts_only_one_worker(self):
+        from repro.federation import GlobalCoordinator
+
+        with pytest.raises(ValueError):
+            GlobalCoordinator(clustered_model(2), max_workers=2)
 
 
 class TestSwitchboardWiring:
@@ -233,7 +233,7 @@ class TestSwitchboardWiring:
     def test_solver_strategy_dispatch(self):
         from tests.test_failures import spec
 
-        farm = SolverFarm(partition_size=1, max_workers=1)
+        farm = SolverFarm(partition_size=1)
         gs = self.build(solver=farm)
         gs.create_chain(spec("c1", demand=5.0))
         plan = gs.plan_routes()
@@ -244,7 +244,7 @@ class TestSwitchboardWiring:
         from repro.controller import reoptimize
         from tests.test_failures import spec
 
-        farm = SolverFarm(partition_size=1, max_workers=1)
+        farm = SolverFarm(partition_size=1)
         gs = self.build(solver=farm)
         gs.create_chain(spec("c1", demand=5.0))
         gs.create_chain(spec("c2", demand=4.0, dst="20.0.1.0/24"))

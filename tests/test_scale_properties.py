@@ -87,7 +87,7 @@ def test_clusters_partition_exactly(model):
 @given(clustered_model())
 def test_min_latency_equivalence(model):
     mono = solve_chain_routing_lp(model, LpObjective.MIN_LATENCY)
-    farm = SolverFarm(partition_size=2, max_workers=1).solve(
+    farm = SolverFarm(partition_size=2).solve(
         model, LpObjective.MIN_LATENCY
     )
     assert farm.ok == mono.ok
@@ -106,7 +106,7 @@ def test_min_latency_equivalence(model):
 @given(clustered_model())
 def test_max_throughput_equivalence(model):
     mono = solve_chain_routing_lp(model, LpObjective.MAX_THROUGHPUT)
-    farm = SolverFarm(partition_size=2, max_workers=1).solve(
+    farm = SolverFarm(partition_size=2).solve(
         model, LpObjective.MAX_THROUGHPUT
     )
     assert farm.ok and mono.ok
@@ -121,7 +121,7 @@ def test_max_throughput_equivalence(model):
 @given(clustered_model(with_links=True))
 def test_min_mlu_equivalence(model):
     mono = solve_chain_routing_lp(model, LpObjective.MIN_MLU)
-    farm = SolverFarm(partition_size=2, max_workers=1).solve(
+    farm = SolverFarm(partition_size=2).solve(
         model, LpObjective.MIN_MLU
     )
     assert farm.ok and mono.ok
@@ -159,7 +159,7 @@ def coupled_workload(draw):
 @given(coupled_workload())
 def test_split_solution_feasible_and_bounded(model):
     mono = solve_chain_routing_lp(model, LpObjective.MAX_THROUGHPUT)
-    farm = SolverFarm(partition_size=2, max_workers=1).solve(
+    farm = SolverFarm(partition_size=2).solve(
         model, LpObjective.MAX_THROUGHPUT
     )
     assert farm.ok and mono.ok

@@ -329,7 +329,7 @@ def _substrate_state(model: NetworkModel) -> list:
 class TestCacheDiesWithSubstrate:
     def test_resolve_after_fail_link_rebuilds_everything(self):
         model = spur_model()
-        farm = SolverFarm(partition_size=2, max_workers=1)
+        farm = SolverFarm(partition_size=2)
         first = farm.solve(model)
         assert first.ok and not first.exact
         old_plan = farm.plan
