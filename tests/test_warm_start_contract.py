@@ -147,6 +147,9 @@ def share_vector(model: NetworkModel, rng: random.Random) -> dict:
 # Its third draw floors a link to a 4e-7 share, which bounds beta: dual
 # simplex stalls on that phase-I master (primal does not).
 @example(seed=29, objective=LpObjective.MIN_MLU)
+# The cold phase-I master of its draw ends in HiGHS status kUnknown at
+# pricing round 10 (the one failing MIN_MLU seed in 0-299).
+@example(seed=205, objective=LpObjective.MIN_MLU)
 def test_shares_reach_the_program_as_right_hand_side(seed, objective):
     rng = random.Random(seed)
     clear_matrix_cache()
