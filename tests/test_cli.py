@@ -122,6 +122,20 @@ class TestFederationCommand:
         assert report["offered"] == 3287.44
         assert report["carried"] == 2693.208
 
+    @pytest.mark.parametrize("pops, chains", [(12, 24), (24, 48)])
+    def test_small_shapes_are_clean(self, pops, chains, capsys):
+        # A cross-shard install (12 / 24) or a re-plan (24 / 48) the
+        # border budget does not fit is counted, not raised.
+        import json
+
+        assert main([
+            "federation", "--pops", str(pops), "--chains", str(chains),
+            "--regions", "3", "--json",
+        ]) == 0
+        out = capsys.readouterr().out
+        report = json.loads(out[out.index("{"):])
+        assert report["violations"] == []
+
 
 class TestFuzzParser:
     def test_fuzz_defaults(self):
