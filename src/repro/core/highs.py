@@ -269,6 +269,12 @@ class ColumnGenSolver:
     def _run(self) -> None:
         self._checked(self._highs.run(), "run")
         status = self._highs.getModelStatus()
+        if status == _hc.HighsModelStatus.kUnknown:
+            # Simplex gave up on this basis (a cold phase-I master of the
+            # seed-205 MIN_MLU draw does, at round 10): once more from none.
+            self._highs.clearSolver()
+            self._checked(self._highs.run(), "run")
+            status = self._highs.getModelStatus()
         if status != _hc.HighsModelStatus.kOptimal:
             # With its artificial columns every restricted master is
             # feasible; anything else is a numerical failure.
