@@ -377,14 +377,9 @@ def _cmd_federation(args: argparse.Namespace) -> int:
     import random
 
     from repro.core.lp import LpObjective
-    from repro.federation import (
-        CoordinatorCrash,
-        FaultPolicy,
-        FederationError,
-        GlobalCoordinator,
-        check_all,
-    )
-    from repro.federation import run_soak as run_federation_soak
+    from repro.federation import FaultPolicy, GlobalCoordinator, check_all
+    from repro.federation.soak import FederatedOps, install_base
+    from repro.federation.soak import run_soak as run_federation_soak
     from repro.obs import MetricsRegistry, collect_federation, registry_to_dict
     from repro.topology.pops import PopGridConfig, generate_federation_workload
 
@@ -444,22 +439,23 @@ def _cmd_federation(args: argparse.Namespace) -> int:
         f"links ({build_s:.1f}s to build)"
     )
 
+    # The soak installs the first 70 % in generation order and draws
+    # its submits from the rest; the plain run installs every chain in
+    # name order, as ``sync_chains`` would.
+    chains = list(model.chains.values())
+    if not args.soak:
+        chains.sort(key=lambda chain: chain.name)
+    for chain in chains:
+        model.remove_chain(chain.name)
+    split = max(1, int(len(chains) * 0.7)) if args.soak else len(chains)
+    start = time.perf_counter()
+    installed = install_base(coordinator, chains[:split])
+    install_s = time.perf_counter() - start
+
     if args.soak:
-        chains = list(model.chains.values())
-        split = max(1, int(len(chains) * 0.7))
-        base, pool = chains[:split], chains[split:]
-        for chain in chains:
-            model.remove_chain(chain.name)
-        installed = 0
-        for chain in base:
-            try:
-                coordinator.submit(chain)
-                installed += 1
-            except (CoordinatorCrash, FederationError):
-                coordinator.sweep()
-        print(f"soak base: {installed}/{len(base)} chains installed")
+        print(f"soak base: {installed}/{split} chains installed")
         report = run_federation_soak(
-            model, coordinator, pool, ops=args.soak, seed=args.seed
+            model, coordinator, chains[split:], ops=args.soak, seed=args.seed
         )
         collect_federation(registry, coordinator)
         report["metrics"] = registry_to_dict(registry)
@@ -478,12 +474,9 @@ def _cmd_federation(args: argparse.Namespace) -> int:
         _write_out(args.out, doc)
         return 0 if report["ok"] else 1
 
-    start = time.perf_counter()
-    sync = coordinator.sync_chains()
-    install_s = time.perf_counter() - start
     stats = coordinator.stats()
     print(
-        f"installed: {len(sync['added'])} chains in {install_s:.1f}s "
+        f"installed: {installed}/{split} chains in {install_s:.1f}s "
         f"({stats['chains_cross']} cross-shard, "
         f"{stats['cross_shard_ratio']:.1%})"
     )
@@ -499,18 +492,23 @@ def _cmd_federation(args: argparse.Namespace) -> int:
 
     rng = random.Random(args.seed)
     changed = rng.sample(sorted(model.chains), min(8, len(model.chains)))
-    for name in changed:
-        chain = model.chains[name]
-        model.remove_chain(name)
-        model.add_chain(chain.scaled(1.25))
     start = time.perf_counter()
-    incr = coordinator.resolve(model, changed, LpObjective.MAX_THROUGHPUT)
-    incr_s = time.perf_counter() - start
-    print(
-        f"federated incr:  {incr_s:7.2f}s  carried "
-        f"{incr.carried_demand:9.1f}  regions re-solved "
-        f"{list(incr.resolved_regions)}"
+    incr = FederatedOps(model, coordinator).redemand(
+        {name: 1.25 for name in changed}
     )
+    incr_s = time.perf_counter() - start
+    if incr is None:
+        print(
+            f"federated incr:  {incr_s:7.2f}s  a border cannot fit the "
+            f"scaled demand: re-plan refused, demands restored"
+        )
+        incr = cold
+    else:
+        print(
+            f"federated incr:  {incr_s:7.2f}s  carried "
+            f"{incr.carried_demand:9.1f}  regions re-solved "
+            f"{list(incr.resolved_regions)}"
+        )
 
     problems = check_all(coordinator, incr)
     print(f"invariants: {len(problems)} violations")
