@@ -56,6 +56,10 @@ class Violation:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"[t={self.at:.3f}s] {self.invariant}: {self.detail}"
 
+    def to_doc(self) -> dict:
+        return {"at": round(self.at, 9), "invariant": self.invariant,
+                "detail": self.detail}
+
 
 class InvariantChecker:
     """Periodic evaluation of registered invariant probes."""
@@ -161,6 +165,24 @@ def network_quiescence(net: "SimNetwork") -> Callable[[], list[str]]:
     return probe
 
 
+def _installing(installer: "BusDrivenInstaller | None") -> bool:
+    """In-flight installs and un-acked control RPCs (e.g. teardowns
+    still being retransmitted) legitimately leave participant state
+    without an owning installation: the 2PC probes skip meanwhile."""
+    return installer is not None and bool(
+        installer._pending or installer.rpc.outstanding()
+    )
+
+
+def _recorded_loads(gs: "GlobalSwitchboard") -> dict[tuple[str, str], float]:
+    """Per (VNF, site), the load the installed chains record committed."""
+    loads: dict[tuple[str, str], float] = {}
+    for installation in gs.installations.values():
+        for key, load in installation.committed_load.items():
+            loads[key] = loads.get(key, 0.0) + load
+    return loads
+
+
 def two_phase_atomicity(
     gs: "GlobalSwitchboard",
     installer: "BusDrivenInstaller | None" = None,
@@ -173,12 +195,7 @@ def two_phase_atomicity(
     """
 
     def probe() -> list[str]:
-        if installer is not None and (
-            installer._pending or installer.rpc.outstanding()
-        ):
-            # In-flight installs and un-acked control RPCs (e.g.
-            # teardowns still being retransmitted) legitimately leave
-            # participant state without an owning installation.
+        if _installing(installer):
             return []
         out = []
         for name, service in gs.vnf_services.items():
@@ -207,18 +224,10 @@ def capacity_safety(
     """
 
     def probe() -> list[str]:
-        if installer is not None and (
-            installer._pending or installer.rpc.outstanding()
-        ):
-            # In-flight installs and un-acked control RPCs (e.g.
-            # teardowns still being retransmitted) legitimately leave
-            # participant state without an owning installation.
+        if _installing(installer):
             return []
         out = []
-        per_site: dict[tuple[str, str], float] = {}
-        for installation in gs.installations.values():
-            for (vnf, site), load in installation.committed_load.items():
-                per_site[(vnf, site)] = per_site.get((vnf, site), 0.0) + load
+        per_site = _recorded_loads(gs)
         for name, service in gs.vnf_services.items():
             for site, cap in service.site_capacity.items():
                 committed = service.committed(site)
@@ -258,18 +267,10 @@ def no_orphaned_reservations(
     """
 
     def probe() -> list[str]:
-        if installer is not None and (
-            installer._pending or installer.rpc.outstanding()
-        ):
-            # In-flight installs and un-acked control RPCs (e.g.
-            # teardowns still being retransmitted) legitimately leave
-            # participant state without an owning installation.
+        if _installing(installer):
             return []
         out = []
-        recorded: dict[tuple[str, str], float] = {}
-        for installation in gs.installations.values():
-            for (vnf, site), load in installation.committed_load.items():
-                recorded[(vnf, site)] = recorded.get((vnf, site), 0.0) + load
+        recorded = _recorded_loads(gs)
         for name, service in gs.vnf_services.items():
             for (chain, site), load in sorted(service.reservations().items()):
                 out.append(

@@ -10,10 +10,11 @@ controller leader kill, all with times and targets drawn from
 produce the same JSON document (that is asserted by the chaos tests and
 surfaced as the schedule digest in the soak report).
 
-The schedule is *applied* by :class:`repro.chaos.runner.ChaosEngine`,
-which maps each event kind onto the simnet fault primitives, the
-controller's recovery entry points, and the replicated store's lease
-machinery.
+The schedule is *applied* by a :class:`repro.chaos.runner.FaultEngine`
+(the monolithic soak's ``ChaosEngine``, the federated soak's
+``FederationChaosEngine``), which maps each event kind onto the simnet
+fault primitives, the controller's recovery entry points, and the
+replicated store's lease machinery.
 """
 
 from __future__ import annotations
@@ -102,17 +103,16 @@ class Scenario:
     def __post_init__(self) -> None:
         self.events.sort(key=lambda e: (e.at, e.kind, e.target))
 
+    def to_doc(self) -> dict:
+        return {
+            "seed": self.seed,
+            "duration_s": self.duration_s,
+            "events": [e.to_doc() for e in self.events],
+        }
+
     def to_json(self) -> str:
         """Deterministic serialization: same seed -> same bytes."""
-        return json.dumps(
-            {
-                "seed": self.seed,
-                "duration_s": self.duration_s,
-                "events": [e.to_doc() for e in self.events],
-            },
-            separators=(",", ":"),
-            sort_keys=True,
-        )
+        return json.dumps(self.to_doc(), separators=(",", ":"), sort_keys=True)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Scenario":

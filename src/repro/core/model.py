@@ -423,9 +423,6 @@ class NetworkModel:
             return 0.0
         raise ModelError(f"no latency entry for {n1!r} -> {n2!r}")
 
-    def site_node(self, site: str) -> str:
-        return self.sites[site].node
-
     def site_latency(self, a: str, b: str) -> float:
         """Delay between two endpoints given as site names *or* node names."""
         return self.latency(self.endpoint_node(a), self.endpoint_node(b))

@@ -333,45 +333,31 @@ def federation_probes(
     def _skips() -> set[int]:
         return skip_regions() if skip_regions is not None else set()
 
-    def capacity() -> list[str]:
-        coordinator = coordinator_of()
-        if coordinator is None:
-            return []
-        plan = plan_of() if plan_of is not None else None
-        return check_capacity_safety(coordinator, plan)
+    def on_active(check) -> Callable[[], list[str]]:
+        """``check`` on the active coordinator; nothing mid-failover."""
 
-    def atomicity() -> list[str]:
-        coordinator = coordinator_of()
-        if coordinator is None:
-            return []
-        return check_atomicity(coordinator, _flight(), _skips())
+        def probe() -> list[str]:
+            coordinator = coordinator_of()
+            return [] if coordinator is None else check(coordinator)
 
-    def stitching() -> list[str]:
-        coordinator = coordinator_of()
-        if coordinator is None:
-            return []
-        return check_stitching(coordinator)
-
-    def ledgers() -> list[str]:
-        coordinator = coordinator_of()
-        if coordinator is None:
-            return []
-        return check_ledger_consistency(coordinator, _flight(), _skips())
+        return probe
 
     probes: dict[str, Callable[[], list[str]]] = {
-        "fed_capacity_safety": capacity,
-        "fed_atomicity": atomicity,
-        "fed_stitching": stitching,
-        "fed_ledger_consistency": ledgers,
+        "fed_capacity_safety": on_active(lambda c: check_capacity_safety(
+            c, plan_of() if plan_of is not None else None
+        )),
+        "fed_atomicity": on_active(
+            lambda c: check_atomicity(c, _flight(), _skips())
+        ),
+        "fed_stitching": on_active(check_stitching),
+        "fed_ledger_consistency": on_active(
+            lambda c: check_ledger_consistency(c, _flight(), _skips())
+        ),
     }
     if quiescent:
-        def quiet() -> list[str]:
-            coordinator = coordinator_of()
-            if coordinator is None:
-                return []
-            return check_quiescence(coordinator, _flight(), _skips())
-
-        probes["fed_quiescence"] = quiet
+        probes["fed_quiescence"] = on_active(
+            lambda c: check_quiescence(c, _flight(), _skips())
+        )
     if nodes is not None and net is not None:
         node_list = list(nodes)
         probes["fed_single_active"] = (

@@ -33,11 +33,6 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 class SolutionCache:
     """A bounded LRU of :class:`~repro.scale.farm.SolveResult` objects."""
@@ -56,9 +51,6 @@ class SolutionCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
 
     def get(self, key: str) -> "SolveResult | None":
         result = self._entries.get(key)
@@ -82,9 +74,6 @@ class SolutionCache:
             self.stats.evictions += 1
             if self.metrics is not None:
                 self.metrics.counter("scale.cache.evictions").inc()
-
-    def clear(self) -> None:
-        self._entries.clear()
 
 
 __all__ = ["CacheStats", "SolutionCache"]

@@ -195,14 +195,7 @@ class ComposedSchedule:
     faults: Scenario
 
     def to_doc(self) -> dict:
-        return {
-            "workload": self.workload.to_doc(),
-            "faults": {
-                "seed": self.faults.seed,
-                "duration_s": self.faults.duration_s,
-                "events": [e.to_doc() for e in self.faults.events],
-            },
-        }
+        return {"workload": self.workload.to_doc(), "faults": self.faults.to_doc()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_doc(), separators=(",", ":"),
@@ -210,14 +203,9 @@ class ComposedSchedule:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ComposedSchedule":
-        fdoc = doc["faults"]
         return cls(
             workload=WorkloadSchedule.from_doc(doc["workload"]),
-            faults=Scenario(
-                seed=fdoc["seed"],
-                duration_s=fdoc["duration_s"],
-                events=[FaultEvent.from_doc(e) for e in fdoc["events"]],
-            ),
+            faults=Scenario.from_doc(doc["faults"]),
         )
 
     @classmethod
@@ -259,12 +247,6 @@ class ComposedSchedule:
                 events=events,
             ),
         )
-
-    def counts(self) -> dict[str, int]:
-        out = {f"workload.{k}": v for k, v in self.workload.counts().items()}
-        for kind, count in self.faults.counts().items():
-            out[f"fault.{kind}"] = count
-        return out
 
 
 def _item_at(pair: tuple[str, object]) -> float:
