@@ -67,7 +67,7 @@ def test_chaos_soak(benchmark):
         assert report.passed, report.render()
         # The schedule ran: every kind of fault was applied.
         assert sum(report.event_counts.values()) >= 10
-        assert report.leaders_killed == 1
+        assert report.lease["killed"] == 1
         # Faults really disturbed the system (drops were taken and
         # accounted) and the provisioned headroom absorbed the outage.
         assert sum(report.drop_reasons.values()) > 0

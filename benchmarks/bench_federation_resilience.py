@@ -38,14 +38,15 @@ def test_federation_resilience(benchmark):
         throughput = report.installed_total / max(
             report.base_installed + report.live_submitted, 1
         )
+        recovery_s = report.failover["recovery_s"]
         rows.append(
             (
                 report.seed,
                 report.scenario_digest[:12],
                 sum(report.event_counts.values()),
                 report.probes_run,
-                fmt(report.recovery_s, 3) if report.recovery_s else "-",
-                report.queued_peak,
+                fmt(recovery_s, 3) if recovery_s else "-",
+                report.queued["peak"],
                 report.degraded_admissions,
                 report.reconciliations,
                 fmt(100 * throughput, 0) + "%",
@@ -74,11 +75,11 @@ def test_federation_resilience(benchmark):
     for report in reports:
         assert report.passed, report.render()
         # The schedule ran: the crash happened and the standby took over.
-        assert report.coordinator_crashes == 1
-        assert report.takeovers >= 1
-        assert report.recovery_s is not None
+        assert report.failover["coordinator_crashes"] == 1
+        assert report.failover["takeovers"] >= 1
+        assert report.failover["recovery_s"] is not None
         # Nothing queued was lost: the queue fully drained by the end.
-        assert report.queued_final == 0
+        assert report.queued["final"] == 0
         # Reconciliation ran (heal + takeover both trigger it).
         assert report.reconciliations > 0
     # Distinct seeds produce distinct schedules.

@@ -56,7 +56,7 @@ def test_scenario_flash_crowd(benchmark):
     results = benchmark.pedantic(run_bench, iterations=1, rounds=1)
     rows = []
     for seed, (workload, report) in results.items():
-        counts = report.workload_counts
+        counts = report.workload["counts"]
         rows.append((
             seed,
             len(workload.ops),
@@ -67,7 +67,7 @@ def test_scenario_flash_crowd(benchmark):
             len(report.violations),
         ))
         assert report.passed, report.render()
-        assert report.workload_digest == workload.digest()
+        assert report.workload["digest"] == workload.digest()
         assert counts.get("created", 0) > 0, "flash crowd must install chains"
         assert report.events_applied, "fault schedule must fire"
     emit(

@@ -40,19 +40,19 @@ def test_scenario_zipf_mix(benchmark):
     results = benchmark.pedantic(run_bench, iterations=1, rounds=1)
     rows = []
     for seed, (workload, report) in results.items():
-        counts = report.workload_counts
+        counts = report.workload["counts"]
         rows.append((
             seed,
             len(workload.ops),
-            report.workload_ops_applied,
+            report.workload["ops_applied"],
             counts.get("created", 0),
             counts.get("create_rejected", 0),
             counts.get("removed", 0),
             len(report.violations),
         ))
         assert report.passed, report.render()
-        assert report.workload_digest == workload.digest()
-        assert report.workload_ops_applied == len(workload.ops)
+        assert report.workload["digest"] == workload.digest()
+        assert report.workload["ops_applied"] == len(workload.ops)
         assert counts.get("created", 0) > 0, "zipf mix must install chains"
     emit(
         "scenario_zipf_mix",

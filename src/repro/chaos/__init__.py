@@ -3,9 +3,12 @@
 The paper's future-work list asks to "evaluate performance and cost
 metrics in case of network and compute failures" (Section 7.3); this
 package is the test harness for that: seeded fault schedules
-(:mod:`repro.chaos.scenario`) played against a full deployment by a
-chaos engine (:mod:`repro.chaos.runner`) while system invariants are
-probed continuously (:mod:`repro.chaos.invariants`).
+(:mod:`repro.chaos.scenario`) played against a full deployment while
+system invariants are probed continuously (:mod:`repro.chaos.invariants`).
+:mod:`repro.chaos.runner` holds the one soak harness -- the
+:class:`FaultEngine`, the probe loop and the :class:`SoakDoc` report --
+and the monolithic soak on it; :mod:`repro.federation.chaos` is the
+federated soak on the same harness.
 
 Quick start::
 
@@ -32,7 +35,9 @@ from repro.chaos.invariants import (
 from repro.chaos.runner import (
     ChaosEngine,
     Deployment,
+    FaultEngine,
     SoakConfig,
+    SoakDoc,
     SoakReport,
     build_deployment,
     run_soak,
@@ -51,6 +56,7 @@ __all__ = [
     "EVENT_KINDS",
     "ChaosEngine",
     "Deployment",
+    "FaultEngine",
     "FaultEvent",
     "InvariantChecker",
     "LeaseGrant",
@@ -59,6 +65,7 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioError",
     "SoakConfig",
+    "SoakDoc",
     "SoakReport",
     "Violation",
     "build_deployment",

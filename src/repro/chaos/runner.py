@@ -1,31 +1,30 @@
-"""The chaos soak runner.
+"""The chaos soak harness, and the monolithic soak on it.
 
-Builds a full Switchboard deployment (controller + VNF services + edge
-+ proxy bus on one simulated network + a replicated controller store),
-installs a seeded chain population, drives a seeded pub/sub workload,
-and plays a :class:`repro.chaos.scenario.Scenario` against it while
-:class:`repro.chaos.invariants.InvariantChecker` probes continuously.
+Both soaks (this one and :mod:`repro.federation.chaos`) share the
+harness: a :class:`FaultEngine` plays a seeded
+:class:`repro.chaos.scenario.Scenario` on the simulated network;
+:func:`probe_run` probes on the
+:class:`repro.chaos.invariants.InvariantChecker` cadence through the run
+and the drain, and :func:`record_final` adds the settle-time probes; a
+:class:`SoakDoc` report is stored in the shape of its document.
 
-One integer seed determines everything: the chain workload, the publish
-schedule, the fault schedule, and the loss sampling all derive their
-RNGs from it, so a failing run reproduces exactly from
-``python -m repro chaos --seed N``.
-
-The result is a :class:`SoakReport`: invariant violations (the run
-passes only with zero), carried traffic before/after, per-failure
-recovery ratios, bus delivery counters, drop reasons, and leader-lease
-activity.  ``to_json()`` is deterministic -- it contains only
-simulation-derived values, never wall-clock timings (those go to the
-metrics registry as ``chaos.recovery_s``).
+:func:`run_soak` deploys a controller, VNF services, edge and proxy bus
+on one simulated network with a replicated controller store, installs a
+seeded chain population and drives a seeded pub/sub workload.  One
+integer seed determines everything (chains, publishes, faults, loss
+sampling), so a failing run reproduces from ``python -m repro chaos
+--seed N``.  Its :class:`SoakReport` holds the violations (a run passes
+only with none), carried traffic before/after, per-failure recovery
+ratios, bus and drop counters and lease activity; ``to_json()`` holds
+simulation-derived values only, never wall-clock timings.
 """
 
 from __future__ import annotations
 
 import json
 import random
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass, field, fields
+from typing import Callable, ClassVar, Iterable
 
 from repro.bus.bus import GlobalMessageBus, make_bus, proxy_name
 from repro.bus.topics import Topic
@@ -41,38 +40,180 @@ from repro.chaos.invariants import (
     no_orphaned_reservations,
     two_phase_atomicity,
 )
-from repro.chaos.scenario import (
-    FaultEvent,
-    Scenario,
-    ScenarioConfig,
-    generate_scenario,
-)
+from repro.chaos.scenario import FaultEvent, Scenario, ScenarioConfig, generate_scenario
 from repro.controller import (
     ChainSpecification,
     GlobalSwitchboard,
     InstallationError,
     LocalSwitchboard,
 )
-from repro.controller.failures import (
-    FailureReport,
-    fail_site,
-    restore_site,
-)
+from repro.controller.failures import FailureReport, fail_site, restore_site
 from repro.controller.protocol import BusDrivenInstaller, InstallationTimeline
 from repro.controller.replication import ReplicatedStore
 from repro.core.model import CloudSite, NetworkModel, VNF
 from repro.dataplane import DataPlane
 from repro.edge import EdgeController, EdgeInstance
-from repro.obs import MetricsRegistry, collect_bus, collect_network
-from repro.resilience import (
-    FailoverManager,
-    ReconciliationSweeper,
-    ResilienceConfig,
-)
+from repro.resilience import FailoverManager, ReconciliationSweeper, ResilienceConfig
 from repro.resilience.failover import LeaseElection
 from repro.simnet.events import Simulator
 from repro.simnet.network import SimNetwork
 from repro.vnf import VnfService
+
+#: Named invariant probes: each returns its problem strings.
+Probes = dict[str, Callable[[], Iterable[str]]]
+
+
+# ---------------------------------------------------------------------------
+# The harness
+# ---------------------------------------------------------------------------
+
+
+class FaultEngine:
+    """Plays a :class:`Scenario` on ``deployment`` (anything with a
+    ``sim`` and a ``net``): each event, at its time, goes to the
+    ``_on_<kind>`` handler and is logged in :attr:`applied`.  The
+    network handlers are here; a soak's engine adds the kinds its
+    deployment knows, and extends these where a heal or restart has
+    recovery work."""
+
+    def __init__(self, deployment) -> None:
+        self.d = deployment
+        #: ``{"at", "kind"}`` per event, in the order applied.
+        self.applied: list[dict] = []
+
+    def schedule(self, scenario: Scenario) -> None:
+        for event in scenario.events:
+            self.d.sim.schedule_at(event.at, self._apply, event)
+
+    def _apply(self, event: FaultEvent) -> None:
+        getattr(self, f"_on_{event.kind}")(event)
+        self.applied.append({"at": round(self.d.sim.now, 9), "kind": event.kind})
+
+    def _on_link_down(self, event: FaultEvent) -> None:
+        self.d.net.fail_link(*event.target)
+
+    def _on_link_up(self, event: FaultEvent) -> None:
+        self.d.net.restore_link(*event.target)
+
+    def _on_heal_partition(self, event: FaultEvent) -> None:
+        self.d.net.heal_partition()
+
+    def _on_crash_host(self, event: FaultEvent) -> None:
+        self.d.net.crash_host(event.target[0])
+
+    def _on_restart_host(self, event: FaultEvent) -> None:
+        self.d.net.restart_host(event.target[0])
+
+
+def probe_run(deployment, config, *probe_sets: Probes) -> InvariantChecker:
+    """Every probe of ``probe_sets`` on one checker (a name registered
+    twice raises), probing every ``config.probe_interval_s`` while the
+    clock runs to ``config.duration_s``; then the queue is drained."""
+    checker = InvariantChecker(deployment.sim, interval_s=config.probe_interval_s)
+    for probes in probe_sets:
+        for name, probe in probes.items():
+            checker.add(name, probe)
+    checker.start(config.duration_s)
+    deployment.net.run(until=config.duration_s)
+    deployment.net.run()  # drain in-flight deliveries, retries, deadlines
+    return checker
+
+
+def record_final(
+    checker: InvariantChecker, net: SimNetwork, final: Probes | None = None
+) -> None:
+    """The settle-time probes, with the queue drained: the checker's own
+    probes once more (a counted round) or, given ``final``, those
+    instead under a ``final:`` prefix; then nothing may be in flight."""
+    if final is None:
+        checker.check_now()
+    now = net.sim.now
+    for name, probe in (final or {}).items():
+        for detail in probe():
+            checker.violations.append(Violation(now, f"final:{name}", detail))
+    for detail in network_quiescence(net)():
+        checker.violations.append(Violation(now, "network_quiescence", detail))
+
+
+@dataclass
+class SoakDoc:
+    """The outcome of one soak, stored in the shape of its document: a
+    report adds its fields as they are written (counters grouped in
+    dicts, floats rounded), so :meth:`to_doc` is the fields and
+    :meth:`render` frames the lines a report adds.  ``passed`` iff no
+    invariant was violated."""
+
+    #: The first line of :meth:`render`, formatted with the fields.
+    HEADLINE: ClassVar[str] = "soak: seed={seed} duration={duration_s:g}s"
+
+    seed: int
+    duration_s: float
+    scenario_digest: str
+    event_counts: dict[str, int]
+    #: ``{"at", "kind"}`` per fault event, in the order applied.
+    events_applied: list[dict]
+    violations: list[Violation]
+    probes_run: int
+
+    @classmethod
+    def of(
+        cls, config, scenario: Scenario, engine: FaultEngine,
+        checker: InvariantChecker, **rest,
+    ) -> "SoakDoc":
+        """The report of a finished run; ``rest`` are its own fields."""
+        return cls(
+            seed=config.seed,
+            duration_s=config.duration_s,
+            scenario_digest=scenario.digest(),
+            event_counts=scenario.counts(),
+            events_applied=engine.applied,
+            violations=list(checker.violations),
+            probes_run=checker.probes_run,
+            **rest,
+        )
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+    def to_doc(self) -> dict:
+        """Deterministic document: simulation-derived values only."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["violations"] = [v.to_doc() for v in self.violations]
+        doc["passed"] = self.passed
+        return doc
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_doc(), separators=(",", ":"),
+                          sort_keys=True)
+
+    def render(self) -> str:
+        lines = [
+            self.HEADLINE.format_map(vars(self)),
+            f"schedule digest: {self.scenario_digest[:16]}... "
+            f"({sum(self.event_counts.values())} events)",
+            "events: " + ", ".join(
+                f"{kind}={n}" for kind, n in sorted(self.event_counts.items())
+            ),
+            *self._lines(),
+            f"invariant probes run: {self.probes_run}",
+        ]
+        if self.passed:
+            lines.append("PASS: zero invariant violations")
+        else:
+            lines.append(f"FAIL: {len(self.violations)} violation(s)")
+            for violation in self.violations[:20]:
+                lines.append(f"  {violation}")
+        return "\n".join(lines)
+
+    def _lines(self) -> list[str]:
+        """The report's own lines, between the schedule and the probes."""
+        raise NotImplementedError
+
+
+# ---------------------------------------------------------------------------
+# The monolithic deployment
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -143,7 +284,6 @@ class Deployment:
     gs: GlobalSwitchboard
     store: ReplicatedStore
     monitor: LeaseMonitor
-    registry: MetricsRegistry
     sites: tuple[str, ...] = SITES
     #: Populated in control-fault mode only.
     installer: BusDrivenInstaller | None = None
@@ -156,8 +296,7 @@ def build_deployment(config: SoakConfig) -> Deployment:
     """One seeded Switchboard deployment with an installed chain
     population (the workload side of the soak)."""
     sim = Simulator()
-    registry = MetricsRegistry.for_simulator(sim)
-    net = SimNetwork(sim, metrics=registry)
+    net = SimNetwork(sim)
     net.set_fault_rng(random.Random(f"loss-{config.seed}"))
     bus = make_bus(
         list(SITES),
@@ -165,7 +304,6 @@ def build_deployment(config: SoakConfig) -> Deployment:
         uplink_bps=50e6,
         uplink_buffer_bytes=128_000,
         network=net,
-        metrics=registry,
     )
 
     # Capacity: every VNF at every site, sized so three surviving sites
@@ -181,8 +319,8 @@ def build_deployment(config: SoakConfig) -> Deployment:
         [CloudSite(s, s.lower(), 10 * per_site) for s in SITES],
         vnfs,
     )
-    dp = DataPlane(random.Random(0), metrics=registry)
-    gs = GlobalSwitchboard(model, dp, metrics=registry)
+    dp = DataPlane(random.Random(0))
+    gs = GlobalSwitchboard(model, dp)
     for site in SITES:
         gs.register_local_switchboard(LocalSwitchboard(site, dp))
     for vnf in vnfs:
@@ -210,9 +348,7 @@ def build_deployment(config: SoakConfig) -> Deployment:
         )
 
     store = ReplicatedStore([f"ctl.{s}" for s in SITES])
-    deployment = Deployment(
-        sim, net, bus, gs, store, LeaseMonitor(store), registry
-    )
+    deployment = Deployment(sim, net, bus, gs, store, LeaseMonitor(store))
     if config.control_faults:
         deployment.installer = BusDrivenInstaller(
             gs,
@@ -220,7 +356,6 @@ def build_deployment(config: SoakConfig) -> Deployment:
             gs_site="A",
             edge_controller_site="A",
             vnf_controller_sites={"fw": "B", "nat": "C"},
-            metrics=registry,
             resilience=ResilienceConfig(
                 install_deadline_s=config.install_deadline_s,
                 seed=config.seed,
@@ -242,15 +377,15 @@ class _LeaseOnly(LeaseElection):
         self.active_name = candidate
 
 
-class ChaosEngine:
-    """Maps :class:`FaultEvent`\\ s onto the deployment's fault
-    primitives and recovery entry points, and holds the lease-only
+class ChaosEngine(FaultEngine):
+    """The monolithic deployment's engine: adds link loss and
+    degradation, site-grouped partitions, site outages, control-link
+    loss, the GS crash and the leader kill, and holds the lease-only
     election loop."""
 
     def __init__(self, deployment: Deployment, config: SoakConfig):
-        self.d = deployment
+        super().__init__(deployment)
         self.config = config
-        self.applied: list[tuple[float, str]] = []
         self.reports: list[FailureReport] = []
         #: site -> (site capacity, per-VNF capacity) stashed at failure.
         self._site_stash: dict[str, tuple[float, dict[str, float]]] = {}
@@ -263,33 +398,6 @@ class ChaosEngine:
         )
         self.leaders_killed = 0
         self.gs_crashes = 0
-        self._recovery_hist = deployment.registry.histogram(
-            "chaos.recovery_s"
-        )
-
-    # -- scheduling -----------------------------------------------------
-
-    def schedule(self, scenario: Scenario) -> None:
-        for event in scenario.events:
-            self.d.sim.schedule_at(event.at, self._apply, event)
-
-    # -- event application ----------------------------------------------
-
-    def _apply(self, event: FaultEvent) -> None:
-        handler = getattr(self, f"_on_{event.kind}")
-        started = time.perf_counter()
-        handler(event)
-        if event.kind in ("fail_site", "restore_site", "kill_leader"):
-            # Recovery work runs synchronously inside the event; its
-            # wall-clock cost is the honest "recovery latency" here.
-            self._recovery_hist.observe(time.perf_counter() - started)
-        self.applied.append((round(self.d.sim.now, 9), event.kind))
-
-    def _on_link_down(self, event: FaultEvent) -> None:
-        self.d.net.fail_link(*event.target)
-
-    def _on_link_up(self, event: FaultEvent) -> None:
-        self.d.net.restore_link(*event.target)
 
     def _on_link_loss(self, event: FaultEvent) -> None:
         self.d.net.set_link_loss(*event.target, event.value)
@@ -305,15 +413,6 @@ class ChaosEngine:
                 [h.name for h in self.d.net.hosts if h.site in members]
             )
         self.d.net.partition(groups)
-
-    def _on_heal_partition(self, event: FaultEvent) -> None:
-        self.d.net.heal_partition()
-
-    def _on_crash_host(self, event: FaultEvent) -> None:
-        self.d.net.crash_host(event.target[0])
-
-    def _on_restart_host(self, event: FaultEvent) -> None:
-        self.d.net.restart_host(event.target[0])
 
     def _on_fail_site(self, event: FaultEvent) -> None:
         site = event.target[0]
@@ -443,118 +542,32 @@ def _start_install_workload(d: Deployment, config: SoakConfig) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Report
+# Report and run
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class SoakReport:
-    """Outcome of one soak; ``passed`` iff no invariant was violated."""
+class SoakReport(SoakDoc):
+    """Outcome of one monolithic soak.  ``control`` (live installs under
+    control faults) is all zeros, and ``workload`` (a workload schedule)
+    empty, in the modes that do not run them."""
 
-    seed: int
-    duration_s: float
-    scenario_digest: str
+    HEADLINE: ClassVar[str] = (
+        "chaos soak: seed={seed} duration={duration_s:g}s chains={chains}"
+    )
+
     chains: int
-    event_counts: dict[str, int]
-    events_applied: list[tuple[float, str]]
-    violations: list[Violation]
     carried_before: float
     carried_after: float
-    recovery: list[dict] = field(default_factory=list)
-    bus_published: int = 0
-    bus_delivered: int = 0
-    bus_wan_drops: int = 0
-    drop_reasons: dict[str, int] = field(default_factory=dict)
-    lease_grants: int = 0
-    leader_transitions: int = 0
-    leaders_killed: int = 0
-    probes_run: int = 0
-    # Control-fault mode (zero/absent activity otherwise).
-    installs_submitted: int = 0
-    installs_completed: int = 0
-    installs_failed: int = 0
-    deadline_aborts: int = 0
-    rpc_sent: int = 0
-    rpc_retries: int = 0
-    rpc_timeouts: int = 0
-    rpc_duplicates: int = 0
-    gs_crashes: int = 0
-    failover_takeovers: int = 0
-    stale_reservations_swept: int = 0
-    # Workload-schedule mode (empty/absent activity otherwise).
-    workload_digest: str = ""
-    workload_counts: dict[str, int] = field(default_factory=dict)
-    workload_ops_applied: int = 0
+    recovery: list[dict]
+    bus: dict[str, int]
+    drop_reasons: dict[str, int]
+    lease: dict[str, int]
+    control: dict[str, int]
+    workload: dict
 
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_doc(self) -> dict:
-        """Deterministic document: simulation-derived values only."""
-        return {
-            "seed": self.seed,
-            "duration_s": self.duration_s,
-            "scenario_digest": self.scenario_digest,
-            "chains": self.chains,
-            "event_counts": self.event_counts,
-            "events_applied": [
-                {"at": at, "kind": kind} for at, kind in self.events_applied
-            ],
-            "violations": [
-                {"at": round(v.at, 9), "invariant": v.invariant,
-                 "detail": v.detail}
-                for v in self.violations
-            ],
-            "carried_before": round(self.carried_before, 6),
-            "carried_after": round(self.carried_after, 6),
-            "recovery": self.recovery,
-            "bus": {
-                "published": self.bus_published,
-                "delivered": self.bus_delivered,
-                "wan_drops": self.bus_wan_drops,
-            },
-            "drop_reasons": self.drop_reasons,
-            "lease": {
-                "grants": self.lease_grants,
-                "transitions": self.leader_transitions,
-                "killed": self.leaders_killed,
-            },
-            "probes_run": self.probes_run,
-            "control": {
-                "installs_submitted": self.installs_submitted,
-                "installs_completed": self.installs_completed,
-                "installs_failed": self.installs_failed,
-                "deadline_aborts": self.deadline_aborts,
-                "rpc_sent": self.rpc_sent,
-                "rpc_retries": self.rpc_retries,
-                "rpc_timeouts": self.rpc_timeouts,
-                "rpc_duplicates": self.rpc_duplicates,
-                "gs_crashes": self.gs_crashes,
-                "failover_takeovers": self.failover_takeovers,
-                "stale_reservations_swept": self.stale_reservations_swept,
-            },
-            "workload": {
-                "digest": self.workload_digest,
-                "counts": self.workload_counts,
-                "ops_applied": self.workload_ops_applied,
-            },
-            "passed": self.passed,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc(), separators=(",", ":"),
-                          sort_keys=True)
-
-    def render(self) -> str:
+    def _lines(self) -> list[str]:
         lines = [
-            f"chaos soak: seed={self.seed} duration={self.duration_s:g}s "
-            f"chains={self.chains}",
-            f"schedule digest: {self.scenario_digest[:16]}... "
-            f"({sum(self.event_counts.values())} events)",
-            "events: " + ", ".join(
-                f"{kind}={n}" for kind, n in sorted(self.event_counts.items())
-            ),
             f"carried fraction: {self.carried_before:.3f} before -> "
             f"{self.carried_after:.3f} after",
         ]
@@ -564,10 +577,11 @@ class SoakReport:
                 f"{entry['affected']} chain(s) affected, "
                 f"{entry['ratio']:.0%} of affected traffic restored"
             )
+        bus = self.bus
         lines.append(
-            f"bus: {self.bus_published} published, "
-            f"{self.bus_delivered} delivered, "
-            f"{self.bus_wan_drops} WAN drops"
+            f"bus: {bus['published']} published, "
+            f"{bus['delivered']} delivered, "
+            f"{bus['wan_drops']} WAN drops"
         )
         if self.drop_reasons:
             lines.append(
@@ -575,54 +589,46 @@ class SoakReport:
                     f"{k}={v}" for k, v in sorted(self.drop_reasons.items())
                 )
             )
+        lease = self.lease
         lines.append(
-            f"leases: {self.lease_grants} grant(s), "
-            f"{self.leader_transitions} leader transition(s), "
-            f"{self.leaders_killed} kill(s)"
+            f"leases: {lease['grants']} grant(s), "
+            f"{lease['transitions']} leader transition(s), "
+            f"{lease['killed']} kill(s)"
         )
-        if self.installs_submitted:
+        c = self.control
+        if c["installs_submitted"]:
             lines.append(
-                f"control plane: {self.installs_submitted} live "
-                f"install(s) -> {self.installs_completed} completed, "
-                f"{self.installs_failed} aborted "
-                f"({self.deadline_aborts} by deadline); "
-                f"rpc {self.rpc_sent} sent / {self.rpc_retries} retries / "
-                f"{self.rpc_timeouts} timeouts / "
-                f"{self.rpc_duplicates} dups suppressed; "
-                f"{self.gs_crashes} GS crash(es), "
-                f"{self.failover_takeovers} takeover(s), "
-                f"{self.stale_reservations_swept} stale reservation(s) swept"
+                f"control plane: {c['installs_submitted']} live "
+                f"install(s) -> {c['installs_completed']} completed, "
+                f"{c['installs_failed']} aborted "
+                f"({c['deadline_aborts']} by deadline); "
+                f"rpc {c['rpc_sent']} sent / {c['rpc_retries']} retries / "
+                f"{c['rpc_timeouts']} timeouts / "
+                f"{c['rpc_duplicates']} dups suppressed; "
+                f"{c['gs_crashes']} GS crash(es), "
+                f"{c['failover_takeovers']} takeover(s), "
+                f"{c['stale_reservations_swept']} stale reservation(s) swept"
             )
-        if self.workload_digest:
+        w = self.workload
+        if w["digest"]:
             lines.append(
-                f"workload: digest {self.workload_digest[:16]}..., "
-                f"{self.workload_ops_applied} op(s) applied, " + ", ".join(
-                    f"{k}={v}" for k, v in sorted(
-                        self.workload_counts.items()
-                    ) if v
+                f"workload: digest {w['digest'][:16]}..., "
+                f"{w['ops_applied']} op(s) applied, " + ", ".join(
+                    f"{k}={v}" for k, v in sorted(w["counts"].items()) if v
                 )
             )
-        lines.append(f"invariant probes run: {self.probes_run}")
-        if self.passed:
-            lines.append("PASS: zero invariant violations")
-        else:
-            lines.append(f"FAIL: {len(self.violations)} violation(s)")
-            for violation in self.violations[:20]:
-                lines.append(f"  {violation}")
-        return "\n".join(lines)
+        return lines
 
 
 def _mean_carried(gs: GlobalSwitchboard) -> float:
-    fractions = [
-        inst.routed_fraction for inst in gs.installations.values()
-    ]
+    fractions = [inst.routed_fraction for inst in gs.installations.values()]
     return sum(fractions) / len(fractions) if fractions else 0.0
 
 
 def run_soak(
     config: SoakConfig | None = None,
     scenario: Scenario | None = None,
-    extra_probes: "dict[str, Callable[[], Iterable[str]]] | None" = None,
+    extra_probes: Probes | None = None,
     workload=None,
     workload_probes=None,
 ) -> SoakReport:
@@ -661,11 +667,9 @@ def run_soak(
         workload_engine.schedule(workload)
 
     if scenario is None:
-        wan_pairs = []
-        for a in d.sites:
-            for b in d.sites:
-                if a != b:
-                    wan_pairs.append((f"wan.{a}", proxy_name(b)))
+        wan_pairs = [
+            (f"wan.{a}", proxy_name(b)) for a in d.sites for b in d.sites if a != b
+        ]
         scenario = generate_scenario(
             config.seed, d.sites, wan_pairs, config.scenario_config()
         )
@@ -682,110 +686,77 @@ def run_soak(
             candidates=CANDIDATES,
             lease_duration_s=config.lease_duration_s,
             check_interval_s=config.lease_renew_s,
-            metrics=d.registry,
         )
         d.failover.start(config.duration_s)
-        d.sweeper = ReconciliationSweeper(d.installer, metrics=d.registry)
+        d.sweeper = ReconciliationSweeper(d.installer)
         d.sweeper.start(config.duration_s)
         _start_install_workload(d, config)
     else:
         engine.election.start(config.duration_s)
     _start_workload(d, config)
 
-    checker = InvariantChecker(d.sim, interval_s=config.probe_interval_s)
-    checker.add("link_conservation", link_conservation(d.net))
-    checker.add("two_phase_atomicity", two_phase_atomicity(d.gs, d.installer))
-    checker.add("capacity_safety", capacity_safety(d.gs, d.installer))
-    checker.add(
-        "no_orphaned_reservations",
-        no_orphaned_reservations(d.gs, d.installer),
+    checker = probe_run(
+        d,
+        config,
+        {
+            "link_conservation": link_conservation(d.net),
+            "two_phase_atomicity": two_phase_atomicity(d.gs, d.installer),
+            "capacity_safety": capacity_safety(d.gs, d.installer),
+            "no_orphaned_reservations": no_orphaned_reservations(d.gs, d.installer),
+            "bus_delivery": bus_delivery(d.bus),
+            "lease_safety": lease_safety(d.monitor),
+        },
+        extra_probes or {},
+        workload_probes(workload_engine)
+        if workload_probes is not None and workload_engine is not None
+        else {},
     )
-    checker.add("bus_delivery", bus_delivery(d.bus))
-    checker.add("lease_safety", lease_safety(d.monitor))
-    if extra_probes:
-        for name, probe in extra_probes.items():
-            checker.add(name, probe)
-    if workload_probes is not None and workload_engine is not None:
-        for name, probe in workload_probes(workload_engine).items():
-            checker.add(name, probe)
-    checker.start(config.duration_s)
+    record_final(checker, d.net)
 
-    d.net.run(until=config.duration_s)
-    d.net.run()  # drain in-flight deliveries and late heal events
-    checker.check_now()
-    # With the queue drained, nothing may remain in flight.
-    quiescence = network_quiescence(d.net)
-    for detail in quiescence():
-        checker.violations.append(
-            Violation(d.sim.now, "network_quiescence", detail)
-        )
-
-    collect_network(d.registry, d.net)
-    collect_bus(d.registry, d.bus)
-    if d.installer is not None:
-        from repro.obs import collect_resilience
-
-        collect_resilience(
-            d.registry, d.installer, failover=d.failover, sweeper=d.sweeper
-        )
-
-    # Leader transitions: owner changes across the recorded grants.
     owners = [g.owner for g in d.monitor.grants]
-    leader_transitions = sum(
-        1 for i in range(1, len(owners)) if owners[i] != owners[i - 1]
-    )
-
-    installer = d.installer
-    completed = sum(
-        1 for t in d.live_timelines if t.completed_at is not None
-    )
-    return SoakReport(
-        seed=config.seed,
-        duration_s=config.duration_s,
-        scenario_digest=scenario.digest(),
+    installer, failover, sweeper = d.installer, d.failover, d.sweeper
+    rpc = installer.rpc if installer else None
+    submitted = len(d.live_timelines)
+    completed = sum(1 for t in d.live_timelines if t.completed_at is not None)
+    return SoakReport.of(
+        config, scenario, engine, checker,
         chains=config.num_chains,
-        event_counts=scenario.counts(),
-        events_applied=engine.applied,
-        violations=list(checker.violations),
-        carried_before=carried_before,
-        carried_after=_mean_carried(d.gs),
+        carried_before=round(carried_before, 6),
+        carried_after=round(_mean_carried(d.gs), 6),
         recovery=[
-            {
-                "kind": report.kind,
-                "target": report.site,
-                "affected": len(report.affected_chains),
-                "ratio": round(report.recovery_ratio(), 6),
-            }
-            for report in engine.reports
+            {"kind": r.kind, "target": r.site, "affected": len(r.affected_chains),
+             "ratio": round(r.recovery_ratio(), 6)}
+            for r in engine.reports
         ],
-        bus_published=d.bus.stats.published,
-        bus_delivered=d.bus.stats.delivered,
-        bus_wan_drops=d.bus.stats.wan_drops,
+        bus={
+            "published": d.bus.stats.published,
+            "delivered": d.bus.stats.delivered,
+            "wan_drops": d.bus.stats.wan_drops,
+        },
         drop_reasons=dict(sorted(d.net.drop_reasons.items())),
-        lease_grants=len(d.monitor.grants),
-        leader_transitions=leader_transitions,
-        leaders_killed=engine.leaders_killed,
-        probes_run=checker.probes_run,
-        installs_submitted=len(d.live_timelines),
-        installs_completed=completed,
-        installs_failed=len(d.live_timelines) - completed,
-        deadline_aborts=installer.deadline_aborts if installer else 0,
-        rpc_sent=installer.rpc.sent if installer else 0,
-        rpc_retries=installer.rpc.retries if installer else 0,
-        rpc_timeouts=installer.rpc.timeouts if installer else 0,
-        rpc_duplicates=(
-            installer.rpc.duplicates_suppressed if installer else 0
-        ),
-        gs_crashes=engine.gs_crashes,
-        failover_takeovers=d.failover.takeovers if d.failover else 0,
-        stale_reservations_swept=(
-            d.sweeper.stale_reservations_released if d.sweeper else 0
-        ),
-        workload_digest=workload.digest() if workload is not None else "",
-        workload_counts=(
-            dict(workload_engine.counts) if workload_engine else {}
-        ),
-        workload_ops_applied=(
-            len(workload_engine.applied) if workload_engine else 0
-        ),
+        lease={
+            "grants": len(owners),
+            # Owner changes across the recorded grants.
+            "transitions": sum(a != b for a, b in zip(owners, owners[1:])),
+            "killed": engine.leaders_killed,
+        },
+        control={
+            "installs_submitted": submitted,
+            "installs_completed": completed,
+            "installs_failed": submitted - completed,
+            "deadline_aborts": installer.deadline_aborts if installer else 0,
+            "rpc_sent": rpc.sent if rpc else 0,
+            "rpc_retries": rpc.retries if rpc else 0,
+            "rpc_timeouts": rpc.timeouts if rpc else 0,
+            "rpc_duplicates": rpc.duplicates_suppressed if rpc else 0,
+            "gs_crashes": engine.gs_crashes,
+            "failover_takeovers": failover.takeovers if failover else 0,
+            "stale_reservations_swept":
+                sweeper.stale_reservations_released if sweeper else 0,
+        },
+        workload={
+            "digest": workload.digest() if workload is not None else "",
+            "counts": dict(workload_engine.counts) if workload_engine else {},
+            "ops_applied": len(workload_engine.applied) if workload_engine else 0,
+        },
     )

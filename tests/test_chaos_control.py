@@ -68,22 +68,22 @@ class TestControlSoak:
         # The schedule actually exercised the control plane.
         assert report.event_counts.get("control_loss", 0) > 0
         assert report.event_counts.get("gs_crash", 0) == 1
-        assert report.gs_crashes == 1
-        assert report.failover_takeovers >= 1
+        assert report.control["gs_crashes"] == 1
+        assert report.control["failover_takeovers"] >= 1
 
     def test_every_install_reaches_a_terminal_state(self):
         report = soak(1)
-        assert report.installs_submitted == 6
+        assert report.control["installs_submitted"] == 6
         assert (
-            report.installs_completed + report.installs_failed
-            == report.installs_submitted
+            report.control["installs_completed"] + report.control["installs_failed"]
+            == report.control["installs_submitted"]
         )
 
     def test_rpc_layer_was_exercised(self):
         report = soak(1)
-        assert report.rpc_sent > 0
+        assert report.control["rpc_sent"] > 0
         # 20% loss windows across the control links force retransmits.
-        assert report.rpc_retries > 0
+        assert report.control["rpc_retries"] > 0
 
     def test_same_seed_replays_byte_identically(self):
         a = soak(2)

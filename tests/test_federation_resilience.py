@@ -304,8 +304,8 @@ class TestFederatedChaosSoak:
             assert first.passed, [
                 (v.invariant, v.detail) for v in first.violations
             ]
-            assert first.takeovers >= 1
-            assert first.queued_final == 0
+            assert first.failover["takeovers"] >= 1
+            assert first.queued["final"] == 0
             again = run_federation_chaos(config)
             assert again.to_json() == first.to_json()
 

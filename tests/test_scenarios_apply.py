@@ -84,12 +84,12 @@ class TestRunSoakIntegration:
         workload = generate("site_churn", 5, duration_s=12.0)
         report = run_soak(SoakConfig(seed=5, duration_s=12.0),
                           workload=workload)
-        assert report.workload_digest == workload.digest()
-        assert report.workload_ops_applied == len(workload.ops)
-        assert sum(report.workload_counts.values()) == len(workload.ops)
+        assert report.workload["digest"] == workload.digest()
+        assert report.workload["ops_applied"] == len(workload.ops)
+        assert sum(report.workload["counts"].values()) == len(workload.ops)
         assert "workload" in report.render()
 
     def test_soak_without_workload_unchanged(self):
         report = run_soak(SoakConfig(seed=1, duration_s=10.0))
-        assert report.workload_digest == ""
-        assert report.workload_ops_applied == 0
+        assert report.workload["digest"] == ""
+        assert report.workload["ops_applied"] == 0
