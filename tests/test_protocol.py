@@ -145,6 +145,27 @@ class TestBusDrivenInstallation:
         assert egress.delivered
         assert any(e.startswith("fw.") for e in packet.trace)
 
+    def test_chain_without_vnfs_configures_its_ingress_directly(self):
+        # No VNF on the route: nothing to allocate or announce, so the
+        # installer compiles the rules itself once the route is out.
+        gs, _dp, _service, ingress, egress = build()
+        installer = make_installer(gs)
+        timeline = installer.install(ChainSpecification(
+            "direct", "vpn", "in", "out", [],
+            forward_demand=5.0,
+            src_prefix="10.0.0.0/24",
+            dst_prefixes=["20.0.0.0/24"],
+        ))
+        installer.network.run()
+        assert timeline.failed is None
+        assert timeline.installation.committed_load == {}
+        assert timeline.site_configured_at.keys() == {"A"}
+        assert timeline.completed_at == timeline.site_configured_at["A"]
+        packet = Packet(FiveTuple("10.0.0.5", "20.0.0.9", "tcp", 1234, 80))
+        ingress.ingress(packet)
+        assert egress.delivered
+        assert not any(e.startswith("fw.") for e in packet.trace)
+
     def test_rejection_with_no_capacity_left_fails_cleanly(self):
         gs, _dp, service, *_ = build(fw_cap_b=100.0)
         # The VNF controller has quietly given ALL of B away.
