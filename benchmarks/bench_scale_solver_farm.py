@@ -104,11 +104,11 @@ def run_solver_farm():
         ("farm warm", warm_s, warm.solution.throughput(), warm, mono_s),
         ("incremental", incr_s, incr.solution.throughput(), incr, mono_s),
     ]
-    return rows, incr_solves, cold_violations, incr, registry
+    return rows, incr_solves, cold_violations, incr, farm
 
 
 def test_scale_solver_farm(benchmark):
-    rows, incr_solves, cold_violations, incr, registry = benchmark.pedantic(
+    rows, incr_solves, cold_violations, incr, farm = benchmark.pedantic(
         run_solver_farm, iterations=1, rounds=1
     )
     (_, mono_s, mono_thr, _, _) = rows[0]
@@ -165,4 +165,4 @@ def test_scale_solver_farm(benchmark):
     assert incr_solves == 1
     assert len(incr.solved) == 1
     assert incr.cache_hits == incr.partitions - 1
-    assert registry.value("scale.cache.hits") >= incr.partitions - 1
+    assert farm.cache.stats.hits >= incr.partitions - 1

@@ -49,7 +49,6 @@ from repro.chaos.scenario import (
     ScenarioConfig,
     ScenarioError,
     generate_scenario,
-    merge_scenarios,
 )
 
 __all__ = [
@@ -74,7 +73,6 @@ __all__ = [
     "generate_scenario",
     "lease_safety",
     "link_conservation",
-    "merge_scenarios",
     "network_quiescence",
     "no_orphaned_reservations",
     "run_soak",

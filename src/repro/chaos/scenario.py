@@ -138,27 +138,6 @@ class Scenario:
         return out
 
 
-def merge_scenarios(*scenarios: Scenario) -> Scenario:
-    """Compose several fault schedules onto one timeline.
-
-    The union of all events under the first scenario's seed, running to
-    the longest horizon.  This is how the fuzzer stacks e.g. a
-    link-flap schedule on top of a partition schedule: each half stays
-    individually reproducible from its own seed, and the merged
-    schedule is deterministic because the inputs are.
-    """
-    if not scenarios:
-        raise ScenarioError("nothing to merge")
-    events: list[FaultEvent] = []
-    for scenario in scenarios:
-        events.extend(scenario.events)
-    return Scenario(
-        seed=scenarios[0].seed,
-        duration_s=max(s.duration_s for s in scenarios),
-        events=events,
-    )
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Knobs for :func:`generate_scenario`.

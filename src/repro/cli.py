@@ -42,6 +42,20 @@ def _write_out(path: "str | None", text: str) -> None:
             handle.write(text + "\n")
 
 
+def _positive(kind):
+    """An argparse ``type`` that parses with ``kind`` and rejects
+    values that are not > 0 (argparse turns the error into exit 2)."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = f"positive {kind.__name__}"
+    return parse
+
+
 def _cmd_topology(args: argparse.Namespace) -> int:
     from repro.topology import build_backbone
     from repro.topology.cities import DEFAULT_CITIES
@@ -249,7 +263,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         [CloudSite(s, s.lower(), 100.0) for s in sites],
         [VNF("fw", 1.0, {"B": 40.0})],
     )
-    dp = DataPlane(random.Random(0), metrics=registry)
+    dp = DataPlane(random.Random(0))
     gs = GlobalSwitchboard(model, dp, metrics=registry)
     for site in sites:
         gs.register_local_switchboard(LocalSwitchboard(site, dp))
@@ -709,10 +723,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cache)
 
     p = sub.add_parser("bus", help="bus vs broadcast under load")
-    p.add_argument("--sites", type=int, default=10)
+    p.add_argument("--sites", type=_positive(int), default=10)
     p.add_argument("--subscribers", type=int, default=5)
     p.add_argument("--publishes", type=int, default=700)
-    p.add_argument("--rate", type=float, default=35.0)
+    p.add_argument("--rate", type=_positive(float), default=35.0)
     p.set_defaults(func=_cmd_bus)
 
     p = sub.add_parser("timing", help="control-plane latency breakdowns")
@@ -722,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics", help="instrumented end-to-end run with a full obs report"
     )
     p.add_argument("--publishes", type=int, default=400)
-    p.add_argument("--rate", type=float, default=1000.0)
+    p.add_argument("--rate", type=_positive(float), default=1000.0)
     p.add_argument("--subscribers", type=int, default=3)
     p.add_argument("--uplink-bps", type=float, default=8e6)
     p.add_argument("--buffer-bytes", type=int, default=64_000)

@@ -201,10 +201,7 @@ class BusDrivenInstaller:
         # Reliable control endpoints (each registers itself as its
         # host's receiver; bare legacy sends pass through unchanged).
         self.rpc = RpcLayer(
-            self.network,
-            self.resilience.rpc,
-            metrics=metrics,
-            seed=self.resilience.seed,
+            self.network, self.resilience.rpc, seed=self.resilience.seed
         )
         self._gs_handlers = {
             "chain_request": self._on_chain_request,
@@ -218,10 +215,7 @@ class BusDrivenInstaller:
             vnf_name: self.rpc.endpoint(host, self._make_vnf_receiver(vnf_name))
             for vnf_name, host in self.vnf_hosts.items()
         }
-        self.deadlines = DeadlineManager(self.sim, metrics=metrics)
-        if metrics is not None:
-            metrics.counter("install.deadline_aborts")
-            metrics.counter("install.aborted")
+        self.deadlines = DeadlineManager(self.sim)
 
     def _delay_between(self, site_a: str, site_b: str) -> float:
         """One-way control-RPC delay between two sites.
@@ -340,8 +334,6 @@ class BusDrivenInstaller:
         if pending is None or pending.timeline.completed_at is not None:
             return False
         self.aborted += 1
-        if self.metrics is not None:
-            self.metrics.counter("install.aborted").inc()
         # Stop retransmitting anything about this chain: receivers'
         # epoch guards make copies already in flight no-ops.
         for endpoint in self.rpc.endpoints.values():
@@ -410,8 +402,6 @@ class BusDrivenInstaller:
 
     def _on_deadline(self, name: str) -> None:
         self.deadline_aborts += 1
-        if self.metrics is not None:
-            self.metrics.counter("install.deadline_aborts").inc()
         self.abort_install(name, "installation deadline expired")
 
     def _redrive_tick(self, name: str) -> None:

@@ -19,12 +19,9 @@ the completion of a flow and route only new flows on the new routes"
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, TYPE_CHECKING
+from typing import Iterator, NamedTuple
 
 from repro.dataplane.labels import FiveTuple, Labels
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.registry import MetricsRegistry
 
 
 class FlowKey(NamedTuple):
@@ -48,29 +45,13 @@ class FlowEntry:
 class FlowTable:
     """A forwarder's connection table with occupancy statistics."""
 
-    def __init__(
-        self,
-        max_entries: int | None = None,
-        metrics: "MetricsRegistry | None" = None,
-        owner: str = "",
-    ):
+    def __init__(self, max_entries: int | None = None):
         self._entries: dict[FlowKey, FlowEntry] = {}
         self.max_entries = max_entries
         self.inserts = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        # Cached live counter handles; None keeps lookup() at two plain
-        # attribute increments.
-        if metrics is not None:
-            self._hit_counter = metrics.counter(
-                "flowtable.hits", forwarder=owner
-            )
-            self._miss_counter = metrics.counter(
-                "flowtable.misses", forwarder=owner
-            )
-        else:
-            self._hit_counter = self._miss_counter = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -82,12 +63,8 @@ class FlowTable:
         entry = self._entries.get((labels, flow))
         if entry is None:
             self.misses += 1
-            if self._miss_counter is not None:
-                self._miss_counter.inc()
         else:
             self.hits += 1
-            if self._hit_counter is not None:
-                self._hit_counter.inc()
         return entry
 
     def insert(self, labels: Labels, flow: FiveTuple) -> FlowEntry:

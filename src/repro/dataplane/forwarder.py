@@ -29,12 +29,9 @@ cost model, ``tests/test_dataplane_fastpath.py`` pins it.
 from __future__ import annotations
 
 import random
-from typing import Callable, Protocol, TYPE_CHECKING
+from typing import Callable, Protocol
 
 from repro.dataplane.flowtable import FlowTable
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.registry import MetricsRegistry
 from repro.dataplane.labels import FiveTuple, Labels, Packet
 from repro.dataplane.rules import LoadBalancingRule, RuleError
 
@@ -112,21 +109,13 @@ class Forwarder:
         site: str,
         max_flow_entries: int | None = None,
         flow_table=None,
-        metrics: "MetricsRegistry | None" = None,
     ):
         self.name = name
         self.site = site
         self.flow_table = (
             flow_table
             if flow_table is not None
-            else FlowTable(
-                max_entries=max_flow_entries, metrics=metrics, owner=name
-            )
-        )
-        self._rule_install_counter = (
-            metrics.counter("flowtable.rule_installs", forwarder=name)
-            if metrics is not None
-            else None
+            else FlowTable(max_entries=max_flow_entries)
         )
         self.rules: dict[tuple[int, str], LoadBalancingRule] = {}
         self.attached: dict[str, VnfInstance] = {}
@@ -160,8 +149,6 @@ class Forwarder:
         new connections see the new rule (Section 5.3).
         """
         self.rules[(chain_label, egress_site)] = rule
-        if self._rule_install_counter is not None:
-            self._rule_install_counter.inc()
 
     def remove_rule(self, chain_label: int, egress_site: str) -> None:
         self.rules.pop((chain_label, egress_site), None)
@@ -183,24 +170,14 @@ class DataPlane:
 
     MAX_HOPS = 64
 
-    def __init__(
-        self,
-        rng: random.Random | None = None,
-        metrics: "MetricsRegistry | None" = None,
-    ):
+    def __init__(self, rng: random.Random | None = None):
         self.rng = rng if rng is not None else random.Random(0)
-        self.metrics = metrics
         self.forwarders: dict[str, Forwarder] = {}
         self.endpoints: dict[str, ChainEndpoint] = {}
         self.drops: list[tuple[Packet, str]] = []
         #: (a reply's flow, that tuple reversed): the last reverse lookup
         #: key, good for as long as ``packet.flow`` is that very object.
         self._reverse_key: tuple[FiveTuple | None, FiveTuple | None] = (None, None)
-        if metrics is not None:
-            self._packet_counter = metrics.counter("dataplane.packet_hops")
-            self._drop_counter = metrics.counter("dataplane.packet_drops")
-        else:
-            self._packet_counter = self._drop_counter = None
 
     # -- registration ------------------------------------------------------
 
@@ -244,8 +221,6 @@ class DataPlane:
             if step is None:
                 self.drops.append((packet, forwarder.name))
                 forwarder.packets_dropped += 1
-                if self._drop_counter is not None:
-                    self._drop_counter.inc()
                 return packet
             came_from = forwarder.name
             target = step
@@ -261,8 +236,6 @@ class DataPlane:
             return None
         packet.trace.append(fwd.name)
         fwd.packets_forwarded += 1
-        if self._packet_counter is not None:
-            self._packet_counter.inc()
         meter_key = (labels.chain, labels.egress_site, "forward")
         traffic = fwd.traffic_bytes
         traffic[meter_key] = traffic.get(meter_key, 0) + packet.size_bytes
@@ -321,8 +294,6 @@ class DataPlane:
             return None
         packet.trace.append(fwd.name)
         fwd.packets_forwarded += 1
-        if self._packet_counter is not None:
-            self._packet_counter.inc()
         meter_key = (labels.chain, labels.egress_site, "reverse")
         traffic = fwd.traffic_bytes
         traffic[meter_key] = traffic.get(meter_key, 0) + packet.size_bytes

@@ -179,8 +179,6 @@ class GlobalCoordinator:
         #: region -> (regional generation at solve time, result); reuse
         #: is only safe while the region's model is unchanged since.
         self._last_plans: dict[int, tuple[int, FarmResult]] = {}
-        self._gauge("federation.regions", self.shard_map.n_regions)
-        self._gauge("federation.coordinator.queue_depth", 0)
 
     # -- install / remove -------------------------------------------------
 
@@ -199,7 +197,6 @@ class GlobalCoordinator:
             self.regionals[region].admit(chain)
             self._record_intra(name, region, chain)
             self._inc("federation.chains.intra")
-            self._update_ratio()
             return region
         try:
             record = self._install_cross(chain)
@@ -208,7 +205,6 @@ class GlobalCoordinator:
                 self.model.remove_chain(name)
             raise
         self._inc("federation.chains.cross")
-        self._update_ratio()
         return record
 
     def remove(self, name: str) -> None:
@@ -225,7 +221,6 @@ class GlobalCoordinator:
         if name in self.model.chains:
             self.model.remove_chain(name)
         self._unrecord(name)
-        self._update_ratio()
 
     # -- durable-record hooks (overridden by the deployed node) ------------
 
@@ -775,17 +770,6 @@ class GlobalCoordinator:
     def _inc(self, name: str) -> None:
         if self.metrics is not None:
             self.metrics.counter(name).inc()
-
-    def _gauge(self, name: str, value: float) -> None:
-        if self.metrics is not None:
-            self.metrics.gauge(name).set(value)
-
-    def _update_ratio(self) -> None:
-        total = len(self._intra) + len(self._cross)
-        self._gauge(
-            "federation.cross_shard_ratio",
-            (len(self._cross) / total) if total else 0.0,
-        )
 
 
 __all__ = [

@@ -47,7 +47,6 @@ from repro.resilience.failover import LeaseElection
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.chaos.invariants import LeaseMonitor
     from repro.federation.nodes import CoordinatorNode
-    from repro.obs.registry import MetricsRegistry
     from repro.simnet.network import SimNetwork
 
 _INTRA_PREFIX = "/fed/intra/"
@@ -261,18 +260,14 @@ class FederationFailover(LeaseElection):
         monitor: "LeaseMonitor | None" = None,
         lease_duration_s: float = 2.0,
         check_interval_s: float = 0.5,
-        metrics: "MetricsRegistry | None" = None,
     ):
         super().__init__(
             net.sim, store, nodes, monitor, lease_duration_s, check_interval_s
         )
         self.nodes = dict(nodes)
         self.net = net
-        self.metrics = metrics
         self.takeover_times: list[float] = []
         self.active.activate(recover=False)
-        if metrics is not None:
-            metrics.counter("federation.failovers")
 
     @property
     def active(self) -> "CoordinatorNode":
@@ -304,8 +299,6 @@ class FederationFailover(LeaseElection):
         reconcile every region."""
         self.takeovers += 1
         self.takeover_times.append(self.net.sim.now)
-        if self.metrics is not None:
-            self.metrics.counter("federation.failovers").inc()
         self.active_name = name
         self.nodes[name].activate(recover=True)
 

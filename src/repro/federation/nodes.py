@@ -115,7 +115,7 @@ class CoordinatorNode(GlobalCoordinator):
         self.store = store
         self.region_hosts = dict(region_hosts)
         self.install_deadline_s = install_deadline_s
-        self.deadlines = DeadlineManager(self.sim, metrics)
+        self.deadlines = DeadlineManager(self.sim)
         self.endpoint = rpc.endpoint(host, self._handle)
         #: Only the lease holder acts; FederationFailover flips this.
         self.active = False
@@ -292,7 +292,6 @@ class CoordinatorNode(GlobalCoordinator):
                 )
                 self._inc("federation.2pc.commits")
                 self._inc("federation.chains.cross")
-                self._update_ratio()
             elif kind == twopc.OWED:
                 # Decided installs are installed regardless of unacked
                 # commits: the commit is owed, and the WAL entry stays
@@ -396,7 +395,6 @@ class CoordinatorNode(GlobalCoordinator):
             self.model.add_chain(chain)
         self._record_intra(name, region, chain)
         self._inc("federation.chains.intra")
-        self._update_ratio()
 
     # -- recovery and reconciliation ---------------------------------------
 
@@ -460,7 +458,6 @@ class CoordinatorNode(GlobalCoordinator):
                         },
                     )
                 self._send_outcome(entry["origin"], name, "installed")
-        self._update_ratio()
         self.reconcile_all()
 
     def reconcile_all(self) -> None:
@@ -517,7 +514,6 @@ class CoordinatorNode(GlobalCoordinator):
         self, region: int, covered: set[str], msg: dict
     ) -> None:
         self.reconciliations += 1
-        self._inc("federation.ledger_reconciliations")
         for doc in msg.get("extra_intra", ()):
             chain = chain_from_doc(doc)
             if chain.name in self._intra or chain.name in self._cross:
@@ -526,7 +522,6 @@ class CoordinatorNode(GlobalCoordinator):
                 self.model.add_chain(chain)
             self._record_intra(chain.name, region, chain)
             self._inc("federation.chains.intra")
-        self._update_ratio()
         # Commits owed to this region are settled -- but only for the
         # chains this reconcile actually pushed (a stale snapshot must
         # not vouch for commits it never carried).
@@ -557,7 +552,6 @@ class RegionalNode:
         backoff: BackoffPolicy | None = None,
         retry_until: float = float("inf"),
         seed: int = 0,
-        metrics: "MetricsRegistry | None" = None,
     ):
         self.region = region
         self.host = host
@@ -574,7 +568,6 @@ class RegionalNode:
         #: Sim-clock horizon after which retry timers stop re-arming,
         #: so a drain run terminates.
         self.retry_until = retry_until
-        self.metrics = metrics
         self.endpoint = rpc.endpoint(host, self._handle)
         #: Every chain ever submitted at this node (the client log).
         self.submitted: dict[str, Chain] = {}
@@ -604,7 +597,6 @@ class RegionalNode:
         else:
             self.queue.append(name)
             self.queued_peak = max(self.queued_peak, len(self.queue))
-            self._set_queue_gauge()
             self._forward(name)
 
     def queued(self) -> list[str]:
@@ -637,10 +629,6 @@ class RegionalNode:
             if name not in self._degraded:
                 self._degraded.add(name)
                 self.degraded_admissions += 1
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "federation.degraded_admissions"
-                    ).inc()
             self._rotate_coordinator()
             self._rearm(f"intra:{name}", self._notify_intra, name)
 
@@ -687,12 +675,6 @@ class RegionalNode:
 
     def _rotate_coordinator(self) -> None:
         self._coord_idx += 1
-
-    def _set_queue_gauge(self) -> None:
-        if self.metrics is not None:
-            self.metrics.gauge(
-                "federation.queued_cross_shard", region=self.region
-            ).set(len(self.queue))
 
     # -- restart -----------------------------------------------------------
 
@@ -770,7 +752,6 @@ class RegionalNode:
         self.outcomes[name] = outcome
         if name in self.queue:
             self.queue.remove(name)
-            self._set_queue_gauge()
 
     def _apply_reconcile(self, sender: str, message: dict) -> None:
         """Adopt the coordinator's authoritative state: committed

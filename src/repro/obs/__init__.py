@@ -6,9 +6,13 @@ histograms; tracing :class:`~repro.obs.trace.Span` objects that nest and
 record durations against a pluggable clock (wall or simulated); and a
 plain-text/JSON reporter.
 
-Wiring model: every instrumented subsystem takes an optional
-``metrics=`` registry and does nothing when it is ``None`` -- there is
-deliberately no process-global registry, so experiments compose and the
+Wiring model: a count lives in one place, the plain attribute of the
+component that does the work, and the ``collect_*`` functions copy
+those attributes into a registry as ``_total`` gauges at report time.
+Only the subsystems that record what no attribute holds -- histograms,
+spans, labelled counters -- take an optional ``metrics=`` registry, and
+do nothing when it is ``None``.  There is deliberately no
+process-global registry, so experiments compose and the
 un-instrumented configuration stays free.  ``python -m repro metrics``
 runs a full bus + two-phase-commit experiment against one registry and
 prints the report; benchmarks opt in via the ``obs_registry`` fixture in
@@ -19,7 +23,6 @@ from repro.obs.collect import (
     collect_bus,
     collect_dataplane,
     collect_federation,
-    collect_fuzz,
     collect_network,
     collect_resilience,
 )
@@ -44,7 +47,6 @@ __all__ = [
     "collect_bus",
     "collect_dataplane",
     "collect_federation",
-    "collect_fuzz",
     "collect_network",
     "collect_resilience",
     "registry_to_dict",

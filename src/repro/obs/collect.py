@@ -1,23 +1,22 @@
 """Snapshot collectors: fold accumulated subsystem stats into gauges.
 
-Hot paths mostly keep their existing cheap counters (``LinkStats``,
-``FlowTable.hits``, ``Forwarder.packets_forwarded`` ...); these
-collectors copy those totals into a registry at report time, so a run
-gets a complete picture even for subsystems that were not built with a
-live registry attached.  Collect is idempotent -- gauges are *set*, not
-added -- so calling it repeatedly (e.g. periodically from a simulator
-process) just refreshes the snapshot.
+Each count lives in one place: the plain attribute of the component
+that does the work (``LinkStats``, ``RpcLayer.sent``,
+``FlowTable.hits``, ``Forwarder.packets_forwarded`` ...).  These
+collectors copy those totals into a registry at report time; no
+component mirrors them into live registry counters.  Collect is
+idempotent -- gauges are *set*, not added -- so calling it repeatedly
+(e.g. periodically from a simulator process) just refreshes the
+snapshot.
 
-Snapshot gauges of cumulative totals carry a ``_total`` suffix so they
-never collide with the live counters of the same subsystem (e.g. the
-``link.delivered`` counter vs the ``link.delivered_total`` gauge);
-point-in-time quantities (``link.in_flight``, ``flowtable.entries``)
-keep plain names.
+Snapshot gauges of cumulative totals carry a ``_total`` suffix (e.g.
+``link.delivered_total``); point-in-time quantities
+(``link.in_flight``, ``flowtable.entries``) keep plain names.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.obs.registry import MetricsRegistry
 
@@ -85,6 +84,7 @@ def collect_resilience(
         installer.deadline_aborts
     )
     registry.gauge("install.aborted_total").set(installer.aborted)
+    registry.gauge("deadline.expired_total").set(installer.deadlines.expired)
     registry.gauge("resilience.inflight_installs").set(
         len(installer._pending)
     )
@@ -107,8 +107,7 @@ def collect_federation(
 ) -> None:
     """Federated control-plane snapshot gauges.
 
-    Live ``federation.*`` counters (2PC phases, install counts,
-    failovers, ledger reconciliations, degraded-mode admissions, the
+    Live ``federation.*`` counters (2PC phases, install counts, the
     ``federation.region_solve_s`` histogram) accumulate on the
     coordinator's own registry when one is attached; this collector
     adds the point-in-time shape of the federation -- shard/border
@@ -190,43 +189,3 @@ def collect_dataplane(registry: MetricsRegistry, dataplane: "DataPlane") -> None
         registry.gauge("flowtable.evictions_total", forwarder=name).set(
             table.evictions
         )
-
-
-def collect_fuzz(registry: MetricsRegistry, report: Any) -> None:
-    """Campaign-level gauges from a :class:`repro.scenarios.FuzzReport`.
-
-    Per-case outcomes become labelled gauges so a metrics scrape of a
-    nightly fuzz lane can alert on violations without parsing the
-    report JSON.
-    """
-    registry.gauge("fuzz.seed").set(report.seed)
-    registry.gauge("fuzz.cases_planned").set(report.cases_planned)
-    registry.gauge("fuzz.cases_run").set(report.cases_run)
-    registry.gauge("fuzz.budget_exhausted").set(
-        1 if report.budget_exhausted else 0
-    )
-    registry.gauge("fuzz.passed").set(1 if report.passed else 0)
-    total_violations = 0
-    minimized = 0
-    for case in report.cases:
-        for stack in case.stacks:
-            total_violations += len(stack.violations)
-            registry.gauge(
-                "fuzz.case_violations", case=case.index, stack=stack.stack
-            ).set(len(stack.violations))
-        registry.gauge("fuzz.case_workload_ops", case=case.index).set(
-            case.workload_ops
-        )
-        registry.gauge("fuzz.case_fault_events", case=case.index).set(
-            case.fault_events
-        )
-        if case.minimized is not None:
-            minimized += 1
-            registry.gauge("fuzz.case_minimized_items", case=case.index).set(
-                case.minimized["items"]
-            )
-            registry.gauge(
-                "fuzz.case_minimize_replays", case=case.index
-            ).set(case.minimized["tests_run"])
-    registry.gauge("fuzz.violations_total").set(total_violations)
-    registry.gauge("fuzz.cases_minimized_total").set(minimized)

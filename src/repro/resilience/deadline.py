@@ -20,7 +20,6 @@ from typing import Callable, TYPE_CHECKING
 from repro.resilience.rpc import RpcConfig, RpcError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.registry import MetricsRegistry
     from repro.simnet.events import EventHandle, Simulator
 
 
@@ -70,13 +69,10 @@ class DeadlineManager:
     without advancing the clock.
     """
 
-    def __init__(self, sim: "Simulator", metrics: "MetricsRegistry | None" = None):
+    def __init__(self, sim: "Simulator"):
         self.sim = sim
-        self.metrics = metrics
         self.expired = 0
         self._armed: dict[str, "EventHandle"] = {}
-        if metrics is not None:
-            metrics.counter("deadline.expired")
 
     def arm(
         self,
@@ -106,6 +102,4 @@ class DeadlineManager:
         if self._armed.pop(key, None) is None:
             return  # disarmed after the event was already popped
         self.expired += 1
-        if self.metrics is not None:
-            self.metrics.counter("deadline.expired").inc()
         on_expire(key)

@@ -41,7 +41,6 @@ from repro.controller.replication import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.chaos.invariants import LeaseMonitor
     from repro.controller.protocol import BusDrivenInstaller
-    from repro.obs.registry import MetricsRegistry
 
 
 class LeaseElection:
@@ -161,16 +160,12 @@ class FailoverManager(LeaseElection):
         candidates: tuple[str, ...] = ("gs-primary", "gs-standby"),
         lease_duration_s: float = 2.0,
         check_interval_s: float = 0.5,
-        metrics: "MetricsRegistry | None" = None,
     ):
         super().__init__(
             installer.sim, store, candidates, monitor,
             lease_duration_s, check_interval_s,
         )
         self.installer = installer
-        self.metrics = metrics
-        if metrics is not None:
-            metrics.counter("failover.takeovers")
 
     @property
     def active(self) -> str:
@@ -191,8 +186,6 @@ class FailoverManager(LeaseElection):
         """Make ``owner`` the active controller and reconcile all
         control state against the durable store."""
         self.takeovers += 1
-        if self.metrics is not None:
-            self.metrics.counter("failover.takeovers").inc()
         installer = self.installer
         gs = installer.gs
         if not installer.network.host_is_up(installer.gs_host):

@@ -35,7 +35,6 @@ from typing import Any, Callable, TYPE_CHECKING
 from repro.simnet.network import SimNetwork
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.registry import MetricsRegistry
     from repro.simnet.events import EventHandle
 
 
@@ -156,38 +155,29 @@ class RpcLayer:
     """Shared state of all reliable endpoints on one network: the id
     counter, the jitter RNG, the config, and the transport counters.
 
-    The plain integer counters mirror the optional ``obs`` metrics so
-    reports (e.g. the chaos soak report) can read them without a
-    registry attached.
+    The counters are plain integers; reports read them directly, and
+    :func:`repro.obs.collect_resilience` copies them into a registry as
+    ``rpc.*_total`` gauges.
     """
 
     def __init__(
         self,
         network: SimNetwork,
         config: RpcConfig | None = None,
-        metrics: "MetricsRegistry | None" = None,
         seed: int = 0,
     ):
         self.network = network
         self.sim = network.sim
         self.config = config or RpcConfig()
-        self.metrics = metrics
         self._rng = random.Random(f"rpc-{seed}")
         self._next_id = 0
         self.endpoints: dict[str, RpcEndpoint] = {}
-        # Transport counters (always kept; metrics mirror them).
+        # Transport counters.
         self.sent = 0
         self.acked = 0
         self.retries = 0
         self.timeouts = 0
         self.duplicates_suppressed = 0
-        if metrics is not None:
-            # Pre-register at zero so quiet runs still report the series.
-            for name in (
-                "rpc.sent", "rpc.acked", "rpc.retries", "rpc.timeouts",
-                "rpc.duplicates_suppressed",
-            ):
-                metrics.counter(name)
 
     def endpoint(
         self, host_name: str, handler: Callable[[str, Any], None]
@@ -255,8 +245,6 @@ class RpcEndpoint:
         layer = self.layer
         cfg = layer.config
         layer.sent += 1
-        if layer.metrics is not None:
-            layer.metrics.counter("rpc.sent").inc()
         # strict=False: a crashed/unknown destination becomes an
         # accounted drop; the retransmit timer is the recovery path.
         layer.network.send(
@@ -278,15 +266,11 @@ class RpcEndpoint:
         if pending.attempt >= layer.config.max_retries:
             del self._pending[pending.id]
             layer.timeouts += 1
-            if layer.metrics is not None:
-                layer.metrics.counter("rpc.timeouts").inc()
             if pending.on_failure is not None:
                 pending.on_failure(pending.dst, pending.payload)
             return
         pending.attempt += 1
         layer.retries += 1
-        if layer.metrics is not None:
-            layer.metrics.counter("rpc.retries").inc()
         self._transmit(pending)
 
     def cancel_matching(self, predicate: Callable[[Any], bool]) -> int:
@@ -318,8 +302,6 @@ class RpcEndpoint:
                 if pending.timer is not None:
                     pending.timer.cancel()
                 layer.acked += 1
-                if layer.metrics is not None:
-                    layer.metrics.counter("rpc.acked").inc()
             return
         if kind != "msg":
             # Not an RPC envelope: a legacy bare send -- dispatch as-is.
@@ -337,8 +319,6 @@ class RpcEndpoint:
         )
         if msg_id in self._seen:
             layer.duplicates_suppressed += 1
-            if layer.metrics is not None:
-                layer.metrics.counter("rpc.duplicates_suppressed").inc()
             return
         self._seen[msg_id] = None
         while len(self._seen) > layer.config.dedup_window:

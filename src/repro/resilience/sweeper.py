@@ -16,8 +16,7 @@ garbage: every ``interval_s`` of simulated time it
 - re-syncs the **router's capacity view** against each service's
   reported :meth:`~repro.vnf.service.VnfService.available` -- only while
   no install is in flight, since mid-2PC reservations legitimately
-  depress availability;
-- exports the ``resilience.inflight_installs`` gauge.
+  depress availability.
 
 The sweep loop runs on the sim clock and self-terminates at its
 horizon, so a full ``network.run()`` drain still finishes.
@@ -29,7 +28,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.controller.protocol import BusDrivenInstaller
-    from repro.obs.registry import MetricsRegistry
 
 
 class ReconciliationSweeper:
@@ -39,7 +37,6 @@ class ReconciliationSweeper:
         self,
         installer: "BusDrivenInstaller",
         interval_s: float | None = None,
-        metrics: "MetricsRegistry | None" = None,
     ):
         self.installer = installer
         self.interval_s = (
@@ -47,14 +44,9 @@ class ReconciliationSweeper:
             if interval_s is not None
             else installer.resilience.sweep_interval_s
         )
-        self.metrics = metrics
         self.sweeps = 0
         self.stale_reservations_released = 0
         self.stalled_installs_aborted = 0
-        if metrics is not None:
-            metrics.counter("sweeper.stale_reservations")
-            metrics.counter("sweeper.stalled_installs")
-            metrics.gauge("resilience.inflight_installs")
 
     def start(self, until: float) -> None:
         """Sweep every ``interval_s`` sim-seconds until the horizon."""
@@ -80,8 +72,6 @@ class ReconciliationSweeper:
             pending = installer._pending[name]
             if now - pending.timeline.requested_at > budget:
                 self.stalled_installs_aborted += 1
-                if self.metrics is not None:
-                    self.metrics.counter("sweeper.stalled_installs").inc()
                 installer.abort_install(name, "swept: install stalled")
 
         pending_chains = set(installer._pending)
@@ -101,10 +91,7 @@ class ReconciliationSweeper:
                 ):
                     service.release(chain, site)
                     released += 1
-        if released:
-            self.stale_reservations_released += released
-            if self.metrics is not None:
-                self.metrics.counter("sweeper.stale_reservations").inc(released)
+        self.stale_reservations_released += released
 
         # Capacity re-sync is only sound at quiescence: while a 2PC is
         # in flight its reservations legitimately depress available().
@@ -115,9 +102,4 @@ class ReconciliationSweeper:
                     gs.router.sync_vnf_capacity(
                         vnf_name, site, service.available(site)
                     )
-
-        if self.metrics is not None:
-            self.metrics.gauge("resilience.inflight_installs").set(
-                len(pending_chains)
-            )
         return released

@@ -14,8 +14,8 @@ Entry points:
 - :class:`SolverFarm` -- partition + solution cache + incremental
   :meth:`~SolverFarm.resolve`; ``GlobalSwitchboard(solver=...)``
   accepts it, and ``solver=None`` is the plain whole-network solve;
-- :class:`SolutionCache` -- digest-keyed LRU with ``scale.cache.*``
-  observability counters.
+- :class:`SolutionCache` -- digest-keyed LRU; its hit, miss and
+  eviction counts are :class:`CacheStats`.
 """
 
 from repro.scale.cache import CacheStats, SolutionCache

@@ -9,9 +9,7 @@ across solver-farm instances and across re-optimization rounds: a
 partition whose chains' demand did not move hashes to the same key and
 is served without a solve.
 
-Hit/miss/eviction counts are reported both locally (:class:`CacheStats`)
-and, when a registry is attached, as ``scale.cache.*`` counters in
-:mod:`repro.obs`.
+Hit/miss/eviction counts are kept in :class:`CacheStats`.
 """
 
 from __future__ import annotations
@@ -21,13 +19,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.registry import MetricsRegistry
     from repro.scale.farm import SolveResult
 
 
 @dataclass
 class CacheStats:
-    """Local counters mirroring the ``scale.cache.*`` metrics."""
+    """The cache's hit, miss and eviction counts."""
 
     hits: int = 0
     misses: int = 0
@@ -37,15 +34,10 @@ class CacheStats:
 class SolutionCache:
     """A bounded LRU of :class:`~repro.scale.farm.SolveResult` objects."""
 
-    def __init__(
-        self,
-        max_entries: int = 256,
-        metrics: "MetricsRegistry | None" = None,
-    ):
+    def __init__(self, max_entries: int = 256):
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        self.metrics = metrics
         self.stats = CacheStats()
         self._entries: "OrderedDict[str, SolveResult]" = OrderedDict()
 
@@ -56,13 +48,9 @@ class SolutionCache:
         result = self._entries.get(key)
         if result is None:
             self.stats.misses += 1
-            if self.metrics is not None:
-                self.metrics.counter("scale.cache.misses").inc()
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        if self.metrics is not None:
-            self.metrics.counter("scale.cache.hits").inc()
         return result
 
     def put(self, key: str, result: "SolveResult") -> None:
@@ -72,8 +60,6 @@ class SolutionCache:
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
-            if self.metrics is not None:
-                self.metrics.counter("scale.cache.evictions").inc()
 
 
 __all__ = ["CacheStats", "SolutionCache"]

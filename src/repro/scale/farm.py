@@ -144,9 +144,7 @@ class SolverFarm:
     ):
         self.partition_size = partition_size
         self.metrics = metrics
-        self.cache = (
-            cache if cache is not None else SolutionCache(metrics=metrics)
-        )
+        self.cache = cache if cache is not None else SolutionCache()
         self.enforce_mlu = enforce_mlu
         self.plan: PartitionPlan | None = None
         self._plan_key: tuple[str, int | None] | None = None

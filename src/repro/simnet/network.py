@@ -114,9 +114,9 @@ class _LinkState:
     # the occupancy through :meth:`queued_bytes`, which retires first.
     serializing: deque = field(default_factory=deque)
     _queued: int = 0
-    # Cached per-link metric handles (queue-delay histogram, delivered
-    # and dropped counters), created lazily on first use so links on an
-    # un-instrumented network pay nothing.
+    # Cached per-link histogram handles (queue delay, serialization),
+    # created lazily on first use so links on an un-instrumented network
+    # pay nothing.
     obs: tuple | None = None
     # -- fault state (repro.chaos) ------------------------------------
     up: bool = True
@@ -187,8 +187,6 @@ class Host:
         stats = state.stats
         stats.delivered += 1
         stats.bytes_delivered += size_bytes
-        if network.metrics is not None:
-            network._link_obs(state, sender, self.name)[2].inc()
         if self._receiver is not None:
             self._receiver(sender, payload)
         else:
@@ -226,15 +224,12 @@ class SimNetwork:
         self.drop_reasons: dict[str, int] = {}
 
     def _link_obs(self, state: _LinkState, src: str, dst: str) -> tuple:
-        """Per-link metric handles, created once per link."""
+        """Per-link histogram handles, created once per link."""
         if state.obs is None:
             link = f"{src}->{dst}"
             state.obs = (
                 self.metrics.histogram("link.queue_delay_s", link=link),
                 self.metrics.histogram("link.serialization_s", link=link),
-                self.metrics.counter("link.delivered", link=link),
-                self.metrics.counter("link.dropped", link=link),
-                self.metrics.counter("link.bytes_dropped", link=link),
             )
         return state.obs
 
@@ -412,9 +407,6 @@ class SimNetwork:
         stats.bytes_dropped += size_bytes
         self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + 1
         if self.metrics is not None:
-            obs = self._link_obs(state, src, dst)
-            obs[3].inc()
-            obs[4].inc(size_bytes)
             self.metrics.counter(
                 f"link.dropped_{reason}", link=f"{src}->{dst}"
             ).inc()
@@ -511,10 +503,6 @@ class SimNetwork:
             ):
                 stats.dropped += 1
                 stats.bytes_dropped += size_bytes
-                if self.metrics is not None:
-                    obs = self._link_obs(state, src, dst)
-                    obs[3].inc()
-                    obs[4].inc(size_bytes)
                 return False
             if state.busy_until > now:
                 queue_delay = state.busy_until - now
@@ -528,7 +516,7 @@ class SimNetwork:
             dst_host._deliver, state, size_bytes, src, payload,
         )
         if self.metrics is not None:
-            q_hist, s_hist, *_ = self._link_obs(state, src, dst)
+            q_hist, s_hist = self._link_obs(state, src, dst)
             q_hist.observe(queue_delay)
             s_hist.observe(serialization)
         return True

@@ -34,6 +34,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
 
+    @pytest.mark.parametrize("argv", [
+        ["bus", "--rate", "0"],
+        ["bus", "--rate", "-5"],
+        ["bus", "--sites", "0"],
+        ["metrics", "--rate", "0"],
+    ])
+    def test_non_positive_rate_and_sites_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_topology(self, capsys):
@@ -100,6 +112,32 @@ class TestCommands:
         keys = [k for section in ("counters", "gauges", "histograms")
                 for k in data[section]]
         assert not [k for k in keys if k.startswith("bench.")]
+        # A count kept as a plain attribute is reported once, by the
+        # collected gauge, never by a live counter as well.
+        gauge_families = {k.split("{")[0] for k in data["gauges"]}
+        counter_families = {k.split("{")[0] for k in counters}
+        gauge_of = {
+            "rpc.sent": "rpc.sent_total",
+            "rpc.acked": "rpc.acked_total",
+            "rpc.retries": "rpc.retries_total",
+            "rpc.timeouts": "rpc.timeouts_total",
+            "rpc.duplicates_suppressed": "rpc.duplicates_suppressed_total",
+            "deadline.expired": "deadline.expired_total",
+            "install.aborted": "install.aborted_total",
+            "install.deadline_aborts": "install.deadline_aborts_total",
+            "link.delivered": "link.delivered_total",
+            "link.dropped": "link.dropped_total",
+            "link.bytes_dropped": "link.bytes_dropped_total",
+            "dataplane.packet_hops": "forwarder.packets_forwarded_total",
+            "dataplane.packet_drops": "forwarder.packets_dropped_total",
+        }
+        assert not counter_families & gauge_of.keys()
+        assert set(gauge_of.values()) <= gauge_families
+        hops = sum(
+            value for key, value in data["gauges"].items()
+            if key.startswith("forwarder.packets_forwarded_total")
+        )
+        assert hops > 0
 
 
 class TestFederationCommand:

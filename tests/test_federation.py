@@ -421,11 +421,11 @@ class TestMetrics:
         assert registry.value("federation.chains.intra") == 1
         assert registry.value("federation.chains.cross") == 1
         assert registry.value("federation.2pc.commits") == 1
+        coordinator.plan_all()
+        collect_federation(registry, coordinator)
         assert registry.value("federation.cross_shard_ratio") == pytest.approx(
             0.5
         )
-        coordinator.plan_all()
-        collect_federation(registry, coordinator)
         assert registry.value("federation.regions") == 3
         assert registry.value("federation.borders") == 4
         assert registry.value("federation.region_chains", region=0) == 2

@@ -210,3 +210,30 @@ class TestReport:
         data = registry_to_dict(self.build())
         assert data["spans_dropped"] == 0
         assert data["spans"][0]["duration"] is not None
+
+
+class TestOneCountOnePlace:
+    """A component that keeps a count in a plain attribute takes no
+    registry: ``obs.collect`` reads the attribute at report time."""
+
+    def test_counting_components_take_no_registry(self):
+        import inspect
+
+        from repro.dataplane.flowtable import FlowTable
+        from repro.dataplane.forwarder import DataPlane, Forwarder
+        from repro.federation.ha import FederationFailover
+        from repro.federation.nodes import RegionalNode
+        from repro.resilience.deadline import DeadlineManager
+        from repro.resilience.failover import FailoverManager
+        from repro.resilience.rpc import RpcLayer
+        from repro.resilience.sweeper import ReconciliationSweeper
+        from repro.scale.cache import SolutionCache
+
+        classes = [
+            RpcLayer, SolutionCache, DeadlineManager, ReconciliationSweeper,
+            FailoverManager, FederationFailover, RegionalNode, Forwarder,
+            FlowTable, DataPlane,
+        ]
+        for cls in classes:
+            assert "metrics" not in inspect.signature(cls).parameters, cls
+        assert "owner" not in inspect.signature(FlowTable).parameters

@@ -41,15 +41,14 @@ class TestFarmSolve:
         assert result.solution.violations() == []
 
     def test_repeat_solve_served_from_cache(self):
-        registry = MetricsRegistry()
         model = clustered_model(3)
-        farm = SolverFarm(partition_size=1, metrics=registry)
+        farm = SolverFarm(partition_size=1)
         first = farm.solve(model)
         second = farm.solve(model)
         assert first.cache_hits == 0 and len(first.solved) == 3
         assert second.cache_hits == 3 and len(second.solved) == 0
-        assert registry.value("scale.cache.hits") == 3
-        assert registry.value("scale.cache.misses") == 3
+        assert farm.cache.stats.hits == 3
+        assert farm.cache.stats.misses == 3
         assert second.objective == pytest.approx(first.objective)
 
     def test_objective_is_part_of_cache_key(self):

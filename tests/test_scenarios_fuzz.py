@@ -11,7 +11,6 @@ import pathlib
 
 import pytest
 
-from repro.obs import MetricsRegistry, collect_fuzz, registry_to_dict
 from repro.scenarios import (
     FuzzConfig,
     build_case,
@@ -133,17 +132,3 @@ class TestBudget:
         assert report.cases_run == 1
         assert report.budget_exhausted
 
-
-class TestObsCollector:
-    def test_collect_fuzz_gauges(self):
-        report = run_fuzz(FuzzConfig(seed=1, cases=1, duration_s=12.0,
-                                     plant=True))
-        registry = MetricsRegistry()
-        collect_fuzz(registry, report)
-        gauges = registry_to_dict(registry)["gauges"]
-        assert gauges["fuzz.seed"] == 1
-        assert gauges["fuzz.cases_run"] == 1
-        assert gauges["fuzz.passed"] == 1  # planted run that fired
-        assert gauges["fuzz.cases_minimized_total"] == 1
-        assert gauges["fuzz.violations_total"] > 0
-        assert gauges["fuzz.case_violations{case=0,stack=mono}"] > 0

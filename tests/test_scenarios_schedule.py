@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.chaos import FaultEvent, Scenario, merge_scenarios
+from repro.chaos import FaultEvent, Scenario
 from repro.scenarios import (
     ComposedSchedule,
     ScheduleError,
@@ -139,12 +139,3 @@ class TestScenarioRoundTrip:
         clone = Scenario.from_json(scenario.to_json())
         assert clone.to_json() == scenario.to_json()
         assert clone.events[0].target == (("A", "B"), ("C",))
-
-    def test_merge_scenarios(self):
-        a = Scenario(seed=1, duration_s=5.0, events=[
-            FaultEvent(at=1.0, kind="fail_site", target=("A",))])
-        b = Scenario(seed=2, duration_s=9.0, events=[
-            FaultEvent(at=2.0, kind="restore_site", target=("A",))])
-        merged = merge_scenarios(a, b)
-        assert merged.duration_s == 9.0
-        assert len(merged.events) == 2
