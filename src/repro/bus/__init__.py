@@ -6,9 +6,10 @@ proxy of the *publisher's* site (inferred from the topic), so a site
 with no subscribers for a topic never receives the message, and a site
 with any subscribers receives exactly one copy over the shared
 inter-proxy connection.  The full-mesh broadcast baseline of Figure 9
-instead sends one copy per *subscriber*, all serialized through the
-publisher site's uplink, which is what produces its order-of-magnitude
-latency gap and buffer-overflow message drops.
+is the same bus with one override: :class:`FullMeshBus` sends one copy
+per *subscriber*, all serialized through the publisher site's uplink,
+which is what produces its order-of-magnitude latency gap and
+buffer-overflow message drops.
 """
 
 from repro.bus.aggregator import MessageAggregator

@@ -5,70 +5,30 @@ whereas Switchboard only sends a single message for all subscribers at a
 site.  Full-mesh results in excessive queuing of messages at the
 publisher's site" (Section 6).
 
-The baseline reuses the same physical topology (per-site proxies and a
-finite-bandwidth, finite-buffer WAN uplink) so that the only difference
-from :class:`~repro.bus.bus.GlobalMessageBus` is the fan-out unit:
-per-subscriber instead of per-site, with no subscription filtering at
-the publisher's proxy.
+The baseline is the bus with that one change: :class:`FullMeshBus`
+subclasses :class:`~repro.bus.bus.GlobalMessageBus` and keeps its
+clients, publish path, WAN uplink accounting and gateway relays.  Only
+the fan-out unit differs -- every publisher knows every subscriber, and
+its proxy sends one copy addressed to each, in subscription order,
+instead of one per subscribed site.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Sequence, TYPE_CHECKING
+from typing import Any, Callable
 
-from repro.bus.bus import (
-    BusClient,
-    BusError,
-    BusStats,
-    Delivery,
-    build_bus_network,
-    gateway_name,
-    proxy_name,
-)
+from repro.bus.bus import GlobalMessageBus, proxy_name
 from repro.bus.topics import Topic
-from repro.simnet.network import SimNetwork
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.registry import MetricsRegistry
 
 
-class FullMeshBus:
+class FullMeshBus(GlobalMessageBus):
     """Per-subscriber broadcast over the same proxy/uplink substrate."""
 
-    MESSAGE_BYTES = 1000
-
-    def __init__(
-        self,
-        network: SimNetwork,
-        sites: Sequence[str],
-        metrics: "MetricsRegistry | None" = None,
-    ):
-        self.network = network
-        self.sites = list(sites)
-        self.stats = BusStats()
-        self.metrics = metrics
-        self.clients: dict[str, BusClient] = {}
-        #: Global subscriber registry: topic -> subscriber names.  In a
-        #: full-mesh design every publisher knows every subscriber.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        #: Global subscriber registry: topic -> subscriber names, in
+        #: subscription order.
         self._subscribers: dict[str, list[str]] = {}
-        for site in self.sites:
-            self.network.host(proxy_name(site)).on_receive(
-                self._make_proxy_receiver(site)
-            )
-            self.network.host(gateway_name(site)).on_receive(
-                self._make_gateway_relay(site)
-            )
-
-    def attach(self, name: str, site: str) -> BusClient:
-        if name in self.clients:
-            raise BusError(f"duplicate client {name!r}")
-        if site not in self.sites:
-            raise BusError(f"unknown site {site!r}")
-        client = BusClient(name, site)
-        self.clients[name] = client
-        host = self.network.add_host(name, site=site)
-        host.on_receive(self._make_client_receiver(client))
-        return client
 
     def subscribe(
         self,
@@ -76,16 +36,13 @@ class FullMeshBus:
         topic: Topic | str,
         callback: Callable[[str, Any], None] | None = None,
     ) -> None:
-        topic = Topic.parse(topic) if isinstance(topic, str) else topic
-        client = self._client(client_name)
-        if callback is not None:
-            client.callback = callback
+        super().subscribe(client_name, topic, callback)
         subscribers = self._subscribers.setdefault(str(topic), [])
         if client_name not in subscribers:
             subscribers.append(client_name)
 
     def unsubscribe(self, client_name: str, topic: Topic | str) -> None:
-        topic = Topic.parse(topic) if isinstance(topic, str) else topic
+        super().unsubscribe(client_name, topic)
         key = str(topic)
         subscribers = self._subscribers.get(key, [])
         if client_name in subscribers:
@@ -93,115 +50,23 @@ class FullMeshBus:
         if not subscribers:
             self._subscribers.pop(key, None)
 
-    def publish(
-        self,
-        client_name: str,
-        topic: Topic | str,
-        payload: Any,
-        size_bytes: int | None = None,
-    ) -> None:
-        topic = Topic.parse(topic) if isinstance(topic, str) else topic
-        client = self._client(client_name)
-        self.stats.published += 1
-        message = {
-            "kind": "pub",
-            "topic": str(topic),
-            "payload": payload,
-            "published_at": self.network.sim.now,
-            "size": size_bytes or self.MESSAGE_BYTES,
-        }
+    def _fan_out(self, site: str, message: dict) -> None:
+        """Publisher-site proxy: one copy per subscriber, every remote
+        one pushed through the site's WAN uplink."""
+        for name in self._subscribers.get(message["topic"], []):
+            target_site = self.clients[name].site
+            copy = {**message, "dest_client": name, "dest_site": target_site}
+            if target_site == site:
+                self._deliver_local(site, copy)
+            else:
+                self._send_wan(site, copy)
+
+    def _deliver_local(self, site: str, message: dict) -> None:
+        """Hand the copy to the one client it names."""
         self.network.send(
-            client.name,
-            proxy_name(client.site),
-            message,
-            size_bytes or self.MESSAGE_BYTES,
+            proxy_name(site), message["dest_client"], message, message["size"],
+            strict=False,
         )
 
-    # -- proxies -----------------------------------------------------------
 
-    def _make_proxy_receiver(self, site: str):
-        def receive(sender: str, message: dict) -> None:
-            if message.get("kind") != "pub":
-                return
-            if sender == gateway_name(site) or "dest_client" in message:
-                dest = message.get("dest_client")
-                if dest is not None and self.clients.get(dest, None) is not None:
-                    self.network.send(
-                        proxy_name(site), dest, message, message["size"]
-                    )
-                return
-            # Publisher's proxy: one copy per subscriber, every copy
-            # pushed through the site's WAN uplink (or LAN for local
-            # subscribers).
-            for subscriber in self._subscribers.get(message["topic"], []):
-                target = self.clients[subscriber]
-                copy = {**message, "dest_client": subscriber}
-                if target.site == site:
-                    self.network.send(
-                        proxy_name(site), subscriber, copy, message["size"]
-                    )
-                    continue
-                self.stats.wan_messages += 1
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "bus.wan_messages", site=site, topic=message["topic"]
-                    ).inc()
-                copy["dest_site"] = target.site
-                sent = self.network.send(
-                    proxy_name(site), gateway_name(site), copy, message["size"]
-                )
-                if not sent:
-                    self.stats.wan_drops += 1
-                    if self.metrics is not None:
-                        self.metrics.counter(
-                            "bus.wan_drops", site=site, topic=message["topic"]
-                        ).inc()
-
-        return receive
-
-    def _make_gateway_relay(self, site: str):
-        def relay(sender: str, message: dict) -> None:
-            dest_site = message.get("dest_site")
-            if dest_site is None:
-                return
-            self.network.send(
-                gateway_name(site),
-                proxy_name(dest_site),
-                message,
-                message["size"],
-            )
-
-        return relay
-
-    def _make_client_receiver(self, client: BusClient):
-        def receive(sender: str, message: dict) -> None:
-            now = self.network.sim.now
-            client.received.append((now, message["topic"], message["payload"]))
-            self.stats.deliveries.append(
-                Delivery(message["topic"], client.name, message["published_at"], now)
-            )
-            if client.callback is not None:
-                client.callback(message["topic"], message["payload"])
-
-        return receive
-
-    def _client(self, name: str) -> BusClient:
-        try:
-            return self.clients[name]
-        except KeyError:
-            raise BusError(f"unknown client {name!r}") from None
-
-
-def make_full_mesh_bus(
-    sites: Sequence[str],
-    wan_delay_s: Mapping[tuple[str, str], float] | float,
-    uplink_bps: float = 100e6,
-    uplink_buffer_bytes: int = 256_000,
-    network: SimNetwork | None = None,
-    metrics: "MetricsRegistry | None" = None,
-) -> FullMeshBus:
-    """Build the network and a full-mesh bus in one call."""
-    net = build_bus_network(
-        sites, wan_delay_s, uplink_bps, uplink_buffer_bytes, network, metrics
-    )
-    return FullMeshBus(net, sites, metrics=metrics)
+make_full_mesh_bus = FullMeshBus.build

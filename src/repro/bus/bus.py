@@ -168,6 +168,26 @@ class GlobalMessageBus:
             self.network.host(proxy_name(site)).on_receive(
                 self._make_proxy_receiver(site)
             )
+            self.network.host(gateway_name(site)).on_receive(
+                self._make_gateway_relay(site)
+            )
+
+    @classmethod
+    def build(
+        cls,
+        sites: Sequence[str],
+        wan_delay_s: Mapping[tuple[str, str], float] | float,
+        uplink_bps: float = 100e6,
+        uplink_buffer_bytes: int = 256_000,
+        network: SimNetwork | None = None,
+        metrics: "MetricsRegistry | None" = None,
+    ) -> "GlobalMessageBus":
+        """Build the network and a ready-to-use bus of this class in one
+        call (proxies, gateways and their relays wired)."""
+        net = build_bus_network(
+            sites, wan_delay_s, uplink_bps, uplink_buffer_bytes, network, metrics
+        )
+        return cls(net, sites, metrics=metrics)
 
     # -- clients --------------------------------------------------------
 
@@ -282,42 +302,43 @@ class GlobalMessageBus:
 
     def _make_proxy_receiver(self, site: str):
         def receive(sender: str, message: dict) -> None:
-            if message.get("kind") == "pub" and sender == gateway_name(site):
-                # Arriving from the WAN: fan out to local subscribers.
+            if message.get("kind") != "pub":
+                return
+            if sender in self.clients:
+                self._fan_out(site, message)
+            else:
+                # Arriving from the WAN gateway (or over a direct
+                # inter-proxy wiring): fan out to local subscribers.
                 self._deliver_local(site, message)
-            elif message.get("kind") == "pub":
-                if sender in self.clients:
-                    self._fan_out(site, message)
-                else:
-                    # Inter-proxy hop without gateway (not used in the
-                    # default topology, but tolerate direct wiring).
-                    self._deliver_local(site, message)
 
         return receive
 
     def _fan_out(self, site: str, message: dict) -> None:
         """Publisher-site proxy: one WAN copy per subscribed site."""
-        key = message["topic"]
-        subscriber_sites = self._site_filters[site].get(key, set())
-        metrics = self.metrics
+        subscriber_sites = self._site_filters[site].get(message["topic"], set())
         for target_site in sorted(subscriber_sites):
             if target_site == site:
                 self._deliver_local(site, message)
-                continue
-            self.stats.wan_messages += 1
+            else:
+                self._send_wan(site, {**message, "dest_site": target_site})
+
+    def _send_wan(self, site: str, message: dict) -> None:
+        """Push one copy, addressed by its ``dest_site``, through the
+        site's WAN uplink, counting it and (if the uplink refuses it) its
+        drop."""
+        key = message["topic"]
+        metrics = self.metrics
+        self.stats.wan_messages += 1
+        if metrics is not None:
+            metrics.counter("bus.wan_messages", site=site, topic=key).inc()
+        sent = self.network.send(
+            proxy_name(site), gateway_name(site), message, message["size"],
+            strict=False,
+        )
+        if not sent:
+            self.stats.wan_drops += 1
             if metrics is not None:
-                metrics.counter("bus.wan_messages", site=site, topic=key).inc()
-            sent = self.network.send(
-                proxy_name(site),
-                gateway_name(site),
-                {**message, "dest_site": target_site},
-                message["size"],
-                strict=False,
-            )
-            if not sent:
-                self.stats.wan_drops += 1
-                if metrics is not None:
-                    metrics.counter("bus.wan_drops", site=site, topic=key).inc()
+                metrics.counter("bus.wan_drops", site=site, topic=key).inc()
 
     def _deliver_local(self, site: str, message: dict) -> None:
         key = message["topic"]
@@ -346,6 +367,18 @@ class GlobalMessageBus:
 
         return receive
 
+    def _make_gateway_relay(self, site: str):
+        def relay(sender: str, message: dict) -> None:
+            # The gateway forwards each WAN copy to its destination proxy.
+            dest = message.get("dest_site")
+            if dest is not None:
+                self.network.send(
+                    gateway_name(site), proxy_name(dest), message,
+                    message["size"], strict=False,
+                )
+
+        return relay
+
     def _client(self, name: str) -> BusClient:
         try:
             return self.clients[name]
@@ -353,40 +386,4 @@ class GlobalMessageBus:
             raise BusError(f"unknown client {name!r}") from None
 
 
-# Gateways relay WAN copies to the destination proxy.
-def install_gateway_relays(bus: GlobalMessageBus) -> None:
-    """Wire each site gateway to forward WAN copies to their destination
-    proxies.  Called automatically by :func:`make_bus`."""
-    for site in bus.sites:
-        host = bus.network.host(gateway_name(site))
-
-        def relay(sender: str, message: dict, _site: str = site) -> None:
-            dest = message.get("dest_site")
-            if dest is None:
-                return
-            bus.network.send(
-                gateway_name(_site),
-                proxy_name(dest),
-                message,
-                message["size"],
-                strict=False,
-            )
-
-        host.on_receive(relay)
-
-
-def make_bus(
-    sites: Sequence[str],
-    wan_delay_s: Mapping[tuple[str, str], float] | float,
-    uplink_bps: float = 100e6,
-    uplink_buffer_bytes: int = 256_000,
-    network: SimNetwork | None = None,
-    metrics: "MetricsRegistry | None" = None,
-) -> GlobalMessageBus:
-    """Build the network and a ready-to-use proxy bus in one call."""
-    net = build_bus_network(
-        sites, wan_delay_s, uplink_bps, uplink_buffer_bytes, network, metrics
-    )
-    bus = GlobalMessageBus(net, sites, metrics=metrics)
-    install_gateway_relays(bus)
-    return bus
+make_bus = GlobalMessageBus.build

@@ -147,18 +147,7 @@ def _reroute_affected(gs: GlobalSwitchboard, report: FailureReport) -> None:
             gs.vnf_services[vnf_name].release(name, committed_site)
         installation.committed_load = {}
         gs.router.rollback(name)
-        try:
-            routed, committed = gs._route_and_commit(name)
-        except Exception:
-            routed, committed = 0.0, {}
-        installation.routed_fraction = routed
-        installation.committed_load = committed
-        report.carried_after[name] = routed
-        if routed > _EPS:
-            gs._assign_instances(installation)
-            gs._install_rules(installation)
-        else:
-            gs._remove_rules(installation)
+        report.carried_after[name] = gs.reroute(name)
 
 
 def restore_site(

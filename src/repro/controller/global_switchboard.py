@@ -259,6 +259,29 @@ class GlobalSwitchboard:
             installation.routed_fraction = after
         return gained
 
+    def reroute(self, chain_name: str) -> float:
+        """Route an installed chain afresh and 2PC its capacity (the
+        caller has released its old capacity and rolled its route back).
+
+        Sets the installation's fraction and load, then installs the
+        chain's rules -- or removes them when it carries nothing, so no
+        new connection crosses a VNF without committed load.  Returns
+        the carried fraction.
+        """
+        installation = self.installations[chain_name]
+        try:
+            routed, committed = self._route_and_commit(chain_name)
+        except Exception:
+            routed, committed = 0.0, {}
+        installation.routed_fraction = routed
+        installation.committed_load = committed
+        if routed > _EPS:
+            self._assign_instances(installation)
+            self._install_rules(installation)
+        else:
+            self._remove_rules(installation)
+        return routed
+
     def remove_chain(self, chain_name: str) -> None:
         """Tear a chain down: release capacity, label, forwarder rules,
         edge classifiers and egress routes.  Flow-table entries of its

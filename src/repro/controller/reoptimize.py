@@ -25,8 +25,6 @@ from typing import Any
 
 from repro.controller.global_switchboard import GlobalSwitchboard
 
-_EPS = 1e-9
-
 
 @dataclass
 class ReoptimizationReport:
@@ -130,19 +128,10 @@ def reoptimize(
         reverse=True,
     )
     for name in changed:
-        installation = gs.installations.get(name)
-        if installation is None or name not in gs.model.chains:
+        if name not in gs.installations or name not in gs.model.chains:
             report.vanished.append(name)
             continue
-        try:
-            routed, committed = gs._route_and_commit(name)
-        except Exception:
-            routed, committed = 0.0, {}
-        installation.routed_fraction = routed
-        installation.committed_load = committed
-        if routed > _EPS:
-            gs._assign_instances(installation)
-            gs._install_rules(installation)
+        gs.reroute(name)
         report.rerouted.append(name)
 
     for name in list(gs.installations):

@@ -18,20 +18,23 @@ Multi-chain workloads are routed sequentially, each chain seeing the
 utilization left behind by its predecessors -- this is the "computationally
 efficient routing heuristic" evaluated against SB-LP in Section 7.3.
 
-The default path search (``_find_path_dp_vec``) evaluates a whole stage
+The one path search (``_DpRouter._find_path``) evaluates a whole stage
 front at a time, and -- the residual state being constant within one
 search -- prices the utilizations of *all* stages in one penalty pass
 through the :class:`~repro.core.columns.ChainTable` of the chain's shape;
-the scalar recurrence it replaced (``tests/reference/dp_scalar.py``) is
-the oracle it is tested against, route for route.
+the scalar recurrence and greedy search it replaced
+(``tests/reference/dp_scalar.py``) are the oracle it is tested against,
+route for route.
 
-Two ablations from Figure 13a are expressed as configurations:
+Two ablations from Figure 13a are expressed as configurations of that
+one search:
 
 - ``DpConfig.latency_only()`` -- DP-LATENCY: the cost function degenerates
   to propagation delay (capacities are still *enforced*, they just do not
   steer route choice).
-- ``DpConfig.one_hop()`` -- ONEHOP: the same cost function but applied
-  greedily one stage at a time instead of over the whole chain.
+- ``DpConfig.one_hop()`` -- ONEHOP: the same stage costs, but chosen
+  greedily one stage at a time (the cheapest hop from the site just
+  picked) instead of by the min-plus recurrence over the whole chain.
 """
 
 from __future__ import annotations
@@ -131,22 +134,6 @@ class _ResourceState:
         return float(
             self.model.mlu_limit * self.sub.link_bandwidth[li]
             - self.link_load[li]
-        )
-
-    # -- utilizations ------------------------------------------------------
-
-    def vnf_utilization(self, vnf: str, site: str, extra: float = 0.0) -> float:
-        vi = self.sub.vnf_index[vnf]
-        si = self.sub.site_index.get(site)
-        cap = 0.0 if si is None else self.vnf_cap[vi, si]
-        if cap <= 0:
-            return _INF
-        return float((self.vnf_load[vi, si] + extra) / cap)
-
-    def link_utilization(self, link_name: str, extra: float = 0.0) -> float:
-        li = self.sub.link_index[link_name]
-        return float(
-            (self.link_load[li] + extra) / self.sub.link_bandwidth[li]
         )
 
     # -- commits -------------------------------------------------------------
@@ -328,22 +315,19 @@ class _DpRouter:
     # -- path search ----------------------------------------------------------
 
     def _find_path(self, chain: Chain, pass_fraction: float) -> list[str] | None:
-        if self.config.per_hop:
-            return self._find_path_greedy(chain, pass_fraction)
-        return self._find_path_dp_vec(chain, pass_fraction)
-
-    def _find_path_dp_vec(
-        self, chain: Chain, pass_fraction: float
-    ) -> list[str] | None:
         """Equation 8 over whole stage fronts.
 
-        One (sources x destinations) cost matrix per stage replaces one
-        ``_transition_cost`` call per pair.  Every matrix element is
-        accumulated in the same order as the scalar code (latency, then
-        compute penalty, then forward link penalties in pool order, then
+        One (sources x destinations) cost matrix per stage holds the
+        transition cost of every pair.  Every matrix element is
+        accumulated in the same order as the scalar code
+        (``tests/reference/dp_scalar.py``: latency, then compute
+        penalty, then forward link penalties in pool order, then
         reverse), and ``argmin`` keeps the first minimum exactly like
         the scalar strict-``<`` scan, so both implementations pick
-        identical routes.
+        identical routes.  ONEHOP (``per_hop``) prices the same
+        matrices and only chooses differently: each stage takes the
+        cheapest entry of the row of the site just picked instead of
+        the min-plus step over all of them.
 
         The residual state cannot change inside one search, so every
         utilization the search can meet -- the (VNF, site) elements of
@@ -427,6 +411,14 @@ class _DpRouter:
                     entry += size
             if z == 0:  # from the ingress alone: nothing to choose between
                 prev_cost = step[0]
+            elif cfg.per_hop:
+                # The cheapest hop from the site just picked, whatever
+                # the later stages cost; ``prev_cost`` is that site's row.
+                pick = int(prev_cost.argmin())
+                if not prev_cost[pick] < _INF:
+                    return None
+                parents.append(np.full(step.shape[1], pick))
+                prev_cost = step[pick]
             else:
                 total = prev_cost[:, None] + step
                 parents.append(total.argmin(axis=0))
@@ -444,69 +436,6 @@ class _DpRouter:
         path.append(chain.ingress)
         path.reverse()
         return path
-
-    def _find_path_greedy(
-        self, chain: Chain, pass_fraction: float
-    ) -> list[str] | None:
-        """ONEHOP: pick each next site by local cost only."""
-        path = [chain.ingress]
-        current = chain.ingress
-        for z in range(1, chain.num_stages + 1):
-            best, best_dst = _INF, None
-            for dst in self.model.stage_destinations(chain, z):
-                step = self._transition_cost(chain, z, current, dst, pass_fraction)
-                if step < best:
-                    best = step
-                    best_dst = dst
-            if best_dst is None:
-                return None
-            path.append(best_dst)
-            current = best_dst
-        return path
-
-    # -- cost function -----------------------------------------------------------
-
-    def _transition_cost(
-        self, chain: Chain, z: int, src: str, dst: str, pass_fraction: float
-    ) -> float:
-        """``cost(src, z-1, dst)`` in the paper's notation: latency +
-        network-utilization cost + compute-utilization cost of moving
-        stage-``z`` traffic from ``src`` to ``dst``."""
-        cost = self.model.site_latency(src, dst)
-        traffic = chain.stage_traffic(z) * pass_fraction
-
-        if z < chain.num_stages:
-            vnf = chain.vnf_at(z)
-            residual = self.state.vnf_residual(vnf, dst)
-            site_residual = self.state.site_residual(dst)
-            if residual <= _EPS or site_residual <= _EPS:
-                return _INF
-            if self.config.use_compute_cost:
-                # The VNF both receives stage-z and sends stage-(z+1)
-                # traffic; approximate the added load with twice the
-                # incoming demand (symmetric chains).
-                load = self.model.vnfs[vnf].load_per_unit * traffic * 2.0
-                util = self.state.vnf_utilization(vnf, dst, extra=load)
-                cost += self._weight * self.config.penalty(min(util, 2.0))
-
-        if self.config.use_network_cost and self.model.routing:
-            n1 = self.model.endpoint_node(src)
-            n2 = self.model.endpoint_node(dst)
-            fwd = chain.forward_traffic[z - 1] * pass_fraction
-            rev = chain.reverse_traffic[z - 1] * pass_fraction
-            for direction, volume in (((n1, n2), fwd), ((n2, n1), rev)):
-                if volume <= 0:
-                    continue
-                for link_name, frac in self.model.links_between(*direction).items():
-                    util = self.state.link_utilization(
-                        link_name, extra=volume * frac
-                    )
-                    cost += (
-                        self._weight
-                        * frac
-                        * self.config.penalty(min(util, 2.0))
-                    )
-        return cost
 
     # -- feasibility and commit ------------------------------------------------------
 

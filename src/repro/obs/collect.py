@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING
 from repro.obs.registry import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.bus.broadcast import FullMeshBus
     from repro.bus.bus import GlobalMessageBus
     from repro.controller.protocol import BusDrivenInstaller
     from repro.dataplane.forwarder import DataPlane
@@ -49,18 +48,15 @@ def collect_network(registry: MetricsRegistry, net: "SimNetwork") -> None:
         )
 
 
-def collect_bus(
-    registry: MetricsRegistry, bus: "GlobalMessageBus | FullMeshBus"
-) -> None:
-    """Topology-level pub/sub totals from ``BusStats``."""
+def collect_bus(registry: MetricsRegistry, bus: "GlobalMessageBus") -> None:
+    """Topology-level pub/sub totals from ``BusStats``.  Delivery
+    latency is not re-observed here: the bus records each sample once,
+    live, in ``bus.delivery_latency_s{topic}``."""
     stats = bus.stats
     registry.gauge("bus.published_total").set(stats.published)
     registry.gauge("bus.wan_messages_total").set(stats.wan_messages)
     registry.gauge("bus.wan_drops_total").set(stats.wan_drops)
     registry.gauge("bus.delivered_total").set(stats.delivered)
-    latency = registry.histogram("bus.collected_delivery_latency_s")
-    for delivery in stats.deliveries:
-        latency.observe(delivery.latency)
 
 
 def collect_resilience(

@@ -262,6 +262,21 @@ class TestFullMeshComparison:
         bus.network.run()
         assert bus.stats.delivered == 1
 
+    def test_mesh_routes_each_topic_to_its_own_callback(self):
+        # One client, two live subscriptions: the second callback must
+        # not replace the first (the proxy bus's per-topic callbacks).
+        other = Topic("c2", "e1", "H", "S0", "forwarders")
+        bus = make_full_mesh_bus(SITES, wan_delay_s=0.025, uplink_bps=8e6)
+        bus.attach("pub", "S0")
+        bus.attach("sub", "S1")
+        seen = {TOPIC: [], other: []}
+        for topic, log in seen.items():
+            bus.subscribe("sub", topic, callback=lambda t, p, log=log: log.append(p))
+        bus.publish("pub", TOPIC, "m1")
+        bus.publish("pub", other, "m2")
+        bus.network.run()
+        assert seen == {TOPIC: ["m1"], other: ["m2"]}
+
     def test_mesh_delivers_everything_to_local_subscribers(self):
         bus = make_full_mesh_bus(SITES, wan_delay_s=0.025, uplink_bps=8e6)
         bus.attach("pub", "S0")

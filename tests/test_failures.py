@@ -361,6 +361,24 @@ class TestReoptimize:
         assert report.offered_after == pytest.approx(10.0)
         assert report.carried_after == pytest.approx(10.0)
 
+    def test_reroute_carrying_nothing_removes_the_rules(self):
+        """A re-route that carries nothing releases the chain's capacity
+        and, as after ``fail_site``, its forwarder rules: no new
+        connection may cross a VNF with no committed load."""
+        gs, service, ingress, egress = build_deployment()
+        gs.create_chain(spec("c1"))
+        assert gs.installations["c1"].rule_sites
+        for site in service.site_capacity:
+            service.site_capacity[site] = 0.0
+        reoptimize(gs, {"c1": 2.0})
+        assert gs.installations["c1"].routed_fraction == 0.0
+        assert gs.installations["c1"].rule_sites == set()
+        assert not any(
+            fwd.rules for fwd in gs.local_switchboard("B").forwarders
+        )
+        ingress.ingress(Packet(FiveTuple("10.0.0.9", "20.0.0.9", "tcp", 1, 80)))
+        assert not egress.delivered
+
     def test_diurnal_cycle_round_trip(self):
         """Drive a chain through a simulated day of demand factors."""
         from repro.topology.timeseries import diurnal_factor

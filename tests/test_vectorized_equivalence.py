@@ -359,6 +359,10 @@ class TestDpBatchedSearchEquivalence:
         # Penalties dwarf latency: a penalty added where the scalar code
         # adds none (a direction without demand) changes the route.
         DpConfig(utilization_weight=400.0),
+        # ONEHOP: the same stage matrices, chosen row by row from the
+        # site just picked (a search that read the wrong row differs).
+        DpConfig.one_hop(),
+        DpConfig(per_hop=True, utilization_weight=400.0),
     ]
 
     @settings(max_examples=120, deadline=None)
@@ -402,6 +406,31 @@ class TestDpBatchedSearchEquivalence:
         assert route_chains_dp(routed(0.5)).solution._flows[("c", 1)] == {
             ("in", "F"): 1.0
         }
+
+    def test_one_hop_takes_the_cheapest_hop_from_the_site_it_picked(self):
+        """ONEHOP lands the first VNF at the nearer B, then stays at B
+        because A is far *from B*; the whole-chain recurrence prefers A
+        twice for its short exit.  Reading the stage costs from any row
+        but the picked site's (here A's, the front's first) would hop
+        to A."""
+        nodes = ["in", "a", "b", "out"]
+        latency = {
+            ("in", "a"): 2.0, ("in", "b"): 1.0, ("a", "b"): 5.0,
+            ("a", "out"): 1.0, ("b", "out"): 20.0, ("in", "out"): 30.0,
+        }
+        sites = [CloudSite("A", "a", 100.0), CloudSite("B", "b", 100.0)]
+        vnfs = [VNF(name, 1.0, {"A": 50.0, "B": 50.0}) for name in ("f1", "f2")]
+        chain = Chain("c", "in", "out", ["f1", "f2"], 1.0, 0.0)
+        model = NetworkModel(nodes, latency, sites, vnfs, [chain])
+
+        def route_sites(route, config):
+            flows = route(model, config).solution._flows
+            return [next(iter(flows[("c", z)]))[1] for z in (1, 2)]
+
+        one_hop = DpConfig(per_hop=True, use_network_cost=False, use_compute_cost=False)
+        for route in (route_chains_dp, route_chains_dp_reference):
+            assert route_sites(route, one_hop) == ["B", "B"]
+            assert route_sites(route, DpConfig.latency_only()) == ["A", "A"]
 
     def test_the_generator_reaches_the_hard_cases(self):
         """Partial multi-pass routings, directions without demand and
