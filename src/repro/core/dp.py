@@ -18,13 +18,19 @@ Multi-chain workloads are routed sequentially, each chain seeing the
 utilization left behind by its predecessors -- this is the "computationally
 efficient routing heuristic" evaluated against SB-LP in Section 7.3.
 
-The one path search (``_DpRouter._find_path``) evaluates a whole stage
-front at a time, and -- the residual state being constant within one
-search -- prices the utilizations of *all* stages in one penalty pass
-through the :class:`~repro.core.columns.ChainTable` of the chain's shape;
-the scalar recurrence and greedy search it replaced
-(``tests/reference/dp_scalar.py``) are the oracle it is tested against,
-route for route.
+A chain is routed from one layout (``_Layout``), assembled once per
+``_DpRouter.route_chain`` from the shape's
+:class:`~repro.core.columns.ChainTable` and reused by every pass: all
+stages' step matrices as views into one buffer, the chain's (VNF, site)
+elements, and the link entries of its directions with demand, grouped
+in (link, fraction) classes.  One search (``_search``) evaluates a whole
+stage front at a time and -- the residual state being constant within
+it -- prices every compute element and link class in one penalty pass;
+it returns element ids, by which feasibility and commit (``_carry``)
+read and write the state.  The scalar per-chain routine it replaced
+(``tests/reference/dp_scalar.py``: search, feasibility and commit by
+name) is the oracle it is tested against, route for route and residual
+array for residual array.
 
 Two ablations from Figure 13a are expressed as configurations of that
 one search:
@@ -40,7 +46,9 @@ one search:
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, TYPE_CHECKING
 
 import numpy as np
@@ -95,7 +103,6 @@ class _ResourceState:
     """
 
     def __init__(self, model: NetworkModel):
-        self.model = model
         sub = model.substrate_columns()
         n_vnfs = len(sub.vnf_names)
         n_sites = len(sub.site_names)
@@ -124,17 +131,6 @@ class _ResourceState:
         if si is None:
             return 0.0
         return float(self.vnf_cap[vi, si] - self.vnf_load[vi, si])
-
-    def site_residual(self, site: str) -> float:
-        si = self.sub.site_index[site]
-        return float(self.sub.site_capacity[si] - self.site_load[si])
-
-    def link_residual(self, link_name: str) -> float:
-        li = self.sub.link_index[link_name]
-        return float(
-            self.model.mlu_limit * self.sub.link_bandwidth[li]
-            - self.link_load[li]
-        )
 
     # -- commits -------------------------------------------------------------
 
@@ -196,8 +192,9 @@ def route_chains_dp(
     else:
         names = list(chain_order)
         unknown = set(names) - set(model.chains)
-        if unknown:
-            raise KeyError(f"unknown chains in chain_order: {sorted(unknown)}")
+        repeated = {name for name, count in Counter(names).items() if count > 1}
+        if unknown or repeated:  # a repeat would route its chain twice
+            raise KeyError(f"chain_order: unknown {sorted(unknown)}, repeated {sorted(repeated)}")
 
     solution = RoutingSolution(model)
     unrouted: dict[str, float] = {}
@@ -297,90 +294,76 @@ class _DpRouter:
         Returns the unrouted remainder fraction.
         """
         self._maybe_refresh()
+        layout = None
         for _ in range(self.config.max_paths_per_chain):
             if remaining <= _EPS:
                 break
-            path = self._find_path(chain, remaining)
+            if layout is None:
+                layout = _Layout(self, chain)
+            elems = self._search(layout, remaining)
             self.paths_computed += 1
-            if path is None:
+            if elems is None:
                 break
-            fraction = min(remaining, self._max_feasible_fraction(chain, path))
+            fraction = self._carry(layout, elems, remaining)
             if fraction <= _EPS:
                 break
-            self._commit(chain, path, fraction)
-            solution.add_path(chain.name, path, fraction)
+            sites = [self._sub.site_names[layout.site[e]] for e in elems]
+            solution.add_path(
+                chain.name, [chain.ingress, *sites, chain.egress], fraction
+            )
             remaining -= fraction
         return max(0.0, remaining)
 
     # -- path search ----------------------------------------------------------
 
-    def _find_path(self, chain: Chain, pass_fraction: float) -> list[str] | None:
-        """Equation 8 over whole stage fronts.
+    def _search(self, lay: "_Layout", pass_fraction: float) -> list[int] | None:
+        """Equation 8 over whole stage fronts: per VNF the element id (into
+        the chain table's run) of its site, or ``None``.
 
-        One (sources x destinations) cost matrix per stage holds the
-        transition cost of every pair.  Every matrix element is
-        accumulated in the same order as the scalar code
-        (``tests/reference/dp_scalar.py``: latency, then compute
-        penalty, then forward link penalties in pool order, then
-        reverse), and ``argmin`` keeps the first minimum exactly like
-        the scalar strict-``<`` scan, so both implementations pick
-        identical routes.  ONEHOP (``per_hop``) prices the same
-        matrices and only chooses differently: each stage takes the
-        cheapest entry of the row of the site just picked instead of
-        the min-plus step over all of them.
-
-        The residual state cannot change inside one search, so every
-        utilization the search can meet -- the (VNF, site) elements of
-        all stages, then the link entries of all stages in both
-        directions -- is gathered into one array and priced by a single
-        penalty pass; the stage recurrence then only slices the result.
+        Every step-matrix element is accumulated in the scalar code's
+        order (``tests/reference/dp_scalar.py``: latency, compute penalty,
+        forward then reverse link penalties in pool order) and ``argmin``
+        keeps the first minimum like its strict-``<`` scan, so both pick
+        identical routes.  ONEHOP (``per_hop``) prices the same matrices
+        and takes, per stage, the cheapest entry of the row of the site
+        just picked instead of the min-plus step.  The residual state is
+        constant within a search, so every utilization it can meet -- the
+        (VNF, site) elements, then the link classes -- is priced by one
+        penalty pass, and the link penalties land in one ``np.add.at``.
         """
         cfg = self.config
         state = self.state
-        sub = self._sub
-        stages, index, site, load, sizes, front = sub.chain_table(chain, self.model)
-        last = len(stages) - 1  # the egress stage; the others end at a VNF
-        use_links = cfg.use_network_cost and bool(self.model.routing)
+        front = lay.front
+        last = len(lay.latency) - 1  # the egress stage; the others end at a VNF
+        n = lay.index.size if cfg.use_compute_cost else 0
+        use_links = lay.buf is not None
 
-        caps = state.vnf_cap_flat[index]
-        loads = state.vnf_load_flat[index]
-        blocked = (caps - loads <= _EPS) | (
-            (sub.site_capacity - state.site_load)[site] <= _EPS
+        loads = state.vnf_load_flat[lay.index]
+        blocked = (lay.caps - loads <= _EPS) | (
+            (self._sub.site_capacity - state.site_load)[lay.site] <= _EPS
         )
         any_blocked = np.count_nonzero(blocked) > 0
-        utils = []
         if cfg.use_compute_cost:
-            traffic = [
-                (fwd + rev) * pass_fraction
-                for fwd, rev in zip(
-                    chain.forward_traffic[:last], chain.reverse_traffic[:last]
-                )
-            ]
             # Without capacity the quotient is never computed (x / 0, or
-            # 0 / 0 for a stage an all-blocked earlier one makes unreachable).
-            extra = load * np.array(traffic).repeat(sizes) * 2.0
-            compute = np.empty(index.size)
-            compute.fill(_INF)
-            utils.append(np.divide(loads + extra, caps, out=compute, where=caps > 0))
+            # 0 / 0 for a stage an all-blocked earlier one makes
+            # unreachable): those elements keep the layout's +inf.
+            extra = lay.load * (lay.traffic * pass_fraction) * 2.0
+            np.divide(loads + extra, lay.caps, out=lay.util[:n], where=lay.caps > 0)
         if use_links:
-            # Per stage the forward then the reverse table and volume.
-            tables = [table for stage in stages for table in (stage.fwd, stage.rev)]
-            volumes = [
-                demand[z] * pass_fraction
-                for z in range(last + 1)
-                for demand in (chain.forward_traffic, chain.reverse_traffic)
-            ]
-            links, fracs, bandwidth = (
-                np.concatenate(part) for part in zip(*(t[1:] for t in tables))
+            volume = lay.demand * pass_fraction
+            np.divide(
+                state.link_load[lay.links] + volume * lay.fracs, lay.bandwidth,
+                out=lay.util[n:],
             )
-            volume = np.array(volumes).repeat([t.targets.size for t in tables])
-            utils.append((state.link_load[links] + volume * fracs) / bandwidth)
-        if utils:
-            pens = cfg.penalty.batch(np.minimum(np.concatenate(utils), 2.0))
-            n_compute = index.size if cfg.use_compute_cost else 0
-            compute_pen = self._weight * pens[:n_compute]
-            if use_links:
-                link_pen = (self._weight * fracs) * pens[n_compute:]
+        pen = None
+        if lay.util.size:
+            pens = cfg.penalty.batch(np.minimum(lay.util, 2.0))
+            if cfg.use_compute_cost:
+                pen = self._weight * pens[:n]
+        if any_blocked:
+            if pen is None:
+                pen = np.zeros(lay.index.size)
+            pen[blocked] = _INF
 
         # Costs run over the *full* stage fronts; capacity-blocked or
         # unreachable entries carry +inf, which the min-reduction
@@ -389,26 +372,18 @@ class _DpRouter:
         # finite cost reaches stays all +inf through the later stages
         # (only finite terms and +inf are ever added), so the one test
         # after the last stage covers every stage.
+        steps = []
+        for z, (step, out) in enumerate(zip(lay.latency, lay.views)):
+            if z < last and pen is not None:
+                step = np.add(step, pen[front[z] : front[z + 1]], out=out)
+            elif out is not None:  # else nothing is added: read it in place
+                np.copyto(out, step)
+                step = out
+            steps.append(step)
+        if use_links:
+            np.add.at(lay.buf, lay.targets, (lay.wfracs * pens[n:])[lay.group])
         parents: list[np.ndarray] = []  # of stages 2, 3, ...: stage 1 has one source
-        entry = 0  # first link entry of the table at hand
-        for z, stage in enumerate(stages):
-            if z < last and cfg.use_compute_cost:
-                step = stage.latency + compute_pen[front[z] : front[z + 1]]
-            else:
-                step = stage.latency.copy()
-            if z < last and any_blocked:
-                step[:, blocked[front[z] : front[z + 1]]] = _INF
-            if use_links:
-                flat = step.ravel()
-                for k in (2 * z, 2 * z + 1):  # forward, then reverse
-                    size = tables[k].targets.size
-                    # A direction without demand was priced with the rest
-                    # but, as in the scalar code, adds nothing.
-                    if volumes[k] > 0 and size:
-                        np.add.at(
-                            flat, tables[k].targets, link_pen[entry : entry + size]
-                        )
-                    entry += size
+        for z, step in enumerate(steps):
             if z == 0:  # from the ingress alone: nothing to choose between
                 prev_cost = step[0]
             elif cfg.per_hop:
@@ -429,84 +404,139 @@ class _DpRouter:
         # Backtrack from the egress (the only destination of the last
         # stage, so its front index is 0).
         idx = 0
-        path = [chain.egress]
+        elems = []
         for z in range(last, 0, -1):
             idx = int(parents[z - 1][idx])
-            path.append(sub.site_names[site[front[z - 1] + idx]])
-        path.append(chain.ingress)
-        path.reverse()
-        return path
+            elems.append(front[z - 1] + idx)
+        return elems[::-1]
 
     # -- feasibility and commit ------------------------------------------------------
 
-    def _max_feasible_fraction(self, chain: Chain, path: list[str]) -> float:
-        """Largest fraction of the chain's demand the path can carry given
-        residual VNF, site, and link capacities."""
-        max_fraction = 1.0
+    def _carry(self, lay: "_Layout", elems: list[int], remaining: float) -> float:
+        """Commit the largest fraction (up to ``remaining``, if above
+        ``_EPS``) of the chain's demand the found path can carry.  The
+        demands are summed per (VNF, site), per site and per link first,
+        in path order, so no resource the path meets twice overflows."""
+        state = self.state
+        vnf_load, site_load = state.vnf_load_flat, state.site_load
+        index, site = lay.index, lay.site
+        fraction = 1.0
+        per_vnf, per_site = {}, {}
+        for e, unit in zip(elems, lay.per_unit):
+            if unit > 0:
+                per_vnf[index[e]] = per_vnf.get(index[e], 0.0) + unit
+                per_site[site[e]] = per_site.get(site[e], 0.0) + unit
+        for i, unit in per_vnf.items():
+            fraction = min(fraction, float(state.vnf_cap_flat[i] - vnf_load[i]) / unit)
+        for s, unit in per_site.items():
+            fraction = min(fraction, float(self._sub.site_capacity[s] - site_load[s]) / unit)
+        if lay.classes:
+            # The buffer element each stage's hop took, and its entries.
+            cells, src = [], 0
+            for z, (start, latency) in enumerate(zip(lay.start, lay.latency)):
+                dst = elems[z] - lay.front[z] if z < len(elems) else 0
+                cells.append(start + src * latency.shape[1] + dst)
+                src = dst
+            hit = np.flatnonzero(lay.targets == np.array(cells)[lay.stage_of])
+            cls = lay.group[hit]
+            links = lay.links[cls]
+            demand = np.bincount(links, lay.unit[cls], state.link_load.size)
+            used = np.flatnonzero(demand)
+            if used.size:
+                residual = (
+                    self.model.mlu_limit * self._sub.link_bandwidth[used] - state.link_load[used]
+                )
+                fraction = min(fraction, float(np.minimum.reduce(residual / demand[used])))
+        fraction = min(remaining, max(0.0, fraction))
+        if fraction <= _EPS:
+            return fraction
+        for e, unit in zip(elems, lay.per_unit):
+            load = unit * fraction
+            vnf_load[index[e]] += load
+            site_load[site[e]] += load
+        if lay.classes:
+            np.add.at(state.link_load, links, lay.demand[cls] * fraction * lay.fracs[cls])
+        return fraction
 
-        # Compute: each VNF node z (1 .. len(vnfs)) at path[z].  Demands
-        # are aggregated per (VNF, site) and per site first, so a path
-        # placing several VNFs at one site cannot overload it.
-        vnf_demand: dict[tuple[str, str], float] = {}
-        site_demand: dict[str, float] = {}
-        for z in range(1, chain.num_stages):
-            vnf = chain.vnf_at(z)
-            site = path[z]
-            per_unit = self.model.vnfs[vnf].load_per_unit * (
-                chain.stage_traffic(z) + chain.stage_traffic(z + 1)
-            )
-            if per_unit > 0:
-                key = (vnf, site)
-                vnf_demand[key] = vnf_demand.get(key, 0.0) + per_unit
-                site_demand[site] = site_demand.get(site, 0.0) + per_unit
-        for (vnf, site), per_unit in vnf_demand.items():
-            max_fraction = min(
-                max_fraction, self.state.vnf_residual(vnf, site) / per_unit
-            )
-        for site, per_unit in site_demand.items():
-            max_fraction = min(
-                max_fraction, self.state.site_residual(site) / per_unit
-            )
 
-        # Network: links along each stage hop.
-        if self.model.routing and self.model.links:
-            link_demand: dict[str, float] = {}
-            for z, (src, dst) in enumerate(zip(path, path[1:]), start=1):
-                n1 = self.model.endpoint_node(src)
-                n2 = self.model.endpoint_node(dst)
-                fwd = chain.forward_traffic[z - 1]
-                rev = chain.reverse_traffic[z - 1]
-                for direction, volume in (((n1, n2), fwd), ((n2, n1), rev)):
-                    if volume <= 0:
-                        continue
-                    for name, frac in self.model.links_between(*direction).items():
-                        link_demand[name] = link_demand.get(name, 0.0) + volume * frac
-            for name, per_unit in link_demand.items():
-                if per_unit > 0:
-                    max_fraction = min(
-                        max_fraction, self.state.link_residual(name) / per_unit
-                    )
+class _Layout:
+    """What the searches, feasibility checks and commits of one chain
+    read, assembled once per :meth:`_DpRouter.route_chain` and reused by
+    every pass (between passes only the residual state changes).
 
-        return max(0.0, max_fraction)
+    - The (VNF, site) elements of all VNF stages, the shape's
+      :class:`~repro.core.columns.ChainTable` run: flat state index,
+      site, load per unit, capacity and stage demand.
+    - The link entries of the stage directions that carry demand,
+      stage-major, forward before reverse, each in pool order, so the one
+      ``np.add.at`` of a search and the per-link sums of a feasibility
+      check add in the scalar code's order; ``targets`` are offset into
+      ``buf``, where stage ``z``'s step matrix is ``views[z]``, from
+      ``start[z]``.  The entries of one (direction, link, fraction) class
+      meet one utilization: ``links``, ``fracs``, ``bandwidth`` and
+      ``demand`` are per class, ``group`` maps an entry to its class.
+    """
 
-    def _commit(self, chain: Chain, path: list[str], fraction: float) -> None:
-        for z in range(1, chain.num_stages):
-            vnf = chain.vnf_at(z)
-            load = (
-                self.model.vnfs[vnf].load_per_unit
-                * (chain.stage_traffic(z) + chain.stage_traffic(z + 1))
-                * fraction
-            )
-            self.state.commit_vnf(vnf, path[z], load)
-        for z, (src, dst) in enumerate(zip(path, path[1:]), start=1):
-            n1 = self.model.endpoint_node(src)
-            n2 = self.model.endpoint_node(dst)
-            self.state.commit_link_traffic(
-                n1, n2, chain.forward_traffic[z - 1] * fraction
-            )
-            self.state.commit_link_traffic(
-                n2, n1, chain.reverse_traffic[z - 1] * fraction
-            )
+    def __init__(self, router: _DpRouter, chain: Chain):
+        sub, cfg = router._sub, router.config
+        stages, self.index, self.site, self.load, sizes, self.front = (
+            sub.chain_table(chain, router.model)
+        )
+        self.latency = [stage.latency for stage in stages]
+        fwd, rev = chain.forward_traffic, chain.reverse_traffic
+        totals = [w + v for w, v in zip(fwd, rev)]  # stage_traffic(1 ..)
+        self.traffic = np.array(totals[:-1]).repeat(sizes)
+        vnfs = router.model.vnfs
+        self.per_unit = [
+            vnfs[name].load_per_unit * (a + b)
+            for name, a, b in zip(chain.vnfs, totals, totals[1:])
+        ]
+        self.caps = router.state.vnf_cap_flat[self.index]
+
+        tables, demands, stage_of = [], [], []
+        for z, stage in enumerate(stages if sub.pool_link.size else ()):
+            for table, demand in ((stage.fwd, fwd[z]), (stage.rev, rev[z])):
+                if demand > 0 and table.targets.size:
+                    tables.append(table)
+                    demands.append(demand)
+                    stage_of.append(z)
+        self.classes = 0
+        self.buf, self.views = None, [None] * len(stages)
+        if tables:
+            *self.start, size = accumulate((m.size for m in self.latency), initial=0)
+            counts = [table.targets.size for table in tables]
+            targets = np.concatenate([table.targets for table in tables])
+            self.targets = targets + np.repeat([self.start[z] for z in stage_of], counts)
+            self.stage_of = np.repeat(stage_of, counts)
+            n = sub.class_link.size  # table k's class c is key k * n + c
+            keys = np.concatenate([table.group for table in tables])
+            keys += np.repeat(np.arange(0, n * len(tables), n), counts)
+            present = np.zeros(n * len(tables), dtype=bool)
+            present[keys] = True
+            kinds = np.flatnonzero(present)
+            rank = np.empty(present.size, dtype=np.int64)
+            rank[kinds] = np.arange(kinds.size)
+            self.group = rank[keys]
+            table, kind = np.divmod(kinds, n)
+            self.links, self.fracs = sub.class_link[kind], sub.class_frac[kind]
+            self.bandwidth = sub.link_bandwidth[self.links]
+            self.demand = np.array(demands)[table]
+            self.unit = self.demand * self.fracs
+            self.wfracs = router._weight * self.fracs
+            self.classes = self.links.size
+            if cfg.use_network_cost:  # only link penalties are added in place
+                self.buf = np.empty(size)
+                self.views = [
+                    self.buf[a : a + m.size].reshape(m.shape)
+                    for a, m in zip(self.start, self.latency)
+                ]
+        # Penalty input: compute elements (+inf where a VNF has no
+        # capacity: never overwritten), then link classes.
+        self.util = np.empty(
+            (self.index.size if cfg.use_compute_cost else 0)
+            + (self.classes if cfg.use_network_cost else 0)
+        )
+        self.util.fill(_INF)
 
 
 class IncrementalDpRouter:

@@ -1,23 +1,67 @@
-"""The scalar searches SB-DP ran before its path search was vectorized:
-one ``_transition_cost`` call per (source, destination) pair, either in
-the Equation 8 recurrence (parents kept per stage, backtracking from the
-egress) or, for ONEHOP, greedily one stage at a time.
+"""SB-DP as it ran before its per-chain routine was vectorized: one
+``_transition_cost`` call per (source, destination) pair, either in the
+Equation 8 recurrence (parents kept per stage, backtracking from the
+egress) or, for ONEHOP, greedily one stage at a time; then a feasibility
+check and a commit that walk the found path by name.
 
-They are the oracle ``repro.core.dp``'s one-penalty-pass search is
-tested against, route for route (``tests/test_vectorized_equivalence.py``);
-nothing under ``src/`` reaches them, and they reach ``src/`` only for
-the router's residual state, feasibility and commit.
+This is the oracle ``repro.core.dp``'s one-layout search, feasibility
+and commit are tested against, route for route and residual array for
+residual array (``tests/test_vectorized_equivalence.py``).  It owns the
+whole per-chain routine and reads capacities from the model's catalogs;
+nothing under ``src/`` reaches it, and it reaches ``src/`` only for the
+residual loads (``_ResourceState``).
 """
 
 from __future__ import annotations
 
-import repro.core.dp as dp
-from repro.core.dp import _EPS, _INF, DpConfig, DpResult
+import math
+
+from repro.core.dp import _EPS, _INF, DpConfig, DpResult, _ResourceState
 from repro.core.model import Chain, NetworkModel
+from repro.core.routes import RoutingSolution
 
 
-class ScalarDpRouter(dp._DpRouter):
-    """``_DpRouter`` searching with the scalar recurrence."""
+class ScalarDpRouter:
+    """Routes chains one at a time against shared residual state, the
+    scalar way; a drop-in for ``repro.core.dp._DpRouter``."""
+
+    def __init__(self, model: NetworkModel, config: DpConfig):
+        self.model = model
+        self.config = config
+        self.state = _ResourceState(model)
+        self.paths_computed = 0
+        #: ``_transition_cost`` calls: a test that compares against this
+        #: oracle asserts it really searched.
+        self.costs = 0
+        self._weight = config.utilization_weight
+        if self._weight is None:
+            finite = [d for d in model._latency.values() if math.isfinite(d)]
+            diameter = max(finite, default=0.0)
+            at_full = config.penalty(1.0)
+            self._weight = diameter / at_full if diameter > 0 and at_full > 0 else 1.0
+
+    def route_chain(
+        self, chain: Chain, solution: RoutingSolution, remaining: float = 1.0
+    ) -> float:
+        sub = self.model.substrate_columns()
+        if sub is not self.state.sub:  # invalidated: the loads carry over
+            self.state.refresh_substrate(sub)
+        for _ in range(self.config.max_paths_per_chain):
+            if remaining <= _EPS:
+                break
+            path = self._find_path(chain, remaining)
+            self.paths_computed += 1
+            if path is None:
+                break
+            fraction = min(remaining, self._max_feasible_fraction(chain, path))
+            if fraction <= _EPS:
+                break
+            self._commit(chain, path, fraction)
+            solution.add_path(chain.name, path, fraction)
+            remaining -= fraction
+        return max(0.0, remaining)
+
+    # -- path search -----------------------------------------------------
 
     def _find_path(self, chain: Chain, pass_fraction: float) -> list[str] | None:
         if self.config.per_hop:
@@ -91,13 +135,14 @@ class ScalarDpRouter(dp._DpRouter):
         """``cost(src, z-1, dst)`` in the paper's notation: latency +
         network-utilization cost + compute-utilization cost of moving
         stage-``z`` traffic from ``src`` to ``dst``."""
+        self.costs += 1
         cost = self.model.site_latency(src, dst)
         traffic = chain.stage_traffic(z) * pass_fraction
 
         if z < chain.num_stages:
             vnf = chain.vnf_at(z)
-            residual = self.state.vnf_residual(vnf, dst)
-            site_residual = self.state.site_residual(dst)
+            residual = self._vnf_residual(vnf, dst)
+            site_residual = self._site_residual(dst)
             if residual <= _EPS or site_residual <= _EPS:
                 return _INF
             if self.config.use_compute_cost:
@@ -125,30 +170,117 @@ class ScalarDpRouter(dp._DpRouter):
                     )
         return cost
 
-    def _vnf_utilization(self, vnf: str, site: str, extra: float = 0.0) -> float:
+    # -- residual capacities, by name ------------------------------------
+
+    def _vnf_load(self, vnf: str, site: str) -> float:
         state = self.state
-        vi = state.sub.vnf_index[vnf]
-        si = state.sub.site_index.get(site)
-        cap = 0.0 if si is None else state.vnf_cap[vi, si]
+        return float(state.vnf_load[state.sub.vnf_index[vnf], state.sub.site_index[site]])
+
+    def _vnf_residual(self, vnf: str, site: str) -> float:
+        cap = self.model.vnfs[vnf].site_capacity.get(site, 0.0)
+        return float(cap - self._vnf_load(vnf, site))
+
+    def _site_residual(self, site: str) -> float:
+        load = self.state.site_load[self.state.sub.site_index[site]]
+        return float(self.model.sites[site].capacity - load)
+
+    def _link_load(self, link_name: str) -> float:
+        return float(self.state.link_load[self.state.sub.link_index[link_name]])
+
+    def _link_residual(self, link_name: str) -> float:
+        link = self.model.links[link_name]
+        return float(self.model.mlu_limit * link.bandwidth - self._link_load(link_name))
+
+    def _vnf_utilization(self, vnf: str, site: str, extra: float = 0.0) -> float:
+        cap = self.model.vnfs[vnf].site_capacity.get(site, 0.0)
         if cap <= 0:
             return _INF
-        return float((state.vnf_load[vi, si] + extra) / cap)
+        return (self._vnf_load(vnf, site) + extra) / cap
 
     def _link_utilization(self, link_name: str, extra: float = 0.0) -> float:
-        state = self.state
-        li = state.sub.link_index[link_name]
-        return float(
-            (state.link_load[li] + extra) / state.sub.link_bandwidth[li]
-        )
+        return (self._link_load(link_name) + extra) / self.model.links[link_name].bandwidth
+
+    # -- feasibility and commit ------------------------------------------
+
+    def _max_feasible_fraction(self, chain: Chain, path: list[str]) -> float:
+        """Largest fraction of the chain's demand the path can carry given
+        residual VNF, site, and link capacities."""
+        max_fraction = 1.0
+
+        # Compute: each VNF node z (1 .. len(vnfs)) at path[z].  Demands
+        # are aggregated per (VNF, site) and per site first, so a path
+        # placing several VNFs at one site cannot overload it.
+        vnf_demand: dict[tuple[str, str], float] = {}
+        site_demand: dict[str, float] = {}
+        for z in range(1, chain.num_stages):
+            vnf = chain.vnf_at(z)
+            site = path[z]
+            per_unit = self.model.vnfs[vnf].load_per_unit * (
+                chain.stage_traffic(z) + chain.stage_traffic(z + 1)
+            )
+            if per_unit > 0:
+                key = (vnf, site)
+                vnf_demand[key] = vnf_demand.get(key, 0.0) + per_unit
+                site_demand[site] = site_demand.get(site, 0.0) + per_unit
+        for (vnf, site), per_unit in vnf_demand.items():
+            max_fraction = min(max_fraction, self._vnf_residual(vnf, site) / per_unit)
+        for site, per_unit in site_demand.items():
+            max_fraction = min(max_fraction, self._site_residual(site) / per_unit)
+
+        # Network: links along each stage hop.
+        if self.model.routing and self.model.links:
+            link_demand: dict[str, float] = {}
+            for z, (src, dst) in enumerate(zip(path, path[1:]), start=1):
+                n1 = self.model.endpoint_node(src)
+                n2 = self.model.endpoint_node(dst)
+                fwd = chain.forward_traffic[z - 1]
+                rev = chain.reverse_traffic[z - 1]
+                for direction, volume in (((n1, n2), fwd), ((n2, n1), rev)):
+                    if volume <= 0:
+                        continue
+                    for name, frac in self.model.links_between(*direction).items():
+                        link_demand[name] = link_demand.get(name, 0.0) + volume * frac
+            for name, per_unit in link_demand.items():
+                if per_unit > 0:
+                    max_fraction = min(
+                        max_fraction, self._link_residual(name) / per_unit
+                    )
+
+        return max(0.0, max_fraction)
+
+    def _commit(self, chain: Chain, path: list[str], fraction: float) -> None:
+        for z in range(1, chain.num_stages):
+            vnf = chain.vnf_at(z)
+            load = (
+                self.model.vnfs[vnf].load_per_unit
+                * (chain.stage_traffic(z) + chain.stage_traffic(z + 1))
+                * fraction
+            )
+            self.state.commit_vnf(vnf, path[z], load)
+        for z, (src, dst) in enumerate(zip(path, path[1:]), start=1):
+            n1 = self.model.endpoint_node(src)
+            n2 = self.model.endpoint_node(dst)
+            self.state.commit_link_traffic(
+                n1, n2, chain.forward_traffic[z - 1] * fraction
+            )
+            self.state.commit_link_traffic(
+                n2, n1, chain.reverse_traffic[z - 1] * fraction
+            )
 
 
 def route_chains_dp_reference(
     model: NetworkModel, config: DpConfig | None = None
-) -> DpResult:
-    """``route_chains_dp`` with every path found by the scalar search."""
-    vectorized = dp._DpRouter
-    dp._DpRouter = ScalarDpRouter
-    try:
-        return dp.route_chains_dp(model, config)
-    finally:
-        dp._DpRouter = vectorized
+) -> tuple[DpResult, ScalarDpRouter]:
+    """``route_chains_dp`` on the scalar router, and the router."""
+    config = config or DpConfig()
+    router = ScalarDpRouter(model, config)
+    names = list(model.chains)
+    if config.sort_by_demand:
+        names.sort(key=lambda n: model.chains[n].stage_traffic(1), reverse=True)
+    solution = RoutingSolution(model)
+    unrouted = {}
+    for name in names:
+        remainder = router.route_chain(model.chains[name], solution)
+        if remainder > _EPS:
+            unrouted[name] = remainder
+    return DpResult(solution, unrouted, router.paths_computed), router

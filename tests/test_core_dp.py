@@ -10,6 +10,7 @@ from repro.core.dp import (
 )
 from repro.core.lp import solve_chain_routing_lp
 from repro.core.model import Chain, CloudSite, Link, NetworkModel, VNF
+from tests.test_vectorized_equivalence import dp_model
 
 
 def small_model(chain_demand=5.0, fw_cap_a=10.0, fw_cap_b=50.0):
@@ -163,6 +164,13 @@ class TestAblations:
     def test_unknown_chain_order_rejected(self):
         with pytest.raises(KeyError):
             route_chains_dp(small_model(), chain_order=["ghost"])
+
+    def test_repeated_chain_order_rejected(self):
+        """A name twice would route the chain twice: twice its demand."""
+        model = dp_model(2, n_chains=2)
+        with pytest.raises(KeyError, match=r"repeated \['c0'\]"):
+            route_chains_dp(model, chain_order=["c0", "c0"])
+        assert not route_chains_dp(model, chain_order=["c1", "c0"]).solution.violations()
 
 
 class TestIncrementalRouter:
