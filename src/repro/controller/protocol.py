@@ -38,8 +38,9 @@ participant and rolls the coordinator back; a per-install **re-drive
 tick** re-sends the phase-appropriate messages that travel over bare or
 pub/sub channels (chain request, edge configure, instance allocation);
 and, given a :class:`~repro.controller.replication.ReplicatedStore`,
-the installer checkpoints installations and phase markers so a standby
-controller can resume or abort after a failover.
+the installer checkpoints installations and keeps an install-log record
+per 2PC in flight, so a standby controller can resume or abort after a
+failover.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ class BusDrivenInstaller:
 
     ``resilience`` configures the hardening stack (RPC retries, install
     deadlines, re-drive); ``store`` enables durable checkpoints and
-    phase markers for standby-controller failover.
+    install-log records for standby-controller failover.
     """
 
     def __init__(
@@ -146,6 +147,7 @@ class BusDrivenInstaller:
         self.metrics = metrics
         self.resilience = resilience or ResilienceConfig()
         self.store = store
+        self.log = replication.InstallLog(store)
         if store is not None:
             gs.removal_hooks.append(self._remove_checkpoint)
 
@@ -260,30 +262,32 @@ class BusDrivenInstaller:
         for stage in list(pending.spans):
             self._finish_stage(pending, stage)
 
-    # -- durable state (checkpoints + phase markers) ----------------------
+    # -- durable state (checkpoints + the install log) ---------------------
 
     def _durably(self, write, *args) -> None:
-        """Apply one ``controller.replication`` record helper to the
-        store, if any; a degraded store (quorum lost) costs durability,
-        not the install."""
+        """Apply one durable write, if there is a store; a degraded
+        store (quorum lost) costs durability, not the install."""
         if self.store is None:
             return
         try:
-            write(self.store, *args)
+            write(*args)
         except replication.ReplicationError:
             pass
 
-    def _mark_phase(self, chain_name: str, phase: str, loads) -> None:
-        self._durably(replication.mark_install_phase, chain_name, phase, loads)
-
-    def _clear_marker(self, chain_name: str) -> None:
-        self._durably(replication.clear_install_marker, chain_name)
+    def _log_phase(self, pending: "_PendingInstall", phase: str) -> None:
+        self._durably(
+            self.log.put,
+            pending.spec.name,
+            phase,
+            {f"{v}@{s}": load for (v, s), load in pending.loads.items()},
+            pending.machine.attempt,
+        )
 
     def _checkpoint(self, installation: ChainInstallation) -> None:
-        self._durably(replication.checkpoint_installation, installation)
+        self._durably(replication.checkpoint_installation, self.store, installation)
 
     def _remove_checkpoint(self, chain_name: str) -> None:
-        self._durably(replication.remove_checkpoint, chain_name)
+        self._durably(replication.remove_checkpoint, self.store, chain_name)
 
     # -- public API ------------------------------------------------------
 
@@ -327,7 +331,7 @@ class BusDrivenInstaller:
         """Unilaterally abort an in-flight installation and roll
         everything back: fence and tear down every participant that may
         hold reservations or commitments, undo router/model/label state
-        at the coordinator, drop durable markers, and report a failed
+        at the coordinator, drop the durable records, and report a failed
         timeline.  Idempotent; returns False if the install is not
         pending (already completed, failed, or unknown)."""
         pending = self._pending.get(name)
@@ -347,10 +351,7 @@ class BusDrivenInstaller:
         if name in self.gs.installations:
             self.gs.remove_chain(name)
         else:
-            if name in self.gs.model.chains:
-                self.gs.router.rollback(name)
-                self.gs.model.remove_chain(name)
-            self.gs.labels.release(name)
+            self._forget(name)
         self._remove_checkpoint(name)
         self._fail(pending, reason)
         return True
@@ -370,6 +371,39 @@ class BusDrivenInstaller:
                 "attempt": twopc.TOMBSTONE,
             },
         )
+
+    def release_orphan(self, name: str, participants) -> None:
+        """Settle an install a dead coordinator left mid-2PC, with no
+        pending entry here: tear down every participant of its record,
+        forget the chain unless it is installed, and clear the record."""
+        for vnf_name, site in sorted(key.split("@", 1) for key in participants):
+            if vnf_name in self.vnf_hosts:
+                self.send_teardown(vnf_name, name, site)
+        if name not in self.gs.installations:
+            self._forget(name)
+            self._remove_checkpoint(name)
+        self._durably(self.log.clear, name)
+
+    def _forget(self, name: str) -> None:
+        """Undo the coordinator state of a chain never installed."""
+        if name in self.gs.model.chains:
+            self.gs.router.rollback(name)
+            self.gs.model.remove_chain(name)
+        self.gs.labels.release(name)
+
+    def reconfigure(self, name: str) -> None:
+        """Re-apply the idempotent configuration of an installed chain
+        (instances, edge classifiers, rules) from its durable record,
+        and clear its install record."""
+        gs = self.gs
+        installation = gs.installations[name]
+        gs._assign_instances(installation)
+        edge = gs.edge_controllers.get(installation.spec.edge_service)
+        if edge is not None:
+            gs._configure_edges(installation, edge)
+        if name in gs.model.chains:
+            gs._install_rules(installation)
+        self._durably(self.log.clear, name)
 
     def redrive(self, name: str) -> None:
         """Re-send the phase-appropriate messages for a pending install.
@@ -546,9 +580,10 @@ class BusDrivenInstaller:
         if not pending.loads:
             self._publish_route(pending)
             return
-        self._mark_phase(spec.name, "committing", pending.loads)
+        actions = pending.machine.start(pending.loads)
+        self._log_phase(pending, twopc.PREPARING)
         self._start_stage(pending, "2pc.prepare")
-        self._perform(pending, pending.machine.start(pending.loads))
+        self._perform(pending, actions)
 
     def _perform(self, pending: "_PendingInstall", actions) -> None:
         """Carry out the 2PC machine's actions: protocol messages leave
@@ -706,7 +741,7 @@ class BusDrivenInstaller:
         # Durable: the chain is committed; a standby controller must
         # either finish configuring it or tear it down exactly.
         self._checkpoint(installation)
-        self._mark_phase(spec.name, "configuring", pending.loads)
+        self._log_phase(pending, twopc.COMMITTING)
         self._start_stage(pending, "install.configure")
         # The edge controller configures classifiers (arrow 4, edge side).
         self._gs_rpc.send(
@@ -827,7 +862,7 @@ class BusDrivenInstaller:
     def _retire(self, pending: "_PendingInstall") -> None:
         """The common end of an install, completed or failed: release
         the pending entry, disarm its timers, close its spans, clear its
-        durable marker -- and drop its bus subscriptions, so a straggler
+        install record -- and drop its bus subscriptions, so a straggler
         publication finds no callback (labels may be reused after an
         abort) and neither the bus's filter tables nor the callbacks'
         closures keep a finished install alive."""
@@ -840,7 +875,7 @@ class BusDrivenInstaller:
             for topic in pending.involved_topics.values():
                 self.bus.unsubscribe(client, topic)
         self._finish_open_stages(pending)
-        self._clear_marker(name)
+        self._durably(self.log.clear, name)
 
     def _complete(self, pending: "_PendingInstall") -> None:
         """Success path: retire the install and notify the caller --

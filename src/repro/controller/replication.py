@@ -13,6 +13,8 @@ for wide-area deployments."  This module implements that recipe's core:
 - an **ownership lease** recipe (MUSIC's locking API) so exactly one
   Global Switchboard instance acts as leader at a time, with takeover
   after lease expiry;
+- the :class:`InstallLog`, one durable record per in-flight install,
+  which both coordinators write and a standby recovers from;
 - checkpoint/restore helpers that persist Global Switchboard's chain
   installations so a standby controller can rebuild its control state.
 """
@@ -174,63 +176,70 @@ class ReplicatedStore:
 
 
 # ---------------------------------------------------------------------------
+# The install log: one durable record per in-flight install
+# ---------------------------------------------------------------------------
+
+_INSTALL_PREFIX = "/installing/"
+_ATTEMPT_KEY = "/installing-attempt"
+
+
+class InstallLog:
+    """The durable record of every in-flight install, for both
+    coordinators (the bus-driven installer and the deployed federated
+    coordinator).
+
+    A record is ``{"phase", "participants", "attempt", "origin"}``: the
+    :mod:`~repro.controller.twopc` phase it was written in, every
+    participant key with its payload, the attempt's fencing number, and
+    where the request came from.  ``PREPARING`` lands before a 2PC
+    attempt's first prepare leaves, ``COMMITTING`` once the attempt is
+    decided (at the decide point, before any commit leaves; on the bus,
+    at publish); the driver clears the record when the install ends.  :func:`repro.controller.twopc.recover` turns the
+    records a dead coordinator left into its standby's actions.
+
+    The attempt high water is a key of its own, kept only by a
+    coordinator whose participants fence across installs, so that its
+    standby resumes above every epoch it fenced with.
+    """
+
+    def __init__(self, store: ReplicatedStore):
+        self.store = store
+
+    def put(
+        self, name: str, phase: str, participants: dict[str, Any],
+        attempt: int, origin: Any = None,
+    ) -> None:
+        record = {"phase": phase, "participants": participants,
+                  "attempt": attempt, "origin": origin}
+        self.store.put(_INSTALL_PREFIX + name, record)
+
+    def clear(self, name: str) -> None:
+        self.store.delete(_INSTALL_PREFIX + name)
+
+    def pending(self) -> dict[str, dict]:
+        """Every record still in the log: install name -> record."""
+        records: dict[str, dict] = {}
+        for key in self.store.keys(_INSTALL_PREFIX):
+            record = self.store.get(key)
+            if record is not None:
+                records[key[len(_INSTALL_PREFIX):]] = record
+        return records
+
+    def note_attempt(self, attempt: int) -> None:
+        """Raise the attempt high water to ``attempt``."""
+        high = self.store.get(_ATTEMPT_KEY)
+        if high is None or high < attempt:
+            self.store.put(_ATTEMPT_KEY, attempt)
+
+    def high_water(self) -> int:
+        return self.store.get(_ATTEMPT_KEY) or 0
+
+
+# ---------------------------------------------------------------------------
 # Global Switchboard checkpointing
 # ---------------------------------------------------------------------------
 
 _CHAIN_PREFIX = "/chains/"
-_INSTALL_PREFIX = "/installing/"
-
-
-def mark_install_phase(
-    store: ReplicatedStore,
-    chain_name: str,
-    phase: str,
-    loads: dict[tuple[str, str], float],
-) -> None:
-    """Durably record that an installation is in flight.
-
-    The bus-driven installer writes a marker when the 2PC starts
-    (``phase="committing"``) and when the route is published
-    (``phase="configuring"``), and clears it on completion or abort.  A
-    standby controller that takes over uses the markers to find chains
-    whose install died with the primary: a ``committing`` marker with no
-    checkpoint means reservations/commitments may exist at the recorded
-    (vnf, site) pairs with no coordinator left to resolve them -- the
-    standby tears those down.
-    """
-    store.put(
-        _INSTALL_PREFIX + chain_name,
-        {
-            "phase": phase,
-            "loads": {
-                f"{vnf}@{site}": load
-                for (vnf, site), load in loads.items()
-            },
-        },
-    )
-
-
-def clear_install_marker(store: ReplicatedStore, chain_name: str) -> None:
-    store.delete(_INSTALL_PREFIX + chain_name)
-
-
-def pending_install_markers(
-    store: ReplicatedStore,
-) -> dict[str, dict]:
-    """Every in-flight-install marker: chain name -> {phase, loads}."""
-    markers: dict[str, dict] = {}
-    for key in store.keys(_INSTALL_PREFIX):
-        record = store.get(key)
-        if record is None:
-            continue
-        markers[key[len(_INSTALL_PREFIX):]] = {
-            "phase": record["phase"],
-            "loads": {
-                tuple(pair.split("@", 1)): load
-                for pair, load in record["loads"].items()
-            },
-        }
-    return markers
 
 
 def checkpoint_installation(

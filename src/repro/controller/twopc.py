@@ -26,6 +26,10 @@ The regional participant used to stop at ``a`` on abort and at exactly
 under the stricter VNF-side values, so there is one rule
 (``RegionalNode._apply_reconcile`` compares ``epoch <= upto`` against
 real attempt numbers only, which neither difference can cross).
+
+The recovery rule is one rule too: :func:`recover` decides a standby's
+takeover from the durable install records alone -- release what was
+preparing, re-drive what was committing -- for both standbys.
 """
 
 from __future__ import annotations
@@ -191,6 +195,30 @@ class Install:
             self.phase = DONE
             actions += ((INSTALLED, None, self.attempt),)
         return actions
+
+
+#: Recovery actions, :func:`recover`'s plain tuples ``(kind, name,
+#: record)``: forget a ``PREPARING`` install after releasing its
+#: participants (its outcome is unknown -- the fence makes the release
+#: safe), and drive a ``COMMITTING`` one on (the durable record owns the
+#: capacity).
+RELEASE, REDRIVE = "release", "redrive"
+
+
+def recover(records: dict, attempt_high_water: int) -> tuple[tuple, int]:
+    """A standby's takeover, decided from the install records a dead
+    coordinator left: name -> ``{"phase", "participants", "attempt",
+    "origin"}``.  Returns the actions in name order, and the attempt to
+    resume from -- above every epoch the old coordinator fenced with."""
+    actions = tuple(
+        (RELEASE if records[name]["phase"] == PREPARING else REDRIVE,
+         name, records[name])
+        for name in sorted(records)
+    )
+    resume = max(
+        [attempt_high_water, *(r["attempt"] for r in records.values())]
+    )
+    return actions, resume
 
 
 def run_attempt(

@@ -12,7 +12,7 @@ end-to-end paths.  ``invariants`` holds the safety probes and ``soak``
 the seeded fault-injection harness.
 
 The partition-tolerant deployment lives in three further modules:
-``ha`` (durable chain checkpoints, the install WAL, border-ledger
+``ha`` (durable chain checkpoints, the install log, border-ledger
 checkpoints, and lease-based coordinator failover), ``nodes`` (the
 coordinator and regional processes speaking the 2PC and
 reconciliation protocol over the reliable RPC transport), and

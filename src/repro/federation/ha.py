@@ -13,13 +13,13 @@ PR 4 durability recipe, specialized to the federation:
   * **chain checkpoints** (``/fed/intra/``, ``/fed/cross/``): every
     installed chain, written at the 2PC decide point, before any
     commit message leaves the coordinator;
-  * **an install WAL** (``/fed/wal/``): one entry per in-flight
-    cross-shard install, flipped from ``preparing`` to ``committing``
-    at the decide point -- the commit point of the protocol.  A
-    standby that takes over aborts every ``preparing`` entry (its 2PC
-    outcome is unknown; the regions' epoch fences make the abort safe)
-    and re-drives every ``committing`` entry (the durable record
-    proves the capacity is owned);
+  * **the install log** (:class:`~repro.controller.replication.InstallLog`,
+    the bus-driven installer's too): one record per in-flight
+    cross-shard install, written ``PREPARING`` when a round starts and
+    ``COMMITTING`` at the decide point -- the commit point of the
+    protocol -- with the segments as participants, and the attempt
+    high water.  A standby that takes over runs
+    :func:`~repro.controller.twopc.recover` over it;
   * **border-ledger checkpoints** (``/fed/ledgers/``): the per-region
     committed ledger image derived from the cross-chain records, so a
     takeover can reconcile each region's
@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 from repro.core.model import Chain
 from repro.federation.coordinator import CrossChainRecord
 from repro.federation.regional import SegmentSpec
-from repro.controller.replication import ReplicatedStore
+from repro.controller.replication import InstallLog, ReplicatedStore
 from repro.resilience.failover import LeaseElection
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -51,9 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _INTRA_PREFIX = "/fed/intra/"
 _CROSS_PREFIX = "/fed/cross/"
-_WAL_PREFIX = "/fed/wal/"
 _LEDGER_PREFIX = "/fed/ledgers/"
-_ATTEMPT_KEY = "/fed/attempt"
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +115,8 @@ class FederationStore:
 
     def __init__(self, store: ReplicatedStore):
         self.store = store
+        #: In-flight installs and the attempt high water.
+        self.log = InstallLog(store)
 
     # -- chain checkpoints -------------------------------------------------
 
@@ -162,65 +162,6 @@ class FederationStore:
                 doc["attempt"],
             )
         return intra, cross
-
-    # -- install WAL -------------------------------------------------------
-
-    def wal_begin(
-        self,
-        name: str,
-        origin: int,
-        attempt: int,
-        segments: tuple[SegmentSpec, ...],
-    ) -> None:
-        """Record a 2PC round before its first prepare leaves."""
-        self.note_attempt(attempt)
-        self.store.put(
-            _WAL_PREFIX + name,
-            {
-                "phase": "preparing",
-                "origin": origin,
-                "attempt": attempt,
-                "segments": [segment_doc(seg) for seg in segments],
-            },
-        )
-
-    def note_attempt(self, attempt: int) -> None:
-        """Track the attempt-counter high-water mark, so a takeover
-        resumes above every epoch the old coordinator fenced with."""
-        doc = self.store.get(_ATTEMPT_KEY)
-        if doc is None or doc["attempt"] < attempt:
-            self.store.put(_ATTEMPT_KEY, {"attempt": attempt})
-
-    def last_attempt(self) -> int:
-        doc = self.store.get(_ATTEMPT_KEY)
-        return 0 if doc is None else doc["attempt"]
-
-    def wal_decide(self, name: str) -> None:
-        """Flip an install to ``committing`` -- the 2PC commit point."""
-        doc = self.store.get(_WAL_PREFIX + name)
-        if doc is not None:
-            self.store.put(_WAL_PREFIX + name, dict(doc, phase="committing"))
-
-    def wal_clear(self, name: str) -> None:
-        self.store.delete(_WAL_PREFIX + name)
-
-    def pending_wal(self) -> dict[str, dict]:
-        """Every in-flight install the previous coordinator left behind:
-        name -> {phase, origin, attempt, segments}."""
-        entries: dict[str, dict] = {}
-        for key in self.store.keys(_WAL_PREFIX):
-            doc = self.store.get(key)
-            if doc is None:
-                continue
-            entries[key[len(_WAL_PREFIX):]] = {
-                "phase": doc["phase"],
-                "origin": doc["origin"],
-                "attempt": doc["attempt"],
-                "segments": [
-                    segment_from_doc(s) for s in doc["segments"]
-                ],
-            }
-        return entries
 
     # -- border-ledger checkpoints ----------------------------------------
 
@@ -295,8 +236,8 @@ class FederationFailover(LeaseElection):
         self.active.deactivate()
 
     def take_over(self, name: str) -> None:
-        """Activate a standby: restore checkpoints, settle the WAL,
-        reconcile every region."""
+        """Activate a standby: restore checkpoints, recover from the
+        install log, reconcile every region."""
         self.takeovers += 1
         self.takeover_times.append(self.net.sim.now)
         self.active_name = name

@@ -12,13 +12,14 @@ simulated network:
   drives the shared 2PC core (:mod:`repro.controller.twopc`)
   **asynchronously over the at-least-once RPC transport**
   (:mod:`repro.resilience.rpc`): sequential prepares,
-  a durable WAL flip at the decide point, commits that may go unacked
+  a durable install-record flip at the decide point, commits that may go unacked
   into a partition, per-install :mod:`repro.resilience.deadline`
   timeouts, and install retries paced by the shared
   :class:`~repro.resilience.rpc.BackoffPolicy`.  A standby node shares
   the primary's shard map and regional switchboards; on takeover it
   :meth:`recovers <CoordinatorNode.recover>` from the
-  :class:`~repro.federation.ha.FederationStore` checkpoints and WAL.
+  :class:`~repro.federation.ha.FederationStore` checkpoints and
+  install log.
 
 - :class:`RegionalNode` is one region's deployed front end: it
   classifies submissions locally and **keeps admitting intra-region
@@ -124,7 +125,7 @@ class CoordinatorNode(GlobalCoordinator):
         self._installs: dict[str, _Install] = {}
         #: Chains decided (committed) whose commit did not reach every
         #: region: origin name -> regions still owed the commit.  The
-        #: WAL entry stays until reconciliation settles them.
+        #: install record stays until reconciliation settles them.
         self._unacked: dict[str, set[int]] = {}
         # Recovery accounting (surfaced in reports).
         self.aborted_recoveries = 0
@@ -226,7 +227,7 @@ class CoordinatorNode(GlobalCoordinator):
     # plans each attempt (_split), carries the machine's actions out as
     # requests over the at-least-once RPC layer (one prepare at a time),
     # feeds replies and give-ups back in as events, and owns the durable
-    # records (WAL, checkpoints) and timers (deadline, retry backoff).
+    # records (install log, checkpoints) and timers (deadline, retry backoff).
     # Every event passes the deposed-coordinator guards first: a node
     # that is crashed, deactivated, or no longer owns the install must
     # not move it.
@@ -270,10 +271,18 @@ class CoordinatorNode(GlobalCoordinator):
             return
         st.segments = {seg.chain.name: seg for seg in segments}
         actions = st.machine.start(st.segments)
-        self.store.wal_begin(
-            st.chain.name, st.origin, st.machine.attempt, tuple(segments)
-        )
+        self.store.log.note_attempt(st.machine.attempt)
+        self._log(st, twopc.PREPARING)
         self._perform(st, actions)
+
+    def _log(self, st: _Install, phase: str) -> None:
+        self.store.log.put(
+            st.chain.name,
+            phase,
+            {key: segment_doc(seg) for key, seg in st.segments.items()},
+            st.machine.attempt,
+            st.origin,
+        )
 
     def _perform(self, st: _Install, actions) -> None:
         name = st.chain.name
@@ -282,9 +291,9 @@ class CoordinatorNode(GlobalCoordinator):
                 for key in arg:
                     self._send(st, kind, key, attempt)
             elif kind == twopc.DECIDE:
-                # The 2PC commit point: the WAL flip and the durable
-                # chain record land before any commit message leaves.
-                self.store.wal_decide(name)
+                # The 2PC commit point: the install record and the
+                # durable chain record land before any commit leaves.
+                self._log(st, twopc.COMMITTING)
                 self._record_cross(
                     CrossChainRecord(
                         st.chain, tuple(st.segments.values()), attempt
@@ -294,8 +303,8 @@ class CoordinatorNode(GlobalCoordinator):
                 self._inc("federation.chains.cross")
             elif kind == twopc.OWED:
                 # Decided installs are installed regardless of unacked
-                # commits: the commit is owed, and the WAL entry stays
-                # until reconciliation settles it.
+                # commits: the commit is owed, and the install record
+                # stays until reconciliation settles it.
                 self._unacked.setdefault(name, set()).add(
                     st.segments[arg].region
                 )
@@ -307,8 +316,8 @@ class CoordinatorNode(GlobalCoordinator):
                 )
             elif kind == twopc.INSTALLED:
                 if name not in self._unacked:
-                    self.store.wal_clear(name)
-                self._finish(st, "installed", clear_wal=False)
+                    self.store.log.clear(name)
+                self._finish(st, "installed", clear_log=False)
             else:
                 # The remaining verdicts, "rejected" and "unavailable",
                 # are the outcome names the origin region understands.
@@ -353,7 +362,7 @@ class CoordinatorNode(GlobalCoordinator):
     def _on_deadline(self, key: str) -> None:
         if not self.active or not self.is_up():
             # Fenced off (crashed or deposed) mid-install: the timer
-            # must not touch the shared WAL or model -- settling the
+            # must not touch the shared log or model -- settling the
             # round is the new leader's job now.
             return
         st = self._installs.get(key.split(":", 1)[1])
@@ -363,7 +372,7 @@ class CoordinatorNode(GlobalCoordinator):
             self._perform(st, st.machine.timeout())
 
     def _finish(
-        self, st: _Install, outcome: str, clear_wal: bool = True
+        self, st: _Install, outcome: str, clear_log: bool = True
     ) -> None:
         name = st.chain.name
         self._installs.pop(name, None)
@@ -378,8 +387,8 @@ class CoordinatorNode(GlobalCoordinator):
                 or payload.get("seg", {}).get("origin") == name
             )
         )
-        if clear_wal:
-            self.store.wal_clear(name)
+        if clear_log:
+            self.store.log.clear(name)
         if outcome != "installed":
             if st.added and name in self.model.chains:
                 self.model.remove_chain(name)
@@ -399,17 +408,19 @@ class CoordinatorNode(GlobalCoordinator):
     # -- recovery and reconciliation ---------------------------------------
 
     def recover(self) -> None:
-        """Standby takeover: restore checkpoints, settle the WAL, then
-        reconcile every region against the durable record."""
+        """Standby takeover: restore the checkpoints, carry out
+        :func:`twopc.recover` over the install log, then reconcile every
+        region against the durable record."""
         intra, cross = self.store.restore()
+        log = self.store.log
+        # The synchronous install path checkpoints cross-shard chains
+        # without raising the high water.
+        high_water = max([log.high_water(), *(r.attempt for r in cross.values())])
+        actions, resume = twopc.recover(log.pending(), high_water)
         # Resume the attempt counter above every epoch the previous
         # coordinator fenced with, so this node's new rounds are never
         # rejected as stale by the regions' epoch fences.
-        self._attempts.last = max(
-            self._attempts.last,
-            self.store.last_attempt(),
-            max((r.attempt for r in cross.values()), default=0),
-        )
+        self._attempts.last = max(self._attempts.last, resume)
         for name, (region, chain) in sorted(intra.items()):
             self._intra.setdefault(name, region)
             if name not in self.model.chains:
@@ -418,46 +429,35 @@ class CoordinatorNode(GlobalCoordinator):
             self._cross.setdefault(name, record)
             if name not in self.model.chains:
                 self.model.add_chain(record.chain)
-        for name, entry in sorted(self.store.pending_wal().items()):
-            if entry["phase"] == "preparing":
-                # Outcome unknown: abort.  ``release`` drops whatever
-                # the regions hold without tombstoning, so the origin's
-                # queued retry can re-install the chain.
+        for kind, name, record in actions:
+            segments = record["participants"]
+            if kind == twopc.RELEASE:
+                # ``release`` drops whatever the regions hold without
+                # tombstoning, so the origin's queued retry can
+                # re-install the chain.
                 self.aborted_recoveries += 1
-                for seg in entry["segments"]:
-                    self._notify(
-                        seg.region,
-                        {"fed": "release", "key": seg.chain.name},
-                    )
+                for key, seg in segments.items():
+                    self._notify(seg["region"], {"fed": "release", "key": key})
                 if (
                     name not in self._cross
                     and name not in self._intra
                     and name in self.model.chains
                 ):
                     self.model.remove_chain(name)
-                self.store.wal_clear(name)
+                log.clear(name)
             else:
-                # Decided but possibly unacked: the durable record owns
-                # the capacity; re-drive the idempotent commits and let
-                # reconciliation settle whatever stays unreachable.
-                record = self._cross.get(name)
-                if record is None:  # pragma: no cover - decide is atomic
-                    self.store.wal_clear(name)
-                    continue
+                # Re-drive the idempotent commits and let reconciliation
+                # settle whatever stays unreachable.
                 self.recovered_commits += 1
                 self._unacked.setdefault(name, set()).update(
-                    seg.region for seg in record.segments
+                    seg["region"] for seg in segments.values()
                 )
-                for seg in record.segments:
+                for key, seg in segments.items():
                     self._notify(
-                        seg.region,
-                        {
-                            "fed": "commit",
-                            "key": seg.chain.name,
-                            "attempt": record.attempt,
-                        },
+                        seg["region"],
+                        {"fed": "commit", "key": key, "attempt": record["attempt"]},
                     )
-                self._send_outcome(entry["origin"], name, "installed")
+                self._send_outcome(record["origin"], name, "installed")
         self.reconcile_all()
 
     def reconcile_all(self) -> None:
@@ -532,7 +532,7 @@ class CoordinatorNode(GlobalCoordinator):
             owed.discard(region)
             if not owed:
                 del self._unacked[name]
-                self.store.wal_clear(name)
+                self.store.log.clear(name)
 
 
 class RegionalNode:
@@ -733,7 +733,7 @@ class RegionalNode:
 
     def _reply(self, sender: str, message: dict, ok: bool, **extra: Any) -> None:
         if "req" not in message:
-            # Fire-and-forget op (e.g. a commit re-driven from the WAL
+            # Fire-and-forget op (e.g. a commit re-driven from the log
             # during recovery): nobody is waiting on the answer.
             return
         self.endpoint.send(

@@ -14,14 +14,16 @@ both fronting the same ``ctrl.gs`` role host):
 - when the active candidate dies (a chaos ``gs_crash`` marks it dead
   and crashes the host), the standby waits for the old lease to
   **expire**, acquires it, and :meth:`takes over <take_over>`:
-  restarts the controller host, adopts every durable
-  :func:`~repro.controller.replication.restore_installations`
-  checkpoint missing from memory, **aborts** in-flight installs that
-  had not committed their route (their 2PC outcome is unknown -- the
-  teardown fence makes that safe), **re-drives** installs that had
-  committed (the durable checkpoint proves the capacity is theirs), and
-  resolves orphaned install markers -- re-applying the configuration of
-  published chains, tearing down chains that died mid-2PC.
+  restarts the controller host, adopts every durable checkpoint missing
+  from memory, and carries out :func:`repro.controller.twopc.recover`
+  over the installer's :class:`~repro.controller.replication.InstallLog`
+  -- the one recovery decision, which ``CoordinatorNode.recover`` runs
+  too.  A released install is aborted (its 2PC outcome is unknown; the
+  teardown fence makes that safe), a re-driven one re-armed and
+  re-driven (the durable checkpoint proves the capacity is its own); a
+  record with no install in memory is torn down or re-configured from
+  the store, and an install in memory with no record (its 2PC never
+  began) is aborted.
 
 Everything runs on the simulated clock; the tick self-terminates at its
 horizon so a full event-queue drain still finishes.
@@ -31,10 +33,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.controller import twopc
 from repro.controller.replication import (
     ReplicatedStore,
     ReplicationError,
-    pending_install_markers,
     restore_installations,
 )
 
@@ -161,6 +163,10 @@ class FailoverManager(LeaseElection):
         lease_duration_s: float = 2.0,
         check_interval_s: float = 0.5,
     ):
+        if store is not installer.store:
+            raise ValueError(
+                "the standby must recover from the store the installer writes"
+            )
         super().__init__(
             installer.sim, store, candidates, monitor,
             lease_duration_s, check_interval_s,
@@ -183,75 +189,41 @@ class FailoverManager(LeaseElection):
     # -- takeover ---------------------------------------------------------
 
     def take_over(self, owner: str) -> None:
-        """Make ``owner`` the active controller and reconcile all
-        control state against the durable store."""
+        """Make ``owner`` the active controller: adopt the durable
+        checkpoints, then carry out :func:`twopc.recover` over the
+        install log."""
         self.takeovers += 1
         installer = self.installer
         gs = installer.gs
         if not installer.network.host_is_up(installer.gs_host):
             installer.network.restart_host(installer.gs_host)
-
-        # Adopt checkpointed installations the new controller does not
-        # hold in memory (committed chains survive their coordinator).
         try:
             restored = restore_installations(self.store)
+            records = installer.log.pending()
         except ReplicationError:
-            restored = {}
+            restored, records = {}, {}
+        # Committed chains survive their coordinator.
         for name in sorted(restored):
             gs.installations.setdefault(name, restored[name])
-
-        # In-flight installs: the route-commit milestone decides.
-        # Uncommitted 2PC outcomes are unknown -> abort (the teardown
-        # fence releases whatever participants hold).  Committed ones
-        # own their capacity durably -> re-arm the deadline and re-drive
-        # the configure phase.
-        for name in sorted(installer._pending):
-            pending = installer._pending[name]
-            if pending.timeline.route_committed_at is None:
-                installer.abort_install(name, "controller failover")
-            else:
-                installer.deadlines.arm(
-                    name,
-                    installer.resilience.install_deadline_s,
-                    installer._on_deadline,
-                )
-                installer.redrive(name)
-
-        # Install markers with no in-memory pending entry: the previous
-        # coordinator died holding them.
-        try:
-            markers = pending_install_markers(self.store)
-        except ReplicationError:
-            markers = {}
-        for name in sorted(markers):
+        # Attempts are numbered per install here: nothing to resume.
+        actions, _resume = twopc.recover(records, 0)
+        todo = {name: (kind, record) for kind, name, record in actions}
+        for name in sorted(todo.keys() | installer._pending.keys()):
+            kind, record = todo.get(name, (None, None))
             if name in installer._pending:
-                continue
-            marker = markers[name]
-            if name in gs.installations and marker["phase"] == "configuring":
-                # Published before the crash: re-apply the idempotent
-                # configuration from the durable record.
-                installation = gs.installations[name]
-                gs._assign_instances(installation)
-                edge = gs.edge_controllers.get(installation.spec.edge_service)
-                if edge is not None:
-                    gs._configure_edges(installation, edge)
-                if name in gs.model.chains:
-                    gs._install_rules(installation)
+                if kind == twopc.REDRIVE:
+                    installer.deadlines.arm(
+                        name,
+                        installer.resilience.install_deadline_s,
+                        installer._on_deadline,
+                    )
+                    installer.redrive(name)
+                else:
+                    # Released, or no record yet (its 2PC never began).
+                    installer.abort_install(name, "controller failover")
+            elif kind == twopc.REDRIVE and name in gs.installations:
+                installer.reconfigure(name)
             else:
-                # Died mid-2PC: no durable commit record exists, so
-                # release the participants and forget the chain.
-                for vnf_name, site in sorted(marker["loads"]):
-                    if vnf_name in installer.vnf_hosts:
-                        installer.send_teardown(vnf_name, name, site)
-                if (
-                    name in gs.model.chains
-                    and name not in gs.installations
-                ):
-                    gs.router.rollback(name)
-                    gs.model.remove_chain(name)
-                if name not in gs.installations:
-                    gs.labels.release(name)
-                    installer._remove_checkpoint(name)
-            installer._clear_marker(name)
+                installer.release_orphan(name, record["participants"])
 
         self.active_name = owner

@@ -1,5 +1,5 @@
 """Tests for the partition-tolerant federation deployment: coordinator
-failover from the durable WAL, degraded-mode regional autonomy, and the
+failover from the durable install log, degraded-mode regional autonomy, and the
 seeded federated chaos soak."""
 
 import types
@@ -9,6 +9,7 @@ import pytest
 from repro.chaos import SoakConfig
 from repro.chaos import run_soak as run_chaos_soak
 from repro.cli import main
+from repro.controller import twopc
 from repro.federation import (
     FederationChaosConfig,
     build_federation_deployment,
@@ -171,10 +172,10 @@ class TestRegionalRestart:
 
 class TestCoordinatorFailover:
     def test_standby_redrives_committed_but_unacked_install(self):
-        """The primary crashes at the 2PC commit point -- WAL flipped,
-        durable record written, no commit message sent.  The standby
-        takes over, finds the 'committing' WAL entry, and re-drives the
-        commits until every region holds the segments."""
+        """The primary crashes at the 2PC commit point -- install record
+        flipped, durable record written, no commit message sent.  The
+        standby takes over, finds the 'committing' install record, and
+        re-drives the commits until every region holds the segments."""
         config = quiet_config()
         d = build_federation_deployment(config)
         d.failover.start(until=config.duration_s)
@@ -191,7 +192,7 @@ class TestCoordinatorFailover:
             if snapshot:
                 return  # already crashed on the first commit
             # Snapshot the decided-but-unsent state, then crash.
-            snapshot["wal_phase"] = d.fed_store.pending_wal()[
+            snapshot["phase"] = d.fed_store.log.pending()[
                 st.chain.name
             ]["phase"]
             snapshot["committed"] = {
@@ -210,10 +211,10 @@ class TestCoordinatorFailover:
         d.net.run(until=config.duration_s)
         d.net.run()
 
-        # The crash really hit the commit point: WAL said "committing"
+        # The crash really hit the commit point: the record said committing
         # and no region had committed yet (proves the test is not
         # passing vacuously on an already-finished install).
-        assert snapshot["wal_phase"] == "committing"
+        assert snapshot["phase"] == twopc.COMMITTING
         assert snapshot["committed"]
         assert not any(snapshot["committed"].values())
 
@@ -224,16 +225,16 @@ class TestCoordinatorFailover:
         for key, region in snapshot["segments"]:
             assert key in d.standby.regionals[region].committed_segments()
         assert origin_node.outcomes[chain.name] == "installed"
-        # Reconciliation settled the owed commits and cleared the WAL.
+        # Reconciliation settled the owed commits and cleared the record.
         assert d.standby._unacked == {}
-        assert d.fed_store.pending_wal() == {}
+        assert d.fed_store.log.pending() == {}
         assert check_ledger_consistency(
             d.standby, in_flight=d.in_flight()
         ) == []
 
     def test_takeover_aborts_uncommitted_wal_rounds(self):
-        """A crash *before* the decide point leaves a 'preparing' WAL
-        entry; the standby aborts it (release, no tombstone) and the
+        """A crash *before* the decide point leaves a 'preparing' install
+        record; the standby aborts it (release, no tombstone) and the
         origin's queued retry re-installs the chain."""
         config = quiet_config()
         d = build_federation_deployment(config)
@@ -255,7 +256,7 @@ class TestCoordinatorFailover:
         # The origin's retry reached the standby and the chain made it.
         assert origin_node.outcomes[chain.name] == "installed"
         assert chain.name in d.standby._cross
-        assert d.fed_store.pending_wal() == {}
+        assert d.fed_store.log.pending() == {}
         assert check_ledger_consistency(d.standby) == []
 
     def test_takeover_does_not_readopt_removed_chains(self):

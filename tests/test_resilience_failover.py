@@ -1,13 +1,13 @@
 """Tests for standby-controller failover: durable checkpoints written
-by the bus-driven installer, install-phase markers, and lease-based
+by the bus-driven installer, its install-log records, and lease-based
 takeover."""
 
 import pytest
 
+from repro.controller import twopc
 from repro.controller.replication import (
+    InstallLog,
     ReplicatedStore,
-    mark_install_phase,
-    pending_install_markers,
     restore_installations,
 )
 from repro.resilience import FailoverManager, ResilienceConfig, RpcConfig
@@ -46,12 +46,12 @@ class TestDurableCheckpoints:
         assert copy.committed_load == original.committed_load
         assert copy.ingress_site == original.ingress_site
         assert copy.egress_site == original.egress_site
-        # Completed: the transient phase marker must be gone.
-        assert pending_install_markers(store) == {}
+        # Completed: the transient install record must be gone.
+        assert InstallLog(store).pending() == {}
 
     def test_chain_checkpointed_mid_install_is_restorable(self):
         """A crash between route publication and configuration: the
-        checkpoint plus the 'configuring' marker describe the chain."""
+        checkpoint plus the 'committing' record describe the chain."""
         rehearsal = rehearse()
         mid = (
             rehearsal.route_published_at + rehearsal.completed_at
@@ -69,11 +69,11 @@ class TestDurableCheckpoints:
         assert restored["corp"].committed_load == dict(
             installer._pending["corp"].loads
         )
-        markers = pending_install_markers(store)
-        assert markers["corp"]["phase"] == "configuring"
-        assert set(markers["corp"]["loads"]) == set(
-            installer._pending["corp"].loads
-        )
+        records = InstallLog(store).pending()
+        assert records["corp"]["phase"] == twopc.COMMITTING
+        assert set(records["corp"]["participants"]) == {
+            f"{vnf}@{site}" for vnf, site in installer._pending["corp"].loads
+        }
 
     def test_mid_2pc_marker_precedes_checkpoint(self):
         rehearsal = rehearse()
@@ -86,8 +86,8 @@ class TestDurableCheckpoints:
         installer.install(spec())
         installer.network.run(until=mid)
         assert restore_installations(store) == {}
-        markers = pending_install_markers(store)
-        assert markers["corp"]["phase"] == "committing"
+        records = InstallLog(store).pending()
+        assert records["corp"]["phase"] == twopc.PREPARING
 
 
 class TestRemovalClearsCheckpoint:
@@ -160,7 +160,7 @@ class TestTakeOver:
         service = gs.vnf_services["fw"]
         assert service.pending_reservations() == 0
         assert service.committed("B") == pytest.approx(0.0)
-        assert pending_install_markers(store) == {}
+        assert InstallLog(store).pending() == {}
 
     def test_committed_install_is_redriven_to_completion(self):
         """Past route commit the capacity is durably the chain's:
@@ -183,23 +183,67 @@ class TestTakeOver:
         assert timeline.failed is None
         assert "corp" in gs.installations
 
-    def test_orphan_committing_marker_is_torn_down(self):
-        """A marker with no in-memory pending install (the previous
+    def test_orphan_preparing_record_is_torn_down(self):
+        """A record with no in-memory pending install (the previous
         coordinator died mid-2PC): participants are torn down and the
-        marker cleared."""
+        record cleared."""
         store = ReplicatedStore(REPLICAS)
         gs = build()
         installer = make_installer(gs, store=store)
         service = gs.vnf_services["fw"]
         service.prepare("ghost", "B", 5.0)
-        mark_install_phase(store, "ghost", "committing", {("fw", "B"): 5.0})
+        InstallLog(store).put("ghost", twopc.PREPARING, {"fw@B": 5.0}, 0)
 
         fm = FailoverManager(installer, store)
         fm.take_over("gs-standby")
         installer.network.run()
         assert service.pending_reservations() == 0
         assert service.committed("B") == pytest.approx(0.0)
-        assert pending_install_markers(store) == {}
+        assert InstallLog(store).pending() == {}
+
+    def test_orphan_committing_record_is_reconfigured(self):
+        """A 'committing' record and a checkpoint with no in-memory
+        pending install (the chain was published before the crash): the
+        takeover re-applies the edge classifiers and the rules at every
+        route site from the durable record, and clears it."""
+        store = ReplicatedStore(REPLICAS)
+        gs = build()
+        installer = make_installer(gs, store=store)
+        timeline = installer.install(spec())
+        installer.network.run()
+        assert timeline.completed_at is not None
+        installation = gs.installations["corp"]
+        route_sites = set(installation.rule_sites)
+        assert route_sites == {"A", "B"}
+        edge = gs.edge_controllers["vpn"]
+        ingress = edge.instances_at("A")[0]
+
+        def classified() -> bool:
+            return any(
+                rule.chain_label == installation.label
+                for rule in ingress.classifier
+            )
+
+        def rule_sites() -> set[str]:
+            return {
+                fwd.site for fwd in gs.dataplane.forwarders.values()
+                if any(chain == installation.label for chain, _ in fwd.rules)
+            }
+
+        # The configuration the dead primary had not finished applying.
+        gs._remove_rules(installation)
+        edge.remove_chain(installation.labels)
+        assert not classified() and rule_sites() == set()
+        InstallLog(store).put("corp", twopc.COMMITTING, {"fw@B": 5.0}, 0)
+
+        fm = FailoverManager(installer, store)
+        fm.take_over("gs-standby")
+        installer.network.run()
+        assert classified()
+        assert rule_sites() == route_sites
+        assert installation.rule_sites == route_sites
+        assert InstallLog(store).pending() == {}
+        assert gs.installations["corp"] is installation
 
     def test_checkpoints_are_adopted_into_empty_memory(self):
         """A standby with empty in-memory state inherits every durable
@@ -217,6 +261,19 @@ class TestTakeOver:
         fm.take_over("gs-standby")
         assert "corp" in gs.installations
         assert gs.installations["corp"].label == label
+
+
+class TestStoreGuard:
+    def test_a_standby_recovers_from_the_installer_store_only(self):
+        """A failover manager over another store would take over from
+        records the primary never wrote."""
+        store = ReplicatedStore(REPLICAS)
+        installer = make_installer(build(), store=store)
+        with pytest.raises(ValueError):
+            FailoverManager(installer, ReplicatedStore(REPLICAS))
+        with pytest.raises(ValueError):
+            FailoverManager(make_installer(build()), store)
+        assert FailoverManager(installer, store).store is store
 
 
 class TestFailoverLoop:

@@ -14,8 +14,9 @@ import pytest
 from repro.controller import twopc
 from repro.controller.twopc import (
     ABORT, COMMIT, COMMITTING, CURRENT, DECIDE, DONE, FAILED, IDLE,
-    INSTALLED, OWED, PREPARE, PREPARING, REJECTED, RETRY, STALE,
-    SUPERSEDING, TOMBSTONE, UNAVAILABLE, AttemptCounter, Fence, Install,
+    INSTALLED, OWED, PREPARE, PREPARING, REDRIVE, REJECTED, RELEASE, RETRY,
+    STALE, SUPERSEDING, TOMBSTONE, UNAVAILABLE, AttemptCounter, Fence,
+    Install,
 )
 
 P = ("a", "b", "c")
@@ -335,6 +336,45 @@ def _interleave(seed: int) -> None:
 def test_random_interleavings_keep_the_2pc_invariants():
     for seed in range(400):
         _interleave(seed)
+
+
+def record(phase, attempt=0, origin=None):
+    return {"phase": phase, "participants": {"a": 1.0}, "attempt": attempt,
+            "origin": origin}
+
+
+#: case -> (records, attempt high water, actions (kind, name), resume).
+RECOVER = {
+    "preparing_is_released": (
+        {"x": record(PREPARING)}, 0, ((RELEASE, "x"),), 0,
+    ),
+    "committing_is_redriven": (
+        {"x": record(COMMITTING)}, 0, ((REDRIVE, "x"),), 0,
+    ),
+    "resume_above_every_record": (
+        {"x": record(PREPARING, 9), "y": record(COMMITTING, 4)}, 6,
+        ((RELEASE, "x"), (REDRIVE, "y")), 9,
+    ),
+    "resume_at_the_high_water": (
+        {"x": record(COMMITTING, 2)}, 7, ((REDRIVE, "x"),), 7,
+    ),
+    "actions_in_name_order": (
+        {"c": record(COMMITTING), "a": record(PREPARING),
+         "b": record(COMMITTING)}, 0,
+        ((RELEASE, "a"), (REDRIVE, "b"), (REDRIVE, "c")), 0,
+    ),
+    "no_records_no_actions": ({}, 3, (), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECOVER))
+def test_recover_decides_from_the_records_alone(case):
+    records, high_water, want, resume = RECOVER[case]
+    actions, got = twopc.recover(records, high_water)
+    assert [(kind, name) for kind, name, _ in actions] == list(want)
+    # Each action carries its record, so a driver needs nothing else.
+    assert all(rec is records[name] for _, name, rec in actions)
+    assert got == resume
 
 
 def test_core_is_sans_io():
