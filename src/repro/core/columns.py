@@ -37,6 +37,7 @@ DESIGN.md):
 from __future__ import annotations
 
 import copy
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -376,86 +377,69 @@ def _rank(names: list[str]) -> np.ndarray:
 class ChainColumns:
     """Flattened (chain, stage) table for the model's current chains.
 
-    Rebuilding this is cheap (linear in the number of stages); the
-    expensive cartesian variable expansion lives in
-    :func:`build_variable_columns` and is cached on matrix structure.
+    Rebuilding this is cheap (linear in the number of stages), and a
+    model whose chains differ from another's in demand magnitudes only
+    takes that table :meth:`refilled`; the expensive cartesian variable
+    expansion lives in :func:`build_variable_columns` and is cached on
+    matrix structure.
     """
 
     def __init__(self, model: NetworkModel, sub: SubstrateColumns):
         self.chain_names: list[str] = list(model.chains)
-        self.chain_index: dict[str, int] = {
-            c: i for i, c in enumerate(self.chain_names)
-        }
-        st_chain: list[int] = []
-        st_z: list[int] = []
-        st_fwd: list[float] = []
-        st_rev: list[float] = []
-        st_src_vnf: list[int] = []
-        st_dst_vnf: list[int] = []
-        src_pool: list[np.ndarray] = []
-        dst_pool: list[np.ndarray] = []
-        src_start: list[int] = []
-        src_len: list[int] = []
-        dst_start: list[int] = []
-        dst_len: list[int] = []
-        self.chain_stage_start: list[int] = []
-        pool_src_n = 0
-        pool_dst_n = 0
-        for ci, cname in enumerate(self.chain_names):
-            chain = model.chains[cname]
-            self.chain_stage_start.append(len(st_chain))
-            stages = chain.num_stages
-            for z in range(1, stages + 1):
-                st_chain.append(ci)
-                st_z.append(z)
-                st_fwd.append(chain.forward_traffic[z - 1])
-                st_rev.append(chain.reverse_traffic[z - 1])
-                if z == 1:
-                    srcs = np.array(
-                        [sub.endpoint_id(chain.ingress, model)], dtype=np.int64
-                    )
-                    st_src_vnf.append(-1)
-                else:
-                    vi = sub.vnf_index[chain.vnfs[z - 2]]
-                    srcs = sub.n_nodes + sub.vnf_sites[vi]
-                    st_src_vnf.append(vi)
-                if z == stages:
-                    dsts = np.array(
-                        [sub.endpoint_id(chain.egress, model)], dtype=np.int64
-                    )
-                    st_dst_vnf.append(-1)
-                else:
-                    vi = sub.vnf_index[chain.vnfs[z - 1]]
-                    dsts = sub.n_nodes + sub.vnf_sites[vi]
-                    st_dst_vnf.append(vi)
-                src_pool.append(srcs)
-                dst_pool.append(dsts)
-                src_start.append(pool_src_n)
-                src_len.append(len(srcs))
-                dst_start.append(pool_dst_n)
-                dst_len.append(len(dsts))
-                pool_src_n += len(srcs)
-                pool_dst_n += len(dsts)
-        self.n_stage_rows = len(st_chain)
-        self.stage_chain = np.array(st_chain, dtype=np.int64)
-        self.stage_z = np.array(st_z, dtype=np.int64)
-        self.stage_fwd = np.array(st_fwd)
-        self.stage_rev = np.array(st_rev)
+        self.chain_index = {c: i for i, c in enumerate(self.chain_names)}
+        chains = model.chains.values()
+        vnfs = [[sub.vnf_index[v] for v in chain.vnfs] for chain in chains]
+        stages = [len(ids) + 1 for ids in vnfs]
+        # First stage row of every chain, then the number of rows.
+        self.chain_stage_start = [0, *itertools.accumulate(stages)]
+        self.n_stage_rows = self.chain_stage_start[-1]
+        self.stage_chain = np.repeat(np.arange(len(stages), dtype=np.int64), stages)
+        self.stage_z = _ranges(stages) + 1
+        # A stage runs from one front of its chain to the next: the
+        # ingress endpoint, the sites of each VNF (-1: an endpoint), the
+        # egress endpoint.
+        fronts = [[-1, *ids, -1] for ids in vnfs]
+        self.stage_src_vnf = np.array([v for f in fronts for v in f[:-1]], dtype=np.int64)
+        self.stage_dst_vnf = np.array([v for f in fronts for v in f[1:]], dtype=np.int64)
+        pools = [
+            [
+                np.array([sub.endpoint_id(chain.ingress, model)], dtype=np.int64),
+                *(sub.n_nodes + sub.vnf_sites[i] for i in ids),
+                np.array([sub.endpoint_id(chain.egress, model)], dtype=np.int64),
+            ]
+            for chain, ids in zip(chains, vnfs)
+        ]
+        self.src_pool, self.src_start, self.src_len = _pooled([p for f in pools for p in f[:-1]])
+        self.dst_pool, self.dst_start, self.dst_len = _pooled([p for f in pools for p in f[1:]])
+        self._read_demands(model)
+
+    def _read_demands(self, model: NetworkModel) -> None:
+        """The per-stage demands of ``model``'s chains, in table order."""
+        chains, n = model.chains.values(), self.n_stage_rows
+        self.stage_fwd = np.fromiter(
+            itertools.chain.from_iterable(c.forward_traffic for c in chains), float, n
+        )
+        self.stage_rev = np.fromiter(
+            itertools.chain.from_iterable(c.reverse_traffic for c in chains), float, n
+        )
         self.stage_total = self.stage_fwd + self.stage_rev
-        self.stage_src_vnf = np.array(st_src_vnf, dtype=np.int64)
-        self.stage_dst_vnf = np.array(st_dst_vnf, dtype=np.int64)
-        self.src_pool = (
-            np.concatenate(src_pool) if src_pool else np.zeros(0, np.int64)
-        )
-        self.dst_pool = (
-            np.concatenate(dst_pool) if dst_pool else np.zeros(0, np.int64)
-        )
-        self.src_start = np.array(src_start, dtype=np.int64)
-        self.src_len = np.array(src_len, dtype=np.int64)
-        self.dst_start = np.array(dst_start, dtype=np.int64)
-        self.dst_len = np.array(dst_len, dtype=np.int64)
-        # Number of stages per chain (for conservation row bases).
-        self.chain_stage_start.append(self.n_stage_rows)
+
+    def refilled(self, model: NetworkModel) -> "ChainColumns":
+        """This table for ``model``, whose chains are the ones it was
+        built from but for demand magnitudes -- same names, endpoints,
+        VNFs and demand positivity, in order, over a substrate of the
+        same order: what a structure-cache key proves.  Every structural
+        array is shared; the demands are read again."""
+        clone = copy.copy(self)
+        clone._read_demands(model)
+        return clone
+
+
+def _pooled(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One pool of the ragged ``parts``, each part's start and length."""
+    lengths = np.array([len(p) for p in parts], dtype=np.int64)
+    pool = np.concatenate(parts) if parts else np.zeros(0, np.int64)
+    return pool, np.cumsum(lengths) - lengths, lengths
 
 
 @dataclass

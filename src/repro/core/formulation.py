@@ -78,7 +78,8 @@ class ChainFlow:
 
     def __init__(self, model: NetworkModel, links: bool):
         sub = model.substrate_columns()
-        ch = model.chain_columns()
+        #: The chain-stage table this structure was built from.
+        self.chains = ch = model.chain_columns()
         vc = model.variable_columns()
         self.n_flow = n = vc.n_vars
         self.n_chains = len(ch.chain_names)
@@ -352,6 +353,10 @@ class Program:
             np.bincount(elements // n_rows, minlength=self.n_total),
             out=self._indptr[1:],
         )
+        #: The one matrix :func:`solve` hands the solver, its data per solve.
+        self.view = csc_matrix(
+            (np.zeros(len(elements)), self._indices, self._indptr), shape=(n_rows, self.n_total)
+        )
         # Each element's value starts as its first entry; the few later
         # entries of an element (a flow that stays at one site loads it
         # at both ends) are added onto it.
@@ -382,12 +387,12 @@ class Program:
                 data[idx] *= scale[stage]
         return data
 
-    def matrix(self, data_ub: np.ndarray) -> csc_matrix:
-        """``[A_ub; A_eq]`` with ``data_ub`` from :meth:`refresh`, in
-        canonical CSC form (sorted indices, entries of one element
-        summed): one gather through the frozen pattern.
+    def values(self, data_ub: np.ndarray) -> np.ndarray:
+        """The CSC data of ``[A_ub; A_eq]`` with ``data_ub`` from
+        :meth:`refresh`, in canonical order (sorted indices, entries of
+        one element summed): one gather through the frozen pattern.
 
-        The arrays equal, bit for bit, what scipy's COO -> CSC conversion
+        The array equals, bit for bit, what scipy's COO -> CSC conversion
         gives: an element holds at most two entries here (one for each
         end of a flow) and a two-term sum does not depend on its order;
         scipy's order for three or more is unspecified (``std::sort``),
@@ -396,9 +401,13 @@ class Program:
         entries = np.concatenate([data_ub, self.eq_data])
         data = entries[self._first]
         np.add.at(data, self._extra_slot, entries[self._extra])
+        return data
+
+    def matrix(self, data_ub: np.ndarray) -> csc_matrix:
+        """``[A_ub; A_eq]`` as a new CSC matrix over :meth:`values`."""
         return csc_matrix(
-            (data, self._indices, self._indptr),
-            shape=(len(self.b_ub) + len(self.b_eq), self.n_total),
+            (self.values(data_ub), self._indices, self._indptr),
+            shape=self.view.shape,
         )
 
 
@@ -616,13 +625,15 @@ def solve(
 ) -> tuple:
     """Solve a program under refreshed data through its warm
     :class:`~repro.core.highs.ColumnGenSolver`, as one CSC ``[ub; eq]``
-    with row bounds.  Returns ``(x, objective, solver seconds)``; ``x``
-    and ``objective`` are ``None`` when the program is infeasible."""
+    with row bounds (:attr:`Program.view`).  Returns ``(x, objective,
+    solver seconds)``; ``x`` and ``objective`` are ``None`` when the
+    program is infeasible."""
     row_lower = np.concatenate([np.full(len(b_ub), -np.inf), program.b_eq])
     row_upper = np.concatenate([b_ub, program.b_eq])
     start = time.perf_counter()
+    program.view.data = program.values(data_ub)
     x, objective = program.cg_solver.solve(
-        cost, program.matrix(data_ub), row_lower, row_upper,
+        cost, program.view, row_lower, row_upper,
         np.zeros(program.n_total), col_upper,
     )
     return x, objective, time.perf_counter() - start

@@ -222,6 +222,10 @@ def _structure_for(
         (digest, model.substrate_columns().order, objective.value, bool(enforce_mlu)),
         lambda: _RoutingProgram(model, objective, enforce_mlu),
     )
+    if cached and model._chain_columns is None:
+        # The key proves the chain-stage table's structure: only the
+        # demands are this model's own.
+        model._chain_columns = structure.flow.chains.refilled(model)
     if metrics is not None:
         metrics.counter(
             "lp.matrix_reuse_hits" if cached else "lp.matrix_rebuilds"

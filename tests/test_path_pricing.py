@@ -37,7 +37,7 @@ import repro
 from repro.core import capacity as capacity_mod
 from repro.core import lp as lp_mod
 from repro.core.capacity import plan_cloud_capacity
-from repro.core.highs import ColumnGenSolver, route_columns
+from repro.core.highs import ColumnGenSolver
 from repro.core.lp import LpObjective, matrix_cache_stats, solve_chain_routing_lp
 from repro.core.model import VNF
 from repro.scale import SolverFarm, farm as farm_mod
@@ -47,6 +47,7 @@ from repro.topology.cities import DEFAULT_CITIES
 from tests.reference.brute import enumerate_paths
 from tests.reference.capacity_scalar import plan_cloud_capacity_reference
 from tests.reference.lp_scalar import solve_chain_routing_lp_reference
+from tests.reference.route_columns import route_columns
 from tests.reference.scalar_rows import run_linprog
 from tests.test_column_pool import cached_program, remove_and_add
 from tests.test_maintained_plan import solver_farm_bench_model
