@@ -230,11 +230,16 @@ class SubstrateColumns:
         self._candidate_links: dict[tuple[int, int], tuple] = {}
         # ...and by VNF sequence: the ChainTable fields after ``stages``.
         self._site_runs: dict[tuple[str, ...], tuple] = {}
+        #: The last ``route_chains_dp`` run over these columns, which a
+        #: later run replays the unchanged prefix of.
+        self.dp_trail = None
 
     def _read_capacities(self, model: NetworkModel) -> None:
         """The four capacity arrays: per site, per (VNF, site) -- NaN
         where the VNF is not deployed --, and per link its bandwidth and
-        background traffic.  Everything else here is topology."""
+        background traffic.  Everything else here is topology.  Records
+        which catalog entries they were read from (``catalogs``)."""
+        self.catalogs = catalog_ids(model)
         self.site_capacity = np.array(
             [model.sites[s].capacity for s in self.site_names]
         )
@@ -253,10 +258,13 @@ class SubstrateColumns:
         """These columns under the capacities of ``model``, which has this
         topology (:meth:`NetworkModel.copy_with_capacities`): index maps,
         latency and routing arrays are shared, the four capacity arrays
-        re-read, and the per-front and per-sequence caches start empty."""
+        re-read with the catalog entries they come from, and the
+        per-front and per-sequence caches and the SB-DP trail start
+        empty."""
         clone = copy.copy(self)
         clone._read_capacities(model)
         clone._transitions, clone._candidate_links, clone._site_runs = {}, {}, {}
+        clone.dp_trail = None
         return clone
 
     def headroom(self) -> np.ndarray:
@@ -363,6 +371,12 @@ class SubstrateColumns:
         if node is None:
             raise ModelError(f"unknown endpoint {name!r}")
         return node
+
+
+def catalog_ids(model: NetworkModel) -> tuple:
+    """Identities of the model's ``vnfs`` / ``sites`` / ``links`` entries:
+    columns that recorded others were read before an in-place swap."""
+    return tuple(tuple(map(id, c.values())) for c in (model.vnfs, model.sites, model.links))
 
 
 def _rank(names: list[str]) -> np.ndarray:
@@ -517,6 +531,7 @@ __all__ = [
     "SubstrateColumns",
     "VariableColumns",
     "build_variable_columns",
+    "catalog_ids",
     "StageTransition",
     "ragged_gather",
 ]

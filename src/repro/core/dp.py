@@ -26,11 +26,20 @@ elements, and the link entries of its directions with demand, grouped
 in (link, fraction) classes.  One search (``_search``) evaluates a whole
 stage front at a time and -- the residual state being constant within
 it -- prices every compute element and link class in one penalty pass;
-it returns element ids, by which feasibility and commit (``_carry``)
-read and write the state.  The scalar per-chain routine it replaced
-(``tests/reference/dp_scalar.py``: search, feasibility and commit by
-name) is the oracle it is tested against, route for route and residual
-array for residual array.
+it returns element ids, by which feasibility (``_carry``) reads the
+state and writes a commit record, which ``_commit`` applies.  The scalar
+per-chain routine it replaced (``tests/reference/dp_scalar.py``: search,
+feasibility and commit by name) is the oracle it is tested against,
+route for route and residual array for residual array.
+
+A run leaves a trail on the columns it routed over
+(``SubstrateColumns.dp_trail``): per chain, in routing order, what it
+committed and added, its remainder and its search count.  A later run on
+the same columns, config and MLU limit replays the longest prefix of
+equal chains through the same ``_commit`` -- the same float operations,
+in the same order, from the same state -- and routes the rest, so its
+result is bit-identical to a cold run's.  The trail dies with the
+columns (``invalidate_substrate()``).
 
 Two ablations from Figure 13a are expressed as configurations of that
 one search:
@@ -49,10 +58,11 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterable, TYPE_CHECKING
+from typing import Iterable, NamedTuple, TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.columns import catalog_ids
 from repro.core.costs import FORTZ_THORUP, PiecewiseLinearCost
 from repro.core.model import Chain, NetworkModel
 from repro.core.routes import RoutingSolution
@@ -159,6 +169,27 @@ class _ResourceState:
         self.link_load[sub.pool_link[s:e]] += volume * sub.pool_frac[s:e]
 
 
+class _Commit(NamedTuple):
+    """What one pass writes onto the state: per VNF stage the flat
+    (VNF, site) index, site and load; the ``np.add.at`` link operands."""
+
+    fraction: float
+    vnfs: list
+    sites: list
+    loads: list[float]
+    links: np.ndarray | None
+    volumes: np.ndarray | None
+
+
+class _Routed(NamedTuple):
+    """One chain as routed: what replays it without a search."""
+
+    chain: Chain
+    passes: list[tuple[_Commit, list[str]]]  # each with the path it added
+    remainder: float
+    searches: int
+
+
 @dataclass
 class DpResult:
     """Outcome of routing a workload with SB-DP."""
@@ -180,7 +211,9 @@ def route_chains_dp(
     chain_order: Iterable[str] | None = None,
     metrics: "MetricsRegistry | None" = None,
 ) -> DpResult:
-    """Route every chain in the model with the SB-DP heuristic."""
+    """Route every chain in the model with the SB-DP heuristic.  The
+    chains before the first that differs from the last run over the same
+    columns, config and MLU limit are replayed (module docstring)."""
     config = config or DpConfig()
     router = _DpRouter(model, config)
     if chain_order is None:
@@ -201,14 +234,25 @@ def route_chains_dp(
     chain_hist = (
         metrics.histogram("solver.dp_chain_s") if metrics is not None else None
     )
+    # The last run over these columns: ((config, MLU limit), chains).
+    key, trail = (config, model.mlu_limit), router._sub.dp_trail
+    last = trail[1] if trail is not None and trail[0] == key else []
+    routed: list[_Routed] = []
     start = time.perf_counter()
     for name in names:
         chain_start = time.perf_counter()
-        remainder = router.route_chain(model.chains[name], solution)
+        chain = model.chains[name]
+        if len(routed) < len(last) and last[len(routed)].chain == chain:
+            done = router.replay(last[len(routed)], solution)
+        else:
+            last = []  # only a prefix replays
+            done = router.route_chain(chain, solution)
+        routed.append(done)
         if chain_hist is not None:
             chain_hist.observe(time.perf_counter() - chain_start)
-        if remainder > _EPS:
-            unrouted[name] = remainder
+        if done.remainder > _EPS:
+            unrouted[name] = done.remainder
+    router._sub.dp_trail = (key, routed)
     if metrics is not None:
         # Wall-clock heuristic time over the whole workload (the number
         # the paper compares against SB-LP's hours-long CPLEX solves).
@@ -225,9 +269,8 @@ class _DpRouter:
     def __init__(self, model: NetworkModel, config: DpConfig):
         self.model = model
         self.config = config
+        self._sub = self._substrate()
         self.state = _ResourceState(model)
-        self._sub = self.state.sub
-        self._model_sig = self._substrate_signature()
         self.paths_computed = 0
         self._weight = self._resolve_utilization_weight()
 
@@ -243,42 +286,26 @@ class _DpRouter:
             return 1.0
         return diameter / penalty_at_full
 
-    def _substrate_signature(self) -> tuple:
-        """Object identities of the mutable substrate catalogs.
-
-        Capacity growth and similar dynamic scenarios replace entries of
-        ``model.vnfs`` / ``model.sites`` / ``model.links`` in place; the
-        scalar code read those dicts live on every transition, so the
-        vectorized router re-checks the identities once per routed chain
-        and refreshes its snapshots when anything was swapped.
-        """
-        m = self.model
-        return (
-            tuple(map(id, m.vnfs.values())),
-            tuple(map(id, m.sites.values())),
-            tuple(map(id, m.links.values())),
-        )
-
-    def _maybe_refresh(self) -> None:
-        """Re-read the substrate views after an in-place mutation.
-
-        Triggered either by an external ``invalidate_substrate()`` call
-        (``controller.failures`` flipping latency entries) or by a
-        catalog-entry swap detected via :meth:`_substrate_signature`.
-        Topology names and index maps are unchanged in both cases, so
-        committed loads carry over and only the cached views (and the
-        chain tables hanging off them) are rebuilt.
-        """
-        sig = self._substrate_signature()
+    def _substrate(self):
+        """The model's columns, rebuilt first when a catalog entry was
+        swapped in place since they were read (the scalar code read the
+        catalogs live, so this runs once per routed chain)."""
         sub = self.model.substrate_columns()
-        if sub is self._sub and sig == self._model_sig:
-            return
-        if sig != self._model_sig:
+        if sub.catalogs != catalog_ids(self.model):
             self.model.invalidate_substrate()
             sub = self.model.substrate_columns()
-            self._model_sig = sig
-        self._sub = sub
-        self.state.refresh_substrate(sub)
+        return sub
+
+    def _maybe_refresh(self) -> None:
+        """Re-read the substrate views after an in-place mutation: an
+        ``invalidate_substrate()`` (``controller.failures`` flipping
+        latency entries) or a catalog-entry swap.  Names and index maps
+        are unchanged, so committed loads carry over.
+        """
+        sub = self._substrate()
+        if sub is not self._sub:
+            self._sub = sub
+            self.state.refresh_substrate(sub)
 
     # -- public per-chain entry point ------------------------------------
 
@@ -287,32 +314,42 @@ class _DpRouter:
         chain: Chain,
         solution: RoutingSolution,
         remaining: float = 1.0,
-    ) -> float:
+    ) -> _Routed:
         """Route (up to) ``remaining`` of one chain's demand, committing
-        onto the shared state.
-
-        Returns the unrouted remainder fraction.
-        """
+        onto the shared state; the chain as routed, with its unrouted
+        remainder fraction."""
         self._maybe_refresh()
         layout = None
+        passes = []
+        searches = 0
         for _ in range(self.config.max_paths_per_chain):
             if remaining <= _EPS:
                 break
             if layout is None:
                 layout = _Layout(self, chain)
             elems = self._search(layout, remaining)
-            self.paths_computed += 1
+            searches += 1
             if elems is None:
                 break
-            fraction = self._carry(layout, elems, remaining)
-            if fraction <= _EPS:
+            record = self._carry(layout, elems, remaining)
+            if record is None:
                 break
+            self._commit(record)
             sites = [self._sub.site_names[layout.site[e]] for e in elems]
-            solution.add_path(
-                chain.name, [chain.ingress, *sites, chain.egress], fraction
-            )
-            remaining -= fraction
-        return max(0.0, remaining)
+            path = [chain.ingress, *sites, chain.egress]
+            solution.add_path(chain.name, path, record.fraction)
+            passes.append((record, path))
+            remaining -= record.fraction
+        self.paths_computed += searches
+        return _Routed(chain, passes, max(0.0, remaining), searches)
+
+    def replay(self, routed: _Routed, solution: RoutingSolution) -> _Routed:
+        """Commit and add what :meth:`route_chain` committed and added."""
+        for record, path in routed.passes:
+            self._commit(record)
+            solution.add_path(routed.chain.name, path, record.fraction)
+        self.paths_computed += routed.searches
+        return routed
 
     # -- path search ----------------------------------------------------------
 
@@ -412,11 +449,13 @@ class _DpRouter:
 
     # -- feasibility and commit ------------------------------------------------------
 
-    def _carry(self, lay: "_Layout", elems: list[int], remaining: float) -> float:
-        """Commit the largest fraction (up to ``remaining``, if above
-        ``_EPS``) of the chain's demand the found path can carry.  The
-        demands are summed per (VNF, site), per site and per link first,
-        in path order, so no resource the path meets twice overflows."""
+    def _carry(
+        self, lay: "_Layout", elems: list[int], remaining: float
+    ) -> _Commit | None:
+        """The commit of the largest fraction (up to ``remaining``; ``None``
+        if not above ``_EPS``) of the chain's demand the found path can
+        carry.  The demands are summed per (VNF, site), per site and per
+        link first, in path order, so no resource met twice overflows."""
         state = self.state
         vnf_load, site_load = state.vnf_load_flat, state.site_load
         index, site = lay.index, lay.site
@@ -449,14 +488,25 @@ class _DpRouter:
                 fraction = min(fraction, float(np.minimum.reduce(residual / demand[used])))
         fraction = min(remaining, max(0.0, fraction))
         if fraction <= _EPS:
-            return fraction
-        for e, unit in zip(elems, lay.per_unit):
-            load = unit * fraction
-            vnf_load[index[e]] += load
-            site_load[site[e]] += load
-        if lay.classes:
-            np.add.at(state.link_load, links, lay.demand[cls] * fraction * lay.fracs[cls])
-        return fraction
+            return None
+        return _Commit(
+            fraction,
+            [index[e] for e in elems],
+            [site[e] for e in elems],
+            [unit * fraction for unit in lay.per_unit],
+            links if lay.classes else None,
+            lay.demand[cls] * fraction * lay.fracs[cls] if lay.classes else None,
+        )
+
+    def _commit(self, record: _Commit) -> None:
+        """Add one pass's loads to the state, in path order."""
+        state = self.state
+        vnf_load, site_load = state.vnf_load_flat, state.site_load
+        for i, s, load in zip(record.vnfs, record.sites, record.loads):
+            vnf_load[i] += load
+            site_load[s] += load
+        if record.links is not None:
+            np.add.at(state.link_load, record.links, record.volumes)
 
 
 class _Layout:

@@ -322,7 +322,9 @@ def _substrate_state(model: NetworkModel) -> list:
         sub, model._substrate_json, model._structure_json, model._substrate_digest
     ]
     if sub is not None:
-        state += [*sub._transitions.values(), *sub._candidate_links.values()]
+        state += [
+            *sub._transitions.values(), *sub._candidate_links.values(), sub.dp_trail
+        ]
     return [s for s in state if s is not None]
 
 
@@ -332,13 +334,14 @@ class TestCacheDiesWithSubstrate:
         farm = SolverFarm(partition_size=2)
         first = farm.solve(model)
         assert first.ok and not first.exact
+        route_chains_dp(model)  # the farm routes incrementally: no trail
         old_plan = farm.plan
         old_templates = list(old_plan._templates.values())
         assert len(old_templates) == 3  # every partition is a split one
-        # columns, encoded JSON with its capacity-free twin, digest, and
-        # for each of the two stage transitions the DP tables and the
-        # candidate-link sets
-        assert len(_substrate_state(model)) == 8
+        # columns, encoded JSON with its capacity-free twin, digest, for
+        # each of the two stage transitions the DP tables and the
+        # candidate-link sets, and the SB-DP trail (8 before it existed)
+        assert len(_substrate_state(model)) == 9
         old = _substrate_state(model) + old_templates + [
             s for t in old_templates for s in _substrate_state(t)
         ]
@@ -349,6 +352,7 @@ class TestCacheDiesWithSubstrate:
         second = farm.resolve(model, [])
         assert second.ok and farm.plan is not old_plan
         assert second.objective == first.objective
+        route_chains_dp(model)
         live = _substrate_state(model) + list(farm.plan._templates.values()) + [
             s for t in farm.plan._templates.values() for s in _substrate_state(t)
         ]
