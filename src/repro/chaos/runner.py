@@ -21,7 +21,6 @@ simulation-derived values only, never wall-clock timings.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field, fields
 from typing import Callable, ClassVar, Iterable
@@ -50,6 +49,7 @@ from repro.controller import (
 from repro.controller.failures import FailureReport, fail_site, restore_site
 from repro.controller.protocol import BusDrivenInstaller, InstallationTimeline
 from repro.controller.replication import ReplicatedStore
+from repro.core import canonical
 from repro.core.model import CloudSite, NetworkModel, VNF
 from repro.dataplane import DataPlane
 from repro.edge import EdgeController, EdgeInstance
@@ -184,8 +184,7 @@ class SoakDoc:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_doc(), separators=(",", ":"),
-                          sort_keys=True)
+        return canonical.encode(self.to_doc())
 
     def render(self) -> str:
         lines = [

@@ -19,11 +19,13 @@ replicated store's lease machinery.
 
 from __future__ import annotations
 
-import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Sequence
+
+from repro.core import canonical
 
 
 class ScenarioError(Exception):
@@ -65,8 +67,8 @@ class FaultEvent:
     value: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.at < 0:
-            raise ScenarioError(f"event in the past: {self.at}")
+        if not 0 <= self.at < math.inf:
+            raise ScenarioError(f"event time not finite and non-negative: {self.at}")
         if self.kind not in EVENT_KINDS:
             raise ScenarioError(f"unknown event kind {self.kind!r}")
 
@@ -101,6 +103,8 @@ class Scenario:
     events: list[FaultEvent] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        if not 0 < self.duration_s < math.inf:
+            raise ScenarioError("scenario duration not finite and positive")
         self.events.sort(key=lambda e: (e.at, e.kind, e.target))
 
     def to_doc(self) -> dict:
@@ -112,7 +116,7 @@ class Scenario:
 
     def to_json(self) -> str:
         """Deterministic serialization: same seed -> same bytes."""
-        return json.dumps(self.to_doc(), separators=(",", ":"), sort_keys=True)
+        return canonical.encode(self.to_doc())
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Scenario":
@@ -129,7 +133,7 @@ class Scenario:
 
     def digest(self) -> str:
         """Stable content hash of the schedule (hex SHA-256)."""
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
+        return canonical.sha256_hex(self.to_json())
 
     def counts(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -186,8 +190,6 @@ def generate_scenario(
     whose links flap/degrade (typically gateway->proxy pairs).
     """
     config = config or ScenarioConfig()
-    if config.duration_s <= 0:
-        raise ScenarioError("non-positive scenario duration")
     if not sites:
         raise ScenarioError("need at least one site")
     rng = random.Random(seed)

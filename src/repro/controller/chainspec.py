@@ -5,12 +5,26 @@ edge attachments (a customer edge router identifier, a VPN, ...) plus an
 optional traffic slice (prefixes, ports, protocol), the ordered VNF
 list, and a demand estimate used for the initial route computation
 ("customer estimates for the initial chain deployment", Section 4.1).
+
+:func:`spec_to_dict` / :func:`spec_from_dict` are a specification's one
+document form (schema-versioned like the model document of
+:mod:`repro.core.serialization`): the portal submits it and the
+controller checkpoint embeds it.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Sequence
+
+from repro.core.serialization import (
+    SCHEMA_VERSION,
+    SerializationError,
+    check_version,
+    load_object,
+)
 
 
 class SpecError(Exception):
@@ -54,8 +68,8 @@ class ChainSpecification:
     ):
         if not name:
             raise SpecError("chain needs a name")
-        if forward_demand < 0 or reverse_demand < 0:
-            raise SpecError(f"chain {name!r}: negative demand")
+        if not (0 <= forward_demand < math.inf and 0 <= reverse_demand < math.inf):
+            raise SpecError(f"chain {name!r}: demand not finite and non-negative")
         if forward_demand + reverse_demand == 0:
             raise SpecError(f"chain {name!r}: zero total demand")
         object.__setattr__(self, "name", name)
@@ -69,3 +83,55 @@ class ChainSpecification:
         object.__setattr__(self, "dst_prefixes", tuple(dst_prefixes))
         object.__setattr__(self, "protocol", protocol)
         object.__setattr__(self, "dst_port_range", dst_port_range)
+
+
+def spec_to_dict(spec: ChainSpecification) -> dict[str, Any]:
+    """A chain specification as the portal would submit it."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "name": spec.name,
+        "edge_service": spec.edge_service,
+        "ingress_attachment": spec.ingress_attachment,
+        "egress_attachment": spec.egress_attachment,
+        "vnf_services": list(spec.vnf_services),
+        "forward_demand": spec.forward_demand,
+        "reverse_demand": spec.reverse_demand,
+        "src_prefix": spec.src_prefix,
+        "dst_prefixes": list(spec.dst_prefixes),
+        "protocol": spec.protocol,
+        "dst_port_range": list(spec.dst_port_range)
+        if spec.dst_port_range
+        else None,
+    }
+
+
+def spec_from_dict(document: dict[str, Any]) -> ChainSpecification:
+    """Parse a specification document; the specification validates its
+    demands (:class:`SpecError`), a malformed document raises
+    :class:`~repro.core.serialization.SerializationError`."""
+    try:
+        check_version(document)
+        port_range = document.get("dst_port_range")
+        return ChainSpecification(
+            document["name"],
+            document["edge_service"],
+            document["ingress_attachment"],
+            document["egress_attachment"],
+            document["vnf_services"],
+            forward_demand=float(document.get("forward_demand", 1.0)),
+            reverse_demand=float(document.get("reverse_demand", 0.0)),
+            src_prefix=document.get("src_prefix"),
+            dst_prefixes=document.get("dst_prefixes", ()),
+            protocol=document.get("protocol"),
+            dst_port_range=tuple(port_range) if port_range else None,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SerializationError(f"malformed chain document: {exc}") from exc
+
+
+def spec_to_json(spec: ChainSpecification, indent: int | None = 2) -> str:
+    return json.dumps(spec_to_dict(spec), indent=indent)
+
+
+def spec_from_json(text: str) -> ChainSpecification:
+    return spec_from_dict(load_object(text, "chain"))

@@ -54,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import Span
     from repro.simnet.events import EventHandle
 
-from repro.bus.bus import GlobalMessageBus
+from repro.bus.bus import GlobalMessageBus, gateway_name, proxy_name
 from repro.bus.topics import Topic
 from repro.controller import replication, twopc
 from repro.controller.chainspec import ChainSpecification
@@ -130,8 +130,6 @@ class BusDrivenInstaller:
         gs_site: str,
         edge_controller_site: str,
         vnf_controller_sites: dict[str, str],
-        delays: ProtocolDelays | None = None,
-        wan_delay_s: dict[tuple[str, str], float] | float | None = None,
         metrics: "MetricsRegistry | None" = None,
         resilience: ResilienceConfig | None = None,
         store: "ReplicatedStore | None" = None,
@@ -140,8 +138,7 @@ class BusDrivenInstaller:
         self.bus = bus
         self.network = bus.network
         self.sim = bus.network.sim
-        self.delays = delays or ProtocolDelays()
-        self._wan_delay = wan_delay_s
+        self.delays = ProtocolDelays()
         #: Observability sink; spans measure *simulated* seconds when the
         #: registry's clock is this network's simulator.
         self.metrics = metrics
@@ -222,19 +219,9 @@ class BusDrivenInstaller:
     def _delay_between(self, site_a: str, site_b: str) -> float:
         """One-way control-RPC delay between two sites.
 
-        Uses the explicit ``wan_delay_s`` if given; otherwise reads the
-        bus network's gateway->proxy link for the pair (the same WAN the
-        pub/sub traffic crosses); falls back to 20 ms.
+        Reads the bus network's gateway->proxy link for the pair (the
+        same WAN the pub/sub traffic crosses); falls back to 20 ms.
         """
-        if isinstance(self._wan_delay, (int, float)):
-            return float(self._wan_delay)
-        if isinstance(self._wan_delay, dict):
-            if (site_a, site_b) in self._wan_delay:
-                return self._wan_delay[(site_a, site_b)]
-            if (site_b, site_a) in self._wan_delay:
-                return self._wan_delay[(site_b, site_a)]
-        from repro.bus.bus import gateway_name, proxy_name
-
         link = self.network._links.get(
             (gateway_name(site_a), proxy_name(site_b))
         )
@@ -279,7 +266,7 @@ class BusDrivenInstaller:
             self.log.put,
             pending.spec.name,
             phase,
-            {f"{v}@{s}": load for (v, s), load in pending.loads.items()},
+            replication.participants_to_doc(pending.loads),
             pending.machine.attempt,
         )
 
@@ -376,7 +363,7 @@ class BusDrivenInstaller:
         """Settle an install a dead coordinator left mid-2PC, with no
         pending entry here: tear down every participant of its record,
         forget the chain unless it is installed, and clear the record."""
-        for vnf_name, site in sorted(key.split("@", 1) for key in participants):
+        for vnf_name, site in sorted(replication.participants_from_doc(participants)):
             if vnf_name in self.vnf_hosts:
                 self.send_teardown(vnf_name, name, site)
         if name not in self.gs.installations:

@@ -22,9 +22,9 @@ for wide-area deployments."  This module implements that recipe's core:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Mapping
 
-from repro.controller.chainspec import ChainSpecification
+from repro.controller.chainspec import spec_from_dict, spec_to_dict
 from repro.controller.global_switchboard import ChainInstallation
 
 
@@ -183,6 +183,20 @@ _INSTALL_PREFIX = "/installing/"
 _ATTEMPT_KEY = "/installing-attempt"
 
 
+def participants_to_doc(
+    loads: Mapping[tuple[str, str], float],
+) -> dict[str, float]:
+    """(VNF, site) -> load as a store document, keyed ``"vnf@site"``."""
+    return {f"{vnf}@{site}": load for (vnf, site), load in loads.items()}
+
+
+def participants_from_doc(
+    doc: Mapping[str, float],
+) -> dict[tuple[str, str], float]:
+    """Inverse of :func:`participants_to_doc`."""
+    return {tuple(key.split("@", 1)): load for key, load in doc.items()}
+
+
 class InstallLog:
     """The durable record of every in-flight install, for both
     coordinators (the bus-driven installer and the deployed federated
@@ -246,32 +260,16 @@ def checkpoint_installation(
     store: ReplicatedStore, installation: ChainInstallation
 ) -> None:
     """Persist one chain installation (called after create/extend)."""
-    spec = installation.spec
     record = {
-        "spec": {
-            "name": spec.name,
-            "edge_service": spec.edge_service,
-            "ingress_attachment": spec.ingress_attachment,
-            "egress_attachment": spec.egress_attachment,
-            "vnf_services": list(spec.vnf_services),
-            "forward_demand": spec.forward_demand,
-            "reverse_demand": spec.reverse_demand,
-            "src_prefix": spec.src_prefix,
-            "dst_prefixes": list(spec.dst_prefixes),
-            "protocol": spec.protocol,
-            "dst_port_range": spec.dst_port_range,
-        },
+        "spec": spec_to_dict(installation.spec),
         "label": installation.label,
         "ingress_site": installation.ingress_site,
         "egress_site": installation.egress_site,
         "routed_fraction": installation.routed_fraction,
-        "committed_load": {
-            f"{vnf}@{site}": load
-            for (vnf, site), load in installation.committed_load.items()
-        },
+        "committed_load": participants_to_doc(installation.committed_load),
         "extra_edge_sites": list(installation.extra_edge_sites),
     }
-    store.put(_CHAIN_PREFIX + spec.name, record)
+    store.put(_CHAIN_PREFIX + installation.spec.name, record)
 
 
 def remove_checkpoint(store: ReplicatedStore, chain_name: str) -> None:
@@ -285,24 +283,8 @@ def restore_installations(store: ReplicatedStore) -> dict[str, ChainInstallation
         record = store.get(key)
         if record is None:
             continue
-        spec_data = record["spec"]
-        spec = ChainSpecification(
-            spec_data["name"],
-            spec_data["edge_service"],
-            spec_data["ingress_attachment"],
-            spec_data["egress_attachment"],
-            spec_data["vnf_services"],
-            forward_demand=spec_data["forward_demand"],
-            reverse_demand=spec_data["reverse_demand"],
-            src_prefix=spec_data["src_prefix"],
-            dst_prefixes=spec_data["dst_prefixes"],
-            protocol=spec_data["protocol"],
-            dst_port_range=spec_data["dst_port_range"],
-        )
-        committed = {
-            tuple(key.split("@", 1)): load
-            for key, load in record["committed_load"].items()
-        }
+        spec = spec_from_dict(record["spec"])
+        committed = participants_from_doc(record["committed_load"])
         installation = ChainInstallation(
             spec,
             record["label"],

@@ -30,12 +30,7 @@ from repro.core.lp import LpObjective, LpResult, solve_chain_routing_lp
 from repro.core.model import Chain, CloudSite, Link, NetworkModel, VNF
 from repro.core.multipoint import MultipointChain, summarize_multipoint
 from repro.core.routes import RoutingSolution, StageFlow
-from repro.core.serialization import (
-    model_from_json,
-    model_to_json,
-    spec_from_json,
-    spec_to_json,
-)
+from repro.core.serialization import model_from_json, model_to_json
 
 __all__ = [
     "Chain",
@@ -61,7 +56,5 @@ __all__ = [
     "route_chains_dp",
     "route_compute_aware",
     "solve_chain_routing_lp",
-    "spec_from_json",
     "summarize_multipoint",
-    "spec_to_json",
 ]

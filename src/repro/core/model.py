@@ -20,11 +20,12 @@ where node 0 is the ingress and node ``|F_c| + 1`` is the egress.
 
 from __future__ import annotations
 
-import hashlib
-import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
+
+from repro.core import canonical
 
 
 class ModelError(Exception):
@@ -45,8 +46,8 @@ class CloudSite:
     capacity: float
 
     def __post_init__(self) -> None:
-        if self.capacity < 0:
-            raise ModelError(f"site {self.name!r}: negative capacity")
+        if not self.capacity >= 0:
+            raise ModelError(f"site {self.name!r}: negative or NaN capacity")
 
 
 @dataclass(frozen=True)
@@ -64,12 +65,12 @@ class VNF:
     site_capacity: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.load_per_unit < 0:
-            raise ModelError(f"VNF {self.name!r}: negative load_per_unit")
+        if not self.load_per_unit >= 0:
+            raise ModelError(f"VNF {self.name!r}: negative or NaN load_per_unit")
         for site, cap in self.site_capacity.items():
-            if cap < 0:
+            if not cap >= 0:
                 raise ModelError(
-                    f"VNF {self.name!r}: negative capacity at site {site!r}"
+                    f"VNF {self.name!r}: negative or NaN capacity at site {site!r}"
                 )
         object.__setattr__(self, "site_capacity", dict(self.site_capacity))
 
@@ -98,10 +99,10 @@ class Link:
     background: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.bandwidth <= 0:
-            raise ModelError(f"link {self.name!r}: non-positive bandwidth")
-        if self.background < 0:
-            raise ModelError(f"link {self.name!r}: negative background traffic")
+        if not self.bandwidth > 0:
+            raise ModelError(f"link {self.name!r}: non-positive or NaN bandwidth")
+        if not self.background >= 0:
+            raise ModelError(f"link {self.name!r}: negative or NaN background traffic")
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,7 @@ class Chain:
     def _document(self) -> str:
         """This chain's entry of the digest document, encoded once (a
         chain is immutable; a re-scaled chain is another object)."""
-        return _encode((
+        return canonical.encode((
             self.name, self.ingress, self.egress, list(self.vnfs),
             list(self.forward_traffic), list(self.reverse_traffic),
         ))
@@ -173,7 +174,7 @@ class Chain:
     @cached_property
     def _structure_document(self) -> str:
         """The same with the demands reduced to positivity."""
-        return _encode((
+        return canonical.encode((
             self.name, self.ingress, self.egress, list(self.vnfs),
             [w > 0 for w in self.forward_traffic],
             [v > 0 for v in self.reverse_traffic],
@@ -203,23 +204,20 @@ def _per_stage(
                 f"chain {chain!r}: expected {stages} per-stage demands, "
                 f"got {len(values)}"
             )
-    if any(v < 0 for v in values):
-        raise ModelError(f"chain {chain!r}: negative traffic demand")
+    if not all(0 <= v < math.inf for v in values):
+        raise ModelError(f"chain {chain!r}: traffic demand not finite and non-negative")
     return values
-
-
-#: Canonical JSON of a digest-document fragment.
-_encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 
 def _hash_document(fragments: Mapping[str, str], **encoded: str) -> str:
     """Hex SHA-256 of the digest document made of the already-encoded
     ``fragments`` overlaid with the already-encoded ``encoded``: byte
-    for byte the hash of ``_encode({**decoded fragments, **decoded})``,
+    for byte the hash of ``canonical.encode({**decoded fragments,
+    **decoded})``,
     with nothing encoded here."""
     merged = {**fragments, **encoded}
     body = ",".join(f'"{key}":{merged[key]}' for key in sorted(merged))
-    return hashlib.sha256(f"{{{body}}}".encode()).hexdigest()
+    return canonical.sha256_hex(f"{{{body}}}")
 
 
 def _array(documents: Iterable[str]) -> str:
@@ -271,8 +269,8 @@ class NetworkModel:
         for (n1, n2), d in latency.items():
             if n1 not in node_set or n2 not in node_set:
                 raise ModelError(f"latency entry references unknown node: {n1}->{n2}")
-            if d < 0:
-                raise ModelError(f"negative latency {n1}->{n2}")
+            if not d >= 0:
+                raise ModelError(f"negative or NaN latency {n1}->{n2}")
             self._latency[(n1, n2)] = float(d)
 
         self.sites: dict[str, CloudSite] = {}
@@ -308,14 +306,14 @@ class NetworkModel:
                         raise ModelError(
                             f"routing for ({n1},{n2}) uses unknown link {link_name!r}"
                         )
-                    if frac < 0 or frac > 1 + 1e-9:
+                    if not 0 <= frac <= 1 + 1e-9:
                         raise ModelError(
                             f"routing fraction out of range for ({n1},{n2},{link_name})"
                         )
                 self.routing[(n1, n2)] = dict(fractions)
 
-        if mlu_limit <= 0:
-            raise ModelError("mlu_limit must be positive")
+        if not mlu_limit > 0:
+            raise ModelError("mlu_limit must be positive (not NaN)")
         self.mlu_limit = float(mlu_limit)
 
         # Lazily built caches; the substrate ones are inherited by
@@ -552,7 +550,7 @@ class NetworkModel:
                 "mlu_limit": self.mlu_limit,
             }
             self._substrate_json = {
-                **{k: _encode(v) for k, v in document.items()},
+                **{k: canonical.encode(v) for k, v in document.items()},
                 **self._capacity_fragments(),
             }
         return self._substrate_json
@@ -560,14 +558,14 @@ class NetworkModel:
     def _capacity_fragments(self) -> dict[str, str]:
         """The three fragments that hold capacity magnitudes."""
         return {
-            "sites": _encode(sorted(
+            "sites": canonical.encode(sorted(
                 (s.name, s.node, s.capacity) for s in self.sites.values()
             )),
-            "vnfs": _encode(sorted(
+            "vnfs": canonical.encode(sorted(
                 (v.name, v.load_per_unit, sorted(v.site_capacity.items()))
                 for v in self.vnfs.values()
             )),
-            "links": _encode(sorted(
+            "links": canonical.encode(sorted(
                 (link.name, link.src, link.dst, link.bandwidth, link.background)
                 for link in self.links.values()
             )),
@@ -580,12 +578,12 @@ class NetworkModel:
         if self._structure_json is None:
             self._structure_json = {
                 **self._substrate_fragments(),
-                "sites": _encode(sorted((s.name, s.node) for s in self.sites.values())),
-                "vnfs": _encode(sorted(
+                "sites": canonical.encode(sorted((s.name, s.node) for s in self.sites.values())),
+                "vnfs": canonical.encode(sorted(
                     (v.name, v.load_per_unit, sorted(v.site_capacity))
                     for v in self.vnfs.values()
                 )),
-                "links": _encode(sorted(
+                "links": canonical.encode(sorted(
                     (link.name, link.src, link.dst) for link in self.links.values()
                 )),
             }
@@ -625,7 +623,7 @@ class NetworkModel:
         capacity_free = self._structure_fragments()
         return _hash_document(
             {**self._substrate_fragments(), "vnfs": capacity_free["vnfs"]},
-            sites=_encode(sorted(
+            sites=canonical.encode(sorted(
                 (s.name, s.node, s.capacity > 0) for s in self.sites.values()
             )),
             chain_structure=self._chain_structure_document(),

@@ -1,13 +1,17 @@
-"""JSON serialization of the network model and chain specifications.
+"""JSON documents for the Table 1 network model and its chains.
 
 Section 4.5: "The parameters of the network model (Table 1) for Global
 Switchboard are defined using the YANG data modeling language and data
 entries are stored as JSON objects."  This module is the JSON half of
-that: a stable, versioned document format for the Table 1 model and for
-customer chain specifications, with validation on load.  The CLI and
-the replicated controller store both use plain dicts, so these documents
-are also what a standby controller or an external orchestrator (the
-paper's ONAP discussion) would exchange.
+that: a stable, versioned document format for the Table 1 model, with
+validation on load.  A model document's chain entry
+(:func:`chain_to_dict`) is the one document form of a
+:class:`~repro.core.model.Chain`: the federation store persists it and
+the federated RPC messages carry it.  Customer chain specifications
+have their codec next to their type, in
+:mod:`repro.controller.chainspec`, built on :func:`check_version` and
+:func:`load_object`.  These documents are what a standby controller or
+an external orchestrator (the paper's ONAP discussion) would exchange.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.controller.chainspec import ChainSpecification
 from repro.core.model import Chain, CloudSite, Link, NetworkModel, VNF
 
 SCHEMA_VERSION = 1
@@ -23,6 +26,59 @@ SCHEMA_VERSION = 1
 
 class SerializationError(Exception):
     """Raised on malformed documents."""
+
+
+def check_version(document: dict[str, Any]) -> None:
+    """Refuse a document of another schema version."""
+    version = document["schema_version"]
+    if version != SCHEMA_VERSION:
+        raise SerializationError(
+            f"unsupported schema version {version!r} "
+            f"(expected {SCHEMA_VERSION})"
+        )
+
+
+def load_object(text: str, what: str) -> dict[str, Any]:
+    """Parse ``text`` as one JSON object (a ``what`` document)."""
+    try:
+        document = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SerializationError(f"invalid JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise SerializationError(f"{what} document must be a JSON object")
+    return document
+
+
+# ---------------------------------------------------------------------------
+# Chain
+# ---------------------------------------------------------------------------
+
+
+def chain_to_dict(chain: Chain) -> dict[str, Any]:
+    """A chain as the model document's chain entry."""
+    return {
+        "name": chain.name,
+        "ingress": chain.ingress,
+        "egress": chain.egress,
+        "vnfs": list(chain.vnfs),
+        "forward_traffic": list(chain.forward_traffic),
+        "reverse_traffic": list(chain.reverse_traffic),
+    }
+
+
+def chain_from_dict(document: dict[str, Any]) -> Chain:
+    """Parse a chain entry; the chain validates its demands."""
+    try:
+        return Chain(
+            document["name"],
+            document["ingress"],
+            document["egress"],
+            document["vnfs"],
+            document["forward_traffic"],
+            document["reverse_traffic"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SerializationError(f"malformed chain entry: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -51,17 +107,7 @@ def model_to_dict(model: NetworkModel) -> dict[str, Any]:
             }
             for v in model.vnfs.values()
         ],
-        "chains": [
-            {
-                "name": c.name,
-                "ingress": c.ingress,
-                "egress": c.egress,
-                "vnfs": list(c.vnfs),
-                "forward_traffic": list(c.forward_traffic),
-                "reverse_traffic": list(c.reverse_traffic),
-            }
-            for c in model.chains.values()
-        ],
+        "chains": [chain_to_dict(c) for c in model.chains.values()],
         "links": [
             {
                 "name": link.name,
@@ -83,12 +129,7 @@ def model_to_dict(model: NetworkModel) -> dict[str, Any]:
 def model_from_dict(document: dict[str, Any]) -> NetworkModel:
     """Parse and validate a model document (raises on malformed input)."""
     try:
-        version = document["schema_version"]
-        if version != SCHEMA_VERSION:
-            raise SerializationError(
-                f"unsupported schema version {version!r} "
-                f"(expected {SCHEMA_VERSION})"
-            )
+        check_version(document)
         latency = {
             (entry["from"], entry["to"]): float(entry["delay_ms"])
             for entry in document.get("latency", [])
@@ -105,17 +146,7 @@ def model_from_dict(document: dict[str, Any]) -> NetworkModel:
             )
             for v in document.get("vnfs", [])
         ]
-        chains = [
-            Chain(
-                c["name"],
-                c["ingress"],
-                c["egress"],
-                c["vnfs"],
-                c["forward_traffic"],
-                c["reverse_traffic"],
-            )
-            for c in document.get("chains", [])
-        ]
+        chains = [chain_from_dict(c) for c in document.get("chains", [])]
         links = [
             Link(
                 link["name"], link["src"], link["dst"],
@@ -139,8 +170,6 @@ def model_from_dict(document: dict[str, Any]) -> NetworkModel:
             routing=routing,
             mlu_limit=float(document.get("mlu_limit", 1.0)),
         )
-    except SerializationError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed model document: {exc}") from exc
 
@@ -150,76 +179,4 @@ def model_to_json(model: NetworkModel, indent: int | None = 2) -> str:
 
 
 def model_from_json(text: str) -> NetworkModel:
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SerializationError(f"invalid JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise SerializationError("model document must be a JSON object")
-    return model_from_dict(document)
-
-
-# ---------------------------------------------------------------------------
-# ChainSpecification
-# ---------------------------------------------------------------------------
-
-
-def spec_to_dict(spec: ChainSpecification) -> dict[str, Any]:
-    """A chain specification as the portal would submit it."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "name": spec.name,
-        "edge_service": spec.edge_service,
-        "ingress_attachment": spec.ingress_attachment,
-        "egress_attachment": spec.egress_attachment,
-        "vnf_services": list(spec.vnf_services),
-        "forward_demand": spec.forward_demand,
-        "reverse_demand": spec.reverse_demand,
-        "src_prefix": spec.src_prefix,
-        "dst_prefixes": list(spec.dst_prefixes),
-        "protocol": spec.protocol,
-        "dst_port_range": list(spec.dst_port_range)
-        if spec.dst_port_range
-        else None,
-    }
-
-
-def spec_from_dict(document: dict[str, Any]) -> ChainSpecification:
-    try:
-        version = document["schema_version"]
-        if version != SCHEMA_VERSION:
-            raise SerializationError(
-                f"unsupported schema version {version!r}"
-            )
-        port_range = document.get("dst_port_range")
-        return ChainSpecification(
-            document["name"],
-            document["edge_service"],
-            document["ingress_attachment"],
-            document["egress_attachment"],
-            document["vnf_services"],
-            forward_demand=float(document.get("forward_demand", 1.0)),
-            reverse_demand=float(document.get("reverse_demand", 0.0)),
-            src_prefix=document.get("src_prefix"),
-            dst_prefixes=document.get("dst_prefixes", ()),
-            protocol=document.get("protocol"),
-            dst_port_range=tuple(port_range) if port_range else None,
-        )
-    except SerializationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"malformed chain document: {exc}") from exc
-
-
-def spec_to_json(spec: ChainSpecification, indent: int | None = 2) -> str:
-    return json.dumps(spec_to_dict(spec), indent=indent)
-
-
-def spec_from_json(text: str) -> ChainSpecification:
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SerializationError(f"invalid JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise SerializationError("chain document must be a JSON object")
-    return spec_from_dict(document)
+    return model_from_dict(load_object(text, "model"))

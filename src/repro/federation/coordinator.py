@@ -161,14 +161,10 @@ class GlobalCoordinator:
         #: shared with the RPC retransmit timer (resilience.rpc).  The
         #: synchronous install path retries in-line; the deployed
         #: CoordinatorNode paces its async retry rounds with this.
-        if retry_backoff is not None:
-            self.retry_backoff = retry_backoff
-        elif fault_policy is not None and getattr(
-            fault_policy, "retry_backoff", None
-        ) is not None:
-            self.retry_backoff = fault_policy.retry_backoff
-        else:
-            self.retry_backoff = BackoffPolicy(name="fed-install")
+        self.retry_backoff = (
+            retry_backoff if retry_backoff is not None
+            else BackoffPolicy(name="fed-install")
+        )
         #: Installed intra chains: name -> owning region.
         self._intra: dict[str, int] = {}
         #: Installed cross-shard chains: name -> record.

@@ -39,6 +39,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.model import Chain
+from repro.core.serialization import chain_from_dict, chain_to_dict
 from repro.federation.coordinator import CrossChainRecord
 from repro.federation.regional import SegmentSpec
 from repro.controller.replication import InstallLog, ReplicatedStore
@@ -55,30 +56,8 @@ _LEDGER_PREFIX = "/fed/ledgers/"
 
 
 # ---------------------------------------------------------------------------
-# Plain-data (de)serialization: Chain / SegmentSpec <-> store documents
+# SegmentSpec <-> store documents (a chain is its model-document entry)
 # ---------------------------------------------------------------------------
-
-
-def chain_doc(chain: Chain) -> dict:
-    return {
-        "name": chain.name,
-        "ingress": chain.ingress,
-        "egress": chain.egress,
-        "vnfs": list(chain.vnfs),
-        "forward": list(chain.forward_traffic),
-        "reverse": list(chain.reverse_traffic),
-    }
-
-
-def chain_from_doc(doc: dict) -> Chain:
-    return Chain(
-        doc["name"],
-        doc["ingress"],
-        doc["egress"],
-        doc["vnfs"],
-        tuple(doc["forward"]),
-        tuple(doc["reverse"]),
-    )
 
 
 def segment_doc(seg: SegmentSpec) -> dict:
@@ -86,7 +65,7 @@ def segment_doc(seg: SegmentSpec) -> dict:
         "origin": seg.origin,
         "index": seg.index,
         "region": seg.region,
-        "chain": chain_doc(seg.chain),
+        "chain": chain_to_dict(seg.chain),
         "border_demands": [list(bd) for bd in seg.border_demands],
     }
 
@@ -96,7 +75,7 @@ def segment_from_doc(doc: dict) -> SegmentSpec:
         origin=doc["origin"],
         index=doc["index"],
         region=doc["region"],
-        chain=chain_from_doc(doc["chain"]),
+        chain=chain_from_dict(doc["chain"]),
         border_demands=tuple(
             (link, amount) for link, amount in doc["border_demands"]
         ),
@@ -123,7 +102,7 @@ class FederationStore:
     def checkpoint_intra(self, name: str, region: int, chain: Chain) -> None:
         self.store.put(
             _INTRA_PREFIX + name,
-            {"region": region, "chain": chain_doc(chain)},
+            {"region": region, "chain": chain_to_dict(chain)},
         )
 
     def checkpoint_cross(self, record: CrossChainRecord) -> None:
@@ -131,7 +110,7 @@ class FederationStore:
             _CROSS_PREFIX + record.chain.name,
             {
                 "attempt": record.attempt,
-                "chain": chain_doc(record.chain),
+                "chain": chain_to_dict(record.chain),
                 "segments": [segment_doc(seg) for seg in record.segments],
             },
         )
@@ -149,7 +128,7 @@ class FederationStore:
             if doc is None:
                 continue
             name = key[len(_INTRA_PREFIX):]
-            intra[name] = (doc["region"], chain_from_doc(doc["chain"]))
+            intra[name] = (doc["region"], chain_from_dict(doc["chain"]))
         cross: dict[str, CrossChainRecord] = {}
         for key in self.store.keys(_CROSS_PREFIX):
             doc = self.store.get(key)
@@ -157,7 +136,7 @@ class FederationStore:
                 continue
             name = key[len(_CROSS_PREFIX):]
             cross[name] = CrossChainRecord(
-                chain_from_doc(doc["chain"]),
+                chain_from_dict(doc["chain"]),
                 tuple(segment_from_doc(s) for s in doc["segments"]),
                 doc["attempt"],
             )
@@ -247,8 +226,6 @@ class FederationFailover(LeaseElection):
 __all__ = [
     "FederationFailover",
     "FederationStore",
-    "chain_doc",
-    "chain_from_doc",
     "segment_doc",
     "segment_from_doc",
 ]

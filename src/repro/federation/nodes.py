@@ -42,14 +42,9 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.controller import twopc
 from repro.core.model import Chain, NetworkModel
+from repro.core.serialization import chain_from_dict, chain_to_dict
 from repro.federation.coordinator import CrossChainRecord, GlobalCoordinator
-from repro.federation.ha import (
-    FederationStore,
-    chain_doc,
-    chain_from_doc,
-    segment_doc,
-    segment_from_doc,
-)
+from repro.federation.ha import FederationStore, segment_doc, segment_from_doc
 from repro.federation.regional import RegionalSwitchboard, SegmentSpec
 from repro.resilience.deadline import DeadlineManager
 from repro.resilience.rpc import BackoffPolicy, RpcLayer
@@ -182,11 +177,11 @@ class CoordinatorNode(GlobalCoordinator):
             return  # a deactivated standby ignores protocol traffic
         if kind == "submit":
             self._remote_submit(
-                chain_from_doc(message["chain"]), message["origin"]
+                chain_from_dict(message["chain"]), message["origin"]
             )
         elif kind == "notify_intra":
             self._remote_intra(
-                chain_from_doc(message["chain"]), message["region"]
+                chain_from_dict(message["chain"]), message["region"]
             )
         elif kind == "resync":
             self.reconcile_region(message["region"])
@@ -483,7 +478,7 @@ class CoordinatorNode(GlobalCoordinator):
                         }
                     )
         intra_docs = [
-            chain_doc(self.model.chains[name])
+            chain_to_dict(self.model.chains[name])
             for name in sorted(self._intra)
             if self._intra[name] == region
             and name in self.model.chains
@@ -515,7 +510,7 @@ class CoordinatorNode(GlobalCoordinator):
     ) -> None:
         self.reconciliations += 1
         for doc in msg.get("extra_intra", ()):
-            chain = chain_from_doc(doc)
+            chain = chain_from_dict(doc)
             if chain.name in self._intra or chain.name in self._cross:
                 continue
             if chain.name not in self.model.chains:
@@ -637,7 +632,7 @@ class RegionalNode:
             {
                 "fed": "notify_intra",
                 "region": self.region,
-                "chain": chain_doc(chain),
+                "chain": chain_to_dict(chain),
             },
             on_failure=failed,
         )
@@ -656,7 +651,7 @@ class RegionalNode:
             {
                 "fed": "submit",
                 "origin": self.region,
-                "chain": chain_doc(chain),
+                "chain": chain_to_dict(chain),
             },
             on_failure=failed,
         )
@@ -783,7 +778,7 @@ class RegionalNode:
                 self.regional.release(key)
         pushed = set()
         for doc in message["intra"]:
-            chain = chain_from_doc(doc)
+            chain = chain_from_dict(doc)
             pushed.add(chain.name)
             self.regional.adopt_intra(chain)
         if self.needs_resync:
@@ -798,7 +793,7 @@ class RegionalNode:
                     self.regional.adopt_intra(chain)
             self.needs_resync = False
         extra_intra = [
-            chain_doc(self.submitted[name])
+            chain_to_dict(self.submitted[name])
             for name in self.regional.intra_chains()
             if name not in pushed and name in self.submitted
         ]

@@ -27,7 +27,6 @@ from repro.federation.coordinator import (
 )
 from repro.federation.invariants import federation_probes
 from repro.federation.shard import FederationError
-from repro.resilience.rpc import BackoffPolicy
 
 
 @dataclass
@@ -40,11 +39,6 @@ class FaultPolicy:
     number of successful prepares (leaving fenced residue for
     :meth:`~repro.federation.GlobalCoordinator.sweep`).  Faults only
     fire on the first attempt of an install so retries can converge.
-
-    The policy also carries the ``retry_backoff``
-    :class:`~repro.resilience.rpc.BackoffPolicy` the coordinator paces
-    its install retries with, so scripted soaks and the RPC transport
-    share one seeded backoff implementation.
     """
 
     seed: int = 0
@@ -54,7 +48,6 @@ class FaultPolicy:
     def __post_init__(self) -> None:
         self._rng = random.Random(self.seed)
         self._crash_plan: dict[str, int] = {}
-        self.retry_backoff = BackoffPolicy(seed=self.seed, name="fed-install")
 
     def reject_prepare(self, chain: str, region: int, attempt_no: int) -> bool:
         if attempt_no > 0:

@@ -17,9 +17,9 @@ file is the regression net for the generator machinery itself.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
+
+from repro.core import canonical
 
 
 @dataclass
@@ -123,11 +123,10 @@ class FuzzReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_doc(), separators=(",", ":"),
-                          sort_keys=True)
+        return canonical.encode(self.to_doc())
 
     def digest(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
+        return canonical.sha256_hex(self.to_json())
 
     def known_good_doc(self) -> dict:
         """The digest skeleton the CI replay gate commits and checks."""

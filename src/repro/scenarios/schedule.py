@@ -17,12 +17,13 @@ what the fuzzer minimizes over and what a replay is checked against.
 
 from __future__ import annotations
 
-import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.chaos.scenario import FaultEvent, Scenario, ScenarioError
+from repro.core import canonical
 
 #: Operation kinds understood by the workload engines.
 WORKLOAD_OPS = ("create", "remove", "redemand")
@@ -54,16 +55,16 @@ class WorkloadOp:
     value: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.at < 0:
-            raise ScheduleError(f"op in the past: {self.at}")
+        if not 0 <= self.at < math.inf:
+            raise ScheduleError(f"op time not finite and non-negative: {self.at}")
         if self.op not in WORKLOAD_OPS:
             raise ScheduleError(f"unknown workload op {self.op!r}")
         if not self.chain:
             raise ScheduleError("op needs a chain id")
-        if self.op == "create" and self.value <= 0:
-            raise ScheduleError(f"create {self.chain!r}: non-positive demand")
-        if self.op == "redemand" and self.value <= 0:
-            raise ScheduleError(f"redemand {self.chain!r}: non-positive factor")
+        if self.op == "create" and not 0 < self.value < math.inf:
+            raise ScheduleError(f"create {self.chain!r}: demand not finite and positive")
+        if self.op == "redemand" and not 0 < self.value < math.inf:
+            raise ScheduleError(f"redemand {self.chain!r}: factor not finite and positive")
         if self.stages < 1:
             raise ScheduleError(f"{self.chain!r}: chain needs >= 1 stage")
 
@@ -101,8 +102,8 @@ class WorkloadSchedule:
     ops: list[WorkloadOp] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ScheduleError("non-positive schedule duration")
+        if not 0 < self.duration_s < math.inf:
+            raise ScheduleError("schedule duration not finite and positive")
         self.ops.sort(key=lambda o: (o.at, o.op, o.chain))
 
     def to_doc(self) -> dict:
@@ -115,8 +116,7 @@ class WorkloadSchedule:
 
     def to_json(self) -> str:
         """Deterministic serialization: same seed -> same bytes."""
-        return json.dumps(self.to_doc(), separators=(",", ":"),
-                          sort_keys=True)
+        return canonical.encode(self.to_doc())
 
     @classmethod
     def from_doc(cls, doc: dict) -> "WorkloadSchedule":
@@ -133,7 +133,7 @@ class WorkloadSchedule:
 
     def digest(self) -> str:
         """Stable content hash of the schedule (hex SHA-256)."""
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
+        return canonical.sha256_hex(self.to_json())
 
     def counts(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -198,8 +198,7 @@ class ComposedSchedule:
         return {"workload": self.workload.to_doc(), "faults": self.faults.to_doc()}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_doc(), separators=(",", ":"),
-                          sort_keys=True)
+        return canonical.encode(self.to_doc())
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ComposedSchedule":
@@ -213,7 +212,7 @@ class ComposedSchedule:
         return cls.from_doc(json.loads(text))
 
     def digest(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
+        return canonical.sha256_hex(self.to_json())
 
     # -- minimization support -------------------------------------------
 

@@ -1,5 +1,7 @@
 """Tests for the seeded scenario generator: reproducibility above all."""
 
+import math
+
 import pytest
 
 from repro.chaos import (
@@ -22,6 +24,11 @@ class TestFaultEvent:
     def test_negative_time_rejected(self):
         with pytest.raises(ScenarioError):
             FaultEvent(-1.0, "link_down", ("a", "b"))
+
+    @pytest.mark.parametrize("at", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, at):
+        with pytest.raises(ScenarioError):
+            FaultEvent(at, "link_down", ("a", "b"))
 
     def test_to_doc_round_trippable(self):
         event = FaultEvent(2.5, "link_loss", ("a", "b"), 0.3)
@@ -53,6 +60,11 @@ class TestScenario:
             ],
         )
         assert scenario.counts() == {"link_down": 2, "kill_leader": 1}
+
+    @pytest.mark.parametrize("duration", [-5.0, 0.0, math.nan, math.inf])
+    def test_duration_must_be_finite_and_positive(self, duration):
+        with pytest.raises(ScenarioError):
+            Scenario(seed=0, duration_s=duration)
 
 
 class TestGenerateScenario:

@@ -11,6 +11,7 @@ from repro.controller.replication import (
     remove_checkpoint,
     restore_installations,
 )
+from repro.core.serialization import SerializationError
 
 REPLICAS = ["nyc", "chi", "sfo"]
 
@@ -225,6 +226,32 @@ class TestCheckpointing:
         assert clone.extra_edge_sites == ["D"]
         assert clone.spec.vnf_services == ("fw", "nat")
         assert clone.spec.dst_port_range == (80, 443)
+
+    def test_round_trip_is_equal(self):
+        store = ReplicatedStore(REPLICAS)
+        spec = ChainSpecification(
+            "corp", "vpn", "in", "out", ["fw", "nat"],
+            forward_demand=5.0, reverse_demand=2.0, src_prefix=None,
+            dst_prefixes=("20.0.0.0/24", "30.0.0.0/16"),
+            protocol="udp", dst_port_range=(5000, 5100),
+        )
+        original = ChainInstallation(
+            spec, 7, "A", "C", 0.75,
+            {("fw", "B"): 14.0, ("nat", "C"): 7.0}, ["D"],
+            {"A", "B", "C", "D"},
+        )
+        checkpoint_installation(store, original)
+        assert restore_installations(store) == {"corp": original}
+
+    def test_stored_spec_missing_a_key_is_a_serialization_error(self):
+        store = ReplicatedStore(REPLICAS)
+        checkpoint_installation(store, make_installation())
+        (key,) = store.keys("/chains/")
+        record = store.get(key)
+        del record["spec"]["edge_service"]
+        store.put(key, record)
+        with pytest.raises(SerializationError):
+            restore_installations(store)
 
     def test_restore_after_controller_failover(self):
         """The scenario the recipe exists for: the leader writes state,

@@ -1,6 +1,7 @@
 """Workload schedules: validation, canonical JSON, digests, composition."""
 
 import json
+import math
 
 import pytest
 
@@ -41,6 +42,17 @@ class TestWorkloadOp:
         with pytest.raises(ScheduleError):
             WorkloadOp(at=-0.1, op="remove", chain="c")
 
+    @pytest.mark.parametrize("at", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, at):
+        with pytest.raises(ScheduleError):
+            WorkloadOp(at=at, op="remove", chain="c")
+
+    @pytest.mark.parametrize("op", ["create", "redemand"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_value_rejected(self, op, value):
+        with pytest.raises(ScheduleError):
+            WorkloadOp(at=1.0, op=op, chain="c", value=value)
+
     def test_doc_round_trip(self):
         op = WorkloadOp(at=1.5, op="create", chain="c",
                         ingress=2, egress=3, stages=2, value=4.0)
@@ -51,6 +63,18 @@ class TestWorkloadSchedule:
     def test_ops_sorted_by_time(self):
         schedule = make_schedule()
         assert [op.at for op in schedule.ops] == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("duration", [0.0, math.nan, math.inf])
+    def test_duration_must_be_finite_and_positive(self, duration):
+        with pytest.raises(ScheduleError):
+            WorkloadSchedule(kind="t", seed=1, duration_s=duration)
+
+    def test_replayed_nan_time_rejected(self):
+        # json.loads reads the NaN token: a replay file cannot smuggle
+        # a non-finite time past the op's own check.
+        text = make_schedule().to_json().replace('"at":1.0', '"at":NaN')
+        with pytest.raises(ScheduleError):
+            WorkloadSchedule.from_json(text)
 
     def test_json_round_trip_is_byte_identical(self):
         schedule = make_schedule()

@@ -1,17 +1,24 @@
 """Tests for JSON serialization and the compressor VNF (per-stage demands)."""
 
+import math
+
 import pytest
 
-from repro.controller.chainspec import ChainSpecification
+from repro.controller.chainspec import (
+    ChainSpecification,
+    SpecError,
+    spec_from_json,
+    spec_to_json,
+)
 from repro.core.dp import route_chains_dp
 from repro.core.lp import LpObjective, solve_chain_routing_lp
 from repro.core.model import Chain, CloudSite, Link, ModelError, NetworkModel, VNF
 from repro.core.serialization import (
     SerializationError,
+    model_from_dict,
     model_from_json,
+    model_to_dict,
     model_to_json,
-    spec_from_json,
-    spec_to_json,
 )
 from repro.dataplane.labels import FiveTuple, Packet
 from repro.vnf.compressor import (
@@ -86,6 +93,26 @@ class TestModelSerialization:
             model_from_json(doc)
 
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_chain_demand_rejected(self, value):
+        document = model_to_dict(full_model())
+        document["chains"][0]["forward_traffic"][1] = value
+        with pytest.raises(ModelError):
+            model_from_dict(document)
+
+    def test_nan_site_capacity_rejected(self):
+        document = model_to_dict(full_model())
+        document["sites"][0]["capacity"] = math.nan
+        with pytest.raises(ModelError):
+            model_from_dict(document)
+
+    def test_infinite_latency_still_accepted(self):
+        # A failed link is modelled as an infinite delay, on purpose.
+        document = model_to_dict(full_model())
+        document["latency"][0]["delay_ms"] = math.inf
+        assert model_from_dict(document).latency("a", "b") == math.inf
+
+
 class TestSpecSerialization:
     def test_round_trip(self):
         spec = ChainSpecification(
@@ -110,6 +137,16 @@ class TestSpecSerialization:
     def test_malformed_rejected(self):
         with pytest.raises(SerializationError):
             spec_from_json('{"schema_version": 1}')
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity"])
+    def test_non_finite_demand_rejected(self, token):
+        document = (
+            '{"schema_version": 1, "name": "c", "edge_service": "vpn", '
+            '"ingress_attachment": "i", "egress_attachment": "e", '
+            f'"vnf_services": ["fw"], "forward_demand": {token}}}'
+        )
+        with pytest.raises(SpecError):
+            spec_from_json(document)
 
 
 class TestCompressorVnf:
