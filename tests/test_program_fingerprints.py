@@ -18,7 +18,11 @@ re-records them, on purpose only.
 Each program is pinned cold and again after a demand-only change (the
 structure-cache hit path), on three models: the equivalence tests'
 ``make_model()``, the ledger's ``te_replan`` instance shape and one
-regional sub-model of ``generate_federation_workload``.
+regional sub-model of ``generate_federation_workload``.  The routing
+program is pinned after three chain-set changes as well, each a cache
+miss built while the program before it is cached: the first chain
+removed and one appended (``te_replan``'s churn), one middle chain
+replaced, and one stage demand of a chain set to zero.
 """
 
 import hashlib
@@ -43,6 +47,7 @@ from repro.core.lp import (
     matrix_cache_stats,
     solve_chain_routing_lp,
 )
+from repro.core.model import Chain
 from repro.federation.shard import build_shards
 from repro.topology import WorkloadConfig, build_backbone, generate_workload
 from repro.topology.cities import DEFAULT_CITIES
@@ -164,6 +169,55 @@ def _rescale_last_chain(model) -> None:
     model.add_chain(chain.scaled(1.7))
 
 
+def _turned(chain: Chain, name: str) -> Chain:
+    """Another chain shape: ``chain`` run backwards, under ``name``."""
+    return Chain(
+        name, chain.egress, chain.ingress, chain.vnfs[::-1],
+        chain.forward_traffic[::-1], chain.reverse_traffic[::-1],
+    )
+
+
+def _replace_from(model, position: int, chains: list) -> None:
+    """Put ``chains`` in place of the model's chains from ``position`` on."""
+    for name in list(model.chains)[position:]:
+        model.remove_chain(name)
+    for chain in chains:
+        model.add_chain(chain)
+
+
+def _churn(model) -> None:
+    """The first chain removed and another appended."""
+    first = next(iter(model.chains.values()))
+    model.remove_chain(first.name)
+    model.add_chain(_turned(first, f"{first.name}.appended"))
+
+
+def _replace_middle(model) -> None:
+    chains = list(model.chains.values())
+    middle = len(chains) // 2
+    _replace_from(model, middle, [
+        _turned(chains[middle], f"{chains[middle].name}.replaced"),
+        *chains[middle + 1:],
+    ])
+
+
+def _zero_a_stage(model) -> None:
+    """The middle stage of the second chain carries no forward demand."""
+    chains = list(model.chains.values())
+    chain = chains[1]
+    forward = list(chain.forward_traffic)
+    forward[len(forward) // 2] = 0.0
+    zeroed = Chain(
+        chain.name, chain.ingress, chain.egress, chain.vnfs, forward,
+        chain.reverse_traffic,
+    )
+    _replace_from(model, 1, [zeroed, *chains[2:]])
+
+
+#: Chain-set changes after the demand-only one, applied in turn.
+CHURN = {"churn": _churn, "replaced": _replace_middle, "zeroed": _zero_a_stage}
+
+
 def _programs(model) -> dict:
     """name -> zero-argument solve of every pinned program."""
     total = sum(s.capacity for s in model.sites.values())
@@ -194,6 +248,12 @@ def fingerprints() -> dict:
             if state == "demand":
                 # The second pass ran on the cached structures.
                 assert matrix_cache_stats()["matrix_rebuilds"] == rebuilds
+        for state, change in CHURN.items():
+            change(model)
+            for objective in LpObjective:
+                out[f"{model_name}/routing.{objective.value}/{state}"] = _capture(
+                    lambda: solve_chain_routing_lp(model, objective)
+                )
     return out
 
 
