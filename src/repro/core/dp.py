@@ -390,7 +390,7 @@ class _DpRouter:
             volume = lay.demand * pass_fraction
             np.divide(
                 state.link_load[lay.links] + volume * lay.fracs, lay.bandwidth,
-                out=lay.util[n:],
+                out=lay.util[n:], where=lay.open,
             )
         pen = None
         if lay.util.size:
@@ -573,6 +573,12 @@ class _Layout:
             self.demand = np.array(demands)[table]
             self.unit = self.demand * self.fracs
             self.wfracs = router._weight * self.fracs
+            # A zero-bandwidth link is blocked: its utilization is never
+            # computed (the fill's +inf stays) and crossing it costs +inf.
+            self.open = True
+            if not self.bandwidth.all():
+                self.open = self.bandwidth > 0
+                self.wfracs[~self.open] = _INF
             self.classes = self.links.size
             if cfg.use_network_cost:  # only link penalties are added in place
                 self.buf = np.empty(size)

@@ -90,7 +90,8 @@ class VNF:
 @dataclass(frozen=True)
 class Link:
     """A directed physical link ``e`` with bandwidth ``b_e`` and
-    non-Switchboard background traffic ``g_e`` (same unit as bandwidth)."""
+    non-Switchboard background traffic ``g_e`` (same unit as bandwidth).
+    A zero bandwidth is a blocked link: nothing may cross it."""
 
     name: str
     src: str
@@ -99,8 +100,8 @@ class Link:
     background: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.bandwidth > 0:
-            raise ModelError(f"link {self.name!r}: non-positive or NaN bandwidth")
+        if not self.bandwidth >= 0:
+            raise ModelError(f"link {self.name!r}: negative or NaN bandwidth")
         if not self.background >= 0:
             raise ModelError(f"link {self.name!r}: negative or NaN background traffic")
 

@@ -343,10 +343,16 @@ class RoutingSolution:
         return self._link_utilization(self.link_traffic())
 
     def _link_utilization(self, traffic) -> dict[str, float]:
-        return {
-            name: (link.background + traffic.get(name, 0.0)) / link.bandwidth
-            for name, link in self.model.links.items()
-        }
+        """Load over bandwidth per link; a blocked (zero-bandwidth) link
+        reads 0 while nothing crosses it and +inf once anything does."""
+        utils = {}
+        for name, link in self.model.links.items():
+            load = link.background + traffic.get(name, 0.0)
+            if link.bandwidth > 0:
+                utils[name] = load / link.bandwidth
+            else:
+                utils[name] = float("inf") if load > 0 else 0.0
+        return utils
 
     def max_link_utilization(self) -> float:
         """The network cost metric the MLU budget ``beta`` constrains."""

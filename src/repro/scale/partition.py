@@ -69,11 +69,6 @@ from repro.core.model import Chain, CloudSite, Link, NetworkModel, VNF
 #: within on the benchmark workloads (see module docstring).
 DEFAULT_GAP_TOLERANCE = 0.15
 
-#: Links keep at least this fraction of their bandwidth in a sub-model so
-#: the :class:`~repro.core.model.Link` validation (bandwidth > 0) holds
-#: even for a subgroup whose demand share of the link rounds to zero.
-_MIN_LINK_SHARE = 1e-9
-
 ResourceKey = tuple  # ("site", s) | ("vnf", f, s) | ("link", name)
 
 
@@ -262,7 +257,7 @@ def _scaled_substrate(
     ]
     links = []
     for link in model.links.values():
-        share = max(shares.get(("link", link.name), 1.0), _MIN_LINK_SHARE)
+        share = shares.get(("link", link.name), 1.0)
         links.append(
             Link(
                 link.name,

@@ -111,6 +111,26 @@ class TestCapacityEnforcement:
         assert result.solution.throughput() == pytest.approx(8.0, abs=1e-6)
         assert result.solution.max_link_utilization() <= 1.0 + 1e-9
 
+    def test_zero_bandwidth_link_is_blocked(self):
+        # fw at B is the shorter way (25 against 30), but a -> b crosses
+        # a link of zero bandwidth: the whole demand goes through A.
+        links = [
+            Link("ab", "a", "b", 0.0), Link("bc", "b", "c", 100.0),
+            Link("ac", "a", "c", 100.0),
+        ]
+        routing = {("a", "b"): {"ab": 1.0}, ("b", "c"): {"bc": 1.0},
+                   ("a", "c"): {"ac": 1.0}}
+        base = small_model(fw_cap_a=50.0)
+        model = NetworkModel(
+            base.nodes, base._latency, base.sites.values(), base.vnfs.values(),
+            base.chains.values(), links, routing,
+        )
+        result = route_chains_dp(model)
+        assert result.fully_routed
+        assert set(result.solution.vnf_site_loads()) == {("fw", "A")}
+        assert result.solution.link_utilization()["ab"] == 0.0
+        assert result.solution.violations() == []
+
     def test_congestion_steers_to_other_site(self):
         # Two chains; fw at B is the low-latency choice but the penalty
         # should push the second chain to A once B saturates its knee.

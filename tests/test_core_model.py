@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.model import Chain, CloudSite, Link, ModelError, NetworkModel, VNF
+from repro.core.routes import RoutingSolution
 
 
 class TestChain:
@@ -176,9 +177,20 @@ class TestLinksAndRouting:
                 routing={("a", "b"): {"ghost": 1.0}},
             )
 
-    def test_non_positive_bandwidth_rejected(self):
-        with pytest.raises(ModelError):
-            Link("l", "a", "b", bandwidth=0.0)
+    def test_negative_or_nan_bandwidth_rejected(self):
+        for bandwidth in (-1.0, float("nan")):
+            with pytest.raises(ModelError, match="negative or NaN bandwidth"):
+                Link("l", "a", "b", bandwidth=bandwidth)
+
+    def test_zero_bandwidth_is_a_blocked_link(self):
+        link = Link("ab", "a", "b", bandwidth=0.0)
+        model = NetworkModel(
+            ["a", "b"], {("a", "b"): 1.0}, links=[link],
+            routing={("a", "b"): {"ab": 1.0}},
+        )
+        solution = RoutingSolution(model)
+        assert solution.link_utilization() == {"ab": 0.0}
+        assert solution._link_utilization({"ab": 1.0}) == {"ab": float("inf")}
 
 
 class TestCopies:
