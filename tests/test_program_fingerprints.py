@@ -252,7 +252,7 @@ def fingerprints() -> dict:
             change(model)
             for objective in LpObjective:
                 out[f"{model_name}/routing.{objective.value}/{state}"] = _capture(
-                    lambda: solve_chain_routing_lp(model, objective)
+                    lambda m=model, o=objective: solve_chain_routing_lp(m, o)
                 )
     return out
 
