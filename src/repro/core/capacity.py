@@ -84,8 +84,8 @@ class _CloudProgram(Program):
     the sparsity pattern and row order are fixed.
     """
 
-    def __init__(self, model: NetworkModel):
-        flow = ChainFlow(model, links=True)
+    def __init__(self, model: NetworkModel, prior: Program | None = None):
+        flow = ChainFlow(model, True, prior)
         sub = model.substrate_columns()
         n_flow = flow.n_flow
         site_cols = n_flow + np.arange(len(sub.site_names))
@@ -93,25 +93,28 @@ class _CloudProgram(Program):
         super().__init__(flow, self.alpha_index + 1)
 
         self.open_eq(np.zeros(flow.n_chains + flow.n_cons))
-        self.eq(flow.cover_chain, flow.stage1_vars, 1.0)
+        self.coverage(np.arange(flow.n_chains))
         self.eq(np.arange(flow.n_chains), self.alpha_index, -1.0)
         self.conservation(flow.n_chains + np.arange(flow.n_cons))
 
         # The RHS of every inequality row is written per call (zeros here).
-        first = self.load_rows(flow.site_inverse, np.zeros(len(flow.load_sites)))
+        first = self.load_rows("site", np.zeros(len(flow.load_sites)))
         self.ub(first + np.arange(len(flow.load_sites)), n_flow + flow.load_sites, -1.0)
-        pair_first = self.load_rows(flow.pair_inverse, np.zeros(len(flow.pair_vnf)))
+        pair_first = self.load_rows("pair", np.zeros(len(flow.pair_vnf)))
         self.ub(np.full(len(site_cols), self.open_ub([0.0])), site_cols, 1.0)  # budget
-        self.link_load_rows(np.zeros(len(flow.load_links)))
+        self.load_rows("link", np.zeros(len(flow.load_links)))
         # Per-site totals get the a_s relief above; per-VNF capacities
         # scale with the site's relative growth (the paper assumes site
         # capacity is divided among its VNF instances, so extra site
         # capacity grows each hosted VNF proportionally).  That relief
         # coefficient -cap/site_cap changes with the capacities, so its
-        # entries go last: the tail of the data vector, rewritten per call.
+        # slots are rewritten per call.
         self.relief = np.flatnonzero(sub.site_capacity[flow.pair_site] > 0)
-        self.ub(pair_first + self.relief, n_flow + flow.pair_site[self.relief], 0.0)
+        relief_rows = pair_first + self.relief
+        relief_cols = n_flow + flow.pair_site[self.relief]
+        self.ub(relief_rows, relief_cols, 0.0)
         self.freeze()
+        self.relief_slots = self.slots(relief_rows, relief_cols)
 
     def refreshed(
         self, model: NetworkModel, budget: float
@@ -122,7 +125,7 @@ class _CloudProgram(Program):
         ch = model.chain_columns()
         caps = flow.pair_caps(sub, 0.0)
         data = self.refresh(ch.stage_total, ch.stage_fwd, ch.stage_rev)
-        data[len(data) - len(self.relief):] = (
+        data[self.relief_slots] = (
             -caps[self.relief] / sub.site_capacity[flow.pair_site[self.relief]]
         )
         b_ub = np.concatenate([
@@ -175,7 +178,8 @@ def plan_cloud_capacity(
     _check_cloud_inputs(model, budget)
     structure, _cached = _CACHE.get(
         (model.capacity_structure_digest(), model.substrate_columns().order),
-        lambda: _CloudProgram(model),
+        model,
+        lambda prior: _CloudProgram(model, prior),
     )
     data, b_ub = structure.refreshed(model, budget)
     n = structure.n_total
@@ -302,7 +306,7 @@ def _placement_program(
     b_eq = np.zeros(flow.n_chains + flow.n_cons)
     b_eq[cover_row] = 1.0
     program.open_eq(b_eq)
-    program.eq(cover_row[flow.cover_chain], flow.stage1_vars, 1.0)
+    program.coverage(cover_row)
     program.conservation(np.arange(flow.n_cons) + flow.cons_chain + 1)
 
     # Loads and linking.
@@ -316,9 +320,9 @@ def _placement_program(
     )
     new = np.flatnonzero(w_col >= 0)
     # New site: load <= cap * w (load only when the site opens).
-    first = program.load_rows(flow.pair_inverse, np.where(w_col >= 0, 0.0, caps))
+    first = program.load_rows("pair", np.where(w_col >= 0, 0.0, caps))
     program.ub(first + new, w_col[new], -caps[new])
-    program.load_rows(flow.site_inverse, sub.site_capacity[flow.load_sites])
+    program.load_rows("site", sub.site_capacity[flow.load_sites])
 
     # Placement quota per VNF.
     quota_first = program.open_ub([float(quotas[v]) for v in candidate_sites])

@@ -72,6 +72,16 @@ def ragged_gather(
     return pool_idx, rows
 
 
+def distinct(size: int, *keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys`` -- ids in ``range(size)`` -- ascending, and
+    the rank among them of every id in that range: ``np.unique`` over a
+    small id space, from a presence mask instead of a sort."""
+    mask = np.zeros(size, dtype=bool)
+    for part in keys:
+        mask[part] = True
+    return np.flatnonzero(mask), np.cumsum(mask) - 1
+
+
 class LinkTable(NamedTuple):
     """Routing-pool entries of a block of node pairs, flattened."""
 
@@ -334,7 +344,7 @@ class SubstrateColumns:
         found = self._candidate_links.get((src, dst))
         if found is None:
             found = self._candidate_links[src, dst] = tuple(
-                tuple(self.link_names[i] for i in np.unique(table.links))
+                tuple(self.link_names[i] for i in distinct(len(self.link_names), table.links)[0])
                 for table in self.transition(src, dst)[1:]
             )
         return found
@@ -532,6 +542,7 @@ __all__ = [
     "VariableColumns",
     "build_variable_columns",
     "catalog_ids",
+    "distinct",
     "StageTransition",
     "ragged_gather",
 ]

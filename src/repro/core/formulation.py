@@ -9,12 +9,14 @@ module is the only place those constraints are written down:
 - :class:`ChainFlow` derives the shared blocks from the columnar model
   views (:mod:`repro.core.columns`) as index arrays -- and prices routes
   over them for column generation (``cheapest_paths``) --, and
-  :class:`Program` lays them out as COO triplets.  A program
+  :class:`Program` lays them out in CSC slot order.  A program
   (:mod:`repro.core.lp` for routing, :mod:`repro.core.capacity` for the
   two planners) only decides the *order* of the blocks and adds what is
   its own.  Every entry carries a kind saying how it scales with the
   current demands, so a re-solve after a demand change is one
-  :meth:`Program.refresh` over the cached structure.
+  :meth:`Program.refresh` over the cached structure; and every chain
+  owns a contiguous slice of columns, so a program built after a
+  chain-set change copies those of the chains its predecessor held.
 - ``tests/reference/scalar_rows.py`` generates the same rows with
   per-variable Python loops: the oracle the vectorised blocks are
   property-tested against (equal matrices within 1e-9).
@@ -37,7 +39,7 @@ import numpy as np
 from scipy.sparse import csc_matrix, get_index_dtype
 
 from repro.core import highs as highs_backend
-from repro.core.columns import ragged_gather
+from repro.core.columns import distinct, ragged_gather
 from repro.core.model import NetworkModel
 from repro.core.routes import Certificate, RoutingSolution
 
@@ -74,9 +76,17 @@ class ChainFlow:
     conservation rows stage-major then by destination position, (VNF,
     site) rows sorted by (VNF name, site name), per-site rows sorted by
     site name and link rows sorted by link name.
+
+    Each chain owns one contiguous block of columns.  Given the ``prior``
+    program of the same kind, every chain it holds as well -- same name,
+    endpoints, VNFs and zero/non-zero stage demands, ``prior`` built on
+    the same capacity-free substrate -- keeps ``prior``'s columns
+    (:attr:`splice`, copied over by :meth:`Program.freeze`); only the
+    other chains' entries are derived here (:attr:`fresh`).  With no
+    ``prior`` every chain is such an other chain.
     """
 
-    def __init__(self, model: NetworkModel, links: bool):
+    def __init__(self, model: NetworkModel, links: bool, prior: "Program | None" = None):
         sub = model.substrate_columns()
         #: The chain-stage table this structure was built from.
         self.chains = ch = model.chain_columns()
@@ -88,58 +98,65 @@ class ChainFlow:
         self.var_latency = vc.var_latency
         var_dst_vnf = ch.stage_dst_vnf[var_stage]
         var_src_vnf = ch.stage_src_vnf[var_stage]
+        #: What a program must have been built on to hand its columns on.
+        self.substrate = (model._structure_fragments(), sub.order)
+        self.has_links = bool(links and sub.link_names and len(sub.pair_start))
+
+        # Where each chain's flows sit, and what makes two such blocks the
+        # same variables in the same order (the routes a solved program
+        # ended on are carried to its successor block by block).
+        self.chain_first = first = vc.stage_var_start[ch.chain_stage_start]
+        self.chain_blocks = {
+            name: (
+                int(first[i]),
+                (c.ingress, c.egress, tuple(c.vnfs), int(first[i + 1] - first[i])),
+            )
+            for i, (name, c) in enumerate(model.chains.items())
+        }
+        #: Per chain what ``structure_digest`` reduces it to: name,
+        #: endpoints, VNFs, which stage demands are non-zero.
+        self.identity = {name: c._structure_document for name, c in model.chains.items()}
+        runs = self._shared(prior)
+        #: How many chains' columns come from ``prior``.
+        self.reused = sum(i1 - i0 for i0, i1, _j0 in runs)
+        fresh = np.ones(self.n_chains, dtype=bool)
+        for i0, i1, j0 in runs:
+            fresh[j0 : j0 + i1 - i0] = False
+        fresh = np.repeat(fresh, np.diff(first))
 
         # -- demand coverage: the stage-1 flows of every chain ---------------
         self.stage1_vars = np.flatnonzero(ch.stage_z[var_stage] == 1)
         self.cover_chain = ch.stage_chain[var_stage][self.stage1_vars]
+        mine = fresh[self.stage1_vars]
 
         # -- flow conservation (Equation 5): one row per destination of
         # every stage z < num_stages, +1 on the flows arriving there and
         # -1 on the stage z + 1 flows leaving it.
         cons_per_stage = np.where(ch.stage_dst_vnf >= 0, ch.dst_len, 0)
         cons_start = np.cumsum(cons_per_stage) - cons_per_stage
-        self.n_cons = int(cons_per_stage.sum())
+        #: First conservation row of every stage row, then their number.
+        self.cons_start = np.append(cons_start, cons_per_stage.sum())
+        self.n_cons = int(self.cons_start[-1])
         self.cons_chain = np.repeat(ch.stage_chain, cons_per_stage)
-        incoming = np.flatnonzero(var_dst_vnf >= 0)
-        outgoing = np.flatnonzero(var_src_vnf >= 0)
-        self.cons_rows = np.concatenate([
-            cons_start[var_stage[incoming]] + vc.var_dst_pos[incoming],
-            cons_start[var_stage[outgoing] - 1] + vc.var_src_pos[outgoing],
-        ])
-        self.cons_cols = np.concatenate([incoming, outgoing])
-        self.cons_data = np.concatenate(
-            [np.ones(incoming.size), -np.ones(outgoing.size)]
-        )
+        incoming = np.flatnonzero((var_dst_vnf >= 0) & fresh)
+        outgoing = np.flatnonzero((var_src_vnf >= 0) & fresh)
+        cmp_vars = np.concatenate([incoming, outgoing])
 
         # -- compute load (Equation 4): the same entries load the VNF at
         # a flow's destination site and the VNF at its source site; they
         # are grouped once per (VNF, site) and once per site.
-        self.cmp_vars = self.cons_cols
         cmp_vnf = np.concatenate([var_dst_vnf[incoming], var_src_vnf[outgoing]])
-        self.cmp_site = cmp_site = (
+        cmp_site = (
             np.concatenate([vc.var_dst_ep[incoming], vc.var_src_ep[outgoing]])
             - sub.n_nodes
         )
-        self.cmp_load = sub.vnf_load[cmp_vnf]
-        site_stride = max(len(sub.site_names), 1)
-        site_order = _inverse_permutation(sub.site_rank)
-        uniq_pairs, self.pair_inverse = np.unique(
-            sub.vnf_rank[cmp_vnf] * site_stride + sub.site_rank[cmp_site],
-            return_inverse=True,
-        )
-        self.pair_vnf = _inverse_permutation(sub.vnf_rank)[uniq_pairs // site_stride]
-        self.pair_site = site_order[uniq_pairs % site_stride]
-        uniq_sites, self.site_inverse = np.unique(
-            sub.site_rank[cmp_site], return_inverse=True
-        )
-        self.load_sites = site_order[uniq_sites]
+        stride = max(len(sub.site_names), 1)
 
         # -- network load (Equations 6-7): the forward demand of a flow
         # crosses the links of n1 -> n2, its reverse demand those of
         # n2 -> n1, each by its routing fraction.  An entry exists only
         # where the demand is non-zero (hence demand positivity in
         # ``structure_digest``).
-        self.has_links = bool(links and sub.link_names and len(sub.pair_start))
         lnk: tuple[list, ...] = ([], [], [], [])  # variable, link, fraction, kind
         if self.has_links:
             n1 = sub.endpoint_node[vc.var_src_ep]
@@ -149,7 +166,7 @@ class ChainFlow:
                 (KIND_REV, ch.stage_rev, n2, n1),
             ):
                 pid = sub.pair_id[a, b]
-                sel = np.flatnonzero((demand[var_stage] > 0) & (pid >= 0))
+                sel = np.flatnonzero((demand[var_stage] > 0) & (pid >= 0) & fresh)
                 pids = pid[sel]
                 pool_idx, rows_of = ragged_gather(
                     sub.pair_start[pids], sub.pair_len[pids]
@@ -158,26 +175,50 @@ class ChainFlow:
                 lnk[1].append(sub.pool_link[pool_idx])
                 lnk[2].append(sub.pool_frac[pool_idx])
                 lnk[3].append(np.full(pool_idx.size, kind, dtype=np.int8))
-        self.lnk_vars, lnk_link, self.lnk_frac, self.lnk_kind = (
+        lnk_vars, lnk_link, lnk_frac, lnk_kind = (
             _concat(parts, dtype)
             for parts, dtype in zip(lnk, (np.int64, np.int64, float, np.int8))
         )
-        uniq_links, self.link_inverse = np.unique(
-            sub.link_rank[lnk_link], return_inverse=True
-        )
-        self.load_links = _inverse_permutation(sub.link_rank)[uniq_links]
 
-        # Where each chain's flows sit, and what makes two such blocks the
-        # same variables in the same order (the routes a solved program
-        # ended on are carried to its successor block by block).
-        first = vc.stage_var_start[ch.chain_stage_start]
-        self.chain_blocks = {
-            name: (
-                int(first[i]),
-                (c.ingress, c.egress, tuple(c.vnfs), int(first[i + 1] - first[i])),
-            )
-            for i, (name, c) in enumerate(model.chains.items())
+        # -- the resources the load rows are for, in name order: those
+        # the fresh entries load and those the spliced columns do.
+        keys = {
+            "pair": sub.vnf_rank[cmp_vnf] * stride + sub.site_rank[cmp_site],
+            "site": sub.site_rank[cmp_site],
+            "link": sub.link_rank[lnk_link],
         }
+        sizes = {"pair": len(sub.vnf_names) * stride, "site": stride,
+                 "link": len(sub.link_names)}
+        spliced = self._loaded(prior, runs)
+        rank = {}
+        for group, size in sizes.items():
+            present, rank[group] = distinct(size, keys[group], *spliced.get(group, ()))
+            setattr(self, f"{group}_key", present)
+        self.pair_vnf = _inverse_permutation(sub.vnf_rank)[self.pair_key // stride]
+        site_order = _inverse_permutation(sub.site_rank)
+        self.pair_site = site_order[self.pair_key % stride]
+        self.load_sites = site_order[self.site_key]
+        self.load_links = _inverse_permutation(sub.link_rank)[self.link_key]
+
+        #: The fresh chains' entries of every shared block -- per block the
+        #: group-local row of each entry, its variable, base coefficient,
+        #: kind -- until a program has folded them in.
+        self.fresh = {
+            "cover": (self.cover_chain[mine], self.stage1_vars[mine], 1.0, KIND_CONST),
+            "cons": (
+                np.concatenate([
+                    cons_start[var_stage[incoming]] + vc.var_dst_pos[incoming],
+                    cons_start[var_stage[outgoing] - 1] + vc.var_src_pos[outgoing],
+                ]),
+                cmp_vars,
+                np.concatenate([np.ones(incoming.size), -np.ones(outgoing.size)]),
+                KIND_CONST,
+            ),
+            "pair": (rank["pair"][keys["pair"]], cmp_vars, sub.vnf_load[cmp_vnf], KIND_TOTAL),
+            "site": (rank["site"][keys["site"]], cmp_vars, sub.vnf_load[cmp_vnf], KIND_TOTAL),
+            "link": (rank["link"][keys["link"]], lnk_vars, lnk_frac, lnk_kind),
+        }
+        self.splice = self._plan(prior, runs, rank)
 
         # Path-pricing layout: the variable of every (depth, chain,
         # source, destination), fronts padded to the widest (two at
@@ -199,6 +240,67 @@ class ChainFlow:
             self._var[z, ~waits] = np.where(
                 real, vc.stage_var_start[s] + src * ch.dst_len[s] + src.T, n
             )
+
+    def _shared(self, prior: "Program | None") -> list[tuple[int, int, int]]:
+        """The chains whose columns ``prior`` hands on -- same identity,
+        ``prior`` built on this capacity-free substrate -- as runs
+        ``(i0, i1, j0)``: its chains ``i0 .. i1 - 1`` are this flow's from
+        ``j0`` on."""
+        runs: list[list[int]] = []
+        if prior is None or prior.flow.substrate != self.substrate:
+            return runs
+        there = prior.flow.identity
+        for j, (name, identity) in enumerate(self.identity.items()):
+            if there.get(name) != identity:
+                continue
+            i = prior.flow.chains.chain_index[name]
+            if runs and runs[-1][1] == i and runs[-1][2] + i - runs[-1][0] == j:
+                runs[-1][1] += 1
+            else:
+                runs.append([i, i + 1, j])
+        return [tuple(run) for run in runs]
+
+    @staticmethod
+    def _loaded(prior: "Program | None", runs: list) -> dict:
+        """Per load-row group, the resource keys ``prior``'s columns of
+        the chains in ``runs`` have entries on."""
+        if not runs:
+            return {}
+        flow = prior.flow
+        touched = np.zeros(prior.n_rows, dtype=bool)
+        for i0, i1, _j0 in runs:
+            slots = prior.indptr[flow.chain_first[[i0, i1]]]
+            touched[prior.indices[slots[0] : slots[1]]] = True
+        return {
+            group: (getattr(flow, f"{group}_key")[touched[rows]],)
+            for group, rows in prior.groups.items()
+            if group in ("pair", "site", "link")
+        }
+
+    def _plan(self, prior, runs: list, rank: dict):
+        """What :meth:`Program.freeze` needs to copy ``prior``'s columns
+        of the chains in ``runs`` here: per run the columns there and
+        here and how far its stage rows move, and per row group the local
+        row here of every local row there (arbitrary where no copied
+        column has an entry)."""
+        if not runs:
+            return None
+        there = prior.flow
+        local = {group: rank[group][getattr(there, f"{group}_key")]
+                 for group in ("pair", "site", "link")}
+        local["cover"] = np.zeros(there.n_chains, dtype=np.int64)
+        local["cons"] = np.zeros(there.n_cons, dtype=np.int64)
+        moves = []
+        for i0, i1, j0 in runs:
+            j1 = j0 + i1 - i0
+            # A run's stage rows, and so its conservation rows, move as one.
+            a, b = there.chains.chain_stage_start[i0], there.chains.chain_stage_start[i1]
+            c = self.chains.chain_stage_start[j0]
+            local["cover"][i0:i1] = np.arange(j0, j1)
+            cons = there.cons_start[[a, b]]
+            local["cons"][cons[0] : cons[1]] = self.cons_start[c] + np.arange(cons[1] - cons[0])
+            moves.append((*there.chain_first[[i0, i1]], self.chain_first[j0], c - a))
+        return prior, moves, local
 
     def cheapest_paths(self, reduced: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every chain's two cheapest ingress-to-egress routes that leave
@@ -232,17 +334,6 @@ class ChainFlow:
         arcs[arcs >= self.n_flow] = -1
         return costs, arcs
 
-    def release_entries(self) -> None:
-        """Drop the per-entry arrays once a program has folded them into
-        its triplets: a cached structure keeps only the per-variable and
-        per-row arrays (half the memory of the triplets again otherwise)."""
-        for name in (
-            "cons_rows", "cons_cols", "cons_data", "cmp_vars", "cmp_site",
-            "cmp_load", "pair_inverse", "site_inverse", "lnk_vars", "lnk_frac",
-            "lnk_kind", "link_inverse",
-        ):
-            delattr(self, name)
-
     def pair_caps(self, sub, missing: float) -> np.ndarray:
         """Capacity of every (VNF, site) row under ``sub``'s catalog
         (``missing`` where the VNF is not deployed at the site)."""
@@ -250,18 +341,26 @@ class ChainFlow:
         return np.where(np.isnan(caps), missing, caps)
 
 
-_UB_DTYPES = (np.int64, np.int64, float, np.int8, np.int64)
-_EQ_DTYPES = (np.int64, np.int64, float)
+_ENTRY_DTYPES = (np.int64, np.int64, float, np.int64)
 
 
 class Program:
     """One program's structure: everything that survives demand changes.
 
-    ``A_ub x <= b_ub`` and ``A_eq x = b_eq`` as COO triplets over
-    ``n_total`` columns, the first ``n_flow`` of which are the flow
-    variables.  Rows are opened in the order the program wants them
-    (``open_ub`` / ``open_eq`` return the first new row); entries go onto
-    open rows, the shared blocks through ``conservation`` and ``*_rows``.
+    ``A_ub x <= b_ub`` and ``A_eq x = b_eq`` over ``n_total`` columns,
+    the first ``n_flow`` of which are the flow variables.  Rows are
+    opened in the order the program wants them (``open_ub`` / ``open_eq``
+    return the first new row); entries go onto open rows as triplets, the
+    shared blocks through ``coverage``, ``conservation`` and
+    ``load_rows``, which also record where their row group went
+    (:attr:`groups`).  A
+    program's own entries lie in its own columns, past ``n_flow``.
+
+    :meth:`freeze` lays ``[A_ub; A_eq]`` out in CSC slot order.  A stored
+    element is one or two entries, each a base coefficient times one
+    *term* of ``[1, total, fwd, rev]`` per stage row, stage-major: term
+    ``4 * stage + kind``.  A re-solve after a demand change is one
+    :meth:`refresh` over the slots.
     """
 
     def __init__(self, flow: ChainFlow, n_total: int):
@@ -270,8 +369,11 @@ class Program:
         self.n_total = n_total
         self.b_ub = np.zeros(0)
         self.b_eq = np.zeros(0)
-        self._ub: tuple[list, ...] = ([], [], [], [], [])
-        self._eq: tuple[list, ...] = ([], [], [])
+        self._ub: tuple[list, ...] = ([], [], [], [])
+        self._eq: tuple[list, ...] = ([], [], [], [])
+        #: Shared row group -> the row of each of its local rows (equality
+        #: rows counted after the inequality rows once frozen).
+        self.groups: dict = {}
 
     def open_ub(self, bounds) -> int:
         first = len(self.b_ub)
@@ -283,132 +385,153 @@ class Program:
         self.b_eq = np.concatenate([self.b_eq, np.asarray(values, dtype=float)])
         return first
 
-    def ub(self, rows, cols, base, kind=KIND_CONST, stage=-1) -> None:
+    def ub(self, rows, cols, base, kind=KIND_CONST, stage=0) -> None:
         """Inequality entries; ``kind`` says how ``base`` scales with the
         demand of stage-table row ``stage``.  Scalars broadcast."""
-        for store, part, dtype in zip(
-            self._ub, (rows, cols, base, kind, stage), _UB_DTYPES
-        ):
-            store.append(np.broadcast_to(np.asarray(part, dtype), np.shape(rows)))
+        self._add(self._ub, rows, cols, base, 4 * np.asarray(stage) + kind)
 
     def eq(self, rows, cols, data) -> None:
         """Equality entries (all demand-independent)."""
-        for store, part, dtype in zip(self._eq, (rows, cols, data), _EQ_DTYPES):
-            store.append(np.broadcast_to(np.asarray(part, dtype), np.shape(rows)))
+        self._add(self._eq, rows, cols, data, 0)
+
+    @staticmethod
+    def _add(store, rows, cols, base, term) -> None:
+        for part, value, dtype in zip(store, (rows, cols, base, term), _ENTRY_DTYPES):
+            part.append(np.broadcast_to(np.asarray(value, dtype), np.shape(rows)))
+
+    def _block(self, group: str, rows: np.ndarray, eq: bool) -> None:
+        """The fresh chains' entries of block ``group``, its local row
+        ``r`` on row ``rows[r]``."""
+        self.groups[group] = (eq, rows)
+        local, cols, base, kind = self.flow.fresh[group]
+        term = 4 * self.flow.var_stage[cols] + kind
+        self._add(self._eq if eq else self._ub, rows[local], cols, base, term)
+
+    def coverage(self, row_of: np.ndarray, eq: bool = True) -> None:
+        """Demand coverage: chain ``c``'s stage-1 flows on ``row_of[c]``."""
+        self._block("cover", row_of, eq)
 
     def conservation(self, row_of: np.ndarray) -> None:
         """Equation 5; ``row_of[r]`` is where conservation row ``r`` goes."""
-        flow = self.flow
-        self._cons_rows = row_of
-        self.eq(row_of[flow.cons_rows], flow.cons_cols, flow.cons_data)
+        self._block("cons", row_of, True)
 
-    def load_rows(self, group: np.ndarray, bounds) -> int:
-        """Equation 4: one row per group of compute entries, load <=
-        ``bounds`` -- ``flow.pair_inverse`` groups them per (VNF, site),
-        ``flow.site_inverse`` per site."""
-        flow, first = self.flow, self.open_ub(bounds)
-        self.ub(first + group, flow.cmp_vars, flow.cmp_load,
-                KIND_TOTAL, flow.var_stage[flow.cmp_vars])
-        return first
-
-    def link_load_rows(self, bounds) -> int:
-        """Equations 6-7 per link carrying chain traffic: <= ``bounds``."""
-        flow, first = self.flow, self.open_ub(bounds)
-        self.ub(first + flow.link_inverse, flow.lnk_vars, flow.lnk_frac,
-                flow.lnk_kind, flow.var_stage[flow.lnk_vars])
+    def load_rows(self, group: str, bounds) -> int:
+        """One row per resource the chains load, load <= ``bounds``: per
+        (VNF, site) (``group`` ``"pair"``) or per site (``"site"``) --
+        Equation 4 --, or per link chain traffic can cross (``"link"``,
+        Equations 6-7)."""
+        first = self.open_ub(bounds)
+        self._block(group, first + np.arange(len(bounds)), False)
         return first
 
     def freeze(self) -> None:
-        """Concatenate the blocks, fix the CSC pattern of ``[A_ub; A_eq]``
-        and pre-split the refresh indices."""
-        ub_rows, ub_cols, self.ub_base, kind, stage = (
-            _concat(parts, dtype) for parts, dtype in zip(self._ub, _UB_DTYPES)
+        """Lay ``[A_ub; A_eq]`` out in CSC slot order: the triplets sorted
+        by (column, row), and the column runs the flow splices from a
+        predecessor copied in, their rows moved to where those sit here
+        and their terms by their stage rows' offset.  Within a column
+        each row move is monotone, so a copied column stays sorted."""
+        n_ub = len(self.b_ub)
+        self.n_rows = n_rows = n_ub + len(self.b_eq)
+        self.groups = {g: rows + n_ub * eq for g, (eq, rows) in self.groups.items()}
+        rows, cols, base, term = (
+            _concat(ub + eq, dtype) for ub, eq, dtype in zip(self._ub, self._eq, _ENTRY_DTYPES)
         )
-        eq_rows, eq_cols, self.eq_data = (
-            _concat(parts, dtype) for parts, dtype in zip(self._eq, _EQ_DTYPES)
-        )
-        self._scaled = []
-        for scaling in (KIND_TOTAL, KIND_FWD, KIND_REV):
-            idx = np.flatnonzero(kind == scaling)
-            self._scaled.append((idx, stage[idx]))
+        rows[sum(map(len, self._ub[0])):] += n_ub
         del self._ub, self._eq
-        self.flow.release_entries()
+        flow, splice = self.flow, self.flow.splice
+        del flow.fresh, flow.splice
 
-        # The pattern survives every demand change, so the sort behind a
-        # COO -> CSC conversion is done here, once: entries ordered by
-        # (column, row), those on one element adjacent and in entry order.
-        n_rows = len(self.b_ub) + len(self.b_eq)
-        key = np.concatenate([ub_cols, eq_cols]) * n_rows + np.concatenate(
-            [ub_rows, eq_rows + len(self.b_ub)]
-        )
+        # The triplets: an element's entries adjacent, in entry order.
+        key = cols * n_rows + rows
         order = np.argsort(key, kind="stable")
         key = key[order]
         opens = np.ones(len(key), dtype=bool)
         opens[1:] = key[1:] != key[:-1]
-        idx_dtype = get_index_dtype(maxval=max(len(key), n_rows, self.n_total))
-        elements = key[opens]
-        self._indices = (elements % n_rows).astype(idx_dtype)
-        self._indptr = np.zeros(self.n_total + 1, dtype=idx_dtype)
-        np.cumsum(
-            np.bincount(elements // n_rows, minlength=self.n_total),
-            out=self._indptr[1:],
-        )
+        if (~opens[1:] & ~opens[:-1]).any():
+            raise ValueError("internal: an element holds three entries")
+        first, col = order[opens], key[opens] // n_rows
+        mine = np.bincount(col, minlength=self.n_total)
+        counts = mine.copy()
+        if splice is not None:
+            prior, moves, local = splice
+            for c0, c1, h0, _shift in moves:
+                counts[h0 : h0 + c1 - c0] = np.diff(prior.indptr[c0 : c1 + 1])
+        n_terms = 4 * flow.chains.n_stage_rows + 4
+        idx_dtype = get_index_dtype(maxval=max(counts.sum(), n_rows, self.n_total, n_terms))
+        self.indptr = np.zeros(self.n_total + 1, dtype=idx_dtype)
+        np.cumsum(counts, out=self.indptr[1:])
+        nnz = int(self.indptr[-1])
+        self.indices = np.empty(nnz, dtype=idx_dtype)
+        # An element is ``base1 * scale1 + base2 * scale2``; one entry
+        # alone has -0.0 times the 1 of its stage row for a second, which
+        # leaves any sum unchanged (and so need not be added).
+        self._base = (np.empty(nnz), np.full(nnz, -0.0))
+        self._term = (np.empty(nnz, dtype=idx_dtype), np.empty(nnz, dtype=idx_dtype))
+        at = (self.indptr[:-1] - np.cumsum(mine) + mine)[col] + np.arange(len(first))
+        self.indices[at] = key[opens] - col * n_rows
+        self._base[0][at], self._term[0][at] = base[first], term[first]
+        self._term[1][at] = self._term[0][at] & -4
+        second = at[(np.cumsum(opens) - 1)[~opens]]
+        self._base[1][second], self._term[1][second] = base[order[~opens]], term[order[~opens]]
+
+        if splice is not None:
+            row_of = np.zeros(prior.n_rows, dtype=idx_dtype)
+            for group, rows_there in prior.groups.items():
+                if len(self.groups[group]):
+                    row_of[rows_there] = self.groups[group][local[group]]
+            for c0, c1, h0, shift in moves:
+                s0, s1 = prior.indptr[[c0, c1]]
+                here = slice(self.indptr[h0], self.indptr[h0] + s1 - s0)
+                self.indices[here] = row_of[prior.indices[s0:s1]]
+                for k in range(2):
+                    self._base[k][here] = prior._base[k][s0:s1]
+                    self._term[k][here] = prior._term[k][s0:s1] + 4 * shift
+
+        # The slots whose second entry is more than that.
+        self._two = np.flatnonzero(~(np.signbit(self._base[1]) & (self._base[1] == 0.0)))
+
         #: The one matrix :func:`solve` hands the solver, its data per solve.
         self.view = csc_matrix(
-            (np.zeros(len(elements)), self._indices, self._indptr), shape=(n_rows, self.n_total)
+            (np.zeros(nnz), self.indices, self.indptr), shape=(n_rows, self.n_total)
         )
-        # Each element's value starts as its first entry; the few later
-        # entries of an element (a flow that stays at one site loads it
-        # at both ends) are added onto it.
-        self._first = order[opens]
-        self._extra_slot = (np.cumsum(opens) - 1)[~opens]
-        self._extra = order[~opens]
-
         # Column generation holds routes, and a route crosses a row of
         # Equation 5 with +1 and -1: its master keeps the other rows,
         # whose share of the pattern is fixed here as well.  The solver,
         # warm-startable, stays with this structure across solves.
         kept = np.ones(n_rows, dtype=bool)
-        kept[len(self.b_ub) + self._cons_rows] = False
-        entries = kept[self._indices]
+        kept[self.groups["cons"]] = False
+        entries = kept[self.indices]
         self.cg_solver = highs_backend.ColumnGenSolver(
-            self.flow, np.flatnonzero(kept), entries,
-            (np.cumsum(kept) - 1).astype(idx_dtype)[self._indices[entries]],
-            np.concatenate([[0], np.cumsum(entries)]).astype(idx_dtype)[self._indptr],
+            flow, np.flatnonzero(kept), entries,
+            (np.cumsum(kept) - 1).astype(idx_dtype)[self.indices[entries]],
+            np.concatenate([[0], np.cumsum(entries)]).astype(idx_dtype)[self.indptr],
         )
+
+    def slots(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The slot of element (``rows[i]``, ``cols[i]``) of the pattern."""
+        col_of = np.repeat(np.arange(self.n_total), np.diff(self.indptr))
+        return np.searchsorted(col_of * self.n_rows + self.indices, cols * self.n_rows + rows)
 
     def refresh(self, stage_total, stage_fwd, stage_rev) -> np.ndarray:
-        """The UB data vector under the given per-stage demands."""
-        data = self.ub_base.copy()
-        for (idx, stage), scale in zip(
-            self._scaled, (stage_total, stage_fwd, stage_rev)
-        ):
-            if idx.size:
-                data[idx] *= scale[stage]
-        return data
-
-    def values(self, data_ub: np.ndarray) -> np.ndarray:
-        """The CSC data of ``[A_ub; A_eq]`` with ``data_ub`` from
-        :meth:`refresh`, in canonical order (sorted indices, entries of
-        one element summed): one gather through the frozen pattern.
+        """The CSC data of ``[A_ub; A_eq]`` under the given per-stage
+        demands, slot by slot: every first entry, then the few second ones
+        added on.
 
         The array equals, bit for bit, what scipy's COO -> CSC conversion
-        gives: an element holds at most two entries here (one for each
-        end of a flow) and a two-term sum does not depend on its order;
-        scipy's order for three or more is unspecified (``std::sort``),
-        ours is entry order.
+        of the scaled entries gives: an element holds at most two entries
+        here (one for each end of a flow) and a two-term sum does not
+        depend on its order.
         """
-        entries = np.concatenate([data_ub, self.eq_data])
-        data = entries[self._first]
-        np.add.at(data, self._extra_slot, entries[self._extra])
+        scale = np.column_stack([np.ones(len(stage_total)), stage_total, stage_fwd, stage_rev])
+        scale = scale.ravel()
+        data = self._base[0] * scale[self._term[0]]
+        two = self._two
+        data[two] += self._base[1][two] * scale[self._term[1][two]]
         return data
 
-    def matrix(self, data_ub: np.ndarray) -> csc_matrix:
-        """``[A_ub; A_eq]`` as a new CSC matrix over :meth:`values`."""
-        return csc_matrix(
-            (self.values(data_ub), self._indices, self._indptr),
-            shape=self.view.shape,
-        )
+    def matrix(self, data: np.ndarray) -> csc_matrix:
+        """``[A_ub; A_eq]`` as a new CSC matrix over :meth:`refresh` data."""
+        return csc_matrix((data, self.indices, self.indptr), shape=self.view.shape)
 
 
 def certify(sub, ch, stage, src, dst, value) -> Certificate:
@@ -537,10 +660,12 @@ class StructureCache:
 
     A hit hands back the program built for an earlier model of the same
     structure, with its warm :class:`~repro.core.highs.ColumnGenSolver`.
-    A miss builds the program and starts its solver from the routes the
-    cached program of the same kind it shares the most chains with ended
-    on (:meth:`_carry_pool`).  All of that is state of the entries, so
-    :meth:`clear` returns the cache to what it was at import time.
+    A miss builds the program from its predecessor -- the cached program
+    of the same kind it shares the most chains with --, whose columns of
+    the shared chains it splices (:class:`ChainFlow`), and starts its
+    solver from the routes that predecessor ended on (:meth:`_carry_pool`).
+    All of that is state of the entries, so :meth:`clear` returns the
+    cache to what it was at import time.
     """
 
     def __init__(self, limit: int):
@@ -549,22 +674,32 @@ class StructureCache:
         self.hits = 0
         self.rebuilds = 0
 
-    def get(self, key: tuple, build) -> tuple[Program, bool]:
-        """``(program, was_cached)``; ``build()`` runs on a miss."""
+    def get(self, key: tuple, model: NetworkModel, build) -> tuple[Program, bool]:
+        """``(program, was_cached)`` for ``model``; on a miss
+        ``build(predecessor)`` runs (``None``: no cached program of this
+        kind)."""
         program = self._entries.get(key)
         if program is not None:
             self._entries.move_to_end(key)
             self.hits += 1
             return program, True
-        program = build()
-        self._carry_pool(key, program)
+        # The kind includes the catalogues' order, so among kin a block's
+        # length follows from the chain's endpoints and VNFs.
+        shapes = {name: (c.ingress, c.egress, tuple(c.vnfs)) for name, c in model.chains.items()}
+        kin = [o for k, o in reversed(self._entries.items()) if k[1:] == key[1:]]
+        prior = max(kin, default=None, key=lambda other: sum(
+            shapes.get(name) == shape[:3] for name, (_, shape) in other.flow.chain_blocks.items()
+        ))
+        program = build(prior)
+        self._carry_pool(program, prior)
         self._entries[key] = program
         self.rebuilds += 1
         while len(self._entries) > self.limit:
             self._entries.popitem(last=False)
         return program, False
 
-    def _carry_pool(self, key: tuple, program: Program) -> None:
+    @staticmethod
+    def _carry_pool(program: Program, best: Program | None) -> None:
         """Start a new program's column generation where its predecessor's
         ended.
 
@@ -575,21 +710,10 @@ class StructureCache:
         its *support* -- the routes its last optimum left basic or
         non-zero -- of the shared chains, shifted by the block offset.
         """
-        blocks = program.flow.chain_blocks
-
-        def shared(other: Program) -> list[tuple[int, int, int]]:
-            """(start there, length, start here) of each block both hold."""
-            return [
-                (start, shape[-1], blocks[name][0])
-                for name, (start, shape) in other.flow.chain_blocks.items()
-                if name in blocks and blocks[name][1] == shape
-            ]
-
-        kin = [o for k, o in reversed(self._entries.items()) if k[1:] == key[1:]]
-        best = max(kin, key=lambda other: len(shared(other)), default=None)
         support = best.cg_solver.support() if best is not None else None
         if support is None:
             return
+        blocks = program.flow.chain_blocks
         # A route lies in one block, and the pads in front absorb a depth
         # difference: a shared chain is no deeper than either program.
         last, depth = support[:, -1], program.flow.depth
@@ -597,9 +721,11 @@ class StructureCache:
         routes = np.full((len(support), depth), -1)
         routes[:, -width:] = support[:, -width:]
         keep = np.zeros(len(support), dtype=bool)
-        for start, length, mine in shared(best):
-            block = (last >= start) & (last < start + length)
-            routes[block] += (mine - start) * (routes[block] >= 0)
+        for name, (start, shape) in best.flow.chain_blocks.items():
+            if name not in blocks or blocks[name][1] != shape:
+                continue
+            block = (last >= start) & (last < start + shape[-1])
+            routes[block] += (blocks[name][0] - start) * (routes[block] >= 0)
             keep |= block
         program.cg_solver.seed = routes[keep]
 
@@ -619,7 +745,7 @@ class StructureCache:
 def solve(
     program: Program,
     cost: np.ndarray,
-    data_ub: np.ndarray,
+    data: np.ndarray,
     b_ub: np.ndarray,
     col_upper: np.ndarray,
 ) -> tuple:
@@ -631,7 +757,7 @@ def solve(
     row_lower = np.concatenate([np.full(len(b_ub), -np.inf), program.b_eq])
     row_upper = np.concatenate([b_ub, program.b_eq])
     start = time.perf_counter()
-    program.view.data = program.values(data_ub)
+    program.view.data = data
     x, objective = program.cg_solver.solve(
         cost, program.view, row_lower, row_upper,
         np.zeros(program.n_total), col_upper,

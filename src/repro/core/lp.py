@@ -117,23 +117,24 @@ class _RoutingProgram(Program):
     by name, and link rows sorted by link name.
     """
 
-    def __init__(self, model: NetworkModel, objective: LpObjective, enforce_mlu: bool):
+    def __init__(
+        self,
+        model: NetworkModel,
+        objective: LpObjective,
+        enforce_mlu: bool,
+        prior: Program | None = None,
+    ):
         minimize_mlu = objective is LpObjective.MIN_MLU
-        flow = ChainFlow(model, links=enforce_mlu or minimize_mlu)
+        flow = ChainFlow(model, enforce_mlu or minimize_mlu, prior)
         super().__init__(flow, flow.n_flow + minimize_mlu)
         # MIN_MLU adds the utilization variable beta after the flow variables.
         self.beta_index = flow.n_flow if minimize_mlu else None
         sub = model.substrate_columns()
-        if (flow.cmp_site < 0).any():
-            raise LpError("internal: VNF stage endpoint is not a site")
 
         # -- demand coverage on stage-1 flows, then Equation 5 -----------
-        if objective is LpObjective.MAX_THROUGHPUT:
-            first = self.open_ub(np.ones(flow.n_chains))
-            self.ub(first + flow.cover_chain, flow.stage1_vars, 1.0)
-        else:
-            first = self.open_eq(np.ones(flow.n_chains))
-            self.eq(first + flow.cover_chain, flow.stage1_vars, 1.0)
+        covered = objective is not LpObjective.MAX_THROUGHPUT
+        first = (self.open_eq if covered else self.open_ub)(np.ones(flow.n_chains))
+        self.coverage(first + np.arange(flow.n_chains), eq=covered)
         first = self.open_eq(np.zeros(flow.n_cons))
         self.conservation(first + np.arange(flow.n_cons))
 
@@ -149,14 +150,14 @@ class _RoutingProgram(Program):
                 f"{sub.vnf_names[int(flow.pair_vnf[bad])]!r} routed at "
                 f"non-deployment site {sub.site_names[int(flow.pair_site[bad])]!r}"
             )
-        self.cap_first = self.load_rows(flow.pair_inverse, np.zeros(len(caps)))
-        self.load_rows(flow.site_inverse, np.zeros(len(flow.load_sites)))
+        self.cap_first = self.load_rows("pair", np.zeros(len(caps)))
+        self.load_rows("site", np.zeros(len(flow.load_sites)))
         #: The link behind each link row, in row order.
         self.bound_links = flow.load_links
         if flow.has_links and minimize_mlu:
             # g_e + traffic_e <= beta * b_e
             present = flow.load_links
-            first = self.link_load_rows(np.zeros(len(present)))
+            first = self.load_rows("link", np.zeros(len(present)))
             self.ub(
                 first + np.arange(len(present)),
                 self.beta_index,
@@ -175,7 +176,7 @@ class _RoutingProgram(Program):
             )
             self.bound_links = np.concatenate([present, absent])
         elif flow.has_links:
-            self.link_load_rows(np.zeros(len(flow.load_links)))
+            self.load_rows("link", np.zeros(len(flow.load_links)))
         self.freeze()
 
     def bounds(self, sub) -> np.ndarray:
@@ -220,7 +221,8 @@ def _structure_for(
     # The digest sorts; the program's column ids follow one insertion order.
     structure, cached = _CACHE.get(
         (digest, model.substrate_columns().order, objective.value, bool(enforce_mlu)),
-        lambda: _RoutingProgram(model, objective, enforce_mlu),
+        model,
+        lambda prior: _RoutingProgram(model, objective, enforce_mlu, prior),
     )
     if cached and model._chain_columns is None:
         # The key proves the chain-stage table's structure: only the
