@@ -353,8 +353,8 @@ class Program:
     return the first new row); entries go onto open rows as triplets, the
     shared blocks through ``coverage``, ``conservation`` and
     ``load_rows``, which also record where their row group went
-    (:attr:`groups`).  A
-    program's own entries lie in its own columns, past ``n_flow``.
+    (:attr:`groups`).  A program's own entries lie in its own columns,
+    past ``n_flow``.
 
     :meth:`freeze` lays ``[A_ub; A_eq]`` out in CSC slot order.  A stored
     element is one or two entries, each a base coefficient times one

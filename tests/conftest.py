@@ -5,9 +5,32 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.core import capacity, lp
 from repro.core.model import Chain, CloudSite, NetworkModel, VNF
+
+#: ``--hypothesis-profile=nightly`` (the nightly CI lane): every property
+#: test draws ten times its own ``max_examples``.  Tier-1 keeps drawing
+#: fresh examples at the usual count; a nightly finding becomes an
+#: ``@example`` in the change that fixes it.
+settings.register_profile("nightly")
+NIGHTLY_FACTOR = 10
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("hypothesis_profile", None) != "nightly":
+        return
+    scaled = set()
+    for item in items:
+        test = getattr(item, "obj", None)
+        test = getattr(test, "__func__", test)
+        own = getattr(test, "_hypothesis_internal_use_settings", None)
+        if own is not None and id(test) not in scaled:
+            scaled.add(id(test))
+            test._hypothesis_internal_use_settings = settings(
+                own, max_examples=NIGHTLY_FACTOR * own.max_examples
+            )
 
 
 @pytest.fixture(autouse=True)
