@@ -21,6 +21,8 @@ NIGHTLY_FACTOR = 10
 def pytest_collection_modifyitems(config, items):
     if config.getoption("hypothesis_profile", None) != "nightly":
         return
+    # A test's own @settings win over any profile, so the factor goes
+    # into the settings @given reads from the test at call time.
     scaled = set()
     for item in items:
         test = getattr(item, "obj", None)

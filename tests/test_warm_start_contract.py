@@ -157,6 +157,24 @@ def share_vector(model: NetworkModel, rng: random.Random) -> dict:
 # pricing round 10 (the one failing MIN_MLU seed in 0-299).
 @example(seed=205, objective=LpObjective.MIN_MLU)
 def test_shares_reach_the_program_as_right_hand_side(seed, objective):
+    shares_round_trip(seed, objective)
+
+
+def test_shares_sweep(request):
+    """The nightly lane's sweep of the property above: seeds 0-199, every
+    objective, three share draws each (warm and cold agree on all 1 800
+    since a zero share stopped being floored)."""
+    if request.config.getoption("hypothesis_profile", None) != "nightly":
+        pytest.skip("the nightly lane's sweep (--hypothesis-profile=nightly)")
+    for seed in range(200):
+        for objective in LpObjective:
+            shares_round_trip(seed, objective)
+
+
+def shares_round_trip(seed, objective):
+    """Three share draws of ``seed``: the cached program's right-hand side
+    is a fresh build's and the scalar reference's, and a warm solve
+    agrees with a cold one."""
     rng = random.Random(seed)
     clear_matrix_cache()
     base = make_model(num_chains=10)
