@@ -126,7 +126,7 @@ class ChainFlow:
 
         # -- demand coverage: the stage-1 flows of every chain ---------------
         self.stage1_vars = np.flatnonzero(ch.stage_z[var_stage] == 1)
-        self.cover_chain = ch.stage_chain[var_stage][self.stage1_vars]
+        cover_chain = ch.stage_chain[var_stage][self.stage1_vars]
         mine = fresh[self.stage1_vars]
 
         # -- flow conservation (Equation 5): one row per destination of
@@ -204,7 +204,7 @@ class ChainFlow:
         #: group-local row of each entry, its variable, base coefficient,
         #: kind -- until a program has folded them in.
         self.fresh = {
-            "cover": (self.cover_chain[mine], self.stage1_vars[mine], 1.0, KIND_CONST),
+            "cover": (cover_chain[mine], self.stage1_vars[mine], 1.0, KIND_CONST),
             "cons": (
                 np.concatenate([
                     cons_start[var_stage[incoming]] + vc.var_dst_pos[incoming],
@@ -462,15 +462,14 @@ class Program:
         np.cumsum(counts, out=self.indptr[1:])
         nnz = int(self.indptr[-1])
         self.indices = np.empty(nnz, dtype=idx_dtype)
-        # An element is ``base1 * scale1 + base2 * scale2``; one entry
-        # alone has -0.0 times the 1 of its stage row for a second, which
-        # leaves any sum unchanged (and so need not be added).
+        # An element is ``base1 * scale1 + base2 * scale2``.  One with a
+        # single entry has ``base2 = -0.0``, which would leave any sum as
+        # it is: ``refresh`` adds the second terms of the others only.
         self._base = (np.empty(nnz), np.full(nnz, -0.0))
-        self._term = (np.empty(nnz, dtype=idx_dtype), np.empty(nnz, dtype=idx_dtype))
+        self._term = (np.empty(nnz, dtype=idx_dtype), np.zeros(nnz, dtype=idx_dtype))
         at = (self.indptr[:-1] - np.cumsum(mine) + mine)[col] + np.arange(len(first))
         self.indices[at] = key[opens] - col * n_rows
         self._base[0][at], self._term[0][at] = base[first], term[first]
-        self._term[1][at] = self._term[0][at] & -4
         second = at[(np.cumsum(opens) - 1)[~opens]]
         self._base[1][second], self._term[1][second] = base[order[~opens]], term[order[~opens]]
 
@@ -487,7 +486,7 @@ class Program:
                     self._base[k][here] = prior._base[k][s0:s1]
                     self._term[k][here] = prior._term[k][s0:s1] + 4 * shift
 
-        # The slots whose second entry is more than that.
+        # The slots with a second entry.
         self._two = np.flatnonzero(~(np.signbit(self._base[1]) & (self._base[1] == 0.0)))
 
         #: The one matrix :func:`solve` hands the solver, its data per solve.

@@ -39,7 +39,7 @@ def _bytes(array) -> tuple:
 
 FLOW_ARRAYS = (
     "var_stage", "var_src_ep", "var_dst_ep", "var_latency", "stage1_vars",
-    "cover_chain", "cons_chain", "cons_start", "chain_first", "pair_vnf",
+    "cons_chain", "cons_start", "chain_first", "pair_vnf",
     "pair_site", "load_sites", "load_links", "pair_key", "site_key",
     "link_key", "_var",
 )
