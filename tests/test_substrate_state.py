@@ -323,7 +323,7 @@ def _substrate_state(model: NetworkModel) -> list:
     ]
     if sub is not None:
         state += [
-            *sub._transitions.values(), *sub._candidate_links.values(), sub.dp_trail
+            *sub._transitions.values(), sub.dp_trail
         ]
     return [s for s in state if s is not None]
 
@@ -338,10 +338,10 @@ class TestCacheDiesWithSubstrate:
         old_plan = farm.plan
         old_templates = list(old_plan._templates.values())
         assert len(old_templates) == 3  # every partition is a split one
-        # columns, encoded JSON with its capacity-free twin, digest, for
-        # each of the two stage transitions the DP tables and the
-        # candidate-link sets, and the SB-DP trail (8 before it existed)
-        assert len(_substrate_state(model)) == 9
+        # columns, encoded JSON with its capacity-free twin, digest, the
+        # two stage transitions (each with the DP tables and the candidate
+        # links of both directions), and the SB-DP trail
+        assert len(_substrate_state(model)) == 7
         old = _substrate_state(model) + old_templates + [
             s for t in old_templates for s in _substrate_state(t)
         ]
