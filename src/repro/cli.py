@@ -764,7 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "seeded schedule of real link/partition/crash "
                         "faults (coordinator failover, durable ledgers, "
                         "degraded-mode regions)")
-    p.add_argument("--duration", type=float, default=40.0,
+    p.add_argument("--duration", type=_positive(float), default=40.0,
                    help="simulated seconds of chaos-soak fault schedule")
     p.add_argument("--soak", type=int, default=0, metavar="OPS",
                    help="run the seeded fault-injection soak for OPS "
@@ -783,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos", help="seeded fault-injection soak with invariant checking"
     )
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--duration", type=float, default=60.0)
+    p.add_argument("--duration", type=_positive(float), default=60.0)
     p.add_argument("--chains", type=int, default=8)
     p.add_argument("--partition", action="store_true",
                    help="include a network partition in the schedule")
@@ -810,7 +810,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, default=None, metavar="S",
                    help="wall-clock budget in seconds; no new case "
                    "starts once spent (nightly mode)")
-    p.add_argument("--duration", type=float, default=16.0,
+    p.add_argument("--duration", type=_positive(float), default=16.0,
                    help="simulated seconds per composed schedule")
     p.add_argument("--stack", choices=("mono", "federation", "both"),
                    default="both")

@@ -28,7 +28,6 @@ from repro.core.costs import PiecewiseLinearCost, fortz_thorup_cost
 from repro.core.dp import DpConfig, route_chains_dp
 from repro.core.lp import LpObjective, LpResult, solve_chain_routing_lp
 from repro.core.model import Chain, CloudSite, Link, NetworkModel, VNF
-from repro.core.multipoint import MultipointChain, summarize_multipoint
 from repro.core.routes import RoutingSolution, StageFlow
 from repro.core.serialization import model_from_json, model_to_json
 
@@ -48,7 +47,6 @@ __all__ = [
     "VnfPlacementPlan",
     "fortz_thorup_cost",
     "model_from_json",
-    "MultipointChain",
     "model_to_json",
     "plan_cloud_capacity",
     "plan_vnf_placement",
@@ -56,5 +54,4 @@ __all__ = [
     "route_chains_dp",
     "route_compute_aware",
     "solve_chain_routing_lp",
-    "summarize_multipoint",
 ]

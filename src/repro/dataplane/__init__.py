@@ -19,15 +19,12 @@
 
 from repro.dataplane.dht import (
     DhtFlowTableView,
-    DhtForwarderGroup,
     ReplicatedFlowTable,
 )
 from repro.dataplane.e2e import E2EResult, E2ERoute, E2ETestbed, VnfInstanceSpec
-from repro.dataplane.evaluation import decompose_paths, evaluate_solution
 from repro.dataplane.flowtable import FlowTable
 from repro.dataplane.headers import compare_overheads
 from repro.dataplane.measurement import DemandEstimator, chain_byte_counts
-from repro.dataplane.migration import drain_forwarder, migrate_flows
 from repro.dataplane.forwarder import DataPlane, Forwarder, VnfInstance
 from repro.dataplane.labels import FiveTuple, LabelAllocator, Labels, Packet
 from repro.dataplane.perfmodel import DpdkForwarderModel, OvsForwarderModel
@@ -37,7 +34,6 @@ __all__ = [
     "DataPlane",
     "DemandEstimator",
     "DhtFlowTableView",
-    "DhtForwarderGroup",
     "DpdkForwarderModel",
     "E2EResult",
     "E2ERoute",
@@ -56,8 +52,4 @@ __all__ = [
     "WeightedChoice",
     "chain_byte_counts",
     "compare_overheads",
-    "decompose_paths",
-    "drain_forwarder",
-    "evaluate_solution",
-    "migrate_flows",
 ]

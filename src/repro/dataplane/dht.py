@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.dataplane.flowtable import FlowEntry, FlowKey
@@ -284,25 +284,3 @@ class DhtFlowTableView:
     def __iter__(self) -> Iterator[FlowKey]:
         return iter(self.table._shards.get(self.node, {}))
 
-
-@dataclass
-class DhtForwarderGroup:
-    """Convenience wrapper binding forwarder names to one replicated table.
-
-    The Figure 5 deployment pattern: all forwarders at a site (or a
-    region) share one DHT so that elastic scaling and failures do not
-    break flow affinity or symmetric return.
-    """
-
-    table: ReplicatedFlowTable = field(
-        default_factory=lambda: ReplicatedFlowTable(replication=2)
-    )
-
-    def add_forwarder(self, name: str) -> None:
-        self.table.join(name)
-
-    def remove_forwarder(self, name: str, graceful: bool = True) -> None:
-        if graceful:
-            self.table.leave(name)
-        else:
-            self.table.fail(name)

@@ -111,18 +111,6 @@ class FlowTable:
         """All (key, entry) pairs, oldest first."""
         return list(self._entries.items())
 
-    def adopt(self, key: FlowKey, entry: FlowEntry) -> None:
-        """Install an entry transferred from another forwarder (flow
-        migration); respects the capacity limit like a fresh insert."""
-        if key in self._entries:
-            return
-        if self.max_entries is not None and len(self._entries) >= self.max_entries:
-            oldest = next(iter(self._entries))
-            del self._entries[oldest]
-            self.evictions += 1
-        self._entries[key] = entry
-        self.inserts += 1
-
     def entries_for_chain(self, chain_label: int) -> list[tuple[FlowKey, FlowEntry]]:
         return [
             (key, entry)

@@ -46,6 +46,9 @@ class FaultPolicy:
     crash_rate: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("reject_rate", "crash_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise FederationError(f"{name} out of range: {getattr(self, name)}")
         self._rng = random.Random(self.seed)
         self._crash_plan: dict[str, int] = {}
 

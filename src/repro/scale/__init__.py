@@ -29,7 +29,6 @@ from repro.scale.partition import (
     Partition,
     PartitionError,
     PartitionPlan,
-    chain_resources,
     coupling_groups,
     partition_chains,
     shard_map,
@@ -45,7 +44,6 @@ __all__ = [
     "SolutionCache",
     "SolveResult",
     "SolverFarm",
-    "chain_resources",
     "coupling_groups",
     "partition_chains",
     "shard_map",

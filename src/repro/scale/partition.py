@@ -365,14 +365,6 @@ def _flat(parts: list[np.ndarray], offsets: list[int]) -> np.ndarray:
     return np.concatenate(parts) + np.repeat(offsets, [part.size for part in parts])
 
 
-def chain_resources(model: NetworkModel, chain: Chain) -> set[ResourceKey]:
-    """Every capacity resource the chain's LP variables can touch."""
-    ids = _Ids(model.substrate_columns())
-    known = _ChainFacts(chain, (), [], None)
-    _derive(model, ids, [known])
-    return {ids.keys[i] for i in known.resources.tolist()}
-
-
 #: Fraction of a chain's stage traffic spread uniformly over every link
 #: it *could* use, on top of the full weight placed on its predicted
 #: usage.  Keeps overflow links available to the subgroup without
@@ -883,7 +875,6 @@ __all__ = [
     "Partition",
     "PartitionError",
     "PartitionPlan",
-    "chain_resources",
     "coupling_groups",
     "partition_chains",
     "shard_map",

@@ -13,14 +13,12 @@ instead of a physical testbed.  It provides:
 """
 
 from repro.simnet.events import EventHandle, Simulator
-from repro.simnet.process import Process
 from repro.simnet.network import Host, LinkSpec, LinkStats, SimNetwork
 
 __all__ = [
     "EventHandle",
     "Host",
     "LinkSpec",
-    "Process",
     "LinkStats",
     "SimNetwork",
     "Simulator",

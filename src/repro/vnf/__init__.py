@@ -25,7 +25,6 @@ from repro.vnf.firewall import StatefulFirewall
 from repro.vnf.ids import IntrusionDetector
 from repro.vnf.nat import NatFunction
 from repro.vnf.service import AllocationError, VnfService
-from repro.vnf.shaper import TokenBucketShaper
 
 __all__ = [
     "AllocationError",
@@ -36,7 +35,6 @@ __all__ = [
     "LruCache",
     "NatFunction",
     "StatefulFirewall",
-    "TokenBucketShaper",
     "VnfService",
     "ZipfWorkload",
     "run_cache_experiment",

@@ -39,6 +39,10 @@ class TestParser:
         ["bus", "--rate", "-5"],
         ["bus", "--sites", "0"],
         ["metrics", "--rate", "0"],
+        ["chaos", "--duration", "-5"],
+        ["chaos", "--duration", "nan"],
+        ["federation", "--chaos-soak", "--duration", "0"],
+        ["fuzz", "--duration", "nan"],
     ])
     def test_non_positive_rate_and_sites_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -85,6 +85,17 @@ class TestReplicatedFlowTable:
             table.join(f"f{i}")
         return table
 
+    def test_join_adds_node(self):
+        table = ReplicatedFlowTable()
+        table.join("f1")
+        table.join("f2")
+        assert table.nodes == ["f1", "f2"]
+
+    def test_fail_drops_node(self):
+        table = self.make_table(nodes=2)
+        table.fail("f0")
+        assert table.nodes == ["f1"]
+
     def test_insert_then_lookup_from_any_node(self):
         table = self.make_table()
         entry = table.insert(LBL, flow(0))

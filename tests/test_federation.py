@@ -530,6 +530,17 @@ class TestGlobalSwitchboardIntegration:
 
 
 class TestSoak:
+    @pytest.mark.parametrize("field,value", [
+        ("reject_rate", float("nan")),
+        ("reject_rate", -1.0),
+        ("reject_rate", 1.5),
+        ("crash_rate", float("nan")),
+        ("crash_rate", -0.1),
+    ])
+    def test_fault_rate_out_of_range_rejected(self, field, value):
+        with pytest.raises(FederationError, match="out of range"):
+            FaultPolicy(**{field: value})
+
     def test_mini_soak_is_green(self):
         model, coordinator = tri_coordinator(
             metrics=None, max_attempts=3

@@ -5,37 +5,12 @@ import math
 import pytest
 
 from repro.bus.bus import BusStats, Delivery
-from repro.dataplane.dht import DhtForwarderGroup
 from repro.dataplane.labels import FiveTuple, Labels
 from repro.topology.backbone import build_backbone
 from repro.topology.cities import DEFAULT_CITIES
 from repro.topology.traffic import TrafficMatrix, gravity_traffic_matrix
 
 LBL = Labels(chain=1, egress_site="E")
-
-
-class TestDhtForwarderGroup:
-    def test_add_and_query(self):
-        group = DhtForwarderGroup()
-        group.add_forwarder("f1")
-        group.add_forwarder("f2")
-        assert group.table.nodes == ["f1", "f2"]
-
-    def test_graceful_removal_keeps_entries(self):
-        group = DhtForwarderGroup()
-        group.add_forwarder("f1")
-        group.add_forwarder("f2")
-        flow = FiveTuple("1.1.1.1", "2.2.2.2", "tcp", 1, 2)
-        group.table.insert(LBL, flow)
-        group.remove_forwarder("f1", graceful=True)
-        assert group.table.lookup("f2", LBL, flow) is not None
-
-    def test_crash_removal(self):
-        group = DhtForwarderGroup()
-        group.add_forwarder("f1")
-        group.add_forwarder("f2")
-        group.remove_forwarder("f1", graceful=False)
-        assert group.table.nodes == ["f2"]
 
 
 class TestBusStats:

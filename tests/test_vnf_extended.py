@@ -1,11 +1,10 @@
-"""Tests for the traffic shaper and IDS network functions."""
+"""Tests for the IDS network function."""
 
 import pytest
 
 from repro.dataplane.forwarder import DropPacket
 from repro.dataplane.labels import FiveTuple, Packet
 from repro.vnf.ids import IntrusionDetector
-from repro.vnf.shaper import ShaperError, TokenBucketShaper
 
 
 def packet(i=0, size=1000, payload=None, dst_port=80):
@@ -14,59 +13,6 @@ def packet(i=0, size=1000, payload=None, dst_port=80):
         size_bytes=size,
         payload=payload,
     )
-
-
-class TestTokenBucketShaper:
-    def test_burst_admitted_up_to_bucket(self):
-        shaper = TokenBucketShaper(rate_bytes_per_s=1000, burst_bytes=3000)
-        for _ in range(3):
-            shaper(packet(size=1000))
-        assert shaper.forwarded == 3
-
-    def test_excess_burst_dropped(self):
-        shaper = TokenBucketShaper(rate_bytes_per_s=1000, burst_bytes=2500)
-        shaper(packet(size=1000))
-        shaper(packet(size=1000))
-        with pytest.raises(DropPacket):
-            shaper(packet(size=1000))
-        assert shaper.dropped == 1
-
-    def test_tokens_refill_with_time(self):
-        shaper = TokenBucketShaper(rate_bytes_per_s=1000, burst_bytes=1000)
-        shaper(packet(size=1000))
-        with pytest.raises(DropPacket):
-            shaper(packet(size=1000))
-        shaper.advance(1.0)  # +1000 bytes of tokens
-        shaper(packet(size=1000))
-        assert shaper.forwarded == 2
-
-    def test_tokens_capped_at_burst(self):
-        shaper = TokenBucketShaper(rate_bytes_per_s=1000, burst_bytes=1500)
-        shaper.advance(100.0)
-        assert shaper.tokens == 1500
-
-    def test_sustained_rate_enforced(self):
-        shaper = TokenBucketShaper(rate_bytes_per_s=2000, burst_bytes=2000)
-        sent = 0
-        for _step in range(10):  # 10 x 0.5 s; 1000 B budget per step
-            shaper.advance(0.5)
-            for _ in range(3):
-                try:
-                    shaper(packet(size=1000))
-                    sent += 1
-                except DropPacket:
-                    pass
-        # 2000 B/s * 5 s = 10 kB plus the initial 2 kB burst.
-        assert 10 <= sent <= 12
-
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ShaperError):
-            TokenBucketShaper(0, 100)
-        with pytest.raises(ShaperError):
-            TokenBucketShaper(100, 0)
-        shaper = TokenBucketShaper(100, 100)
-        with pytest.raises(ShaperError):
-            shaper.advance(-1.0)
 
 
 class TestIntrusionDetector:
