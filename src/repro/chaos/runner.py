@@ -105,11 +105,15 @@ class FaultEngine:
         self.d.net.restart_host(event.target[0])
 
 
+#: Simulated seconds between two rounds of invariant probes.
+PROBE_INTERVAL_S = 1.0
+
+
 def probe_run(deployment, config, *probe_sets: Probes) -> InvariantChecker:
     """Every probe of ``probe_sets`` on one checker (a name registered
-    twice raises), probing every ``config.probe_interval_s`` while the
+    twice raises), probing every :data:`PROBE_INTERVAL_S` while the
     clock runs to ``config.duration_s``; then the queue is drained."""
-    checker = InvariantChecker(deployment.sim, interval_s=config.probe_interval_s)
+    checker = InvariantChecker(deployment.sim, interval_s=PROBE_INTERVAL_S)
     for probes in probe_sets:
         for name, probe in probes.items():
             checker.add(name, probe)
@@ -222,11 +226,6 @@ class SoakConfig:
     seed: int = 1
     duration_s: float = 60.0
     num_chains: int = 8
-    chain_demand: float = 3.0
-    publish_rate_hz: float = 4.0
-    probe_interval_s: float = 1.0
-    lease_duration_s: float = 4.0
-    lease_renew_s: float = 1.5
     partition: bool = False
     #: Control-plane fault mode: live bus-driven installs run mid-soak
     #: while control links lose messages and the active Global
@@ -234,8 +233,6 @@ class SoakConfig:
     #: deadlines, sweeper, standby failover) must keep every invariant.
     control_faults: bool = False
     control_loss: float = 0.2
-    num_live_installs: int = 6
-    install_deadline_s: float = 8.0
     scenario: ScenarioConfig | None = None
 
     def scenario_config(self) -> ScenarioConfig:
@@ -261,6 +258,18 @@ class SoakConfig:
             duration_s=self.duration_s, partition=self.partition
         )
 
+
+#: Forward demand of a base chain (a live install asks half).
+_CHAIN_DEMAND = 3.0
+#: Publishes per second per site of the pub/sub workload.
+_PUBLISH_RATE_HZ = 4.0
+#: The controller lease: its duration and the renewal period.
+_LEASE_DURATION_S = 4.0
+_LEASE_RENEW_S = 1.5
+#: Bus-driven installs submitted mid-run in control-fault mode, and how
+#: long each may stay in flight.
+_LIVE_INSTALLS = 6
+_INSTALL_DEADLINE_S = 8.0
 
 #: Sites of the soak deployment ("a" is the hub node, so site-A outages
 #: force latency detours, as in the failure-recovery bench).
@@ -308,7 +317,7 @@ def build_deployment(config: SoakConfig) -> Deployment:
     # Capacity: every VNF at every site, sized so three surviving sites
     # can carry the whole population (a single-site outage is fully
     # recoverable; concurrent link faults may still degrade).
-    total_load = config.num_chains * 2.5 * config.chain_demand
+    total_load = config.num_chains * 2.5 * _CHAIN_DEMAND
     per_site = total_load * 1.6 / (len(SITES) - 1)
     capacity = {site: per_site for site in SITES}
     vnfs = [VNF("fw", 1.0, dict(capacity)), VNF("nat", 1.0, dict(capacity))]
@@ -340,8 +349,8 @@ def build_deployment(config: SoakConfig) -> Deployment:
             ChainSpecification(
                 f"chain{i}", "vpn", f"att-{ingress}", f"att-{egress}",
                 chain_vnfs,
-                forward_demand=config.chain_demand,
-                reverse_demand=config.chain_demand * 0.25,
+                forward_demand=_CHAIN_DEMAND,
+                reverse_demand=_CHAIN_DEMAND * 0.25,
                 dst_prefixes=[f"20.0.{i}.0/24"],
             )
         )
@@ -356,7 +365,7 @@ def build_deployment(config: SoakConfig) -> Deployment:
             edge_controller_site="A",
             vnf_controller_sites={"fw": "B", "nat": "C"},
             resilience=ResilienceConfig(
-                install_deadline_s=config.install_deadline_s,
+                install_deadline_s=_INSTALL_DEADLINE_S,
                 seed=config.seed,
             ),
             store=store,
@@ -382,9 +391,8 @@ class ChaosEngine(FaultEngine):
     loss, the GS crash and the leader kill, and holds the lease-only
     election loop."""
 
-    def __init__(self, deployment: Deployment, config: SoakConfig):
+    def __init__(self, deployment: Deployment):
         super().__init__(deployment)
-        self.config = config
         self.reports: list[FailureReport] = []
         #: site -> (site capacity, per-VNF capacity) stashed at failure.
         self._site_stash: dict[str, tuple[float, dict[str, float]]] = {}
@@ -393,7 +401,7 @@ class ChaosEngine(FaultEngine):
         #: lease (control-fault mode); ``kill_leader`` acts on it.
         self.election = _LeaseOnly(
             deployment.sim, deployment.store, CANDIDATES, deployment.monitor,
-            config.lease_duration_s, config.lease_renew_s,
+            _LEASE_DURATION_S, _LEASE_RENEW_S,
         )
         self.leaders_killed = 0
         self.gs_crashes = 0
@@ -479,7 +487,7 @@ class ChaosEngine(FaultEngine):
         # The killed process comes back (as a standby) well after its
         # old lease expired and the survivor took over.
         self.d.sim.schedule(
-            3 * self.config.lease_duration_s, self.election.revive, leader
+            3 * _LEASE_DURATION_S, self.election.revive, leader
         )
 
 
@@ -504,10 +512,10 @@ def _start_workload(d: Deployment, config: SoakConfig) -> None:
                 d.bus.subscribe(f"mon.{site}", topics[other])
 
     rng = random.Random(f"publish-{config.seed}")
-    count = int(config.duration_s * config.publish_rate_hz)
+    count = int(config.duration_s * _PUBLISH_RATE_HZ)
     for site in d.sites:
         for k in range(count):
-            at = (k + rng.random()) / config.publish_rate_hz
+            at = (k + rng.random()) / _PUBLISH_RATE_HZ
             if at < config.duration_s:
                 d.sim.schedule_at(
                     at, d.bus.publish, f"app.{site}", topics[site],
@@ -524,14 +532,14 @@ def _start_install_workload(d: Deployment, config: SoakConfig) -> None:
     assert installer is not None
     rng = random.Random(f"installs-{config.seed}")
     lo, hi = 0.15 * config.duration_s, 0.5 * config.duration_s
-    for i in range(config.num_live_installs):
+    for i in range(_LIVE_INSTALLS):
         ingress, egress = rng.sample(list(d.sites), 2)
         chain_vnfs = ["fw"] if rng.random() < 0.5 else ["fw", "nat"]
         spec = ChainSpecification(
             f"live{i}", "vpn", f"att-{ingress}", f"att-{egress}",
             chain_vnfs,
-            forward_demand=config.chain_demand * 0.5,
-            reverse_demand=config.chain_demand * 0.125,
+            forward_demand=_CHAIN_DEMAND * 0.5,
+            reverse_demand=_CHAIN_DEMAND * 0.125,
             dst_prefixes=[f"21.0.{i}.0/24"],
         )
         d.sim.schedule_at(
@@ -673,7 +681,7 @@ def run_soak(
             config.seed, d.sites, wan_pairs, config.scenario_config()
         )
 
-    engine = ChaosEngine(d, config)
+    engine = ChaosEngine(d)
     engine.schedule(scenario)
     if config.control_faults and d.installer is not None:
         # The failover manager owns the lease in control-fault mode
@@ -683,8 +691,8 @@ def run_soak(
             d.store,
             monitor=d.monitor,
             candidates=CANDIDATES,
-            lease_duration_s=config.lease_duration_s,
-            check_interval_s=config.lease_renew_s,
+            lease_duration_s=_LEASE_DURATION_S,
+            check_interval_s=_LEASE_RENEW_S,
         )
         d.failover.start(config.duration_s)
         d.sweeper = ReconciliationSweeper(d.installer)

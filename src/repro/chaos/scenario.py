@@ -142,6 +142,19 @@ class Scenario:
         return out
 
 
+#: How long a flapped link stays down (the federated soak's too).
+FLAP_DOWN_S = 3.0
+#: Loss probability of a data-link loss window, and its delay factor
+#: in a degrade window.
+_LOSS_PROBABILITY = 0.2
+_DEGRADE_MULTIPLIER = 4.0
+#: Length of a loss, degrade or control-loss window.
+_WINDOW_S = 5.0
+_SITE_OUTAGE_S = 10.0
+_PROXY_CRASH_S = 6.0
+_PARTITION_S = 5.0
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Knobs for :func:`generate_scenario`.
@@ -153,19 +166,12 @@ class ScenarioConfig:
 
     duration_s: float = 60.0
     link_flaps: int = 3
-    flap_down_s: float = 3.0
     loss_windows: int = 1
-    loss_probability: float = 0.2
     degrade_windows: int = 1
-    degrade_multiplier: float = 4.0
-    window_s: float = 5.0
     site_outage: bool = True
-    site_outage_s: float = 10.0
     proxy_crash: bool = True
-    proxy_crash_s: float = 6.0
     leader_kill: bool = True
     partition: bool = False
-    partition_s: float = 5.0
     #: Windows of probabilistic loss applied to *every* cross-site
     #: control link at once (the 2PC/RPC channels), exercising the
     #: resilience stack rather than the data path.
@@ -205,7 +211,7 @@ def generate_scenario(
         if not wan_pairs:
             break
         pair = rng.choice(list(wan_pairs))
-        start, end = window(config.flap_down_s)
+        start, end = window(FLAP_DOWN_S)
         events.append(FaultEvent(start, "link_down", tuple(pair)))
         events.append(FaultEvent(end, "link_up", tuple(pair)))
 
@@ -213,10 +219,9 @@ def generate_scenario(
         if not wan_pairs:
             break
         pair = rng.choice(list(wan_pairs))
-        start, end = window(config.window_s)
+        start, end = window(_WINDOW_S)
         events.append(
-            FaultEvent(start, "link_loss", tuple(pair),
-                       config.loss_probability)
+            FaultEvent(start, "link_loss", tuple(pair), _LOSS_PROBABILITY)
         )
         events.append(FaultEvent(end, "link_loss", tuple(pair), 0.0))
 
@@ -224,22 +229,21 @@ def generate_scenario(
         if not wan_pairs:
             break
         pair = rng.choice(list(wan_pairs))
-        start, end = window(config.window_s)
+        start, end = window(_WINDOW_S)
         events.append(
-            FaultEvent(start, "link_degrade", tuple(pair),
-                       config.degrade_multiplier)
+            FaultEvent(start, "link_degrade", tuple(pair), _DEGRADE_MULTIPLIER)
         )
         events.append(FaultEvent(end, "link_degrade", tuple(pair), 1.0))
 
     if config.site_outage:
         site = rng.choice(list(sites))
-        start, end = window(config.site_outage_s)
+        start, end = window(_SITE_OUTAGE_S)
         events.append(FaultEvent(start, "fail_site", (site,)))
         events.append(FaultEvent(end, "restore_site", (site,)))
 
     if config.proxy_crash:
         site = rng.choice(list(sites))
-        start, end = window(config.proxy_crash_s)
+        start, end = window(_PROXY_CRASH_S)
         events.append(FaultEvent(start, "crash_host", (f"proxy.{site}",)))
         events.append(FaultEvent(end, "restart_host", (f"proxy.{site}",)))
 
@@ -251,7 +255,7 @@ def generate_scenario(
             tuple(sorted(shuffled[:cut])),
             tuple(sorted(shuffled[cut:])),
         )
-        start, end = window(config.partition_s)
+        start, end = window(_PARTITION_S)
         events.append(FaultEvent(start, "partition", groups))
         events.append(FaultEvent(end, "heal_partition"))
 
@@ -260,7 +264,7 @@ def generate_scenario(
         events.append(FaultEvent(at, "kill_leader"))
 
     for _ in range(config.control_loss_windows):
-        start, end = window(config.window_s)
+        start, end = window(_WINDOW_S)
         events.append(
             FaultEvent(start, "control_loss", ("control",),
                        config.control_loss_probability)

@@ -56,6 +56,15 @@ def _positive(kind):
     return parse
 
 
+def _fraction(text: str) -> float:
+    """An argparse ``type`` for a share or a probability: a float in
+    [0, 1]; NaN or anything outside is a usage error (exit 2)."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
 def _cmd_topology(args: argparse.Namespace) -> int:
     from repro.topology import build_backbone
     from repro.topology.cities import DEFAULT_CITIES
@@ -701,9 +710,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_topology)
 
     p = sub.add_parser("route", help="compare TE schemes on a workload")
-    p.add_argument("--chains", type=int, default=40)
+    p.add_argument("--chains", type=_positive(int), default=40)
     p.add_argument("--vnfs", type=int, default=12)
-    p.add_argument("--coverage", type=float, default=0.5)
+    p.add_argument("--coverage", type=_positive(_fraction), default=0.5)
     p.add_argument("--traffic", type=float, default=6000.0)
     p.add_argument("--site-capacity", type=float, default=7200.0)
     p.add_argument("--cities", type=int, default=15)
@@ -724,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bus", help="bus vs broadcast under load")
     p.add_argument("--sites", type=_positive(int), default=10)
-    p.add_argument("--subscribers", type=int, default=5)
+    p.add_argument("--subscribers", type=_positive(int), default=5)
     p.add_argument("--publishes", type=int, default=700)
     p.add_argument("--rate", type=_positive(float), default=35.0)
     p.set_defaults(func=_cmd_bus)
@@ -747,15 +756,15 @@ def build_parser() -> argparse.ArgumentParser:
         "federation",
         help="federated two-level control plane on a generated PoP topology",
     )
-    p.add_argument("--pops", type=int, default=96,
+    p.add_argument("--pops", type=_positive(int), default=96,
                    help="generated PoPs (use 500 for the paper-scale run)")
-    p.add_argument("--chains", type=int, default=384,
+    p.add_argument("--chains", type=_positive(int), default=384,
                    help="generated chains (use 100000 for full scale)")
-    p.add_argument("--regions", type=int, default=4)
+    p.add_argument("--regions", type=_positive(int), default=4)
     p.add_argument("--metros", type=int, default=0,
                    help="metro clusters in the generator "
                    "(default: same as --regions)")
-    p.add_argument("--locality", type=float, default=0.8,
+    p.add_argument("--locality", type=_fraction, default=0.8,
                    help="probability a chain stays inside one metro")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--partition-size", type=int, default=16)
@@ -769,9 +778,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--soak", type=int, default=0, metavar="OPS",
                    help="run the seeded fault-injection soak for OPS "
                    "operations instead of the timing comparison")
-    p.add_argument("--reject-rate", type=float, default=0.15,
+    p.add_argument("--reject-rate", type=_fraction, default=0.15,
                    help="soak: regional prepare rejection probability")
-    p.add_argument("--crash-rate", type=float, default=0.1,
+    p.add_argument("--crash-rate", type=_fraction, default=0.1,
                    help="soak: coordinator mid-install crash probability")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", nargs="?", const="auto",
@@ -790,7 +799,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--control-faults", action="store_true",
                    help="control-plane mix: live 2PC installs under "
                    "control-message loss and a mid-install GS crash")
-    p.add_argument("--control-loss", type=float, default=0.2,
+    p.add_argument("--control-loss", type=_fraction, default=0.2,
                    help="per-link control-message loss probability "
                    "during control_loss windows (default 0.2)")
     p.add_argument("--json", action="store_true")
@@ -841,6 +850,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "federation" and max(args.regions, args.metros) > args.pops:
+        parser.error("federation: --regions / --metros must not exceed --pops")
     return args.func(args)
 
 

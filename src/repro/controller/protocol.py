@@ -70,6 +70,10 @@ from repro.simnet.network import LinkSpec
 from repro.vnf.service import AllocationError
 
 _EPS = 1e-9
+#: Period of the per-install re-drive tick that re-sends
+#: phase-appropriate messages (chain request, edge configure, instance
+#: allocation) lost to bare, un-acked channels.
+_REDRIVE_INTERVAL_S = 0.75
 
 
 class ProtocolError(Exception):
@@ -300,7 +304,7 @@ class BusDrivenInstaller:
             spec.name, self.resilience.install_deadline_s, self._on_deadline
         )
         pending.redrive = self.sim.schedule(
-            self.resilience.redrive_interval_s, self._redrive_tick, spec.name
+            _REDRIVE_INTERVAL_S, self._redrive_tick, spec.name
         )
         # Arrow 0: the portal's request reaches Global Switchboard.  A
         # bare send (the portal is a bus client, which cannot speak the
@@ -431,7 +435,7 @@ class BusDrivenInstaller:
             return
         self.redrive(name)
         pending.redrive = self.sim.schedule(
-            self.resilience.redrive_interval_s, self._redrive_tick, name
+            _REDRIVE_INTERVAL_S, self._redrive_tick, name
         )
 
     def _cancel_redrive(self, pending: "_PendingInstall") -> None:

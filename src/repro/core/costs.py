@@ -4,9 +4,9 @@ Section 4.4: "Utilization-dependent costs are based on a piecewise-linear
 convex function that increases exponentially with utilization at values
 above 0.5 [Fortz & Thorup 2000]."
 
-We provide the classic Fortz--Thorup penalty and a small class for
-arbitrary piecewise-linear convex functions, so ablations can swap the
-penalty shape.
+SB-DP prices every route with the one Fortz--Thorup penalty below (its
+ablations turn the utilization terms off or route greedily; none swaps
+the shape); the class is the piecewise-linear convex function it is.
 """
 
 from __future__ import annotations

@@ -56,14 +56,14 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, NamedTuple, TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.columns import catalog_ids
-from repro.core.costs import FORTZ_THORUP, PiecewiseLinearCost
+from repro.core.costs import FORTZ_THORUP
 from repro.core.model import Chain, NetworkModel
 from repro.core.routes import RoutingSolution
 
@@ -78,23 +78,20 @@ _INF = float("inf")
 class DpConfig:
     """Tuning knobs for :func:`route_chains_dp`.
 
-    ``utilization_weight`` scales the dimensionless utilization penalty
-    into latency units; ``None`` picks ``network diameter / penalty(1.0)``
-    so that a fully-utilized resource costs about one diameter crossing.
+    ``utilization_cost`` adds the Fortz--Thorup penalty of every link and
+    (VNF, site) a hop loads to its latency, weighted by ``network
+    diameter / penalty(1.0)`` so that a fully-utilized resource costs
+    about one diameter crossing.
     """
 
-    use_network_cost: bool = True
-    use_compute_cost: bool = True
+    utilization_cost: bool = True
     per_hop: bool = False
-    utilization_weight: float | None = None
-    penalty: PiecewiseLinearCost = field(default=FORTZ_THORUP)
     max_paths_per_chain: int = 64
-    sort_by_demand: bool = False
 
     @staticmethod
     def latency_only() -> "DpConfig":
         """The DP-LATENCY ablation of Figure 13a."""
-        return DpConfig(use_network_cost=False, use_compute_cost=False)
+        return DpConfig(utilization_cost=False)
 
     @staticmethod
     def one_hop() -> "DpConfig":
@@ -150,24 +147,6 @@ class _ResourceState:
         self.vnf_load[vi, si] += load
         self.site_load[si] += load
 
-    def commit_link_traffic(self, n1: str, n2: str, volume: float) -> None:
-        """Add (or, with negative ``volume``, remove) traffic between two
-        nodes, spread over links by the routing fractions."""
-        if volume == 0:
-            return
-        sub = self.sub
-        i = sub.node_index.get(n1)
-        j = sub.node_index.get(n2)
-        if i is None or j is None:
-            return
-        p = sub.pair_id[i, j]
-        if p < 0:
-            return
-        s = sub.pair_start[p]
-        e = s + sub.pair_len[p]
-        # Each pair's pool lists every link once, so fancy += is safe.
-        self.link_load[sub.pool_link[s:e]] += volume * sub.pool_frac[s:e]
-
 
 class _Commit(NamedTuple):
     """What one pass writes onto the state: per VNF stage the flat
@@ -218,10 +197,6 @@ def route_chains_dp(
     router = _DpRouter(model, config)
     if chain_order is None:
         names = list(model.chains)
-        if config.sort_by_demand:
-            names.sort(
-                key=lambda n: model.chains[n].stage_traffic(1), reverse=True
-            )
     else:
         names = list(chain_order)
         unknown = set(names) - set(model.chains)
@@ -278,16 +253,13 @@ class _DpRouter:
         self._weight = self._resolve_utilization_weight()
 
     def _resolve_utilization_weight(self) -> float:
-        if self.config.utilization_weight is not None:
-            return self.config.utilization_weight
         # A failed link's delay is infinite (repro.chaos); the
         # utilization weight must stay finite regardless.
         finite = self._sub.latency[np.isfinite(self._sub.latency)]
         diameter = float(finite.max()) if finite.size else 0.0
-        penalty_at_full = self.config.penalty(1.0)
-        if diameter <= 0 or penalty_at_full <= 0:
+        if diameter <= 0:
             return 1.0
-        return diameter / penalty_at_full
+        return diameter / FORTZ_THORUP(1.0)
 
     def _substrate(self):
         """The model's columns, rebuilt first when a catalog entry was
@@ -375,7 +347,7 @@ class _DpRouter:
         state = self.state
         front = lay.front
         last = len(lay.latency) - 1  # the egress stage; the others end at a VNF
-        n = lay.index.size if cfg.use_compute_cost else 0
+        n = lay.index.size if cfg.utilization_cost else 0
         use_links = lay.buf is not None
 
         loads = state.vnf_load_flat[lay.index]
@@ -383,7 +355,7 @@ class _DpRouter:
             (self._sub.site_capacity - state.site_load)[lay.site] <= _EPS
         )
         any_blocked = np.count_nonzero(blocked) > 0
-        if cfg.use_compute_cost:
+        if cfg.utilization_cost:
             # Without capacity the quotient is never computed (x / 0, or
             # 0 / 0 for a stage an all-blocked earlier one makes
             # unreachable): those elements keep the layout's +inf.
@@ -397,9 +369,8 @@ class _DpRouter:
             )
         pen = None
         if lay.util.size:
-            pens = cfg.penalty.batch(np.minimum(lay.util, 2.0))
-            if cfg.use_compute_cost:
-                pen = self._weight * pens[:n]
+            pens = FORTZ_THORUP.batch(np.minimum(lay.util, 2.0))
+            pen = self._weight * pens[:n]
         if any_blocked:
             if pen is None:
                 pen = np.zeros(lay.index.size)
@@ -511,6 +482,16 @@ class _DpRouter:
         if record.links is not None:
             np.add.at(state.link_load, record.links, record.volumes)
 
+    def _release(self, record: _Commit) -> None:
+        """Take one pass's loads off the state (a rollback)."""
+        state = self.state
+        vnf_load, site_load = state.vnf_load_flat, state.site_load
+        for i, s, load in zip(record.vnfs, record.sites, record.loads):
+            vnf_load[i] -= load
+            site_load[s] -= load
+        if record.links is not None:
+            np.subtract.at(state.link_load, record.links, record.volumes)
+
 
 class _Layout:
     """What the searches, feasibility checks and commits of one chain
@@ -583,7 +564,7 @@ class _Layout:
                 self.open = self.bandwidth > 0
                 self.wfracs[~self.open] = _INF
             self.classes = self.links.size
-            if cfg.use_network_cost:  # only link penalties are added in place
+            if cfg.utilization_cost:  # only link penalties are added in place
                 self.buf = np.empty(size)
                 self.views = [
                     self.buf[a : a + m.size].reshape(m.shape)
@@ -592,8 +573,7 @@ class _Layout:
         # Penalty input: compute elements (+inf where a VNF has no
         # capacity: never overwritten), then link classes.
         self.util = np.empty(
-            (self.index.size if cfg.use_compute_cost else 0)
-            + (self.classes if cfg.use_network_cost else 0)
+            self.index.size + self.classes if cfg.utilization_cost else 0
         )
         self.util.fill(_INF)
 
@@ -613,10 +593,10 @@ class IncrementalDpRouter:
         self.config = config or DpConfig()
         self._router = _DpRouter(model, self.config)
         self.solution = RoutingSolution(model)
-        #: name -> the chain as routed.  The committed load is this
-        #: chain's demands times the carried fractions, whatever the
-        #: model holds under the name by the time of a rollback.
-        self._routed: dict[str, Chain] = {}
+        #: name -> the chain as routed and the commit records of its
+        #: passes: what a rollback releases, whatever the model holds
+        #: under the name by then.
+        self._routed: dict[str, tuple[Chain, list[_Commit]]] = {}
 
     def route(self, chain_name: str) -> float:
         """Route one chain (must already be in the model).
@@ -629,12 +609,13 @@ class IncrementalDpRouter:
         ``rollback`` does not change what the router carries or tops up.
         Returns the total carried fraction.
         """
-        chain = self._routed.get(chain_name) or self.model.chains[chain_name]
+        chain, records = self._routed.get(chain_name) or (self.model.chains[chain_name], [])
         remaining = max(0.0, 1.0 - self.solution.routed_fraction(chain_name))
-        self._router.route_chain(chain, self.solution, remaining)
+        done = self._router.route_chain(chain, self.solution, remaining)
+        records += [record for record, _path in done.passes]
         carried = self.solution.routed_fraction(chain_name)
         if carried > 0:
-            self._routed[chain_name] = chain
+            self._routed[chain_name] = (chain, records)
         return carried
 
     def rollback(self, chain_name: str) -> None:
@@ -643,29 +624,15 @@ class IncrementalDpRouter:
 
         Used when a two-phase commit is rejected by a VNF controller and
         the route must be recomputed (Section 3, chain creation).  What
-        is released is what :meth:`route` committed -- the load of the
-        chain as routed -- whether the model has since re-scaled the
-        chain or dropped it.
+        is released is what :meth:`route` committed -- its commit
+        records, pass by pass -- whether the model has since re-scaled
+        the chain or dropped it.
         """
-        chain = self._routed.pop(chain_name, None) or self.model.chains[chain_name]
+        chain, records = self._routed.pop(chain_name, None) or (self.model.chains[chain_name], [])
+        for record in records:
+            self._router._release(record)
         for z in range(1, chain.num_stages + 1):
-            flows = self.solution._flows.pop((chain_name, z), {})
-            for (src, dst), frac in flows.items():
-                traffic = chain.stage_traffic(z) * frac
-                if z < chain.num_stages:
-                    vnf = chain.vnf_at(z)
-                    load = self.model.vnfs[vnf].load_per_unit * traffic
-                    self._router.state.commit_vnf(vnf, dst, -load)
-                if z > 1:
-                    vnf = chain.vnf_at(z - 1)
-                    load = self.model.vnfs[vnf].load_per_unit * traffic
-                    self._router.state.commit_vnf(vnf, src, -load)
-                n1 = self.model.endpoint_node(src)
-                n2 = self.model.endpoint_node(dst)
-                fwd = chain.forward_traffic[z - 1] * frac
-                rev = chain.reverse_traffic[z - 1] * frac
-                self._router.state.commit_link_traffic(n1, n2, -fwd)
-                self._router.state.commit_link_traffic(n2, n1, -rev)
+            self.solution._flows.pop((chain_name, z), None)
 
     def sync_vnf_capacity(self, vnf_name: str, site: str, available: float) -> None:
         """Reconcile the router's view of a VNF's remaining capacity at a

@@ -34,7 +34,7 @@ from typing import ClassVar
 
 from repro.chaos.invariants import LeaseMonitor, lease_safety, link_conservation
 from repro.chaos.runner import FaultEngine, SoakDoc, probe_run, record_final
-from repro.chaos.scenario import FaultEvent, Scenario
+from repro.chaos.scenario import FLAP_DOWN_S, FaultEvent, Scenario
 from repro.controller.replication import ReplicatedStore
 from repro.core.model import Chain, NetworkModel
 from repro.federation.ha import FederationFailover, FederationStore
@@ -46,6 +46,13 @@ from repro.simnet.events import Simulator
 from repro.simnet.network import LinkSpec, SimNetwork
 from repro.topology.pops import PopGridConfig, generate_federation_workload
 
+#: Share of the chains installed before the clock starts.
+_BASE_FRACTION = 0.5
+#: How long the partition isolates its region, and how long the
+#: restarted region stays down.
+_PARTITION_S = 8.0
+_REGION_DOWN_S = 2.0
+
 #: Coordinator hosts, in failover priority order, on the core site.
 COORDINATOR_HOSTS = ("fed.primary", "fed.standby")
 
@@ -56,10 +63,10 @@ class FederationChaosConfig:
     ``seed``.
 
     The workload is a generated clustered PoP grid
-    (:func:`~repro.topology.pops.generate_federation_workload`);
-    ``base_fraction`` of its chains are installed synchronously before
-    the clock starts (the standing population the faults disturb), the
-    rest arrive live at the regional nodes mid-run.  ``locality``
+    (:func:`~repro.topology.pops.generate_federation_workload`); half
+    of its chains are installed synchronously before the clock starts
+    (the standing population the faults disturb), the rest arrive live
+    at the regional nodes mid-run.  ``locality``
     controls how many submissions are cross-shard.
     """
 
@@ -69,20 +76,15 @@ class FederationChaosConfig:
     regions: int = 3
     chains: int = 36
     locality: float = 0.6
-    base_fraction: float = 0.5
     partition_size: int | None = 8
     # Fault mix.
     link_flaps: int = 2
-    flap_down_s: float = 3.0
     partition: bool = True
-    partition_s: float = 8.0
     coordinator_crash: bool = True
     region_restart: bool = True
-    region_down_s: float = 2.0
     # Control-plane timing.
     lease_duration_s: float = 2.0
     check_interval_s: float = 0.5
-    probe_interval_s: float = 1.0
     install_deadline_s: float = 6.0
 
 
@@ -239,7 +241,7 @@ def build_federation_deployment(
     # Base population: installed synchronously (in-process protocol)
     # before the clock starts, durably checkpointed via the record
     # hooks -- exactly the state a takeover must be able to rebuild.
-    split = max(1, int(len(chains) * config.base_fraction))
+    split = max(1, int(len(chains) * _BASE_FRACTION))
     deployment.base_chains = chains[:split]
     deployment.live_chains = chains[split:]
     for chain in deployment.base_chains:
@@ -283,7 +285,7 @@ def generate_federation_scenario(
 
     for _ in range(config.link_flaps):
         pair = rng.choice(pairs)
-        start, end = window(config.flap_down_s)
+        start, end = window(FLAP_DOWN_S)
         events.append(FaultEvent(start, "link_down", tuple(pair)))
         events.append(FaultEvent(end, "link_up", tuple(pair)))
 
@@ -295,7 +297,7 @@ def generate_federation_scenario(
                 if h != isolated
             )
         )
-        start, end = window(config.partition_s)
+        start, end = window(_PARTITION_S)
         events.append(
             FaultEvent(start, "partition", ((isolated,), rest))
         )
@@ -307,7 +309,7 @@ def generate_federation_scenario(
 
     if config.region_restart:
         host = rng.choice(region_hosts)
-        start, end = window(config.region_down_s)
+        start, end = window(_REGION_DOWN_S)
         events.append(FaultEvent(start, "crash_host", (host,)))
         events.append(FaultEvent(end, "restart_host", (host,)))
 
@@ -319,11 +321,8 @@ class FederationChaosEngine(FaultEngine):
     crash, and the recovery work a heal (reconciliation) and a regional
     restart (volatile state loss) start."""
 
-    def __init__(
-        self, deployment: FederationDeployment, config: FederationChaosConfig
-    ):
+    def __init__(self, deployment: FederationDeployment):
         super().__init__(deployment)
-        self.config = config
         self.coordinator_crashes = 0
         self.region_restarts = 0
         self.crash_at: float | None = None
@@ -436,7 +435,7 @@ def run_federation_chaos(
     if scenario is None:
         scenario = generate_federation_scenario(config)
 
-    engine = FederationChaosEngine(d, config)
+    engine = FederationChaosEngine(d)
     engine.schedule(scenario)
     d.failover.start(config.duration_s)
     _start_live_workload(d, config)

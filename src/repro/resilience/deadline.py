@@ -8,7 +8,7 @@ deadline, the installer's expiry callback aborts it unilaterally --
 tearing down every participant, rolling back the router, and reporting a
 failed timeline to the caller.
 
-:class:`ResilienceConfig` bundles every knob of the hardening stack so
+:class:`ResilienceConfig` bundles the knobs of the hardening stack so
 callers (tests, the chaos runner, the CLI) configure one object.
 """
 
@@ -37,26 +37,12 @@ class ResilienceConfig:
     #: Wall (sim) time an installation may stay pending before the
     #: coordinator aborts and rolls it back.
     install_deadline_s: float = 10.0
-    #: Period of the per-install re-drive tick that re-sends
-    #: phase-appropriate messages (chain request, edge configure,
-    #: instance allocation) lost to bare, un-acked channels.
-    redrive_interval_s: float = 0.75
-    #: Period of the reconciliation sweeper.
-    sweep_interval_s: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.install_deadline_s <= 0:
             raise RpcError(
                 f"non-positive install deadline {self.install_deadline_s}"
-            )
-        if self.redrive_interval_s <= 0:
-            raise RpcError(
-                f"non-positive redrive interval {self.redrive_interval_s}"
-            )
-        if self.sweep_interval_s <= 0:
-            raise RpcError(
-                f"non-positive sweep interval {self.sweep_interval_s}"
             )
 
 

@@ -38,6 +38,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simnet.events import EventHandle
 
 
+#: Retransmit timeouts grow by this factor per attempt.
+_BACKOFF = 2.0
+#: Wire sizes of a message and of its ack.
+_MESSAGE_BYTES = 1000
+_ACK_BYTES = 100
+
+
 class RpcError(Exception):
     """Raised on invalid RPC-layer configuration or use."""
 
@@ -108,23 +115,18 @@ class RpcConfig:
 
     timeout_s: float = 0.25
     max_retries: int = 6
-    backoff: float = 2.0
     #: Uniform multiplicative jitter: each timeout is scaled by
     #: ``1 + jitter * U[0, 1)`` so retransmits from different senders
     #: de-synchronize.
     jitter: float = 0.25
     #: Receiver-side window of recently seen message ids.
     dedup_window: int = 4096
-    message_bytes: int = 1000
-    ack_bytes: int = 100
 
     def __post_init__(self) -> None:
         if self.timeout_s <= 0:
             raise RpcError(f"non-positive rpc timeout {self.timeout_s}")
         if self.max_retries < 0:
             raise RpcError(f"negative max_retries {self.max_retries}")
-        if self.backoff < 1.0:
-            raise RpcError(f"backoff must be >= 1, got {self.backoff}")
         if self.jitter < 0:
             raise RpcError(f"negative jitter {self.jitter}")
         if self.dedup_window < 1:
@@ -251,11 +253,11 @@ class RpcEndpoint:
             self.host_name,
             pending.dst,
             {"rpc": "msg", "id": pending.id, "payload": pending.payload},
-            cfg.message_bytes,
+            _MESSAGE_BYTES,
             strict=False,
         )
         delay = backoff_delay(
-            cfg.timeout_s, cfg.backoff, cfg.jitter, pending.attempt, layer._rng
+            cfg.timeout_s, _BACKOFF, cfg.jitter, pending.attempt, layer._rng
         )
         pending.timer = layer.sim.schedule(delay, self._timeout, pending)
 
@@ -314,7 +316,7 @@ class RpcEndpoint:
             self.host_name,
             sender,
             {"rpc": "ack", "id": msg_id},
-            layer.config.ack_bytes,
+            _ACK_BYTES,
             strict=False,
         )
         if msg_id in self._seen:

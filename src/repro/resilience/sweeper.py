@@ -29,6 +29,9 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.controller.protocol import BusDrivenInstaller
 
+#: Simulated seconds between two sweeps.
+SWEEP_INTERVAL_S = 1.0
+
 
 class ReconciliationSweeper:
     """Sim-clock garbage collector for control-plane residuals."""
@@ -36,14 +39,10 @@ class ReconciliationSweeper:
     def __init__(
         self,
         installer: "BusDrivenInstaller",
-        interval_s: float | None = None,
+        interval_s: float = SWEEP_INTERVAL_S,
     ):
         self.installer = installer
-        self.interval_s = (
-            interval_s
-            if interval_s is not None
-            else installer.resilience.sweep_interval_s
-        )
+        self.interval_s = interval_s
         self.sweeps = 0
         self.stale_reservations_released = 0
         self.stalled_installs_aborted = 0

@@ -39,7 +39,6 @@ from repro.scenarios.fuzzer import (
     run_fuzz,
 )
 from repro.scenarios.library import (
-    SCENARIO_CONFIGS,
     SCENARIO_KINDS,
     WorkloadContext,
     adversarial_matrix,
@@ -64,7 +63,6 @@ from repro.scenarios.schedule import (
 
 __all__ = [
     "PLANT_THRESHOLD",
-    "SCENARIO_CONFIGS",
     "SCENARIO_KINDS",
     "STACKS",
     "WORKLOAD_OPS",

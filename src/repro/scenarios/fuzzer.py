@@ -65,7 +65,6 @@ class FuzzConfig:
     duration_s: float = 16.0
     stacks: tuple[str, ...] = STACKS
     minimize: bool = True
-    max_minimize_tests: int = 80
     #: Self-test mode: plant a violation the probes must detect and the
     #: minimizer must isolate (run passes iff that happens).
     plant: bool = False
@@ -428,9 +427,7 @@ def run_case(case: FuzzCase, config: FuzzConfig) -> CaseResult:
 
     failing = next((s for s in result.stacks if not s.passed), None)
     if failing is not None and config.minimize:
-        result.minimized = minimize_case(
-            case, failing.stack, max_tests=config.max_minimize_tests
-        )
+        result.minimized = minimize_case(case, failing.stack)
     return result
 
 

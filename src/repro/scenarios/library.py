@@ -1,7 +1,7 @@
 """The workload-scenario library: seeded generators for the ROADMAP's
 scenario-diversity mix.
 
-Each generator is a pure function ``(seed, ctx, config) ->``
+Each generator is a pure function ``(seed, ctx, duration_s) ->``
 :class:`~repro.scenarios.schedule.WorkloadSchedule`: every random draw
 comes from ``random.Random`` seeded on ``(kind, seed)``, so one integer
 seed reproduces the schedule byte-identically (asserted by the scenario
@@ -67,6 +67,10 @@ class WorkloadContext:
         return f"chain{i % max(1, self.num_base_chains)}"
 
 
+#: Run length of a schedule nobody asked a duration for.
+DEFAULT_DURATION_S = 24.0
+
+
 def _rng(kind: str, seed: int) -> random.Random:
     return random.Random(f"scenario-{kind}-{seed}")
 
@@ -84,16 +88,13 @@ def _pick_pair(rng: random.Random, ctx: WorkloadContext) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiurnalConfig:
-    duration_s: float = 24.0
-    epochs: int = 6
-    amplitude: float = 0.5          # peak-to-mean demand swing
-    min_factor: float = 0.25        # relative-step clamp
+_DIURNAL_EPOCHS = 6
+_DIURNAL_AMPLITUDE = 0.5  # peak-to-mean demand swing
+_DIURNAL_MIN_FACTOR = 0.25  # relative-step clamp
 
 
 def diurnal_wave(
-    seed: int, ctx: WorkloadContext, config: DiurnalConfig | None = None
+    seed: int, ctx: WorkloadContext, duration_s: float
 ) -> WorkloadSchedule:
     """Multi-region diurnal demand waves over the base population.
 
@@ -103,20 +104,19 @@ def diurnal_wave(
     *relative* factors (new demand / current demand), matching
     :func:`repro.controller.reoptimize.reoptimize` semantics.
     """
-    config = config or DiurnalConfig()
     rng = _rng("diurnal_wave", seed)
     ops: list[WorkloadOp] = []
     jitter = [rng.uniform(-0.05, 0.05) for _ in range(ctx.num_base_chains)]
     current = [1.0] * ctx.num_base_chains
-    for epoch in range(1, config.epochs + 1):
-        at = config.duration_s * epoch / (config.epochs + 1)
-        day_angle = 2 * math.pi * epoch / (config.epochs + 1)
+    for epoch in range(1, _DIURNAL_EPOCHS + 1):
+        at = duration_s * epoch / (_DIURNAL_EPOCHS + 1)
+        day_angle = 2 * math.pi * epoch / (_DIURNAL_EPOCHS + 1)
         for i in range(ctx.num_base_chains):
             phase = 2 * math.pi * (i % ctx.num_sites) / ctx.num_sites
-            target = 1.0 + config.amplitude * math.sin(
+            target = 1.0 + _DIURNAL_AMPLITUDE * math.sin(
                 day_angle + phase
             ) + jitter[i]
-            target = max(config.min_factor, target)
+            target = max(_DIURNAL_MIN_FACTOR, target)
             step = target / current[i]
             if abs(step - 1.0) < 1e-3:
                 continue
@@ -128,39 +128,35 @@ def diurnal_wave(
                 )
             )
     return WorkloadSchedule(
-        kind="diurnal_wave", seed=seed, duration_s=config.duration_s, ops=ops
+        kind="diurnal_wave", seed=seed, duration_s=duration_s, ops=ops
     )
 
 
-@dataclass(frozen=True)
-class FlashCrowdConfig:
-    duration_s: float = 24.0
-    crowd_chains: int = 6
-    ramp_s: float = 2.0
-    hold_s: float = 6.0
-    demand_factor: float = 1.5      # per-crowd-chain demand vs base
+_CROWD_CHAINS = 6
+_CROWD_RAMP_S = 2.0
+_CROWD_HOLD_S = 6.0
+_CROWD_DEMAND_FACTOR = 1.5  # per-crowd-chain demand vs base
 
 
 def flash_crowd(
-    seed: int, ctx: WorkloadContext, config: FlashCrowdConfig | None = None
+    seed: int, ctx: WorkloadContext, duration_s: float
 ) -> WorkloadSchedule:
     """A flash crowd converging on one hot site, then draining."""
-    config = config or FlashCrowdConfig()
     rng = _rng("flash_crowd", seed)
     hot = rng.randrange(ctx.num_sites)
-    start = rng.uniform(0.2, 0.5) * config.duration_s
+    start = rng.uniform(0.2, 0.5) * duration_s
     ops: list[WorkloadOp] = []
-    for i in range(config.crowd_chains):
+    for i in range(_CROWD_CHAINS):
         ingress = rng.randrange(ctx.num_sites - 1)
         if ingress >= hot:
             ingress += 1
-        born = start + config.ramp_s * i / max(1, config.crowd_chains)
+        born = start + _CROWD_RAMP_S * i / _CROWD_CHAINS
         died = min(
-            born + config.hold_s + rng.uniform(0.0, config.ramp_s),
-            0.95 * config.duration_s,
+            born + _CROWD_HOLD_S + rng.uniform(0.0, _CROWD_RAMP_S),
+            0.95 * duration_s,
         )
         name = f"wl-flash-{i}"
-        demand = round(config.demand_factor * ctx.base_demand, 6)
+        demand = round(_CROWD_DEMAND_FACTOR * ctx.base_demand, 6)
         ops.append(
             WorkloadOp(
                 at=born, op="create", chain=name,
@@ -171,38 +167,34 @@ def flash_crowd(
         )
         ops.append(WorkloadOp(at=died, op="remove", chain=name))
     return WorkloadSchedule(
-        kind="flash_crowd", seed=seed, duration_s=config.duration_s, ops=ops
+        kind="flash_crowd", seed=seed, duration_s=duration_s, ops=ops
     )
 
 
-@dataclass(frozen=True)
-class EvacuationConfig:
-    duration_s: float = 24.0
-    sites_evacuated: int = 2
-    wave_s: float = 4.0
+_EVACUATED_SITES = 2
+_EVACUATION_WAVE_S = 4.0
 
 
 def evacuation_cascade(
-    seed: int, ctx: WorkloadContext, config: EvacuationConfig | None = None
+    seed: int, ctx: WorkloadContext, duration_s: float
 ) -> WorkloadSchedule:
     """Regional evacuation cascade: drain one site onto the others,
     then the next, the waves overlapping."""
-    config = config or EvacuationConfig()
     rng = _rng("evacuation_cascade", seed)
     order = list(range(ctx.num_sites))
     rng.shuffle(order)
-    evacuated = order[: max(1, min(config.sites_evacuated, ctx.num_sites - 1))]
+    evacuated = order[: max(1, min(_EVACUATED_SITES, ctx.num_sites - 1))]
     survivors = [s for s in range(ctx.num_sites) if s not in evacuated]
     ops: list[WorkloadOp] = []
-    start = rng.uniform(0.15, 0.3) * config.duration_s
+    start = rng.uniform(0.15, 0.3) * duration_s
     serial = 0
     for wave, site in enumerate(evacuated):
-        wave_start = start + wave * 0.6 * config.wave_s
+        wave_start = start + wave * 0.6 * _EVACUATION_WAVE_S
         homed = [
             i for i in range(ctx.num_base_chains) if i % ctx.num_sites == site
         ]
         for k, i in enumerate(homed):
-            at = wave_start + config.wave_s * (k + 1) / (len(homed) + 1)
+            at = wave_start + _EVACUATION_WAVE_S * (k + 1) / (len(homed) + 1)
             ops.append(
                 WorkloadOp(at=at, op="remove", chain=ctx.base_chain(i))
             )
@@ -221,72 +213,63 @@ def evacuation_cascade(
             )
             serial += 1
     return WorkloadSchedule(
-        kind="evacuation_cascade", seed=seed, duration_s=config.duration_s,
+        kind="evacuation_cascade", seed=seed, duration_s=duration_s,
         ops=ops,
     )
 
 
-@dataclass(frozen=True)
-class ChurnConfig:
-    duration_s: float = 24.0
-    arrivals: int = 10
-    min_life_s: float = 2.0
-    max_life_s: float = 8.0
-    demand_factor: float = 0.4      # CPE chains are small
+_CHURN_ARRIVALS = 10
+_CHURN_LIFE_S = (2.0, 8.0)
+_CHURN_DEMAND_FACTOR = 0.4  # CPE chains are small
 
 
 def site_churn(
-    seed: int, ctx: WorkloadContext, config: ChurnConfig | None = None
+    seed: int, ctx: WorkloadContext, duration_s: float
 ) -> WorkloadSchedule:
     """Mobile-CPE site churn: short-lived small chains arriving and
     departing at random sites throughout the run."""
-    config = config or ChurnConfig()
     rng = _rng("site_churn", seed)
     ops: list[WorkloadOp] = []
-    for i in range(config.arrivals):
-        born = rng.uniform(0.05, 0.8) * config.duration_s
-        life = rng.uniform(config.min_life_s, config.max_life_s)
-        died = min(born + life, 0.95 * config.duration_s)
+    for i in range(_CHURN_ARRIVALS):
+        born = rng.uniform(0.05, 0.8) * duration_s
+        life = rng.uniform(*_CHURN_LIFE_S)
+        died = min(born + life, 0.95 * duration_s)
         ingress, egress = _pick_pair(rng, ctx)
         name = f"wl-cpe-{i}"
         ops.append(
             WorkloadOp(
                 at=born, op="create", chain=name,
                 ingress=ingress, egress=egress, stages=1,
-                value=round(config.demand_factor * ctx.base_demand, 6),
+                value=round(_CHURN_DEMAND_FACTOR * ctx.base_demand, 6),
             )
         )
         ops.append(WorkloadOp(at=died, op="remove", chain=name))
     return WorkloadSchedule(
-        kind="site_churn", seed=seed, duration_s=config.duration_s, ops=ops
+        kind="site_churn", seed=seed, duration_s=duration_s, ops=ops
     )
 
 
-@dataclass(frozen=True)
-class ZipfConfig:
-    duration_s: float = 24.0
-    tenants: int = 5
-    chains: int = 12
-    alpha: float = 1.1
-    remove_share: float = 0.25
+_ZIPF_TENANTS = 5
+_ZIPF_CHAINS = 12
+_ZIPF_ALPHA = 1.1
+_ZIPF_REMOVE_SHARE = 0.25
 
 
 def zipf_mix(
-    seed: int, ctx: WorkloadContext, config: ZipfConfig | None = None
+    seed: int, ctx: WorkloadContext, duration_s: float
 ) -> WorkloadSchedule:
     """Multi-tenant Zipf chain mix: tenant ``t`` gets a
     ``1/(t+1)^alpha`` share of chains and demand, with a tail of
     removals late in the run."""
-    config = config or ZipfConfig()
     rng = _rng("zipf_mix", seed)
-    weights = [1.0 / (t + 1) ** config.alpha for t in range(config.tenants)]
+    weights = [1.0 / (t + 1) ** _ZIPF_ALPHA for t in range(_ZIPF_TENANTS)]
     total = sum(weights)
     shares = [w / total for w in weights]
     ops: list[WorkloadOp] = []
     created: list[str] = []
-    for i in range(config.chains):
-        tenant = rng.choices(range(config.tenants), weights=shares)[0]
-        born = rng.uniform(0.05, 0.7) * config.duration_s
+    for i in range(_ZIPF_CHAINS):
+        tenant = rng.choices(range(_ZIPF_TENANTS), weights=shares)[0]
+        born = rng.uniform(0.05, 0.7) * duration_s
         ingress, egress = _pick_pair(rng, ctx)
         name = f"wl-zipf-t{tenant}-{i}"
         demand = ctx.base_demand * (0.3 + 2.0 * shares[tenant])
@@ -299,25 +282,22 @@ def zipf_mix(
             )
         )
         created.append(name)
-    removals = int(config.remove_share * len(created))
+    removals = int(_ZIPF_REMOVE_SHARE * len(created))
     for name in rng.sample(created, removals):
-        at = rng.uniform(0.75, 0.95) * config.duration_s
+        at = rng.uniform(0.75, 0.95) * duration_s
         ops.append(WorkloadOp(at=at, op="remove", chain=name))
     return WorkloadSchedule(
-        kind="zipf_mix", seed=seed, duration_s=config.duration_s, ops=ops
+        kind="zipf_mix", seed=seed, duration_s=duration_s, ops=ops
     )
 
 
-@dataclass(frozen=True)
-class AdversarialConfig:
-    duration_s: float = 24.0
-    hostile_chains: int = 5
-    surge_factor: float = 2.0       # simultaneous base-population surge
-    overload_factor: float = 2.5    # hostile demand vs base
+_HOSTILE_CHAINS = 5
+_SURGE_FACTOR = 2.0  # simultaneous base-population surge
+_OVERLOAD_FACTOR = 2.5  # hostile demand vs base
 
 
 def adversarial_matrix(
-    seed: int, ctx: WorkloadContext, config: AdversarialConfig | None = None
+    seed: int, ctx: WorkloadContext, duration_s: float
 ) -> WorkloadSchedule:
     """Adversarial worst-case matrix: concentrate everything.
 
@@ -327,46 +307,44 @@ def adversarial_matrix(
     to pin admission and capacity accounting to their boundaries (the
     invariants must hold even while most of it is being rejected).
     """
-    config = config or AdversarialConfig()
     rng = _rng("adversarial_matrix", seed)
     ingress, egress = _pick_pair(rng, ctx)
-    surge_at = rng.uniform(0.3, 0.5) * config.duration_s
+    surge_at = rng.uniform(0.3, 0.5) * duration_s
     ops: list[WorkloadOp] = [
         WorkloadOp(
             at=surge_at, op="redemand", chain=ctx.base_chain(i),
-            value=config.surge_factor,
+            value=_SURGE_FACTOR,
         )
         for i in range(ctx.num_base_chains)
     ]
-    for i in range(config.hostile_chains):
+    for i in range(_HOSTILE_CHAINS):
         at = surge_at + 0.5 + 0.25 * i
         ops.append(
             WorkloadOp(
                 at=at, op="create", chain=f"wl-adv-{i}",
                 ingress=ingress, egress=egress, stages=ctx.max_stages,
-                value=round(config.overload_factor * ctx.base_demand, 6),
+                value=round(_OVERLOAD_FACTOR * ctx.base_demand, 6),
             )
         )
     # Relax late so the run can settle back under capacity.
-    relax_at = min(surge_at + 0.35 * config.duration_s,
-                   0.9 * config.duration_s)
+    relax_at = min(surge_at + 0.35 * duration_s, 0.9 * duration_s)
     for i in range(ctx.num_base_chains):
         ops.append(
             WorkloadOp(
                 at=relax_at, op="redemand", chain=ctx.base_chain(i),
-                value=round(1.0 / config.surge_factor, 6),
+                value=round(1.0 / _SURGE_FACTOR, 6),
             )
         )
     return WorkloadSchedule(
-        kind="adversarial_matrix", seed=seed, duration_s=config.duration_s,
+        kind="adversarial_matrix", seed=seed, duration_s=duration_s,
         ops=ops,
     )
 
 
-#: Scenario kind -> default-config generator, the registry the fuzzer
-#: samples from and ``--scenario`` resolves against.
+#: Scenario kind -> generator, the registry the fuzzer samples from and
+#: ``--scenario`` resolves against.
 SCENARIO_KINDS: dict[
-    str, Callable[[int, WorkloadContext], WorkloadSchedule]
+    str, Callable[[int, WorkloadContext, float], WorkloadSchedule]
 ] = {
     "diurnal_wave": diurnal_wave,
     "flash_crowd": flash_crowd,
@@ -376,22 +354,12 @@ SCENARIO_KINDS: dict[
     "adversarial_matrix": adversarial_matrix,
 }
 
-#: Scenario kind -> its config dataclass (all share ``duration_s``).
-SCENARIO_CONFIGS: dict[str, type] = {
-    "diurnal_wave": DiurnalConfig,
-    "flash_crowd": FlashCrowdConfig,
-    "evacuation_cascade": EvacuationConfig,
-    "site_churn": ChurnConfig,
-    "zipf_mix": ZipfConfig,
-    "adversarial_matrix": AdversarialConfig,
-}
-
 
 def generate(
     kind: str,
     seed: int,
     ctx: WorkloadContext | None = None,
-    duration_s: float | None = None,
+    duration_s: float = DEFAULT_DURATION_S,
 ) -> WorkloadSchedule:
     """Generate one library scenario by kind name."""
     try:
@@ -401,7 +369,4 @@ def generate(
             f"unknown scenario kind {kind!r} "
             f"(have: {', '.join(sorted(SCENARIO_KINDS))})"
         ) from None
-    config = None
-    if duration_s is not None:
-        config = SCENARIO_CONFIGS[kind](duration_s=duration_s)
-    return factory(seed, ctx or WorkloadContext(), config)
+    return factory(seed, ctx or WorkloadContext(), duration_s)

@@ -34,17 +34,28 @@ import numpy as np
 
 from repro.core.model import Chain, CloudSite, NetworkModel
 from repro.topology.backbone import Backbone, build_backbone
-from repro.topology.cities import City, fibre_delay_ms
+from repro.topology.cities import City
 from repro.topology.traffic import (
     apply_background,
     gravity_traffic_matrix,
     split_switchboard_background,
 )
-from repro.topology.workload import WorkloadConfig, place_vnfs
+from repro.topology.workload import (
+    MAX_CHAIN_LENGTH,
+    MIN_CHAIN_LENGTH,
+    REVERSE_RATIO,
+    SWITCHBOARD_SHARE,
+    WorkloadConfig,
+    place_vnfs,
+)
 
 #: Continental-US bounding box the metro centres are spread over.
 _LAT_RANGE = (27.0, 47.5)
 _LON_RANGE = (-122.5, -72.0)
+#: Compute capacity of every generated site.
+_SITE_CAPACITY = 4000.0
+#: Long-haul links the backbone adds between distant PoPs.
+_LONG_HAUL_PAIRS = 6
 
 
 def ecmp_routing(graph: nx.Graph, weight: str = "delay", link_name=None):
@@ -116,26 +127,18 @@ class PopGridConfig:
 
     ``locality`` is the probability that a chain's ingress and egress
     fall in the same metro cluster; the remainder are cross-metro and
-    become the federation's cross-shard workload.  The remaining knobs
-    mirror :class:`~repro.topology.workload.WorkloadConfig` (the paper's
-    Section 7.3 setup) at generated scale.
+    become the federation's cross-shard workload.  The rest is
+    :class:`~repro.topology.workload.WorkloadConfig`'s (the paper's
+    Section 7.3 setup) at generated scale: VNF coverage, chain lengths,
+    the Switchboard share and the reverse ratio, with larger sites.
     """
 
     num_pops: int = 60
     num_metros: int = 4
     num_chains: int = 240
     num_vnfs: int = 20
-    coverage: float = 0.5
     locality: float = 0.8
-    min_chain_length: int = 3
-    max_chain_length: int = 5
     total_traffic: float = 4000.0
-    switchboard_share: float = 0.8
-    reverse_ratio: float = 0.25
-    site_capacity: float = 4000.0
-    mlu_limit: float = 1.0
-    neighbours: int = 3
-    long_haul_pairs: int = 6
     seed: int = 7
 
     def __post_init__(self) -> None:
@@ -192,18 +195,6 @@ def generate_pop_cities(
     return tuple(cities), metro_of
 
 
-def build_pop_backbone(
-    cities: tuple[City, ...], config: PopGridConfig
-) -> Backbone:
-    """The standard backbone construction with path-counting ECMP."""
-    return build_backbone(
-        cities,
-        neighbours=config.neighbours,
-        long_haul_pairs=config.long_haul_pairs,
-        ecmp=ecmp_routing,
-    )
-
-
 def _generate_local_chains(
     config: PopGridConfig,
     cities: tuple[City, ...],
@@ -219,7 +210,7 @@ def _generate_local_chains(
         by_metro.setdefault(metro_of[city.name], []).append(city.name)
     nodes = [c.name for c in cities]
     order = {name: i for i, name in enumerate(vnf_names)}
-    switchboard_total = config.total_traffic * config.switchboard_share
+    switchboard_total = config.total_traffic * SWITCHBOARD_SHARE
 
     picks: list[tuple[str, str, list[str]]] = []
     weights: list[float] = []
@@ -234,15 +225,13 @@ def _generate_local_chains(
             ingress, egress = rng.sample(nodes, 2)
             while metro_of[ingress] == metro_of[egress]:
                 ingress, egress = rng.sample(nodes, 2)
-        length = rng.randint(config.min_chain_length, config.max_chain_length)
+        length = rng.randint(MIN_CHAIN_LENGTH, MAX_CHAIN_LENGTH)
         vnfs = sorted(rng.sample(vnf_names, length), key=order.__getitem__)
         picks.append((ingress, egress, vnfs))
         weights.append(row_sums[ingress])
 
     total_weight = sum(weights) or 1.0
-    demand_norm = switchboard_total / (
-        total_weight * (1.0 + config.reverse_ratio)
-    )
+    demand_norm = switchboard_total / (total_weight * (1.0 + REVERSE_RATIO))
     chains = []
     for i, ((ingress, egress, vnfs), weight) in enumerate(zip(picks, weights)):
         forward = weight * demand_norm
@@ -253,7 +242,7 @@ def _generate_local_chains(
                 egress,
                 vnfs,
                 forward_traffic=forward,
-                reverse_traffic=forward * config.reverse_ratio,
+                reverse_traffic=forward * REVERSE_RATIO,
             )
         )
     return chains
@@ -272,12 +261,14 @@ def generate_federation_workload(
     config = config or PopGridConfig()
     rng = random.Random(config.seed)
     cities, metro_of = generate_pop_cities(config)
-    if backbone is None:
-        backbone = build_pop_backbone(cities, config)
+    if backbone is None:  # the standard construction, path-counting ECMP
+        backbone = build_backbone(
+            cities, long_haul_pairs=_LONG_HAUL_PAIRS, ecmp=ecmp_routing
+        )
 
     matrix = gravity_traffic_matrix(cities, config.total_traffic)
     switchboard_matrix, background_matrix = split_switchboard_background(
-        matrix, config.switchboard_share
+        matrix, SWITCHBOARD_SHARE
     )
     links = apply_background(backbone, background_matrix)
     # Row sums once (TrafficMatrix.row_sum is O(n^2) per call).
@@ -286,14 +277,13 @@ def generate_federation_workload(
         row_sums[src] += volume
 
     sites = [
-        CloudSite(f"S-{node}", node, config.site_capacity)
+        CloudSite(f"S-{node}", node, _SITE_CAPACITY)
         for node in backbone.nodes
     ]
     workload_cfg = WorkloadConfig(
         num_vnfs=config.num_vnfs,
-        coverage=config.coverage,
         num_chains=config.num_chains,
-        site_capacity=config.site_capacity,
+        site_capacity=_SITE_CAPACITY,
         seed=config.seed,
     )
     vnfs = place_vnfs(workload_cfg, [s.name for s in sites], rng)
@@ -308,14 +298,12 @@ def generate_federation_workload(
         chains=chains,
         links=links,
         routing=backbone.routing,
-        mlu_limit=config.mlu_limit,
     )
     return model, metro_of
 
 
 __all__ = [
     "PopGridConfig",
-    "build_pop_backbone",
     "ecmp_routing",
     "generate_federation_workload",
     "generate_pop_cities",

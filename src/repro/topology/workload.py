@@ -30,6 +30,16 @@ from repro.topology.traffic import (
 )
 
 
+#: A chain's reverse demand per unit of its forward demand.
+REVERSE_RATIO = 0.25
+#: Share of the total traffic Switchboard chains carry: the paper's 4:1
+#: split between chains and background.
+SWITCHBOARD_SHARE = 0.8
+#: VNFs per chain: the paper's 3-5.
+MIN_CHAIN_LENGTH = 3
+MAX_CHAIN_LENGTH = 5
+
+
 @dataclass(frozen=True)
 class WorkloadConfig:
     """Parameters of a generated workload.
@@ -48,13 +58,11 @@ class WorkloadConfig:
     coverage: float = 0.5
     cpu_per_byte: float = 1.0
     num_chains: int = 100
-    min_chain_length: int = 3
-    max_chain_length: int = 5
+    min_chain_length: int = MIN_CHAIN_LENGTH
+    max_chain_length: int = MAX_CHAIN_LENGTH
     total_traffic: float = 500.0
-    switchboard_share: float = 0.8  # the paper's 4:1 split
-    reverse_ratio: float = 0.25
+    switchboard_share: float = SWITCHBOARD_SHARE
     site_capacity: float = 150.0
-    mlu_limit: float = 1.0
     seed: int = 42
     cities: Sequence[City] = field(default=DEFAULT_CITIES)
 
@@ -127,7 +135,7 @@ def generate_chains(
 
     total_weight = sum(weights) or 1.0
     # Forward + reverse demand together sum to the Switchboard share.
-    demand_norm = switchboard_total / (total_weight * (1.0 + config.reverse_ratio))
+    demand_norm = switchboard_total / (total_weight * (1.0 + REVERSE_RATIO))
 
     chains = []
     for i, ((ingress, egress, vnfs), weight) in enumerate(zip(picks, weights)):
@@ -139,7 +147,7 @@ def generate_chains(
                 egress,
                 vnfs,
                 forward_traffic=forward,
-                reverse_traffic=forward * config.reverse_ratio,
+                reverse_traffic=forward * REVERSE_RATIO,
             )
         )
     return chains
@@ -179,5 +187,4 @@ def generate_workload(
         chains=chains,
         links=links,
         routing=backbone.routing,
-        mlu_limit=config.mlu_limit,
     )

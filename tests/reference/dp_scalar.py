@@ -9,14 +9,18 @@ and commit are tested against, route for route and residual array for
 residual array (``tests/test_vectorized_equivalence.py``).  It owns the
 whole per-chain routine and reads capacities from the model's catalogs;
 nothing under ``src/`` reaches it, and it reaches ``src/`` only for the
-residual loads (``_ResourceState``).
+residual loads (``_ResourceState``) and the commit records a rollback
+releases (``_Commit``, ``_Routed``).
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.core.dp import _EPS, _INF, DpConfig, DpResult, _ResourceState
+import numpy as np
+
+from repro.core.costs import FORTZ_THORUP
+from repro.core.dp import _EPS, _INF, DpConfig, DpResult, _Commit, _ResourceState, _Routed
 from repro.core.model import Chain, NetworkModel
 from repro.core.routes import RoutingSolution
 
@@ -33,33 +37,32 @@ class ScalarDpRouter:
         #: ``_transition_cost`` calls: a test that compares against this
         #: oracle asserts it really searched.
         self.costs = 0
-        self._weight = config.utilization_weight
-        if self._weight is None:
-            finite = [d for d in model._latency.values() if math.isfinite(d)]
-            diameter = max(finite, default=0.0)
-            at_full = config.penalty(1.0)
-            self._weight = diameter / at_full if diameter > 0 and at_full > 0 else 1.0
+        finite = [d for d in model._latency.values() if math.isfinite(d)]
+        diameter = max(finite, default=0.0)
+        self._weight = diameter / FORTZ_THORUP(1.0) if diameter > 0 else 1.0
 
     def route_chain(
         self, chain: Chain, solution: RoutingSolution, remaining: float = 1.0
-    ) -> float:
+    ) -> _Routed:
         sub = self.model.substrate_columns()
         if sub is not self.state.sub:  # invalidated: the loads carry over
             self.state.refresh_substrate(sub)
+        passes, searches = [], 0
         for _ in range(self.config.max_paths_per_chain):
             if remaining <= _EPS:
                 break
             path = self._find_path(chain, remaining)
-            self.paths_computed += 1
+            searches += 1
             if path is None:
                 break
             fraction = min(remaining, self._max_feasible_fraction(chain, path))
             if fraction <= _EPS:
                 break
-            self._commit(chain, path, fraction)
+            passes.append((self._commit(chain, path, fraction), path))
             solution.add_path(chain.name, path, fraction)
             remaining -= fraction
-        return max(0.0, remaining)
+        self.paths_computed += searches
+        return _Routed(chain, passes, max(0.0, remaining), searches)
 
     # -- path search -----------------------------------------------------
 
@@ -145,15 +148,15 @@ class ScalarDpRouter:
             site_residual = self._site_residual(dst)
             if residual <= _EPS or site_residual <= _EPS:
                 return _INF
-            if self.config.use_compute_cost:
+            if self.config.utilization_cost:
                 # The VNF both receives stage-z and sends stage-(z+1)
                 # traffic; approximate the added load with twice the
                 # incoming demand (symmetric chains).
                 load = self.model.vnfs[vnf].load_per_unit * traffic * 2.0
                 util = self._vnf_utilization(vnf, dst, extra=load)
-                cost += self._weight * self.config.penalty(min(util, 2.0))
+                cost += self._weight * FORTZ_THORUP(min(util, 2.0))
 
-        if self.config.use_network_cost and self.model.routing:
+        if self.config.utilization_cost and self.model.routing:
             n1 = self.model.endpoint_node(src)
             n2 = self.model.endpoint_node(dst)
             fwd = chain.forward_traffic[z - 1] * pass_fraction
@@ -166,7 +169,7 @@ class ScalarDpRouter:
                     cost += (
                         self._weight
                         * frac
-                        * self.config.penalty(min(util, 2.0))
+                        * FORTZ_THORUP(min(util, 2.0))
                     )
         return cost
 
@@ -248,7 +251,11 @@ class ScalarDpRouter:
 
         return max(0.0, max_fraction)
 
-    def _commit(self, chain: Chain, path: list[str], fraction: float) -> None:
+    def _commit(self, chain: Chain, path: list[str], fraction: float) -> _Commit:
+        """Commit one pass by name; what it committed as the record
+        ``IncrementalDpRouter.rollback`` releases."""
+        sub = self.state.sub
+        vnfs, sites, loads = [], [], []
         for z in range(1, chain.num_stages):
             vnf = chain.vnf_at(z)
             load = (
@@ -257,15 +264,35 @@ class ScalarDpRouter:
                 * fraction
             )
             self.state.commit_vnf(vnf, path[z], load)
+            vnfs.append(sub.vnf_index[vnf] * len(sub.site_names) + sub.site_index[path[z]])
+            sites.append(sub.site_index[path[z]])
+            loads.append(load)
+        links, volumes = [], []
         for z, (src, dst) in enumerate(zip(path, path[1:]), start=1):
             n1 = self.model.endpoint_node(src)
             n2 = self.model.endpoint_node(dst)
-            self.state.commit_link_traffic(
-                n1, n2, chain.forward_traffic[z - 1] * fraction
-            )
-            self.state.commit_link_traffic(
-                n2, n1, chain.reverse_traffic[z - 1] * fraction
-            )
+            for a, b, volume in (
+                (n1, n2, chain.forward_traffic[z - 1] * fraction),
+                (n2, n1, chain.reverse_traffic[z - 1] * fraction),
+            ):
+                pool = self._pool(a, b) if volume else None
+                if pool is not None:
+                    # Each pair's pool lists every link once: fancy += is safe.
+                    self.state.link_load[sub.pool_link[pool]] += volume * sub.pool_frac[pool]
+                    links.append(sub.pool_link[pool])
+                    volumes.append(volume * sub.pool_frac[pool])
+        if not links:
+            return _Commit(fraction, vnfs, sites, loads, None, None)
+        return _Commit(fraction, vnfs, sites, loads, np.concatenate(links), np.concatenate(volumes))
+
+    def _pool(self, n1: str, n2: str) -> slice | None:
+        """The slice of the routing pool that spreads ``n1 -> n2``."""
+        sub = self.state.sub
+        i, j = sub.node_index.get(n1), sub.node_index.get(n2)
+        if i is None or j is None or sub.pair_id[i, j] < 0:
+            return None
+        start = sub.pair_start[sub.pair_id[i, j]]
+        return slice(start, start + sub.pair_len[sub.pair_id[i, j]])
 
 
 def route_chains_dp_reference(
@@ -274,13 +301,10 @@ def route_chains_dp_reference(
     """``route_chains_dp`` on the scalar router, and the router."""
     config = config or DpConfig()
     router = ScalarDpRouter(model, config)
-    names = list(model.chains)
-    if config.sort_by_demand:
-        names.sort(key=lambda n: model.chains[n].stage_traffic(1), reverse=True)
     solution = RoutingSolution(model)
     unrouted = {}
-    for name in names:
-        remainder = router.route_chain(model.chains[name], solution)
+    for name, chain in model.chains.items():
+        remainder = router.route_chain(chain, solution).remainder
         if remainder > _EPS:
             unrouted[name] = remainder
     return DpResult(solution, unrouted, router.paths_computed), router

@@ -50,6 +50,30 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["route", "--coverage", "1.5"], "must be in [0, 1]"),
+        (["route", "--coverage", "nan"], "must be in [0, 1]"),
+        (["route", "--coverage", "0"], "must be positive"),
+        (["federation", "--locality", "2"], "must be in [0, 1]"),
+        (["federation", "--soak", "2", "--reject-rate", "2"], "must be in [0, 1]"),
+        (["federation", "--soak", "2", "--crash-rate", "-0.1"], "must be in [0, 1]"),
+        (["chaos", "--control-faults", "--control-loss", "1.5"], "must be in [0, 1]"),
+        (["chaos", "--control-faults", "--control-loss", "nan"], "must be in [0, 1]"),
+        (["bus", "--subscribers", "-1"], "must be positive"),
+        (["route", "--chains", "0"], "must be positive"),
+        (["federation", "--chains", "0"], "must be positive"),
+        (["federation", "--regions", "0"], "must be positive"),
+        (["federation", "--pops", "8", "--regions", "20"], "must not exceed --pops"),
+        (["federation", "--pops", "8", "--metros", "9"], "must not exceed --pops"),
+    ])
+    def test_out_of_range_fractions_and_counts_are_usage_errors(
+        self, argv, message, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestCommands:
     def test_topology(self, capsys):

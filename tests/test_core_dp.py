@@ -145,8 +145,7 @@ class TestCapacityEnforcement:
 class TestAblations:
     def test_latency_only_ignores_congestion_costs(self):
         config = DpConfig.latency_only()
-        assert not config.use_network_cost
-        assert not config.use_compute_cost
+        assert not config.utilization_cost
         model = small_model(chain_demand=0.1)
         result = route_chains_dp(model, config)
         assert result.fully_routed

@@ -146,18 +146,6 @@ def test_a_chain_order_replays_its_common_prefix():
     assert_warm_is_cold(model, 0)  # the reversed run is the trail now
 
 
-def test_sort_by_demand_replays_within_the_sorted_order():
-    model = pressed_model()
-    config = DpConfig(sort_by_demand=True)
-    route_chains_dp(model)
-    assert_warm_is_cold(model, 0, config)  # another config: nothing replays
-    order = sorted(
-        model.chains, key=lambda n: model.chains[n].stage_traffic(1), reverse=True
-    )
-    last = list(model.chains).index(order[-1])
-    assert_warm_is_cold(rescaled(model, last, factor=0.5), len(order) - 1, config)
-
-
 @pytest.mark.parametrize(
     "config",
     [DpConfig.latency_only(), DpConfig.one_hop(), DpConfig(max_paths_per_chain=1)],

@@ -89,8 +89,6 @@ class TestConfigValidation:
         [
             {"install_deadline_s": 0.0},
             {"install_deadline_s": -1.0},
-            {"redrive_interval_s": 0.0},
-            {"sweep_interval_s": -0.5},
         ],
     )
     def test_invalid_resilience_config_rejected(self, kwargs):

@@ -8,14 +8,16 @@ update the snapshot *and* regenerate
 ``benchmarks/baselines/fuzz_known_good.json``.
 """
 
+import inspect
+
 import pytest
 
 from repro.scenarios import (
-    SCENARIO_CONFIGS,
     SCENARIO_KINDS,
     WorkloadContext,
     generate,
 )
+from repro.scenarios.library import DEFAULT_DURATION_S
 from repro.scenarios.schedule import ScheduleError
 
 SNAPSHOT_SEED = 42
@@ -37,8 +39,11 @@ SNAPSHOT_DIGESTS = {
 
 
 class TestRegistry:
-    def test_every_kind_has_a_config(self):
-        assert set(SCENARIO_KINDS) == set(SCENARIO_CONFIGS)
+    def test_every_kind_is_a_function_of_seed_and_duration(self):
+        for factory in SCENARIO_KINDS.values():
+            assert list(inspect.signature(factory).parameters) == [
+                "seed", "ctx", "duration_s"
+            ]
 
     def test_snapshot_covers_every_kind(self):
         assert set(SNAPSHOT_DIGESTS) == set(SCENARIO_KINDS)
@@ -97,4 +102,4 @@ class TestContext:
 
     def test_default_duration_used_without_override(self):
         schedule = generate("site_churn", 3)
-        assert schedule.duration_s == SCENARIO_CONFIGS["site_churn"]().duration_s
+        assert schedule.duration_s == DEFAULT_DURATION_S

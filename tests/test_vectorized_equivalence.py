@@ -355,16 +355,10 @@ class TestDpBatchedSearchEquivalence:
     CONFIGS = [
         DpConfig(),
         DpConfig.latency_only(),
-        DpConfig(use_network_cost=False),
-        DpConfig(use_compute_cost=False, sort_by_demand=True),
-        DpConfig(utilization_weight=3.5, max_paths_per_chain=3),
-        # Penalties dwarf latency: a penalty added where the scalar code
-        # adds none (a direction without demand) changes the route.
-        DpConfig(utilization_weight=400.0),
+        DpConfig(max_paths_per_chain=3),
         # ONEHOP: the same stage matrices, chosen row by row from the
         # site just picked (a search that read the wrong row differs).
         DpConfig.one_hop(),
-        DpConfig(per_hop=True, utilization_weight=400.0),
     ]
 
     @settings(max_examples=120, deadline=None)
@@ -431,7 +425,7 @@ class TestDpBatchedSearchEquivalence:
             flows = route(model, config).solution._flows
             return [next(iter(flows[("c", z)]))[1] for z in (1, 2)]
 
-        one_hop = DpConfig(per_hop=True, use_network_cost=False, use_compute_cost=False)
+        one_hop = DpConfig(per_hop=True, utilization_cost=False)
         for route in (route_chains_dp, reference):
             assert route_sites(route, one_hop) == ["B", "B"]
             assert route_sites(route, DpConfig.latency_only()) == ["A", "A"]
@@ -657,9 +651,7 @@ class TestDpSearchUnderShapeChurn:
         assert not state.vnf_load.any() and not state.site_load.any()
         assert (state.link_load == state.sub.link_background).all()
 
-    @pytest.mark.parametrize("config", [
-        DpConfig(), DpConfig(use_compute_cost=False), DpConfig(use_network_cost=False),
-    ])
+    @pytest.mark.parametrize("config", [DpConfig(), DpConfig.latency_only()])
     @pytest.mark.parametrize("routing", [False, True])
     def test_an_ingress_that_is_a_node_and_not_a_site(self, routing, config):
         chain = Chain("c", "edge", "out", ["fw"], [2.0, 0.0], [0.0, 1.0])
