@@ -12,7 +12,7 @@ relative improvement) and a 56.49 ms vs 70.02 ms mean download time
 
 from _common import emit, fmt, format_table
 
-from repro.vnf.cache import run_cache_experiment
+from repro.vnf.cache import chain_workloads, run_cache_experiment
 
 PAPER = {
     "shared": (57.45, 56.49),
@@ -21,26 +21,28 @@ PAPER = {
 
 # Calibrated so absolute hit rates land near the paper's Squid numbers:
 # a catalog an order of magnitude larger than the cache, Zipf(1).
-PARAMS = dict(
+WORKLOADS = dict(
     num_chains=5,
-    total_cache_objects=600,
-    requests_per_chain=4000,
     catalog_objects=6000,
     zipf_exponent=1.0,
-    mean_file_kb=50.0,
-    client_cache_rtt_ms=2.0,
-    cache_origin_rtt_ms=60.0,
-    bandwidth_mbps=100.0,
     seed=7,
     # Each customer's popularity ranking is rotated, so hot sets overlap
     # only partially -- calibrated to the paper's Squid hit rates.
     popularity_spread=100,
 )
+PARAMS = dict(
+    total_cache_objects=600,
+    requests_per_chain=4000,
+    mean_file_kb=50.0,
+    client_cache_rtt_ms=2.0,
+    cache_origin_rtt_ms=60.0,
+    bandwidth_mbps=100.0,
+)
 
 
 def run_table3():
-    shared = run_cache_experiment(shared=True, **PARAMS)
-    siloed = run_cache_experiment(shared=False, **PARAMS)
+    shared = run_cache_experiment(chain_workloads(**WORKLOADS), shared=True, **PARAMS)
+    siloed = run_cache_experiment(chain_workloads(**WORKLOADS), shared=False, **PARAMS)
     return shared, siloed
 
 

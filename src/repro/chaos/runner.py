@@ -39,7 +39,9 @@ from repro.chaos.invariants import (
     no_orphaned_reservations,
     two_phase_atomicity,
 )
-from repro.chaos.scenario import FaultEvent, Scenario, ScenarioConfig, generate_scenario
+from repro.chaos.scenario import (
+    FaultEvent, Scenario, ScenarioConfig, ScenarioError, generate_scenario,
+)
 from repro.controller import (
     ChainSpecification,
     GlobalSwitchboard,
@@ -70,11 +72,12 @@ Probes = dict[str, Callable[[], Iterable[str]]]
 
 class FaultEngine:
     """Plays a :class:`Scenario` on ``deployment`` (anything with a
-    ``sim`` and a ``net``): each event, at its time, goes to the
-    ``_on_<kind>`` handler and is logged in :attr:`applied`.  The
-    network handlers are here; a soak's engine adds the kinds its
-    deployment knows, and extends these where a heal or restart has
-    recovery work."""
+    ``sim`` and a ``net``): each event, at its time, goes to the handler
+    :attr:`HANDLERS` maps its kind to and is logged in :attr:`applied`.
+    :meth:`schedule` refuses a kind the table lacks before anything is
+    scheduled.  The network handlers are here; a soak's engine extends
+    the table with the kinds its deployment knows, and maps a kind to
+    its own handler where a heal or restart has recovery work."""
 
     def __init__(self, deployment) -> None:
         self.d = deployment
@@ -82,11 +85,16 @@ class FaultEngine:
         self.applied: list[dict] = []
 
     def schedule(self, scenario: Scenario) -> None:
+        unhandled = {event.kind for event in scenario.events} - self.HANDLERS.keys()
+        if unhandled:
+            raise ScenarioError(
+                f"{type(self).__name__} has no handler for {sorted(unhandled)}"
+            )
         for event in scenario.events:
             self.d.sim.schedule_at(event.at, self._apply, event)
 
     def _apply(self, event: FaultEvent) -> None:
-        getattr(self, f"_on_{event.kind}")(event)
+        self.HANDLERS[event.kind](self, event)
         self.applied.append({"at": round(self.d.sim.now, 9), "kind": event.kind})
 
     def _on_link_down(self, event: FaultEvent) -> None:
@@ -103,6 +111,15 @@ class FaultEngine:
 
     def _on_restart_host(self, event: FaultEvent) -> None:
         self.d.net.restart_host(event.target[0])
+
+    #: ``kind -> handler`` for every kind this engine plays.
+    HANDLERS: ClassVar[dict[str, Callable]] = {
+        "link_down": _on_link_down,
+        "link_up": _on_link_up,
+        "heal_partition": _on_heal_partition,
+        "crash_host": _on_crash_host,
+        "restart_host": _on_restart_host,
+    }
 
 
 #: Simulated seconds between two rounds of invariant probes.
@@ -489,6 +506,18 @@ class ChaosEngine(FaultEngine):
         self.d.sim.schedule(
             3 * _LEASE_DURATION_S, self.election.revive, leader
         )
+
+    HANDLERS = {
+        **FaultEngine.HANDLERS,
+        "link_loss": _on_link_loss,
+        "link_degrade": _on_link_degrade,
+        "partition": _on_partition,
+        "fail_site": _on_fail_site,
+        "restore_site": _on_restore_site,
+        "control_loss": _on_control_loss,
+        "gs_crash": _on_gs_crash,
+        "kill_leader": _on_kill_leader,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ replicated store's lease machinery.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -125,11 +124,6 @@ class Scenario:
             duration_s=doc["duration_s"],
             events=[FaultEvent.from_doc(e) for e in doc["events"]],
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Scenario":
-        """Inverse of :meth:`to_json`: byte-identical round trips."""
-        return cls.from_doc(json.loads(text))
 
     def digest(self) -> str:
         """Stable content hash of the schedule (hex SHA-256)."""

@@ -65,12 +65,14 @@ def _fraction(text: str) -> float:
     return value
 
 
-def _cmd_topology(args: argparse.Namespace) -> int:
+def _build_topology(args: argparse.Namespace):
     from repro.topology import build_backbone
     from repro.topology.cities import DEFAULT_CITIES
 
-    cities = DEFAULT_CITIES[: args.cities]
-    backbone = build_backbone(cities)
+    return build_backbone(DEFAULT_CITIES[: args.cities])
+
+
+def _cmd_topology(args: argparse.Namespace, backbone) -> int:
     lat = [v for v in backbone.latency.values() if v > 0]
     print(f"PoPs           : {len(backbone.nodes)}")
     print(f"directed links : {len(backbone.links)}")
@@ -83,14 +85,7 @@ def _cmd_topology(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_route(args: argparse.Namespace) -> int:
-    from repro.core.baselines import (
-        route_anycast,
-        route_compute_aware,
-        scale_to_capacity,
-    )
-    from repro.core.dp import route_chains_dp
-    from repro.core.lp import LpObjective, solve_chain_routing_lp
+def _build_route(args: argparse.Namespace):
     from repro.topology import WorkloadConfig, build_backbone, generate_workload
     from repro.topology.cities import DEFAULT_CITIES
 
@@ -104,7 +99,18 @@ def _cmd_route(args: argparse.Namespace) -> int:
         cities=cities,
         seed=args.seed,
     )
-    model = generate_workload(config, build_backbone(cities))
+    return generate_workload(config, build_backbone(cities))
+
+
+def _cmd_route(args: argparse.Namespace, model) -> int:
+    from repro.core.baselines import (
+        route_anycast,
+        route_compute_aware,
+        scale_to_capacity,
+    )
+    from repro.core.dp import route_chains_dp
+    from repro.core.lp import LpObjective, solve_chain_routing_lp
+
     offered = model.total_demand()
     print(f"workload: {len(model.chains)} chains, {offered:.0f} units offered")
 
@@ -139,16 +145,28 @@ def _cmd_route(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.vnf.cache import run_cache_experiment
+def _build_cache(args: argparse.Namespace):
+    """The request streams of the shared run, then the siloed run's."""
+    from repro.vnf.cache import chain_workloads
 
-    for shared in (True, False):
-        result = run_cache_experiment(
-            shared=shared,
+    return [
+        chain_workloads(
             num_chains=args.chains,
-            total_cache_objects=args.cache_objects,
             catalog_objects=args.catalog,
             popularity_spread=args.spread,
+        )
+        for _ in range(2)
+    ]
+
+
+def _cmd_cache(args: argparse.Namespace, workloads) -> int:
+    from repro.vnf.cache import run_cache_experiment
+
+    for shared, streams in zip((True, False), workloads):
+        result = run_cache_experiment(
+            streams,
+            shared=shared,
+            total_cache_objects=args.cache_objects,
         )
         print(
             f"{result.scheme:>7}: hit rate {result.hit_rate:6.2%}, "
@@ -707,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("topology", help="summarize the synthetic backbone")
     p.add_argument("--cities", type=int, default=25)
-    p.set_defaults(func=_cmd_topology)
+    p.set_defaults(func=_cmd_topology, build=_build_topology)
 
     p = sub.add_parser("route", help="compare TE schemes on a workload")
     p.add_argument("--chains", type=_positive(int), default=40)
@@ -722,14 +740,14 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["all", "dp", "lp", "anycast", "compute-aware"],
         default="all",
     )
-    p.set_defaults(func=_cmd_route)
+    p.set_defaults(func=_cmd_route, build=_build_route)
 
     p = sub.add_parser("cache", help="the Table 3 shared-vs-siloed cache")
     p.add_argument("--chains", type=int, default=5)
     p.add_argument("--cache-objects", type=int, default=600)
     p.add_argument("--catalog", type=int, default=6000)
     p.add_argument("--spread", type=int, default=100)
-    p.set_defaults(func=_cmd_cache)
+    p.set_defaults(func=_cmd_cache, build=_build_cache)
 
     p = sub.add_parser("bus", help="bus vs broadcast under load")
     p.add_argument("--sites", type=_positive(int), default=10)
@@ -852,7 +870,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "federation" and max(args.regions, args.metros) > args.pops:
         parser.error("federation: --regions / --metros must not exceed --pops")
-    return args.func(args)
+    if not hasattr(args, "build"):
+        return args.func(args)
+    from repro.core.model import ModelError
+    from repro.vnf.cache import CacheError
+
+    # The domain checks its own inputs: what the build step refuses is a
+    # usage error (exit 2); an error while running stays a traceback.
+    try:
+        inputs = args.build(args)
+    except (ValueError, ModelError, CacheError) as exc:
+        parser.error(f"{args.command}: {exc}")
+    return args.func(args, inputs)
 
 
 if __name__ == "__main__":

@@ -7,14 +7,13 @@ list, and a demand estimate used for the initial route computation
 ("customer estimates for the initial chain deployment", Section 4.1).
 
 :func:`spec_to_dict` / :func:`spec_from_dict` are a specification's one
-document form (schema-versioned like the model document of
-:mod:`repro.core.serialization`): the portal submits it and the
-controller checkpoint embeds it.
+document form (schema-versioned by
+:func:`repro.core.serialization.check_version`): the portal submits it
+and the controller checkpoint embeds it.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -23,7 +22,6 @@ from repro.core.serialization import (
     SCHEMA_VERSION,
     SerializationError,
     check_version,
-    load_object,
 )
 
 
@@ -127,11 +125,3 @@ def spec_from_dict(document: dict[str, Any]) -> ChainSpecification:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed chain document: {exc}") from exc
-
-
-def spec_to_json(spec: ChainSpecification, indent: int | None = 2) -> str:
-    return json.dumps(spec_to_dict(spec), indent=indent)
-
-
-def spec_from_json(text: str) -> ChainSpecification:
-    return spec_from_dict(load_object(text, "chain"))

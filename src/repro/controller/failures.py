@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from repro.core.model import CloudSite, VNF
 from repro.controller.global_switchboard import GlobalSwitchboard
 
-_EPS = 1e-9
 _INF = float("inf")
 
 
@@ -52,24 +51,6 @@ class FailureReport:
     carried_before: dict[str, float] = field(default_factory=dict)
     #: chain -> carried fraction after recovery.
     carried_after: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def fully_recovered(self) -> list[str]:
-        return [
-            c
-            for c in self.affected_chains
-            if self.carried_after.get(c, 0.0)
-            >= self.carried_before.get(c, 0.0) - _EPS
-        ]
-
-    @property
-    def degraded(self) -> list[str]:
-        return [
-            c
-            for c in self.affected_chains
-            if self.carried_after.get(c, 0.0)
-            < self.carried_before.get(c, 0.0) - _EPS
-        ]
 
     def recovery_ratio(self) -> float:
         """Restored fraction of the traffic that was affected."""

@@ -91,10 +91,6 @@ class GlobalSwitchboard:
         #: ``GlobalCoordinator``).  ``None`` keeps the original
         #: direct-LP behaviour of :meth:`plan_routes`.
         self.solver = solver
-        #: Optional federated control plane (``attach_federation``):
-        #: installs/removals are mirrored into it so cross-shard chains
-        #: are split, 2PC-installed, and planned regionally.
-        self.federation = None
         self.router = IncrementalDpRouter(model, dp_config)
         self.labels = LabelAllocator()
         self.locals: dict[str, LocalSwitchboard] = {}
@@ -105,30 +101,6 @@ class GlobalSwitchboard:
         #: the bus-driven installer drops its durable checkpoint here, so
         #: a later failover cannot re-adopt a removed chain.
         self.removal_hooks: list[Callable[[str], None]] = []
-
-    def attach_federation(self, coordinator) -> None:
-        """Plan through a :class:`repro.federation.GlobalCoordinator`.
-
-        The coordinator becomes the TE solver strategy (so
-        :meth:`plan_routes` federates: per-region farms plus border
-        stitching), and every install/removal is mirrored into it --
-        intra-shard chains delegate to their regional switchboard,
-        cross-shard chains go through the split + 2PC install."""
-        self.solver = coordinator
-        self.federation = coordinator
-
-    def _notify_federation_installed(self, chain_name: str) -> None:
-        if self.federation is None:
-            return
-        chain = self.model.chains.get(chain_name)
-        if chain is not None and chain_name not in self.federation.installed():
-            self.federation.submit(chain)
-
-    def _notify_federation_removed(self, chain_name: str) -> None:
-        if self.federation is None:
-            return
-        if chain_name in self.federation.installed():
-            self.federation.remove(chain_name)
 
     # -- service registration (Section 3, "prior to chain specification") --
 
@@ -234,7 +206,6 @@ class GlobalSwitchboard:
         self._assign_instances(installation)
         # (5) Local Switchboards compile and install rules.
         self._install_rules(installation)
-        self._notify_federation_installed(spec.name)
         return installation
 
     def extend_chain(self, chain_name: str) -> float:
@@ -296,7 +267,6 @@ class GlobalSwitchboard:
             edge.remove_chain(installation.labels)
         self.router.rollback(chain_name)
         self.labels.release(chain_name)
-        self._notify_federation_removed(chain_name)
         if chain_name in self.model.chains:
             self.model.remove_chain(chain_name)
         del self.installations[chain_name]

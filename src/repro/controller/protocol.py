@@ -872,9 +872,6 @@ class BusDrivenInstaller:
         """Success path: retire the install and notify the caller --
         symmetric with :meth:`_fail`."""
         self._retire(pending)
-        # Mirror bus-driven installs into an attached federation the
-        # same way the direct create_chain path does.
-        self.gs._notify_federation_installed(pending.spec.name)
         if self.metrics is not None:
             self.metrics.counter("install.completed").inc()
         if pending.on_complete is not None:

@@ -24,12 +24,11 @@ from repro.core.capacity import (
     plan_cloud_capacity,
     plan_vnf_placement,
 )
-from repro.core.costs import PiecewiseLinearCost, fortz_thorup_cost
+from repro.core.costs import PiecewiseLinearCost
 from repro.core.dp import DpConfig, route_chains_dp
 from repro.core.lp import LpObjective, LpResult, solve_chain_routing_lp
 from repro.core.model import Chain, CloudSite, Link, NetworkModel, VNF
 from repro.core.routes import RoutingSolution, StageFlow
-from repro.core.serialization import model_from_json, model_to_json
 
 __all__ = [
     "Chain",
@@ -45,9 +44,6 @@ __all__ = [
     "StageFlow",
     "VNF",
     "VnfPlacementPlan",
-    "fortz_thorup_cost",
-    "model_from_json",
-    "model_to_json",
     "plan_cloud_capacity",
     "plan_vnf_placement",
     "route_anycast",

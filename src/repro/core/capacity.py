@@ -60,13 +60,6 @@ class CloudCapacityPlan:
     solution: RoutingSolution | None
     solve_seconds: float
 
-    def planned_sites(self, model: NetworkModel) -> list[CloudSite]:
-        """Site list with the planned additions applied."""
-        return [
-            CloudSite(s.name, s.node, s.capacity + self.additional.get(s.name, 0.0))
-            for s in model.sites.values()
-        ]
-
 
 class _CloudProgram(Program):
     """Cloud-capacity LP structure that survives capacity/demand changes.

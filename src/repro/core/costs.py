@@ -89,16 +89,6 @@ class PiecewiseLinearCost:
             total += term
         return total.reshape(u.shape)
 
-    def marginal(self, utilization: float) -> float:
-        """Slope of the penalty at the given utilization."""
-        if utilization < 0:
-            raise CostError(f"negative utilization {utilization}")
-        slope = self.slopes[0]
-        for start, s in zip(self.breakpoints, self.slopes):
-            if utilization >= start:
-                slope = s
-        return slope
-
 
 #: The Fortz--Thorup link-cost function from "Internet traffic engineering
 #: by optimizing OSPF weights" (INFOCOM 2000): slope 1 below 1/3
@@ -108,8 +98,3 @@ FORTZ_THORUP = PiecewiseLinearCost(
     breakpoints=(0.0, 1.0 / 3.0, 2.0 / 3.0, 0.9, 1.0, 1.1),
     slopes=(1.0, 3.0, 10.0, 70.0, 500.0, 5000.0),
 )
-
-
-def fortz_thorup_cost(utilization: float) -> float:
-    """Evaluate the Fortz--Thorup penalty at ``utilization``."""
-    return FORTZ_THORUP(utilization)

@@ -458,10 +458,6 @@ class NetworkModel:
 
     # -- link routing -----------------------------------------------------
 
-    def route_fraction(self, n1: str, n2: str, link_name: str) -> float:
-        """``r_{n1 n2 e}``: fraction of ``n1``->``n2`` traffic crossing a link."""
-        return self.routing.get((n1, n2), {}).get(link_name, 0.0)
-
     def links_between(self, n1: str, n2: str) -> dict[str, float]:
         """All links carrying ``n1``->``n2`` traffic with their fractions."""
         return dict(self.routing.get((n1, n2), {}))

@@ -199,14 +199,6 @@ class RoutingSolution:
         else:
             stage_flows[(src, dst)] = fraction
 
-    def clear_chain(self, chain: str) -> None:
-        """Remove every flow of a chain (route rollback / teardown)."""
-        if chain not in self.chains:
-            raise RoutingError(f"unknown chain {chain!r}")
-        stages = self.chains[chain].num_stages
-        for z in range(1, stages + 1):
-            self._flows.pop((chain, z), None)
-
     # -- lookups ----------------------------------------------------------
 
     def fraction(self, chain: str, stage: int, src: str, dst: str) -> float:

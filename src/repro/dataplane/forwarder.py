@@ -137,9 +137,6 @@ class Forwarder:
             )
         self.attached[instance.name] = instance
 
-    def detach(self, instance_name: str) -> None:
-        self.attached.pop(instance_name, None)
-
     def install_rule(
         self, chain_label: int, egress_site: str, rule: LoadBalancingRule
     ) -> None:

@@ -55,10 +55,6 @@ class Packet:
     payload: Any = None
     trace: list[str] = field(default_factory=list)
 
-    def with_labels(self, labels: Labels | None) -> "Packet":
-        self.labels = labels
-        return self
-
     def record(self, element: str) -> None:
         self.trace.append(element)
 

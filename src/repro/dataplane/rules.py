@@ -81,13 +81,6 @@ class WeightedChoice:
         assert chosen is not None
         return chosen
 
-    def distribution(self) -> dict[str, float]:
-        """Normalized weights (useful for assertions in tests)."""
-        total = self.total_weight
-        if total <= 0:
-            return {}
-        return {t: w / total for t, w in self._weights.items() if w > 0}
-
     def __len__(self) -> int:
         return len(self._weights)
 
@@ -102,32 +95,6 @@ class LoadBalancingRule:
     local_instances: WeightedChoice = field(default_factory=WeightedChoice)
     next_forwarders: WeightedChoice = field(default_factory=WeightedChoice)
     prev_forwarders: WeightedChoice = field(default_factory=WeightedChoice)
-
-
-def hierarchical_weights(
-    site_fractions: Mapping[str, float],
-    instance_weights: Mapping[str, Mapping[str, float]],
-) -> dict[str, float]:
-    """Combine site-level TE fractions with per-site instance weights.
-
-    ``site_fractions`` maps site -> the TE fraction ``x`` for that site;
-    ``instance_weights`` maps site -> {instance: weight}.  The result
-    assigns each instance ``site_fraction * instance_weight /
-    sum_of_site_instance_weights``, i.e. the product rule of Section 5.2.
-    """
-    combined: dict[str, float] = {}
-    for site, fraction in site_fractions.items():
-        if fraction < 0:
-            raise RuleError(f"negative site fraction for {site!r}")
-        weights = instance_weights.get(site, {})
-        total = sum(weights.values())
-        if total <= 0:
-            continue
-        for instance, weight in weights.items():
-            if weight < 0:
-                raise RuleError(f"negative instance weight for {instance!r}")
-            combined[instance] = fraction * weight / total
-    return combined
 
 
 def forwarder_weight(vnf_instance_weights: Mapping[str, float]) -> float:

@@ -8,7 +8,7 @@ elements that understand customer addressing; everything downstream
 works purely on labels.
 """
 
-from repro.edge.classifier import ClassifierRule, EgressTable, ip_in_prefix
+from repro.edge.classifier import ClassifierRule, EgressTable
 from repro.edge.instance import EdgeInstance
 from repro.edge.controller import EdgeController
 
@@ -17,5 +17,4 @@ __all__ = [
     "EdgeController",
     "EdgeInstance",
     "EgressTable",
-    "ip_in_prefix",
 ]

@@ -71,11 +71,6 @@ class Prefix:
         return address[0] == self.version and address[1] >> self.shift == self.bits
 
 
-def ip_in_prefix(ip: str, prefix: str) -> bool:
-    """True if ``ip`` falls inside the CIDR ``prefix``."""
-    return Prefix(prefix).contains(parse_address(ip))
-
-
 class PrefixIndex:
     """Values filed under prefixes and found by address.
 

@@ -353,6 +353,14 @@ class FederationChaosEngine(FaultEngine):
                 self.region_restarts += 1
                 node.restart()
 
+    HANDLERS = {
+        **FaultEngine.HANDLERS,
+        "partition": _on_partition,
+        "heal_partition": _on_heal_partition,
+        "gs_crash": _on_gs_crash,
+        "restart_host": _on_restart_host,
+    }
+
 
 def _start_live_workload(
     d: FederationDeployment, config: FederationChaosConfig

@@ -17,13 +17,13 @@ and propagates to the fuzzer, which records it as a crash violation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, ClassVar
 
 from repro.controller import ChainSpecification
 from repro.controller.chainspec import SpecError
 from repro.controller.global_switchboard import InstallationError
 from repro.controller.reoptimize import reoptimize
-from repro.scenarios.schedule import WorkloadOp, WorkloadSchedule
+from repro.scenarios.schedule import ScheduleError, WorkloadOp, WorkloadSchedule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.chaos.runner import Deployment
@@ -56,6 +56,9 @@ class WorkloadEngine:
     # -- scheduling -----------------------------------------------------
 
     def schedule(self, workload: WorkloadSchedule) -> None:
+        unhandled = {op.op for op in workload.ops} - self.HANDLERS.keys()
+        if unhandled:
+            raise ScheduleError(f"no handler for workload ops {sorted(unhandled)}")
         for op in workload.ops:
             self.d.sim.schedule_at(op.at, self._apply, op)
 
@@ -65,8 +68,7 @@ class WorkloadEngine:
         return self.d.sites[index % len(self.d.sites)]
 
     def _apply(self, op: WorkloadOp) -> None:
-        handler = getattr(self, f"_on_{op.op}")
-        handler(op)
+        self.HANDLERS[op.op](self, op)
         self.applied.append((round(self.d.sim.now, 9), op.op, op.chain))
 
     def _on_create(self, op: WorkloadOp) -> None:
@@ -105,3 +107,10 @@ class WorkloadEngine:
         reoptimize(self.d.gs, {op.chain: op.value}, threshold=0.0)
         self.counts["redemanded"] += 1
         self.max_redemand_factor = max(self.max_redemand_factor, op.value)
+
+    #: ``op kind -> handler`` for every op this engine applies.
+    HANDLERS: ClassVar[dict[str, Callable]] = {
+        "create": _on_create,
+        "remove": _on_remove,
+        "redemand": _on_redemand,
+    }

@@ -17,7 +17,6 @@ what the fuzzer minimizes over and what a replay is checked against.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -127,10 +126,6 @@ class WorkloadSchedule:
             ops=[WorkloadOp.from_doc(d) for d in doc["ops"]],
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "WorkloadSchedule":
-        return cls.from_doc(json.loads(text))
-
     def digest(self) -> str:
         """Stable content hash of the schedule (hex SHA-256)."""
         return canonical.sha256_hex(self.to_json())
@@ -206,10 +201,6 @@ class ComposedSchedule:
             workload=WorkloadSchedule.from_doc(doc["workload"]),
             faults=Scenario.from_doc(doc["faults"]),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ComposedSchedule":
-        return cls.from_doc(json.loads(text))
 
     def digest(self) -> str:
         return canonical.sha256_hex(self.to_json())

@@ -361,18 +361,6 @@ class SimNetwork:
             raise NetworkError(f"unknown host {name!r}")
         return name not in self._crashed
 
-    def links_of(self, host: str) -> list[tuple[str, str]]:
-        """All explicit directed links incident to ``host`` (either
-        endpoint), sorted -- the blast radius of crashing it.  Fault
-        injectors use this to target a host's connectivity without
-        enumerating the topology by hand; links materialized on demand
-        from the default spec are not included."""
-        if host not in self._hosts:
-            raise NetworkError(f"unknown host {host!r}")
-        return sorted(
-            pair for pair in self._links if host in pair
-        )
-
     def partition(self, groups: Sequence[Iterable[str]]) -> None:
         """Partition the network into host groups: messages between
         hosts in *different* groups are dropped; hosts in no group are

@@ -43,14 +43,6 @@ class Backbone:
                 return link
         raise KeyError(name)
 
-    def with_background(self, background: dict[str, float]) -> "Backbone":
-        """Return a copy whose links carry the given background traffic."""
-        links = [
-            Link(link.name, link.src, link.dst, link.bandwidth, background.get(link.name, 0.0))
-            for link in self.links
-        ]
-        return Backbone(self.cities, self.graph, self.latency, links, self.routing)
-
 
 def build_backbone(
     cities: Sequence[City] = DEFAULT_CITIES,

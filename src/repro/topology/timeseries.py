@@ -69,16 +69,6 @@ class TimeVaryingTrafficMatrix:
         local = (utc_hour + self._offsets[node]) % 24.0
         return diurnal_factor(local, self.peak_hour, self.trough_ratio)
 
-    def matrix_at(self, utc_hour: float) -> TrafficMatrix:
-        """The full matrix at a UTC hour."""
-        demand = {}
-        for (src, dst), volume in self.base.demand.items():
-            scale = math.sqrt(
-                self.factor_at(src, utc_hour) * self.factor_at(dst, utc_hour)
-            )
-            demand[(src, dst)] = volume * scale
-        return TrafficMatrix(list(self.base.nodes), demand)
-
     def chain_demand_factors(
         self, ingress_nodes: dict[str, str], utc_hour: float
     ) -> dict[str, float]:
@@ -91,8 +81,3 @@ class TimeVaryingTrafficMatrix:
             chain: self.factor_at(node, utc_hour)
             for chain, node in ingress_nodes.items()
         }
-
-    def peak_to_trough_ratio(self, node: str) -> float:
-        """Max/min demand factor over a day at one node (sanity metric)."""
-        factors = [self.factor_at(node, h) for h in range(24)]
-        return max(factors) / min(factors)

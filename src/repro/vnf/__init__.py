@@ -18,6 +18,7 @@ from repro.vnf.cache import (
     CacheExperimentResult,
     LruCache,
     ZipfWorkload,
+    chain_workloads,
     run_cache_experiment,
 )
 from repro.vnf.compressor import Compressor, compressed_stage_demands
@@ -37,5 +38,6 @@ __all__ = [
     "StatefulFirewall",
     "VnfService",
     "ZipfWorkload",
+    "chain_workloads",
     "run_cache_experiment",
 ]

@@ -143,25 +143,15 @@ def _download_ms(
     )
 
 
-def run_cache_experiment(
+def chain_workloads(
     num_chains: int = 5,
-    shared: bool = True,
-    total_cache_objects: int = 500,
-    requests_per_chain: int = 4000,
     catalog_objects: int = 10_000,
     zipf_exponent: float = 1.0,
-    mean_file_kb: float = 50.0,
-    client_cache_rtt_ms: float = 2.0,
-    cache_origin_rtt_ms: float = 60.0,
-    bandwidth_mbps: float = 100.0,
     seed: int = 7,
     popularity_spread: int = 0,
-) -> CacheExperimentResult:
-    """Run one configuration of the Table 3 experiment.
+) -> list[ZipfWorkload]:
+    """The request streams of the Table 3 experiment, one per chain.
 
-    ``shared=True`` uses one cache of ``total_cache_objects`` for all
-    chains; ``shared=False`` gives each chain a private cache of
-    ``total_cache_objects / num_chains`` (the paper's one-fifth sizing).
     All chains draw from the same catalog with independent Zipf streams,
     modelling distinct customers browsing the same popular web content;
     ``popularity_spread`` rotates each chain's ranking by ``chain index *
@@ -170,7 +160,7 @@ def run_cache_experiment(
     if num_chains < 1:
         raise CacheError(f"need at least one chain, got {num_chains}")
     rng = random.Random(seed)
-    workloads = [
+    return [
         ZipfWorkload(
             catalog_objects,
             zipf_exponent,
@@ -179,6 +169,26 @@ def run_cache_experiment(
         )
         for i in range(num_chains)
     ]
+
+
+def run_cache_experiment(
+    workloads: list[ZipfWorkload],
+    shared: bool = True,
+    total_cache_objects: int = 500,
+    requests_per_chain: int = 4000,
+    mean_file_kb: float = 50.0,
+    client_cache_rtt_ms: float = 2.0,
+    cache_origin_rtt_ms: float = 60.0,
+    bandwidth_mbps: float = 100.0,
+) -> CacheExperimentResult:
+    """Run one configuration of the Table 3 experiment on ``workloads``
+    (:func:`chain_workloads`; the run draws from them).
+
+    ``shared=True`` uses one cache of ``total_cache_objects`` for all
+    chains; ``shared=False`` gives each chain a private cache of
+    ``total_cache_objects / num_chains`` (the paper's one-fifth sizing).
+    """
+    num_chains = len(workloads)
     if shared:
         caches = [LruCache(total_cache_objects)] * num_chains
     else:

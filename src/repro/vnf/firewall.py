@@ -50,9 +50,6 @@ class StatefulFirewall:
         self.admitted = 0
         self.dropped = 0
 
-    def add_rule(self, rule: FirewallRule) -> None:
-        self.rules.append(rule)
-
     def is_established(self, flow: FiveTuple) -> bool:
         return flow in self._established
 

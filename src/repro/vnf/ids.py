@@ -50,11 +50,6 @@ class IntrusionDetector:
     )
     _blocked_sources: set[str] = field(default_factory=set)
 
-    def add_signature(self, signature: str) -> None:
-        if not signature:
-            raise ValueError("empty signature")
-        self.signatures.append(signature)
-
     def is_blocked(self, source: str) -> bool:
         return source in self._blocked_sources
 

@@ -144,3 +144,40 @@ class TestCli:
         code = cli_main(["chaos", "--seed", "1", "--duration", "10"])
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+
+
+class TestDispatchTables:
+    """Each engine plays an event through one ``{kind: handler}`` table,
+    and refuses a kind the table lacks before anything is scheduled."""
+
+    def test_federation_engine_refuses_an_unhandled_kind_at_schedule(self):
+        from types import SimpleNamespace
+
+        from repro.chaos import FaultEvent, Scenario, ScenarioError
+        from repro.federation.chaos import FederationChaosEngine
+        from repro.simnet.events import Simulator
+        from repro.simnet.network import SimNetwork
+
+        sim = Simulator()
+        engine = FederationChaosEngine(SimpleNamespace(sim=sim, net=SimNetwork(sim)))
+        scenario = Scenario(seed=1, duration_s=10.0, events=[
+            FaultEvent(1.0, "crash_host", ("r0",)),
+            FaultEvent(2.0, "fail_site", ("A",)),
+        ])
+        with pytest.raises(ScenarioError, match="fail_site"):
+            engine.schedule(scenario)
+        assert sim.pending == 0
+
+    def test_tables_name_only_known_kinds(self):
+        from repro.chaos.runner import ChaosEngine, FaultEngine
+        from repro.chaos.scenario import EVENT_KINDS
+        from repro.federation.chaos import FederationChaosEngine
+        from repro.scenarios.apply import WorkloadEngine
+        from repro.scenarios.schedule import WORKLOAD_OPS
+
+        for engine in (FaultEngine, ChaosEngine, FederationChaosEngine):
+            assert set(engine.HANDLERS) <= set(EVENT_KINDS), engine
+        # The monolithic soak plays every fault kind, the workload
+        # engine every op.
+        assert set(ChaosEngine.HANDLERS) == set(EVENT_KINDS)
+        assert set(WorkloadEngine.HANDLERS) == set(WORKLOAD_OPS)

@@ -65,6 +65,10 @@ class TestParser:
         (["federation", "--regions", "0"], "must be positive"),
         (["federation", "--pops", "8", "--regions", "20"], "must not exceed --pops"),
         (["federation", "--pops", "8", "--metros", "9"], "must not exceed --pops"),
+        (["route", "--vnfs", "2"], "chains cannot be longer than the VNF catalog"),
+        (["route", "--cities", "1"], "backbone needs at least two cities"),
+        (["topology", "--cities", "0"], "backbone needs at least two cities"),
+        (["cache", "--chains", "0"], "need at least one chain"),
     ])
     def test_out_of_range_fractions_and_counts_are_usage_errors(
         self, argv, message, capsys

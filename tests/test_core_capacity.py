@@ -76,15 +76,6 @@ class TestCloudCapacityPlanning:
     def test_max_alpha_helper(self):
         assert max_alpha(planning_model()) == pytest.approx(10.0, rel=1e-3)
 
-    def test_planned_sites_apply_additions(self):
-        model = planning_model()
-        plan = plan_cloud_capacity(model, budget=20.0)
-        sites = {s.name: s.capacity for s in plan.planned_sites(model)}
-        for name, extra in plan.additional.items():
-            assert sites[name] == pytest.approx(
-                model.sites[name].capacity + extra
-            )
-
 
 class TestVnfPlacement:
     def test_placement_reduces_latency(self):

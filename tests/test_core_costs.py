@@ -8,7 +8,6 @@ from repro.core.costs import (
     CostError,
     FORTZ_THORUP,
     PiecewiseLinearCost,
-    fortz_thorup_cost,
 )
 
 
@@ -48,15 +47,6 @@ class TestEvaluation:
     def test_negative_utilization_rejected(self):
         with pytest.raises(CostError):
             FORTZ_THORUP(-0.1)
-
-    def test_module_level_helper_matches(self):
-        assert fortz_thorup_cost(0.7) == FORTZ_THORUP(0.7)
-
-    def test_marginal_matches_segment_slopes(self):
-        assert FORTZ_THORUP.marginal(0.1) == 1.0
-        assert FORTZ_THORUP.marginal(0.5) == 3.0
-        assert FORTZ_THORUP.marginal(0.95) == 70.0
-        assert FORTZ_THORUP.marginal(2.0) == 5000.0
 
 
 class TestConvexityProperties:

@@ -238,7 +238,7 @@ class TestIncrementalRouter:
         assert router.residual_vnf_capacity("fw", "B") == pytest.approx(60.0)
 
     def test_rollback_of_a_chain_the_model_already_dropped(self):
-        # Regression: KeyError (and clear_chain a RoutingError).
+        # Regression: KeyError.
         model = small_model(chain_demand=10.0, fw_cap_a=0.0, fw_cap_b=100.0)
         model.add_chain(Chain("c2", "b", "c", ["fw"], 3.0))
         router = IncrementalDpRouter(model)

@@ -1,5 +1,7 @@
 """Unit tests for the Table 1 network model."""
 
+import math
+
 import pytest
 
 from repro.core.model import Chain, CloudSite, Link, ModelError, NetworkModel, VNF
@@ -52,6 +54,12 @@ class TestChain:
         assert chain.num_stages == 1
 
 
+class TestSite:
+    def test_nan_capacity_rejected(self):
+        with pytest.raises(ModelError):
+            CloudSite("A", "a", math.nan)
+
+
 class TestVnf:
     def test_sites_lists_deployments(self):
         vnf = VNF("f", 1.0, {"A": 5.0, "B": 3.0})
@@ -83,6 +91,11 @@ class TestLatency:
         model = NetworkModel(["a", "b"], {})
         with pytest.raises(ModelError):
             model.latency("a", "b")
+
+    def test_infinite_latency_accepted(self):
+        # A failed link is modelled as an infinite delay, on purpose.
+        model = NetworkModel(["a", "b"], {("a", "b"): math.inf})
+        assert model.latency("a", "b") == math.inf
 
     def test_site_latency_resolves_site_names(self, triangle_model):
         assert triangle_model.site_latency("A", "B") == 10.0
@@ -158,12 +171,6 @@ class TestLinksAndRouting:
             mlu_limit=0.9,
         )
 
-    def test_route_fraction_lookup(self):
-        model = self.make_model()
-        assert model.route_fraction("a", "c", "ab") == 1.0
-        assert model.route_fraction("a", "c", "zz") == 0.0
-        assert model.route_fraction("c", "a", "ab") == 0.0
-
     def test_link_headroom_respects_mlu_and_background(self):
         model = self.make_model()
         assert model.link_headroom(model.links["ab"]) == pytest.approx(7.0)
@@ -218,12 +225,6 @@ class TestDigest:
             list(reversed(list(triangle_model.chains.values()))),
         )
         assert reordered.digest() == triangle_model.digest()
-
-    def test_round_trips_serialization(self, triangle_model):
-        from repro.core.serialization import model_from_dict, model_to_dict
-
-        clone = model_from_dict(model_to_dict(triangle_model))
-        assert clone.digest() == triangle_model.digest()
 
     def test_demand_change_changes_digest(self, triangle_model):
         before = triangle_model.digest()

@@ -69,12 +69,6 @@ class TestConstruction:
         with pytest.raises(RoutingError):
             sol.add_path("c1", ["a", "c"], 1.0)
 
-    def test_clear_chain_removes_flows(self, linked_model):
-        sol = RoutingSolution(linked_model)
-        sol.add_path("c1", ["a", "B", "c"], 1.0)
-        sol.clear_chain("c1")
-        assert sol.routed_fraction("c1") == 0.0
-
 
 class TestMetrics:
     def test_weighted_latency_matches_equation_three(self, linked_model):

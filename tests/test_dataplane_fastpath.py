@@ -288,7 +288,7 @@ def test_both_walkers_leave_the_same_state(ops):
         traces = []
         for dp, forwarders, instances in fabrics:
             if op[0] == "detach":
-                fronting(forwarders, instances[op[1]]).detach(op[1])
+                fronting(forwarders, instances[op[1]]).attached.pop(op[1], None)
             elif op[0] == "attach":
                 fronting(forwarders, instances[op[1]]).attach(instances[op[1]])
             elif op[0] == "weigh":

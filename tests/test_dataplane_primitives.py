@@ -11,7 +11,6 @@ from repro.dataplane.rules import (
     RuleError,
     WeightedChoice,
     forwarder_weight,
-    hierarchical_weights,
 )
 
 FLOW = FiveTuple("10.0.0.1", "20.0.0.1", "tcp", 1111, 80)
@@ -156,10 +155,6 @@ class TestWeightedChoice:
         with pytest.raises(RuleError):
             choice.pick(random.Random(0))
 
-    def test_distribution_normalizes(self):
-        choice = WeightedChoice({"x": 2.0, "y": 2.0})
-        assert choice.distribution() == {"x": 0.5, "y": 0.5}
-
     def test_remove_target(self):
         choice = WeightedChoice({"x": 1.0, "y": 1.0})
         choice.remove("y")
@@ -221,26 +216,6 @@ class TestWeightedChoice:
 
 
 class TestHierarchicalWeights:
-    def test_product_of_site_fraction_and_instance_weight(self):
-        combined = hierarchical_weights(
-            site_fractions={"A": 0.75, "B": 0.25},
-            instance_weights={
-                "A": {"a1": 1.0, "a2": 1.0},
-                "B": {"b1": 2.0},
-            },
-        )
-        assert combined["a1"] == pytest.approx(0.375)
-        assert combined["a2"] == pytest.approx(0.375)
-        assert combined["b1"] == pytest.approx(0.25)
-        assert sum(combined.values()) == pytest.approx(1.0)
-
-    def test_site_without_instances_contributes_nothing(self):
-        combined = hierarchical_weights({"A": 1.0}, {})
-        assert combined == {}
-
-    def test_negative_site_fraction_rejected(self):
-        with pytest.raises(RuleError):
-            hierarchical_weights({"A": -0.1}, {"A": {"a1": 1.0}})
 
     def test_forwarder_weight_sums_instances(self):
         # The paper's example: weight of F2 = weight of O1 + weight of O2.

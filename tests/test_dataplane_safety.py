@@ -338,8 +338,8 @@ class TestForwarderManagement:
     def test_detached_instance_causes_drop(self, fabric):
         dp, _f_in, f_g, _gs, _sink = fabric
         send(dp, 0)
-        f_g.detach("g1")
-        f_g.detach("g2")
+        f_g.attached.pop("g1", None)
+        f_g.attached.pop("g2", None)
         send(dp, 0)  # flow entry still points at the detached instance
         assert dp.drops
 

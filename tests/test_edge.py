@@ -14,12 +14,16 @@ from repro.edge.classifier import (
     ClassifierRule,
     EgressTable,
     Prefix,
-    ip_in_prefix,
+    parse_address,
 )
 from repro.edge.controller import EdgeController
 from repro.edge.instance import EdgeError, EdgeInstance
 
 FLOW = FiveTuple("10.0.0.5", "20.0.0.9", "tcp", 1234, 80)
+
+
+def ip_in_prefix(ip: str, prefix: str) -> bool:
+    return Prefix(prefix).contains(parse_address(ip))
 
 
 class TestPrefixMatching:

@@ -283,9 +283,9 @@ def test_ingress_labels_every_packet_as_the_uncached_reference_does(steps, known
 
 @given(address, prefix)
 def test_rule_and_helper_agree_with_ipaddress(ip, prefix):
-    from repro.edge import ip_in_prefix
+    from repro.edge.classifier import Prefix, parse_address
 
-    assert ip_in_prefix(ip, prefix) == _inside(ip, prefix)
+    assert Prefix(prefix).contains(parse_address(ip)) == _inside(ip, prefix)
     flow = FiveTuple(ip, ip, "tcp", 1, 2)
     assert ClassifierRule(1, dst_prefix=prefix).matches(flow) == _inside(ip, prefix)
     assert FirewallRule(src_prefix=prefix).matches(flow) == _inside(ip, prefix)

@@ -435,100 +435,6 @@ class TestMetrics:
         ) == pytest.approx(0.1)
 
 
-class TestGlobalSwitchboardIntegration:
-    def build(self):
-        import random
-
-        from repro.controller import (
-            GlobalSwitchboard,
-            LocalSwitchboard,
-        )
-        from repro.dataplane import DataPlane
-        from repro.edge import EdgeController, EdgeInstance
-        from repro.vnf import StatefulFirewall, VnfService
-
-        nodes = ["a0", "a1", "b0", "b1"]
-        pos = {"a0": 0.0, "a1": 1.0, "b0": 11.0, "b1": 12.0}
-        latency = {
-            (u, v): abs(pos[u] - pos[v])
-            for u in nodes
-            for v in nodes
-            if u < v
-        }
-        links = []
-        for u, v in [("a0", "a1"), ("a1", "b0"), ("b0", "b1")]:
-            bw = 100.0 if (u, v) == ("a1", "b0") else 1000.0
-            links.append(Link(f"{u}-{v}", u, v, bw))
-            links.append(Link(f"{v}-{u}", v, u, bw))
-        sites = [CloudSite(n.upper(), n, 200.0) for n in nodes]
-        caps = {"A0": 100.0, "A1": 100.0}
-        model = NetworkModel(
-            nodes, latency, sites, [VNF("fw", 1.0, caps)], links=links
-        )
-
-        dp = DataPlane(random.Random(11))
-        gs = GlobalSwitchboard(model, dp)
-        for site in ("A0", "A1", "B0", "B1"):
-            gs.register_local_switchboard(LocalSwitchboard(site, dp))
-        gs.register_vnf_service(
-            VnfService(
-                "fw",
-                1.0,
-                caps,
-                instance_factory=lambda n, s: StatefulFirewall(
-                    default_allow=True
-                ),
-            )
-        )
-        edge = EdgeController("vpn")
-        ingress = EdgeInstance("edge.A0", "A0", dp)
-        egress = EdgeInstance("edge.B1", "B1", dp)
-        edge.register_instance(ingress)
-        edge.register_instance(egress)
-        edge.register_attachment("office-1", "A0")
-        edge.register_attachment("office-2", "B1")
-        gs.register_edge_service(edge)
-        egress.attach_forwarder(gs.local_switchboard("B1").forwarders[0].name)
-
-        coordinator = GlobalCoordinator(model, n_regions=2)
-        gs.attach_federation(coordinator)
-        return gs, coordinator
-
-    def test_install_plan_remove_mirror_into_federation(self):
-        from repro.controller import ChainSpecification
-        from repro.federation import FederatedPlan
-
-        gs, coordinator = self.build()
-        spec = ChainSpecification(
-            "corp",
-            "vpn",
-            "office-1",
-            "office-2",
-            ["fw"],
-            forward_demand=5.0,
-            reverse_demand=1.0,
-            src_prefix="10.0.0.0/24",
-            dst_prefixes=["20.0.0.0/24"],
-        )
-        installation = gs.create_chain(spec)
-        assert installation.routed_fraction == pytest.approx(1.0)
-        # The install was mirrored into the federation: a0 -> b1 crosses
-        # the cut, so the chain was split and 2PC-installed.
-        assert coordinator.installed() == ["corp"]
-        assert coordinator.is_cross("corp")
-        plan = gs.plan_routes()
-        assert isinstance(plan, FederatedPlan)
-        assert plan.ok
-        assert check_all(coordinator, plan) == []
-        gs.remove_chain("corp")
-        assert coordinator.installed() == []
-        assert all(
-            lg.reserved() == 0.0
-            for regional in coordinator.regionals.values()
-            for lg in regional.ledgers.values()
-        )
-
-
 class TestSoak:
     @pytest.mark.parametrize("field,value", [
         ("reject_rate", float("nan")),

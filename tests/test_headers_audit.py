@@ -144,7 +144,7 @@ class TestAuditor:
         serving = local.forwarders_for_service("fw")[0]
         # Detach one of the two instances the rule references.
         instance_name = next(iter(serving.attached))
-        serving.detach(instance_name)
+        serving.attached.pop(instance_name, None)
         findings = audit_chain(gs, "corp")
         assert any("detached instances" in f for f in findings)
 

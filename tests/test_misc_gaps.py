@@ -78,10 +78,3 @@ class TestPacketDefaults:
 
         packet = Packet(FiveTuple("1.1.1.1", "2.2.2.2", "tcp", 1, 2))
         assert packet.size_bytes == 500  # the paper's average packet size
-
-    def test_with_labels_chains(self):
-        from repro.dataplane.labels import Packet
-
-        packet = Packet(FiveTuple("1.1.1.1", "2.2.2.2", "tcp", 1, 2))
-        assert packet.with_labels(LBL) is packet
-        assert packet.labels == LBL

@@ -4,7 +4,7 @@ import pytest
 
 from repro.resilience.rpc import RpcConfig, RpcError, RpcLayer
 from repro.simnet.events import Simulator
-from repro.simnet.network import LinkSpec, NetworkError, SimNetwork
+from repro.simnet.network import LinkSpec, SimNetwork
 
 
 def build(config=None, seed=0):
@@ -194,19 +194,3 @@ class TestDedupWindow:
             a.send("b", {"n": i})
         net.run()
         assert len(b._seen) <= 4
-
-
-class TestLinksOf:
-    def test_links_of_lists_incident_pairs(self):
-        sim = Simulator()
-        net = SimNetwork(sim)
-        for name in ("a", "b", "c"):
-            net.add_host(name)
-        net.connect("a", "b", LinkSpec(delay_s=0.01))
-        net.connect("b", "c", LinkSpec(delay_s=0.01))
-        assert net.links_of("a") == [("a", "b"), ("b", "a")]
-        assert set(net.links_of("b")) == {
-            ("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")
-        }
-        with pytest.raises(NetworkError):
-            net.links_of("nope")

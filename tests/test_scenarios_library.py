@@ -9,6 +9,7 @@ update the snapshot *and* regenerate
 """
 
 import inspect
+import json
 
 import pytest
 
@@ -90,7 +91,7 @@ class TestGenerators:
         schedule = generate(kind, 7, duration_s=SNAPSHOT_DURATION)
         from repro.scenarios import WorkloadSchedule
 
-        clone = WorkloadSchedule.from_json(schedule.to_json())
+        clone = WorkloadSchedule.from_doc(json.loads(schedule.to_json()))
         assert clone.to_json() == schedule.to_json()
 
 

@@ -74,11 +74,11 @@ class TestWorkloadSchedule:
         # a non-finite time past the op's own check.
         text = make_schedule().to_json().replace('"at":1.0', '"at":NaN')
         with pytest.raises(ScheduleError):
-            WorkloadSchedule.from_json(text)
+            WorkloadSchedule.from_doc(json.loads(text))
 
     def test_json_round_trip_is_byte_identical(self):
         schedule = make_schedule()
-        clone = WorkloadSchedule.from_json(schedule.to_json())
+        clone = WorkloadSchedule.from_doc(json.loads(schedule.to_json()))
         assert clone.to_json() == schedule.to_json()
         assert clone.digest() == schedule.digest()
 
@@ -130,7 +130,7 @@ class TestComposedSchedule:
 
     def test_json_round_trip(self):
         composed = self.make_composed()
-        clone = ComposedSchedule.from_json(composed.to_json())
+        clone = ComposedSchedule.from_doc(json.loads(composed.to_json()))
         assert clone.to_json() == composed.to_json()
         assert clone.digest() == composed.digest()
 
@@ -160,6 +160,6 @@ class TestScenarioRoundTrip:
                        target=(("A", "B"), ("C",))),
             FaultEvent(at=4.0, kind="fail_site", target=("B",)),
         ])
-        clone = Scenario.from_json(scenario.to_json())
+        clone = Scenario.from_doc(json.loads(scenario.to_json()))
         assert clone.to_json() == scenario.to_json()
         assert clone.events[0].target == (("A", "B"), ("C",))

@@ -1,25 +1,20 @@
-"""Tests for JSON serialization and the compressor VNF (per-stage demands)."""
+"""Tests for the chain-specification document and the compressor VNF
+(per-stage demands)."""
 
-import math
+import json
 
 import pytest
 
 from repro.controller.chainspec import (
     ChainSpecification,
     SpecError,
-    spec_from_json,
-    spec_to_json,
+    spec_from_dict,
+    spec_to_dict,
 )
 from repro.core.dp import route_chains_dp
 from repro.core.lp import LpObjective, solve_chain_routing_lp
-from repro.core.model import Chain, CloudSite, Link, ModelError, NetworkModel, VNF
-from repro.core.serialization import (
-    SerializationError,
-    model_from_dict,
-    model_from_json,
-    model_to_dict,
-    model_to_json,
-)
+from repro.core.model import Chain, CloudSite, Link, NetworkModel, VNF
+from repro.core.serialization import SerializationError
 from repro.dataplane.labels import FiveTuple, Packet
 from repro.vnf.compressor import (
     Compressor,
@@ -44,75 +39,6 @@ def full_model() -> NetworkModel:
     )
 
 
-class TestModelSerialization:
-    def test_round_trip_preserves_everything(self):
-        original = full_model()
-        restored = model_from_json(model_to_json(original))
-        assert restored.nodes == original.nodes
-        assert restored.latency("a", "b") == 12.5
-        assert restored.sites["B"].capacity == 75.0
-        assert restored.vnfs["fw"].load_per_unit == 1.5
-        assert restored.vnfs["fw"].site_capacity == {"A": 20.0, "B": 30.0}
-        chain = restored.chains["c1"]
-        assert chain.forward_traffic == (4.0, 2.0)
-        assert chain.reverse_traffic == (1.0, 0.5)
-        assert restored.links["ab"].background == 3.0
-        assert restored.route_fraction("a", "b", "ab") == 1.0
-        assert restored.mlu_limit == 0.9
-
-    def test_round_trip_solves_identically(self):
-        original = full_model()
-        restored = model_from_json(model_to_json(original))
-        lp1 = solve_chain_routing_lp(original, LpObjective.MIN_LATENCY)
-        lp2 = solve_chain_routing_lp(restored, LpObjective.MIN_LATENCY)
-        assert lp1.objective == pytest.approx(lp2.objective)
-
-    def test_invalid_json_rejected(self):
-        with pytest.raises(SerializationError):
-            model_from_json("{not json")
-        with pytest.raises(SerializationError):
-            model_from_json("[1, 2]")
-
-    def test_wrong_schema_version_rejected(self):
-        doc = model_to_json(full_model()).replace(
-            '"schema_version": 1', '"schema_version": 99'
-        )
-        with pytest.raises(SerializationError):
-            model_from_json(doc)
-
-    def test_missing_field_rejected(self):
-        with pytest.raises(SerializationError):
-            model_from_json('{"schema_version": 1}')
-
-    def test_semantic_validation_still_applies(self):
-        # A document referencing an unknown node fails model validation.
-        doc = model_to_json(full_model()).replace(
-            '"node": "a"', '"node": "ghost"'
-        )
-        with pytest.raises(ModelError):
-            model_from_json(doc)
-
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_non_finite_chain_demand_rejected(self, value):
-        document = model_to_dict(full_model())
-        document["chains"][0]["forward_traffic"][1] = value
-        with pytest.raises(ModelError):
-            model_from_dict(document)
-
-    def test_nan_site_capacity_rejected(self):
-        document = model_to_dict(full_model())
-        document["sites"][0]["capacity"] = math.nan
-        with pytest.raises(ModelError):
-            model_from_dict(document)
-
-    def test_infinite_latency_still_accepted(self):
-        # A failed link is modelled as an infinite delay, on purpose.
-        document = model_to_dict(full_model())
-        document["latency"][0]["delay_ms"] = math.inf
-        assert model_from_dict(document).latency("a", "b") == math.inf
-
-
 class TestSpecSerialization:
     def test_round_trip(self):
         spec = ChainSpecification(
@@ -121,32 +47,38 @@ class TestSpecSerialization:
             src_prefix="10.0.0.0/24", dst_prefixes=["20.0.0.0/24"],
             protocol="tcp", dst_port_range=(80, 443),
         )
-        restored = spec_from_json(spec_to_json(spec))
+        restored = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
         assert restored == spec
 
     def test_optional_fields_default(self):
-        minimal = (
-            '{"schema_version": 1, "name": "c", "edge_service": "vpn", '
-            '"ingress_attachment": "i", "egress_attachment": "e", '
-            '"vnf_services": ["fw"]}'
-        )
-        spec = spec_from_json(minimal)
+        minimal = {
+            "schema_version": 1, "name": "c", "edge_service": "vpn",
+            "ingress_attachment": "i", "egress_attachment": "e",
+            "vnf_services": ["fw"],
+        }
+        spec = spec_from_dict(minimal)
         assert spec.forward_demand == 1.0
         assert spec.dst_port_range is None
 
     def test_malformed_rejected(self):
         with pytest.raises(SerializationError):
-            spec_from_json('{"schema_version": 1}')
+            spec_from_dict({"schema_version": 1})
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity"])
     def test_non_finite_demand_rejected(self, token):
-        document = (
-            '{"schema_version": 1, "name": "c", "edge_service": "vpn", '
-            '"ingress_attachment": "i", "egress_attachment": "e", '
-            f'"vnf_services": ["fw"], "forward_demand": {token}}}'
-        )
+        document = {
+            "schema_version": 1, "name": "c", "edge_service": "vpn",
+            "ingress_attachment": "i", "egress_attachment": "e",
+            "vnf_services": ["fw"], "forward_demand": float(token),
+        }
         with pytest.raises(SpecError):
-            spec_from_json(document)
+            spec_from_dict(document)
+
+    def test_wrong_schema_version_rejected(self):
+        document = spec_to_dict(ChainSpecification("c", "vpn", "i", "e", ["fw"]))
+        document["schema_version"] = 99
+        with pytest.raises(SerializationError):
+            spec_from_dict(document)
 
 
 class TestCompressorVnf:

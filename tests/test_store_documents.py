@@ -1,8 +1,9 @@
-"""One document form per record: the model document's chain entry is
-what the federation store persists and the federated RPC messages
+"""One document form per record: the chain document is what the
+federation store persists and the federated RPC messages
 carry, and ``repro.core`` stands on its own below the controller."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,6 @@ from repro.core.serialization import (
     SerializationError,
     chain_from_dict,
     chain_to_dict,
-    model_to_dict,
 )
 from repro.federation.coordinator import CrossChainRecord
 from repro.federation.ha import FederationStore
@@ -49,16 +49,17 @@ class TestChainEntry:
         chain = compressing_chain()
         assert chain_from_dict(json.loads(json.dumps(chain_to_dict(chain)))) == chain
 
-    def test_is_the_model_documents_chain_entry(self, triangle_model):
-        document = model_to_dict(triangle_model)
-        assert document["chains"] == [
-            chain_to_dict(c) for c in triangle_model.chains.values()
-        ]
-
     def test_missing_key_is_a_serialization_error(self):
         entry = chain_to_dict(compressing_chain())
         del entry["reverse_traffic"]
         with pytest.raises(SerializationError):
+            chain_from_dict(entry)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_demand_is_the_chains_own_error(self, value):
+        entry = chain_to_dict(compressing_chain())
+        entry["forward_traffic"][1] = value
+        with pytest.raises(ModelError):
             chain_from_dict(entry)
 
     def test_wrong_stage_count_is_the_chains_own_error(self):

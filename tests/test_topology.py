@@ -105,12 +105,6 @@ class TestBackbone:
         with pytest.raises(ValueError):
             build_backbone([DEFAULT_CITIES[0], DEFAULT_CITIES[0]])
 
-    def test_with_background_sets_link_loads(self, backbone):
-        loads = {backbone.links[0].name: 5.0}
-        updated = backbone.with_background(loads)
-        assert updated.link(backbone.links[0].name).background == 5.0
-        assert backbone.links[0].background == 0.0
-
 
 class TestTrafficMatrix:
     def test_gravity_normalized_to_total(self):

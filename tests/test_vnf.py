@@ -10,6 +10,7 @@ from repro.vnf.cache import (
     CacheError,
     LruCache,
     ZipfWorkload,
+    chain_workloads,
     run_cache_experiment,
 )
 from repro.vnf.firewall import FirewallRule, StatefulFirewall
@@ -249,32 +250,32 @@ class TestZipf:
 
 class TestCacheExperiment:
     def test_shared_beats_siloed_on_hit_rate(self):
-        shared = run_cache_experiment(shared=True)
-        siloed = run_cache_experiment(shared=False)
+        shared = run_cache_experiment(chain_workloads(), shared=True)
+        siloed = run_cache_experiment(chain_workloads(), shared=False)
         assert shared.hit_rate > siloed.hit_rate
 
     def test_shared_beats_siloed_on_download_time(self):
-        shared = run_cache_experiment(shared=True)
-        siloed = run_cache_experiment(shared=False)
+        shared = run_cache_experiment(chain_workloads(), shared=True)
+        siloed = run_cache_experiment(chain_workloads(), shared=False)
         assert shared.mean_download_ms < siloed.mean_download_ms
 
     def test_table3_shape(self):
         # Paper: 57.45% vs 44.25% hit rate (a ~30% relative gain) and
         # 19% better download time.
-        shared = run_cache_experiment(shared=True)
-        siloed = run_cache_experiment(shared=False)
+        shared = run_cache_experiment(chain_workloads(), shared=True)
+        siloed = run_cache_experiment(chain_workloads(), shared=False)
         relative_gain = (shared.hit_rate - siloed.hit_rate) / siloed.hit_rate
         assert relative_gain > 0.15
         dl_gain = 1 - shared.mean_download_ms / siloed.mean_download_ms
         assert dl_gain > 0.10
 
     def test_deterministic_given_seed(self):
-        a = run_cache_experiment(shared=True, seed=5)
-        b = run_cache_experiment(shared=True, seed=5)
+        a = run_cache_experiment(chain_workloads(seed=5), shared=True)
+        b = run_cache_experiment(chain_workloads(seed=5), shared=True)
         assert a.hit_rate == b.hit_rate
 
     def test_request_count(self):
         result = run_cache_experiment(
-            num_chains=3, requests_per_chain=100, shared=True
+            chain_workloads(num_chains=3), requests_per_chain=100, shared=True
         )
         assert result.requests == 300

@@ -52,11 +52,3 @@ class TestIntrusionDetector:
         for i in range(20):
             ids(packet(i=i, dst_port=80))
         assert not ids.alerts
-
-    def test_add_signature(self):
-        ids = IntrusionDetector()
-        ids.add_signature("BAD")
-        with pytest.raises(DropPacket):
-            ids(packet(payload="BAD stuff"))
-        with pytest.raises(ValueError):
-            ids.add_signature("")
