@@ -147,8 +147,11 @@ def _cmd_route(args: argparse.Namespace, model) -> int:
 
 def _build_cache(args: argparse.Namespace):
     """The request streams of the shared run, then the siloed run's."""
-    from repro.vnf.cache import chain_workloads
+    from repro.vnf.cache import LruCache, chain_workloads
 
+    # The shared run's cache, which refuses a negative size (a siloed
+    # cache is no larger).
+    LruCache(args.cache_objects)
     return [
         chain_workloads(
             num_chains=args.chains,

@@ -512,7 +512,8 @@ class GlobalSwitchboard:
 
         For an intermediate stage the targets are the forwarders fronting
         the next VNF's instances at each destination site, weighted by
-        the TE fraction times the forwarder's published weight; for the
+        the TE fraction times the forwarder's share of the site's
+        instance weight (Section 5.2's product rule); for the
         last stage the targets are the egress edge instances.
         ``site=None`` means the ingress position (whose stage-1 sources
         are the raw ingress node, so no source filtering applies).
@@ -536,17 +537,21 @@ class GlobalSwitchboard:
                         next_hops.get(target, 0.0) + frac * weight
                     )
                 continue
-            next_vnf = chain.vnf_at(stage_out)
-            next_service = self.vnf_services[next_vnf]
-            target_local = self.local_switchboard(dst)
-            fwd_weights = target_local.forwarders_for_instances(
-                next_service.instances_at(dst)
-            )
-            for fwd_name, weight in fwd_weights.items():
+            shares = self._forwarder_shares(dst, chain.vnf_at(stage_out))
+            for fwd_name, share in shares.items():
                 next_hops[fwd_name] = (
-                    next_hops.get(fwd_name, 0.0) + frac * weight
+                    next_hops.get(fwd_name, 0.0) + frac * share
                 )
         return next_hops
+
+    def _forwarder_shares(self, site: str, vnf: str) -> dict[str, float]:
+        """Each forwarder fronting ``vnf``'s instances at ``site``: its
+        published weight over the site's total instance weight."""
+        weights = self.local_switchboard(site).forwarders_for_instances(
+            self.vnf_services[vnf].instances_at(site)
+        )
+        total = sum(weights.values()) or 1.0
+        return {fwd: weight / total for fwd, weight in weights.items()}
 
     def _prev_hop_weights(
         self,
@@ -571,15 +576,10 @@ class GlobalSwitchboard:
                 fwd = ingress_local.edge_forwarder()
                 prev_hops[fwd.name] = prev_hops.get(fwd.name, 0.0) + frac
             else:
-                prev_vnf = chain.vnf_at(position - 1)
-                prev_service = self.vnf_services[prev_vnf]
-                src_local = self.local_switchboard(src)
-                fwd_weights = src_local.forwarders_for_instances(
-                    prev_service.instances_at(src)
-                )
-                for fwd_name, weight in fwd_weights.items():
+                shares = self._forwarder_shares(src, chain.vnf_at(position - 1))
+                for fwd_name, share in shares.items():
                     prev_hops[fwd_name] = (
-                        prev_hops.get(fwd_name, 0.0) + frac * weight
+                        prev_hops.get(fwd_name, 0.0) + frac * share
                     )
         return prev_hops
 

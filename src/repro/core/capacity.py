@@ -270,6 +270,8 @@ class _PlacementProgram:
     w_index: dict[tuple[str, str], int]
     #: Flow values -> RoutingSolution.
     extract: Callable
+    #: Column upper bounds: zero on the blocked flows, one elsewhere.
+    upper: np.ndarray
 
 
 def _w_columns(
@@ -332,9 +334,11 @@ def _placement_program(
     n_ub = len(program.b_ub)
     cost = np.zeros(program.n_total)
     cost[:n_flow] = ch.stage_total[flow.var_stage] * flow.var_latency
+    upper = np.ones(program.n_total)
+    upper[flow.blocked] = 0.0
     return _PlacementProgram(
         cost, both[n_ub:], program.b_eq, both[:n_ub], program.b_ub, quota_first, w_index,
-        lambda flows: flow_solution(extended, flows),
+        lambda flows: flow_solution(extended, flows), upper,
     )
 
 
@@ -391,7 +395,7 @@ def _solve_placement(
         program.cost,
         constraints=[constraint],
         integrality=integrality,
-        bounds=Bounds(np.zeros(n), np.ones(n)),
+        bounds=Bounds(np.zeros(n), program.upper),
         options=options,
     )
     elapsed = time.perf_counter() - start

@@ -133,18 +133,22 @@ class SubstrateColumns:
 
         # Dense one-way delay matrix with the same semantics as
         # ``model.latency``: explicit entry, symmetric fallback, zero
-        # diagonal, +inf when genuinely unknown.
+        # diagonal, +inf when genuinely unknown -- or failed: ``known``
+        # tells a failed pair's +inf entry from a missing one.
         lat = np.full((n, n), np.inf)
         np.fill_diagonal(lat, 0.0)
+        known = np.eye(n, dtype=bool)
         for (n1, n2), d in model._latency.items():
             i, j = self.node_index[n1], self.node_index[n2]
             if np.isinf(lat[j, i]) and j != i:
                 lat[j, i] = d  # symmetric fallback
             lat[i, j] = d
+            known[i, j] = known[j, i] = True
         for (n1, n2), d in model._latency.items():
             i, j = self.node_index[n1], self.node_index[n2]
             lat[i, j] = d  # explicit entries win over fallbacks
         self.latency = lat
+        self.known = known
 
         # Sites / endpoints.  Endpoint id = node id, or n_nodes + site id.
         self.site_names: list[str] = list(model.sites)
@@ -568,11 +572,13 @@ def build_variable_columns(
     var_dst_ep = ch.dst_pool[dst_sel]
     var_dst_pos = _ranges(tiled_dst_len)
 
-    lat = sub.latency[
-        sub.endpoint_node[var_src_ep], sub.endpoint_node[var_dst_ep]
-    ]
-    if np.isinf(lat).any():
-        bad = int(np.argmax(np.isinf(lat)))
+    n1, n2 = sub.endpoint_node[var_src_ep], sub.endpoint_node[var_dst_ep]
+    lat = sub.latency[n1, n2]
+    # +inf over a failed pair is a flow that cannot carry (``ChainFlow``
+    # blocks it); only a pair with no entry either way is an error.
+    unknown = np.isinf(lat) & ~sub.known[n1, n2]
+    if unknown.any():
+        bad = int(np.argmax(unknown))
         src = sub.endpoint_names[int(var_src_ep[bad])]
         dst = sub.endpoint_names[int(var_dst_ep[bad])]
         raise ModelError(f"no latency entry for {src!r} -> {dst!r}")

@@ -95,7 +95,12 @@ class ChainFlow:
         self.n_chains = len(ch.chain_names)
         self.var_stage = var_stage = vc.var_stage
         self.var_src_ep, self.var_dst_ep = vc.var_src_ep, vc.var_dst_ep
-        self.var_latency = vc.var_latency
+        #: Flows across a failed pair (+inf delay): they cost nothing
+        #: here, no route is priced through them and the placement MIP
+        #: bounds them at zero, so none carries.
+        blocked = np.isinf(vc.var_latency)
+        self.blocked = np.flatnonzero(blocked)
+        self.var_latency = np.where(blocked, 0.0, vc.var_latency)
         var_dst_vnf = ch.stage_dst_vnf[var_stage]
         var_src_vnf = ch.stage_src_vnf[var_stage]
         #: What a program must have been built on to hand its columns on.
@@ -240,6 +245,8 @@ class ChainFlow:
             self._var[z, ~waits] = np.where(
                 real, vc.stage_var_start[s] + src * ch.dst_len[s] + src.T, n
             )
+        if self.blocked.size:
+            self._var[np.isin(self._var, self.blocked)] = n
 
     def _shared(self, prior: "Program | None") -> list[tuple[int, int, int]]:
         """The chains whose columns ``prior`` hands on -- same identity,

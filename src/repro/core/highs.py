@@ -190,12 +190,18 @@ class ColumnGenSolver:
         k = len(artificial)
         if self.routes is None:
             # Every chain's cheapest route at zero duals, the columns that
-            # are not flows, and what a predecessor handed on.
+            # are not flows, and what a predecessor handed on -- none
+            # through a blocked flow (a chain may have no route at all).
             self.routes, self._known = self.seed[:0], set()
             single = np.full((n_cols - flow.n_flow, flow.depth), -1, dtype=np.int64)
             single[:, -1] = np.arange(flow.n_flow, n_cols)
-            cheapest = flow.cheapest_paths(cost)[1][:, 0]
-            self._admit(np.concatenate([cheapest, single, self.seed]))
+            costs, cheapest = flow.cheapest_paths(cost)
+            seed = self.seed[~np.isin(self.seed, flow.blocked).any(axis=1)]
+            self._admit(np.concatenate([
+                cheapest[np.isfinite(costs[:, 0]), 0], single, seed
+            ]))
+        if not k and not len(self.routes):
+            return np.zeros(n_cols), 0.0  # no route at all: nothing carries
         if not np.array_equal(signs, self._signs):
             self._basis = None  # another set of artificial columns
         self._signs = signs
@@ -296,7 +302,7 @@ class ColumnGenSolver:
             if key not in self._known:
                 self._known.add(key)
                 fresh.append(i)
-        if not fresh:
+        if not fresh and self._plan is not None:  # a first master may be empty
             return routes[:0], None
         new = routes[fresh]
         plan = _plan(*self._pattern, len(self.rows), new)

@@ -40,6 +40,7 @@ import networkx as nx
 
 from repro.core.model import NetworkModel, VNF
 from repro.scale.partition import shard_map
+from repro.topology.backbone import shortest_path_tables
 
 
 class FederationError(Exception):
@@ -160,12 +161,13 @@ class ShardMap:
         """The region's self-contained sub-model (no chains).
 
         Latency and ECMP routing are recomputed over the regional
-        subgraph so the regional planner only ever accounts capacity it
-        owns; VNFs keep only their regional deployment sites (a VNF
-        with none is dropped from the regional catalog).
+        subgraph, both by
+        :func:`~repro.topology.backbone.shortest_path_tables` with arcs
+        named after the model's directed links, so the regional planner
+        only ever accounts capacity it owns; VNFs keep only their
+        regional deployment sites (a VNF with none is dropped from the
+        regional catalog).
         """
-        from repro.topology.pops import ecmp_routing
-
         shard = self.shards[region]
         node_set = set(shard.nodes)
         sites = [
@@ -191,23 +193,11 @@ class ShardMap:
             graph.add_edge(
                 link.src, link.dst, delay=model.latency(link.src, link.dst)
             )
-        latency: dict[tuple[str, str], float] = {}
-        for n1, targets in nx.all_pairs_dijkstra_path_length(
-            graph, weight="delay"
-        ):
-            for n2, delay in targets.items():
-                latency[(n1, n2)] = float(delay)
-        def arc_name(u: str, v: str) -> str:
-            name = link_names.get((u, v)) or link_names.get((v, u))
-            if name is None:  # pragma: no cover - defensive
-                raise FederationError(
-                    f"region {region}: no link for arc {u!r}->{v!r}"
-                )
-            return name
 
-        routing: dict[tuple[str, str], dict[str, float]] = {}
-        if links:
-            routing = ecmp_routing(graph, link_name=arc_name)
+        def arc_name(u: str, v: str) -> str:
+            return link_names.get((u, v)) or link_names[(v, u)]
+
+        latency, routing = shortest_path_tables(graph, link_name=arc_name)
         return NetworkModel(
             nodes=shard.nodes,
             latency=latency,

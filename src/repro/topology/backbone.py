@@ -2,10 +2,14 @@
 
 The backbone connects each PoP to its ``k`` nearest neighbours (plus a
 few long-haul shortcuts between the largest metros, as real tier-1
-backbones have), assigns heterogeneous link capacities, derives pairwise
-node latencies from shortest fibre paths, and computes the ECMP
-shortest-path routing fractions ``r_{n1 n2 e}`` consumed by the
-Equation 6 network-cost constraint.
+backbones have) and assigns heterogeneous link capacities.
+:func:`shortest_path_tables` derives both per-pair tables in one
+Dijkstra per source: node latencies over the shortest fibre paths, and
+the ECMP shortest-path routing fractions ``r_{n1 n2 e}`` consumed by the
+Equation 6 network-cost constraint.  It is the repository's one such
+routine: the generated PoP topologies (:mod:`repro.topology.pops`) and
+the federation's regional sub-models (:mod:`repro.federation.shard`)
+call it too.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from functools import partial
 from typing import Sequence
 
 import networkx as nx
+import numpy as np
 
 from repro.core.model import Link
 from repro.topology.cities import City, DEFAULT_CITIES, fibre_delay_ms
@@ -51,7 +56,6 @@ def build_backbone(
     core_capacity: float = 400.0,
     edge_capacity: float = 100.0,
     long_haul_pairs: int = 4,
-    ecmp=None,
 ) -> Backbone:
     """Build the synthetic backbone.
 
@@ -65,14 +69,8 @@ def build_backbone(
     core_capacity / edge_capacity:
         Link bandwidths (abstract Gbps); links whose endpoints both have
         degree >= ``core_degree_threshold`` get core capacity.
-    ecmp:
-        Optional replacement for the default ECMP fraction computation
-        (``graph -> routing dict``).  The default enumerates all
-        shortest paths per pair, which is quadratic in paths and
-        intractable beyond a few dozen PoPs;
-        :func:`repro.topology.pops.ecmp_routing` is the equivalent
-        path-counting implementation used for generated large
-        topologies.
+
+    Latency and routing come from :func:`shortest_path_tables`.
     """
     cities = tuple(cities)
     if len(cities) < 2:
@@ -133,37 +131,58 @@ def build_backbone(
         links.append(Link(f"{a}-{b}", a, b, capacity))
         links.append(Link(f"{b}-{a}", b, a, capacity))
 
-    latency = _pairwise_latency(graph)
-    routing = (ecmp or _ecmp_routing)(graph)
+    latency, routing = shortest_path_tables(graph)
     return Backbone(cities, graph, latency, links, routing)
 
 
-def _pairwise_latency(graph: nx.Graph) -> dict[tuple[str, str], float]:
+def shortest_path_tables(graph: nx.Graph, weight: str = "delay", link_name=None):
+    """Every pair's shortest-path latency and ECMP routing fractions.
+
+    One Dijkstra per source gives that source's latency row (``dist``)
+    and its shortest-path DAG (``pred``, so equal-cost ties follow
+    networkx's own arithmetic).  Traffic between a pair splits uniformly
+    over all equal-cost shortest paths: with ``sigma[v]`` the number of
+    shortest paths source -> v and ``tau[v, t]`` the number of DAG paths
+    v -> t, a DAG arc ``u -> v`` carries ``sigma[u] * tau[v, t] /
+    sigma[t]`` of the (source, t) traffic -- path counts, never paths,
+    computed for all targets at once.
+
+    Returns ``(latency, routing)``: ``(n1, n2) -> delay`` for every
+    reachable pair (``n1 == n2`` included, source-major, targets in
+    distance order) and ``(n1, n2) -> {link name: fraction}`` for every
+    reachable ``n1 != n2`` (pairs in ``graph.nodes`` order, links in
+    distance-then-predecessor order).  ``link_name`` maps a directed arc
+    ``(u, v)`` to its link's name (default ``f"{u}-{v}"``, the backbone
+    convention).
+    """
+    link_name = link_name or "{}-{}".format
     latency: dict[tuple[str, str], float] = {}
-    lengths = dict(nx.all_pairs_dijkstra_path_length(graph, weight="delay"))
-    for n1, targets in lengths.items():
-        for n2, delay in targets.items():
-            latency[(n1, n2)] = float(delay)
-    return latency
-
-
-def _ecmp_routing(graph: nx.Graph) -> dict[tuple[str, str], dict[str, float]]:
-    """ECMP fractions: traffic between a node pair splits uniformly over
-    all equal-cost shortest paths; a link's fraction is the share of
-    paths using it (directed link names ``src-dst``)."""
     routing: dict[tuple[str, str], dict[str, float]] = {}
-    for n1 in graph.nodes:
-        for n2 in graph.nodes:
-            if n1 == n2:
-                continue
-            paths = list(
-                nx.all_shortest_paths(graph, n1, n2, weight="delay")
-            )
-            share = 1.0 / len(paths)
-            fractions: dict[str, float] = {}
-            for path in paths:
-                for a, b in zip(path, path[1:]):
-                    name = f"{a}-{b}"
-                    fractions[name] = fractions.get(name, 0.0) + share
-            routing[(n1, n2)] = fractions
-    return routing
+    for s in graph.nodes:
+        pred, dist = nx.dijkstra_predecessor_and_distance(graph, s, weight=weight)
+        for t, delay in dist.items():
+            latency[(s, t)] = float(delay)
+        # ``dist`` is in settle order: with positive delays every DAG
+        # predecessor comes first.
+        pos = {v: i for i, v in enumerate(dist)}
+        tails = [pos[u] for v in dist for u in pred[v]]
+        heads = [pos[v] for v in dist for _u in pred[v]]
+        names = [link_name(u, v) for v in dist for u in pred[v]]
+        sigma = np.zeros(len(pos))
+        sigma[0] = 1.0
+        for u, v in zip(tails, heads):
+            sigma[v] += sigma[u]
+        tau = np.eye(len(pos))
+        for u, v in zip(reversed(tails), reversed(heads)):
+            tau[u] += tau[v]
+        fractions = (sigma[tails, None] * tau[heads] / sigma).T
+        by_target: dict[int, dict[str, float]] = {}
+        targets, arcs = np.nonzero(fractions)
+        for j, a, fraction in zip(
+            targets.tolist(), arcs.tolist(), fractions[targets, arcs].tolist()
+        ):
+            by_target.setdefault(j, {})[names[a]] = fraction
+        for t in graph.nodes:
+            if pos.get(t):  # reachable, and not the source itself
+                routing[(s, t)] = by_target[pos[t]]
+    return latency, routing

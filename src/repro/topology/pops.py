@@ -10,18 +10,11 @@ recover, makes most gravity-weighted demand intra-metro (the
 ``locality`` knob), and leaves a thin tail of cross-metro chains for the
 :class:`repro.federation.GlobalCoordinator` to split at borders.
 
-Two pieces are independently reusable:
-
-- :func:`ecmp_routing` -- the path-counting equivalent of
-  ``repro.topology.backbone._ecmp_routing``.  Instead of enumerating
-  every shortest path per pair (quadratic in the path count, hours at
-  500 PoPs), it computes per-source shortest-path DAGs and derives each
-  link's fraction from path counts (``sigma[u] * tau[v][t] / sigma[t]``,
-  the Brandes-style counting identity), which is ``O(n * m * n)`` in
-  vectorized numpy and runs in seconds at 500 nodes.
-- :func:`generate_federation_workload` -- the full 500-PoP / 100k-chain
-  style :class:`~repro.core.model.NetworkModel` builder with
-  locality-biased chains.
+:func:`generate_federation_workload` is the full 500-PoP / 100k-chain
+style :class:`~repro.core.model.NetworkModel` builder with
+locality-biased chains.  Its backbone is :func:`build_backbone`'s, so
+latencies and ECMP fractions come from the one path-counting routine,
+:func:`repro.topology.backbone.shortest_path_tables`.
 """
 
 from __future__ import annotations
@@ -29,11 +22,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import networkx as nx
-import numpy as np
-
 from repro.core.model import Chain, CloudSite, NetworkModel
-from repro.topology.backbone import Backbone, build_backbone
+from repro.topology.backbone import build_backbone
 from repro.topology.cities import City
 from repro.topology.traffic import (
     apply_background,
@@ -56,69 +46,6 @@ _LON_RANGE = (-122.5, -72.0)
 _SITE_CAPACITY = 4000.0
 #: Long-haul links the backbone adds between distant PoPs.
 _LONG_HAUL_PAIRS = 6
-
-
-def ecmp_routing(graph: nx.Graph, weight: str = "delay", link_name=None):
-    """ECMP shortest-path fractions via path counting.
-
-    Produces the same ``(n1, n2) -> {link_name: fraction}`` mapping as
-    the enumeration in ``backbone._ecmp_routing`` (uniform split over
-    all equal-cost shortest paths, directed link names ``src-dst``) but
-    never materializes a path: for each source the shortest-path DAG is
-    taken from :func:`networkx.dijkstra_predecessor_and_distance` (so
-    equal-cost ties match networkx's own arithmetic), ``sigma[v]``
-    counts paths source->v, ``tau[v][t]`` counts DAG paths v->t, and a
-    DAG arc ``u->v`` carries ``sigma[u] * tau[v][t] / sigma[t]`` of the
-    (source, t) traffic.
-
-    ``link_name`` maps a directed arc ``(u, v)`` to the link's name
-    (default ``f"{u}-{v}"``, the backbone convention); pass a callback
-    when the graph's links are named differently.
-    """
-    if link_name is None:
-        def link_name(u: str, v: str) -> str:
-            return f"{u}-{v}"
-    routing: dict[tuple[str, str], dict[str, float]] = {}
-    for s in graph.nodes:
-        pred, dist = nx.dijkstra_predecessor_and_distance(
-            graph, s, weight=weight
-        )
-        order = sorted(dist, key=dist.get)  # increasing distance from s
-        pos = {v: i for i, v in enumerate(order)}
-        n = len(order)
-
-        sigma = np.zeros(n)
-        sigma[pos[s]] = 1.0
-        succ: dict[str, list[str]] = {v: [] for v in order}
-        for v in order:
-            for u in pred[v]:
-                sigma[pos[v]] += sigma[pos[u]]
-                succ[u].append(v)
-
-        # tau[i, j]: number of DAG paths from order[i] to order[j]
-        # (including the empty path i == j).  Filled in decreasing
-        # distance so successors are complete before their predecessors.
-        tau = np.zeros((n, n))
-        for v in reversed(order):
-            row = tau[pos[v]]
-            row[pos[v]] = 1.0
-            for w in succ[v]:
-                row += tau[pos[w]]
-
-        for v in order:
-            pv = pos[v]
-            reach = np.nonzero(tau[pv])[0]
-            for u in pred[v]:
-                name = link_name(u, v)
-                share = sigma[pos[u]] / sigma[reach]  # per-target frac
-                fracs = share * tau[pv][reach]
-                for j, frac in zip(reach, fracs):
-                    t = order[j]
-                    if t == s:
-                        continue
-                    pair = routing.setdefault((s, t), {})
-                    pair[name] = pair.get(name, 0.0) + float(frac)
-    return routing
 
 
 @dataclass(frozen=True)
@@ -250,7 +177,6 @@ def _generate_local_chains(
 
 def generate_federation_workload(
     config: PopGridConfig | None = None,
-    backbone: Backbone | None = None,
 ) -> tuple[NetworkModel, dict[str, int]]:
     """Build the complete generated-scale model.
 
@@ -261,10 +187,7 @@ def generate_federation_workload(
     config = config or PopGridConfig()
     rng = random.Random(config.seed)
     cities, metro_of = generate_pop_cities(config)
-    if backbone is None:  # the standard construction, path-counting ECMP
-        backbone = build_backbone(
-            cities, long_haul_pairs=_LONG_HAUL_PAIRS, ecmp=ecmp_routing
-        )
+    backbone = build_backbone(cities, long_haul_pairs=_LONG_HAUL_PAIRS)
 
     matrix = gravity_traffic_matrix(cities, config.total_traffic)
     switchboard_matrix, background_matrix = split_switchboard_background(
@@ -304,7 +227,6 @@ def generate_federation_workload(
 
 __all__ = [
     "PopGridConfig",
-    "ecmp_routing",
     "generate_federation_workload",
     "generate_pop_cities",
 ]

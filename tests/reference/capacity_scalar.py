@@ -116,7 +116,7 @@ def scalar_placement_program(
     program = rows.program(cost, np.ones(n))
     return _PlacementProgram(
         cost, program.a_eq, program.b_eq, program.a_ub, program.b_ub,
-        quota_first, w_index, rows.solution,
+        quota_first, w_index, rows.solution, np.ones(n),
     )
 
 

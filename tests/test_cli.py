@@ -69,6 +69,7 @@ class TestParser:
         (["route", "--cities", "1"], "backbone needs at least two cities"),
         (["topology", "--cities", "0"], "backbone needs at least two cities"),
         (["cache", "--chains", "0"], "need at least one chain"),
+        (["cache", "--cache-objects", "-1"], "negative capacity -1"),
     ])
     def test_out_of_range_fractions_and_counts_are_usage_errors(
         self, argv, message, capsys

@@ -19,9 +19,10 @@ from repro.controller.failures import (
     chains_through_link,
     chains_through_site,
 )
+from repro.core.capacity import plan_vnf_placement
 from repro.core.dp import route_chains_dp
 from repro.core.lp import LpObjective, solve_chain_routing_lp
-from repro.core.model import CloudSite, NetworkModel, VNF
+from repro.core.model import Chain, CloudSite, ModelError, NetworkModel, VNF
 from repro.dataplane import DataPlane, FiveTuple, Packet
 from repro.edge import EdgeController, EdgeInstance
 from repro.vnf import VnfService
@@ -278,6 +279,81 @@ class TestLinkFailure:
         report = fail_link(gs, *unused)
         assert report.affected_chains == []
         assert gs.installations["c1"].routed_fraction == pytest.approx(1.0)
+
+
+def failed_pair_model(fw_sites=("sb", "sc"), latency=None):
+    """Nodes a, b, c; fw at sb (on b) and / or sc (on c); chain a -> fw -> c."""
+    if latency is None:
+        latency = {("a", "b"): 10.0, ("a", "c"): 30.0, ("b", "c"): 15.0}
+    sites = [CloudSite("sb", "b", 100.0), CloudSite("sc", "c", 100.0)]
+    fw = VNF("fw", 1.0, {site: 50.0 for site in fw_sites})
+    chain = Chain("c1", "a", "c", ["fw"], forward_traffic=5.0, reverse_traffic=1.0)
+    return NetworkModel(["a", "b", "c"], latency, sites, [fw], [chain])
+
+
+class TestLpAcrossFailedPair:
+    """A flow over a failed pair (+inf delay) cannot carry; only a pair
+    with no latency entry at all is a model error."""
+
+    @pytest.mark.parametrize(
+        "objective", [LpObjective.MIN_LATENCY, LpObjective.MAX_THROUGHPUT]
+    )
+    def test_routes_through_the_reachable_site(self, objective):
+        gs = GlobalSwitchboard(failed_pair_model(), DataPlane(random.Random(1)))
+        # Solved first through sb (25 ms against 30): the program built
+        # after the failure starts from these routes and must drop them.
+        before = solve_chain_routing_lp(gs.model, objective)
+        assert before.solution.stage_flows("c1", 1) == {("a", "sb"): pytest.approx(1.0)}
+        fail_link(gs, "a", "b")
+        result = solve_chain_routing_lp(gs.model, objective)
+        assert result.ok
+        assert result.solution.stage_flows("c1", 1) == {("a", "sc"): pytest.approx(1.0)}
+        assert result.solution.stage_flows("c1", 2) == {("sc", "c"): pytest.approx(1.0)}
+
+    def test_no_reachable_site(self):
+        gs = GlobalSwitchboard(
+            failed_pair_model(fw_sites=("sb",)), DataPlane(random.Random(1))
+        )
+        fail_link(gs, "a", "b")
+        assert solve_chain_routing_lp(gs.model).status == "infeasible"
+        result = solve_chain_routing_lp(gs.model, LpObjective.MAX_THROUGHPUT)
+        assert result.ok
+        assert result.solution.routed_fraction("c1") == 0.0
+
+    def test_placement_opens_the_reachable_site(self):
+        gs = GlobalSwitchboard(
+            failed_pair_model(fw_sites=("sb",)), DataPlane(random.Random(1))
+        )
+        fail_link(gs, "a", "b")
+        plan = plan_vnf_placement(gs.model, {"fw": 1}, 50.0)
+        assert plan.new_sites == {"fw": ["sc"]}
+        assert plan.solution.stage_flows("c1", 1) == {("a", "sc"): pytest.approx(1.0)}
+
+    def test_unknown_pair_still_raises(self):
+        model = failed_pair_model(latency={("a", "c"): 30.0, ("b", "c"): 15.0})
+        with pytest.raises(ModelError, match="no latency entry for 'a' -> 'sb'"):
+            solve_chain_routing_lp(model)
+
+
+class TestHopWeights:
+    def test_ingress_rule_divides_by_site_instance_weight(self):
+        """Section 5.2's product rule: the TE fraction times the
+        forwarder's share of its site's instance weight, so a heavier
+        lone instance does not inflate its site's share."""
+        gs, service, _ingress, _egress = build_deployment()
+        service.instances_at("A")[0].weight = 3.0
+        gs.create_chain(spec("c1", demand=60.0))
+        fractions = gs.router.solution.stage_flows("c1", 1)
+        assert fractions == {
+            ("a", "A"): pytest.approx(1 / 3), ("a", "B"): pytest.approx(1 / 3)
+        }
+        rule = gs.local_switchboard("A").edge_forwarder().rules[
+            (gs.installations["c1"].label, "C")
+        ]
+        choice = rule.next_forwarders
+        assert {t: choice.weight(t) for t in choice.targets} == {
+            "fwd.A.1": pytest.approx(1 / 3), "fwd.B.1": pytest.approx(1 / 3)
+        }
 
 
 class TestReoptimize:
