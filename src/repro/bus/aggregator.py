@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.bus.topics import Topic
+from repro.core.errors import ReproError
 from repro.simnet.events import EventHandle
 
 
-class AggregatorError(Exception):
+class AggregatorError(ReproError):
     """Raised on invalid aggregator configuration."""
 
 

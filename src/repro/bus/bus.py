@@ -18,13 +18,14 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence, TYPE_CHECKING
 
 from repro.bus.topics import Topic
+from repro.core.errors import ReproError
 from repro.simnet.network import LinkSpec, SimNetwork
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
 
 
-class BusError(Exception):
+class BusError(ReproError):
     """Raised on invalid bus construction or use."""
 
 

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.errors import ReproError
 
-class TopicError(Exception):
+
+class TopicError(ReproError):
     """Raised on malformed topics."""
 
 

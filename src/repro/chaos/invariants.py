@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, TYPE_CHECKING
 
 from repro.controller.replication import ReplicatedStore, ReplicationError
+from repro.core.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.bus.bus import GlobalMessageBus
@@ -66,7 +67,7 @@ class InvariantChecker:
 
     def __init__(self, sim: "Simulator", interval_s: float = 1.0):
         if interval_s <= 0:
-            raise ValueError("non-positive probe interval")
+            raise ReproError("non-positive probe interval")
         self.sim = sim
         self.interval_s = interval_s
         self._probes: dict[str, Callable[[], Iterable[str]]] = {}
@@ -75,7 +76,7 @@ class InvariantChecker:
 
     def add(self, name: str, probe: Callable[[], Iterable[str]]) -> None:
         if name in self._probes:
-            raise ValueError(f"duplicate invariant {name!r}")
+            raise ReproError(f"duplicate invariant {name!r}")
         self._probes[name] = probe
 
     def check_now(self) -> list[Violation]:

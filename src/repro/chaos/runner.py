@@ -40,7 +40,8 @@ from repro.chaos.invariants import (
     two_phase_atomicity,
 )
 from repro.chaos.scenario import (
-    FaultEvent, Scenario, ScenarioConfig, ScenarioError, generate_scenario,
+    GS_CRASH_WINDOW, FaultEvent, Scenario, ScenarioConfig, ScenarioError,
+    check_duration, check_failover_fits, generate_scenario,
 )
 from repro.controller import (
     ChainSpecification,
@@ -251,6 +252,16 @@ class SoakConfig:
     control_faults: bool = False
     control_loss: float = 0.2
     scenario: ScenarioConfig | None = None
+
+    def __post_init__(self) -> None:
+        check_duration(self.duration_s)
+        if self.num_chains < 1:
+            raise ScenarioError(f"num_chains must be positive, got {self.num_chains}")
+        if not 0.0 <= self.control_loss <= 1.0:
+            raise ScenarioError(f"control_loss must be in [0, 1], got {self.control_loss}")
+        if self.scenario_config().gs_crash:
+            failover_s = _LEASE_DURATION_S + _LEASE_RENEW_S
+            check_failover_fits(self.duration_s, GS_CRASH_WINDOW[1], failover_s)
 
     def scenario_config(self) -> ScenarioConfig:
         if self.scenario is not None:

@@ -25,10 +25,17 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core import canonical
+from repro.core.errors import ReproError
 
 
-class ScenarioError(Exception):
+class ScenarioError(ReproError):
     """Raised on invalid scenario construction."""
+
+
+def check_duration(duration_s: float) -> None:
+    """Refuse a run length that is not finite and positive."""
+    if not 0 < duration_s < math.inf:
+        raise ScenarioError(f"duration_s must be positive and finite, got {duration_s}")
 
 
 #: Event kinds understood by the chaos engine.
@@ -102,8 +109,7 @@ class Scenario:
     events: list[FaultEvent] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if not 0 < self.duration_s < math.inf:
-            raise ScenarioError("scenario duration not finite and positive")
+        check_duration(self.duration_s)
         self.events.sort(key=lambda e: (e.at, e.kind, e.target))
 
     def to_doc(self) -> dict:
@@ -147,6 +153,20 @@ _WINDOW_S = 5.0
 _SITE_OUTAGE_S = 10.0
 _PROXY_CRASH_S = 6.0
 _PARTITION_S = 5.0
+#: Shares of the run a GS crash falls between: early, so in-flight
+#: installs get crashed on and the failover still has time to settle.
+GS_CRASH_WINDOW = (0.2, 0.4)
+
+
+def check_failover_fits(duration_s: float, crash_by: float, failover_s: float) -> None:
+    """Refuse a run in which a crash by share ``crash_by`` of it is not
+    taken over (``failover_s`` later) before the lease loop and the
+    sweeper stop at the horizon: its installs would be stranded."""
+    if crash_by * duration_s + failover_s > duration_s:
+        raise ScenarioError(
+            f"duration_s must be at least {failover_s / (1 - crash_by):.2f} for a crash "
+            f"by {crash_by:g} of the run to be taken over, got {duration_s}"
+        )
 
 
 @dataclass(frozen=True)
@@ -266,9 +286,8 @@ def generate_scenario(
         events.append(FaultEvent(end, "control_loss", ("control",), 0.0))
 
     if config.gs_crash:
-        # Early-ish in the run, so in-flight installs get crashed on
-        # and the failover still has time to settle.
-        at = rng.uniform(0.2 * config.duration_s, 0.4 * config.duration_s)
+        first, last = GS_CRASH_WINDOW
+        at = rng.uniform(first * config.duration_s, last * config.duration_s)
         events.append(FaultEvent(at, "gs_crash", ("ctrl.gs",)))
 
     return Scenario(seed=seed, duration_s=config.duration_s, events=events)

@@ -21,14 +21,8 @@ import time
 
 
 def _default_out(out: "str | None", command: str, seed: int) -> "str | None":
-    """Resolve a bare ``--out`` to a seed-derived filename.
-
-    ``--out`` without a value used to be impossible; commands that
-    hardcoded a name collided when two seeds ran in one directory
-    (the second report overwrote the first).  A bare ``--out`` now
-    yields ``<command>-report-seed<seed>.json``, unique per
-    (command, seed) pair; an explicit path is used verbatim.
-    """
+    """A bare ``--out`` as ``<command>-report-seed<seed>.json`` (two
+    seeds in one directory never collide); a path is used verbatim."""
     if out == "auto":
         return f"{command}-report-seed{seed}.json"
     return out
@@ -56,20 +50,21 @@ def _positive(kind):
     return parse
 
 
-def _fraction(text: str) -> float:
-    """An argparse ``type`` for a share or a probability: a float in
-    [0, 1]; NaN or anything outside is a usage error (exit 2)."""
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
-    return value
+def _cities(count: int):
+    """The first ``count`` default cities: ``--cities`` slices a list,
+    a count outside it is the CLI's to refuse."""
+    from repro.core.errors import ReproError
+    from repro.topology.cities import DEFAULT_CITIES
+
+    if not 0 <= count <= len(DEFAULT_CITIES):
+        raise ReproError(f"--cities must be in [0, {len(DEFAULT_CITIES)}], got {count}")
+    return DEFAULT_CITIES[:count]
 
 
 def _build_topology(args: argparse.Namespace):
     from repro.topology import build_backbone
-    from repro.topology.cities import DEFAULT_CITIES
 
-    return build_backbone(DEFAULT_CITIES[: args.cities])
+    return build_backbone(_cities(args.cities))
 
 
 def _cmd_topology(args: argparse.Namespace, backbone) -> int:
@@ -87,9 +82,8 @@ def _cmd_topology(args: argparse.Namespace, backbone) -> int:
 
 def _build_route(args: argparse.Namespace):
     from repro.topology import WorkloadConfig, build_backbone, generate_workload
-    from repro.topology.cities import DEFAULT_CITIES
 
-    cities = DEFAULT_CITIES[: args.cities]
+    cities = _cities(args.cities)
     config = WorkloadConfig(
         num_chains=args.chains,
         num_vnfs=args.vnfs,
@@ -179,15 +173,15 @@ def _cmd_cache(args: argparse.Namespace, workloads) -> int:
     return 0
 
 
-def _cmd_bus(args: argparse.Namespace) -> int:
+def _build_bus(args: argparse.Namespace):
+    """The bus and the full-mesh baseline, subscribed and loaded."""
     from repro.bus import Topic, make_bus, make_full_mesh_bus
 
     sites = [f"S{i}" for i in range(args.sites)]
-
-    def drive(make):
-        bus = make(sites, wan_delay_s=0.025, uplink_bps=8e6,
-                   uplink_buffer_bytes=400_000)
-        topic = Topic("c1", "e1", "G", "S0", "instances")
+    topic = Topic("c1", "e1", "G", "S0", "instances")
+    buses = []
+    for make in (make_bus, make_full_mesh_bus):
+        bus = make(sites, wan_delay_s=0.025, uplink_bps=8e6, uplink_buffer_bytes=400_000)
         bus.attach("pub", "S0")
         for site in sites[1:]:
             for j in range(args.subscribers):
@@ -195,14 +189,15 @@ def _cmd_bus(args: argparse.Namespace) -> int:
                 bus.attach(name, site)
                 bus.subscribe(name, topic)
         for i in range(args.publishes):
-            bus.network.sim.schedule(
-                i / args.rate, bus.publish, "pub", topic, i
-            )
-        bus.network.run()
-        return bus.stats
+            bus.network.sim.schedule(i / args.rate, bus.publish, "pub", topic, i)
+        buses.append(bus)
+    return buses
 
-    proxy = drive(make_bus)
-    mesh = drive(make_full_mesh_bus)
+
+def _cmd_bus(args: argparse.Namespace, buses) -> int:
+    for bus in buses:
+        bus.network.run()
+    proxy, mesh = (bus.stats for bus in buses)
     for name, stats in (("bus", proxy), ("broadcast", mesh)):
         print(
             f"{name:>9}: delivered {stats.delivered:6d}, "
@@ -218,17 +213,23 @@ def _cmd_bus(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_timing(args: argparse.Namespace) -> int:
+def _build_timing(args: argparse.Namespace):
+    from repro.controller.timing import ControlPlaneLatencies
+
+    return ControlPlaneLatencies()
+
+
+def _cmd_timing(args: argparse.Namespace, latencies) -> int:
     from repro.controller.timing import (
         simulate_chain_route_update,
         simulate_edge_site_addition,
     )
 
-    update = simulate_chain_route_update()
+    update = simulate_chain_route_update(latencies)
     print(f"chain route update: {update.total_s * 1e3:.0f} ms total")
     for m in update.milestones:
         print(f"  {m.operation:<45} {m.duration_s * 1e3:5.0f} ms")
-    addition = simulate_edge_site_addition()
+    addition = simulate_edge_site_addition(latencies)
     print(f"\nedge site addition: {addition.summed_durations_s * 1e3:.0f} ms "
           f"(sum of operations)")
     for m in addition.milestones:
@@ -236,7 +237,26 @@ def _cmd_timing(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_metrics(args: argparse.Namespace) -> int:
+def _build_metrics(args: argparse.Namespace):
+    """The three-site bus, on a simulator the metrics registry reads."""
+    from repro.bus import make_bus
+    from repro.obs import MetricsRegistry
+    from repro.simnet.events import Simulator
+    from repro.simnet.network import SimNetwork
+
+    sim = Simulator()
+    registry = MetricsRegistry.for_simulator(sim)
+    return make_bus(
+        ["A", "B", "C"],
+        wan_delay_s=0.030,
+        uplink_bps=args.uplink_bps,
+        uplink_buffer_bytes=args.buffer_bytes,
+        network=SimNetwork(sim, metrics=registry),
+        metrics=registry,
+    )
+
+
+def _cmd_metrics(args: argparse.Namespace, bus) -> int:
     """Run an instrumented end-to-end experiment and print the report.
 
     Three phases share one simulator and one registry: a bus-driven
@@ -247,7 +267,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     """
     import random
 
-    from repro.bus import Topic, make_bus
+    from repro.bus import Topic
     from repro.controller import (
         ChainSpecification,
         GlobalSwitchboard,
@@ -260,7 +280,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.dataplane import DataPlane, FiveTuple, Packet
     from repro.edge import EdgeController, EdgeInstance
     from repro.obs import (
-        MetricsRegistry,
         collect_bus,
         collect_dataplane,
         collect_federation,
@@ -269,22 +288,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         registry_to_json,
         render_report,
     )
-    from repro.simnet.events import Simulator
-    from repro.simnet.network import SimNetwork
     from repro.vnf import VnfService
 
-    sites = ["A", "B", "C"]
-    sim = Simulator()
-    registry = MetricsRegistry.for_simulator(sim)
-    net = SimNetwork(sim, metrics=registry)
-    bus = make_bus(
-        sites,
-        wan_delay_s=0.030,
-        uplink_bps=args.uplink_bps,
-        uplink_buffer_bytes=args.buffer_bytes,
-        network=net,
-        metrics=registry,
-    )
+    sites, net, sim, registry = bus.sites, bus.network, bus.network.sim, bus.metrics
 
     # Phase 1: install a chain through the bus-driven 2PC protocol.
     model = NetworkModel(
@@ -403,7 +409,45 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_federation(args: argparse.Namespace) -> int:
+def _build_federation(args: argparse.Namespace):
+    """The chaos soak's config, or the workload's coordinator and the
+    seconds the workload and the coordinator took to build."""
+    from repro.federation import FaultPolicy, FederationChaosConfig, GlobalCoordinator
+    from repro.obs import MetricsRegistry
+    from repro.topology.pops import PopGridConfig, generate_federation_workload
+
+    if args.chaos_soak:
+        return FederationChaosConfig(
+            seed=args.seed,
+            duration_s=args.duration,
+            pops=args.pops,
+            regions=args.regions,
+            chains=args.chains,
+            locality=args.locality,
+            partition_size=args.partition_size,
+        )
+    policy = FaultPolicy(args.seed, args.reject_rate, args.crash_rate)
+    start = time.perf_counter()
+    model, _metro_of = generate_federation_workload(PopGridConfig(
+        num_pops=args.pops,
+        num_metros=args.metros or args.regions,
+        num_chains=args.chains,
+        locality=args.locality,
+        seed=args.seed,
+    ))
+    generate_s = time.perf_counter() - start
+    start = time.perf_counter()
+    coordinator = GlobalCoordinator(
+        model,
+        n_regions=args.regions,
+        partition_size=args.partition_size,
+        metrics=MetricsRegistry(),
+        fault_policy=policy if args.soak else None,
+    )
+    return coordinator, generate_s, time.perf_counter() - start
+
+
+def _cmd_federation(args: argparse.Namespace, inputs) -> int:
     """Federated two-level control plane on a generated PoP topology.
 
     Builds the clustered PoP workload, cuts it into regions, installs
@@ -421,62 +465,25 @@ def _cmd_federation(args: argparse.Namespace) -> int:
     import random
 
     from repro.core.lp import LpObjective
-    from repro.federation import FaultPolicy, GlobalCoordinator, check_all
+    from repro.federation import check_all, run_federation_chaos
     from repro.federation.soak import FederatedOps, install_base
     from repro.federation.soak import run_soak as run_federation_soak
-    from repro.obs import MetricsRegistry, collect_federation, registry_to_dict
-    from repro.topology.pops import PopGridConfig, generate_federation_workload
+    from repro.obs import collect_federation, registry_to_dict
 
     args.out = _default_out(args.out, "federation", args.seed)
     if args.chaos_soak:
-        from repro.federation import FederationChaosConfig, run_federation_chaos
-
-        chaos_config = FederationChaosConfig(
-            seed=args.seed,
-            duration_s=args.duration,
-            pops=args.pops,
-            regions=args.regions,
-            chains=args.chains,
-            locality=args.locality,
-            partition_size=args.partition_size,
-        )
-        report = run_federation_chaos(chaos_config)
+        report = run_federation_chaos(inputs)
         print(report.to_json() if args.json else report.render())
         _write_out(args.out, report.to_json())
         return 0 if report.passed else 1
 
-    config = PopGridConfig(
-        num_pops=args.pops,
-        num_metros=args.metros if args.metros else args.regions,
-        num_chains=args.chains,
-        locality=args.locality,
-        seed=args.seed,
-    )
-    start = time.perf_counter()
-    model, _metro_of = generate_federation_workload(config)
+    coordinator, generate_s, build_s = inputs
+    model, registry = coordinator.model, coordinator.metrics
     print(
         f"workload: {args.pops} PoPs, {len(model.chains)} chains, "
         f"{model.total_demand():.0f} units offered "
-        f"({time.perf_counter() - start:.1f}s to generate)"
+        f"({generate_s:.1f}s to generate)"
     )
-
-    registry = MetricsRegistry()
-    policy = None
-    if args.soak:
-        policy = FaultPolicy(
-            seed=args.seed,
-            reject_rate=args.reject_rate,
-            crash_rate=args.crash_rate,
-        )
-    start = time.perf_counter()
-    coordinator = GlobalCoordinator(
-        model,
-        n_regions=args.regions,
-        partition_size=args.partition_size,
-        metrics=registry,
-        fault_policy=policy,
-    )
-    build_s = time.perf_counter() - start
     stats = coordinator.stats()
     print(
         f"federation: {stats['regions']} regions, {stats['borders']} border "
@@ -579,7 +586,20 @@ def _cmd_federation(args: argparse.Namespace) -> int:
     return 0 if not problems else 1
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
+def _build_chaos(args: argparse.Namespace):
+    from repro.chaos import SoakConfig
+
+    return SoakConfig(
+        seed=args.seed,
+        duration_s=args.duration,
+        num_chains=args.chains,
+        partition=args.partition,
+        control_faults=args.control_faults,
+        control_loss=args.control_loss,
+    )
+
+
+def _cmd_chaos(args: argparse.Namespace, config) -> int:
     """Seeded chaos soak: play a fault schedule against a deployment
     while invariants are probed.  Exit code 1 if any invariant was
     violated, so a failing seed turns into a failing CI step; rerunning
@@ -591,37 +611,34 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     Switchboard mid-install, exercising the resilience stack (reliable
     RPC, deadlines, sweeper, lease failover).
     """
-    from repro.chaos import SoakConfig, run_soak
+    from repro.chaos import run_soak
 
     args.out = _default_out(args.out, "chaos", args.seed)
-    config = SoakConfig(
-        seed=args.seed,
-        duration_s=args.duration,
-        num_chains=args.chains,
-        partition=args.partition,
-        control_faults=args.control_faults,
-        control_loss=args.control_loss,
-    )
     report = run_soak(config)
     print(report.to_json() if args.json else report.render())
     _write_out(args.out, report.to_json())
     return 0 if report.passed else 1
 
 
-#: Library scenario kinds, duplicated here so building the parser does
-#: not import the (heavy) scenarios package; test_cli pins this tuple
-#: against ``repro.scenarios.SCENARIO_KINDS``.
-FUZZ_SCENARIO_KINDS = (
-    "adversarial_matrix",
-    "diurnal_wave",
-    "evacuation_cascade",
-    "flash_crowd",
-    "site_churn",
-    "zipf_mix",
-)
+def _build_fuzz(args: argparse.Namespace):
+    """The ``--scenario`` schedule (``generate`` names the known kinds
+    when it refuses one), or the fuzz run's config."""
+    from repro.scenarios import FuzzConfig, generate
+
+    if args.scenario:
+        return generate(args.scenario, args.seed, duration_s=args.duration)
+    return FuzzConfig(
+        seed=args.seed,
+        cases=args.cases,
+        budget_s=args.budget,
+        duration_s=args.duration,
+        stacks=("mono", "federation") if args.stack == "both" else (args.stack,),
+        minimize=not args.no_minimize,
+        plant=args.plant,
+    )
 
 
-def _cmd_fuzz(args: argparse.Namespace) -> int:
+def _cmd_fuzz(args: argparse.Namespace, inputs) -> int:
     """Seeded scenario fuzzer: compose random workload + fault
     schedules, play them against the monolithic and federated stacks
     with invariant probes, and delta-debug any violation to a minimal
@@ -633,19 +650,16 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     """
     import json
 
-    from repro.scenarios import FuzzConfig, generate, replay_case, run_fuzz
+    from repro.scenarios import replay_case, run_fuzz
 
     args.out = _default_out(args.out, "fuzz", args.seed)
 
     if args.scenario:
-        schedule = generate(args.scenario, args.seed,
-                            duration_s=args.duration)
+        schedule = inputs
         if args.json:
             print(schedule.to_json())
         else:
-            counts = ", ".join(
-                f"{k}={v}" for k, v in sorted(schedule.counts().items()) if v
-            )
+            counts = ", ".join(f"{k}={v}" for k, v in sorted(schedule.counts().items()) if v)
             print(
                 f"{schedule.kind}: seed={schedule.seed} "
                 f"duration={schedule.duration_s:g}s "
@@ -660,9 +674,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             doc = json.load(handle)
         if "composed" in doc and "params" in doc:
             case_doc = doc  # a saved case / minimized repro
-        elif isinstance(doc.get("schedule"), dict) and (
-            "composed" in doc["schedule"]
-        ):
+        elif isinstance(doc.get("schedule"), dict) and "composed" in doc["schedule"]:
             case_doc = doc["schedule"]  # a case result / minimized block
         elif doc.get("cases"):
             case_doc = doc["cases"][0]["schedule"]  # a whole fuzz report
@@ -681,19 +693,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             print(f"  {stack.stack}: {status}")
         return 0 if result.passed else 1
 
-    stacks = (
-        ("mono", "federation") if args.stack == "both" else (args.stack,)
-    )
-    config = FuzzConfig(
-        seed=args.seed,
-        cases=args.cases,
-        budget_s=args.budget,
-        duration_s=args.duration,
-        stacks=stacks,
-        minimize=not args.no_minimize,
-        plant=args.plant,
-    )
-    report = run_fuzz(config)
+    report = run_fuzz(inputs)
     print(report.to_json() if args.json else report.render())
     _write_out(args.out, report.to_json())
     if args.write_known_good:
@@ -731,9 +731,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_topology, build=_build_topology)
 
     p = sub.add_parser("route", help="compare TE schemes on a workload")
-    p.add_argument("--chains", type=_positive(int), default=40)
+    p.add_argument("--chains", type=int, default=40)
     p.add_argument("--vnfs", type=int, default=12)
-    p.add_argument("--coverage", type=_positive(_fraction), default=0.5)
+    p.add_argument("--coverage", type=float, default=0.5)
     p.add_argument("--traffic", type=float, default=6000.0)
     p.add_argument("--site-capacity", type=float, default=7200.0)
     p.add_argument("--cities", type=int, default=15)
@@ -755,37 +755,37 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bus", help="bus vs broadcast under load")
     p.add_argument("--sites", type=_positive(int), default=10)
     p.add_argument("--subscribers", type=_positive(int), default=5)
-    p.add_argument("--publishes", type=int, default=700)
+    p.add_argument("--publishes", type=_positive(int), default=700)
     p.add_argument("--rate", type=_positive(float), default=35.0)
-    p.set_defaults(func=_cmd_bus)
+    p.set_defaults(func=_cmd_bus, build=_build_bus)
 
     p = sub.add_parser("timing", help="control-plane latency breakdowns")
-    p.set_defaults(func=_cmd_timing)
+    p.set_defaults(func=_cmd_timing, build=_build_timing)
 
     p = sub.add_parser(
         "metrics", help="instrumented end-to-end run with a full obs report"
     )
-    p.add_argument("--publishes", type=int, default=400)
+    p.add_argument("--publishes", type=_positive(int), default=400)
     p.add_argument("--rate", type=_positive(float), default=1000.0)
-    p.add_argument("--subscribers", type=int, default=3)
+    p.add_argument("--subscribers", type=_positive(int), default=3)
     p.add_argument("--uplink-bps", type=float, default=8e6)
     p.add_argument("--buffer-bytes", type=int, default=64_000)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_metrics)
+    p.set_defaults(func=_cmd_metrics, build=_build_metrics)
 
     p = sub.add_parser(
         "federation",
         help="federated two-level control plane on a generated PoP topology",
     )
-    p.add_argument("--pops", type=_positive(int), default=96,
+    p.add_argument("--pops", type=int, default=96,
                    help="generated PoPs (use 500 for the paper-scale run)")
-    p.add_argument("--chains", type=_positive(int), default=384,
+    p.add_argument("--chains", type=int, default=384,
                    help="generated chains (use 100000 for full scale)")
-    p.add_argument("--regions", type=_positive(int), default=4)
+    p.add_argument("--regions", type=int, default=4)
     p.add_argument("--metros", type=int, default=0,
                    help="metro clusters in the generator "
                    "(default: same as --regions)")
-    p.add_argument("--locality", type=_fraction, default=0.8,
+    p.add_argument("--locality", type=float, default=0.8,
                    help="probability a chain stays inside one metro")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--partition-size", type=int, default=16)
@@ -794,40 +794,40 @@ def build_parser() -> argparse.ArgumentParser:
                         "seeded schedule of real link/partition/crash "
                         "faults (coordinator failover, durable ledgers, "
                         "degraded-mode regions)")
-    p.add_argument("--duration", type=_positive(float), default=40.0,
+    p.add_argument("--duration", type=float, default=40.0,
                    help="simulated seconds of chaos-soak fault schedule")
-    p.add_argument("--soak", type=int, default=0, metavar="OPS",
+    p.add_argument("--soak", type=_positive(int), metavar="OPS",
                    help="run the seeded fault-injection soak for OPS "
                    "operations instead of the timing comparison")
-    p.add_argument("--reject-rate", type=_fraction, default=0.15,
+    p.add_argument("--reject-rate", type=float, default=0.15,
                    help="soak: regional prepare rejection probability")
-    p.add_argument("--crash-rate", type=_fraction, default=0.1,
+    p.add_argument("--crash-rate", type=float, default=0.1,
                    help="soak: coordinator mid-install crash probability")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", nargs="?", const="auto",
                    help="also write the JSON report to a file (bare --out "
                    "derives federation-report-seed<seed>.json)")
-    p.set_defaults(func=_cmd_federation)
+    p.set_defaults(func=_cmd_federation, build=_build_federation)
 
     p = sub.add_parser(
         "chaos", help="seeded fault-injection soak with invariant checking"
     )
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--duration", type=_positive(float), default=60.0)
+    p.add_argument("--duration", type=float, default=60.0)
     p.add_argument("--chains", type=int, default=8)
     p.add_argument("--partition", action="store_true",
                    help="include a network partition in the schedule")
     p.add_argument("--control-faults", action="store_true",
                    help="control-plane mix: live 2PC installs under "
                    "control-message loss and a mid-install GS crash")
-    p.add_argument("--control-loss", type=_fraction, default=0.2,
+    p.add_argument("--control-loss", type=float, default=0.2,
                    help="per-link control-message loss probability "
                    "during control_loss windows (default 0.2)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", nargs="?", const="auto",
                    help="also write the JSON report to a file (bare --out "
                    "derives chaos-report-seed<seed>.json)")
-    p.set_defaults(func=_cmd_chaos)
+    p.set_defaults(func=_cmd_chaos, build=_build_chaos)
 
     p = sub.add_parser(
         "fuzz",
@@ -840,11 +840,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, default=None, metavar="S",
                    help="wall-clock budget in seconds; no new case "
                    "starts once spent (nightly mode)")
-    p.add_argument("--duration", type=_positive(float), default=16.0,
+    p.add_argument("--duration", type=float, default=16.0,
                    help="simulated seconds per composed schedule")
     p.add_argument("--stack", choices=("mono", "federation", "both"),
                    default="both")
-    p.add_argument("--scenario", choices=FUZZ_SCENARIO_KINDS,
+    p.add_argument("--scenario",
                    help="print one library scenario schedule and exit")
     p.add_argument("--replay", metavar="FILE",
                    help="replay a saved case / minimized repro / report "
@@ -864,25 +864,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", nargs="?", const="auto",
                    help="also write the JSON report to a file (bare "
                    "--out derives fuzz-report-seed<seed>.json)")
-    p.set_defaults(func=_cmd_fuzz)
+    p.set_defaults(func=_cmd_fuzz, build=_build_fuzz)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "federation" and max(args.regions, args.metros) > args.pops:
-        parser.error("federation: --regions / --metros must not exceed --pops")
-    if not hasattr(args, "build"):
-        return args.func(args)
-    from repro.core.model import ModelError
-    from repro.vnf.cache import CacheError
+    from repro.core.errors import ReproError
 
     # The domain checks its own inputs: what the build step refuses is a
     # usage error (exit 2); an error while running stays a traceback.
     try:
         inputs = args.build(args)
-    except (ValueError, ModelError, CacheError) as exc:
+    except ReproError as exc:
         parser.error(f"{args.command}: {exc}")
     return args.func(args, inputs)
 

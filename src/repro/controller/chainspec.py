@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+from repro.core.errors import ReproError
 from repro.core.serialization import (
     SCHEMA_VERSION,
     SerializationError,
@@ -25,7 +26,7 @@ from repro.core.serialization import (
 )
 
 
-class SpecError(Exception):
+class SpecError(ReproError):
     """Raised on malformed chain specifications."""
 
 
@@ -123,5 +124,7 @@ def spec_from_dict(document: dict[str, Any]) -> ChainSpecification:
             protocol=document.get("protocol"),
             dst_port_range=tuple(port_range) if port_range else None,
         )
+    except ReproError:
+        raise  # the domain's own error, unwrapped
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed chain document: {exc}") from exc

@@ -27,13 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.errors import ReproError
 from repro.core.model import CloudSite, VNF
 from repro.controller.global_switchboard import GlobalSwitchboard
 
 _INF = float("inf")
 
 
-class FailureError(Exception):
+class FailureError(ReproError):
     """Raised on invalid failure operations."""
 
 

@@ -29,6 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
 
 from repro.core.dp import DpConfig, IncrementalDpRouter
+from repro.core.errors import ReproError
 from repro.core.lp import LpObjective, solve_chain_routing_lp
 from repro.core.model import Chain, NetworkModel
 from repro.dataplane.forwarder import DataPlane
@@ -44,7 +45,7 @@ from repro.vnf.service import VnfService
 _EPS = 1e-9
 
 
-class InstallationError(Exception):
+class InstallationError(ReproError):
     """Raised when a chain cannot be installed."""
 
 

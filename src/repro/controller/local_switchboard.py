@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Mapping
 
+from repro.core.errors import ReproError
 from repro.dataplane.forwarder import DataPlane, Forwarder, VnfInstance
 from repro.dataplane.rules import (
     LoadBalancingRule,
@@ -25,7 +26,7 @@ from repro.dataplane.rules import (
 )
 
 
-class LocalSwitchboardError(Exception):
+class LocalSwitchboardError(ReproError):
     """Raised on per-site control errors."""
 
 

@@ -22,9 +22,10 @@ from repro.controller.global_switchboard import (
     GlobalSwitchboard,
     InstallationError,
 )
+from repro.core.errors import ReproError
 
 
-class PortalError(Exception):
+class PortalError(ReproError):
     """Raised on invalid portal requests."""
 
 

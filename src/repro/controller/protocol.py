@@ -63,6 +63,7 @@ from repro.controller.global_switchboard import (
     GlobalSwitchboard,
     InstallationError,
 )
+from repro.core.errors import ReproError
 from repro.core.model import Chain
 from repro.resilience.deadline import DeadlineManager, ResilienceConfig
 from repro.resilience.rpc import RpcLayer
@@ -76,7 +77,7 @@ _EPS = 1e-9
 _REDRIVE_INTERVAL_S = 0.75
 
 
-class ProtocolError(Exception):
+class ProtocolError(ReproError):
     """Raised on invalid protocol configuration."""
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.controller.global_switchboard import GlobalSwitchboard
+from repro.core.errors import ReproError
 
 
 @dataclass
@@ -92,7 +93,7 @@ def reoptimize(
         if name not in gs.installations:
             raise KeyError(f"chain {name!r} is not installed")
         if factor < 0:
-            raise ValueError(f"negative demand factor for {name!r}")
+            raise ReproError(f"negative demand factor for {name!r}")
         if abs(factor - 1.0) <= threshold:
             report.skipped.append(name)
             continue

@@ -26,9 +26,10 @@ from typing import Any, Mapping
 
 from repro.controller.chainspec import spec_from_dict, spec_to_dict
 from repro.controller.global_switchboard import ChainInstallation
+from repro.core.errors import ReproError
 
 
-class ReplicationError(Exception):
+class ReplicationError(ReproError):
     """Raised on quorum loss or invalid store operations."""
 
 

@@ -231,10 +231,3 @@ def scale_to_capacity(solution: RoutingSolution) -> RoutingSolution:
         for z, (src, dst), frac in flows:
             scaled.add_flow(cname, z, src, dst, frac * factor)
     return scaled
-
-
-__all__ = [
-    "route_anycast",
-    "route_compute_aware",
-    "scale_to_capacity",
-]

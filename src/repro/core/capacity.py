@@ -29,6 +29,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_matrix, vstack
 
+from repro.core.errors import ReproError
 from repro.core.formulation import (
     ChainFlow,
     Program,
@@ -42,7 +43,7 @@ from repro.core.routes import RoutingSolution
 _EPS = 1e-9
 
 
-class CapacityPlanningError(Exception):
+class CapacityPlanningError(ReproError):
     """Raised when a planning program cannot be constructed or solved."""
 
 
@@ -453,15 +454,3 @@ def random_vnf_placement(
         for site in chosen:
             capacities[(vnf_name, site)] = new_site_capacity
     return VnfPlacementPlan(new_sites, float("nan"), None, 0.0, "random", capacities)
-
-
-__all__ = [
-    "CapacityPlanningError",
-    "CloudCapacityPlan",
-    "VnfPlacementPlan",
-    "max_alpha",
-    "plan_cloud_capacity",
-    "plan_vnf_placement",
-    "random_vnf_placement",
-    "uniform_cloud_plan",
-]

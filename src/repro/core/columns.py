@@ -592,17 +592,3 @@ def build_variable_columns(
         var_latency=lat,
         stage_var_start=stage_var_start,
     )
-
-
-__all__ = [
-    "ChainColumns",
-    "ChainTable",
-    "LinkTable",
-    "SubstrateColumns",
-    "VariableColumns",
-    "build_variable_columns",
-    "catalog_ids",
-    "distinct",
-    "StageTransition",
-    "ragged_gather",
-]

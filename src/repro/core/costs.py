@@ -16,8 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.errors import ReproError
 
-class CostError(Exception):
+
+class CostError(ReproError):
     """Raised on invalid cost-function construction or evaluation."""
 
 

@@ -645,11 +645,3 @@ class IncrementalDpRouter:
 
     def residual_vnf_capacity(self, vnf_name: str, site: str) -> float:
         return self._router.state.vnf_residual(vnf_name, site)
-
-
-__all__ = [
-    "DpConfig",
-    "DpResult",
-    "IncrementalDpRouter",
-    "route_chains_dp",
-]

@@ -40,6 +40,7 @@ from scipy.sparse import csc_matrix, get_index_dtype
 
 from repro.core import highs as highs_backend
 from repro.core.columns import distinct, ragged_gather
+from repro.core.errors import ReproError
 from repro.core.model import NetworkModel
 from repro.core.routes import Certificate, RoutingSolution
 
@@ -455,7 +456,7 @@ class Program:
         opens = np.ones(len(key), dtype=bool)
         opens[1:] = key[1:] != key[:-1]
         if (~opens[1:] & ~opens[:-1]).any():
-            raise ValueError("internal: an element holds three entries")
+            raise ReproError("internal: an element holds three entries")
         first, col = order[opens], key[opens] // n_rows
         mine = np.bincount(col, minlength=self.n_total)
         counts = mine.copy()

@@ -37,8 +37,10 @@ import numpy as np
 from scipy.optimize._highspy import _core as _hc
 from scipy.sparse import _sparsetools, csc_matrix
 
+from repro.core.errors import ReproError
 
-class ColumnGenError(Exception):
+
+class ColumnGenError(ReproError):
     """Raised when HiGHS rejects a call or fails on a master, or column
     generation does not converge; the solver has forgotten its state."""
 
@@ -335,9 +337,3 @@ class ColumnGenSolver:
         if status == _hc.HighsStatus.kError:
             self._forget()
             raise ColumnGenError(f"HiGHS rejected {call}")
-
-
-__all__ = [
-    "ColumnGenError",
-    "ColumnGenSolver",
-]

@@ -52,6 +52,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.errors import ReproError
 from repro.core.formulation import (
     ChainFlow,
     Program,
@@ -66,7 +67,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
 
 
-class LpError(Exception):
+class LpError(ReproError):
     """Raised when the LP cannot be constructed."""
 
 

@@ -26,9 +26,10 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from repro.core import canonical
+from repro.core.errors import ReproError
 
 
-class ModelError(Exception):
+class ModelError(ReproError):
     """Raised when model construction or validation fails."""
 
 

@@ -16,10 +16,11 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.errors import ReproError
 from repro.core.model import Chain, ModelError, NetworkModel
 
 
-class RoutingError(Exception):
+class RoutingError(ReproError):
     """Raised on malformed routing solutions."""
 
 

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.core.errors import ReproError
 from repro.core.model import Chain
 
 SCHEMA_VERSION = 1
 
 
-class SerializationError(Exception):
+class SerializationError(ReproError):
     """Raised on malformed documents."""
 
 
@@ -56,5 +57,7 @@ def chain_from_dict(document: dict[str, Any]) -> Chain:
             document["forward_traffic"],
             document["reverse_traffic"],
         )
+    except ReproError:
+        raise  # the domain's own error, unwrapped
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed chain entry: {exc}") from exc

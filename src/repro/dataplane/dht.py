@@ -27,11 +27,12 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.core.errors import ReproError
 from repro.dataplane.flowtable import FlowEntry, FlowKey
 from repro.dataplane.labels import FiveTuple, Labels
 
 
-class DhtError(Exception):
+class DhtError(ReproError):
     """Raised on invalid DHT configuration or use."""
 
 

@@ -25,8 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.errors import ReproError
 
-class E2EError(Exception):
+
+class E2EError(ReproError):
     """Raised on invalid testbed construction."""
 
 

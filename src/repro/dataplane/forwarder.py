@@ -31,12 +31,13 @@ from __future__ import annotations
 import random
 from typing import Callable, Protocol
 
+from repro.core.errors import ReproError
 from repro.dataplane.flowtable import FlowTable
 from repro.dataplane.labels import FiveTuple, Labels, Packet
 from repro.dataplane.rules import LoadBalancingRule, RuleError
 
 
-class ForwardingError(Exception):
+class ForwardingError(ReproError):
     """Raised when a packet cannot be forwarded."""
 
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.errors import ReproError
+
 _IPV4_BYTES = 20
 _IPV6_BYTES = 40
 _UDP_BYTES = 8
@@ -34,7 +36,7 @@ _SRH_FIXED_BYTES = 8
 _SEGMENT_BYTES = 16
 
 
-class HeaderModelError(Exception):
+class HeaderModelError(ReproError):
     """Raised on invalid chain lengths."""
 
 

@@ -16,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from repro.core.errors import ReproError
 from repro.dataplane.forwarder import Forwarder
 
 
-class MeasurementError(Exception):
+class MeasurementError(ReproError):
     """Raised on invalid measurement operations."""
 
 

@@ -30,8 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.core.errors import ReproError
 
-class PerfModelError(Exception):
+
+class PerfModelError(ReproError):
     """Raised on invalid performance-model inputs."""
 
 

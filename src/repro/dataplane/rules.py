@@ -19,8 +19,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from repro.core.errors import ReproError
 
-class RuleError(Exception):
+
+class RuleError(ReproError):
     """Raised on malformed load-balancing rules."""
 
 

@@ -18,13 +18,14 @@ from dataclasses import dataclass, field
 from socket import AF_INET, AF_INET6, inet_pton
 from typing import Any, Iterator
 
+from repro.core.errors import ReproError
 from repro.dataplane.labels import FiveTuple
 
 #: An address as the match structures take it: (IP version, integer value).
 Address = tuple[int, int]
 
 
-class ClassifierError(Exception):
+class ClassifierError(ReproError):
     """Raised on malformed classifier rules."""
 
 

@@ -17,6 +17,7 @@ them moves -- and cleared when full.
 
 from __future__ import annotations
 
+from repro.core.errors import ReproError
 from repro.dataplane.forwarder import DataPlane, ForwardingError
 from repro.dataplane.labels import FiveTuple, Labels, Packet
 from repro.edge.classifier import (
@@ -32,7 +33,7 @@ from repro.edge.classifier import (
 MAX_CONNECTIONS = 8192
 
 
-class EdgeError(Exception):
+class EdgeError(ReproError):
     """Raised on edge misconfiguration."""
 
 

@@ -34,7 +34,9 @@ from typing import ClassVar
 
 from repro.chaos.invariants import LeaseMonitor, lease_safety, link_conservation
 from repro.chaos.runner import FaultEngine, SoakDoc, probe_run, record_final
-from repro.chaos.scenario import FLAP_DOWN_S, FaultEvent, Scenario
+from repro.chaos.scenario import (
+    FLAP_DOWN_S, FaultEvent, Scenario, check_duration, check_failover_fits,
+)
 from repro.controller.replication import ReplicatedStore
 from repro.core.model import Chain, NetworkModel
 from repro.federation.ha import FederationFailover, FederationStore
@@ -42,6 +44,7 @@ from repro.federation.invariants import federation_probes
 from repro.federation.nodes import CoordinatorNode, RegionalNode
 from repro.federation.shard import FederationError
 from repro.resilience.rpc import BackoffPolicy, RpcConfig, RpcLayer
+from repro.scale.partition import check_partition_size
 from repro.simnet.events import Simulator
 from repro.simnet.network import LinkSpec, SimNetwork
 from repro.topology.pops import PopGridConfig, generate_federation_workload
@@ -52,6 +55,8 @@ _BASE_FRACTION = 0.5
 #: restarted region stays down.
 _PARTITION_S = 8.0
 _REGION_DOWN_S = 2.0
+#: Shares of the run the coordinator crash falls between.
+COORDINATOR_CRASH_WINDOW = (0.25, 0.45)
 
 #: Coordinator hosts, in failover priority order, on the core site.
 COORDINATOR_HOSTS = ("fed.primary", "fed.standby")
@@ -86,6 +91,21 @@ class FederationChaosConfig:
     lease_duration_s: float = 2.0
     check_interval_s: float = 0.5
     install_deadline_s: float = 6.0
+
+    def __post_init__(self) -> None:
+        check_duration(self.duration_s)
+        self.grid()
+        check_partition_size(self.partition_size)
+        if self.coordinator_crash:
+            failover_s = self.lease_duration_s + self.check_interval_s
+            check_failover_fits(self.duration_s, COORDINATOR_CRASH_WINDOW[1], failover_s)
+
+    def grid(self) -> PopGridConfig:
+        """The PoP grid (its config checks the counts and the locality)."""
+        return PopGridConfig(
+            num_pops=self.pops, num_metros=self.regions, num_chains=self.chains,
+            locality=self.locality, seed=self.seed,
+        )
 
 
 @dataclass
@@ -139,15 +159,7 @@ def build_federation_deployment(
 ) -> FederationDeployment:
     """One seeded federated deployment with its base population
     installed (sim clock still at zero)."""
-    model, _metro_of = generate_federation_workload(
-        PopGridConfig(
-            num_pops=config.pops,
-            num_metros=config.regions,
-            num_chains=config.chains,
-            locality=config.locality,
-            seed=config.seed,
-        )
-    )
+    model, _metro_of = generate_federation_workload(config.grid())
     chains = [model.chains[name] for name in sorted(model.chains)]
     for chain in chains:
         model.remove_chain(chain.name)
@@ -304,7 +316,8 @@ def generate_federation_scenario(
         events.append(FaultEvent(end, "heal_partition"))
 
     if config.coordinator_crash:
-        at = rng.uniform(0.25 * duration, 0.45 * duration)
+        first, last = COORDINATOR_CRASH_WINDOW
+        at = rng.uniform(first * duration, last * duration)
         events.append(FaultEvent(at, "gs_crash", (COORDINATOR_HOSTS[0],)))
 
     if config.region_restart:
@@ -521,14 +534,3 @@ def run_federation_chaos(
             "duplicates": d.rpc.duplicates_suppressed,
         },
     )
-
-
-__all__ = [
-    "FederationChaosConfig",
-    "FederationChaosEngine",
-    "FederationChaosReport",
-    "FederationDeployment",
-    "build_federation_deployment",
-    "generate_federation_scenario",
-    "run_federation_chaos",
-]

@@ -125,7 +125,7 @@ class GlobalCoordinator:
         # The farms solve serially; the keyword stays for callers that
         # still spell out ``max_workers=1``.
         if max_workers != 1:
-            raise ValueError(f"max_workers must be 1, got {max_workers!r}")
+            raise FederationError(f"max_workers must be 1, got {max_workers!r}")
         self.model = model
         self.metrics = metrics
         self.max_attempts = max_attempts
@@ -766,11 +766,3 @@ class GlobalCoordinator:
     def _inc(self, name: str) -> None:
         if self.metrics is not None:
             self.metrics.counter(name).inc()
-
-
-__all__ = [
-    "CoordinatorCrash",
-    "CrossChainRecord",
-    "FederatedPlan",
-    "GlobalCoordinator",
-]

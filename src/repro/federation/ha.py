@@ -221,11 +221,3 @@ class FederationFailover(LeaseElection):
         self.takeover_times.append(self.net.sim.now)
         self.active_name = name
         self.nodes[name].activate(recover=True)
-
-
-__all__ = [
-    "FederationFailover",
-    "FederationStore",
-    "segment_doc",
-    "segment_from_doc",
-]

@@ -369,16 +369,3 @@ def federation_probes(
             region_list, coordinator_of, final=final
         )
     return probes
-
-
-__all__ = [
-    "check_all",
-    "check_atomicity",
-    "check_capacity_safety",
-    "check_ledger_consistency",
-    "check_no_lost_requests",
-    "check_quiescence",
-    "check_single_active",
-    "check_stitching",
-    "federation_probes",
-]

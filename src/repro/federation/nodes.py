@@ -801,6 +801,3 @@ class RegionalNode:
         # The coordinator is clearly reachable: kick the queue.
         for name in self.queue:
             self._forward(name)
-
-
-__all__ = ["CoordinatorNode", "RegionalNode"]

@@ -500,11 +500,3 @@ class RegionalSwitchboard:
                 self._vnf_admitted.pop(vnf_name, None)
             else:
                 self._vnf_admitted[vnf_name] = remaining
-
-
-__all__ = [
-    "BorderLedger",
-    "RegionalSwitchboard",
-    "SegmentSpec",
-    "trivial_segment",
-]

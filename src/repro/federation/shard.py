@@ -38,12 +38,13 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 
+from repro.core.errors import ReproError
 from repro.core.model import NetworkModel, VNF
 from repro.scale.partition import shard_map
 from repro.topology.backbone import shortest_path_tables
 
 
-class FederationError(Exception):
+class FederationError(ReproError):
     """Raised on malformed federation requests or failed installs."""
 
 
@@ -260,12 +261,3 @@ def build_shards(model: NetworkModel, n_regions: int) -> ShardMap:
         for r, nodes in enumerate(regions)
     )
     return ShardMap(shards=shards, borders=borders, node_region=node_region)
-
-
-__all__ = [
-    "BorderLink",
-    "FederationError",
-    "ShardMap",
-    "SubstrateShard",
-    "build_shards",
-]

@@ -48,7 +48,9 @@ class FaultPolicy:
     def __post_init__(self) -> None:
         for name in ("reject_rate", "crash_rate"):
             if not 0.0 <= getattr(self, name) <= 1.0:
-                raise FederationError(f"{name} out of range: {getattr(self, name)}")
+                raise FederationError(
+                    f"{name} out of range, must be in [0, 1]: {getattr(self, name)}"
+                )
         self._rng = random.Random(self.seed)
         self._crash_plan: dict[str, int] = {}
 
@@ -230,6 +232,3 @@ def run_soak(
         "violations": driver.violations,
         "ok": not driver.violations and final_plan.ok,
     }
-
-
-__all__ = ["FaultPolicy", "FederatedOps", "install_base", "run_soak"]

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import math
 
+from repro.core.errors import ReproError
 
-class MetricsError(Exception):
+
+class MetricsError(ReproError):
     """Raised on invalid metric construction or use."""
 
 

@@ -25,11 +25,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.core.errors import ReproError
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.registry import MetricsRegistry
 
 
-class TraceError(Exception):
+class TraceError(ReproError):
     """Raised on invalid span lifecycle transitions."""
 
 

@@ -39,6 +39,7 @@ from repro.controller.replication import (
     ReplicationError,
     restore_installations,
 )
+from repro.core.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.chaos.invariants import LeaseMonitor
@@ -71,7 +72,7 @@ class LeaseElection:
         self.monitor = monitor
         self.candidates = list(candidates)
         if not self.candidates:
-            raise ValueError("need at least one leader candidate")
+            raise ReproError("need at least one leader candidate")
         self.active_name = self.candidates[0]
         self.lease_duration_s = lease_duration_s
         self.check_interval_s = check_interval_s
@@ -164,7 +165,7 @@ class FailoverManager(LeaseElection):
         check_interval_s: float = 0.5,
     ):
         if store is not installer.store:
-            raise ValueError(
+            raise ReproError(
                 "the standby must recover from the store the installer writes"
             )
         super().__init__(

@@ -32,6 +32,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, TYPE_CHECKING
 
+from repro.core.errors import ReproError
 from repro.simnet.network import SimNetwork
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -45,7 +46,7 @@ _MESSAGE_BYTES = 1000
 _ACK_BYTES = 100
 
 
-class RpcError(Exception):
+class RpcError(ReproError):
     """Raised on invalid RPC-layer configuration or use."""
 
 

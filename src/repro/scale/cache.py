@@ -18,6 +18,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.core.errors import ReproError
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scale.farm import SolveResult
 
@@ -36,7 +38,7 @@ class SolutionCache:
 
     def __init__(self, max_entries: int = 256):
         if max_entries < 1:
-            raise ValueError("max_entries must be positive")
+            raise ReproError("max_entries must be positive")
         self.max_entries = max_entries
         self.stats = CacheStats()
         self._entries: "OrderedDict[str, SolveResult]" = OrderedDict()
@@ -60,6 +62,3 @@ class SolutionCache:
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
-
-
-__all__ = ["CacheStats", "SolutionCache"]

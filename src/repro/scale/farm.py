@@ -45,7 +45,7 @@ from repro.core.lp import LpObjective, solve_chain_routing_lp
 from repro.core.model import NetworkModel
 from repro.core.routes import Certificate, RoutingSolution
 from repro.scale.cache import SolutionCache
-from repro.scale.partition import PartitionPlan, partition_chains
+from repro.scale.partition import PartitionPlan, check_partition_size, partition_chains
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
@@ -142,6 +142,7 @@ class SolverFarm:
         enforce_mlu: bool = True,
         metrics: "MetricsRegistry | None" = None,
     ):
+        check_partition_size(partition_size)
         self.partition_size = partition_size
         self.metrics = metrics
         self.cache = cache if cache is not None else SolutionCache()
@@ -335,10 +336,3 @@ class SolverFarm:
                 r.certificate for r in results.values()
             ),
         )
-
-
-__all__ = [
-    "FarmResult",
-    "SolveResult",
-    "SolverFarm",
-]

@@ -68,6 +68,7 @@ import numpy as np
 
 from repro.core.columns import ragged_gather
 from repro.core.dp import DpConfig, IncrementalDpRouter
+from repro.core.errors import ReproError
 from repro.core.model import Chain, CloudSite, Link, ModelError, NetworkModel, VNF
 
 #: Relative objective gap the split-partition farm is expected to stay
@@ -77,7 +78,7 @@ DEFAULT_GAP_TOLERANCE = 0.15
 ResourceKey = tuple  # ("site", s) | ("vnf", f, s) | ("link", name)
 
 
-class PartitionError(Exception):
+class PartitionError(ReproError):
     """Raised on malformed partitioning requests."""
 
 
@@ -615,6 +616,12 @@ def _tally(
     return np.bincount(rid, weight, size), np.bincount(rid, minlength=size)
 
 
+def check_partition_size(max_chains: int | None) -> None:
+    """Refuse a partition cap that is not positive (``None``: no cap)."""
+    if max_chains is not None and max_chains < 1:
+        raise PartitionError(f"partition size must be positive, got {max_chains}")
+
+
 def partition_chains(
     model: NetworkModel,
     max_chains: int | None = 16,
@@ -641,8 +648,7 @@ def partition_chains(
     """
     if not model.chains:
         raise PartitionError("model has no chains to partition")
-    if max_chains is not None and max_chains < 1:
-        raise PartitionError("max_chains must be positive")
+    check_partition_size(max_chains)
 
     digest, ids = model.substrate_digest(), _Ids(model.substrate_columns())
     if previous is not None and (
@@ -868,14 +874,3 @@ def shard_map(model: NetworkModel, n_shards: int) -> tuple[tuple[str, ...], ...]
         members[region].append(node)
     regions = sorted(tuple(sorted(m)) for m in members)
     return tuple(regions)
-
-
-__all__ = [
-    "DEFAULT_GAP_TOLERANCE",
-    "Partition",
-    "PartitionError",
-    "PartitionPlan",
-    "coupling_groups",
-    "partition_chains",
-    "shard_map",
-]

@@ -27,6 +27,7 @@ import random
 import time
 from dataclasses import dataclass
 
+from repro.chaos.scenario import check_duration
 from repro.scenarios.library import (
     SCENARIO_KINDS,
     WorkloadContext,
@@ -36,6 +37,7 @@ from repro.scenarios.minimize import ddmin
 from repro.scenarios.report import CaseResult, FuzzReport, StackResult
 from repro.scenarios.schedule import (
     ComposedSchedule,
+    ScheduleError,
     WorkloadOp,
     WorkloadSchedule,
     compose,
@@ -68,6 +70,13 @@ class FuzzConfig:
     #: Self-test mode: plant a violation the probes must detect and the
     #: minimizer must isolate (run passes iff that happens).
     plant: bool = False
+
+    def __post_init__(self) -> None:
+        check_duration(self.duration_s)
+        if self.cases < 1:
+            raise ScheduleError(f"cases must be positive, got {self.cases}")
+        if self.budget_s is not None and not self.budget_s >= 0:
+            raise ScheduleError(f"budget_s must be non-negative, got {self.budget_s}")
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
+from repro.core.errors import ReproError
+
 T = TypeVar("T")
 
 
@@ -67,7 +69,7 @@ def ddmin(
         return violates(candidate)
 
     if not test(current):
-        raise ValueError("full schedule does not violate; nothing to minimize")
+        raise ReproError("full schedule does not violate; nothing to minimize")
 
     granularity = 2
     while len(current) >= 2 and tests < max_tests:

@@ -23,12 +23,13 @@ from typing import Iterable, Sequence
 
 from repro.chaos.scenario import FaultEvent, Scenario, ScenarioError
 from repro.core import canonical
+from repro.core.errors import ReproError
 
 #: Operation kinds understood by the workload engines.
 WORKLOAD_OPS = ("create", "remove", "redemand")
 
 
-class ScheduleError(Exception):
+class ScheduleError(ReproError):
     """Raised on invalid workload-schedule construction."""
 
 

@@ -17,10 +17,12 @@ import heapq
 import math
 from typing import Any, Callable
 
+from repro.core.errors import ReproError
+
 _INF = math.inf
 
 
-class SimulationError(Exception):
+class SimulationError(ReproError):
     """Raised on invalid use of the simulator (e.g. scheduling in the past)."""
 
 

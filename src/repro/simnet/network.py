@@ -36,13 +36,14 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence, TYPE_CHECKING
 
+from repro.core.errors import ReproError
 from repro.simnet.events import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
 
 
-class NetworkError(Exception):
+class NetworkError(ReproError):
     """Raised on invalid network construction or use."""
 
 
@@ -63,9 +64,9 @@ class LinkSpec:
     buffer_bytes: int | None = None
 
     def __post_init__(self) -> None:
-        if self.delay_s < 0:
+        if not self.delay_s >= 0:
             raise NetworkError(f"negative link delay {self.delay_s}")
-        if self.bandwidth_bps is not None and self.bandwidth_bps <= 0:
+        if self.bandwidth_bps is not None and not self.bandwidth_bps > 0:
             raise NetworkError(f"non-positive bandwidth {self.bandwidth_bps}")
         if self.buffer_bytes is not None and self.buffer_bytes <= 0:
             raise NetworkError(f"non-positive buffer {self.buffer_bytes}")

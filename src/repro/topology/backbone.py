@@ -14,6 +14,7 @@ call it too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Sequence
@@ -21,6 +22,7 @@ from typing import Sequence
 import networkx as nx
 import numpy as np
 
+from repro.core.errors import ReproError
 from repro.core.model import Link
 from repro.topology.cities import City, DEFAULT_CITIES, fibre_delay_ms
 
@@ -74,10 +76,10 @@ def build_backbone(
     """
     cities = tuple(cities)
     if len(cities) < 2:
-        raise ValueError("backbone needs at least two cities")
+        raise ReproError("backbone needs at least two cities")
     by_name = {c.name: c for c in cities}
     if len(by_name) != len(cities):
-        raise ValueError("duplicate city names")
+        raise ReproError("duplicate city names")
 
     graph = nx.Graph()
     for city in cities:
@@ -153,9 +155,13 @@ def shortest_path_tables(graph: nx.Graph, weight: str = "delay", link_name=None)
     reachable ``n1 != n2`` (pairs in ``graph.nodes`` order, links in
     distance-then-predecessor order).  ``link_name`` maps a directed arc
     ``(u, v)`` to its link's name (default ``f"{u}-{v}"``, the backbone
-    convention).
+    convention).  Every arc's delay must be finite and positive: Dijkstra
+    would route a zero, negative or NaN delay as if it were a real one.
     """
     link_name = link_name or "{}-{}".format
+    for u, v, delay in graph.edges(data=weight, default=1):
+        if not 0 < delay < math.inf:
+            raise ReproError(f"arc {u}-{v}: delay must be finite and positive, got {delay}")
     latency: dict[tuple[str, str], float] = {}
     routing: dict[tuple[str, str], dict[str, float]] = {}
     for s in graph.nodes:

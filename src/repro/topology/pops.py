@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.core.errors import ReproError
 from repro.core.model import Chain, CloudSite, NetworkModel
 from repro.topology.backbone import build_backbone
 from repro.topology.cities import City
@@ -69,10 +70,14 @@ class PopGridConfig:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        if self.num_metros < 1 or self.num_pops < self.num_metros:
-            raise ValueError("need at least one PoP per metro")
+        if self.num_metros < 1:
+            raise ReproError(f"num_metros must be positive, got {self.num_metros}")
+        if self.num_pops < self.num_metros:
+            raise ReproError("need at least one PoP per metro")
+        if self.num_chains < 1:
+            raise ReproError(f"num_chains must be positive, got {self.num_chains}")
         if not 0.0 <= self.locality <= 1.0:
-            raise ValueError(f"locality must be in [0, 1]: {self.locality}")
+            raise ReproError(f"locality must be in [0, 1]: {self.locality}")
 
 
 def generate_pop_cities(
@@ -223,10 +228,3 @@ def generate_federation_workload(
         routing=backbone.routing,
     )
     return model, metro_of
-
-
-__all__ = [
-    "PopGridConfig",
-    "generate_federation_workload",
-    "generate_pop_cities",
-]

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.core.errors import ReproError
 from repro.topology.cities import City
 from repro.topology.traffic import TrafficMatrix
 
@@ -31,7 +32,7 @@ def diurnal_factor(
     bottoming out twelve hours later at ``trough_ratio``.
     """
     if not 0.0 < trough_ratio <= 1.0:
-        raise ValueError(f"trough_ratio out of range: {trough_ratio}")
+        raise ReproError(f"trough_ratio out of range: {trough_ratio}")
     phase = 2 * math.pi * (local_hour - peak_hour) / 24.0
     # cos(phase) is 1 at the peak and -1 at the trough.
     mid = (1.0 + trough_ratio) / 2.0
@@ -62,7 +63,7 @@ class TimeVaryingTrafficMatrix:
         self._offsets = {c.name: timezone_offset_hours(c) for c in self.cities}
         missing = set(self.base.nodes) - set(self._offsets)
         if missing:
-            raise ValueError(f"no city data for nodes: {sorted(missing)}")
+            raise ReproError(f"no city data for nodes: {sorted(missing)}")
 
     def factor_at(self, node: str, utc_hour: float) -> float:
         """The diurnal factor of one node at a UTC hour."""

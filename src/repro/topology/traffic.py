@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.core.errors import ReproError
 from repro.core.model import Link
 from repro.topology.backbone import Backbone
 from repro.topology.cities import City
@@ -47,7 +48,7 @@ def gravity_traffic_matrix(
 ) -> TrafficMatrix:
     """Build a gravity-model matrix normalized to ``total_volume``."""
     if total_volume < 0:
-        raise ValueError(f"negative total volume {total_volume}")
+        raise ReproError(f"negative total volume {total_volume}")
     masses = {c.name: c.population_m for c in cities}
     raw: dict[tuple[str, str], float] = {}
     for a in cities:
@@ -69,7 +70,7 @@ def split_switchboard_background(
     Switchboard share.
     """
     if not 0.0 <= switchboard_share <= 1.0:
-        raise ValueError(f"share out of range: {switchboard_share}")
+        raise ReproError(f"share out of range: {switchboard_share}")
     return (
         matrix.scaled(switchboard_share),
         matrix.scaled(1.0 - switchboard_share),

@@ -15,10 +15,12 @@ Reproduces the paper's simulation setup:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.core.errors import ReproError
 from repro.core.model import Chain, CloudSite, NetworkModel, VNF
 from repro.topology.backbone import Backbone, build_backbone
 from repro.topology.cities import City, DEFAULT_CITIES
@@ -68,13 +70,15 @@ class WorkloadConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.coverage <= 1.0:
-            raise ValueError(f"coverage must be in (0, 1]: {self.coverage}")
+            raise ReproError(f"coverage must be in (0, 1]: {self.coverage}")
         if self.min_chain_length > self.max_chain_length:
-            raise ValueError("min_chain_length > max_chain_length")
+            raise ReproError("min_chain_length > max_chain_length")
         if self.max_chain_length > self.num_vnfs:
-            raise ValueError("chains cannot be longer than the VNF catalog")
+            raise ReproError("chains cannot be longer than the VNF catalog")
         if self.num_chains < 1:
-            raise ValueError("need at least one chain")
+            raise ReproError(f"num_chains must be positive, got {self.num_chains}")
+        if not 0 < self.total_traffic < math.inf:
+            raise ReproError(f"total_traffic must be positive and finite, got {self.total_traffic}")
 
 
 def place_vnfs(

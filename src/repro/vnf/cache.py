@@ -19,8 +19,10 @@ import random
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.core.errors import ReproError
 
-class CacheError(Exception):
+
+class CacheError(ReproError):
     """Raised on invalid cache configuration."""
 
 

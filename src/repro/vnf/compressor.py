@@ -11,10 +11,11 @@ tests can exercise stage-varying demand end to end.
 
 from __future__ import annotations
 
+from repro.core.errors import ReproError
 from repro.dataplane.labels import Packet
 
 
-class CompressorError(Exception):
+class CompressorError(ReproError):
     """Raised on invalid compressor configuration."""
 
 

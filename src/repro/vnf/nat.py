@@ -13,8 +13,6 @@ from __future__ import annotations
 from repro.dataplane.forwarder import DropPacket
 from repro.dataplane.labels import FiveTuple, Packet
 
-__all__ = ["DropPacket", "NatFunction"]
-
 
 class NatFunction:
     """Source NAT with per-instance mapping state.

@@ -22,11 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.core.errors import ReproError
 from repro.dataplane.forwarder import VnfInstance
 from repro.dataplane.labels import Packet
 
 
-class AllocationError(Exception):
+class AllocationError(ReproError):
     """Raised on invalid capacity operations."""
 
 

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from repro.chaos import ScenarioConfig, SoakConfig, generate_scenario, run_soak
+from repro.chaos import ScenarioConfig, ScenarioError, SoakConfig, generate_scenario, run_soak
+from repro.federation import FederationChaosConfig
 
 DURATION = 20.0
 
@@ -105,3 +106,23 @@ class TestControlSoak:
             "gs_crashes", "failover_takeovers", "stale_reservations_swept",
         ):
             assert key in control
+
+
+class TestTheFailoverFitsTheRun:
+    """A control-fault soak shorter than crash window + lease + renewal
+    would end before the standby takes over: its config refuses it."""
+
+    @pytest.mark.parametrize("duration", [12.0, 20.0, 30.0, 40.0, 60.0])
+    def test_every_duration_in_use_fits(self, duration):
+        SoakConfig(duration_s=duration, control_faults=True)
+        FederationChaosConfig(duration_s=duration)
+
+    def test_the_bound_is_crash_window_end_plus_lease_plus_renewal(self):
+        SoakConfig(duration_s=9.2, control_faults=True)  # (4 + 1.5) / (1 - 0.4)
+        with pytest.raises(ScenarioError, match="at least 9.17"):
+            SoakConfig(duration_s=9.1, control_faults=True)
+        SoakConfig(duration_s=2.0)  # no crash, no bound
+        FederationChaosConfig(duration_s=4.6)  # (2 + 0.5) / (1 - 0.45)
+        with pytest.raises(ScenarioError, match="at least 4.55"):
+            FederationChaosConfig(duration_s=4.5)
+        FederationChaosConfig(duration_s=2.0, coordinator_crash=False)

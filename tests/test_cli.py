@@ -51,9 +51,9 @@ class TestParser:
         assert "must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,message", [
-        (["route", "--coverage", "1.5"], "must be in [0, 1]"),
-        (["route", "--coverage", "nan"], "must be in [0, 1]"),
-        (["route", "--coverage", "0"], "must be positive"),
+        (["route", "--coverage", "1.5"], "must be in (0, 1]"),
+        (["route", "--coverage", "nan"], "must be in (0, 1]"),
+        (["route", "--coverage", "0"], "coverage must be in (0, 1]"),
         (["federation", "--locality", "2"], "must be in [0, 1]"),
         (["federation", "--soak", "2", "--reject-rate", "2"], "must be in [0, 1]"),
         (["federation", "--soak", "2", "--crash-rate", "-0.1"], "must be in [0, 1]"),
@@ -63,8 +63,8 @@ class TestParser:
         (["route", "--chains", "0"], "must be positive"),
         (["federation", "--chains", "0"], "must be positive"),
         (["federation", "--regions", "0"], "must be positive"),
-        (["federation", "--pops", "8", "--regions", "20"], "must not exceed --pops"),
-        (["federation", "--pops", "8", "--metros", "9"], "must not exceed --pops"),
+        (["federation", "--pops", "8", "--regions", "20"], "need at least one PoP per metro"),
+        (["federation", "--pops", "8", "--metros", "9"], "need at least one PoP per metro"),
         (["route", "--vnfs", "2"], "chains cannot be longer than the VNF catalog"),
         (["route", "--cities", "1"], "backbone needs at least two cities"),
         (["topology", "--cities", "0"], "backbone needs at least two cities"),
@@ -226,12 +226,6 @@ class TestFuzzParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fuzz", "--stack", "quantum"])
 
-    def test_scenario_choices_match_registry(self):
-        from repro.cli import FUZZ_SCENARIO_KINDS
-        from repro.scenarios import SCENARIO_KINDS
-
-        assert set(FUZZ_SCENARIO_KINDS) == set(SCENARIO_KINDS)
-
 
 class TestSeededOutPaths:
     """Bare ``--out`` derives a per-(command, seed) filename, fixing the
@@ -305,3 +299,103 @@ class TestFuzzCommand:
             "fuzz", "--seed", "1", "--cases", "1", "--duration", "10",
             "--stack", "mono", "--known-good", str(bogus),
         ]) == 2
+
+
+#: A small valid run of each subcommand; the walk appends one flag and
+#: value to it (argparse keeps the last).
+WALK_BASES = {
+    "topology": ["topology", "--cities", "6"],
+    "route": ["route", "--chains", "4", "--cities", "6", "--scheme", "dp"],
+    "cache": ["cache", "--chains", "2", "--catalog", "300"],
+    "bus": ["bus", "--sites", "3", "--subscribers", "2", "--publishes", "20"],
+    "timing": ["timing"],
+    "metrics": ["metrics", "--publishes", "20"],
+    "federation": ["federation", "--pops", "8", "--chains", "8", "--regions", "2"],
+    "chaos": ["chaos", "--duration", "10", "--chains", "2"],
+    "fuzz": ["fuzz", "--cases", "1", "--duration", "4"],
+}
+#: A count one above its own limit, by (command, flag).
+OVER_LIMIT = {
+    ("topology", "--cities"): "26",
+    ("route", "--cities"): "26",
+    ("federation", "--regions"): "9",
+    ("federation", "--metros"): "9",
+}
+
+
+def numeric_flags():
+    """``(command, flag, default)`` for every option of every subcommand
+    whose type parses a number."""
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if a.choices and a.dest == "command"]
+    for command, sub in commands.choices.items():
+        for action in sub._actions:
+            if action.option_strings and action.type is not None:
+                if isinstance(action.type("1"), (int, float)):
+                    yield command, action.option_strings[0], action.default
+
+
+def boundary_cases():
+    for command, flag, default in numeric_flags():
+        values = ["0", "-1", "nan", "inf", "-inf"]
+        if isinstance(default, float) and 0.0 < default < 1.0:
+            values.append("1.5")  # a share or a probability
+        if (command, flag) in OVER_LIMIT:
+            values.append(OVER_LIMIT[command, flag])
+        for value in values:
+            yield pytest.param(
+                [*WALK_BASES[command], flag, value], id=f"{command} {flag} {value}"
+            )
+
+
+def exit_code(argv) -> int:
+    """``main(argv)``'s exit code; an exception while running is raised."""
+    try:
+        return main(argv)
+    except SystemExit as exit_info:
+        return exit_info.code
+
+
+class TestBoundaryWalk:
+    """Every numeric flag of every subcommand at its boundaries: the run
+    exits 0, or 2 with the refusing owner's message -- never a
+    traceback, never 1."""
+
+    def test_every_command_has_a_base(self):
+        assert {command for command, _flag, _default in numeric_flags()} <= set(WALK_BASES)
+        assert set(WALK_BASES) == set(
+            next(a for a in build_parser()._actions if a.dest == "command").choices
+        )
+
+    @pytest.mark.parametrize("argv", boundary_cases())
+    def test_boundary_value_is_a_run_or_a_usage_error(self, argv, capsys):
+        assert exit_code(argv) in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["metrics", "--uplink-bps", "0"], "non-positive bandwidth"),
+        (["metrics", "--uplink-bps", "nan"], "non-positive bandwidth"),
+        (["metrics", "--buffer-bytes", "-1"], "non-positive buffer"),
+        (["chaos", "--chains", "-1", "--duration", "1"], "num_chains must be positive"),
+        (WALK_BASES["federation"] + ["--partition-size", "0"],
+         "partition size must be positive"),
+        (["topology", "--cities", "-1"], "--cities must be in [0, 25]"),
+        (["route", "--cities", "26"], "--cities must be in [0, 25]"),
+        (["route", "--traffic", "0"], "total_traffic must be positive"),
+        (WALK_BASES["federation"] + ["--soak", "-3"], "must be positive"),
+        (["fuzz", "--cases", "-1"], "cases must be positive"),
+        (["fuzz", "--budget", "nan"], "budget_s must be non-negative"),
+        (["fuzz", "--budget", "-1"], "budget_s must be non-negative"),
+        (["fuzz", "--scenario", "nope"], "unknown scenario kind 'nope' (have: "),
+        (["chaos", "--control-faults", "--duration", "2"], "duration_s must be at least 9.17"),
+        (["chaos", "--control-faults", "--duration", "4"], "duration_s must be at least 9.17"),
+        (["chaos", "--control-faults", "--duration", "9"], "duration_s must be at least 9.17"),
+        (["federation", "--chaos-soak", "--pops", "18", "--chains", "36", "--regions", "3",
+          "--duration", "2"], "duration_s must be at least 4.55"),
+        (["federation", "--chaos-soak", "--partition-size", "0"],
+         "partition size must be positive"),
+        (["federation", "--chaos-soak", "--chains", "0"], "num_chains must be positive"),
+    ])
+    def test_the_owner_refuses_with_its_message(self, argv, message, capsys):
+        assert exit_code(argv) == 2
+        assert message in capsys.readouterr().err

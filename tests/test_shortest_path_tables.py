@@ -13,6 +13,7 @@ import random
 import networkx as nx
 import pytest
 
+from repro.core.errors import ReproError
 from repro.topology.backbone import build_backbone, shortest_path_tables
 from repro.topology.cities import DEFAULT_CITIES
 from repro.topology.pops import PopGridConfig, generate_pop_cities
@@ -116,3 +117,20 @@ def test_link_name_callback_names_every_arc():
         (pair, [(renamed[link], fraction) for link, fraction in fractions])
         for pair, fractions in ordered(backbone.routing)
     ]
+
+
+def triangle(ab):
+    """a-b at delay ``ab``; b-c and a-c at 1."""
+    graph = nx.Graph()
+    graph.add_edge("a", "b", delay=ab)
+    graph.add_edge("b", "c", delay=1.0)
+    graph.add_edge("a", "c", delay=1.0)
+    return graph
+
+
+@pytest.mark.parametrize("delay", [0.0, -1.0, float("nan"), float("inf")])
+def test_an_arc_delay_not_finite_and_positive_is_refused(delay):
+    # Dijkstra would route through it: with a-b at 0, (a, b) would be
+    # {'b-a': 1.0, 'a-b': 2.0}; at inf, (a, c) would cross three arcs.
+    with pytest.raises(ReproError, match="arc a-b: delay must be finite and positive"):
+        shortest_path_tables(triangle(delay))
