@@ -74,9 +74,8 @@ def _cmd_topology(args: argparse.Namespace, backbone) -> int:
     print(f"one-way delay  : {min(lat):.1f} - {max(lat):.1f} ms")
     tiers = sorted({link.bandwidth for link in backbone.links})
     print(f"link tiers     : {', '.join(f'{t:g}' for t in tiers)} Gbps")
-    degrees = dict(backbone.graph.degree())
-    hub = max(degrees, key=degrees.get)
-    print(f"highest degree : {hub} ({degrees[hub]})")
+    hub = max(backbone.graph, key=lambda n: len(backbone.graph[n]))
+    print(f"highest degree : {hub} ({len(backbone.graph[hub])})")
     return 0
 
 
@@ -410,14 +409,16 @@ def _cmd_metrics(args: argparse.Namespace, bus) -> int:
 
 
 def _build_federation(args: argparse.Namespace):
-    """The chaos soak's config, or the workload's coordinator and the
-    seconds the workload and the coordinator took to build."""
+    """The chaos soak's config and deployment, or the workload's
+    coordinator and the seconds the workload and the coordinator took
+    to build."""
     from repro.federation import FaultPolicy, FederationChaosConfig, GlobalCoordinator
+    from repro.federation.chaos import build_federation_deployment
     from repro.obs import MetricsRegistry
     from repro.topology.pops import PopGridConfig, generate_federation_workload
 
     if args.chaos_soak:
-        return FederationChaosConfig(
+        config = FederationChaosConfig(
             seed=args.seed,
             duration_s=args.duration,
             pops=args.pops,
@@ -426,6 +427,7 @@ def _build_federation(args: argparse.Namespace):
             locality=args.locality,
             partition_size=args.partition_size,
         )
+        return config, build_federation_deployment(config)
     policy = FaultPolicy(args.seed, args.reject_rate, args.crash_rate)
     start = time.perf_counter()
     model, _metro_of = generate_federation_workload(PopGridConfig(
@@ -472,7 +474,8 @@ def _cmd_federation(args: argparse.Namespace, inputs) -> int:
 
     args.out = _default_out(args.out, "federation", args.seed)
     if args.chaos_soak:
-        report = run_federation_chaos(inputs)
+        config, deployment = inputs
+        report = run_federation_chaos(config, deployment=deployment)
         print(report.to_json() if args.json else report.render())
         _write_out(args.out, report.to_json())
         return 0 if report.passed else 1
@@ -620,13 +623,45 @@ def _cmd_chaos(args: argparse.Namespace, config) -> int:
     return 0 if report.passed else 1
 
 
+def _read_json(path: str, kind: str) -> dict:
+    """The JSON object in ``path``; a missing, unreadable or malformed
+    file, or one that holds no object, is a ``ReproError``."""
+    import json
+
+    from repro.core.errors import ReproError
+
+    try:
+        with open(path) as handle:
+            doc = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise ReproError(f"{path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ReproError(f"{path}: unrecognized {kind} document")
+    return doc
+
+
 def _build_fuzz(args: argparse.Namespace):
     """The ``--scenario`` schedule (``generate`` names the known kinds
-    when it refuses one), or the fuzz run's config."""
-    from repro.scenarios import FuzzConfig, generate
+    when it refuses one), the ``--replay`` case, or the fuzz run's
+    config with the ``--known-good`` digests (``None`` without one):
+    both files are read and recognized before any case runs."""
+    from repro.core.errors import ReproError
+    from repro.scenarios import FuzzCase, FuzzConfig, generate
 
     if args.scenario:
         return generate(args.scenario, args.seed, duration_s=args.duration)
+    if args.replay:
+        # A whole fuzz report replays its first case; a case result or a
+        # minimized block, its schedule; a saved case or repro, itself.
+        doc = _read_json(args.replay, "replay")
+        if isinstance(doc.get("cases"), list) and doc["cases"]:
+            doc = doc["cases"][0]
+        if isinstance(doc, dict) and isinstance(doc.get("schedule"), dict):
+            doc = doc["schedule"]
+        if isinstance(doc, dict) and "composed" in doc and "params" in doc:
+            return FuzzCase.from_doc(doc)
+        raise ReproError(f"{args.replay}: unrecognized replay document")
+    expected = _read_json(args.known_good, "known-good") if args.known_good else None
     return FuzzConfig(
         seed=args.seed,
         cases=args.cases,
@@ -635,7 +670,7 @@ def _build_fuzz(args: argparse.Namespace):
         stacks=("mono", "federation") if args.stack == "both" else (args.stack,),
         minimize=not args.no_minimize,
         plant=args.plant,
-    )
+    ), expected
 
 
 def _cmd_fuzz(args: argparse.Namespace, inputs) -> int:
@@ -670,18 +705,7 @@ def _cmd_fuzz(args: argparse.Namespace, inputs) -> int:
         return 0
 
     if args.replay:
-        with open(args.replay) as handle:
-            doc = json.load(handle)
-        if "composed" in doc and "params" in doc:
-            case_doc = doc  # a saved case / minimized repro
-        elif isinstance(doc.get("schedule"), dict) and "composed" in doc["schedule"]:
-            case_doc = doc["schedule"]  # a case result / minimized block
-        elif doc.get("cases"):
-            case_doc = doc["cases"][0]["schedule"]  # a whole fuzz report
-        else:
-            print("fuzz: unrecognized replay document", file=sys.stderr)
-            return 2
-        result = replay_case(case_doc)
+        result = replay_case(inputs)
         print(
             f"replay case {result.index}: {'+'.join(result.kinds)} "
             f"digest {result.schedule_digest[:16]}..."
@@ -693,7 +717,8 @@ def _cmd_fuzz(args: argparse.Namespace, inputs) -> int:
             print(f"  {stack.stack}: {status}")
         return 0 if result.passed else 1
 
-    report = run_fuzz(inputs)
+    config, expected = inputs
+    report = run_fuzz(config)
     print(report.to_json() if args.json else report.render())
     _write_out(args.out, report.to_json())
     if args.write_known_good:
@@ -701,9 +726,7 @@ def _cmd_fuzz(args: argparse.Namespace, inputs) -> int:
             report.known_good_doc(), indent=1, sort_keys=True
         ))
         print(f"known-good written: {args.write_known_good}")
-    if args.known_good:
-        with open(args.known_good) as handle:
-            expected = json.load(handle)
+    if expected is not None:
         actual = report.known_good_doc()
         if expected != actual:
             print("known-good MISMATCH:", file=sys.stderr)

@@ -445,14 +445,16 @@ class FederationChaosReport(SoakDoc):
 def run_federation_chaos(
     config: FederationChaosConfig | None = None,
     scenario: Scenario | None = None,
+    deployment: FederationDeployment | None = None,
 ) -> FederationChaosReport:
     """Run one seeded federated chaos soak end to end.
 
     Passing an explicit ``scenario`` replays that exact schedule;
-    otherwise it is generated from ``config.seed``.
+    otherwise it is generated from ``config.seed``.  ``deployment`` is
+    ``build_federation_deployment(config)`` if the caller built it first.
     """
     config = config or FederationChaosConfig()
-    d = build_federation_deployment(config)
+    d = deployment or build_federation_deployment(config)
     if scenario is None:
         scenario = generate_federation_scenario(config)
 

@@ -36,8 +36,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.core.errors import ReproError
 from repro.core.model import NetworkModel, VNF
 from repro.scale.partition import shard_map
@@ -186,13 +184,12 @@ class ShardMap:
                 vnfs.append(VNF(vnf.name, vnf.load_per_unit, regional_caps))
         links = [model.links[name] for name in shard.internal_links]
 
-        graph = nx.Graph()
-        graph.add_nodes_from(shard.nodes)
+        graph: dict[str, dict[str, float]] = {node: {} for node in shard.nodes}
         link_names: dict[tuple[str, str], str] = {}
         for link in sorted(links, key=lambda x: x.name):
             link_names.setdefault((link.src, link.dst), link.name)
-            graph.add_edge(
-                link.src, link.dst, delay=model.latency(link.src, link.dst)
+            graph[link.src][link.dst] = graph[link.dst][link.src] = model.latency(
+                link.src, link.dst
             )
 
         def arc_name(u: str, v: str) -> str:

@@ -114,20 +114,24 @@ class FuzzCase:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "FuzzCase":
-        params = doc["params"]
-        return cls(
-            index=params["index"],
-            kinds=tuple(params["kinds"]),
-            composed=ComposedSchedule.from_doc(doc["composed"]),
-            deployment_seed=params["deployment_seed"],
-            fed_seed=params["fed_seed"],
-            fed_reject_rate=params["fed_reject_rate"],
-            fed_crash_rate=params["fed_crash_rate"],
-            fed_pops=params["fed_pops"],
-            fed_regions=params["fed_regions"],
-            fed_chains=params["fed_chains"],
-            planted=params["planted"],
-        )
+        """The case ``to_doc`` wrote; a document it cannot read is a ``ScheduleError``."""
+        try:
+            params = doc["params"]
+            return cls(
+                index=params["index"],
+                kinds=tuple(params["kinds"]),
+                composed=ComposedSchedule.from_doc(doc["composed"]),
+                deployment_seed=params["deployment_seed"],
+                fed_seed=params["fed_seed"],
+                fed_reject_rate=params["fed_reject_rate"],
+                fed_crash_rate=params["fed_crash_rate"],
+                fed_pops=params["fed_pops"],
+                fed_regions=params["fed_regions"],
+                fed_chains=params["fed_chains"],
+                planted=params["planted"],
+            )
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ScheduleError(f"malformed case document: {exc!r}") from exc
 
     def horizon_s(self) -> float:
         return max(self.composed.workload.duration_s,
@@ -498,8 +502,6 @@ def run_fuzz(config: FuzzConfig | None = None) -> FuzzReport:
     return report
 
 
-def replay_case(case_doc: dict, config: FuzzConfig | None = None) -> CaseResult:
-    """Replay a saved case document (e.g. a minimized repro) exactly."""
-    config = config or FuzzConfig(minimize=False)
-    case = FuzzCase.from_doc(case_doc)
-    return run_case(case, config)
+def replay_case(case: FuzzCase) -> CaseResult:
+    """Replay a saved case (e.g. a minimized repro) exactly."""
+    return run_case(case, FuzzConfig(minimize=False))

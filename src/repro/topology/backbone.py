@@ -17,9 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from heapq import heappop, heappush
+from itertools import count
 from typing import Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.core.errors import ReproError
@@ -32,7 +33,8 @@ class Backbone:
     """A built backbone: everything the NetworkModel's network section needs."""
 
     cities: tuple[City, ...]
-    graph: nx.Graph
+    #: node -> {neighbour: delay}, insertion-ordered (undirected: both ways).
+    graph: dict[str, dict[str, float]]
     #: (n1, n2) -> one-way delay in ms over the backbone's shortest path.
     latency: dict[tuple[str, str], float]
     #: Directed physical links.
@@ -81,9 +83,10 @@ def build_backbone(
     if len(by_name) != len(cities):
         raise ReproError("duplicate city names")
 
-    graph = nx.Graph()
-    for city in cities:
-        graph.add_node(city.name)
+    graph: dict[str, dict[str, float]] = {city.name: {} for city in cities}
+
+    def add_edge(a: str, b: str) -> None:
+        graph[a][b] = graph[b][a] = fibre_delay_ms(by_name[a], by_name[b])
 
     # k-nearest-neighbour mesh.
     for city in cities:
@@ -92,9 +95,7 @@ def build_backbone(
             key=partial(fibre_delay_ms, city),
         )
         for other in others[:neighbours]:
-            graph.add_edge(
-                city.name, other.name, delay=fibre_delay_ms(city, other)
-            )
+            add_edge(city.name, other.name)
 
     # Long-haul shortcuts between the biggest metros.
     big = sorted(cities, key=lambda c: c.population_m, reverse=True)
@@ -105,29 +106,25 @@ def build_backbone(
         for b in big[i + 1:]:
             if added >= long_haul_pairs:
                 break
-            if not graph.has_edge(a.name, b.name) and fibre_delay_ms(a, b) > 8.0:
-                graph.add_edge(a.name, b.name, delay=fibre_delay_ms(a, b))
+            if b.name not in graph[a.name] and fibre_delay_ms(a, b) > 8.0:
+                add_edge(a.name, b.name)
                 added += 1
 
-    # Connect any stray components through their closest city pair.
-    components = [list(c) for c in nx.connected_components(graph)]
-    while len(components) > 1:
-        first, rest = components[0], [n for c in components[1:] for n in c]
+    # Connect any stray cities to the first city's component through
+    # their closest pair (both sides in node order: ties go to the first).
+    while len(first := _dijkstra(graph, cities[0].name)[1]) < len(graph):
         best = min(
-            ((a, b) for a in first for b in rest),
+            ((a, b) for a in graph if a in first for b in graph if b not in first),
             key=lambda ab: fibre_delay_ms(by_name[ab[0]], by_name[ab[1]]),
         )
-        graph.add_edge(
-            best[0], best[1], delay=fibre_delay_ms(by_name[best[0]], by_name[best[1]])
-        )
-        components = [list(c) for c in nx.connected_components(graph)]
+        add_edge(*best)
 
     # Directed links with heterogeneous capacities.
     links: list[Link] = []
-    for a, b in graph.edges():
+    for a, b in edges(graph):
         is_core = (
-            graph.degree[a] >= core_degree_threshold
-            and graph.degree[b] >= core_degree_threshold
+            len(graph[a]) >= core_degree_threshold
+            and len(graph[b]) >= core_degree_threshold
         )
         capacity = core_capacity if is_core else edge_capacity
         links.append(Link(f"{a}-{b}", a, b, capacity))
@@ -137,35 +134,65 @@ def build_backbone(
     return Backbone(cities, graph, latency, links, routing)
 
 
-def shortest_path_tables(graph: nx.Graph, weight: str = "delay", link_name=None):
+def edges(graph: dict[str, dict[str, float]]) -> list[tuple[str, str]]:
+    """Each undirected edge once, as ``networkx.Graph.edges()`` lists it."""
+    order = {n: i for i, n in enumerate(graph)}
+    return [(a, b) for a, nbrs in graph.items() for b in nbrs if order[b] >= order[a]]
+
+
+def _dijkstra(graph: dict[str, dict[str, float]], source: str):
+    """networkx 3.x's ``dijkstra_predecessor_and_distance(graph, source)``
+    for non-negative delays: ``(pred, dist)``, ``dist`` in settle order,
+    equal-distance predecessors appended in adjacency order."""
+    dist: dict[str, float] = {}
+    pred: dict[str, list[str]] = {source: []}
+    seen: dict[str, float] = {source: 0}  # settled: seen[v] == dist[v]
+    tick = count()
+    fringe = [(0, next(tick), source)]
+    while fringe:
+        d, _, v = heappop(fringe)
+        if v not in dist:
+            dist[v] = d
+            for u, delay in graph[v].items():
+                du = d + delay
+                if u not in seen or du < seen[u]:
+                    seen[u] = du
+                    heappush(fringe, (du, next(tick), u))
+                    pred[u] = [v]
+                elif du == seen[u]:
+                    pred[u].append(v)
+    return pred, dist
+
+
+def shortest_path_tables(graph: dict[str, dict[str, float]], link_name=None):
     """Every pair's shortest-path latency and ECMP routing fractions.
 
-    One Dijkstra per source gives that source's latency row (``dist``)
-    and its shortest-path DAG (``pred``, so equal-cost ties follow
-    networkx's own arithmetic).  Traffic between a pair splits uniformly
-    over all equal-cost shortest paths: with ``sigma[v]`` the number of
-    shortest paths source -> v and ``tau[v, t]`` the number of DAG paths
-    v -> t, a DAG arc ``u -> v`` carries ``sigma[u] * tau[v, t] /
-    sigma[t]`` of the (source, t) traffic -- path counts, never paths,
-    computed for all targets at once.
+    ``graph`` is an undirected adjacency dict, ``{node: {neighbour:
+    delay}}``.  One Dijkstra per source gives that source's latency row
+    (``dist``) and its shortest-path DAG (``pred``).  Traffic between a
+    pair splits uniformly over all equal-cost shortest paths: with
+    ``sigma[v]`` the number of shortest paths source -> v and ``tau[v,
+    t]`` the number of DAG paths v -> t, a DAG arc ``u -> v`` carries
+    ``sigma[u] * tau[v, t] / sigma[t]`` of the (source, t) traffic --
+    path counts, never paths, computed for all targets at once.
 
     Returns ``(latency, routing)``: ``(n1, n2) -> delay`` for every
     reachable pair (``n1 == n2`` included, source-major, targets in
     distance order) and ``(n1, n2) -> {link name: fraction}`` for every
-    reachable ``n1 != n2`` (pairs in ``graph.nodes`` order, links in
+    reachable ``n1 != n2`` (pairs in ``graph`` order, links in
     distance-then-predecessor order).  ``link_name`` maps a directed arc
     ``(u, v)`` to its link's name (default ``f"{u}-{v}"``, the backbone
     convention).  Every arc's delay must be finite and positive: Dijkstra
     would route a zero, negative or NaN delay as if it were a real one.
     """
     link_name = link_name or "{}-{}".format
-    for u, v, delay in graph.edges(data=weight, default=1):
-        if not 0 < delay < math.inf:
-            raise ReproError(f"arc {u}-{v}: delay must be finite and positive, got {delay}")
+    for u, v in edges(graph):
+        if not 0 < graph[u][v] < math.inf:
+            raise ReproError(f"arc {u}-{v}: delay must be finite and positive, got {graph[u][v]}")
     latency: dict[tuple[str, str], float] = {}
     routing: dict[tuple[str, str], dict[str, float]] = {}
-    for s in graph.nodes:
-        pred, dist = nx.dijkstra_predecessor_and_distance(graph, s, weight=weight)
+    for s in graph:
+        pred, dist = _dijkstra(graph, s)
         for t, delay in dist.items():
             latency[(s, t)] = float(delay)
         # ``dist`` is in settle order: with positive delays every DAG
@@ -188,7 +215,7 @@ def shortest_path_tables(graph: nx.Graph, weight: str = "delay", link_name=None)
             targets.tolist(), arcs.tolist(), fractions[targets, arcs].tolist()
         ):
             by_target.setdefault(j, {})[names[a]] = fraction
-        for t in graph.nodes:
+        for t in graph:
             if pos.get(t):  # reachable, and not the source itself
                 routing[(s, t)] = by_target[pos[t]]
     return latency, routing

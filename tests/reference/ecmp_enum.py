@@ -6,6 +6,26 @@ fractions, in the same key orders."""
 import networkx as nx
 
 
+def to_networkx(graph: dict[str, dict[str, float]]) -> nx.Graph:
+    """An adjacency dict ``{node: {neighbour: delay}}`` as an ``nx.Graph``
+    with ``delay`` edge attributes.  Nodes keep their order; a node's
+    neighbours need not (each edge is added once, in the order
+    ``repro.topology.backbone.edges`` lists it), which moves no key of
+    either table on a graph without distance ties."""
+    from repro.topology.backbone import edges
+
+    nx_graph = nx.Graph()
+    nx_graph.add_nodes_from(graph)
+    nx_graph.add_edges_from((u, v, {"delay": graph[u][v]}) for u, v in edges(graph))
+    return nx_graph
+
+
+def to_adjacency(nx_graph: nx.Graph) -> dict[str, dict[str, float]]:
+    """An ``nx.Graph`` as the adjacency dict, adjacency order kept: the
+    two Dijkstras then break distance ties alike."""
+    return {u: {v: data["delay"] for v, data in nbrs.items()} for u, nbrs in nx_graph.adj.items()}
+
+
 def pairwise_latency(graph: nx.Graph) -> dict[tuple[str, str], float]:
     latency: dict[tuple[str, str], float] = {}
     lengths = dict(nx.all_pairs_dijkstra_path_length(graph, weight="delay"))

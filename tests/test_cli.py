@@ -300,6 +300,34 @@ class TestFuzzCommand:
             "--stack", "mono", "--known-good", str(bogus),
         ]) == 2
 
+    @pytest.mark.parametrize("flag, content, message", [
+        (flag, content, message)
+        for flag in ("--replay", "--known-good")
+        for content, message in [
+            (None, "No such file or directory"),
+            ("{not json", "Expecting property name"),
+            (b"\xff\xfe", "can't decode byte"),
+            ("[1, 2]", f"unrecognized {flag[2:]} document"),
+        ]
+    ] + [
+        ("--replay", '{"seed": 1, "cases": 2}', "unrecognized replay document"),
+        ("--replay", '{"composed": {}, "params": {}}', "malformed case document"),
+    ])
+    def test_a_bad_input_file_is_refused_before_any_case_runs(
+        self, flag, content, message, tmp_path, capsys
+    ):
+        path = tmp_path / "doc.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content)
+        assert exit_code([
+            "fuzz", "--seed", "1", "--cases", "1", "--duration", "4", flag, str(path),
+        ]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # no case ran
+        assert message in err
+
 
 #: A small valid run of each subcommand; the walk appends one flag and
 #: value to it (argparse keeps the last).
@@ -395,6 +423,8 @@ class TestBoundaryWalk:
         (["federation", "--chaos-soak", "--partition-size", "0"],
          "partition size must be positive"),
         (["federation", "--chaos-soak", "--chains", "0"], "num_chains must be positive"),
+        (["federation", "--chaos-soak", "--pops", "1", "--regions", "1", "--chains", "2"],
+         "backbone needs at least two cities"),
     ])
     def test_the_owner_refuses_with_its_message(self, argv, message, capsys):
         assert exit_code(argv) == 2

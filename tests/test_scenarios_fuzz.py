@@ -12,6 +12,7 @@ import pathlib
 import pytest
 
 from repro.scenarios import (
+    FuzzCase,
     FuzzConfig,
     build_case,
     build_planted_case,
@@ -101,7 +102,7 @@ class TestPlantedSelfTest:
         report = run_fuzz(FuzzConfig(seed=1, cases=1, duration_s=12.0,
                                      plant=True))
         minimized = report.cases[0].minimized
-        replayed = replay_case(minimized["schedule"])
+        replayed = replay_case(FuzzCase.from_doc(minimized["schedule"]))
         assert not replayed.passed
         assert replayed.schedule_digest == minimized["digest"]
 
@@ -117,7 +118,7 @@ class TestReplay:
     def test_full_case_replays_identically(self):
         report = run_fuzz(FuzzConfig(seed=1, cases=1, duration_s=12.0))
         case = report.cases[0]
-        replayed = replay_case(case.schedule_doc)
+        replayed = replay_case(FuzzCase.from_doc(case.schedule_doc))
         assert replayed.schedule_digest == case.schedule_digest
         assert replayed.passed == case.passed
         assert [s.to_doc() for s in replayed.stacks] == [

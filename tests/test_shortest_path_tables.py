@@ -5,7 +5,9 @@ ECMP fractions come from path counts.  The oracle
 (``tests/reference/ecmp_enum.py``) lists every shortest path per pair.
 On tie-free graphs -- every committed topology -- the two tables must be
 the same floats in the same key orders; on tie-heavy graphs the
-fractions must agree within rounding and form a unit flow.
+fractions must agree within rounding and form a unit flow.  The oracle
+reads ``nx.Graph`` copies of the adjacency dicts; the Dijkstra under
+both tables is held to networkx's own, ties included.
 """
 
 import random
@@ -14,10 +16,20 @@ import networkx as nx
 import pytest
 
 from repro.core.errors import ReproError
-from repro.topology.backbone import build_backbone, shortest_path_tables
+from repro.federation import shard
+from repro.topology.backbone import _dijkstra, build_backbone, shortest_path_tables
 from repro.topology.cities import DEFAULT_CITIES
-from repro.topology.pops import PopGridConfig, generate_pop_cities
-from tests.reference.ecmp_enum import ecmp_routing, pairwise_latency
+from repro.topology.pops import (
+    PopGridConfig,
+    generate_federation_workload,
+    generate_pop_cities,
+)
+from tests.reference.ecmp_enum import (
+    ecmp_routing,
+    pairwise_latency,
+    to_adjacency,
+    to_networkx,
+)
 
 
 def ordered(table):
@@ -29,8 +41,9 @@ def ordered(table):
 
 
 def assert_matches_oracle(backbone):
-    assert ordered(backbone.latency) == ordered(pairwise_latency(backbone.graph))
-    assert ordered(backbone.routing) == ordered(ecmp_routing(backbone.graph))
+    graph = to_networkx(backbone.graph)
+    assert ordered(backbone.latency) == ordered(pairwise_latency(graph))
+    assert ordered(backbone.routing) == ordered(ecmp_routing(graph))
 
 
 @pytest.mark.parametrize("k", range(2, len(DEFAULT_CITIES) + 1))
@@ -53,6 +66,32 @@ def test_generated_pop_graphs_bit_identical(pops, metros):
     assert_matches_oracle(build_backbone(cities, long_haul_pairs=6))
 
 
+@pytest.mark.parametrize("pops, regions", [(36, 3), (24, 2), (48, 4)])
+def test_regional_models_bit_identical(pops, regions, monkeypatch):
+    """Each region's tables, over the regional subgraph the shard map
+    hands to ``shortest_path_tables``, arcs named after model links."""
+    model, _metro_of = generate_federation_workload(
+        PopGridConfig(num_pops=pops, num_metros=regions, num_chains=2 * pops)
+    )
+    calls = []
+
+    def recorded(graph, link_name=None):
+        tables = shortest_path_tables(graph, link_name)
+        calls.append((graph, tables))
+        return tables
+
+    monkeypatch.setattr(shard, "shortest_path_tables", recorded)
+    shard_map = shard.build_shards(model, regions)
+    for region in range(regions):
+        regional = shard_map.regional_model(model, region)
+        graph, (latency, routing) = calls[region]
+        assert list(graph) == regional.nodes
+        assert regional.routing == routing
+        nx_graph = to_networkx(graph)
+        assert ordered(latency) == ordered(pairwise_latency(nx_graph))
+        assert ordered(routing) == ordered(ecmp_routing(nx_graph))
+
+
 def named(graph):
     """``graph`` with string nodes ``n0, n1, ...`` and unit delays."""
     graph = nx.convert_node_labels_to_integers(graph)
@@ -69,9 +108,22 @@ TIE_HEAVY = {
 
 
 @pytest.mark.parametrize("name", sorted(TIE_HEAVY))
+def test_dijkstra_is_networkx_predecessor_and_distance(name):
+    """Same settle order, same predecessor lists in the same order, the
+    source's distance the same integer 0 -- on every tie."""
+    graph = TIE_HEAVY[name]
+    for source in graph:
+        pred, dist = _dijkstra(to_adjacency(graph), source)
+        nx_pred, nx_dist = nx.dijkstra_predecessor_and_distance(graph, source, weight="delay")
+        assert list(dist.items()) == list(nx_dist.items())
+        assert type(dist[source]) is type(nx_dist[source]) is int
+        assert list(pred.items()) == list(nx_pred.items())
+
+
+@pytest.mark.parametrize("name", sorted(TIE_HEAVY))
 def test_tie_heavy_graphs_split_uniformly(name):
     graph = TIE_HEAVY[name]
-    latency, routing = shortest_path_tables(graph)
+    latency, routing = shortest_path_tables(to_adjacency(graph))
     oracle = ecmp_routing(graph)
     assert ordered(latency) == ordered(pairwise_latency(graph))
     assert list(routing) == list(oracle)
@@ -97,7 +149,7 @@ def test_latency_is_networkx_all_pairs_bitwise():
     latency, _routing = shortest_path_tables(graph)
     expected = [
         ((n1, n2), delay)
-        for n1, row in nx.all_pairs_dijkstra_path_length(graph, weight="delay")
+        for n1, row in nx.all_pairs_dijkstra_path_length(to_networkx(graph), weight="delay")
         for n2, delay in row.items()
     ]
     assert list(latency.items()) == expected
@@ -121,11 +173,7 @@ def test_link_name_callback_names_every_arc():
 
 def triangle(ab):
     """a-b at delay ``ab``; b-c and a-c at 1."""
-    graph = nx.Graph()
-    graph.add_edge("a", "b", delay=ab)
-    graph.add_edge("b", "c", delay=1.0)
-    graph.add_edge("a", "c", delay=1.0)
-    return graph
+    return {"a": {"b": ab, "c": 1.0}, "b": {"a": ab, "c": 1.0}, "c": {"b": 1.0, "a": 1.0}}
 
 
 @pytest.mark.parametrize("delay", [0.0, -1.0, float("nan"), float("inf")])

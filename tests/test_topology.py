@@ -1,13 +1,19 @@
 """Tests for the synthetic backbone, traffic matrices, and workloads."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import networkx as nx
 import pytest
 
 from repro.core.lp import LpObjective, solve_chain_routing_lp
 from repro.topology.backbone import Backbone, build_backbone
 from repro.topology.cities import (
     DEFAULT_CITIES,
+    City,
     fibre_delay_ms,
     great_circle_km,
 )
@@ -22,6 +28,7 @@ from repro.topology.workload import (
     generate_workload,
     place_vnfs,
 )
+from tests.reference.ecmp_enum import to_networkx
 
 
 class TestCities:
@@ -52,9 +59,12 @@ class TestBackbone:
         return build_backbone()
 
     def test_connected(self, backbone):
-        import networkx as nx
+        assert nx.is_connected(to_networkx(backbone.graph))
 
-        assert nx.is_connected(backbone.graph)
+    def test_adjacency_is_undirected(self, backbone):
+        for a, nbrs in backbone.graph.items():
+            for b, delay in nbrs.items():
+                assert backbone.graph[b][a] == delay
 
     def test_latency_matrix_complete_and_symmetric(self, backbone):
         nodes = backbone.nodes
@@ -104,6 +114,44 @@ class TestBackbone:
     def test_duplicate_cities_rejected(self):
         with pytest.raises(ValueError):
             build_backbone([DEFAULT_CITIES[0], DEFAULT_CITIES[0]])
+
+
+#: Two clusters 20 degrees of longitude apart, mirror images across the
+#: equator: each city's two nearest neighbours are in its own cluster, and
+#: the closest cross pairs W1-E1 and W2-E2 tie exactly.
+TWO_CLUSTERS = (
+    City("W1", 1.0, -10.0, 1.0), City("W2", -1.0, -10.0, 1.0), City("W3", 0.0, -11.0, 1.0),
+    City("E1", 1.0, 10.0, 1.0), City("E2", -1.0, 10.0, 1.0), City("E3", 0.0, 11.0, 1.0),
+)
+
+LINKS_PROBE = """
+from repro.topology.backbone import build_backbone
+from tests.test_topology import TWO_CLUSTERS
+print([link.name for link in build_backbone(TWO_CLUSTERS, neighbours=2, long_haul_pairs=0).links])
+"""
+
+
+class TestStrayComponentJoin:
+    def test_the_join_connects_the_clusters_through_one_closest_pair(self):
+        backbone = build_backbone(TWO_CLUSTERS, neighbours=2, long_haul_pairs=0)
+        assert nx.is_connected(to_networkx(backbone.graph))
+        crossing = [
+            link.name for link in backbone.links if link.src[0] != link.dst[0]
+        ]
+        assert crossing == ["W1-E1", "E1-W1"]  # the first of the tied pairs
+
+    def test_the_link_list_does_not_depend_on_the_hash_seed(self):
+        root = Path(__file__).resolve().parent.parent
+        runs = {
+            seed: subprocess.run(
+                [sys.executable, "-c", LINKS_PROBE],
+                cwd=root,
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": f"{root / 'src'}:{root}"},
+                check=True, capture_output=True, text=True,
+            ).stdout
+            for seed in ("0", "1")
+        }
+        assert runs["0"] == runs["1"] and "W1-E1" in runs["0"]
 
 
 class TestTrafficMatrix:
