@@ -11,7 +11,9 @@ variables ``y = alpha * x``, after which every constraint is linear.
 ``y_f`` for each VNF, choose the placement ``S'_f`` (disjoint from the
 existing ``S_f``) minimizing the aggregate weighted latency.  This is the
 paper's mixed-integer program with binary placement variables ``w_fs``;
-we solve it with ``scipy.optimize.milp`` (HiGHS branch-and-bound).
+we solve it with ``scipy.optimize.milp`` (HiGHS branch-and-bound), which
+only this path imports: the routing and cloud programs need HiGHS alone
+(:mod:`repro.core.highs`), not the ``scipy.optimize`` package.
 
 Baselines used by the Figure 13 benches -- uniform cloud provisioning and
 random VNF placement -- live here too so every comparison shares one
@@ -23,11 +25,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import csr_matrix, vstack
 
 from repro.core.errors import ReproError
 from repro.core.formulation import (
@@ -39,6 +39,9 @@ from repro.core.formulation import (
 )
 from repro.core.model import CloudSite, NetworkModel, VNF
 from repro.core.routes import RoutingSolution
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 _EPS = 1e-9
 
@@ -288,6 +291,8 @@ def _placement_program(
     quotas: dict[str, int],
 ) -> _PlacementProgram:
     """The MIP over the shared chain-flow blocks of the extended model."""
+    from scipy.sparse import csc_matrix
+
     flow = ChainFlow(extended, links=False)
     sub = extended.substrate_columns()
     ch = extended.chain_columns()
@@ -329,8 +334,9 @@ def _placement_program(
     program.ub(quota_first + owner, n_flow + np.arange(len(w_index)), 1.0)
     program.freeze()
 
-    both = program.matrix(
-        program.refresh(ch.stage_total, ch.stage_fwd, ch.stage_rev)
+    data = program.refresh(ch.stage_total, ch.stage_fwd, ch.stage_rev)
+    both = csc_matrix(
+        (data, program.indices, program.indptr), shape=(program.n_rows, program.n_total)
     ).tocsr()
     n_ub = len(program.b_ub)
     cost = np.zeros(program.n_total)
@@ -373,6 +379,12 @@ def _solve_placement(
     new_site_capacity: float,
     time_limit: float | None,
 ) -> VnfPlacementPlan:
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import vstack
+
+    # HiGHS warns about a limit it finds invalid and runs without one.
+    if time_limit is not None and not (time_limit > 0 and np.isfinite(time_limit)):
+        raise CapacityPlanningError(f"time limit {time_limit} is not a positive finite number")
     extended, candidate_sites = _extended_catalog(
         model, new_sites_per_vnf, new_site_capacity
     )
@@ -390,7 +402,7 @@ def _solve_placement(
     integrality = np.zeros(n)
     integrality[n - len(program.w_index):] = 1
 
-    options = {"time_limit": time_limit} if time_limit else {}
+    options = {} if time_limit is None else {"time_limit": time_limit}
     start = time.perf_counter()
     result = milp(
         program.cost,
@@ -431,6 +443,8 @@ def plan_vnf_placement(
     existing ``S_f``), a linking constraint forbids routing load onto an
     unopened site, and at most ``new_sites_per_vnf[f]`` sites open per
     VNF.  Every new deployment receives ``new_site_capacity``.
+    ``time_limit`` is HiGHS's, in seconds (``None``: none); anything but
+    a finite number above zero raises :class:`CapacityPlanningError`.
     """
     return _solve_placement(
         _placement_program, model, new_sites_per_vnf, new_site_capacity, time_limit

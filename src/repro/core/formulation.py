@@ -36,7 +36,6 @@ import time
 from collections import OrderedDict
 
 import numpy as np
-from scipy.sparse import csc_matrix, get_index_dtype
 
 from repro.core import highs as highs_backend
 from repro.core.columns import distinct, ragged_gather
@@ -465,7 +464,9 @@ class Program:
             for c0, c1, h0, _shift in moves:
                 counts[h0 : h0 + c1 - c0] = np.diff(prior.indptr[c0 : c1 + 1])
         n_terms = 4 * flow.chains.n_stage_rows + 4
-        idx_dtype = get_index_dtype(maxval=max(counts.sum(), n_rows, self.n_total, n_terms))
+        # scipy's index rule: int32 while every index and count fits.
+        maxval = max(counts.sum(), n_rows, self.n_total, n_terms)
+        idx_dtype = np.int32 if maxval <= np.iinfo(np.int32).max else np.int64
         self.indptr = np.zeros(self.n_total + 1, dtype=idx_dtype)
         np.cumsum(counts, out=self.indptr[1:])
         nnz = int(self.indptr[-1])
@@ -497,10 +498,6 @@ class Program:
         # The slots with a second entry.
         self._two = np.flatnonzero(~(np.signbit(self._base[1]) & (self._base[1] == 0.0)))
 
-        #: The one matrix :func:`solve` hands the solver, its data per solve.
-        self.view = csc_matrix(
-            (np.zeros(nnz), self.indices, self.indptr), shape=(n_rows, self.n_total)
-        )
         # Column generation holds routes, and a route crosses a row of
         # Equation 5 with +1 and -1: its master keeps the other rows,
         # whose share of the pattern is fixed here as well.  The solver,
@@ -535,10 +532,6 @@ class Program:
         two = self._two
         data[two] += self._base[1][two] * scale[self._term[1][two]]
         return data
-
-    def matrix(self, data: np.ndarray) -> csc_matrix:
-        """``[A_ub; A_eq]`` as a new CSC matrix over :meth:`refresh` data."""
-        return csc_matrix((data, self.indices, self.indptr), shape=self.view.shape)
 
 
 def certify(sub, ch, stage, src, dst, value) -> Certificate:
@@ -756,17 +749,16 @@ def solve(
     b_ub: np.ndarray,
     col_upper: np.ndarray,
 ) -> tuple:
-    """Solve a program under refreshed data through its warm
-    :class:`~repro.core.highs.ColumnGenSolver`, as one CSC ``[ub; eq]``
-    with row bounds (:attr:`Program.view`).  Returns ``(x, objective,
+    """Solve a program under refreshed data -- the CSC values of
+    ``[ub; eq]`` on its pattern -- through its warm
+    :class:`~repro.core.highs.ColumnGenSolver`.  Returns ``(x, objective,
     solver seconds)``; ``x`` and ``objective`` are ``None`` when the
     program is infeasible."""
     row_lower = np.concatenate([np.full(len(b_ub), -np.inf), program.b_eq])
     row_upper = np.concatenate([b_ub, program.b_eq])
     start = time.perf_counter()
-    program.view.data = data
     x, objective = program.cg_solver.solve(
-        cost, program.view, row_lower, row_upper,
+        cost, data, program.n_total, row_lower, row_upper,
         np.zeros(program.n_total), col_upper,
     )
     return x, objective, time.perf_counter() - start

@@ -20,7 +20,12 @@ A program whose rows exclude zero activity (the demand-covered
 objectives) starts with a phase I on the same instance: one artificial
 column per such row, priced against zero route costs, then fixed at zero
 for phase II.  A :class:`ColumnGenError` is an error.  This is the one
-backend: a scipy without the private module fails here, at import.
+backend, and it needs two compiled modules of scipy: HiGHS
+(``scipy.optimize._highspy._core``) and ``csr_matvec``
+(``scipy.sparse._sparsetools``).  :func:`_extension` loads each from its
+file, so the ``scipy.optimize`` and ``scipy.sparse`` packages around them
+(~45 MB resident) are not imported; a scipy without either file fails
+here, at import.
 
 Arrays cross the boundary as arrays: ``passModel`` and ``addCols`` are
 called through their array overloads (assigning numpy arrays to
@@ -33,11 +38,36 @@ call table, why the route master is exact and what was measured.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
-from scipy.optimize._highspy import _core as _hc
-from scipy.sparse import _sparsetools, csc_matrix
 
 from repro.core.errors import ReproError
+
+
+def _extension(name: str):
+    """scipy's compiled module ``name``, executed from its file alone: no
+    package ``__init__`` runs.  It is registered under ``name``, so a later
+    ``import scipy.optimize`` reuses this module object."""
+    if name in sys.modules:
+        return sys.modules[name]
+    root = Path(importlib.util.find_spec("scipy").submodule_search_locations[0])
+    stem = str(root.joinpath(*name.split(".")[1:]))
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    for path in (stem + suffix for suffix in suffixes):
+        if Path(path).is_file():
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = sys.modules[name] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy has no file {stem}{{{','.join(suffixes)}}} ({name})")
+
+
+_hc = _extension("scipy.optimize._highspy._core")
+_sparsetools = _extension("scipy.sparse._sparsetools")
 
 
 class ColumnGenError(ReproError):
@@ -164,13 +194,16 @@ class ColumnGenSolver:
     def solve(
         self,
         cost: np.ndarray,
-        matrix: csc_matrix,
+        values: np.ndarray,
+        n_cols: int,
         row_lower: np.ndarray,
         row_upper: np.ndarray,
         col_lower: np.ndarray,
         col_upper: np.ndarray,
     ) -> tuple[np.ndarray | None, float | None]:
-        """Solve ``min c@x  s.t.  rl <= A x <= ru, cl <= x <= cu``.
+        """Solve ``min c@x  s.t.  rl <= A x <= ru, cl <= x <= cu``, ``A``
+        the ``n_cols``-column CSC matrix of ``values`` on the program's
+        pattern.
 
         The program's rows must imply the upper bounds of its flow
         columns: those are dropped (the routing program's ``x <= 1``
@@ -184,8 +217,7 @@ class ColumnGenSolver:
         :attr:`FEASIBILITY_TOL`: the program is infeasible.
         """
         flow, highs = self._flow, self._highs
-        n_cols = matrix.shape[1]
-        kept = matrix.data[self._entries]  # the kept rows' CSC values
+        kept = values[self._entries]  # the kept rows' CSC values
         lower, upper = row_lower[self.rows], row_upper[self.rows]
         signs = (lower > 0).astype(float) - (upper < 0)
         artificial = np.flatnonzero(signs)

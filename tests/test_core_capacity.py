@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core import capacity as capacity_mod
 from repro.core.capacity import (
     CapacityPlanningError,
     max_alpha,
@@ -120,6 +121,20 @@ class TestVnfPlacement:
     def test_unknown_vnf_rejected(self):
         with pytest.raises(CapacityPlanningError):
             plan_vnf_placement(planning_model(), {"ghost": 1}, 10.0)
+
+    @pytest.mark.parametrize("limit", [0, -1.0, float("nan"), float("inf")])
+    def test_time_limit_highs_would_ignore_rejected(self, limit, monkeypatch):
+        """HiGHS runs without a limit it finds invalid; 0 read as none."""
+        def unbuilt(*_args):
+            raise AssertionError("the program was built")
+
+        monkeypatch.setattr(capacity_mod, "_placement_program", unbuilt)
+        with pytest.raises(CapacityPlanningError, match="time limit"):
+            plan_vnf_placement(planning_model(), {"fw": 1}, 10.0, time_limit=limit)
+
+    def test_no_time_limit(self):
+        plan = plan_vnf_placement(planning_model(), {"fw": 1}, 10.0, time_limit=None)
+        assert plan.status == "optimal"
 
     def test_random_placement_baseline(self):
         model = planning_model()

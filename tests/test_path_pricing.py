@@ -51,7 +51,12 @@ from tests.reference.route_columns import route_columns
 from tests.reference.scalar_rows import run_linprog
 from tests.test_column_pool import cached_program, remove_and_add
 from tests.test_maintained_plan import solver_farm_bench_model
-from tests.test_program_fingerprints import regional_model, te_replan_model
+from tests.test_program_fingerprints import (
+    program_matrix,
+    regional_model,
+    solver_matrix,
+    te_replan_model,
+)
 from tests.test_vectorized_equivalence import make_model, small_models
 from tests.test_warm_start_contract import rescaled_demands, share_vector
 
@@ -60,7 +65,7 @@ MAX_THROUGHPUT = LpObjective.MAX_THROUGHPUT
 
 def refreshed_matrix(program, model):
     ch = model.chain_columns()
-    return program.matrix(program.refresh(ch.stage_total, ch.stage_fwd, ch.stage_rev))
+    return program_matrix(program, program.refresh(ch.stage_total, ch.stage_fwd, ch.stage_rev))
 
 
 # -- (a) the pricing step ---------------------------------------------------
@@ -168,11 +173,12 @@ def checked_against_linprog(monkeypatch, oracle=True) -> list:
     solvers that ran are appended to."""
     honest, ran = ColumnGenSolver.solve, []
 
-    def solve(self, cost, matrix, row_lower, row_upper, col_lower, col_upper):
+    def solve(self, cost, values, n_cols, row_lower, row_upper, col_lower, col_upper):
         x, objective = honest(
-            self, cost, matrix, row_lower, row_upper, col_lower, col_upper
+            self, cost, values, n_cols, row_lower, row_upper, col_lower, col_upper
         )
         ran.append(self)
+        matrix = solver_matrix(self, values, n_cols)
         if oracle:
             equal = row_lower == row_upper
             assert not col_lower.any()

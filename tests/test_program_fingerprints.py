@@ -8,11 +8,13 @@ cost vector and the integrality vector (not the first restricted
 master: column generation may start where it likes).  The
 ``MIN_LATENCY`` / ``MIN_MLU`` digests were recorded when those programs
 went to ``linprog``, hashed in the form ``ColumnGenSolver.solve`` takes
-them.  Nothing is solved: the interceptor raises as soon
-as it has the arguments.  The digests in ``program_fingerprints.json``
-were recorded on the tree *before* the chain-flow formulation got its
-one home, so a refactor of the assembly code must leave every one of
-them alone; ``python tests/test_program_fingerprints.py --write``
+them; it takes CSC values and a column count, and the interceptor hashes
+the matrix rebuilt from the solving program's own pattern (the program
+holds no ``scipy.sparse`` object).  Nothing is solved: the interceptor
+raises as soon as it has the arguments.  The digests in
+``program_fingerprints.json`` were recorded on the tree *before* the
+chain-flow formulation got its one home, so a refactor of the assembly
+code must leave every one of them alone; ``python tests/test_program_fingerprints.py --write``
 re-records them, on purpose only.
 
 Each program is pinned cold and again after a demand-only change (the
@@ -32,10 +34,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.sparse import csc_matrix
 
 from repro.core import capacity as capacity_mod
 from repro.core import highs as highs_backend
+from repro.core import lp as lp_mod
 from repro.core.capacity import (
     CapacityPlanningError,
     plan_cloud_capacity,
@@ -84,9 +88,27 @@ def _digest(*parts) -> str:
     return sha.hexdigest()
 
 
-def _cg_solve(self, cost, matrix, row_lower, row_upper, col_lower, col_upper):
+def program_matrix(program, values) -> csc_matrix:
+    """``[A_ub; A_eq]`` of ``program`` over the CSC ``values`` of its pattern."""
+    return csc_matrix(
+        (values, program.indices, program.indptr), shape=(program.n_rows, program.n_total)
+    )
+
+
+def solver_matrix(solver, values, n_cols) -> csc_matrix:
+    """The matrix ``ColumnGenSolver.solve`` is handed as ``values`` and
+    ``n_cols``: over the pattern of the cached program ``solver`` is of."""
+    (program,) = [
+        program for cache in (lp_mod._CACHE, capacity_mod._CACHE)
+        for program in cache._entries.values() if program.cg_solver is solver
+    ]
+    assert program.n_total == n_cols
+    return program_matrix(program, values)
+
+
+def _cg_solve(self, cost, values, n_cols, row_lower, row_upper, col_lower, col_upper):
     raise _Captured(_digest(
-        cost, matrix, row_lower, row_upper, col_lower, col_upper,
+        cost, solver_matrix(self, values, n_cols), row_lower, row_upper, col_lower, col_upper,
     ))
 
 
@@ -103,7 +125,7 @@ def _milp(c, constraints=None, integrality=None, bounds=None, **_options):
 def _intercept(patcher) -> None:
     """Swap every solver entry point for its hashing interceptor."""
     patcher.setattr(highs_backend.ColumnGenSolver, "solve", _cg_solve)
-    patcher.setattr(capacity_mod, "milp", _milp)
+    patcher.setattr(scipy.optimize, "milp", _milp)
     clear_matrix_cache()
 
 

@@ -57,6 +57,7 @@ from tests.reference.lp_scalar import (
     scalar_program,
     solve_chain_routing_lp_reference,
 )
+from tests.test_program_fingerprints import program_matrix
 
 TOL = 1e-9
 
@@ -81,7 +82,7 @@ def dense(matrix):
 
 def matrices(program, data_ub):
     """``(A_ub, A_eq)``: the rows of ``program``'s one ``[A_ub; A_eq]``."""
-    both = program.matrix(data_ub).tocsr()
+    both = program_matrix(program, data_ub).tocsr()
     return both[: len(program.b_ub)], both[len(program.b_ub):]
 
 

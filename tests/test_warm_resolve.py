@@ -111,9 +111,9 @@ def checked_masters(monkeypatch) -> dict:
     honest, seen = ColumnGenSolver.solve, {"passModel": 0, "addCols": 0}
 
     class Checking:
-        def __init__(self, solver, matrix):
+        def __init__(self, solver, values):
             self._solver, self._highs = solver, solver._highs
-            self._kept = matrix.data[solver._entries]
+            self._kept = values[solver._entries]
 
         def __getattr__(self, name):
             return getattr(self._highs, name)
@@ -138,10 +138,10 @@ def checked_masters(monkeypatch) -> dict:
             seen["addCols"] += 1
             return self._highs.addCols(n, cost, lower, upper, nnz, starts, indices, data)
 
-    def solve(self, cost, matrix, *bounds):
-        highs, self._highs = self._highs, Checking(self, matrix)
+    def solve(self, cost, values, *bounds):
+        highs, self._highs = self._highs, Checking(self, values)
         try:
-            return honest(self, cost, matrix, *bounds)
+            return honest(self, cost, values, *bounds)
         finally:
             self._highs = highs
 
@@ -264,9 +264,9 @@ def test_a_forgotten_master_rebuilds_its_plan(monkeypatch):
     ends where a fresh program does, bit for bit."""
     honest, solved = ColumnGenSolver.solve, []
 
-    def recording(self, *program):
-        x, objective = honest(self, *program)
-        solved.append((x, objective))
+    def recording(self, cost, values, *bounds):
+        x, objective = honest(self, cost, values, *bounds)
+        solved.append((x, objective, values))
         return x, objective
 
     monkeypatch.setattr(ColumnGenSolver, "solve", recording)
@@ -283,7 +283,7 @@ def test_a_forgotten_master_rebuilds_its_plan(monkeypatch):
 
     again = solve_chain_routing_lp(moved, MAX_THROUGHPUT)
     assert len(solver._plan[0]) == len(solver.routes)
-    kept = program.view.data[solver._entries]
+    kept = solved[-1][2][solver._entries]
     assert same_bits(
         _columns(solver._plan, kept),
         oracle(kept, *solver._pattern, len(solver.rows), solver.routes),
@@ -291,6 +291,6 @@ def test_a_forgotten_master_rebuilds_its_plan(monkeypatch):
     clear_matrix_cache()
     fresh = solve_chain_routing_lp(moved, MAX_THROUGHPUT)
     assert again.objective == fresh.objective
-    (x_again, objective_again), (x_fresh, objective_fresh) = solved[-2:]
+    (x_again, objective_again, _), (x_fresh, objective_fresh, _) = solved[-2:]
     assert objective_again == objective_fresh
     assert x_again.tobytes() == x_fresh.tobytes()
