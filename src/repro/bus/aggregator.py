@@ -18,12 +18,10 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.bus.topics import Topic
-from repro.core.errors import ReproError
 from repro.simnet.events import EventHandle
 
-
-class AggregatorError(ReproError):
-    """Raised on invalid aggregator configuration."""
+#: Simulated seconds a topic's first item waits for company.
+WINDOW_S = 0.050
 
 
 @dataclass
@@ -53,12 +51,9 @@ class MessageAggregator:
     ``client`` is the Local Switchboard's bus client at this site.
     """
 
-    def __init__(self, bus, client: str, window_s: float = 0.050):
-        if window_s <= 0:
-            raise AggregatorError(f"non-positive window {window_s}")
+    def __init__(self, bus, client: str):
         self.bus = bus
         self.client = client
-        self.window_s = window_s
         self.stats = AggregatorStats()
         self._pending: dict[str, _PendingBatch] = {}
 
@@ -70,7 +65,7 @@ class MessageAggregator:
         self.stats.items_collected += 1
         if batch.timer is None or batch.timer.cancelled:
             batch.timer = self.bus.network.sim.schedule(
-                self.window_s, self._flush, key
+                WINDOW_S, self._flush, key
             )
 
     def flush_all(self) -> None:

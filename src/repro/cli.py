@@ -16,6 +16,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -38,12 +39,15 @@ def _write_out(path: "str | None", text: str) -> None:
 
 def _positive(kind):
     """An argparse ``type`` that parses with ``kind`` and rejects
-    values that are not > 0 (argparse turns the error into exit 2)."""
+    values that are not finite and > 0 (argparse turns the error into
+    exit 2): a ``--rate`` of ``inf`` would publish everything at t=0."""
 
     def parse(text: str):
         value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not (value > 0 and math.isfinite(value)):
+            raise argparse.ArgumentTypeError(
+                f"must be positive and finite, got {text}"
+            )
         return value
 
     parse.__name__ = f"positive {kind.__name__}"

@@ -23,20 +23,20 @@ from collections import defaultdict
 from repro.controller.global_switchboard import GlobalSwitchboard
 
 _EPS = 1e-9
+#: How far a rule's site split may stray from the routing solution's.
+_TOLERANCE = 0.02
 
 
-def audit_deployment(gs: GlobalSwitchboard, tolerance: float = 0.02) -> list[str]:
+def audit_deployment(gs: GlobalSwitchboard) -> list[str]:
     """Audit every installed chain; returns findings (empty == clean)."""
     findings: list[str] = []
     for name in gs.installations:
-        findings.extend(audit_chain(gs, name, tolerance))
+        findings.extend(audit_chain(gs, name))
     findings.extend(_find_stale_rules(gs))
     return findings
 
 
-def audit_chain(
-    gs: GlobalSwitchboard, chain_name: str, tolerance: float = 0.02
-) -> list[str]:
+def audit_chain(gs: GlobalSwitchboard, chain_name: str) -> list[str]:
     """Audit one installed chain against the routing solution."""
     findings: list[str] = []
     installation = gs.installations.get(chain_name)
@@ -79,7 +79,7 @@ def audit_chain(
         for site, frac in intended.items():
             want = frac / total_intended
             got = installed.get(site, 0.0) / total_installed
-            if abs(want - got) > tolerance:
+            if abs(want - got) > _TOLERANCE:
                 findings.append(
                     f"{chain_name}: ingress split to {site} is {got:.3f}, "
                     f"TE intends {want:.3f}"

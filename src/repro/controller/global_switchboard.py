@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Callable
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
 
-from repro.core.dp import DpConfig, IncrementalDpRouter
+from repro.core.dp import IncrementalDpRouter
 from repro.core.errors import ReproError
 from repro.core.lp import LpObjective, solve_chain_routing_lp
 from repro.core.model import Chain, NetworkModel
@@ -81,18 +81,12 @@ class GlobalSwitchboard:
         self,
         model: NetworkModel,
         dataplane: DataPlane,
-        dp_config: DpConfig | None = None,
         metrics: "MetricsRegistry | None" = None,
-        solver=None,
     ):
         self.model = model
         self.dataplane = dataplane
         self.metrics = metrics
-        #: Optional TE-solve strategy (``repro.scale.SolverFarm`` or a
-        #: ``GlobalCoordinator``).  ``None`` keeps the original
-        #: direct-LP behaviour of :meth:`plan_routes`.
-        self.solver = solver
-        self.router = IncrementalDpRouter(model, dp_config)
+        self.router = IncrementalDpRouter(model)
         self.labels = LabelAllocator()
         self.locals: dict[str, LocalSwitchboard] = {}
         self.edge_controllers: dict[str, EdgeController] = {}
@@ -134,24 +128,12 @@ class GlobalSwitchboard:
             return contextlib.nullcontext()
         return self.metrics.span(name, **labels)
 
-    def plan_routes(
-        self, objective: LpObjective = LpObjective.MAX_THROUGHPUT
-    ):
-        """Whole-network TE plan (SB-LP) for the current model.
-
-        Dispatches to the configured ``solver=`` strategy when one was
-        attached -- a :class:`repro.scale.SolverFarm` partitions and
-        caches the solve -- and otherwise calls
-        :func:`repro.core.lp.solve_chain_routing_lp` directly, which is
-        bit-for-bit the pre-farm behaviour.  Returns an
-        ``LpResult``-shaped object either way (``status`` /
-        ``objective`` / ``solution`` / ``ok``).
-        """
+    def plan_routes(self):
+        """Whole-network throughput-maximizing TE plan (SB-LP) for the
+        current model: :func:`repro.core.lp.solve_chain_routing_lp`."""
         with self._span("controller.plan_routes"):
-            if self.solver is not None:
-                return self.solver.solve(self.model, objective)
             return solve_chain_routing_lp(
-                self.model, objective, metrics=self.metrics
+                self.model, LpObjective.MAX_THROUGHPUT, metrics=self.metrics
             )
 
     def create_chain(self, spec: ChainSpecification) -> ChainInstallation:

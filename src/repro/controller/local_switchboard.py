@@ -33,7 +33,7 @@ class LocalSwitchboardError(ReproError):
 class LocalSwitchboard:
     """The Switchboard controller at one site."""
 
-    def __init__(self, site: str, dataplane: DataPlane, num_forwarders: int = 1):
+    def __init__(self, site: str, dataplane: DataPlane):
         self.site = site
         self.dataplane = dataplane
         self.forwarders: list[Forwarder] = []
@@ -41,8 +41,7 @@ class LocalSwitchboard:
         self.assignment: dict[str, str] = {}
         self._counter = itertools.count(1)
         self._edge_forwarder: Forwarder | None = None
-        for _ in range(num_forwarders):
-            self.scale_forwarders(1)
+        self.scale_forwarders(1)
 
     # -- forwarder fleet -------------------------------------------------
 

@@ -9,19 +9,11 @@ recompute routes where the demand moved materially.
 Semantics follow Section 5.3: recomputation only changes where *new*
 connections go; existing flow-table entries at the forwarders are never
 touched.
-
-When the Global Switchboard has a ``solver`` strategy attached (see
-``GlobalSwitchboard(solver=...)`` and :mod:`repro.scale`), each round
-also produces an advisory whole-network TE plan via the solver's
-incremental ``resolve`` path -- with a ``SolverFarm`` only the
-partitions containing changed chains are re-solved, the rest come from
-the solution cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.controller.global_switchboard import GlobalSwitchboard
 from repro.core.errors import ReproError
@@ -39,10 +31,6 @@ class ReoptimizationReport:
     carried_before: float = 0.0
     carried_after: float = 0.0
     offered_after: float = 0.0
-    #: Advisory whole-network TE plan from the attached solver strategy
-    #: (``LpResult`` / ``FarmResult`` shaped), or ``None`` when the
-    #: Global Switchboard has no solver or nothing changed.
-    plan: Any = None
 
     @property
     def carried_share(self) -> float:
@@ -112,13 +100,6 @@ def reoptimize(
         old_chain = gs.model.chains[name]
         gs.model.remove_chain(name)
         gs.model.add_chain(old_chain.scaled(demand_factors[name]))
-
-    if changed and gs.solver is not None:
-        # Incremental TE plan against the re-scaled demands: a
-        # SolverFarm re-solves only the partitions whose chains moved.
-        report.plan = gs.solver.resolve(
-            gs.model, [n for n in changed if n in gs.model.chains]
-        )
 
     changed.sort(
         key=lambda n: (

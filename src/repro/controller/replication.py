@@ -57,17 +57,14 @@ class _Lease:
 class ReplicatedStore:
     """Quorum-replicated, versioned key-value store."""
 
-    def __init__(self, replica_names: list[str], quorum: int | None = None):
+    def __init__(self, replica_names: list[str]):
         if not replica_names:
             raise ReplicationError("need at least one replica")
         if len(set(replica_names)) != len(replica_names):
             raise ReplicationError("duplicate replica names")
         self.replicas = {name: Replica(name) for name in replica_names}
-        self.quorum = (
-            quorum if quorum is not None else len(replica_names) // 2 + 1
-        )
-        if not 1 <= self.quorum <= len(replica_names):
-            raise ReplicationError(f"invalid quorum {self.quorum}")
+        #: A majority: any two quorums intersect.
+        self.quorum = len(replica_names) // 2 + 1
         self._next_version = 1
         self.writes = 0
         self.reads = 0

@@ -385,6 +385,11 @@ def _solve_placement(
     # HiGHS warns about a limit it finds invalid and runs without one.
     if time_limit is not None and not (time_limit > 0 and np.isfinite(time_limit)):
         raise CapacityPlanningError(f"time limit {time_limit} is not a positive finite number")
+    # An infinite capacity is an infinite linking coefficient: "infeasible".
+    if not (new_site_capacity > 0 and np.isfinite(new_site_capacity)):
+        raise CapacityPlanningError(
+            f"new-site capacity {new_site_capacity} is not a positive finite number"
+        )
     extended, candidate_sites = _extended_catalog(
         model, new_sites_per_vnf, new_site_capacity
     )

@@ -55,10 +55,9 @@ one search:
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, NamedTuple, TYPE_CHECKING
+from typing import NamedTuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -187,23 +186,14 @@ class DpResult:
 def route_chains_dp(
     model: NetworkModel,
     config: DpConfig | None = None,
-    chain_order: Iterable[str] | None = None,
     metrics: "MetricsRegistry | None" = None,
 ) -> DpResult:
-    """Route every chain in the model with the SB-DP heuristic.  The
-    chains before the first that differs from the last run over the same
-    columns, config and MLU limit are replayed (module docstring)."""
+    """Route every chain in the model, in the model's order, with the
+    SB-DP heuristic.  The chains before the first that differs from the
+    last run over the same columns, config and MLU limit are replayed
+    (module docstring)."""
     config = config or DpConfig()
     router = _DpRouter(model, config)
-    if chain_order is None:
-        names = list(model.chains)
-    else:
-        names = list(chain_order)
-        unknown = set(names) - set(model.chains)
-        repeated = {name for name, count in Counter(names).items() if count > 1}
-        if unknown or repeated:  # a repeat would route its chain twice
-            raise KeyError(f"chain_order: unknown {sorted(unknown)}, repeated {sorted(repeated)}")
-
     solution = RoutingSolution(model)
     unrouted: dict[str, float] = {}
     chain_hist = (
@@ -212,7 +202,7 @@ def route_chains_dp(
     # The last run over these columns: ((config, MLU limit), chains).
     key, trail = (config, model.mlu_limit), router._sub.dp_trail
     last = trail[1] if trail is not None and trail[0] == key else []
-    chains = [model.chains[name] for name in names]
+    chains = list(model.chains.values())
     replayed = 0  # only a prefix replays
     while replayed < min(len(last), len(chains)) and last[replayed].chain == chains[replayed]:
         replayed += 1

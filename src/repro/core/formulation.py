@@ -392,10 +392,9 @@ class Program:
         self.b_eq = np.concatenate([self.b_eq, np.asarray(values, dtype=float)])
         return first
 
-    def ub(self, rows, cols, base, kind=KIND_CONST, stage=0) -> None:
-        """Inequality entries; ``kind`` says how ``base`` scales with the
-        demand of stage-table row ``stage``.  Scalars broadcast."""
-        self._add(self._ub, rows, cols, base, 4 * np.asarray(stage) + kind)
+    def ub(self, rows, cols, base) -> None:
+        """Demand-independent inequality entries.  Scalars broadcast."""
+        self._add(self._ub, rows, cols, base, KIND_CONST)
 
     def eq(self, rows, cols, data) -> None:
         """Equality entries (all demand-independent)."""

@@ -122,11 +122,10 @@ class _RoutingProgram(Program):
         self,
         model: NetworkModel,
         objective: LpObjective,
-        enforce_mlu: bool,
         prior: Program | None = None,
     ):
         minimize_mlu = objective is LpObjective.MIN_MLU
-        flow = ChainFlow(model, enforce_mlu or minimize_mlu, prior)
+        flow = ChainFlow(model, True, prior)
         super().__init__(flow, flow.n_flow + minimize_mlu)
         # MIN_MLU adds the utilization variable beta after the flow variables.
         self.beta_index = flow.n_flow if minimize_mlu else None
@@ -210,7 +209,6 @@ def clear_matrix_cache() -> None:
 def _structure_for(
     model: NetworkModel,
     objective: LpObjective,
-    enforce_mlu: bool,
     metrics: "MetricsRegistry | None",
 ) -> _RoutingProgram:
     digest = model.structure_digest()
@@ -221,9 +219,9 @@ def _structure_for(
         digest += model.substrate_digest()
     # The digest sorts; the program's column ids follow one insertion order.
     structure, cached = _CACHE.get(
-        (digest, model.substrate_columns().order, objective.value, bool(enforce_mlu)),
+        (digest, model.substrate_columns().order, objective.value),
         model,
-        lambda prior: _RoutingProgram(model, objective, enforce_mlu, prior),
+        lambda prior: _RoutingProgram(model, objective, prior),
     )
     if cached and model._chain_columns is None:
         # The key proves the chain-stage table's structure: only the
@@ -236,11 +234,16 @@ def _structure_for(
     return structure
 
 
+#: Relative weight of the latency term added to the max-throughput and
+#: min-MLU objectives, so that among equally good solutions the lowest
+#: latency one is returned.
+_LATENCY_TIEBREAK = 1e-6
+
+
 def _cost_vector(
     structure: _RoutingProgram,
     ch,
     objective: LpObjective,
-    latency_tiebreak: float,
 ) -> np.ndarray:
     n = structure.n_flow
     var_stage = structure.flow.var_stage
@@ -252,13 +255,13 @@ def _cost_vector(
         cost[:n] = weighted_latency
     elif objective is LpObjective.MIN_MLU:
         cost[structure.beta_index] = 1.0
-        cost[:n] += (latency_tiebreak / latency_scale) * weighted_latency
+        cost[:n] += (_LATENCY_TIEBREAK / latency_scale) * weighted_latency
     else:
         s1 = structure.flow.stage1_vars
         np.subtract.at(cost, s1, ch.stage_total[var_stage[s1]])
         min_demand = float(ch.stage_total[ch.stage_z == 1].min())
         cost[:n] += (
-            latency_tiebreak * min_demand / latency_scale
+            _LATENCY_TIEBREAK * min_demand / latency_scale
         ) * weighted_latency
     return cost
 
@@ -312,11 +315,11 @@ def _result(
 def solve_chain_routing_lp(
     model: NetworkModel,
     objective: LpObjective = LpObjective.MIN_LATENCY,
-    enforce_mlu: bool = True,
-    latency_tiebreak: float = 1e-6,
     metrics: "MetricsRegistry | None" = None,
 ) -> LpResult:
-    """Solve the chain-routing problem optimally.
+    """Solve the chain-routing problem optimally.  The Equation 6 link
+    constraint applies whenever the model defines links and routing
+    fractions.
 
     Parameters
     ----------
@@ -326,21 +329,14 @@ def solve_chain_routing_lp(
         the distributed baselines).
     objective:
         ``MIN_LATENCY`` or ``MAX_THROUGHPUT`` (see module docstring).
-    enforce_mlu:
-        Apply the Equation 6 link constraint when the model defines links
-        and routing fractions.
-    latency_tiebreak:
-        Relative weight of the latency term added to the max-throughput
-        objective so that, among equal-throughput solutions, the lowest
-        latency one is returned.
     """
     _check_inputs(model, objective)
-    structure = _structure_for(model, objective, enforce_mlu, metrics)
+    structure = _structure_for(model, objective, metrics)
     ch = model.chain_columns()
     n = structure.n_flow
     outcome = solve(
         structure,
-        _cost_vector(structure, ch, objective, latency_tiebreak),
+        _cost_vector(structure, ch, objective),
         structure.refresh(ch.stage_total, ch.stage_fwd, ch.stage_rev),
         structure.bounds(model.substrate_columns()),
         _column_upper(n, structure.beta_index),

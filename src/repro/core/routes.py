@@ -42,6 +42,8 @@ class StageFlow:
 #: terms in another order --, and the relative error allowed on a load.
 _CERTIFIED_SHARE = 0.5
 _LOAD_ROUNDING = 1e-9
+#: The tolerance of every feasibility check.
+_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,14 +75,14 @@ class Certificate:
             np.sum([part.loads for part in parts], axis=0),
         )
 
-    def clears(self, sub, tol: float = 1e-6) -> bool:
-        """True only if ``violations(tol)`` of the certified flows on a
+    def clears(self, sub) -> bool:
+        """True only if ``violations()`` of the certified flows on a
         model with the substrate columns ``sub`` is certainly empty.
 
-        Conservative: whatever comes within half of ``tol`` of failing a
-        check is left to the reference to decide (and to word).
+        Conservative: whatever comes within half of the tolerance of
+        failing a check is left to the reference to decide (and to word).
         """
-        margin = _CERTIFIED_SHARE * tol
+        margin = _CERTIFIED_SHARE * _TOL
         vnfs, sites, links = (
             np.argsort(rank) for rank in (sub.vnf_rank, sub.site_rank, sub.link_rank)
         )
@@ -354,7 +356,7 @@ class RoutingSolution:
 
     # -- validation -----------------------------------------------------------
 
-    def violations(self, tol: float = 1e-6) -> list[str]:
+    def violations(self, tol: float = _TOL) -> list[str]:
         """Check structural and capacity invariants; return human-readable
         descriptions of violations (empty list == valid).
 
@@ -442,9 +444,9 @@ class RoutingSolution:
                     )
         return problems
 
-    def validate(self, tol: float = 1e-6) -> None:
+    def validate(self) -> None:
         """Raise :class:`RoutingError` listing all violations, if any."""
-        problems = self.violations(tol)
+        problems = self.violations()
         if problems:
             raise RoutingError("; ".join(problems))
 

@@ -31,6 +31,9 @@ from repro.core.errors import ReproError
 from repro.dataplane.flowtable import FlowEntry, FlowKey
 from repro.dataplane.labels import FiveTuple, Labels
 
+#: Ring points per member.
+VIRTUAL_NODES = 64
+
 
 class DhtError(ReproError):
     """Raised on invalid DHT configuration or use."""
@@ -61,10 +64,7 @@ class DhtStats:
 class ConsistentHashRing:
     """A consistent-hash ring with virtual nodes."""
 
-    def __init__(self, virtual_nodes: int = 64):
-        if virtual_nodes < 1:
-            raise DhtError("need at least one virtual node per member")
-        self.virtual_nodes = virtual_nodes
+    def __init__(self):
         self._points: list[tuple[int, str]] = []
         self._members: set[str] = set()
 
@@ -76,7 +76,7 @@ class ConsistentHashRing:
         if member in self._members:
             raise DhtError(f"member {member!r} already on the ring")
         self._members.add(member)
-        for v in range(self.virtual_nodes):
+        for v in range(VIRTUAL_NODES):
             point = (_hash(f"{member}#{v}"), member)
             bisect.insort(self._points, point)
 
@@ -111,11 +111,11 @@ class ReplicatedFlowTable:
     data plane would experience them.
     """
 
-    def __init__(self, replication: int = 2, virtual_nodes: int = 64):
+    def __init__(self, replication: int = 2):
         if replication < 1:
             raise DhtError("replication factor must be >= 1")
         self.replication = replication
-        self.ring = ConsistentHashRing(virtual_nodes)
+        self.ring = ConsistentHashRing()
         self._shards: dict[str, dict[FlowKey, FlowEntry]] = {}
         self.stats = DhtStats()
 

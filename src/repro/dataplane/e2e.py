@@ -34,6 +34,9 @@ class E2EError(ReproError):
 
 _MSS_BYTES = 1460
 _MATHIS_CONSTANT = 1.22
+#: An instance's M/M/1 service time, and the cap on its queueing delay.
+_SERVICE_MS = 0.5
+MAX_QUEUE_MS = 25.0
 
 
 @dataclass
@@ -100,20 +103,13 @@ class E2EResult:
 class E2ETestbed:
     """A small wide-area testbed: sites, RTTs, instances, and routes."""
 
-    def __init__(
-        self,
-        rtt_ms: dict[tuple[str, str], float],
-        service_ms: float = 0.5,
-        max_queue_ms: float = 25.0,
-    ):
+    def __init__(self, rtt_ms: dict[tuple[str, str], float]):
         self._rtt: dict[tuple[str, str], float] = {}
         for (a, b), rtt in rtt_ms.items():
             if rtt < 0:
                 raise E2EError(f"negative RTT for ({a}, {b})")
             self._rtt[(a, b)] = rtt
             self._rtt[(b, a)] = rtt
-        self.service_ms = service_ms
-        self.max_queue_ms = max_queue_ms
         self.instances: dict[str, VnfInstanceSpec] = {}
         self.routes: dict[str, E2ERoute] = {}
         self.loss: dict[tuple[str, str], float] = {}
@@ -279,5 +275,5 @@ class E2ETestbed:
 
     def _queue_delay(self, utilization: float) -> float:
         u = min(utilization, 0.999)
-        delay = self.service_ms * u / (1.0 - u)
-        return min(delay, self.max_queue_ms)
+        delay = _SERVICE_MS * u / (1.0 - u)
+        return min(delay, MAX_QUEUE_MS)

@@ -45,13 +45,11 @@ class FlowEntry:
 class FlowTable:
     """A forwarder's connection table with occupancy statistics."""
 
-    def __init__(self, max_entries: int | None = None):
+    def __init__(self):
         self._entries: dict[FlowKey, FlowEntry] = {}
-        self.max_entries = max_entries
         self.inserts = 0
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -68,20 +66,11 @@ class FlowTable:
         return entry
 
     def insert(self, labels: Labels, flow: FiveTuple) -> FlowEntry:
-        """Insert (or return) the entry for a connection.
-
-        When the table is full the oldest entry is evicted (insertion
-        order approximates flow age; the DPDK prototype uses an LRU-like
-        policy for the same purpose).
-        """
+        """Insert (or return) the entry for a connection."""
         key = FlowKey(labels, flow)
         entry = self._entries.get(key)
         if entry is not None:
             return entry
-        if self.max_entries is not None and len(self._entries) >= self.max_entries:
-            oldest = next(iter(self._entries))
-            del self._entries[oldest]
-            self.evictions += 1
         entry = FlowEntry()
         self._entries[key] = entry
         self.inserts += 1

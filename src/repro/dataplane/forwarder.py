@@ -65,19 +65,21 @@ class VnfInstance:
     ``saw_labels`` log lets tests assert the VNF really never saw them.
     """
 
+    #: Load-balancing weight: a site's instances of a service share its
+    #: traffic equally.
+    weight = 1.0
+
     def __init__(
         self,
         name: str,
         service: str,
         site: str,
-        weight: float = 1.0,
         supports_labels: bool = True,
         transform: Callable[[Packet], None] | None = None,
     ):
         self.name = name
         self.service = service
         self.site = site
-        self.weight = weight
         self.supports_labels = supports_labels
         self.transform = transform
         self.packets_processed = 0
@@ -108,16 +110,11 @@ class Forwarder:
         self,
         name: str,
         site: str,
-        max_flow_entries: int | None = None,
         flow_table=None,
     ):
         self.name = name
         self.site = site
-        self.flow_table = (
-            flow_table
-            if flow_table is not None
-            else FlowTable(max_entries=max_flow_entries)
-        )
+        self.flow_table = flow_table if flow_table is not None else FlowTable()
         self.rules: dict[tuple[int, str], LoadBalancingRule] = {}
         self.attached: dict[str, VnfInstance] = {}
         self.packets_forwarded = 0

@@ -13,8 +13,7 @@ formats:
 - **Switchboard**: VXLAN tunnel (outer IPv4 + UDP + VXLAN) + 2 MPLS
   labels (chain id, egress site) -- constant in chain length;
 - **NSH**: outer transport + the 8-byte NSH base/service-path header +
-  per-hop metadata context (MD type 1: fixed 16 bytes; MD type 2:
-  variable, modeled per hop);
+  the MD type 1 metadata context (fixed 16 bytes);
 - **SRv6**: outer IPv6 + a Segment Routing Header carrying one 16-byte
   IPv6 segment per VNF in the chain -- linear in chain length.
 """
@@ -55,19 +54,14 @@ def switchboard_overhead_bytes(chain_length: int) -> int:
     return _IPV4_BYTES + _UDP_BYTES + _VXLAN_BYTES + 2 * _MPLS_LABEL_BYTES
 
 
-def nsh_overhead_bytes(chain_length: int, md_type: int = 1) -> int:
-    """Network Service Header over a VXLAN-GPE-style transport.
-
-    MD type 1 carries a fixed 16-byte context; MD type 2 is modeled as
-    4 bytes of per-hop metadata (a TLV per service function).
-    """
+def nsh_overhead_bytes(chain_length: int) -> int:
+    """Network Service Header (MD type 1: a fixed 16-byte context) over
+    a VXLAN-GPE-style transport."""
     _check(chain_length)
-    transport = _IPV4_BYTES + _UDP_BYTES + _VXLAN_BYTES
-    if md_type == 1:
-        return transport + _NSH_BASE_BYTES + _NSH_MD1_CONTEXT_BYTES
-    if md_type == 2:
-        return transport + _NSH_BASE_BYTES + 4 * chain_length
-    raise HeaderModelError(f"unknown NSH MD type {md_type}")
+    return (
+        _IPV4_BYTES + _UDP_BYTES + _VXLAN_BYTES
+        + _NSH_BASE_BYTES + _NSH_MD1_CONTEXT_BYTES
+    )
 
 
 def srv6_overhead_bytes(chain_length: int) -> int:

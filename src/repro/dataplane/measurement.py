@@ -19,6 +19,10 @@ from typing import Iterable
 from repro.core.errors import ReproError
 from repro.dataplane.forwarder import Forwarder
 
+#: The least demand factor: a chain momentarily idle is not re-routed to
+#: zero capacity.
+FACTOR_FLOOR = 0.1
+
 
 class MeasurementError(ReproError):
     """Raised on invalid measurement operations."""
@@ -106,16 +110,13 @@ class DemandEstimator:
         return self.estimates
 
     def demand_factors(
-        self,
-        installed: dict[str, tuple[int, float]],
-        floor: float = 0.1,
+        self, installed: dict[str, tuple[int, float]]
     ) -> dict[str, float]:
         """Demand factors for re-optimization.
 
         ``installed`` maps chain name -> (label, installed demand in
-        bytes/s).  The factor is measured-rate / installed-demand,
-        floored (a chain momentarily idle should not be re-routed to
-        zero capacity).
+        bytes/s).  The factor is measured-rate / installed-demand, at
+        least :data:`FACTOR_FLOOR`.
         """
         factors = {}
         for name, (label, installed_demand) in installed.items():
@@ -126,5 +127,5 @@ class DemandEstimator:
             estimate = self.estimates.get(label)
             if estimate is None:
                 continue
-            factors[name] = max(floor, estimate.total_rate / installed_demand)
+            factors[name] = max(FACTOR_FLOOR, estimate.total_rate / installed_demand)
         return factors

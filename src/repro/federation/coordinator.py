@@ -31,10 +31,8 @@ The coordinator owns *only* what cannot be decided inside one shard:
 Planning stays regional: :meth:`plan_all` runs each region's solver
 farm independently (embarrassingly parallel across regions; each farm
 is itself partitioned and cached) and merges the results into a
-:class:`FederatedPlan`.  The coordinator also duck-types the
-``GlobalSwitchboard`` solver strategy (``solve`` / ``resolve``), so
-``GlobalSwitchboard(model, solver=coordinator)`` transparently plans
-through the federation.
+:class:`FederatedPlan`; :meth:`resolve` re-plans only the regions a
+demand change touched.
 """
 
 from __future__ import annotations
@@ -59,6 +57,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
 
 _EPS = 1e-9
+#: Install attempts (border choices) before a cross-shard chain fails.
+MAX_ATTEMPTS = 3
+#: Slack on the border-capacity contract.
+_BORDER_TOL = 1e-6
 
 
 class CoordinatorCrash(Exception):
@@ -115,7 +117,6 @@ class GlobalCoordinator:
         n_regions: int = 4,
         partition_size: int | None = 16,
         max_workers: int = 1,
-        max_attempts: int = 3,
         metrics: "MetricsRegistry | None" = None,
         fault_policy=None,
         shard_map=None,
@@ -128,7 +129,6 @@ class GlobalCoordinator:
             raise FederationError(f"max_workers must be 1, got {max_workers!r}")
         self.model = model
         self.metrics = metrics
-        self.max_attempts = max_attempts
         self.fault_policy = fault_policy
         # A standby coordinator shares the primary's shard map and
         # regional switchboards (the regions are the ground truth; only
@@ -277,11 +277,9 @@ class GlobalCoordinator:
         model: NetworkModel,
         objective: LpObjective = LpObjective.MAX_THROUGHPUT,
     ) -> FederatedPlan:
-        """``GlobalSwitchboard`` solver-strategy entry point.
-
-        Syncs the federation against the (shared) full model -- new
+        """Sync the federation against the (shared) full model -- new
         chains are installed, gone chains torn down, demand changes
-        pushed into regional copies -- then plans every region."""
+        pushed into regional copies -- then plan every region."""
         self.sync_chains()
         return self.plan_all(objective)
 
@@ -289,9 +287,9 @@ class GlobalCoordinator:
         self,
         model: NetworkModel,
         changed_chains: Iterable[str],
-        objective: LpObjective = LpObjective.MAX_THROUGHPUT,
     ) -> FederatedPlan:
-        """Incremental federated re-plan after demand changes.
+        """Incremental federated (throughput) re-plan after demand
+        changes.
 
         Only regions hosting a changed chain (or a segment of one)
         re-solve -- and inside each, only the touched partitions, via
@@ -321,23 +319,21 @@ class GlobalCoordinator:
             changed = by_region.get(region)
             cached = self._last_plans.get(region)
             if changed:
-                per_region[region] = regional.reoptimize(
-                    sorted(changed), objective
-                )
+                per_region[region] = regional.reoptimize(sorted(changed))
             elif cached is not None and cached[0] == regional.generation:
                 per_region[region] = cached[1]
             else:
                 # Model mutated since the cached plan (install/remove):
                 # an empty incremental pass re-merges from the farm's
                 # own solution cache, solving only actual misses.
-                per_region[region] = regional.reoptimize([], objective)
+                per_region[region] = regional.reoptimize([])
         self._last_plans = {
             region: (self.regionals[region].generation, result)
             for region, result in per_region.items()
         }
         return self._merge(
             per_region,
-            objective,
+            LpObjective.MAX_THROUGHPUT,
             time.perf_counter() - start,
             resolved=tuple(sorted(by_region)),
         )
@@ -570,7 +566,7 @@ class GlobalCoordinator:
         a time in segment order; each attempt re-splits with the next
         border choice."""
         install = twopc.Install(
-            self.max_attempts, fan_out=False, attempts=self._attempts
+            MAX_ATTEMPTS, fan_out=False, attempts=self._attempts
         )
         while True:
             segments = self._split(chain, choice=install.attempt_no)
@@ -586,7 +582,7 @@ class GlobalCoordinator:
             if verdict == twopc.REJECTED:
                 raise FederationError(
                     f"install of {chain.name!r} exhausted "
-                    f"{self.max_attempts} attempts"
+                    f"{MAX_ATTEMPTS} attempts"
                 )
 
     def _two_phase_commit(
@@ -750,13 +746,13 @@ class GlobalCoordinator:
             resolved_regions=resolved,
         )
 
-    def border_violations(self, tol: float = 1e-6) -> list[str]:
+    def border_violations(self) -> list[str]:
         """Border-capacity contract: reservations within link headroom."""
         problems: list[str] = []
         for region in sorted(self.regionals):
             for name, ledger in sorted(self.regionals[region].ledgers.items()):
                 reserved = ledger.reserved()
-                if reserved > ledger.capacity + tol:
+                if reserved > ledger.capacity + _BORDER_TOL:
                     problems.append(
                         f"border {name!r} (region {region}) over-reserved: "
                         f"{reserved:.6g} > {ledger.capacity:.6g}"

@@ -290,14 +290,13 @@ def check_stitching(coordinator: "GlobalCoordinator") -> list[str]:
 def check_all(
     coordinator: "GlobalCoordinator",
     plan: "FederatedPlan | None" = None,
-    quiescent: bool = True,
 ) -> list[str]:
+    """Every invariant of a quiescent federation."""
     problems = check_capacity_safety(coordinator, plan)
     problems += check_atomicity(coordinator)
     problems += check_stitching(coordinator)
     problems += check_ledger_consistency(coordinator)
-    if quiescent:
-        problems += check_quiescence(coordinator)
+    problems += check_quiescence(coordinator)
     return problems
 
 

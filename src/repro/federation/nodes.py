@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.controller import twopc
 from repro.core.model import Chain, NetworkModel
 from repro.core.serialization import chain_from_dict, chain_to_dict
-from repro.federation.coordinator import CrossChainRecord, GlobalCoordinator
+from repro.federation.coordinator import MAX_ATTEMPTS, CrossChainRecord, GlobalCoordinator
 from repro.federation.ha import FederationStore, segment_doc, segment_from_doc
 from repro.federation.regional import RegionalSwitchboard, SegmentSpec
 from repro.resilience.deadline import DeadlineManager
@@ -51,7 +51,6 @@ from repro.resilience.rpc import BackoffPolicy, RpcLayer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.federation.shard import ShardMap
-    from repro.obs.registry import MetricsRegistry
 
 
 class _Install:
@@ -88,8 +87,6 @@ class CoordinatorNode(GlobalCoordinator):
         regionals: dict[int, RegionalSwitchboard] | None = None,
         n_regions: int = 4,
         partition_size: int | None = 16,
-        max_attempts: int = 3,
-        metrics: "MetricsRegistry | None" = None,
         retry_backoff: BackoffPolicy | None = None,
         install_deadline_s: float = 10.0,
     ):
@@ -97,8 +94,6 @@ class CoordinatorNode(GlobalCoordinator):
             model,
             n_regions=n_regions,
             partition_size=partition_size,
-            max_attempts=max_attempts,
-            metrics=metrics,
             shard_map=shard_map,
             regionals=regionals,
             retry_backoff=retry_backoff,
@@ -240,7 +235,7 @@ class CoordinatorNode(GlobalCoordinator):
         st = _Install(
             chain, origin, added,
             twopc.Install(
-                self.max_attempts, fan_out=False, attempts=self._attempts
+                MAX_ATTEMPTS, fan_out=False, attempts=self._attempts
             ),
         )
         self._installs[name] = st
@@ -544,7 +539,6 @@ class RegionalNode:
         shard_map: "ShardMap",
         coordinator_hosts: list[str],
         *,
-        backoff: BackoffPolicy | None = None,
         retry_until: float = float("inf"),
         seed: int = 0,
     ):
@@ -557,9 +551,7 @@ class RegionalNode:
         self.model = model
         self.shard_map = shard_map
         self.coordinator_hosts = list(coordinator_hosts)
-        self.backoff = backoff or BackoffPolicy(
-            seed=seed, name=f"fed-region-{region}"
-        )
+        self.backoff = BackoffPolicy(seed=seed, name=f"fed-region-{region}")
         #: Sim-clock horizon after which retry timers stop re-arming,
         #: so a drain run terminates.
         self.retry_until = retry_until

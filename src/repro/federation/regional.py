@@ -43,7 +43,6 @@ from repro.controller.twopc import STALE, Fence
 from repro.core.lp import LpObjective
 from repro.core.model import Chain, ModelError, NetworkModel
 from repro.federation.shard import BorderLink, FederationError
-from repro.scale.cache import SolutionCache
 from repro.scale.farm import FarmResult, SolverFarm
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -146,17 +145,12 @@ class RegionalSwitchboard:
         model: NetworkModel,
         owned_borders: list[BorderLink],
         partition_size: int | None = 16,
-        cache: SolutionCache | None = None,
         metrics: "MetricsRegistry | None" = None,
     ):
         self.region = region
         self.model = model
         self.metrics = metrics
-        self.farm = SolverFarm(
-            partition_size=partition_size,
-            cache=cache,
-            metrics=metrics,
-        )
+        self.farm = SolverFarm(partition_size=partition_size, metrics=metrics)
         self.ledgers: dict[str, BorderLedger] = {
             b.name: BorderLedger(b.name, b.capacity) for b in owned_borders
         }
@@ -403,16 +397,12 @@ class RegionalSwitchboard:
             ).observe(time.perf_counter() - start)
         return result
 
-    def reoptimize(
-        self,
-        changed: list[str],
-        objective: LpObjective = LpObjective.MAX_THROUGHPUT,
-    ) -> FarmResult:
+    def reoptimize(self, changed: list[str]) -> FarmResult:
         """Incremental re-plan after demand changes (farm ``resolve``)."""
         if not self.model.chains:
             return self._empty_plan()
         start = time.perf_counter()
-        result = self.farm.resolve(self.model, changed, objective)
+        result = self.farm.resolve(self.model, changed)
         if self.metrics is not None:
             self.metrics.histogram(
                 "federation.region_solve_s", region=self.region

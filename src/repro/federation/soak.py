@@ -18,7 +18,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.core.lp import LpObjective
 from repro.core.model import Chain, NetworkModel
 from repro.federation.coordinator import (
     CoordinatorCrash,
@@ -83,11 +82,9 @@ class FederatedOps:
         self,
         model: NetworkModel,
         coordinator: GlobalCoordinator,
-        objective: LpObjective = LpObjective.MAX_THROUGHPUT,
     ):
         self.model = model
         self.coordinator = coordinator
-        self.objective = objective
         self.crashes = 0
         self.swept = 0
         self.violations: list[dict] = []
@@ -131,9 +128,7 @@ class FederatedOps:
             model.add_chain(originals[name].scaled(factor))
         self._last_plan = None
         try:
-            self._last_plan = self.coordinator.resolve(
-                model, list(factors), self.objective
-            )
+            self._last_plan = self.coordinator.resolve(model, list(factors))
         except FederationError:
             for name, original in originals.items():
                 model.remove_chain(name)
@@ -149,7 +144,7 @@ class FederatedOps:
 
     def finish(self):
         """The final full plan, probed like any other op."""
-        self._last_plan = plan = self.coordinator.plan_all(self.objective)
+        self._last_plan = plan = self.coordinator.plan_all()
         self.probe("final_plan")
         return plan
 
@@ -175,7 +170,6 @@ def run_soak(
     pending: list[Chain],
     ops: int = 60,
     seed: int = 0,
-    objective: LpObjective = LpObjective.MAX_THROUGHPUT,
 ) -> dict:
     """Drive a seeded operation mix with invariant probes after each op.
 
@@ -186,7 +180,7 @@ def run_soak(
     """
     rng = random.Random(seed)
     pending = list(pending)
-    driver = FederatedOps(model, coordinator, objective)
+    driver = FederatedOps(model, coordinator)
     counts = {
         "submit": 0,
         "submit_rejected": 0,

@@ -25,8 +25,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.controller.protocol import BusDrivenInstaller
     from repro.dataplane.forwarder import DataPlane
     from repro.federation.coordinator import GlobalCoordinator
-    from repro.resilience.failover import FailoverManager
-    from repro.resilience.sweeper import ReconciliationSweeper
     from repro.simnet.network import SimNetwork
 
 
@@ -62,11 +60,9 @@ def collect_bus(registry: MetricsRegistry, bus: "GlobalMessageBus") -> None:
 def collect_resilience(
     registry: MetricsRegistry,
     installer: "BusDrivenInstaller",
-    failover: "FailoverManager | None" = None,
-    sweeper: "ReconciliationSweeper | None" = None,
 ) -> None:
-    """Control-plane reliability totals: RPC delivery effort, install
-    outcomes, and (when running) failover/sweeper activity."""
+    """Control-plane reliability totals: RPC delivery effort and
+    install outcomes."""
     rpc = installer.rpc
     registry.gauge("rpc.sent_total").set(rpc.sent)
     registry.gauge("rpc.acked_total").set(rpc.acked)
@@ -84,15 +80,6 @@ def collect_resilience(
     registry.gauge("resilience.inflight_installs").set(
         len(installer._pending)
     )
-    if failover is not None:
-        registry.gauge("failover.takeovers_total").set(failover.takeovers)
-    if sweeper is not None:
-        registry.gauge("sweeper.stale_reservations_total").set(
-            sweeper.stale_reservations_released
-        )
-        registry.gauge("sweeper.stalled_installs_total").set(
-            sweeper.stalled_installs_aborted
-        )
 
 
 def collect_federation(
@@ -181,7 +168,4 @@ def collect_dataplane(registry: MetricsRegistry, dataplane: "DataPlane") -> None
         registry.gauge("flowtable.hits_total", forwarder=name).set(table.hits)
         registry.gauge("flowtable.misses_total", forwarder=name).set(
             table.misses
-        )
-        registry.gauge("flowtable.evictions_total", forwarder=name).set(
-            table.evictions
         )

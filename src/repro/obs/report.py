@@ -34,14 +34,14 @@ def registry_to_dict(registry: MetricsRegistry) -> dict[str, Any]:
     return out
 
 
-def registry_to_json(registry: MetricsRegistry, indent: int = 2) -> str:
+def registry_to_json(registry: MetricsRegistry) -> str:
     def default(value: Any) -> Any:
         if value != value or value in (float("inf"), float("-inf")):
             return None
         return str(value)
 
     return json.dumps(
-        registry_to_dict(registry), indent=indent, default=default,
+        registry_to_dict(registry), indent=2, default=default,
         allow_nan=False,
     )
 

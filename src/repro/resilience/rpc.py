@@ -77,29 +77,16 @@ class BackoffPolicy:
     deterministic streams and never perturb the RPC layer's jitter.
     """
 
-    def __init__(
-        self,
-        base_s: float = 0.25,
-        backoff: float = 2.0,
-        jitter: float = 0.25,
-        seed: int = 0,
-        name: str = "backoff",
-    ):
-        if base_s <= 0:
-            raise RpcError(f"non-positive backoff base {base_s}")
-        if backoff < 1.0:
-            raise RpcError(f"backoff must be >= 1, got {backoff}")
-        if jitter < 0:
-            raise RpcError(f"negative jitter {jitter}")
-        self.base_s = base_s
-        self.backoff = backoff
-        self.jitter = jitter
+    #: First delay, growth per attempt and jitter share.
+    BASE_S, BACKOFF, JITTER = 0.25, 2.0, 0.25
+
+    def __init__(self, seed: int = 0, name: str = "backoff"):
         self._rng = random.Random(f"{name}-{seed}")
 
     def delay(self, attempt: int) -> float:
         """Delay before retry number ``attempt`` (0-based)."""
         return backoff_delay(
-            self.base_s, self.backoff, self.jitter, attempt, self._rng
+            self.BASE_S, self.BACKOFF, self.JITTER, attempt, self._rng
         )
 
 

@@ -5,7 +5,7 @@ but "almost" is not an invariant: an abort whose every retransmit was
 lost leaves a reservation with no owner, and a router capacity view can
 drift from what VNF controllers actually report after enough churn.
 The sweeper is the backstop that turns those residuals into bounded
-garbage: every ``interval_s`` of simulated time it
+garbage: every :data:`SWEEP_INTERVAL_S` of simulated time it
 
 - releases **stale reservations** -- any (chain, site) reservation at a
   VNF service whose chain is not pending in the installer (no
@@ -36,26 +36,22 @@ SWEEP_INTERVAL_S = 1.0
 class ReconciliationSweeper:
     """Sim-clock garbage collector for control-plane residuals."""
 
-    def __init__(
-        self,
-        installer: "BusDrivenInstaller",
-        interval_s: float = SWEEP_INTERVAL_S,
-    ):
+    def __init__(self, installer: "BusDrivenInstaller"):
         self.installer = installer
-        self.interval_s = interval_s
         self.sweeps = 0
         self.stale_reservations_released = 0
         self.stalled_installs_aborted = 0
 
     def start(self, until: float) -> None:
-        """Sweep every ``interval_s`` sim-seconds until the horizon."""
+        """Sweep every :data:`SWEEP_INTERVAL_S` sim-seconds until the
+        horizon."""
         self._tick(until)
 
     def _tick(self, until: float) -> None:
         self.sweep()
         sim = self.installer.sim
-        if sim.now + self.interval_s <= until:
-            sim.schedule(self.interval_s, self._tick, until)
+        if sim.now + SWEEP_INTERVAL_S <= until:
+            sim.schedule(SWEEP_INTERVAL_S, self._tick, until)
 
     def sweep(self) -> int:
         """One reconciliation pass; returns stale reservations released."""

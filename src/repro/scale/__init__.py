@@ -12,8 +12,8 @@ Entry points:
 - :func:`partition_chains` / :class:`PartitionPlan` -- split a model's
   chain set into independent solve requests;
 - :class:`SolverFarm` -- partition + solution cache + incremental
-  :meth:`~SolverFarm.resolve`; ``GlobalSwitchboard(solver=...)``
-  accepts it, and ``solver=None`` is the plain whole-network solve;
+  :meth:`~SolverFarm.resolve`, which every
+  :class:`~repro.federation.RegionalSwitchboard` plans through;
 - :class:`SolutionCache` -- digest-keyed LRU; its hit, miss and
   eviction counts are :class:`CacheStats`.
 """

@@ -18,10 +18,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.core.errors import ReproError
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scale.farm import SolveResult
+
+#: Partition results an LRU holds.
+MAX_ENTRIES = 256
 
 
 @dataclass
@@ -36,10 +37,7 @@ class CacheStats:
 class SolutionCache:
     """A bounded LRU of :class:`~repro.scale.farm.SolveResult` objects."""
 
-    def __init__(self, max_entries: int = 256):
-        if max_entries < 1:
-            raise ReproError("max_entries must be positive")
-        self.max_entries = max_entries
+    def __init__(self):
         self.stats = CacheStats()
         self._entries: "OrderedDict[str, SolveResult]" = OrderedDict()
 
@@ -59,6 +57,6 @@ class SolutionCache:
         if key in self._entries:
             self._entries.move_to_end(key)
         self._entries[key] = result
-        while len(self._entries) > self.max_entries:
+        while len(self._entries) > MAX_ENTRIES:
             self._entries.popitem(last=False)
             self.stats.evictions += 1

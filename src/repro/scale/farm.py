@@ -12,8 +12,8 @@
   plan hands out the key (:meth:`PartitionPlan.key`, carried while the
   partition's chains are the same objects), so a sub-model is built only
   for a partition that missed;
-- :meth:`SolverFarm.resolve` is the incremental entry point used by
-  :func:`repro.controller.reoptimize.reoptimize`: it reuses the stored
+- :meth:`SolverFarm.resolve` is the incremental entry point a regional
+  switchboard re-plans through: it reuses the stored
   partition plan, so only partitions containing changed-demand chains
   miss the cache and are re-solved, and merges fresh results with
   cached ones into a single :class:`~repro.core.routes.RoutingSolution`;
@@ -30,9 +30,11 @@
   facts, pre-route and seat, so a partition nothing joined or left keeps
   its chain list and re-solves warm under its new shares.
 
-The plain whole-network solve needs no wrapper: ``GlobalSwitchboard``
-with ``solver=None`` calls :func:`solve_chain_routing_lp` directly, and
-``SolverFarm(partition_size=None)`` is the exact farm.
+``SolverFarm(partition_size=None)`` is the exact farm; the plain
+whole-network solve is :func:`solve_chain_routing_lp` itself, which
+:meth:`GlobalSwitchboard.plan_routes
+<repro.controller.global_switchboard.GlobalSwitchboard.plan_routes>`
+calls.
 """
 
 from __future__ import annotations
@@ -131,22 +133,18 @@ class SolverFarm:
         small enough for a >2x wall-clock win.
     cache:
         A shared :class:`SolutionCache`; one is created when omitted.
-    enforce_mlu:
-        Passed through to :func:`solve_chain_routing_lp`.
     """
 
     def __init__(
         self,
         partition_size: int | None = 16,
         cache: SolutionCache | None = None,
-        enforce_mlu: bool = True,
         metrics: "MetricsRegistry | None" = None,
     ):
         check_partition_size(partition_size)
         self.partition_size = partition_size
         self.metrics = metrics
         self.cache = cache if cache is not None else SolutionCache()
-        self.enforce_mlu = enforce_mlu
         self.plan: PartitionPlan | None = None
         self._plan_key: tuple[str, int | None] | None = None
 
@@ -178,9 +176,9 @@ class SolverFarm:
         self,
         model: NetworkModel,
         changed_chains: Iterable[str],
-        objective: LpObjective = LpObjective.MAX_THROUGHPUT,
     ) -> FarmResult:
-        """Incremental re-solve after a demand change.
+        """Incremental throughput-maximizing re-solve after a demand
+        change.
 
         Reuses the stored partition plan (structure and capacity shares
         are demand-independent).  What makes an untouched partition free
@@ -199,9 +197,11 @@ class SolverFarm:
         nothing of it is carried).
         """
         if self.plan is None or not self.plan.compatible_with(model):
-            return self.solve(model, objective)
+            return self.solve(model)
         self.plan.partitions_for(changed_chains)
-        return self._run(model, objective, self.plan, mode="incremental")
+        return self._run(
+            model, LpObjective.MAX_THROUGHPUT, self.plan, mode="incremental"
+        )
 
     # -- machinery -------------------------------------------------------
 
@@ -217,7 +217,7 @@ class SolverFarm:
         results: dict[int, SolveResult] = {}
         misses: list[int] = []
         cache_hits = 0
-        options = f":{objective.value}:mlu={self.enforce_mlu}"
+        options = f":{objective.value}"
         for part in plan.partitions:
             key = keys[part.index] = plan.key(model, part.index) + options
             cached = self.cache.get(key)
@@ -257,10 +257,7 @@ class SolverFarm:
         index: int,
         objective: LpObjective,
     ) -> SolveResult:
-        lp = solve_chain_routing_lp(
-            plan.submodel(model, index), objective,
-            enforce_mlu=self.enforce_mlu,
-        )
+        lp = solve_chain_routing_lp(plan.submodel(model, index), objective)
         return SolveResult(
             partition_index=index,
             chains=plan.partitions[index].chains,
@@ -288,10 +285,7 @@ class SolverFarm:
             # must-route objective).  Solve monolithically instead.
             if self.metrics is not None:
                 self.metrics.counter("scale.fallbacks").inc()
-            lp = solve_chain_routing_lp(
-                model, objective, enforce_mlu=self.enforce_mlu,
-                metrics=self.metrics,
-            )
+            lp = solve_chain_routing_lp(model, objective, metrics=self.metrics)
             solution = lp.solution
             if solution is not None:
                 solution = RoutingSolution.assemble(

@@ -48,6 +48,8 @@ from repro.scenarios.schedule import (
 #: self-test violation the minimizer must be able to isolate).
 PLANT_THRESHOLD = 2.5
 _PLANT_FACTOR = 3.0
+#: Stack runs one delta-debugging minimization may spend.
+_MINIMIZE_TESTS = 80
 
 #: Stacks the fuzzer knows how to drive.
 STACKS = ("mono", "federation")
@@ -444,9 +446,7 @@ def run_case(case: FuzzCase, config: FuzzConfig) -> CaseResult:
     return result
 
 
-def minimize_case(
-    case: FuzzCase, stack: str, max_tests: int = 80
-) -> dict:
+def minimize_case(case: FuzzCase, stack: str) -> dict:
     """Delta-debug the case's composed schedule on the failing stack."""
     runner = _STACK_RUNNERS[stack]
     composed = case.composed
@@ -455,7 +455,7 @@ def minimize_case(
         candidate = composed.with_items(items)
         return not runner(case, candidate).passed
 
-    outcome = ddmin(composed.items(), violates, max_tests=max_tests)
+    outcome = ddmin(composed.items(), violates, max_tests=_MINIMIZE_TESTS)
     minimal = composed.with_items(outcome.items)
     # The minimized repro embeds the case params so it feeds straight
     # back through ``replay_case`` / ``python -m repro fuzz --replay``.

@@ -53,26 +53,26 @@ class Backbone:
         raise KeyError(name)
 
 
+#: Each city links to this many nearest neighbours.
+_NEIGHBOURS = 3
+#: Link bandwidths (abstract Gbps): a link whose endpoints both have at
+#: least ``_CORE_DEGREE`` links is core, any other an edge link.
+_CORE_DEGREE = 4
+_CORE_CAPACITY = 400.0
+_EDGE_CAPACITY = 100.0
+
+
 def build_backbone(
     cities: Sequence[City] = DEFAULT_CITIES,
-    neighbours: int = 3,
-    core_degree_threshold: int = 4,
-    core_capacity: float = 400.0,
-    edge_capacity: float = 100.0,
     long_haul_pairs: int = 4,
 ) -> Backbone:
     """Build the synthetic backbone.
 
     Parameters
     ----------
-    neighbours:
-        Each city links to this many nearest neighbours.
     long_haul_pairs:
         Number of extra links between the largest metros (NYC-LAX style
         express routes) to keep coast-to-coast paths short.
-    core_capacity / edge_capacity:
-        Link bandwidths (abstract Gbps); links whose endpoints both have
-        degree >= ``core_degree_threshold`` get core capacity.
 
     Latency and routing come from :func:`shortest_path_tables`.
     """
@@ -94,7 +94,7 @@ def build_backbone(
             (c for c in cities if c.name != city.name),
             key=partial(fibre_delay_ms, city),
         )
-        for other in others[:neighbours]:
+        for other in others[:_NEIGHBOURS]:
             add_edge(city.name, other.name)
 
     # Long-haul shortcuts between the biggest metros.
@@ -122,11 +122,8 @@ def build_backbone(
     # Directed links with heterogeneous capacities.
     links: list[Link] = []
     for a, b in edges(graph):
-        is_core = (
-            len(graph[a]) >= core_degree_threshold
-            and len(graph[b]) >= core_degree_threshold
-        )
-        capacity = core_capacity if is_core else edge_capacity
+        is_core = len(graph[a]) >= _CORE_DEGREE and len(graph[b]) >= _CORE_DEGREE
+        capacity = _CORE_CAPACITY if is_core else _EDGE_CAPACITY
         links.append(Link(f"{a}-{b}", a, b, capacity))
         links.append(Link(f"{b}-{a}", b, a, capacity))
 

@@ -89,23 +89,18 @@ def route_background(
     return loads
 
 
-def apply_background(
-    backbone: Backbone,
-    background: TrafficMatrix,
-    clip_fraction: float | None = 0.6,
-) -> list[Link]:
-    """Backbone links with ``g_e`` filled in from a background matrix.
+#: The most of a link's bandwidth its background may take -- a real
+#: operator's transit traffic is itself engineered to fit the network,
+#: whereas a raw gravity matrix is not.
+_CLIP_FRACTION = 0.6
 
-    ``clip_fraction`` caps each link's background at that fraction of its
-    bandwidth -- a real operator's transit traffic is itself engineered
-    to fit the network, whereas a raw gravity matrix is not.  Pass None
-    to disable clipping.
-    """
+
+def apply_background(backbone: Backbone, background: TrafficMatrix) -> list[Link]:
+    """Backbone links with ``g_e`` filled in from a background matrix,
+    each clipped to :data:`_CLIP_FRACTION` of its bandwidth."""
     loads = route_background(backbone, background)
     links = []
     for link in backbone.links:
-        g = loads.get(link.name, 0.0)
-        if clip_fraction is not None:
-            g = min(g, clip_fraction * link.bandwidth)
+        g = min(loads.get(link.name, 0.0), _CLIP_FRACTION * link.bandwidth)
         links.append(Link(link.name, link.src, link.dst, link.bandwidth, g))
     return links

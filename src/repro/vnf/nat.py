@@ -13,6 +13,9 @@ from __future__ import annotations
 from repro.dataplane.forwarder import DropPacket
 from repro.dataplane.labels import FiveTuple, Packet
 
+#: The first public port a NAT allocates.
+PORT_BASE = 40000
+
 
 class NatFunction:
     """Source NAT with per-instance mapping state.
@@ -22,9 +25,9 @@ class NatFunction:
     makes symmetric return a correctness requirement.
     """
 
-    def __init__(self, public_ip: str, port_base: int = 40000):
+    def __init__(self, public_ip: str):
         self.public_ip = public_ip
-        self._next_port = port_base
+        self._next_port = PORT_BASE
         #: (private ip, private port, protocol) -> public port
         self._forward: dict[tuple[str, int, str], int] = {}
         #: public port -> (private ip, private port, protocol)

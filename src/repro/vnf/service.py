@@ -51,7 +51,6 @@ class VnfService:
         name: str,
         load_per_unit: float,
         site_capacity: dict[str, float],
-        instances_per_site: int = 1,
         supports_labels: bool = True,
         instance_factory: Callable[[str, str], Callable[[Packet], None] | None]
         | None = None,
@@ -70,8 +69,7 @@ class VnfService:
         self.instances: dict[str, list[VnfInstance]] = {}
         self._instance_counter = 0
         for site in site_capacity:
-            for _ in range(instances_per_site):
-                self._spawn_instance(site)
+            self._spawn_instance(site)
 
     # -- instances -------------------------------------------------------
 

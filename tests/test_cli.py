@@ -425,6 +425,8 @@ class TestBoundaryWalk:
         (["federation", "--chaos-soak", "--chains", "0"], "num_chains must be positive"),
         (["federation", "--chaos-soak", "--pops", "1", "--regions", "1", "--chains", "2"],
          "backbone needs at least two cities"),
+        (WALK_BASES["bus"] + ["--rate", "inf"], "must be positive and finite"),
+        (["metrics", "--publishes", "20", "--rate", "inf"], "must be positive and finite"),
     ])
     def test_the_owner_refuses_with_its_message(self, argv, message, capsys):
         assert exit_code(argv) == 2

@@ -186,7 +186,7 @@ class TestHighsBoundary:
         assert len(solver.rows) == len(program.b_ub)  # all but Equation 5's
         assert np.isinf(lp.col_upper_).all() and not np.any(lp.col_lower_)
         cost = lp_mod._cost_vector(
-            program, model.chain_columns(), LpObjective.MAX_THROUGHPUT, 1e-6
+            program, model.chain_columns(), LpObjective.MAX_THROUGHPUT
         )
         assert list(lp.col_cost_) == pytest.approx(
             [cost[route[route >= 0]].sum() for route in solver.routes]

@@ -358,7 +358,7 @@ class TestEdgeSiteAddition:
 class TestLocalSwitchboard:
     def test_forwarder_scaling(self):
         dp = DataPlane(random.Random(0))
-        local = LocalSwitchboard("A", dp, num_forwarders=1)
+        local = LocalSwitchboard("A", dp)
         local.scale_forwarders(2)
         assert len(local.forwarders) == 3
         assert len(dp.forwarders) == 3
@@ -367,7 +367,8 @@ class TestLocalSwitchboard:
         from repro.dataplane.forwarder import VnfInstance
 
         dp = DataPlane(random.Random(0))
-        local = LocalSwitchboard("A", dp, num_forwarders=2)
+        local = LocalSwitchboard("A", dp)
+        local.scale_forwarders(1)
         instance = VnfInstance("v1", "V", "A")
         first = local.assign_instance(instance)
         second = local.assign_instance(instance)
@@ -377,7 +378,8 @@ class TestLocalSwitchboard:
         from repro.dataplane.forwarder import VnfInstance
 
         dp = DataPlane(random.Random(0))
-        local = LocalSwitchboard("A", dp, num_forwarders=2)
+        local = LocalSwitchboard("A", dp)
+        local.scale_forwarders(1)
         for i in range(4):
             local.assign_instance(VnfInstance(f"v{i}", "V", "A"))
         sizes = sorted(len(f.attached) for f in local.forwarders)
@@ -387,13 +389,13 @@ class TestLocalSwitchboard:
         from repro.dataplane.forwarder import VnfInstance
 
         dp = DataPlane(random.Random(0))
-        local = LocalSwitchboard("A", dp, num_forwarders=1)
-        i1 = VnfInstance("v1", "V", "A", weight=1.5)
-        i2 = VnfInstance("v2", "V", "A", weight=2.5)
+        local = LocalSwitchboard("A", dp)
+        i1 = VnfInstance("v1", "V", "A")
+        i2 = VnfInstance("v2", "V", "A")
         local.assign_instance(i1)
         local.assign_instance(i2)
         weights = local.forwarders_for_instances([i1, i2])
-        assert weights == {local.forwarders[0].name: pytest.approx(4.0)}
+        assert weights == {local.forwarders[0].name: pytest.approx(2.0)}
 
 
 class TestTiming:

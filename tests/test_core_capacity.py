@@ -14,6 +14,7 @@ from repro.core.capacity import (
     uniform_cloud_plan,
 )
 from repro.core.model import Chain, CloudSite, NetworkModel, VNF
+from tests.reference.capacity_scalar import plan_vnf_placement_reference
 
 
 def planning_model(site_caps=(10.0, 10.0, 10.0)):
@@ -131,6 +132,19 @@ class TestVnfPlacement:
         monkeypatch.setattr(capacity_mod, "_placement_program", unbuilt)
         with pytest.raises(CapacityPlanningError, match="time limit"):
             plan_vnf_placement(planning_model(), {"fw": 1}, 10.0, time_limit=limit)
+
+    @pytest.mark.parametrize("capacity", [0, -1.0, float("nan"), float("inf")])
+    def test_new_site_capacity_not_positive_finite_rejected(self, capacity, monkeypatch):
+        """An infinite capacity made an infinite linking coefficient and
+        an "infeasible" plan; the program is never built."""
+        def unbuilt(*_args):
+            raise AssertionError("the program was built")
+
+        monkeypatch.setattr(capacity_mod, "_placement_program", unbuilt)
+        with pytest.raises(CapacityPlanningError, match="new-site capacity"):
+            plan_vnf_placement(planning_model(), {"fw": 1}, capacity)
+        with pytest.raises(CapacityPlanningError, match="new-site capacity"):
+            plan_vnf_placement_reference(planning_model(), {"fw": 1}, capacity)
 
     def test_no_time_limit(self):
         plan = plan_vnf_placement(planning_model(), {"fw": 1}, 10.0, time_limit=None)

@@ -129,13 +129,6 @@ class TestMluConstraint:
         result = solve_chain_routing_lp(model, LpObjective.MIN_LATENCY)
         assert result.status == "infeasible"
 
-    def test_disabling_mlu_ignores_links(self):
-        model = self.make_linked_model(bandwidth=8.0)
-        result = solve_chain_routing_lp(
-            model, LpObjective.MAX_THROUGHPUT, enforce_mlu=False
-        )
-        assert result.solution.throughput() == pytest.approx(10.0, rel=1e-3)
-
     def test_background_traffic_consumes_headroom(self):
         model = self.make_linked_model(bandwidth=8.0)
         links = [

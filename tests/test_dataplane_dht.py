@@ -58,7 +58,7 @@ class TestConsistentHashRing:
         assert moved == 0  # consistent hashing: unaffected keys stay put
 
     def test_distribution_roughly_even(self):
-        ring = ConsistentHashRing(virtual_nodes=128)
+        ring = ConsistentHashRing()
         for node in ("f1", "f2", "f3", "f4"):
             ring.add(node)
         counts = {n: 0 for n in ("f1", "f2", "f3", "f4")}

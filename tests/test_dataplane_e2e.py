@@ -6,6 +6,7 @@ from repro.dataplane.e2e import (
     E2EError,
     E2ERoute,
     E2ETestbed,
+    MAX_QUEUE_MS,
     VnfInstanceSpec,
 )
 from tests.reference.e2e_scalar import evaluate_reference
@@ -113,11 +114,11 @@ class TestLatency:
         )
 
     def test_queueing_delay_capped(self):
-        bed = E2ETestbed(rtt_ms={("A", "B"): 80.0}, max_queue_ms=25.0)
+        bed = E2ETestbed(rtt_ms={("A", "B"): 80.0})
         bed.add_instance(VnfInstanceSpec("fwA", "A", 100.0))
         bed.add_route(E2ERoute("r1", ["A", "A", "B"], ["fwA"], 5000.0))
         rtt = bed.evaluate().routes["r1"].rtt_ms
-        assert rtt <= 80.0 + 2 * 25.0 + 1e-9
+        assert rtt <= 80.0 + 2 * MAX_QUEUE_MS + 1e-9
 
 
 class TestTcpModel:

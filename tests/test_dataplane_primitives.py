@@ -89,17 +89,6 @@ class TestFlowTable:
         e2 = table.insert(Labels(2, "C"), FLOW)
         assert e1 is not e2
 
-    def test_eviction_at_capacity(self):
-        table = FlowTable(max_entries=2)
-        flows = [
-            FiveTuple("10.0.0.1", "20.0.0.1", "tcp", p, 80) for p in range(3)
-        ]
-        for flow in flows:
-            table.insert(LBL, flow)
-        assert len(table) == 2
-        assert table.evictions == 1
-        assert table.lookup(LBL, flows[0]) is None  # oldest evicted
-
     def test_alias_shares_entry_object(self):
         table = FlowTable()
         entry = table.insert(LBL, FLOW)

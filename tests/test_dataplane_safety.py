@@ -348,16 +348,3 @@ class TestForwarderManagement:
         with pytest.raises(ForwardingError):
             dp.add_forwarder(Forwarder("f.in", "A"))
 
-    def test_flow_table_limit_evicts(self):
-        dp = DataPlane(random.Random(2))
-        f = dp.add_forwarder(Forwarder("f1", "A", max_flow_entries=10))
-        sink = Sink("out")
-        dp.add_endpoint(sink)
-        f.install_rule(
-            1, "E",
-            LoadBalancingRule(next_forwarders=WeightedChoice({"out": 1.0})),
-        )
-        for i in range(50):
-            dp.send_forward(Packet(flow(i), labels=Labels(1, "E")), "f1", "e")
-        assert len(f.flow_table) == 10
-        assert f.flow_table.evictions == 40

@@ -107,14 +107,9 @@ def mutate(kind, rng, model, stage, src, dst, value):
 
 class TestCertificateAgainstReference:
     @settings(max_examples=120, deadline=None)
-    @given(
-        small_models(), st.booleans(), st.sampled_from(MUTATIONS),
-        st.integers(0, 10**6),
-    )
-    def test_clears_implies_no_violations(self, model, enforce_mlu, kind, seed):
-        result = solve_chain_routing_lp(
-            model, LpObjective.MAX_THROUGHPUT, enforce_mlu=enforce_mlu
-        )
+    @given(small_models(), st.sampled_from(MUTATIONS), st.integers(0, 10**6))
+    def test_clears_implies_no_violations(self, model, kind, seed):
+        result = solve_chain_routing_lp(model, LpObjective.MAX_THROUGHPUT)
         assert result.ok
         sub, ch = model.substrate_columns(), model.chain_columns()
         arrays = mutate(
@@ -260,13 +255,10 @@ def tampering(monkeypatch, rng, how):
 
 
 class TestMergedReport:
-    @pytest.mark.parametrize("enforce_mlu", [True, False])
-    def test_rounds_report_what_the_reference_reports(self, enforce_mlu):
+    def test_rounds_report_what_the_reference_reports(self):
         """Cold, demand-only, churn and re-shared rounds, clean."""
         rng = random.Random(11)
         coordinator = federation()
-        for regional in coordinator.regionals.values():
-            regional.farm.enforce_mlu = enforce_mlu
         spare = [
             Chain(f"late{i}", c.ingress, c.egress, c.vnfs, 3.0, 0.5)
             for i, c in enumerate(list(coordinator.model.chains.values())[:4])
@@ -282,8 +274,7 @@ class TestMergedReport:
             )
             assert plan.ok
             assert plan.violations == reference_report(coordinator, plan)
-            if enforce_mlu:
-                assert plan.violations == []
+            assert plan.violations == []
 
     @settings(max_examples=12, deadline=None)
     @given(st.integers(0, 10**6), st.sampled_from(["up", "down", "drop"]))
@@ -360,12 +351,12 @@ class TestMergedReport:
 
 class TestPlainFarm:
     @settings(max_examples=40, deadline=None)
-    @given(small_models(), st.sampled_from([None, 1, 2]), st.booleans())
-    def test_exact_and_split_partitions_add_up(self, model, size, enforce_mlu):
+    @given(small_models(), st.sampled_from([None, 1, 2]))
+    def test_exact_and_split_partitions_add_up(self, model, size):
         """A farm result's certificate is its partitions' (whole coupling
         groups under ``None``, split ones under 1 and 2) and clears only
         what the reference passes."""
-        farm = SolverFarm(partition_size=size, enforce_mlu=enforce_mlu)
+        farm = SolverFarm(partition_size=size)
         result = farm.solve(model)
         assert result.ok
         sub = model.substrate_columns()
@@ -381,7 +372,7 @@ class TestPlainFarm:
         again = farm.resolve(model, [])
         assert again.cache_hits == len(again.results)
         assert again.certificate.clears(sub) == result.certificate.clears(sub)
-        if enforce_mlu and not reference:
+        if not reference:
             assert result.certificate.clears(sub)
 
 

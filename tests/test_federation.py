@@ -22,6 +22,7 @@ from repro.federation import (
     run_soak,
     trivial_segment,
 )
+from repro.federation.coordinator import MAX_ATTEMPTS
 from repro.federation.regional import BorderLedger
 from repro.scale import PartitionError, shard_map
 from repro.topology.pops import PopGridConfig, generate_federation_workload
@@ -251,7 +252,7 @@ class TestCrossInstall:
             coordinator.submit(cross_chain(demand=10.0))
         # The rejection was not vacuous: when region 2 said no, regions
         # 0 and 1 really held prepared segments (every attempt).
-        assert len(policy.observed_prepared) == coordinator.max_attempts
+        assert len(policy.observed_prepared) == MAX_ATTEMPTS
         for snapshot in policy.observed_prepared:
             assert snapshot[0] == ("x3@s0",)
             assert snapshot[1] == ("x3@s1",)
@@ -448,9 +449,7 @@ class TestSoak:
             FaultPolicy(**{field: value})
 
     def test_mini_soak_is_green(self):
-        model, coordinator = tri_coordinator(
-            metrics=None, max_attempts=3
-        )
+        model, coordinator = tri_coordinator(metrics=None)
         base = [
             intra_chain("ia", 4.0),
             Chain("ib", "b0", "b1", ["fb"], 4.0),

@@ -31,15 +31,13 @@ class TestHeaderOverheads:
         for n in range(1, 12):
             assert switchboard_overhead_bytes(n) < srv6_overhead_bytes(n)
 
-    def test_nsh_md1_constant_md2_grows(self):
-        assert nsh_overhead_bytes(3, md_type=1) == nsh_overhead_bytes(9, 1)
-        assert nsh_overhead_bytes(9, md_type=2) > nsh_overhead_bytes(3, 2)
-
     def test_known_wire_sizes(self):
         # VXLAN (20+8+8) + 2 MPLS labels (8) = 44 bytes.
         assert switchboard_overhead_bytes(5) == 44
         # IPv6 (40) + SRH (8) + 5 segments (80) = 128 bytes.
         assert srv6_overhead_bytes(5) == 128
+        # NSH MD type 1: a fixed context, whatever the chain length.
+        assert nsh_overhead_bytes(3) == nsh_overhead_bytes(9)
 
     def test_efficiency_ordering_small_packets(self):
         comparison = compare_overheads(5)
@@ -49,8 +47,6 @@ class TestHeaderOverheads:
     def test_invalid_inputs(self):
         with pytest.raises(HeaderModelError):
             switchboard_overhead_bytes(-1)
-        with pytest.raises(HeaderModelError):
-            nsh_overhead_bytes(3, md_type=7)
         with pytest.raises(HeaderModelError):
             compare_overheads(3).efficiency(0)
 

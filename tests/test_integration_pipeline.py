@@ -37,9 +37,9 @@ def build_deployment(fw_caps, nat_caps=None, forwarders_per_site=1):
     dp = DataPlane(random.Random(77))
     gs = GlobalSwitchboard(model, dp)
     for site in ("A", "B", "C"):
-        gs.register_local_switchboard(
-            LocalSwitchboard(site, dp, num_forwarders=forwarders_per_site)
-        )
+        local = LocalSwitchboard(site, dp)
+        local.scale_forwarders(forwarders_per_site - 1)
+        gs.register_local_switchboard(local)
     gs.register_vnf_service(VnfService("fw", 1.0, dict(fw_caps)))
     if nat_caps:
         gs.register_vnf_service(VnfService("nat", 0.5, dict(nat_caps)))

@@ -7,6 +7,7 @@ import pytest
 from repro.dataplane.forwarder import DataPlane, Forwarder
 from repro.dataplane.labels import FiveTuple, Labels, Packet
 from repro.dataplane.measurement import (
+    FACTOR_FLOOR,
     DemandEstimator,
     MeasurementError,
     chain_byte_counts,
@@ -126,8 +127,8 @@ class TestDemandEstimator:
         estimator.estimates[1] = __import__(
             "repro.dataplane.measurement", fromlist=["DemandEstimate"]
         ).DemandEstimate(forward_rate=0.0)
-        factors = estimator.demand_factors({"corp": (1, 100.0)}, floor=0.2)
-        assert factors["corp"] == 0.2
+        factors = estimator.demand_factors({"corp": (1, 100.0)})
+        assert factors["corp"] == FACTOR_FLOOR
 
     def test_unknown_label_skipped(self):
         estimator = DemandEstimator()

@@ -98,7 +98,7 @@ def route_variables(model, flow) -> dict:
 def test_cheapest_route_is_the_minimum_over_all_routes(model, seed):
     """And the second route the minimum over those through another last site."""
     rng = np.random.default_rng(seed)
-    program = lp_mod._RoutingProgram(model, MAX_THROUGHPUT, True)
+    program = lp_mod._RoutingProgram(model, MAX_THROUGHPUT)
     flow = program.flow
     matrix = refreshed_matrix(program, model)
     duals = rng.normal(size=matrix.shape[0])

@@ -6,7 +6,7 @@ partition is the same object.  Contracts:
 
 - the key is always ``submodel(model, index).digest()`` -- after a
   substrate edit (``fail_link`` / ``restore_link`` / ``fail_site`` /
-  ``restore_site``), a switch of objective or ``enforce_mlu``, a chain
+  ``restore_site``), a switch of objective, a chain
   replaced by an equal but not identical object, a re-scale and back
   (still served from the cache), a second model object, and a re-plan in
   which a seat gained or lost a chain -- and a farm built from nothing
@@ -53,7 +53,7 @@ def run(farm, model, objective=LpObjective.MAX_THROUGHPUT, call="resolve"):
     """One farm run: ``(result, the keys it looked up)``."""
     farm.cache.asked.clear()
     if call == "resolve":
-        result = farm.resolve(model, [], objective)
+        result = farm.resolve(model, [])
     else:
         result = farm.solve(model, objective)
     return result, list(farm.cache.asked)
@@ -64,7 +64,7 @@ def from_scratch_keys(farm, model, objective=LpObjective.MAX_THROUGHPUT):
     sub-model, built and digested whole."""
     return [
         f"{farm.plan.submodel(model, part.index).digest()}"
-        f":{objective.value}:mlu={farm.enforce_mlu}"
+        f":{objective.value}"
         for part in farm.plan.partitions
     ]
 
@@ -135,19 +135,12 @@ class TestCarryInvalidation:
     def test_a_switch_of_objective_or_mlu_asks_for_other_keys(self):
         farm, model, _rng = self.farm_on_ring()
         _result, before = run(farm, model)
-        result, asked = run(farm, model, LpObjective.MIN_LATENCY)
+        result, asked = run(farm, model, LpObjective.MIN_LATENCY, call="solve")
         assert asked == from_scratch_keys(farm, model, LpObjective.MIN_LATENCY)
+        assert all(key.endswith(":min_latency") for key in asked)
         assert not set(asked) & set(before) and result.cache_hits == 0
-        farm.enforce_mlu = False
-        result, asked = run(farm, model)
-        assert asked == from_scratch_keys(farm, model)
-        assert all(key.endswith(":max_throughput:mlu=False") for key in asked)
-        assert not set(asked) & set(before) and result.cache_hits == 0
-        fresh = SolverFarm(
-            partition_size=3, cache=RecordingCache(),
-            enforce_mlu=False,
-        )
-        _result, scratch = run(fresh, model, call="solve")
+        fresh = SolverFarm(partition_size=3, cache=RecordingCache())
+        _result, scratch = run(fresh, model, LpObjective.MIN_LATENCY, call="solve")
         assert scratch == asked
 
     def test_a_second_model_object_is_keyed_for_itself(self):

@@ -29,7 +29,7 @@ KINDS = [*LpObjective, "cloud"]
 def build(model, kind, prior=None):
     if kind == "cloud":
         return capacity_mod._CloudProgram(model, prior)
-    return lp_mod._RoutingProgram(model, kind, True, prior)
+    return lp_mod._RoutingProgram(model, kind, prior)
 
 
 def _bytes(array) -> tuple:
@@ -57,8 +57,8 @@ def assert_same(spliced, fresh, model, kind) -> None:
         demands = (ch.stage_total, ch.stage_fwd, ch.stage_rev)
         assert _bytes(spliced.refresh(*demands)) == _bytes(fresh.refresh(*demands))
         assert _bytes(spliced.bounds(sub)) == _bytes(fresh.bounds(sub))
-        assert _bytes(lp_mod._cost_vector(spliced, ch, kind, 1e-6)) == _bytes(
-            lp_mod._cost_vector(fresh, ch, kind, 1e-6)
+        assert _bytes(lp_mod._cost_vector(spliced, ch, kind)) == _bytes(
+            lp_mod._cost_vector(fresh, ch, kind)
         )
     mine, theirs = spliced.cg_solver, fresh.cg_solver
     for a, b in zip((mine.rows, mine._entries, *mine._pattern),

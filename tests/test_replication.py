@@ -42,8 +42,6 @@ class TestQuorumBasics:
             ReplicatedStore([])
         with pytest.raises(ReplicationError):
             ReplicatedStore(["a", "a"])
-        with pytest.raises(ReplicationError):
-            ReplicatedStore(["a", "b"], quorum=3)
 
 
 class TestFaultTolerance:

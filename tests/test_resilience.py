@@ -320,7 +320,7 @@ class TestSweeper:
         installer.sim.schedule(
             0.05, installer.deadlines.disarm, "corp"
         )
-        sweeper = ReconciliationSweeper(installer, interval_s=1.0)
+        sweeper = ReconciliationSweeper(installer)
         sweeper.start(until=10.0)
         installer.network.run()
         assert timeline.failed == "swept: install stalled"

@@ -55,7 +55,7 @@ def test_default_city_prefixes_bit_identical(k):
 def test_random_city_subsets_bit_identical(seed):
     rng = random.Random(seed)
     cities = rng.sample(DEFAULT_CITIES, rng.randint(3, len(DEFAULT_CITIES)))
-    assert_matches_oracle(build_backbone(cities, neighbours=rng.randint(2, 4)))
+    assert_matches_oracle(build_backbone(cities))
 
 
 @pytest.mark.parametrize("pops, metros", [(24, 3), (36, 4), (48, 4), (60, 5)])

@@ -117,23 +117,25 @@ class TestBackbone:
 
 
 #: Two clusters 20 degrees of longitude apart, mirror images across the
-#: equator: each city's two nearest neighbours are in its own cluster, and
-#: the closest cross pairs W1-E1 and W2-E2 tie exactly.
+#: equator: each city's three nearest neighbours are in its own cluster,
+#: and the closest cross pairs W1-E1 and W2-E2 tie exactly.
 TWO_CLUSTERS = (
-    City("W1", 1.0, -10.0, 1.0), City("W2", -1.0, -10.0, 1.0), City("W3", 0.0, -11.0, 1.0),
-    City("E1", 1.0, 10.0, 1.0), City("E2", -1.0, 10.0, 1.0), City("E3", 0.0, 11.0, 1.0),
+    City("W1", 1.0, -10.0, 1.0), City("W2", -1.0, -10.0, 1.0),
+    City("W3", 0.0, -11.0, 1.0), City("W4", 0.0, -12.0, 1.0),
+    City("E1", 1.0, 10.0, 1.0), City("E2", -1.0, 10.0, 1.0),
+    City("E3", 0.0, 11.0, 1.0), City("E4", 0.0, 12.0, 1.0),
 )
 
 LINKS_PROBE = """
 from repro.topology.backbone import build_backbone
 from tests.test_topology import TWO_CLUSTERS
-print([link.name for link in build_backbone(TWO_CLUSTERS, neighbours=2, long_haul_pairs=0).links])
+print([link.name for link in build_backbone(TWO_CLUSTERS, long_haul_pairs=0).links])
 """
 
 
 class TestStrayComponentJoin:
     def test_the_join_connects_the_clusters_through_one_closest_pair(self):
-        backbone = build_backbone(TWO_CLUSTERS, neighbours=2, long_haul_pairs=0)
+        backbone = build_backbone(TWO_CLUSTERS, long_haul_pairs=0)
         assert nx.is_connected(to_networkx(backbone.graph))
         crossing = [
             link.name for link in backbone.links if link.src[0] != link.dst[0]

@@ -93,12 +93,12 @@ class TestLpMatrixEquivalence:
     def test_matrices_match(self, objective):
         model = make_model()
         ch = model.chain_columns()
-        structure = lp_mod._structure_for(model, objective, True, None)
+        structure = lp_mod._structure_for(model, objective, None)
         a_ub, a_eq = matrices(
             structure,
             structure.refresh(ch.stage_total, ch.stage_fwd, ch.stage_rev)
         )
-        cost = lp_mod._cost_vector(structure, ch, objective, 1e-6)
+        cost = lp_mod._cost_vector(structure, ch, objective)
 
         program = scalar_program(model, objective, True, 1e-6)
         assert structure.n_total == program.n_total
@@ -213,10 +213,10 @@ class TestGeneratedModelEquivalence:
     """Columnar blocks == scalar row generator, on generated models."""
 
     @settings(max_examples=40, deadline=None)
-    @given(small_models(), st.sampled_from(list(LpObjective)), st.booleans())
-    def test_routing_program(self, model, objective, enforce_mlu):
+    @given(small_models(), st.sampled_from(list(LpObjective)))
+    def test_routing_program(self, model, objective):
         ch = model.chain_columns()
-        structure = lp_mod._RoutingProgram(model, objective, enforce_mlu)
+        structure = lp_mod._RoutingProgram(model, objective)
         a_ub, a_eq = matrices(
             structure,
             structure.refresh(ch.stage_total, ch.stage_fwd, ch.stage_rev)
@@ -224,8 +224,8 @@ class TestGeneratedModelEquivalence:
         assert_same_program(
             a_ub, structure.bounds(model.substrate_columns()), a_eq,
             structure.b_eq,
-            lp_mod._cost_vector(structure, ch, objective, 1e-6),
-            scalar_program(model, objective, enforce_mlu, 1e-6),
+            lp_mod._cost_vector(structure, ch, objective),
+            scalar_program(model, objective, True, 1e-6),
         )
 
     @settings(max_examples=40, deadline=None)

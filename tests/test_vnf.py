@@ -14,7 +14,7 @@ from repro.vnf.cache import (
     run_cache_experiment,
 )
 from repro.vnf.firewall import FirewallRule, StatefulFirewall
-from repro.vnf.nat import NatFunction
+from repro.vnf.nat import PORT_BASE, NatFunction
 from repro.vnf.service import AllocationError, VnfService
 
 FLOW = FiveTuple("10.0.0.5", "20.0.0.9", "tcp", 1234, 80)
@@ -25,7 +25,10 @@ class TestVnfService:
         return VnfService("fw", 1.0, {"A": 10.0, "B": 20.0}, **kwargs)
 
     def test_spawns_instances_per_site(self):
-        service = self.make_service(instances_per_site=2)
+        service = self.make_service()
+        assert len(service.instances_at("A")) == 1
+        service.scale_out("A")
+        service.scale_out("B")
         assert len(service.instances_at("A")) == 2
         assert len(service.instances_at("B")) == 2
 
@@ -101,14 +104,14 @@ class TestVnfService:
 
 class TestNat:
     def test_forward_translation_allocates_stable_port(self):
-        nat = NatFunction("9.9.9.9", port_base=50000)
+        nat = NatFunction("9.9.9.9")
         p1 = Packet(FLOW)
         nat(p1)
         assert p1.flow.src_ip == "9.9.9.9"
-        assert p1.flow.src_port == 50000
+        assert p1.flow.src_port == PORT_BASE
         p2 = Packet(FLOW)
         nat(p2)
-        assert p2.flow.src_port == 50000  # same binding
+        assert p2.flow.src_port == PORT_BASE  # same binding
 
     def test_distinct_flows_get_distinct_ports(self):
         nat = NatFunction("9.9.9.9")

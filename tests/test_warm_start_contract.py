@@ -186,10 +186,10 @@ def shares_round_trip(seed, objective):
         zeroed = [k for k in model.links.values() if k.bandwidth == 0.0]
         assert len(zeroed) == 1
         before = rebuilds()
-        cached = lp_mod._structure_for(model, objective, True, None)
+        cached = lp_mod._structure_for(model, objective, None)
         assert rebuilds() - before == (objective is LpObjective.MIN_MLU)
         sub = model.substrate_columns()
-        fresh = lp_mod._RoutingProgram(model, objective, True)
+        fresh = lp_mod._RoutingProgram(model, objective)
         assert np.array_equal(cached.bounds(sub), fresh.bounds(sub))
         reference = scalar_program(model, objective, True, 1e-6)
         assert np.max(np.abs(cached.bounds(sub) - reference.b_ub)) <= 1e-9
