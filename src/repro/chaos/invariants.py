@@ -363,18 +363,16 @@ class LeaseMonitor:
 
     Renewals by the owner extend its latest grant; a release truncates
     it.  Quorum loss turns acquisition attempts into clean failures
-    (recorded as such) instead of exceptions inside scenario events.
+    (``False``) instead of exceptions inside scenario events.
     """
 
     store: ReplicatedStore
     grants: list[LeaseGrant] = field(default_factory=list)
-    failed_acquires: int = 0
 
     def acquire(self, owner: str, now: float, duration: float) -> bool:
         try:
             ok = self.store.acquire_lease(owner, now, duration)
         except ReplicationError:
-            self.failed_acquires += 1
             return False
         if ok:
             latest = self.grants[-1] if self.grants else None

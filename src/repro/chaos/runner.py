@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, fields
-from typing import Callable, ClassVar, Iterable
+from typing import Any, Callable, ClassVar, Iterable
 
 from repro.bus.bus import GlobalMessageBus, make_bus, proxy_name
 from repro.bus.topics import Topic
@@ -675,9 +675,8 @@ def _mean_carried(gs: GlobalSwitchboard) -> float:
 def run_soak(
     config: SoakConfig | None = None,
     scenario: Scenario | None = None,
-    extra_probes: Probes | None = None,
     workload=None,
-    workload_probes=None,
+    planted_probes: Callable[[Any], Probes] | None = None,
 ) -> SoakReport:
     """Run one seeded chaos soak end to end.
 
@@ -685,20 +684,14 @@ def run_soak(
     one parsed from a previously saved report); otherwise the schedule
     is generated from ``config.seed``.
 
-    ``extra_probes`` registers additional invariant probes (name ->
-    zero-argument callable returning problem strings) on the same
-    checker cadence -- e.g. the
-    :func:`repro.federation.invariants.federation_probes` registry when
-    a federated coordinator is deployed alongside, so subsystem soaks
-    do not grow private probe loops.
-
     ``workload`` plays a :class:`repro.scenarios.WorkloadSchedule` of
     chain creates/removes/demand changes against the deployment on the
     same simulated clock, composing with the fault schedule -- this is
-    the scenario-fuzzer entry point.  ``workload_probes`` (a callable
-    taking the live :class:`repro.scenarios.apply.WorkloadEngine` and
-    returning a probe dict) registers workload-aware invariants; the
-    fuzz self-tests use it to plant a provably-detectable violation.
+    the scenario-fuzzer entry point.  ``planted_probes`` is given the
+    live :class:`repro.scenarios.apply.WorkloadEngine` (``None`` without
+    a workload) and returns probes (name -> zero-argument callable
+    returning problem strings) to run on the checker's cadence; the
+    fuzz self-tests plant a provably-detectable violation through it.
     """
     config = config or SoakConfig()
     d = build_deployment(config)
@@ -753,10 +746,7 @@ def run_soak(
             "bus_delivery": bus_delivery(d.bus),
             "lease_safety": lease_safety(d.monitor),
         },
-        extra_probes or {},
-        workload_probes(workload_engine)
-        if workload_probes is not None and workload_engine is not None
-        else {},
+        planted_probes(workload_engine) if planted_probes is not None else {},
     )
     record_final(checker, d.net)
 

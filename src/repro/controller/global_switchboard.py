@@ -536,36 +536,6 @@ class GlobalSwitchboard:
         total = sum(weights.values()) or 1.0
         return {fwd: weight / total for fwd, weight in weights.items()}
 
-    def _prev_hop_weights(
-        self,
-        installation: ChainInstallation,
-        position: int,
-        site: str,
-    ) -> dict[str, float]:
-        """Hierarchical previous-hop weights entering chain node
-        ``position`` at ``site`` (informational; the reverse data path
-        follows flow-table state)."""
-        chain_name = installation.spec.name
-        chain = self.model.chains[chain_name]
-        in_flows = self.router.solution.stage_flows(chain_name, position)
-        prev_hops: dict[str, float] = {}
-        for (src, dst), frac in in_flows.items():
-            if dst != site:
-                continue
-            if position == 1:
-                ingress_local = self.local_switchboard(
-                    installation.ingress_site
-                )
-                fwd = ingress_local.edge_forwarder()
-                prev_hops[fwd.name] = prev_hops.get(fwd.name, 0.0) + frac
-            else:
-                shares = self._forwarder_shares(src, chain.vnf_at(position - 1))
-                for fwd_name, share in shares.items():
-                    prev_hops[fwd_name] = (
-                        prev_hops.get(fwd_name, 0.0) + frac * share
-                    )
-        return prev_hops
-
     def _install_rules(
         self, installation: ChainInstallation, only_site: str | None = None
     ) -> None:
@@ -623,9 +593,6 @@ class GlobalSwitchboard:
                 next_hops = self._next_hop_weights(
                     installation, position, site
                 )
-                prev_hops = self._prev_hop_weights(
-                    installation, position, site
-                )
                 for fwd in local.forwarders_for_service(vnf_name):
                     local_instances = {
                         inst.name: inst.weight
@@ -638,7 +605,6 @@ class GlobalSwitchboard:
                         LoadBalancingRule(
                             local_instances=WeightedChoice(local_instances),
                             next_forwarders=WeightedChoice(next_hops),
-                            prev_forwarders=WeightedChoice(prev_hops),
                         ),
                     )
                     if rule_installs is not None:

@@ -6,7 +6,7 @@ Responsibilities reproduced here:
   VNF instances to forwarders (round-robin, keeping a VNF instance in
   the same L2 domain as its forwarder);
 - compiling a chain's wide-area route fractions plus the published
-  instance weights into the three weighted load-balancing rule sets of
+  instance weights into the weighted load-balancing rule sets of
   Section 5.2, and installing them at the site's forwarders;
 - the on-demand edge-site extension of Section 6: choosing the nearest
   existing wide-area route for traffic appearing at a new edge site.
@@ -141,11 +141,10 @@ class LocalSwitchboard:
         egress_site: str,
         local_instances: Mapping[str, float],
         next_hops: Mapping[str, float],
-        prev_hops: Mapping[str, float],
     ) -> None:
         """Install the compiled rule at every forwarder of this site.
 
-        ``local_instances`` / ``next_hops`` / ``prev_hops`` already carry
+        ``local_instances`` / ``next_hops`` already carry
         hierarchical weights (site fraction x instance weight); this
         method only materializes them into the forwarders.
         """
@@ -159,7 +158,6 @@ class LocalSwitchboard:
                     }
                 ),
                 next_forwarders=WeightedChoice(dict(next_hops)),
-                prev_forwarders=WeightedChoice(dict(prev_hops)),
             )
             fwd.install_rule(chain_label, egress_site, rule)
 

@@ -743,7 +743,6 @@ class BusDrivenInstaller:
         )
         # Instance allocation requests to VNF controllers on the route.
         involved: set[tuple[str, str]] = set(pending.loads)
-        pending.awaiting_instances = set(involved)
         if not involved:
             self._configure_sites(pending)
             return
@@ -796,7 +795,6 @@ class BusDrivenInstaller:
                 ]
             },
         )
-        pending.awaiting_instances.discard((vnf_name, site))
 
     def _bus_client(self, site: str) -> str:
         return self.local_clients.get(site, "gsb.pub")
@@ -902,7 +900,6 @@ class _PendingInstall:
         )
     )
     loads: dict[tuple[str, str], float] = field(default_factory=dict)
-    awaiting_instances: set[tuple[str, str]] = field(default_factory=set)
     #: raw topic -> parsed topic of every instance announcement awaited,
     #: and the bus clients subscribed to them (released at retirement).
     involved_topics: dict[str, Topic] = field(default_factory=dict)

@@ -28,7 +28,6 @@ class ReoptimizationReport:
     #: Chains that disappeared mid-round (torn down while this round was
     #: releasing/re-routing) and were therefore left alone.
     vanished: list[str] = field(default_factory=list)
-    carried_before: float = 0.0
     carried_after: float = 0.0
     offered_after: float = 0.0
 
@@ -56,26 +55,14 @@ def reoptimize(
     heavy hitters get first pick, then committed through the usual
     two-phase protocol.
 
-    The installation set is snapshotted once at entry.  Re-routing runs
-    controller callbacks (2PC, rule installs) that can remove *other*
-    chains from ``gs.installations`` mid-round -- an operator tearing a
-    chain down between bus messages, or an admission policy evicting on
-    rejection -- so every later step re-checks membership against the
-    live dict instead of indexing it blindly; chains that vanished are
-    reported in :attr:`ReoptimizationReport.vanished`.
+    Re-routing runs controller callbacks (2PC, rule installs) that can
+    remove *other* chains from ``gs.installations`` mid-round -- an
+    operator tearing a chain down between bus messages, or an admission
+    policy evicting on rejection -- so every step re-checks membership
+    against the live dict instead of indexing it blindly; chains that
+    vanished are reported in :attr:`ReoptimizationReport.vanished`.
     """
     report = ReoptimizationReport()
-    # Snapshot: keys and per-chain demand as of round start.  The live
-    # dict and model mutate underneath the loops below.
-    installed = list(gs.installations)
-    demand_at_start = {
-        name: gs.model.chains[name].stage_traffic(1) for name in installed
-    }
-    for name in installed:
-        report.carried_before += (
-            gs.router.solution.routed_fraction(name) * demand_at_start[name]
-        )
-
     changed: list[str] = []
     for name, factor in demand_factors.items():
         if name not in gs.installations:

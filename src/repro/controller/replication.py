@@ -66,9 +66,6 @@ class ReplicatedStore:
         #: A majority: any two quorums intersect.
         self.quorum = len(replica_names) // 2 + 1
         self._next_version = 1
-        self.writes = 0
-        self.reads = 0
-        self.read_repairs = 0
 
     # -- membership -----------------------------------------------------
 
@@ -106,7 +103,6 @@ class ReplicatedStore:
         self._next_version += 1
         for replica in alive:
             replica.data[key] = _Versioned(version, value)
-        self.writes += 1
         return version
 
     def get(self, key: str) -> Any:
@@ -116,7 +112,6 @@ class ReplicatedStore:
             raise ReplicationError(
                 f"read quorum lost: {len(alive)} alive < {self.quorum}"
             )
-        self.reads += 1
         best: _Versioned | None = None
         for replica in alive[: max(self.quorum, len(alive))]:
             entry = replica.data.get(key)
@@ -129,7 +124,6 @@ class ReplicatedStore:
             entry = replica.data.get(key)
             if entry is None or entry.version < best.version:
                 replica.data[key] = best
-                self.read_repairs += 1
         return best.value
 
     def delete(self, key: str) -> None:

@@ -161,11 +161,6 @@ class SubstrateColumns:
         )
         self.n_nodes = n
         self.endpoint_names: list[str] = self.nodes + self.site_names
-        self.endpoint_index: dict[str, int] = {}
-        for i, name in enumerate(self.endpoint_names):
-            # Later site entries shadow same-named nodes, matching
-            # ``NetworkModel.endpoint_node``'s site-first resolution.
-            self.endpoint_index[name] = i
         self.endpoint_node = np.concatenate(
             [np.arange(n, dtype=np.int64), self.site_node]
         ) if self.site_names else np.arange(n, dtype=np.int64)

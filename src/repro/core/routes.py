@@ -356,7 +356,7 @@ class RoutingSolution:
 
     # -- validation -----------------------------------------------------------
 
-    def violations(self, tol: float = _TOL) -> list[str]:
+    def violations(self) -> list[str]:
         """Check structural and capacity invariants; return human-readable
         descriptions of violations (empty list == valid).
 
@@ -367,14 +367,14 @@ class RoutingSolution:
         """
         problems: list[str] = []
         for name, chain in self.chains.items():
-            problems.extend(self._check_chain(name, chain, tol))
+            problems.extend(self._check_chain(name, chain))
 
         loads, site_loads, _pairs, link_traffic = self._accumulate()
         for site_name, load in site_loads.items():
             site = self.model.sites.get(site_name)
             if site is None:
                 problems.append(f"load on unknown site {site_name!r}")
-            elif load > site.capacity + tol:
+            elif load > site.capacity + _TOL:
                 problems.append(
                     f"site {site_name!r} overloaded: {load:.6g} > {site.capacity:.6g}"
                 )
@@ -385,7 +385,7 @@ class RoutingSolution:
                 problems.append(
                     f"VNF {vnf_name!r} routed at non-deployment site {site_name!r}"
                 )
-            elif load > cap + tol:
+            elif load > cap + _TOL:
                 problems.append(
                     f"VNF {vnf_name!r} at {site_name!r} overloaded: "
                     f"{load:.6g} > {cap:.6g}"
@@ -393,17 +393,17 @@ class RoutingSolution:
 
         if self.model.links:
             for link_name, util in self._link_utilization(link_traffic).items():
-                if util > self.model.mlu_limit + tol:
+                if util > self.model.mlu_limit + _TOL:
                     problems.append(
                         f"link {link_name!r} exceeds MLU budget: "
                         f"{util:.6g} > {self.model.mlu_limit:.6g}"
                     )
         return problems
 
-    def _check_chain(self, name: str, chain: Chain, tol: float) -> Iterable[str]:
+    def _check_chain(self, name: str, chain: Chain) -> Iterable[str]:
         problems: list[str] = []
         routed = self.routed_fraction(name)
-        if routed > 1 + tol:
+        if routed > 1 + _TOL:
             problems.append(f"chain {name!r} routes {routed:.6g} > 1 of its demand")
 
         for z in range(1, chain.num_stages + 1):
@@ -422,7 +422,7 @@ class RoutingSolution:
                     problems.append(
                         f"chain {name!r} stage {z}: invalid destination {dst!r}"
                     )
-                if frac < -tol:
+                if frac < -_TOL:
                     problems.append(
                         f"chain {name!r} stage {z}: negative fraction {frac:.6g}"
                     )
@@ -436,7 +436,7 @@ class RoutingSolution:
             for (src, _dst), frac in self._flows.get((name, z + 1), {}).items():
                 outgoing[src] += frac
             for site in set(incoming) | set(outgoing):
-                if abs(incoming[site] - outgoing[site]) > tol:
+                if abs(incoming[site] - outgoing[site]) > _TOL:
                     problems.append(
                         f"chain {name!r}: flow conservation broken at stage "
                         f"{z}->{z + 1}, site {site!r}: in={incoming[site]:.6g} "

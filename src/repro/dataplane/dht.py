@@ -54,10 +54,8 @@ def _key_token(labels: Labels, flow: FiveTuple) -> str:
 class DhtStats:
     """Counters for lookups and maintenance traffic."""
 
-    local_hits: int = 0
     remote_hits: int = 0
     misses: int = 0
-    stores: int = 0
     transferred_entries: int = 0
 
 
@@ -138,7 +136,7 @@ class ReplicatedFlowTable:
         departing = self._shards.pop(node)
         self.ring.remove(node)
         for key, entry in departing.items():
-            self._store(key, entry, count_stats=False)
+            self._store(key, entry)
             self.stats.transferred_entries += 1
         self._rebalance()
 
@@ -169,7 +167,6 @@ class ReplicatedFlowTable:
         key = FlowKey(labels, flow)
         shard = self._shards.get(querying_node)
         if shard is not None and key in shard:
-            self.stats.local_hits += 1
             return shard[key]
         entry = self._find(key)
         if entry is not None:
@@ -226,14 +223,12 @@ class ReplicatedFlowTable:
                 return shard[key]
         return None
 
-    def _store(self, key: FlowKey, entry: FlowEntry, count_stats: bool = True) -> None:
+    def _store(self, key: FlowKey, entry: FlowEntry) -> None:
         owners = self._owners(key)
         if not owners:
             raise DhtError("cannot store: no nodes on the ring")
         for node in owners:
             self._shards[node][key] = entry
-        if count_stats:
-            self.stats.stores += 1
 
     def _rebalance(self) -> None:
         """Re-replicate every entry onto its current owner set."""

@@ -61,8 +61,7 @@ class VnfInstance:
     ``transform`` optionally rewrites the packet (e.g. a NAT rewriting the
     five-tuple); it is called per packet with the packet itself.  When
     ``supports_labels`` is False, the attached forwarder strips the labels
-    before handing over the packet and re-affixes them afterwards -- the
-    ``saw_labels`` log lets tests assert the VNF really never saw them.
+    before handing over the packet and re-affixes them afterwards.
     """
 
     #: Load-balancing weight: a site's instances of a service share its
@@ -82,12 +81,8 @@ class VnfInstance:
         self.site = site
         self.supports_labels = supports_labels
         self.transform = transform
-        self.packets_processed = 0
-        self.saw_labels: list[bool] = []
 
     def process(self, packet: Packet) -> Packet:
-        self.packets_processed += 1
-        self.saw_labels.append(packet.labels is not None)
         packet.trace.append(self.name)
         if self.transform is not None:
             self.transform(packet)

@@ -3,8 +3,11 @@
 A forwarder installs, per (chain label, egress label):
 
 1. a rule over the VNF instances it fronts at its site,
-2. a rule over the forwarders adjoining the *next* VNF in the chain,
-3. a rule over the forwarders adjoining the *previous* VNF.
+2. a rule over the forwarders adjoining the *next* VNF in the chain.
+
+The paper's third set, over the forwarders of the *previous* VNF, has
+no reader here: a reverse packet retraces the previous hop its flow-table
+entry recorded on the way out (flow affinity, Section 5.3).
 
 Weights are hierarchical: the product of the site-level traffic-
 engineering fraction (the ``x_{c z n1 n2}`` variable) with the weight of
@@ -92,11 +95,11 @@ class WeightedChoice:
 
 @dataclass
 class LoadBalancingRule:
-    """The three weighted rule sets for one (chain, egress) at a forwarder."""
+    """The two weighted rule sets for one (chain, egress) at a forwarder;
+    the reverse path follows flow-table state, not a rule set."""
 
     local_instances: WeightedChoice = field(default_factory=WeightedChoice)
     next_forwarders: WeightedChoice = field(default_factory=WeightedChoice)
-    prev_forwarders: WeightedChoice = field(default_factory=WeightedChoice)
 
 
 def forwarder_weight(vnf_instance_weights: Mapping[str, float]) -> float:

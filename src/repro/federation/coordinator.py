@@ -272,17 +272,6 @@ class GlobalCoordinator:
             resolved=tuple(sorted(per_region)),
         )
 
-    def solve(
-        self,
-        model: NetworkModel,
-        objective: LpObjective = LpObjective.MAX_THROUGHPUT,
-    ) -> FederatedPlan:
-        """Sync the federation against the (shared) full model -- new
-        chains are installed, gone chains torn down, demand changes
-        pushed into regional copies -- then plan every region."""
-        self.sync_chains()
-        return self.plan_all(objective)
-
     def resolve(
         self,
         model: NetworkModel,
@@ -302,8 +291,7 @@ class GlobalCoordinator:
             if chain is None:
                 raise FederationError(f"unknown chain {name!r}")
             if name in self._intra:
-                region = self._intra[name]
-                self.regionals[region].update_demand(chain)
+                region = self._refresh_intra(name, chain)
                 by_region.setdefault(region, set()).add(name)
             elif name in self._cross:
                 for seg in self._refresh_segments(name, chain):
@@ -423,7 +411,7 @@ class GlobalCoordinator:
             if name in self._intra:
                 region = self._intra[name]
                 if self.regionals[region].model.chains.get(name) is not chain:
-                    self.regionals[region].update_demand(chain)
+                    self._refresh_intra(name, chain)
                     updated.append(name)
             else:
                 if self._cross[name].chain is not chain:
@@ -623,11 +611,20 @@ class GlobalCoordinator:
             abort=lambda k, a: self.regionals[by_key[k].region].abort(k, a),
         )
 
+    def _refresh_intra(self, name: str, chain: Chain) -> int:
+        """Push an intra-shard chain's new demands into its region and
+        re-record it; returns the region."""
+        region = self._intra[name]
+        self.regionals[region].update_demand(chain)
+        self._record_intra(name, region, chain)
+        return region
+
     def _refresh_segments(
         self, name: str, chain: Chain
     ) -> tuple[SegmentSpec, ...]:
         """Push new demands into a committed chain's segments (structure
-        and border choices are kept; only demand slices change)."""
+        and border choices are kept; only demand slices change) and
+        re-record it."""
         record = self._cross[name]
         stage_ptr = 1
         refreshed: list[SegmentSpec] = []
@@ -670,6 +667,7 @@ class GlobalCoordinator:
             self.regionals[seg.region].update_segment(seg)
         record.chain = chain
         record.segments = tuple(refreshed)
+        self._record_cross(record)
         return record.segments
 
     def _merge(

@@ -68,8 +68,7 @@ class BorderLedger:
     with the committed ledger authoritative for release.
     """
 
-    def __init__(self, link_name: str, capacity: float):
-        self.link_name = link_name
+    def __init__(self, capacity: float):
         self.capacity = capacity
         self.prepared: dict[str, float] = {}
         self.committed: dict[str, float] = {}
@@ -152,7 +151,7 @@ class RegionalSwitchboard:
         self.metrics = metrics
         self.farm = SolverFarm(partition_size=partition_size, metrics=metrics)
         self.ledgers: dict[str, BorderLedger] = {
-            b.name: BorderLedger(b.name, b.capacity) for b in owned_borders
+            b.name: BorderLedger(b.capacity) for b in owned_borders
         }
         #: Attempt epochs per segment name (tombstone on teardown).
         self._fence = Fence()

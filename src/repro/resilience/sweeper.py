@@ -38,7 +38,6 @@ class ReconciliationSweeper:
 
     def __init__(self, installer: "BusDrivenInstaller"):
         self.installer = installer
-        self.sweeps = 0
         self.stale_reservations_released = 0
         self.stalled_installs_aborted = 0
 
@@ -55,7 +54,6 @@ class ReconciliationSweeper:
 
     def sweep(self) -> int:
         """One reconciliation pass; returns stale reservations released."""
-        self.sweeps += 1
         installer = self.installer
         gs = installer.gs
         now = installer.sim.now

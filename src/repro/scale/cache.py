@@ -27,11 +27,10 @@ MAX_ENTRIES = 256
 
 @dataclass
 class CacheStats:
-    """The cache's hit, miss and eviction counts."""
+    """The cache's hit and miss counts."""
 
     hits: int = 0
     misses: int = 0
-    evictions: int = 0
 
 
 class SolutionCache:
@@ -59,4 +58,3 @@ class SolutionCache:
         self._entries[key] = result
         while len(self._entries) > MAX_ENTRIES:
             self._entries.popitem(last=False)
-            self.stats.evictions += 1

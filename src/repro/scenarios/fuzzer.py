@@ -267,7 +267,7 @@ def run_case_mono(
             soak_config,
             scenario=composed.faults,
             workload=composed.workload,
-            workload_probes=_planted_probes if case.planted else None,
+            planted_probes=_planted_probes if case.planted else None,
         )
     except Exception as exc:  # an escaped exception IS a finding
         return StackResult(

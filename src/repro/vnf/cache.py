@@ -37,7 +37,6 @@ class LruCache:
         self._store: OrderedDict[str, bool] = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._store)
@@ -56,7 +55,6 @@ class LruCache:
             return False
         if len(self._store) >= self.capacity:
             self._store.popitem(last=False)
-            self.evictions += 1
         self._store[key] = True
         return False
 
@@ -85,7 +83,6 @@ class ZipfWorkload:
         if exponent <= 0:
             raise CacheError(f"non-positive Zipf exponent {exponent}")
         self.num_objects = num_objects
-        self.exponent = exponent
         self.rank_offset = rank_offset
         self._rng = rng
         weights = [rank ** -exponent for rank in range(1, num_objects + 1)]

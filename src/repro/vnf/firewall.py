@@ -47,7 +47,6 @@ class StatefulFirewall:
         self.rules = list(rules or [])
         self.default_allow = default_allow
         self._established: set[FiveTuple] = set()
-        self.admitted = 0
         self.dropped = 0
 
     def is_established(self, flow: FiveTuple) -> bool:
@@ -57,17 +56,14 @@ class StatefulFirewall:
         flow = packet.flow
         if packet.direction == "forward":
             if flow in self._established:
-                self.admitted += 1
                 return
             if any(rule.matches(flow) for rule in self.rules) or self.default_allow:
                 self._established.add(flow)
-                self.admitted += 1
                 return
             self.dropped += 1
             raise DropPacket(f"firewall: no rule admits {flow}")
         # Reverse direction: only established connections may return.
         if flow.reversed() in self._established:
-            self.admitted += 1
             return
         self.dropped += 1
         raise DropPacket(f"firewall: unsolicited reverse packet {flow}")

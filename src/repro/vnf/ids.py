@@ -43,7 +43,6 @@ class IntrusionDetector:
     scan_port_threshold: int = 20
     prevention: bool = True
     alerts: list[Alert] = field(default_factory=list)
-    packets_inspected: int = 0
     packets_dropped: int = 0
     _ports_by_source: dict[str, set[int]] = field(
         default_factory=lambda: defaultdict(set)
@@ -54,7 +53,6 @@ class IntrusionDetector:
         return source in self._blocked_sources
 
     def __call__(self, packet: Packet) -> None:
-        self.packets_inspected += 1
         source = packet.flow.src_ip
 
         if source in self._blocked_sources:

@@ -32,7 +32,6 @@ class NatFunction:
         self._forward: dict[tuple[str, int, str], int] = {}
         #: public port -> (private ip, private port, protocol)
         self._reverse: dict[int, tuple[str, int, str]] = {}
-        self.translations = 0
         self.drops = 0
 
     def __call__(self, packet: Packet) -> None:
@@ -53,7 +52,6 @@ class NatFunction:
         packet.flow = FiveTuple(
             self.public_ip, flow.dst_ip, flow.protocol, port, flow.dst_port
         )
-        self.translations += 1
 
     def _translate_reverse(self, packet: Packet) -> None:
         flow = packet.flow
@@ -73,4 +71,3 @@ class NatFunction:
         packet.flow = FiveTuple(
             flow.src_ip, private_ip, protocol, flow.src_port, private_port
         )
-        self.translations += 1

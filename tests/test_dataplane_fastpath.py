@@ -169,6 +169,20 @@ CHAINS = (1, 2, 3, 4)
 INSTANCES = ("u1", "u2", "n1", "n2", "w1")
 
 
+class Seen:
+    """A VNF's transform that logs the labels of every packet it is
+    handed, then applies the VNF's own transform (if any)."""
+
+    def __init__(self, inner=None):
+        self.inner = inner
+        self.labels = []
+
+    def __call__(self, packet):
+        self.labels.append(packet.labels)
+        if self.inner is not None:
+            self.inner(packet)
+
+
 def fronting(forwarders, instance):
     """The forwarder at the instance's site (one per site here)."""
     (forwarder,) = (f for f in forwarders.values() if f.site == instance.site)
@@ -187,13 +201,13 @@ def build_fabric(dataplane_class):
         for name, site in (("f.in", "A"), ("f.u", "B"), ("f.nat", "C"), ("f.fw", "D"))
     }
     instances = {
-        "u1": VnfInstance("u1", "U", "B", supports_labels=False),
-        "u2": VnfInstance("u2", "U", "B", supports_labels=False),
-        "n1": VnfInstance("n1", "NAT", "C", transform=NatFunction("99.0.0.1")),
-        "n2": VnfInstance("n2", "NAT", "C", transform=NatFunction("99.0.0.2")),
+        "u1": VnfInstance("u1", "U", "B", supports_labels=False, transform=Seen()),
+        "u2": VnfInstance("u2", "U", "B", supports_labels=False, transform=Seen()),
+        "n1": VnfInstance("n1", "NAT", "C", transform=Seen(NatFunction("99.0.0.1"))),
+        "n2": VnfInstance("n2", "NAT", "C", transform=Seen(NatFunction("99.0.0.2"))),
         "w1": VnfInstance(
             "w1", "FW", "D",
-            transform=StatefulFirewall([FirewallRule(dst_port_range=(80, 80))]),
+            transform=Seen(StatefulFirewall([FirewallRule(dst_port_range=(80, 80))])),
         ),
     }
     for instance in instances.values():
@@ -246,7 +260,7 @@ def observables(dp, forwarders, instances):
             for name, sink in dp.endpoints.items()
         },
         "instances": {
-            name: (i.packets_processed, i.saw_labels) for name, i in instances.items()
+            name: i.transform.labels for name, i in instances.items()
         },
         "forwarders": {
             name: (
@@ -332,7 +346,7 @@ def test_the_fabric_reaches_every_kind_of_hop():
     assert reply.trace[-1] == "in" and reply.flow == flow_number(0).reversed()
     assert forwarders["f.nat"].flow_table.inserts == 1
     assert len(forwarders["f.nat"].flow_table) == 2  # the NAT alias
-    assert not any(instances[first.trace[2]].saw_labels)  # label-unaware
+    assert set(instances[first.trace[2]].transform.labels) == {None}  # label-unaware
     assert forward(1, 1).trace[-1] == "w1"  # refused by the firewall
     assert forward(2, 0).trace[-1] == "f.u"  # no rule
     entries = len(forwarders["f.u"].flow_table)

@@ -155,7 +155,7 @@ class TestShardMap:
 
 class TestBorderLedger:
     def test_prepare_commit_release(self):
-        ledger = BorderLedger("l", 100.0)
+        ledger = BorderLedger(100.0)
         assert ledger.prepare("s1", 60.0)
         assert ledger.prepare("s1", 60.0)  # idempotent re-prepare
         assert not ledger.prepare("s2", 50.0)  # over capacity
@@ -169,7 +169,7 @@ class TestBorderLedger:
         assert ledger.reserved() == 0.0
 
     def test_update_committed_is_guarded(self):
-        ledger = BorderLedger("l", 100.0)
+        ledger = BorderLedger(100.0)
         ledger.prepare("s1", 60.0)
         ledger.commit("s1")
         assert not ledger.fits_update("s1", 120.0)
@@ -379,11 +379,11 @@ class TestFederatedPlanning:
         model, coordinator = tri_coordinator()
         model.add_chain(intra_chain(demand=5.0))
         model.add_chain(cross_chain(demand=10.0))
-        plan = coordinator.solve(model)
-        assert plan.ok
+        coordinator.sync_chains()
+        assert coordinator.plan_all().ok
         assert coordinator.installed() == ["ia", "x3"]
         model.remove_chain("x3")
-        coordinator.solve(model)
+        assert coordinator.sync_chains()["removed"] == ["x3"]
         assert coordinator.installed() == ["ia"]
         assert all(
             lg.reserved() == 0.0

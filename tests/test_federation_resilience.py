@@ -296,6 +296,46 @@ class TestCoordinatorFailover:
         assert check_ledger_consistency(d.standby) == []
         assert check_atomicity(d.standby) == []
 
+    @pytest.mark.parametrize("replan", ["resolve", "sync_chains"])
+    def test_takeover_restores_the_demands_of_a_re_plan(self, replan):
+        """A re-plan after a redemand re-records every chain it
+        refreshes: the durable record holds the new demands, and a
+        standby that takes over reconciles the regions to them, not to
+        the demands the chains were installed with."""
+        config = quiet_config(seed=1)
+        d = build_federation_deployment(config)
+        d.failover.start(until=config.duration_s)
+        cross = sorted(d.primary._cross)[0]
+        intra = sorted(d.primary._intra)[0]
+        for name, factor in ((cross, 1.2), (intra, 1.5)):
+            chain = d.model.chains[name]
+            d.model.remove_chain(name)
+            d.model.add_chain(chain.scaled(factor))
+            if replan == "resolve":
+                d.primary.resolve(d.model, [name])
+            else:
+                assert d.primary.sync_chains()["updated"] == [name]
+        live = [seg.border_demands for seg in d.primary._cross[cross].segments]
+        durable_intra, durable_cross = d.fed_store.restore()
+        assert durable_intra[intra][1].forward_traffic == d.model.chains[intra].forward_traffic
+        assert [seg.border_demands for seg in durable_cross[cross].segments] == live
+
+        d.sim.schedule_at(1.0, d.failover.crash_active)
+        d.net.run(until=config.duration_s)
+        d.net.run()
+
+        assert d.failover.takeovers == 1 and d.standby.active
+        region = d.standby._intra[intra]
+        assert (
+            d.standby.regionals[region].model.chains[intra].forward_traffic
+            == d.model.chains[intra].forward_traffic
+        )
+        for seg, demands in zip(d.standby._cross[cross].segments, live):
+            for link_name, amount in demands:
+                ledger = d.standby.regionals[seg.region].ledgers[link_name]
+                assert ledger.committed[seg.chain.name] == amount
+        assert check_ledger_consistency(d.standby) == []
+
 
 class TestFederatedChaosSoak:
     def test_multi_seed_soak_passes_and_replays_byte_identically(self):
@@ -333,7 +373,7 @@ class TestUnifiedProbeRegistry:
 
         report = run_chaos_soak(
             SoakConfig(seed=1, duration_s=10.0, num_chains=2),
-            extra_probes={"tattletale": tattletale},
+            planted_probes=lambda _engine: {"tattletale": tattletale},
         )
         assert hits  # the probe really ran on the checker cadence
         assert any(v.invariant == "tattletale" for v in report.violations)

@@ -23,7 +23,10 @@ caller's own defaulted parameter forwards it: it counts only if that
 parameter is set, transitively.  A function or class referenced other
 than by being called (stored in a table, passed as a callback or a
 factory) has every parameter counted as set; a type test or an
-``except`` clause is not such a reference.
+``except`` clause is not such a reference.  A read of an attribute
+whose name a ``src/repro`` class owns as state (``self.x = ...`` or a
+dataclass field; ``tests/test_state.py`` holds those to a reader)
+reads that state, not a method of the same name.
 
 An option only tests set is listed in ``TEST_ONLY`` with the test file
 that sets it and why it stays: it is a seam that injects a fake, a
@@ -76,9 +79,6 @@ TEST_ONLY = {
     ("repro.cli:main", "argv"): (
         "tests/test_cli.py", "a fake: the command line, in place of sys.argv",
     ),
-    ("repro.chaos.runner:run_soak", "extra_probes"): (
-        "tests/test_federation_resilience.py", "a fault: a planted probe the soak must report",
-    ),
     ("repro.scale.farm:SolverFarm.__init__", "cache"): (
         "tests/test_plan_carry.py", "a fake: a RecordingCache, or one cache shared by two farms",
     ),
@@ -97,6 +97,17 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
+def _fields(node: ast.ClassDef) -> tuple[str, ...]:
+    """A dataclass's fields in declaration order."""
+    return tuple(
+        stmt.target.id
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign)
+        and isinstance(stmt.target, ast.Name)
+        and "ClassVar" not in ast.unparse(stmt.annotation)
+    )
+
+
 def _config_fields() -> dict[str, tuple[str, ...]]:
     """``class -> fields in declaration order`` for every config
     dataclass under ``src/repro``."""
@@ -108,13 +119,7 @@ def _config_fields() -> dict[str, tuple[str, ...]]:
                 and node.name.endswith(("Config", "Policy"))
                 and _is_dataclass(node)
             ):
-                classes[node.name] = tuple(
-                    stmt.target.id
-                    for stmt in node.body
-                    if isinstance(stmt, ast.AnnAssign)
-                    and isinstance(stmt.target, ast.Name)
-                    and "ClassVar" not in ast.unparse(stmt.annotation)
-                )
+                classes[node.name] = _fields(node)
     return classes
 
 
@@ -247,8 +252,8 @@ def _tree(path: Path) -> ast.Module:
 
 
 class _Index:
-    """Definitions, class bases and per-module names of a set of
-    modules (``module name -> path``)."""
+    """Definitions, class bases, the attributes each class owns and
+    per-module names of a set of modules (``module name -> path``)."""
 
     def __init__(self, modules: dict[str, Path]):
         self.modules = modules
@@ -256,6 +261,9 @@ class _Index:
         self.by_name: dict[str, list[str]] = defaultdict(list)
         #: class key -> (its module, base expressions, method -> def key)
         self.classes: dict[str, tuple[str, list[ast.expr], dict[str, str]]] = {}
+        #: class key -> the attributes it owns: assigned on ``self`` (a
+        #: method's first parameter) or declared as a dataclass field.
+        self.state: dict[str, set[str]] = defaultdict(set)
         self.names: dict[str, dict[str, tuple]] = {}
         for module, path in modules.items():
             names = self.names[module] = {}
@@ -280,6 +288,8 @@ class _Index:
             key = f"{module}:{prefix}{getattr(child, 'name', '')}"
             if isinstance(child, ast.ClassDef):
                 self.classes[key] = (module, child.bases, {})
+                if _is_dataclass(child):
+                    self.state[key].update(_fields(child))
                 if names is not None:
                     names[child.name] = ("class", key)
                 self._define(child, module, f"{prefix}{child.name}.", key, None)
@@ -287,8 +297,14 @@ class _Index:
                 args = child.args
                 positional = [a.arg for a in args.posonlyargs + args.args]
                 static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
-                if owner is not None and not static:
-                    positional = positional[1:]
+                if owner is not None and not static and positional:
+                    bound = positional.pop(0)
+                    self.state[owner].update(
+                        node.attr for node in ast.walk(child)
+                        if isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Store)
+                        and getattr(node.value, "id", None) == bound
+                    )
                 self.defs[key] = _Def(tuple(positional), _defaulted(child))
                 self.by_name[child.name].append(key)
                 if owner is not None:
@@ -392,10 +408,13 @@ class _Index:
         return [entry[1]] if entry[0] == "def" and entry[1] else []
 
 
-def _edges(index: _Index, module: str) -> list[tuple[tuple[str, str], tuple | None]]:
+def _edges(
+    index: _Index, module: str, state: set[str]
+) -> list[tuple[tuple[str, str], tuple | None]]:
     """``(parameter, source)`` per argument a call in ``module`` passes:
     ``source`` is the enclosing defaulted parameter it forwards, or None
-    for a value set there."""
+    for a value set there.  A read of an attribute the scan cannot type
+    whose name is in ``state`` reads state, not a method of that name."""
     edges = []
 
     def source(value, scopes):
@@ -466,7 +485,7 @@ def _edges(index: _Index, module: str) -> list[tuple[tuple[str, str], tuple | No
                 entry = index.resolve(node, module)
                 if entry is not None and entry[0] == "class":
                     entry = ("def", index.method(entry[1], "__init__"))
-                if entry is None and isinstance(node, ast.Attribute):
+                if entry is None and isinstance(node, ast.Attribute) and node.attr not in state:
                     for key in index.by_name.get(node.attr, ()):
                         every(key)
                 elif entry is not None and entry[0] == "def" and entry[1]:
@@ -504,28 +523,41 @@ def _module_name(path: Path, root: Path) -> str:
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
-def _parameter_census(modules: dict[str, Path], package: str):
+def _in(key: str, package: str) -> bool:
+    return key.startswith(f"{package}.") or key.startswith(f"{package}:")
+
+
+def _parameter_census(index: _Index, package: str):
     """``(defaulted, edges)``: the defaulted parameters of every
     definition in ``package`` and, per module, the edges of its calls."""
-    index = _Index(modules)
     defaulted = {
         (key, name)
         for key, definition in index.defs.items()
-        if key.startswith(f"{package}.") or key.startswith(f"{package}:")
+        if _in(key, package)
         for name in definition.defaulted
     }
-    return defaulted, {module: _edges(index, module) for module in modules}
+    state = {
+        name for cls, names in index.state.items() if _in(cls, package) for name in names
+    }
+    return defaulted, {module: _edges(index, module, state) for module in index.modules}
 
 
 @functools.cache
-def _repo():
+def _repo_index() -> _Index:
+    """The index of ``src/repro``, ``benchmarks/``, ``examples/`` and
+    ``tests/``."""
     modules = {}
     for path in sorted((SRC / "repro").rglob("*.py")):
         modules[_module_name(path, SRC)] = path
     for top in ("benchmarks", "examples", "tests"):
         for path in sorted((ROOT / top).rglob("*.py")):
             modules[_module_name(path, ROOT)] = path
-    return _parameter_census(modules, "repro")
+    return _Index(modules)
+
+
+@functools.cache
+def _repo():
+    return _parameter_census(_repo_index(), "repro")
 
 
 def _repo_set(*tests: str) -> set[tuple[str, str]]:
@@ -605,10 +637,18 @@ class Knob:
 
 class Dial(Knob):
     pass
+
+class Checker:
+    def __init__(self):
+        self.violations = []
+
+class Solution:
+    def violations(self, tol=1e-6):
+        return []
 """,
     "main": """
 from planted.tools import scale as grow
-from planted.shapes import Dial, Leaf, Other
+from planted.shapes import Checker, Dial, Leaf, Other
 
 def outer(limit=5):
     return inner(limit=limit)
@@ -627,6 +667,7 @@ def run(kind):
     Leaf()
     Other(size=4)
     Dial.make()
+    assert not Checker().violations
     return HANDLERS[kind]("case")
 """,
 }
@@ -641,7 +682,7 @@ def test_the_parameter_census_resolves_callers(tmp_path):
     modules = {
         _module_name(path, tmp_path): path for path in sorted(package.glob("*.py"))
     }
-    defaulted, edges = _parameter_census(modules, "planted")
+    defaulted, edges = _parameter_census(_Index(modules), "planted")
     passed = _set(edge for found in edges.values() for edge in found)
     unset = {f"{key.split(':')[1]}({name})" for key, name in defaulted - passed}
     assert unset == {
@@ -652,4 +693,7 @@ def test_the_parameter_census_resolves_callers(tmp_path):
         # Called only as `grow`: the alias's call sets factor alone,
         # and the real `grow` is never called.
         "scale(offset)", "grow(factor)",
+        # `Checker().violations` reads the checker's list, not the
+        # method of that name.
+        "Solution.violations(tol)",
     }

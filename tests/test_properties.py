@@ -79,7 +79,7 @@ def random_model(draw) -> NetworkModel:
 @given(random_model())
 def test_dp_solution_always_feasible(model):
     result = route_chains_dp(model)
-    assert not result.solution.violations(tol=TOL)
+    assert not result.solution.violations()
 
 
 @settings(max_examples=40, deadline=None)
@@ -97,7 +97,7 @@ def test_dp_routed_plus_unrouted_is_one(model):
 def test_dp_ablations_also_feasible(model):
     for config in (DpConfig.latency_only(), DpConfig.one_hop()):
         result = route_chains_dp(model, config)
-        assert not result.solution.violations(tol=TOL)
+        assert not result.solution.violations()
 
 
 @settings(max_examples=25, deadline=None)
@@ -133,7 +133,7 @@ def test_lp_min_latency_dominates_when_feasible(model):
 @given(random_model())
 def test_scaled_anycast_always_feasible(model):
     carried = scale_to_capacity(route_anycast(model))
-    assert not carried.violations(tol=TOL)
+    assert not carried.violations()
 
 
 @settings(max_examples=40, deadline=None)
@@ -141,7 +141,7 @@ def test_scaled_anycast_always_feasible(model):
 def test_compute_aware_respects_compute(model):
     solution = route_compute_aware(model)
     problems = [
-        p for p in solution.violations(tol=TOL) if "overloaded" in p
+        p for p in solution.violations() if "overloaded" in p
     ]
     assert not problems
 
@@ -151,4 +151,4 @@ def test_compute_aware_respects_compute(model):
 def test_lp_solution_validates(model):
     lp = solve_chain_routing_lp(model, LpObjective.MAX_THROUGHPUT)
     if lp.ok:
-        assert not lp.solution.violations(tol=1e-4)
+        assert not lp.solution.violations()

@@ -129,7 +129,7 @@ class TestManyChains:
             except InstallationError:
                 rejected += 1
         assert admitted > 0
-        assert gs.router.solution.violations(tol=1e-5) == []
+        assert gs.router.solution.violations() == []
         assert audit_deployment(gs) == []
         for service in gs.vnf_services.values():
             assert service.pending_reservations() == 0

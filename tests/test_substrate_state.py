@@ -391,7 +391,7 @@ def reference_violations(solution: RoutingSolution, tol: float = 1e-6) -> list[s
     model = solution.model
     problems: list[str] = []
     for name, chain in model.chains.items():
-        problems.extend(solution._check_chain(name, chain, tol))
+        problems.extend(solution._check_chain(name, chain))
 
     def vnf_site_loads():
         loads = defaultdict(float)

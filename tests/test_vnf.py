@@ -180,19 +180,19 @@ class TestFirewall:
             fw(rev)
         fw(Packet(FLOW))
         fw(Packet(FLOW.reversed(), direction="reverse"))  # now admitted
-        assert fw.admitted == 2
+        assert fw.dropped == 1
 
     def test_default_allow_admits_everything_forward(self):
         fw = StatefulFirewall(default_allow=True)
         fw(Packet(FLOW))
-        assert fw.admitted == 1
+        assert fw.is_established(FLOW) and fw.dropped == 0
 
     def test_established_flows_skip_rule_evaluation(self):
         fw = StatefulFirewall([FirewallRule(src_prefix="10.0.0.0/24")])
         fw(Packet(FLOW))
         fw.rules.clear()  # policy change
         fw(Packet(FLOW))  # established flow still admitted
-        assert fw.admitted == 2
+        assert fw.dropped == 0
 
     def test_port_rule(self):
         fw = StatefulFirewall([FirewallRule(dst_port_range=(80, 80))])

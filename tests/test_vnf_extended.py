@@ -19,7 +19,7 @@ class TestIntrusionDetector:
     def test_clean_traffic_passes(self):
         ids = IntrusionDetector(signatures=["EVIL"])
         ids(packet(payload="hello world"))
-        assert ids.packets_inspected == 1
+        assert ids.packets_dropped == 0
         assert not ids.alerts
 
     def test_signature_match_alerts_and_drops(self):
@@ -42,7 +42,7 @@ class TestIntrusionDetector:
         with pytest.raises(DropPacket):
             ids(packet(dst_port=2000))  # 6th distinct port
         assert ids.is_blocked("10.0.0.1")
-        assert any(a.kind == "port-scan" for a in ids.alerts)
+        assert [(a.kind, a.source) for a in ids.alerts] == [("port-scan", "10.0.0.1")]
         # All further traffic from the source is dropped.
         with pytest.raises(DropPacket):
             ids(packet(dst_port=80))

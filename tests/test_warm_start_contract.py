@@ -202,6 +202,6 @@ def shares_round_trip(seed, objective):
             # MIN_MLU's beta is free; and at these loads (about 1e3)
             # HiGHS's own feasibility tolerance is 1e-6 absolute, cold too.
             if objective is not LpObjective.MIN_MLU:
-                assert warm.solution.violations(tol=1e-5) == []
+                assert warm.solution.violations() == []
         clear_matrix_cache()
         solve_chain_routing_lp(base, objective)
